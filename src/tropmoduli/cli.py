@@ -126,14 +126,30 @@ def _cmd_validate_curve(args):
 
 
 def _cmd_enumerate(args):
+    for name in ("genus", "contracted", "max_edges"):
+        if getattr(args, name) < 0:
+            raise InputError(f"--{name.replace('_', '-')} must be nonnegative", f"/{name}")
     try:
         degree = json.loads(args.degree)
     except json.JSONDecodeError as exc:
         raise InputError(f"--degree is not valid JSON: {exc}")
     if not isinstance(degree, list) or not all(isinstance(s, list) for s in degree):
         raise InputError("--degree must be a JSON list of integer vectors")
-    types = enumerate_types(args.genus, args.contracted, degree, args.max_edges,
-                            dim=args.dim)
+    dim = args.dim
+    if dim is None:
+        if not degree:
+            raise InputError("--dim is required when --degree is empty", "/dim")
+        dim = len(degree[0])
+    if dim < 0:
+        raise InputError("--dim must be nonnegative", "/dim")
+    for i, s in enumerate(degree):
+        if not all(type(x) is int for x in s):  # JSON true/false are not slopes
+            raise InputError("slopes must have integer entries", f"/degree/{i}")
+        if len(s) != dim:
+            raise InputError(f"slope has {len(s)} entries, expected {dim}", f"/degree/{i}")
+        if not any(s):
+            raise InputError("degree slopes must be nonzero", f"/degree/{i}")
+    types = enumerate_types(args.genus, args.contracted, degree, args.max_edges, dim=dim)
     payload = docs.types_to_doc(types)
     payload["parameters"] = {
         "genus": args.genus, "contracted": args.contracted,

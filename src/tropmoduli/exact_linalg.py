@@ -3,7 +3,10 @@
 Everything in here works over ``fractions.Fraction`` (for rational data) or
 plain Python integers (for lattice data).  There is deliberately no floating
 point anywhere: the geometric predicates built on top of this module are
-equality predicates, and a tolerance would make them meaningless.
+equality predicates, and a tolerance would make them meaningless.  The one
+LP kernel (``_simplex_standard``, behind ``lp_maximize``, ``feasible_point``
+and ``strict_positive_combination``) is a two-phase simplex on an integer
+tableau with one common denominator; it returns exact Fractions.
 
 Vectors are plain tuples, matrices are tuples of row tuples.  All functions
 are pure; values are never mutated after construction.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DependentGenerators, DimMismatch, ZeroVector
@@ -436,86 +439,132 @@ def span_membership(v: Vec, s: Subspace) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact LP: two-phase simplex with Bland's rule
+# exact LP: fraction-free two-phase simplex with Bland's rule
 # ---------------------------------------------------------------------------
+
+def _scaled(x, den: int) -> int:
+    """den * x for an int or Fraction x whose denominator divides den."""
+    return x.numerator * (den // x.denominator)
+
 
 def _simplex_standard(obj: list, a: list, b: list):
     """Maximize obj·x subject to a x = b, x >= 0.  Assumes b >= 0.
 
-    Classic two-phase dense simplex over Fractions with Bland's rule, so it
-    always terminates.  Returns ('optimal', x, value), ('infeasible', ...)
-    or ('unbounded', ...).
+    Dense two-phase simplex with Bland's rule (smallest entering column,
+    ratio ties to the smallest basic column), so it always terminates.
+    Phase 1 adds one artificial column per row, maximizes minus their sum,
+    then pivots basic artificials out where a nonzero entry allows and drops
+    the rows it cannot (they read 0 = 0).
+
+    The tableau is fraction-free: integer rows over one common positive
+    denominator ``den``.  A pivot multiplies through by the pivot entry and
+    then divides the tableau and ``den`` by the gcd of all of them, so the
+    entries stay the smallest integers over the least common denominator.
+    The reduced costs are one more row, updated by every pivot instead of
+    recomputed, and kept up to a positive factor of its own (only its signs
+    matter; its last entry is zero exactly when the objective value is).
+    Ratios are compared by cross-multiplication.
+
+    Returns ('optimal', x, value) with exact Fractions, or
+    ('infeasible', None, None) / ('unbounded', None, None).
     """
     m, n = len(a), len(obj)
-    if m == 0:
-        if any(c > 0 for c in obj):
-            return 'unbounded', None, None
-        return 'optimal', (Fraction(0),) * n, Fraction(0)
-    # phase 1: minimize the sum of artificial variables
-    tab = [list(a[i]) + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]]
-           for i in range(m)]
+    den = lcm(1, *(x.denominator for row in a for x in row), *(x.denominator for x in b))
+    tab = [[_scaled(x, den) for x in a[i]] + [den if j == i else 0 for j in range(m)]
+           + [_scaled(b[i], den)] for i in range(m)]
     basis = [n + i for i in range(m)]
-    cost = [Fraction(0)] * n + [Fraction(-1)] * m  # maximize -(sum of artificials)
+    z = []
 
-    def run(costrow):
+    def reduced_costs(cost):
+        # den * (c_j - c_B · column_j), and minus c_B · rhs in the last entry
+        row = [den * c for c in cost] + [0]
+        for i, trow in enumerate(tab):
+            cb = cost[basis[i]]
+            if cb:
+                row = [x - cb * y for x, y in zip(row, trow)]
+        return row
+
+    def pivot(r, k):
+        nonlocal den, z
+        prow = tab[r]
+        p = prow[k]
+        for i, row in enumerate(tab):
+            if i != r:
+                f = row[k]
+                tab[i] = [p * x - f * y for x, y in zip(row, prow)] if f else \
+                    [p * x for x in row]
+        f = z[k]
+        z = [p * x - f * y for x, y in zip(z, prow)]
+        tab[r] = [den * y for y in prow]
+        den *= p
+        if p < 0:
+            den = -den
+            z = [-x for x in z]
+            for i, row in enumerate(tab):
+                tab[i] = [-x for x in row]
+        g = den
+        for row in tab:
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        if g > 1:
+            den //= g
+            for i, row in enumerate(tab):
+                tab[i] = [x // g for x in row]
+        g = gcd(*z)
+        if g > 1:
+            z = [x // g for x in z]
+        basis[r] = k
+
+    def run():
         while True:
-            # reduced costs: c_j - c_B · column_j
-            zrow = []
-            for j in range(len(tab[0]) - 1):
-                red = costrow[j] - sum(costrow[basis[i]] * tab[i][j] for i in range(m))
-                zrow.append(red)
-            enter = next((j for j, rc in enumerate(zrow) if rc > 0), None)
+            enter = next((j for j in range(len(z) - 1) if z[j] > 0), None)
             if enter is None:
                 return 'optimal'
-            ratios = [(tab[i][-1] / tab[i][enter], basis[i], i)
-                      for i in range(m) if tab[i][enter] > 0]
-            if not ratios:
+            best = None
+            for i, row in enumerate(tab):
+                if row[enter] > 0:
+                    if best is None:
+                        best = i
+                        continue
+                    lhs = row[-1] * tab[best][enter]
+                    rhs = tab[best][-1] * row[enter]
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                        best = i
+            if best is None:
                 return 'unbounded'
-            best = min(ratios, key=lambda t: (t[0], t[1]))
-            piv = best[2]
-            pv = tab[piv][enter]
-            tab[piv] = [x / pv for x in tab[piv]]
-            for i in range(m):
-                if i != piv and tab[i][enter] != 0:
-                    f = tab[i][enter]
-                    tab[i] = [x - f * y for x, y in zip(tab[i], tab[piv])]
-            basis[piv] = enter
+            pivot(best, enter)
 
-    status = run(cost)
-    phase1_value = sum(cost[basis[i]] * tab[i][-1] for i in range(m))
-    if status != 'optimal' or phase1_value != 0:
+    # phase 1: maximize -(sum of artificial variables)
+    z = reduced_costs([0] * n + [-1] * m)
+    if run() != 'optimal' or z[-1] != 0:
         return 'infeasible', None, None
     # drive remaining artificials out of the basis where possible
     for i in range(m):
         if basis[i] >= n:
             swap = next((j for j in range(n) if tab[i][j] != 0), None)
             if swap is not None:
-                pv = tab[i][swap]
-                tab[i] = [x / pv for x in tab[i]]
-                for k in range(m):
-                    if k != i and tab[k][swap] != 0:
-                        f = tab[k][swap]
-                        tab[k] = [x - f * y for x, y in zip(tab[k], tab[i])]
-                basis[i] = swap
+                pivot(i, swap)
     # drop artificial columns; rows with a basic artificial are 0 = 0
     keep_rows = [i for i in range(m) if basis[i] < n]
-    tab2 = [tab[i][:n] + [tab[i][-1]] for i in keep_rows]
-    basis2 = [basis[i] for i in keep_rows]
-    tab.clear()
-    tab.extend(tab2)
-    basis.clear()
-    basis.extend(basis2)
-    m = len(tab)
+    tab[:] = [tab[i][:n] + [tab[i][-1]] for i in keep_rows]
+    basis[:] = [basis[i] for i in keep_rows]
 
-    cost2 = list(obj)
-    status = run(cost2)
-    if status == 'unbounded':
+    cd = lcm(1, *(c.denominator for c in obj))
+    z = reduced_costs([_scaled(c, cd) for c in obj])
+    if run() == 'unbounded':
         return 'unbounded', None, None
     x = [Fraction(0)] * n
-    for i in range(m):
-        x[basis[i]] = tab[i][-1]
-    value = sum(obj[j] * x[j] for j in range(n))
+    for i, row in enumerate(tab):
+        x[basis[i]] = Fraction(row[-1], den)
+    value = sum((obj[j] * x[j] for j in range(n)), Fraction(0))
     return 'optimal', tuple(x), value
+
+
+def _rational(x):
+    """An int stays an int (the kernel scales it exactly); anything else
+    goes through ``frac``."""
+    return x if type(x) is int else frac(x)
 
 
 def lp_maximize(objective: Vec, eqs: Sequence, ineqs: Sequence, nonneg: Sequence[bool]):
@@ -533,23 +582,22 @@ def lp_maximize(objective: Vec, eqs: Sequence, ineqs: Sequence, nonneg: Sequence
         if not nonneg[i]:
             colmap.append((i, -1))
     nsurplus = len(ineqs)
-    ncols = len(colmap) + nsurplus
 
     rows, rhs = [], []
     for coef, r in eqs:
-        row = [frac(coef[i]) * sgn for i, sgn in colmap] + [Fraction(0)] * nsurplus
+        row = [_rational(coef[i]) * sgn for i, sgn in colmap] + [0] * nsurplus
         rows.append(row)
-        rhs.append(frac(r))
+        rhs.append(_rational(r))
     for k, (coef, r) in enumerate(ineqs):
-        row = [frac(coef[i]) * sgn for i, sgn in colmap] + [Fraction(0)] * nsurplus
-        row[len(colmap) + k] = Fraction(-1)  # coef·x - s = rhs, s >= 0
+        row = [_rational(coef[i]) * sgn for i, sgn in colmap] + [0] * nsurplus
+        row[len(colmap) + k] = -1  # coef·x - s = rhs, s >= 0
         rows.append(row)
-        rhs.append(frac(r))
+        rhs.append(_rational(r))
     for i in range(len(rows)):
         if rhs[i] < 0:
             rows[i] = [-x for x in rows[i]]
             rhs[i] = -rhs[i]
-    obj = [frac(objective[i]) * sgn for i, sgn in colmap] + [Fraction(0)] * nsurplus
+    obj = [_rational(objective[i]) * sgn for i, sgn in colmap] + [0] * nsurplus
     status, xcols, value = _simplex_standard(obj, rows, rhs)
     if status != 'optimal':
         return status, None, None

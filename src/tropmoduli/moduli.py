@@ -3,7 +3,9 @@
 A combinatorial type cuts out a stratum inside R^{|E|} x (R^dim)^{|V|}: one
 length coordinate per edge, one position block per vertex, the edge
 relations as equalities and strict positivity of the lengths.  This module
-builds those systems, decides nonemptiness and dimension exactly,
+builds those systems and decides nonemptiness and dimension exactly on the
+cycle space: the stratum is a translation of R^dim times the positive
+lengths closing every fundamental cycle, so tree types need no LP.  It also
 enumerates types with fixed invariants, classifies walls (weightless almost
 3-valent types), resolves 4-valent vertices, and assembles the node/wall
 incidence graph used for wall-crossing arguments.
@@ -16,10 +18,11 @@ over the remaining vertex orderings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Optional
 
 from .errors import (
@@ -57,8 +60,17 @@ class StratumDescriptor:
     """Linear system cutting M_Theta inside R^{|E|} x (R^dim)^{|V|}.
 
     Coordinates: edge lengths in sorted edge-id order, then vertex position
-    blocks in sorted vertex-id order.  Equalities are the edge relations;
-    the inequalities are strict positivity of every length coordinate.
+    blocks in sorted vertex-id order.  ``equalities`` are the edge relations
+    over all of these coordinates; with strict positivity of every length
+    they describe the stratum.
+
+    Emptiness, dimension and interior points are decided on the cycle space
+    instead (Mikhalkin's parameterization): positions are one free point per
+    connected component, moved along a spanning forest, times the lengths
+    l > 0 with sum_{e in C} l_e * s_e = 0 for every fundamental cycle C.
+    ``cycle_rows`` are those conditions over the lengths alone (b_1 * dim
+    rows, zero rows left out), so a type without them (every tree type) is
+    nonempty without an LP, and dim = dim * #components + |E| - rank.
     """
 
     type: CombinatorialType
@@ -66,6 +78,8 @@ class StratumDescriptor:
     vertex_order: tuple
     ambient_dim: int
     equalities: tuple  # rows over the ambient coordinates (rhs 0)
+    cycle_rows: tuple  # rows over the edge lengths (rhs 0)
+    forest: tuple      # (vertex, parent, edge, +1/-1 along the edge); roots have no parent
 
     def coordinate_names(self):
         names = [f"len[{e}]" for e in self.edge_order]
@@ -79,29 +93,44 @@ class StratumDescriptor:
     def position_index(self, v, c) -> int:
         return len(self.edge_order) + self.vertex_order.index(v) * self.type.dim + c
 
-    def length_inequalities(self):
-        rows = []
-        for i in range(len(self.edge_order)):
-            row = [0] * self.ambient_dim
-            row[i] = 1
-            rows.append((tuple(row), Fraction(0)))
-        return rows
+    def _lengths(self):
+        """Edge lengths, all >= 1, solving the cycle rows; None if none exist.
+
+        By homogeneity lengths > 0 exist iff lengths >= 1 do, so the LP runs
+        on the slacks l - 1 >= 0.
+        """
+        n = len(self.edge_order)
+        if not self.cycle_rows:
+            return (Fraction(1),) * n
+        slack = feasible_point([(r, -sum(r)) for r in self.cycle_rows], [], n,
+                               nonneg=[True] * n)
+        return None if slack is None else tuple(1 + x for x in slack)
 
     def interior_point(self):
         """A point with all lengths strictly positive, or None if empty."""
-        ineqs = self.length_inequalities()
-        return feasible_point([(r, Fraction(0)) for r in self.equalities],
-                              ineqs, self.ambient_dim, strict=range(len(ineqs)))
+        lengths = self._lengths()
+        if lengths is None:
+            return None
+        dim, slopes = self.type.dim, self.type.slopes
+        epos = {e: i for i, e in enumerate(self.edge_order)}
+        pos = {}
+        for v, parent, e, sign in self.forest:
+            if parent is None:
+                pos[v] = (Fraction(0),) * dim
+            else:
+                step = sign * lengths[epos[e]]
+                pos[v] = tuple(p + step * s for p, s in zip(pos[parent], slopes[e]))
+        return lengths + tuple(x for v in self.vertex_order for x in pos[v])
 
     def is_empty(self) -> bool:
-        return self.interior_point() is None
+        return self._lengths() is None
 
     def dim(self) -> Optional[int]:
         if self.is_empty():
             return None
-        if not self.equalities:
-            return self.ambient_dim
-        return self.ambient_dim - rank([vec(r) for r in self.equalities])
+        roots = sum(1 for _, parent, _, _ in self.forest if parent is None)
+        free = self.type.dim * roots + len(self.edge_order)
+        return free - rank(self.cycle_rows)
 
 
 def stratum(t: CombinatorialType) -> StratumDescriptor:
@@ -123,8 +152,46 @@ def stratum(t: CombinatorialType) -> StratumDescriptor:
             row[vpos[v] + c] += 1
             row[vpos[u] + c] -= 1
             rows.append(tuple(row))
+
+    # spanning forest by breadth-first search; path[v] = {tree edge: sign}
+    # writes position(v) - position(root) = sum sign * l_e * s_e
+    adj = {v: [] for v in vertex_order}
+    for eid, u, v in sorted(t.graph.edges):
+        adj[u].append((eid, v, 1))
+        adj[v].append((eid, u, -1))
+    forest, path, tree_edges = [], {}, set()
+    for root in vertex_order:
+        if root in path:
+            continue
+        path[root] = {}
+        forest.append((root, None, None, 0))
+        queue = [root]
+        for u in queue:
+            for eid, w, sign in adj[u]:
+                if w not in path:
+                    path[w] = {**path[u], eid: sign}
+                    forest.append((w, u, eid, sign))
+                    tree_edges.add(eid)
+                    queue.append(w)
+    cycle_rows = []
+    for eid, u, v in sorted(t.graph.edges):
+        if eid in tree_edges:
+            continue
+        # l_e * s_e = position(v) - position(u) along the forest
+        coef = {eid: 1}
+        for f, sign in path[v].items():
+            coef[f] = coef.get(f, 0) - sign
+        for f, sign in path[u].items():
+            coef[f] = coef.get(f, 0) + sign
+        for c in range(t.dim):
+            row = [0] * len(edge_order)
+            for f, k in coef.items():
+                row[epos[f]] += k * t.slopes[f][c]
+            if any(row):
+                cycle_rows.append(tuple(row))
     return StratumDescriptor(type=t, edge_order=edge_order, vertex_order=vertex_order,
-                             ambient_dim=ambient, equalities=tuple(rows))
+                             ambient_dim=ambient, equalities=tuple(rows),
+                             cycle_rows=tuple(cycle_rows), forest=tuple(forest))
 
 
 def dim_stratum(t: CombinatorialType) -> Optional[int]:
@@ -572,7 +639,6 @@ def is_adjacent(sub: CombinatorialType, super_: CombinatorialType) -> bool:
     want = canonical_form(sub).key
     need = len(super_.graph.edges) - len(sub.graph.edges)
     eids = sorted(e for e, _, _ in super_.graph.edges)
-    from itertools import combinations
     for subset in combinations(eids, need):
         if canonical_form(contract_any_slope(super_, subset)).key == want:
             return True
@@ -695,7 +761,6 @@ def _integer_box_solutions(particular, kernel, bound):
         status_lo, _, val_lo = lp_maximize(lo_obj, eqs, ineqs, [False] * nfree)
         if status_hi != 'optimal' or status_lo != 'optimal':
             return  # infeasible box (or unbounded, impossible for independent kernels)
-        import math
         lo = math.ceil(-val_lo)
         hi = math.floor(val_hi)
         for c in range(lo, hi + 1):
@@ -867,11 +932,11 @@ def wall_graph(types) -> WallGraph:
     for t in types:
         cf = canonical_form(t)
         canon_nodes.setdefault(cf.string, cf.type)
-    node_list = [canon_nodes[k] for k in sorted(canon_nodes)]
-    node_ids = {canonical_form(t).string: f"n{i}" for i, t in enumerate(node_list)}
+    node_key = {k: f"n{i}" for i, k in enumerate(sorted(canon_nodes))}
 
     walls = {}
-    for t in node_list:
+    for k in node_key:
+        t = canon_nodes[k]
         for e, u, v in t.graph.edges:
             if u == v:
                 continue
@@ -883,14 +948,13 @@ def wall_graph(types) -> WallGraph:
             if cf.string in walls:
                 continue
             res = resolve_4valent(cf.type, classify(cf.type).four_valent_vertex)
-            incident = sorted({node_ids[canonical_form(r).string]
-                               for r in res if canonical_form(r).string in node_ids})
+            keys = (canonical_string(r) for r in res)
+            incident = sorted({node_key[k] for k in keys if k in node_key})
             walls[cf.string] = (cf.type, tuple(incident))
     wall_list = tuple(
         (f"w{i}", walls[k][0], walls[k][1]) for i, k in enumerate(sorted(walls)))
-    nodes = tuple((node_ids[canonical_form(t).string], t) for t in node_list)
-    return WallGraph(nodes=nodes, walls=wall_list,
-                     node_key={canonical_form(t).string: nid for nid, t in nodes})
+    nodes = tuple((nid, canon_nodes[k]) for k, nid in node_key.items())
+    return WallGraph(nodes=nodes, walls=wall_list, node_key=node_key)
 
 
 def connected_through_walls(wg: WallGraph, t1: CombinatorialType, t2: CombinatorialType):

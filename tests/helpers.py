@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from tropmoduli.exact_linalg import feasible_point, rank
 from tropmoduli.family import AffineFn, AffineMapN, Contraction, FaceCurveData, FamilyDatum
+from tropmoduli.moduli import stratum
 from tropmoduli.polyhedral import (
     Face,
     FaceInclusion,
@@ -307,3 +309,28 @@ def sample_chart_points(poly: Polyhedron, n: int, rng: random.Random):
             pt = tuple(p + c * x for p, x in zip(pt, l))
         pts.append(pt)
     return pts
+
+
+def assert_stratum_systems_agree(t):
+    """The cycle-space answers of ``stratum(t)`` match the full system.
+
+    The full-system answer is ``feasible_point`` on every edge relation
+    (lengths and positions) with strict lengths, and ambient_dim - rank.
+    """
+    desc = stratum(t)
+    nlen = len(desc.edge_order)
+    lengths = [(tuple(1 if j == i else 0 for j in range(desc.ambient_dim)), 0)
+               for i in range(nlen)]
+    full = feasible_point([(r, 0) for r in desc.equalities], lengths, desc.ambient_dim,
+                          strict=range(nlen))
+    assert desc.is_empty() == (full is None)
+    if full is None:
+        assert desc.dim() is None
+        assert desc.interior_point() is None
+        return
+    assert desc.dim() == desc.ambient_dim - rank(desc.equalities)
+    point = desc.interior_point()
+    assert len(point) == desc.ambient_dim
+    for row in desc.equalities:
+        assert sum(a * x for a, x in zip(row, point)) == 0
+    assert all(x > 0 for x in point[:nlen])

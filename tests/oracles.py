@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own solution paths: feasibility is
 decided by Fourier-Motzkin elimination instead of simplex, and brute-force
-enumeration replaces backtracking wherever it is affordable.
+enumeration replaces backtracking wherever it is affordable.  The Fraction
+simplex at the end is the reference the integer LP kernel is compared with.
 """
 
 from __future__ import annotations
@@ -135,3 +136,129 @@ def affine_hull_dim(points):
                 for j in range(cols):
                     r[j] -= f * piv[j]
     return dim
+
+
+# ---------------------------------------------------------------------------
+# reference LP: the Fraction-tableau simplex the library's integer kernel
+# replaced.  Same column layout, Bland's rule and artificial handling, so
+# both must return identical (status, x, value).
+# ---------------------------------------------------------------------------
+
+def _reference_simplex_standard(obj, a, b):
+    """Maximize obj·x subject to a x = b, x >= 0.  Assumes b >= 0.
+
+    Classic two-phase dense simplex over Fractions with Bland's rule, so it
+    always terminates; reduced costs are recomputed at every iteration.
+    Returns ('optimal', x, value), ('infeasible', ...) or ('unbounded', ...).
+    """
+    m, n = len(a), len(obj)
+    if m == 0:
+        if any(c > 0 for c in obj):
+            return 'unbounded', None, None
+        return 'optimal', (Fraction(0),) * n, Fraction(0)
+    # phase 1: minimize the sum of artificial variables
+    tab = [list(a[i]) + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]]
+           for i in range(m)]
+    basis = [n + i for i in range(m)]
+    cost = [Fraction(0)] * n + [Fraction(-1)] * m  # maximize -(sum of artificials)
+
+    def run(costrow):
+        while True:
+            # reduced costs: c_j - c_B · column_j (one per cost column, so a
+            # tableau left without rows after phase 1 still works)
+            zrow = []
+            for j in range(len(costrow)):
+                red = costrow[j] - sum(costrow[basis[i]] * tab[i][j] for i in range(m))
+                zrow.append(red)
+            enter = next((j for j, rc in enumerate(zrow) if rc > 0), None)
+            if enter is None:
+                return 'optimal'
+            ratios = [(tab[i][-1] / tab[i][enter], basis[i], i)
+                      for i in range(m) if tab[i][enter] > 0]
+            if not ratios:
+                return 'unbounded'
+            best = min(ratios, key=lambda t: (t[0], t[1]))
+            piv = best[2]
+            pv = tab[piv][enter]
+            tab[piv] = [x / pv for x in tab[piv]]
+            for i in range(m):
+                if i != piv and tab[i][enter] != 0:
+                    f = tab[i][enter]
+                    tab[i] = [x - f * y for x, y in zip(tab[i], tab[piv])]
+            basis[piv] = enter
+
+    status = run(cost)
+    phase1_value = sum(cost[basis[i]] * tab[i][-1] for i in range(m))
+    if status != 'optimal' or phase1_value != 0:
+        return 'infeasible', None, None
+    # drive remaining artificials out of the basis where possible
+    for i in range(m):
+        if basis[i] >= n:
+            swap = next((j for j in range(n) if tab[i][j] != 0), None)
+            if swap is not None:
+                pv = tab[i][swap]
+                tab[i] = [x / pv for x in tab[i]]
+                for k in range(m):
+                    if k != i and tab[k][swap] != 0:
+                        f = tab[k][swap]
+                        tab[k] = [x - f * y for x, y in zip(tab[k], tab[i])]
+                basis[i] = swap
+    # drop artificial columns; rows with a basic artificial are 0 = 0
+    keep_rows = [i for i in range(m) if basis[i] < n]
+    tab2 = [tab[i][:n] + [tab[i][-1]] for i in keep_rows]
+    basis2 = [basis[i] for i in keep_rows]
+    tab.clear()
+    tab.extend(tab2)
+    basis.clear()
+    basis.extend(basis2)
+    m = len(tab)
+
+    cost2 = list(obj)
+    status = run(cost2)
+    if status == 'unbounded':
+        return 'unbounded', None, None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        x[basis[i]] = tab[i][-1]
+    value = sum(obj[j] * x[j] for j in range(n))
+    return 'optimal', tuple(x), value
+
+
+def reference_lp_maximize(objective, eqs, ineqs, nonneg):
+    """Maximize objective·x st eq rows (coef, rhs): coef·x = rhs and
+    ineq rows: coef·x >= rhs, with x_i >= 0 where nonneg[i] else free.
+
+    Returns (status, x, value) with exact Fractions.
+    """
+    nvars = len(objective)
+    # column layout: one column per nonneg var, two (p, m) per free var,
+    # then one surplus column per inequality.
+    colmap = []  # (var index, sign)
+    for i in range(nvars):
+        colmap.append((i, 1))
+        if not nonneg[i]:
+            colmap.append((i, -1))
+    nsurplus = len(ineqs)
+
+    rows, rhs = [], []
+    for coef, r in eqs:
+        row = [Fraction(coef[i]) * sgn for i, sgn in colmap] + [Fraction(0)] * nsurplus
+        rows.append(row)
+        rhs.append(Fraction(r))
+    for k, (coef, r) in enumerate(ineqs):
+        row = [Fraction(coef[i]) * sgn for i, sgn in colmap] + [Fraction(0)] * nsurplus
+        row[len(colmap) + k] = Fraction(-1)  # coef·x - s = rhs, s >= 0
+        rows.append(row)
+        rhs.append(Fraction(r))
+    for i in range(len(rows)):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    obj = [Fraction(objective[i]) * sgn for i, sgn in colmap] + [Fraction(0)] * nsurplus
+    status, xcols, value = _reference_simplex_standard(obj, rows, rhs)
+    if status != 'optimal':
+        return status, None, None
+    x = [Fraction(0)] * nvars
+    for (i, sgn), xv in zip(colmap, xcols[:len(colmap)]):
+        x[i] += sgn * xv
+    return 'optimal', tuple(x), value

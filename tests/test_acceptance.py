@@ -46,6 +46,7 @@ from tropmoduli.polyhedral import (
 from tropmoduli.tropcurve import check_balanced, is_stable
 
 from helpers import (
+    assert_stratum_systems_agree,
     fan_complex,
     point_family,
     random_pair_data,
@@ -198,6 +199,12 @@ def test_criterion_4_stratum_dimension_oracle(enumerated_universe):
             types_checked += 1
     print(f"\nACCEPTANCE 4 PASS: dimension oracle agrees on {types_checked} strata, "
           f"zero mismatches")
+
+
+def test_stratum_cycle_space_agrees_on_universe(enumerated_universe):
+    for label, types in enumerated_universe["instances"]:
+        for t in types:
+            assert_stratum_systems_agree(t)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,26 @@ def test_cli_enumerate_deterministic(capsys):
     assert len(payload["types"]) == 4
 
 
+@pytest.mark.parametrize("flags, pointer", [
+    (["--genus", "-1"], "/genus"),
+    (["--contracted", "-1"], "/contracted"),
+    (["--max-edges", "-1"], "/max_edges"),
+    (["--degree", "[[1,0],[0,1],[-1]]"], "/degree/2"),
+    (["--degree", "[[1,0],[0,0],[-1,0]]"], "/degree/1"),
+    (["--degree", "[[1,0],[0,1.5],[-1,-1]]"], "/degree/1"),
+    (["--degree", "[]"], "/dim"),
+], ids=["negative-genus", "negative-contracted", "negative-max-edges",
+        "mixed-dimension", "zero-slope", "non-integer", "empty-without-dim"])
+def test_cli_enumerate_rejects_bad_input(capsys, flags, pointer):
+    argv = ["enumerate", "--genus", "0", "--degree", "[[1,0],[0,1],[-1,-1]]",
+            "--max-edges", "1"] + flags  # argparse keeps the last value
+    code, out = _run(capsys, argv)
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["payload"]["pointer"] == pointer
+
+
 def test_cli_classify_and_resolve(tmp_path, capsys):
     cross_doc = docs.type_to_doc(cross_type())
     path = _write(tmp_path, "cross.json", cross_doc)

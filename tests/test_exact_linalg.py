@@ -26,7 +26,7 @@ from tropmoduli.exact_linalg import (
     vec,
 )
 
-from oracles import fm_positive_combination_exists
+from oracles import fm_positive_combination_exists, reference_lp_maximize
 
 
 def snf_checks(m):
@@ -147,6 +147,54 @@ def test_lp_basic():
     # infeasible
     status, _, _ = lp_maximize((0,), [((1,), 1)], [((-1,), 0)], [True])
     assert status == 'infeasible'
+
+
+def test_lp_all_rows_redundant():
+    # phase 1 drops the only row (0 = 0), leaving phase 2 with no rows
+    assert lp_maximize((1,), [((0,), 0)], [], [True]) == ('unbounded', None, None)
+    assert lp_maximize((-1,), [((0,), 0)], [], [True]) == ('optimal', (0,), 0)
+
+
+def _random_rational(rng, fractional):
+    if fractional and rng.random() < 0.3:
+        return Fraction(rng.randint(-6, 6), rng.choice((2, 3, 4, 6)))
+    return rng.randint(-3, 3)
+
+
+def _random_lp(rng):
+    n = rng.randint(1, 5)
+    fractional = rng.random() < 0.5
+    degenerate = rng.random() < 0.4  # every rhs zero
+
+    def row():
+        return tuple(_random_rational(rng, fractional) for _ in range(n))
+
+    def rhs():
+        return 0 if degenerate else _random_rational(rng, fractional)
+
+    eqs = [(row(), rhs()) for _ in range(rng.randint(0, 3))]
+    ineqs = [(row(), rhs()) for _ in range(rng.randint(0, 4))]
+    extra = rng.random()
+    if eqs and extra < 0.3:  # a redundant multiple of an equality
+        coef, r = rng.choice(eqs)
+        k = rng.choice((1, 2, Fraction(-1, 2)))
+        eqs.append((tuple(k * x for x in coef), k * r))
+    elif extra < 0.45:
+        eqs.append(((0,) * n, 0))
+    return row(), eqs, ineqs, [rng.random() < 0.6 for _ in range(n)]
+
+
+def test_lp_matches_reference_simplex():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(800):
+        lp = _random_lp(rng)
+        got = lp_maximize(*lp)
+        assert got == reference_lp_maximize(*lp), lp
+        if got[0] == 'optimal':
+            assert all(type(x) is Fraction for x in got[1]) and type(got[2]) is Fraction
+        seen.add(got[0])
+    assert seen == {'optimal', 'infeasible', 'unbounded'}
 
 
 def test_feasible_point_strict():

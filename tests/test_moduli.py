@@ -31,6 +31,7 @@ from tropmoduli.moduli import (
 )
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, check_balanced, genus, is_stable
 
+from helpers import assert_stratum_systems_agree
 from oracles import affine_hull_dim, brute_force_isomorphisms
 
 
@@ -73,6 +74,13 @@ def loop_vertex():
         g, {"e": (0, 0), "l0": (1, 0), "l1": (0, 1), "l2": (-1, -1)}, 2)
 
 
+def nonzero_loop():
+    g = WeightedGraph((("v", 0),), (("e", "v", "v"),),
+                      (("l0", "v"), ("l1", "v"), ("l2", "v")))
+    return CombinatorialType(
+        g, {"e": (1, 0), "l0": (1, 0), "l1": (0, 1), "l2": (-1, -1)}, 2)
+
+
 # ---------------------------------------------------------------------------
 # strata
 # ---------------------------------------------------------------------------
@@ -107,6 +115,28 @@ def test_stratum_inconsistent_cycle_empty():
         g, {"e1": (1, 0), "e2": (1, 0), "l0": (-2, 0), "l1": (2, 0)}, 2)
     assert check_balanced(t2).ok
     assert dim_stratum(t2) is not None
+
+
+def test_stratum_nonzero_slope_loop_empty():
+    t = nonzero_loop()
+    assert check_balanced(t).ok
+    assert stratum(t).is_empty()
+    assert dim_stratum(t) is None
+
+
+def test_stratum_cycle_space_agrees_with_full_system():
+    g = WeightedGraph(
+        (("u", 0), ("v", 0)),
+        (("e1", "u", "v"), ("e2", "u", "v")),
+        (("l0", "u"), ("l1", "v")),
+    )
+    inconsistent = CombinatorialType(
+        g, {"e1": (1, 0), "e2": (-1, 0), "l0": (0, 0), "l1": (0, 0)}, 2)
+    parallel = CombinatorialType(
+        g, {"e1": (1, 0), "e2": (1, 0), "l0": (-2, 0), "l1": (2, 0)}, 2)
+    for t in (tripod(), cross(), two_vertex(), theta(), loop_vertex(),
+              inconsistent, parallel, nonzero_loop()):
+        assert_stratum_systems_agree(t)
 
 
 def test_stratum_unbalanced_raises():
