@@ -473,7 +473,6 @@ def _simplex_standard(obj: list, a: list, b: list):
     tab = [[_scaled(x, den) for x in a[i]] + [den if j == i else 0 for j in range(m)]
            + [_scaled(b[i], den)] for i in range(m)]
     basis = [n + i for i in range(m)]
-    z = []
 
     def reduced_costs(cost):
         # den * (c_j - c_B · column_j), and minus c_B · rhs in the last entry
