@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import documents as docs
@@ -263,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report to FILE instead of stdout")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized internals (default 0)")
-    common.add_argument("--threads", type=int,
-                        default=int(os.environ.get("TROPMODULI_THREADS", "1")),
-                        help="worker cap; computations are deterministic either way")
 
     parser = argparse.ArgumentParser(
         prog="tropmoduli",
@@ -348,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         status, payload, summary = args.handler(args)
     except InputError as exc:

@@ -69,6 +69,13 @@ def _int_list(values, pointer):
     return tuple(out)
 
 
+def _str_list(values, pointer):
+    for i, x in enumerate(values):
+        if not isinstance(x, str):
+            raise InputError("expected a string", f"{pointer}/{i}")
+    return tuple(values)
+
+
 def check_schema(doc, pointer=""):
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object", pointer)
@@ -172,8 +179,9 @@ def pair_from_doc(doc, pointer="") -> SemistablePairData:
         p = f"{pointer}/strata/{i}"
         strata.append(Stratum(
             id=_expect(sd, "id", str, p),
-            verticals=tuple(_expect(sd, "vertical", list, p)),
-            horizontals=tuple(_expect(sd, "horizontal", list, p, default=[], required=False) or []),
+            verticals=_str_list(_expect(sd, "vertical", list, p), f"{p}/vertical"),
+            horizontals=_str_list(_expect(sd, "horizontal", list, p, default=[], required=False)
+                                  or [], f"{p}/horizontal"),
             length=parse_rat(_expect(sd, "length", None, p), f"{p}/length"),
         ))
     order = []
@@ -182,8 +190,11 @@ def pair_from_doc(doc, pointer="") -> SemistablePairData:
             raise InputError("order entries are [below, above] pairs", f"{pointer}/order/{i}")
         order.append((pair[0], pair[1]))
     return SemistablePairData(
-        vertical_components=tuple(_expect(doc, "vertical", list, pointer)),
-        horizontal_components=tuple(_expect(doc, "horizontal", list, pointer, default=[], required=False) or []),
+        vertical_components=_str_list(_expect(doc, "vertical", list, pointer),
+                                      f"{pointer}/vertical"),
+        horizontal_components=_str_list(
+            _expect(doc, "horizontal", list, pointer, default=[], required=False) or [],
+            f"{pointer}/horizontal"),
         strata=tuple(strata),
         order=tuple(order),
     )
@@ -383,12 +394,16 @@ def wallgraph_from_doc(doc, pointer="") -> WallGraph:
         p = f"{pointer}/nodes/{i}"
         t, _, _ = type_from_doc(_expect(nd, "type", dict, p), f"{p}/type")
         nodes.append((_expect(nd, "id", str, p), t))
+    node_ids = {nid for nid, _ in nodes}
     walls = []
     for i, wd in enumerate(_expect(doc, "walls", list, pointer, default=[], required=False) or []):
         p = f"{pointer}/walls/{i}"
         t, _, _ = type_from_doc(_expect(wd, "type", dict, p), f"{p}/type")
-        res = _expect(wd, "resolutions", list, p)
-        walls.append((_expect(wd, "id", str, p), t, tuple(res)))
+        res = _str_list(_expect(wd, "resolutions", list, p), f"{p}/resolutions")
+        for j, nid in enumerate(res):
+            if nid not in node_ids:
+                raise InputError(f"resolution {nid!r} is not a node id", f"{p}/resolutions/{j}")
+        walls.append((_expect(wd, "id", str, p), t, res))
     node_key = {canonical_form(t).string: nid for nid, t in nodes}
     return WallGraph(nodes=tuple(nodes), walls=tuple(walls), node_key=node_key)
 

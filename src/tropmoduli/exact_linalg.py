@@ -48,10 +48,12 @@ def vec(entries: Iterable) -> Vec:
 def ivec(entries: Iterable) -> IVec:
     out = []
     for x in entries:
-        f = frac(x)
-        if f.denominator != 1:
-            raise ValueError(f"expected integer entry, got {x!r}")
-        out.append(int(f))
+        if type(x) is not int:  # bools and rationals are checked and converted
+            f = frac(x)
+            if f.denominator != 1:
+                raise ValueError(f"expected integer entry, got {x!r}")
+            x = int(f)
+        out.append(x)
     return tuple(out)
 
 
@@ -370,7 +372,7 @@ def integer_kernel(a: Sequence[IVec], ncols: int) -> list:
     if not a:
         return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
     _, s, v = smith_normal_form(a)
-    r = len(elementary_divisors(a))
+    r = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i] != 0)
     return [tuple(v[i][j] for i in range(ncols)) for j in range(r, ncols)]
 
 

@@ -10,6 +10,11 @@ enumerates types with fixed invariants, classifies walls (weightless almost
 3-valent types), resolves 4-valent vertices, and assembles the node/wall
 incidence graph used for wall-crossing arguments.
 
+Enumeration shares the spanning forest with the stratum systems: per
+multigraph, flow along the tree solves the balancing equations in integers
+and the fundamental cycles span the rest (no Smith normal form), and only
+one leg assignment per orbit of the multigraph's automorphisms is tried.
+
 Isomorphisms of types fix every leg (the leg order is part of the data),
 so canonical forms are computed by refinement coloring on
 (weight, valence, incident slopes, leg positions) followed by minimization
@@ -34,8 +39,6 @@ from .errors import (
 )
 from .exact_linalg import (
     feasible_point,
-    integer_kernel,
-    integer_solve,
     kernel_rational,
     lp_maximize,
     rank,
@@ -47,7 +50,6 @@ from .tropcurve import (
     check_balanced,
     extended_degree,
     genus,
-    is_stable,
 )
 
 
@@ -153,14 +155,39 @@ def stratum(t: CombinatorialType) -> StratumDescriptor:
             row[vpos[u] + c] -= 1
             rows.append(tuple(row))
 
-    # spanning forest by breadth-first search; path[v] = {tree edge: sign}
-    # writes position(v) - position(root) = sum sign * l_e * s_e
-    adj = {v: [] for v in vertex_order}
-    for eid, u, v in sorted(t.graph.edges):
+    # each fundamental cycle closes up: sum_{e in C} coef_e * l_e * s_e = 0
+    forest, cycles = _spanning_forest(vertex_order, sorted(t.graph.edges))
+    cycle_rows = []
+    for coef in cycles:
+        for c in range(t.dim):
+            row = [0] * len(edge_order)
+            for f, k in coef.items():
+                row[epos[f]] += k * t.slopes[f][c]
+            if any(row):
+                cycle_rows.append(tuple(row))
+    return StratumDescriptor(type=t, edge_order=edge_order, vertex_order=vertex_order,
+                             ambient_dim=ambient, equalities=tuple(rows),
+                             cycle_rows=tuple(cycle_rows), forest=forest)
+
+
+def _spanning_forest(vertices, edges):
+    """Breadth-first spanning forest and fundamental cycles of a multigraph.
+
+    ``edges`` are (id, u, v) triples, loops allowed.  ``forest`` lists
+    (vertex, parent, edge, sign) in BFS order, roots first with parent None;
+    sign is +1 when the edge is stored parent -> vertex.  ``cycles`` has one
+    {edge: coefficient} per non-tree edge: the edge itself, then back to its
+    tail along the forest, so every vertex has as much coefficient flowing
+    in as out.  The incidence matrix of a graph is totally unimodular, so
+    these cycles are a lattice basis of its integer kernel.
+    """
+    adj = {v: [] for v in vertices}
+    for eid, u, v in edges:
         adj[u].append((eid, v, 1))
         adj[v].append((eid, u, -1))
+    # path[v] = {tree edge: sign} from the root of v's tree down to v
     forest, path, tree_edges = [], {}, set()
-    for root in vertex_order:
+    for root in vertices:
         if root in path:
             continue
         path[root] = {}
@@ -173,25 +200,36 @@ def stratum(t: CombinatorialType) -> StratumDescriptor:
                     forest.append((w, u, eid, sign))
                     tree_edges.add(eid)
                     queue.append(w)
-    cycle_rows = []
-    for eid, u, v in sorted(t.graph.edges):
+    cycles = []
+    for eid, u, v in edges:
         if eid in tree_edges:
             continue
-        # l_e * s_e = position(v) - position(u) along the forest
         coef = {eid: 1}
         for f, sign in path[v].items():
             coef[f] = coef.get(f, 0) - sign
         for f, sign in path[u].items():
             coef[f] = coef.get(f, 0) + sign
-        for c in range(t.dim):
-            row = [0] * len(edge_order)
-            for f, k in coef.items():
-                row[epos[f]] += k * t.slopes[f][c]
-            if any(row):
-                cycle_rows.append(tuple(row))
-    return StratumDescriptor(type=t, edge_order=edge_order, vertex_order=vertex_order,
-                             ambient_dim=ambient, equalities=tuple(rows),
-                             cycle_rows=tuple(cycle_rows), forest=tuple(forest))
+        cycles.append(coef)
+    return tuple(forest), cycles
+
+
+def _tree_flow(forest, b):
+    """Integer x with (out-flow - in-flow)(v) = b[v] at every vertex, or None.
+
+    Only forest edges carry flow: each one carries the sum of ``b`` over
+    the subtree below it, signed by its orientation.  There is no solution
+    at all when ``b`` does not sum to zero over some component.
+    """
+    below = dict(b)
+    x = {}
+    for v, parent, e, sign in reversed(forest):
+        if parent is None:
+            if below[v]:
+                return None
+        else:
+            x[e] = -sign * below[v]
+            below[parent] += below[v]
+    return x
 
 
 def dim_stratum(t: CombinatorialType) -> Optional[int]:
@@ -730,26 +768,23 @@ def _compositions(total: int, parts: int):
 
 
 def _integer_box_solutions(particular, kernel, bound):
-    """All integer vectors particular + sum(c_i * kernel_i) within |x_e| <= bound.
+    """All integer vectors particular + sum(c_i * kernel_i) within |x_e| <= bound, sorted.
 
-    Bounds for each coefficient come from exact LP relaxations, so the
-    recursion is complete; kernel ranks here are the first Betti number of
-    the graph, which is tiny.
+    The kernel vectors must be independent; every lattice basis of the same
+    lattice gives the same points.  Bounds for each coefficient come from
+    exact LP relaxations, so the recursion is complete; kernel ranks here
+    are the first Betti number of the graph, which is tiny.
     """
     ne = len(particular)
-    if not kernel:
-        return [tuple(particular)] if all(abs(x) <= bound for x in particular) else []
     sols = []
 
-    def recurse(fixed_coeffs, base):
-        level = len(fixed_coeffs)
+    def recurse(level, base):
         if level == len(kernel):
             if all(abs(x) <= bound for x in base):
                 sols.append(tuple(base))
             return
         # optimize c_level over the LP relaxation of the remaining freedom
         nfree = len(kernel) - level
-        eqs = []
         ineqs = []
         for e in range(ne):
             coef = tuple(kernel[level + j][e] for j in range(nfree))
@@ -757,18 +792,38 @@ def _integer_box_solutions(particular, kernel, bound):
             ineqs.append((tuple(-x for x in coef), base[e] - bound))    # -(base + K c) >= -B
         lo_obj = tuple(-1 if j == 0 else 0 for j in range(nfree))
         hi_obj = tuple(1 if j == 0 else 0 for j in range(nfree))
-        status_hi, _, val_hi = lp_maximize(hi_obj, eqs, ineqs, [False] * nfree)
-        status_lo, _, val_lo = lp_maximize(lo_obj, eqs, ineqs, [False] * nfree)
+        status_hi, _, val_hi = lp_maximize(hi_obj, [], ineqs, [False] * nfree)
+        status_lo, _, val_lo = lp_maximize(lo_obj, [], ineqs, [False] * nfree)
         if status_hi != 'optimal' or status_lo != 'optimal':
             return  # infeasible box (or unbounded, impossible for independent kernels)
-        lo = math.ceil(-val_lo)
-        hi = math.floor(val_hi)
-        for c in range(lo, hi + 1):
-            new_base = [b + c * k for b, k in zip(base, kernel[level])]
-            recurse(fixed_coeffs + [c], new_base)
+        for c in range(math.ceil(-val_lo), math.floor(val_hi) + 1):
+            recurse(level + 1, [b + c * k for b, k in zip(base, kernel[level])])
 
-    recurse([], list(particular))
-    return sols
+    recurse(0, list(particular))
+    return sorted(sols)
+
+
+def _automorphisms(emulti, ends) -> list:
+    """Permutations p of the vertices mapping the sorted edge multiset to itself.
+
+    ``ends[v]`` is the number of edge ends at v.  Only permutations keeping
+    it can qualify, so the search runs over products of permutations within
+    its classes.
+    """
+    nv = len(ends)
+    classes = {}
+    for v in range(nv):
+        classes.setdefault(ends[v], []).append(v)
+    groups = list(classes.values())
+    autos = []
+    for images in product(*(permutations(cl) for cl in groups)):
+        p = [0] * nv
+        for cl, image in zip(groups, images):
+            for v, w in zip(cl, image):
+                p[v] = w
+        if sorted((min(p[i], p[j]), max(p[i], p[j])) for i, j in emulti) == list(emulti):
+            autos.append(tuple(p))
+    return autos
 
 
 def enumerate_types(g: int, n: int, degree, max_edges: int, dim: Optional[int] = None):
@@ -780,6 +835,18 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: Optional[int] =
     (any type with a nonempty stratum obeys the bound: positions provide a
     potential per coordinate, so every edge slope is a flow value across a
     potential cut and is at most the total source strength).
+
+    Work is done at the level it depends on.  Per connected multigraph: a
+    BFS spanning tree, whose fundamental cycles span the integer solutions
+    of the homogeneous balancing equations, and the vertex permutations
+    preserving the edge multiset.  Per vertex weighting: each vertex's
+    stability deficit max(0, 3 - 2w - ends), and the automorphisms that also
+    keep the weights.  A leg assignment is only tried when its legs cover
+    every deficit (exactly the stability condition) and it is the
+    lexicographically least of its orbit under those automorphisms (the
+    others give isomorphic types).  Then the tree flow solves the balancing
+    equations in integers, and each candidate goes through its canonical
+    form and the stratum emptiness check.
     """
     degree = tuple(tuple(int(x) for x in s) for s in degree)
     if dim is None:
@@ -801,31 +868,36 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: Optional[int] =
         vids = [f"v{i}" for i in range(nv)]
         pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
         for ne in range(max(nv - 1, 0), min(max_edges, nv - 1 + g) + 1):
+            wsum = g - (ne - nv + 1)
+            if wsum < 0:
+                continue
             for emulti in combinations_with_replacement(pairs, ne):
                 edges = tuple((f"e{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(emulti))
-                wsum = g - (ne - nv + 1)
-                if wsum < 0:
-                    continue
-                probe = WeightedGraph(tuple((v, 0) for v in vids), edges, ())
-                if not probe.is_connected():
-                    continue
-                end_count = {v: 0 for v in vids}
-                for _, u, v in edges:
-                    end_count[u] += 1
-                    end_count[v] += 1
+                non_loops = [(e, u, v) for e, u, v in edges if u != v]
+                forest, cycles = _spanning_forest(vids, non_loops)
+                if sum(1 for _, parent, _, _ in forest if parent is None) > 1:
+                    continue  # disconnected
+                kernel = [tuple(coef.get(e, 0) for e, _, _ in non_loops) for coef in cycles]
+                ends = [0] * nv
+                for i, j in emulti:
+                    ends[i] += 1
+                    ends[j] += 1
+                autos = _automorphisms(emulti, ends)
                 for weights in _compositions(wsum, nv):
-                    deficits = sum(
-                        max(0, 3 - 2 * w - end_count[v])
-                        for v, w in zip(vids, weights))
-                    if deficits > L:
+                    deficit = [max(0, 3 - 2 * w - k) for w, k in zip(weights, ends)]
+                    if sum(deficit) > L:
                         continue
+                    weight_autos = [p for p in autos
+                                    if all(weights[p[v]] == weights[v] for v in range(nv))]
+                    vertices = tuple(zip(vids, weights))
                     for assign in product(range(nv), repeat=L):
+                        if any(assign.count(v) < deficit[v] for v in range(nv)):
+                            continue  # unstable
+                        if any(tuple(p[a] for a in assign) < assign for p in weight_autos):
+                            continue  # not the least of its orbit
                         legs = tuple((f"l{i}", vids[a]) for i, a in enumerate(assign))
-                        graph = WeightedGraph(
-                            tuple(zip(vids, weights)), edges, legs)
-                        if not is_stable(graph):
-                            continue
-                        for t in _balanced_types(graph, ext, dim, bound):
+                        graph = WeightedGraph(vertices, edges, legs)
+                        for t in _balanced_types(graph, forest, kernel, ext, dim, bound):
                             cf = canonical_form(t)
                             if cf.string in found:
                                 continue
@@ -835,42 +907,30 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: Optional[int] =
     return [found[k] for k in sorted(found)]
 
 
-def _balanced_types(graph: WeightedGraph, ext, dim, bound):
-    """Slope assignments making ``graph`` balanced with the given leg slopes."""
+def _balanced_types(graph: WeightedGraph, forest, kernel, ext, dim, bound):
+    """Slope assignments making ``graph`` balanced with the given leg slopes.
+
+    ``forest`` is a spanning tree of the non-loop edges and ``kernel`` their
+    fundamental cycles (as vectors in edge order), computed once per
+    multigraph.  Per coordinate, the tree flow of minus the leg slopes at
+    each vertex is one integer solution of the balancing equations; adding
+    cycles gives the rest.  Loops get slope zero.
+    """
     non_loops = [e for e, u, v in graph.edges if u != v]
     loops = [e for e, u, v in graph.edges if u == v]
-    vids = sorted(graph.vertex_ids())
-    vindex = {v: i for i, v in enumerate(vids)}
-    a_rows = []
-    for v in vids:
-        row = [0] * len(non_loops)
-        for k, e in enumerate(non_loops):
-            u, w = graph.edge_ends(e)
-            if u == v:
-                row[k] += 1
-            if w == v:
-                row[k] -= 1
-        a_rows.append(tuple(row))
-    legs_at = {}
-    for i, (lid, v) in enumerate(graph.legs):
-        legs_at.setdefault(v, []).append(i)
-
     per_coord = []
-    kernel = integer_kernel(a_rows, len(non_loops)) if non_loops else []
     for c in range(dim):
-        b = tuple(-sum(ext[i][c] for i in legs_at.get(v, ())) for v in vids)
-        if not non_loops:
-            if any(x != 0 for x in b):
-                return
-            per_coord.append([()])
-            continue
-        p = integer_solve(a_rows, b)
-        if p is None:
+        b = {v: 0 for v in graph.vertex_ids()}
+        for i, (_, v) in enumerate(graph.legs):
+            b[v] -= ext[i][c]
+        flow = _tree_flow(forest, b)
+        if flow is None:
             return
-        sols = _integer_box_solutions(p, kernel, bound[c])
+        sols = _integer_box_solutions(
+            tuple(flow.get(e, 0) for e in non_loops), kernel, bound[c])
         if not sols:
             return
-        per_coord.append(sorted(sols))
+        per_coord.append(sols)
 
     leg_slopes = {f"l{i}": ext[i] for i in range(len(ext))}
     for combo in product(*per_coord):

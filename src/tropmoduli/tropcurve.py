@@ -215,11 +215,12 @@ def check_balanced(t: CombinatorialType) -> BalanceReport:
     """Vertex-wise balancing: the outgoing slopes at each vertex sum to zero."""
     failures = []
     for v, _ in t.graph.vertices:
-        total = (Fraction(0),) * t.dim
+        total = [0] * t.dim
         for item in t.graph.star_items(v):
-            total = vec_add(total, vec(t.slope_of_item(item)))
-        if not vec_is_zero(total):
-            failures.append((v, tuple(int(x) for x in total)))
+            for c, x in enumerate(t.slope_of_item(item)):
+                total[c] += x
+        if any(total):
+            failures.append((v, tuple(total)))
     return BalanceReport(tuple(failures))
 
 

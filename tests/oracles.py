@@ -9,7 +9,9 @@ simplex at the end is the reference the integer LP kernel is compared with.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
+
+from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
 
 
 def fm_feasible(ineqs, dim):
@@ -109,6 +111,93 @@ def brute_force_isomorphisms(t1, t2):
             if ok:
                 out.append((vmap, emap))
     return out
+
+
+def _fm_stratum_nonempty(vertices, edges, slopes, dim):
+    """Whether lengths l_e >= 1 and positions exist with p_v - p_u = l_e * s_e.
+
+    Lengths >= 1 instead of > 0 by homogeneity; decided by Fourier-Motzkin.
+    """
+    ne = len(edges)
+    nvars = ne + len(vertices) * dim
+    pos = {v: ne + i * dim for i, v in enumerate(vertices)}
+    ineqs = []
+    for k in range(ne):
+        coef = [0] * nvars
+        coef[k] = 1
+        ineqs.append((coef, 1))
+    for k, (e, u, v) in enumerate(edges):
+        for c in range(dim):
+            coef = [0] * nvars
+            coef[pos[v] + c] += 1
+            coef[pos[u] + c] -= 1
+            coef[k] -= slopes[e][c]
+            ineqs.append((coef, 0))
+            ineqs.append(([-x for x in coef], 0))
+    return fm_feasible(ineqs, nvars)
+
+
+def brute_force_types(g, n, degree, max_edges, dim):
+    """Stable balanced types with nonempty strata, one per isomorphism class.
+
+    Raw enumeration: every connected multigraph with at most ``max_edges``
+    edges, every vertex weighting of genus ``g``, every assignment of the
+    legs (n zero slopes, then ``degree``) to vertices, and every slope vector
+    with coordinate c of each edge, loops included, at most the total
+    absolute leg degree in coordinate c.  Stability and balancing are
+    checked vertex by vertex, nonemptiness by Fourier-Motzkin, isomorphism
+    by brute_force_isomorphisms.  Exponential; only for tiny instances.
+    """
+    ext = [(0,) * dim] * n + [tuple(s) for s in degree]
+    legs_n = len(ext)
+    box = [range(-b, b + 1) for b in
+           (sum(abs(s[c]) for s in ext) for c in range(dim))]
+    classes = []  # (type, nonempty)
+    for nv in range(1, max_edges + 2):
+        vids = [f"v{i}" for i in range(nv)]
+        pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
+        for ne in range(max_edges + 1):
+            for ends in combinations_with_replacement(pairs, ne):
+                reach = {0}
+                for _ in range(nv):
+                    reach |= {j for i, j in ends if i in reach} | {i for i, j in ends if j in reach}
+                if len(reach) < nv:
+                    continue
+                edges = tuple((f"e{k}", vids[i], vids[j]) for k, (i, j) in enumerate(ends))
+                for weights in product(range(g + 1), repeat=nv):
+                    if ne - nv + 1 + sum(weights) != g:
+                        continue
+                    for assign in product(range(nv), repeat=legs_n):
+                        valence = [2 * w for w in weights]
+                        for i, j in ends:
+                            valence[i] += 1
+                            valence[j] += 1
+                        for a in assign:
+                            valence[a] += 1
+                        if min(valence) < 3:
+                            continue
+                        legs = tuple((f"l{i}", vids[a]) for i, a in enumerate(assign))
+                        graph = WeightedGraph(tuple(zip(vids, weights)), edges, legs)
+                        for flat in product(*(box * ne)):
+                            edge_slopes = [flat[k * dim:(k + 1) * dim] for k in range(ne)]
+                            total = [[0] * dim for _ in range(nv)]
+                            for a, s in zip(assign, ext):
+                                for c in range(dim):
+                                    total[a][c] += s[c]
+                            for (i, j), s in zip(ends, edge_slopes):
+                                for c in range(dim):
+                                    total[i][c] += s[c]
+                                    total[j][c] -= s[c]
+                            if any(any(row) for row in total):
+                                continue
+                            slopes = {f"l{i}": s for i, s in enumerate(ext)}
+                            slopes.update((e, s) for (e, _, _), s in zip(edges, edge_slopes))
+                            t = CombinatorialType(graph, slopes, dim)
+                            if any(brute_force_isomorphisms(t, other) for other, _ in classes):
+                                continue
+                            classes.append(
+                                (t, _fm_stratum_nonempty(vids, edges, slopes, dim)))
+    return [t for t, nonempty in classes if nonempty]
 
 
 def affine_hull_dim(points):

@@ -13,6 +13,7 @@ from tropmoduli.polyhedral import validate_complex
 from helpers import (
     cross_type,
     point_family,
+    ray_pair_data,
     ray_wall_family,
     resolution_type,
     segment_pair_data,
@@ -287,3 +288,40 @@ def test_cli_text_format(tmp_path, capsys):
     code, out = _run(capsys, ["validate-family", fpath, "--format", "text"])
     assert code == 0
     assert out.startswith("status: ok")
+
+
+@pytest.mark.parametrize("resolution", ["nX", ["n0"]], ids=["unknown-node", "list"])
+def test_cli_propagate_rejects_bad_resolution(tmp_path, capsys, resolution):
+    wg_doc = docs.wallgraph_to_doc(wall_graph(resolve_4valent(cross_type(), "v")))
+    wg_doc["walls"][0]["resolutions"][1] = resolution
+    wpath = _write(tmp_path, "wg.json", wg_doc)
+    code, out = _run(capsys, ["propagate", wpath, "--seeds", wg_doc["nodes"][0]["id"]])
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["payload"]["pointer"] == "/walls/0/resolutions/1"
+
+
+@pytest.mark.parametrize("where, pointer", [
+    (lambda doc: doc["strata"][0]["vertical"], "/strata/0/vertical/0"),
+    (lambda doc: doc["strata"][0]["horizontal"], "/strata/0/horizontal/0"),
+    (lambda doc: doc["vertical"], "/vertical/0"),
+    (lambda doc: doc["horizontal"], "/horizontal/0"),
+], ids=["stratum-vertical", "stratum-horizontal", "vertical", "horizontal"])
+def test_cli_skeleton_rejects_non_string_component(tmp_path, capsys, where, pointer):
+    doc = docs.pair_to_doc(ray_pair_data())
+    names = where(doc)
+    names[0] = [names[0]]
+    code, out = _run(capsys, ["skeleton", _write(tmp_path, "pair.json", doc)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["payload"]["pointer"] == pointer
+
+
+def test_cli_ignores_threads_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TROPMODULI_THREADS", "abc")
+    pair = _write(tmp_path, "pair.json", docs.pair_to_doc(triangle_pair_data()))
+    code, out = _run(capsys, ["skeleton", pair])
+    assert code == 0
+    assert json.loads(out)["status"] == "ok"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -10,8 +11,12 @@ from tropmoduli.errors import (
     SeedNotInGraph,
     UnbalancedType,
 )
+from tropmoduli.exact_linalg import integer_kernel, integer_solve
 from tropmoduli.moduli import (
     TypeIso,
+    _automorphisms,
+    _spanning_forest,
+    _tree_flow,
     WallClassification,
     automorphisms,
     canonical_form,
@@ -32,7 +37,7 @@ from tropmoduli.moduli import (
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, check_balanced, genus, is_stable
 
 from helpers import assert_stratum_systems_agree
-from oracles import affine_hull_dim, brute_force_isomorphisms
+from oracles import affine_hull_dim, brute_force_isomorphisms, brute_force_types
 
 
 def tripod():
@@ -431,6 +436,80 @@ def test_global_balancing_of_enumerated_types():
             total[0] += s[0]
             total[1] += s[1]
         assert total == [0, 0]
+
+
+@pytest.mark.parametrize("g, n, degree, dim", [
+    (0, 0, ((1, 0), (0, 1), (-1, 0), (0, -1)), 2),
+    (0, 0, ((1, 0), (1, 0), (-1, 0), (-1, 0)), 2),
+    (0, 0, ((1,), (1,), (-1,), (-1,)), 1),
+    (0, 1, ((1, 0), (0, 1), (-1, -1)), 2),
+    (1, 0, ((1, 0), (-1, 0)), 2),
+    (1, 0, ((2, 0), (-1, 1), (-1, -1)), 2),
+    (1, 1, ((1, 0), (0, 1), (-1, -1)), 2),
+    (1, 2, (), 2),
+])
+def test_enumerate_complete_against_brute_force(g, n, degree, dim):
+    got = enumerate_types(g, n, degree, 2, dim=dim)
+    want = brute_force_types(g, n, degree, 2, dim)
+    matched = []
+    for t in got:
+        hits = [i for i, w in enumerate(want) if brute_force_isomorphisms(t, w)]
+        assert len(hits) == 1
+        matched.append(hits[0])
+    assert sorted(matched) == list(range(len(want)))
+
+
+def test_multigraph_automorphisms_match_all_permutations():
+    rng = random.Random(5)
+    for _ in range(200):
+        nv = rng.randint(1, 5)
+        pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
+        emulti = tuple(sorted(rng.choice(pairs) for _ in range(rng.randint(0, 5))))
+        ends = [0] * nv
+        for i, j in emulti:
+            ends[i] += 1
+            ends[j] += 1
+        want = [p for p in permutations(range(nv))
+                if sorted((min(p[i], p[j]), max(p[i], p[j])) for i, j in emulti) == list(emulti)]
+        assert sorted(_automorphisms(emulti, ends)) == want
+
+
+def test_tree_flow_and_cycles_match_smith_normal_form():
+    rng = random.Random(11)
+    for _ in range(150):
+        nv = rng.randint(1, 5)
+        vertices = [f"v{i}" for i in range(nv)]
+        pairs = [(rng.randrange(i), i) for i in range(1, nv)]  # a spanning tree
+        pairs += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 4))]
+        if pairs:
+            pairs.append(rng.choice(pairs))  # a parallel edge (or a second loop)
+        rng.shuffle(pairs)
+        edges = [(f"e{k}", vertices[i], vertices[j]) if rng.random() < 0.5
+                 else (f"e{k}", vertices[j], vertices[i]) for k, (i, j) in enumerate(pairs)]
+        forest, cycles = _spanning_forest(vertices, edges)
+        a = [tuple((u == v) - (w == v) for _, u, w in edges) for v in vertices]
+        ne = len(edges)
+        kernel = [tuple(coef.get(e, 0) for e, _, _ in edges) for coef in cycles]
+        for k in kernel:
+            assert all(sum(r * x for r, x in zip(row, k)) == 0 for row in a)
+        if ne:
+            reference = integer_kernel(a, ne)
+            assert len(kernel) == len(reference)
+            # each basis is an integer combination of the other
+            for basis, other in ((kernel, reference), (reference, kernel)):
+                columns = [tuple(v[e] for v in other) for e in range(ne)]
+                for v in basis:
+                    assert integer_solve(columns, v) is not None
+        for _ in range(4):
+            b = [rng.randint(-3, 3) for _ in range(nv)]
+            if rng.random() < 0.7:
+                b[0] -= sum(b)
+            flow = _tree_flow(forest, dict(zip(vertices, b)))
+            reference = integer_solve(a, tuple(b)) if ne else (None if any(b) else ())
+            assert (flow is None) == (reference is None)
+            if flow is not None:
+                x = [flow.get(e, 0) for e, _, _ in edges]
+                assert [sum(r * xi for r, xi in zip(row, x)) for row in a] == b
 
 
 # ---------------------------------------------------------------------------
