@@ -214,7 +214,7 @@ def _cmd_alpha(args):
     alpha = induced_alpha(f)
     payload = {
         "faces": [docs.lift_to_doc(alpha.lifts[fid]) for fid in sorted(alpha.lifts)],
-        "image_strata": [docs.image_stratum_to_doc(s) for s in image_strata(f)],
+        "image_strata": [docs.image_stratum_to_doc(s) for s in image_strata(alpha)],
     }
     return "ok", payload, f"lifts over {len(alpha.lifts)} faces"
 
@@ -225,7 +225,11 @@ def _cmd_verdicts(args):
     if not faces:
         faces = [fid for fid in sorted(f.base.faces)
                  if f.base.cofacet_inclusions(fid)]
-    verdicts = [wall_verdict(f, w) for w in faces]
+    verdicts = []
+    if faces:
+        f.base.face(faces[0])  # an unknown first face is reported before an invalid family
+        alpha = induced_alpha(f)
+        verdicts = [wall_verdict(alpha, w) for w in faces]
     payload = {"verdicts": [docs.verdict_to_doc(v) for v in verdicts]}
     summary = ", ".join(f"{v.face}: {v.verdict.value}" for v in verdicts) or "no faces"
     return "ok", payload, summary

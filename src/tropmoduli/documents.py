@@ -50,6 +50,8 @@ def parse_rat(value, pointer: str) -> Fraction:
 
 
 def _expect(doc, key, kind, pointer, default=None, required=True):
+    if not isinstance(doc, dict):
+        raise InputError("expected a JSON object", pointer)
     if key not in doc:
         if required:
             raise InputError(f"missing key {key!r}", pointer)

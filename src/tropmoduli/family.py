@@ -9,7 +9,9 @@ the zero-locus condition (an edge is contracted exactly when its length
 vanishes identically on the sub-face).
 
 The induced moduli map assigns to each face the affine lift of the
-stabilized fiber into the stratum coordinates of its canonical type; wall
+stabilized fiber into the stratum coordinates of its canonical type.
+``induced_alpha`` is the one place that validates a family and lifts its
+faces; wall verdicts and image strata take the map it returns.  Wall
 verdicts implement the harmonic / quasi-harmonic / locally combinatorially
 surjective trichotomy at a face, and closure propagation saturates a seed
 set of maximal strata through walls.
@@ -54,6 +56,7 @@ from .polyhedral import (
 from .tropcurve import (
     CombinatorialType,
     ParameterizedTropicalCurve,
+    StabilizationResult,
     TropicalCurve,
     check_balanced,
     extended_degree,
@@ -385,7 +388,7 @@ class FaceLift:
     canonical: str
     linear: tuple                  # stratum-coordinate rows over the chart
     offset: tuple
-    stab_chains: dict              # stabilized edge id -> chain of original edges
+    stab: StabilizationResult      # the stabilized fiber type over the face
     canon_vertex_map: dict         # stabilized vertex id -> canonical id
     canon_edge_map: dict           # stabilized edge id -> canonical id
 
@@ -399,17 +402,21 @@ class InducedMap:
     lifts: dict  # face id -> FaceLift
 
 
-def _face_lift(f: FamilyDatum, fid: str) -> FaceLift:
+def _canonical_order(canon_map: dict) -> list:
+    """Keys of a map onto canonical ids (``e3``, ``v10``) in canonical order."""
+    return sorted(canon_map, key=lambda k: int(canon_map[k][1:]))
+
+
+def _lift_rows(f: FamilyDatum, fid: str, chains, vertices):
+    """Stratum-coordinate rows over the chart of face ``fid``.
+
+    One row per edge chain, the sum of the chain's length functions, then
+    ``dim`` position rows per vertex; both lists come in canonical order.
+    """
     data = f.face_data[fid]
     face_rank = f.base.face(fid).rank
-    stab = stabilize_type(data.type)
-    stab_type = CombinatorialType(stab.graph, stab.slopes, f.dim)
-    cf = canonical_form(stab_type)
-    inv_edge = {new: old for old, new in cf.edge_map.items()}
-    inv_vert = {new: old for old, new in cf.vertex_map.items()}
     rows, offs = [], []
-    for ce in sorted(inv_edge, key=lambda e: int(e[1:])):
-        chain = stab.edge_chains[inv_edge[ce]]
+    for chain in chains:
         lin = [0] * face_rank
         off = Fraction(0)
         for gamma in chain:
@@ -418,20 +425,30 @@ def _face_lift(f: FamilyDatum, fid: str) -> FaceLift:
             off += fn.offset
         rows.append(tuple(lin))
         offs.append(off)
-    for cv in sorted(inv_vert, key=lambda v: int(v[1:])):
-        mp = data.positions[inv_vert[cv]]
+    for u in vertices:
+        mp = data.positions[u]
         for c in range(f.dim):
             rows.append(tuple(mp.linear[c]))
             offs.append(frac(mp.offset[c]))
+    return tuple(rows), tuple(offs)
+
+
+def _face_lift(f: FamilyDatum, fid: str) -> FaceLift:
+    stab = stabilize_type(f.face_data[fid].type)
+    cf = canonical_form(CombinatorialType(stab.graph, stab.slopes, f.dim))
+    chains = [stab.edge_chains[e] for e in _canonical_order(cf.edge_map)]
+    linear, offset = _lift_rows(f, fid, chains, _canonical_order(cf.vertex_map))
     return FaceLift(face=fid, type=cf.type, canonical=cf.string,
-                    linear=tuple(rows), offset=tuple(offs),
-                    stab_chains=dict(stab.edge_chains),
+                    linear=linear, offset=offset, stab=stab,
                     canon_vertex_map=dict(cf.vertex_map),
                     canon_edge_map=dict(cf.edge_map))
 
 
 def induced_alpha(f: FamilyDatum) -> InducedMap:
-    """Per-face affine lifts of the stabilized fibers into stratum coordinates.
+    """Validate a family and lift every face into stratum coordinates.
+
+    The family layer's only validation: InvalidFamily on any violation.
+    ``wall_verdict`` and ``image_strata`` take the returned map as is.
 
     Stabilization is constant over a face interior (pruned and smoothed
     pieces are determined by the type and the identically-vanishing
@@ -506,17 +523,19 @@ def _stabilized_contraction(f: FamilyDatum, sub: str, sup: str, stab_sub, stab_s
     return vmap, emap
 
 
-def wall_verdict(f: FamilyDatum, w: str) -> WallVerdict:
+def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
     """Trichotomy of the induced map at a face of the base.
 
-    When every cofacet carries the same stabilized type as the face, the
-    lifted map is tested for (quasi-)harmonicity; otherwise, if the face's
-    type is a weightless almost 3-valent wall, local combinatorial
-    surjectivity is decided against the wall's resolutions.  Situations
-    outside the theorem's hypotheses are reported as inconclusive.
+    ``alpha`` is the validated map from ``induced_alpha``; the family is
+    not validated again.  When every cofacet carries the same stabilized
+    type as the face, the lifted map is tested for (quasi-)harmonicity;
+    otherwise, if the face's type is a weightless almost 3-valent wall,
+    local combinatorial surjectivity is decided against the wall's
+    resolutions.  Situations outside the theorem's hypotheses are reported
+    as inconclusive.
     """
+    f = alpha.family
     f.base.face(w)
-    alpha = induced_alpha(f)
     cofacet_incs = f.base.cofacet_inclusions(w)
     if not cofacet_incs:
         raise NoCofacets(f"face {w!r} has no codimension-one cofacets")
@@ -525,49 +544,32 @@ def wall_verdict(f: FamilyDatum, w: str) -> WallVerdict:
     same_type = all(alpha.lifts[c].canonical == lift_w.canonical for c in cofacets)
 
     if same_type:
-        stab_w = stabilize_type(f.face_data[w].type)
-        ncoords = len(lift_w.linear)
+        edges_w = _canonical_order(lift_w.canon_edge_map)
+        verts_w = _canonical_order(lift_w.canon_vertex_map)
         per_face = {w: (lift_w.linear, lift_w.offset)}
         for inc in cofacet_incs:
             sup = inc.super
-            stab_sup = stabilize_type(f.face_data[sup].type)
-            maps = _stabilized_contraction(f, w, sup, stab_w, stab_sup)
+            stab_sup = alpha.lifts[sup].stab
+            maps = _stabilized_contraction(f, w, sup, lift_w.stab, stab_sup)
             if maps is None:
                 return WallVerdict(
                     face=w, verdict=WallVerdictKind.INCONCLUSIVE,
                     detail=f"cofacet {sup!r} has an isomorphic type not matched "
                            f"by the contraction")
             vmap, emap = maps
-            data = f.face_data[sup]
-            face_rank = f.base.face(sup).rank
-            rows, offs = [], []
-            inv_edge = {new: old for old, new in lift_w.canon_edge_map.items()}
-            inv_vert = {new: old for old, new in lift_w.canon_vertex_map.items()}
             rev_emap = {sub_e: sup_e for sup_e, sub_e in emap.items()}
             rev_vmap = {sub_v: sup_v for sup_v, sub_v in vmap.items()}
-            for ce in sorted(inv_edge, key=lambda e: int(e[1:])):
-                sup_edge = rev_emap[inv_edge[ce]]
-                lin = [0] * face_rank
-                off = Fraction(0)
-                for gamma in stab_sup.edge_chains[sup_edge]:
-                    fn = data.lengths[gamma]
-                    lin = [a + b for a, b in zip(lin, fn.linear)]
-                    off += fn.offset
-                rows.append(tuple(lin))
-                offs.append(off)
-            for cv in sorted(inv_vert, key=lambda v: int(v[1:])):
-                mp = data.positions[rev_vmap[inv_vert[cv]]]
-                for c in range(f.dim):
-                    rows.append(tuple(mp.linear[c]))
-                    offs.append(frac(mp.offset[c]))
+            rows, offs = _lift_rows(f, sup,
+                                    [stab_sup.edge_chains[rev_emap[e]] for e in edges_w],
+                                    [rev_vmap[u] for u in verts_w])
             # the rewritten lift must restrict to the face lift exactly
             lin_r, off_r = affine_compose(rows, vec(offs), inc.linear, vec(inc.offset))
             if tuple(tuple(r) for r in lin_r) != tuple(tuple(r) for r in lift_w.linear) \
                     or vec(off_r) != vec(lift_w.offset):
                 raise InvalidFamily(
                     f"lift over {sup!r} does not restrict to the lift over {w!r}")
-            per_face[sup] = (tuple(rows), tuple(offs))
-        local = PIAMap(source=f.base, target_dim=ncoords, per_face=per_face)
+            per_face[sup] = (rows, offs)
+        local = PIAMap(source=f.base, target_dim=len(lift_w.linear), per_face=per_face)
         res = harmonicity_at(local, w)
         if res.verdict == Harmonicity.HARMONIC:
             return WallVerdict(face=w, verdict=WallVerdictKind.HARMONIC,
@@ -622,13 +624,13 @@ class ImageStratum:
     full_dimensional: bool
 
 
-def image_strata(f: FamilyDatum) -> list:
-    """Group faces by stabilized target type; report image ranks per type.
+def image_strata(alpha: InducedMap) -> list:
+    """Group the faces of a validated map by stabilized target type; report
+    image ranks per type.
 
     ``full_dimensional`` records whether the best image piece reaches the
     stratum dimension (the hypothesis of the closure criterion).
     """
-    alpha = induced_alpha(f)
     by_type = {}
     for fid in sorted(alpha.lifts):
         lift = alpha.lifts[fid]

@@ -24,6 +24,7 @@ over the remaining vertex orderings.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -846,7 +847,7 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: Optional[int] =
     lexicographically least of its orbit under those automorphisms (the
     others give isomorphic types).  Then the tree flow solves the balancing
     equations in integers, and each candidate goes through its canonical
-    form and the stratum emptiness check.
+    form; the stratum emptiness check runs once per isomorphism class.
     """
     degree = tuple(tuple(int(x) for x in s) for s in degree)
     if dim is None:
@@ -899,12 +900,10 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: Optional[int] =
                         graph = WeightedGraph(vertices, edges, legs)
                         for t in _balanced_types(graph, forest, kernel, ext, dim, bound):
                             cf = canonical_form(t)
-                            if cf.string in found:
-                                continue
-                            if stratum(cf.type).is_empty():
-                                continue
-                            found[cf.string] = cf.type
-    return [found[k] for k in sorted(found)]
+                            if cf.string not in found:  # None records an empty stratum
+                                empty = stratum(cf.type).is_empty()
+                                found[cf.string] = None if empty else cf.type
+    return [found[k] for k in sorted(found) if found[k] is not None]
 
 
 def _balanced_types(graph: WeightedGraph, forest, kernel, ext, dim, bound):
@@ -954,21 +953,6 @@ class WallGraph:
 
     def node_ids(self):
         return [nid for nid, _ in self.nodes]
-
-    def node_type(self, nid):
-        for i, t in self.nodes:
-            if i == nid:
-                return t
-        raise SeedNotInGraph(f"unknown node {nid!r}")
-
-    def incident_walls(self, nid):
-        return [wid for wid, _, res in self.walls if nid in res]
-
-    def wall_nodes(self, wid):
-        for i, _, res in self.walls:
-            if i == wid:
-                return res
-        raise SeedNotInGraph(f"unknown wall {wid!r}")
 
 
 def wall_graph(types) -> WallGraph:
@@ -1026,12 +1010,16 @@ def connected_through_walls(wg: WallGraph, t1: CombinatorialType, t2: Combinator
     start, goal = wg.node_key[k1], wg.node_key[k2]
     if start == goal:
         return True, (start,)
+    walls_at = {}
+    for wid, _, res in wg.walls:
+        for nid in res:
+            walls_at.setdefault(nid, []).append((wid, res))
     prev = {start: None}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        nid = queue.pop(0)
-        for wid in wg.incident_walls(nid):
-            for other in wg.wall_nodes(wid):
+        nid = queue.popleft()
+        for wid, res in walls_at.get(nid, ()):
+            for other in res:
                 if other not in prev:
                     prev[other] = (nid, wid)
                     if other == goal:

@@ -287,6 +287,36 @@ def two_ray_resolution_family(derivatives=((1, 0), (-1, 0))):
                        face_data=face_data, contractions=contractions)
 
 
+def segment_family(derivative=(1, 0)):
+    """The resolution type over a segment and both its end points, with
+    constant edge length 1 and vertex positions moving by ``derivative``
+    along the segment; both end points have a cofacet."""
+    base = segment_complex()
+    t = resolution_type(1)
+    s = t.slopes["e"]
+    d = derivative
+    face_data = {
+        "E": FaceCurveData(
+            type=t,
+            lengths={"e": AffineFn((0,), Fraction(1))},
+            positions={"va": AffineMapN(((d[0],), (d[1],)), (Fraction(0), Fraction(0))),
+                       "vb": AffineMapN(((d[0],), (d[1],)), (Fraction(s[0]), Fraction(s[1])))},
+        )
+    }
+    contractions = {}
+    for vid, at in (("V0", 0), ("V1", 1)):
+        face_data[vid] = FaceCurveData(
+            type=t,
+            lengths={"e": AffineFn((), Fraction(1))},
+            positions={"va": const_positionN((at * d[0], at * d[1]), 0),
+                       "vb": const_positionN((at * d[0] + s[0], at * d[1] + s[1]), 0)},
+        )
+        contractions[(vid, "E")] = Contraction(
+            vertex_map={"va": "va", "vb": "vb"}, edge_map={"e": "e"})
+    return FamilyDatum(base=base, dim=2, extended_degree=CROSS_DEGREE,
+                       face_data=face_data, contractions=contractions)
+
+
 def sample_chart_points(poly: Polyhedron, n: int, rng: random.Random):
     """Deterministic rational points of a chart: convex vertex combos plus rays."""
     verts, rays, lines = poly.vrep()

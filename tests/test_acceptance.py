@@ -252,7 +252,7 @@ def test_criterion_5_family_validator():
 
 def test_criterion_6_wall_verdicts():
     two = two_ray_resolution_family(((1, 0), (-1, 0)))
-    v = wall_verdict(two, "O")
+    v = wall_verdict(induced_alpha(two), "O")
     assert v.verdict == WallVerdictKind.HARMONIC
     assert v.certificate == (1, 1)
     # re-verify by substitution: the star derivatives of the lift sum to zero
@@ -266,7 +266,7 @@ def test_criterion_6_wall_verdicts():
     assert all(x == 0 for x in total)
 
     three = ray_wall_family((1, 2, 3))
-    v3 = wall_verdict(three, "O")
+    v3 = wall_verdict(induced_alpha(three), "O")
     assert v3.verdict == WallVerdictKind.LOCALLY_COMBINATORIALLY_SURJECTIVE
     # witnesses re-verify: each resolution is attained by its witnessing ray
     alpha3 = induced_alpha(three)
@@ -275,7 +275,7 @@ def test_criterion_6_wall_verdicts():
         assert alpha3.lifts[face].canonical == canon
 
     one = ray_wall_family((1,))
-    v1 = wall_verdict(one, "O")
+    v1 = wall_verdict(induced_alpha(one), "O")
     assert v1.verdict == WallVerdictKind.INCONCLUSIVE
     assert len(v1.uncovered) == 2
     attained = {alpha.lifts[f].canonical for alpha, f in ()} or \

@@ -6,7 +6,7 @@ import pytest
 from tropmoduli import documents as docs
 from tropmoduli.cli import main
 from tropmoduli.errors import InputError
-from tropmoduli.family import propagate_closure
+from tropmoduli.family import propagate_closure, validate_family
 from tropmoduli.moduli import canonical_string, resolve_4valent, wall_graph
 from tropmoduli.polyhedral import validate_complex
 
@@ -16,6 +16,7 @@ from helpers import (
     ray_pair_data,
     ray_wall_family,
     resolution_type,
+    segment_family,
     segment_pair_data,
     triangle_pair_data,
     two_ray_resolution_family,
@@ -325,3 +326,59 @@ def test_cli_ignores_threads_environment(tmp_path, capsys, monkeypatch):
     code, out = _run(capsys, ["skeleton", pair])
     assert code == 0
     assert json.loads(out)["status"] == "ok"
+
+
+@pytest.mark.parametrize("verb, doc, pointer", [
+    ("skeleton", {"schema": docs.SCHEMA, "strata": [5], "vertical": []}, "/strata/0"),
+    ("validate-complex", {"schema": docs.SCHEMA, "faces": [], "inclusions": [4]},
+     "/inclusions/0"),
+    ("classify", {"schema": docs.SCHEMA, "dim": 2, "vertices": ["idle"]}, "/vertices/0"),
+], ids=["stratum", "inclusion", "vertex"])
+def test_cli_rejects_entries_that_are_not_objects(tmp_path, capsys, verb, doc, pointer):
+    code, out = _run(capsys, [verb, _write(tmp_path, "doc.json", doc)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["payload"]["pointer"] == pointer
+
+
+def test_cli_validates_a_family_once(tmp_path, capsys, monkeypatch):
+    import tropmoduli.family
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return validate_family(f)
+
+    monkeypatch.setattr(tropmoduli.family, "validate_family", counting)
+    fpath = _write(tmp_path, "family.json", docs.family_to_doc(segment_family()))
+    code, out = _run(capsys, ["verdicts", fpath])
+    assert code == 0
+    assert [v["face"] for v in json.loads(out)["payload"]["verdicts"]] == ["V0", "V1"]
+    assert len(calls) == 1
+    calls.clear()
+    code, _ = _run(capsys, ["alpha", fpath])
+    assert code == 0
+    assert len(calls) == 1
+    calls.clear()
+    # no face has a cofacet: nothing to validate
+    ppath = _write(tmp_path, "point.json", docs.family_to_doc(point_family()))
+    code, out = _run(capsys, ["verdicts", ppath])
+    assert code == 0
+    assert json.loads(out)["summary"] == "no faces"
+    assert calls == []
+
+
+@pytest.mark.parametrize("face, error", [("X", "UnknownFace"), ("O", "InvalidFamily")])
+def test_cli_verdicts_reports_unknown_face_before_invalid_family(tmp_path, capsys,
+                                                                 face, error):
+    fam = ray_wall_family((1,), edge_offset=-1)
+    fpath = _write(tmp_path, "family.json", docs.family_to_doc(fam))
+    code, out = _run(capsys, ["verdicts", fpath, "--face", face])
+    assert code == 2
+    message = "unknown face 'X'" if face == "X" else str(validate_family(fam))
+    assert json.loads(out) == {
+        "schema": docs.SCHEMA, "verb": "verdicts", "status": "error",
+        "payload": {"error": error, "message": message},
+        "summary": f"{error}: {message}",
+    }

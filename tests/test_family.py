@@ -193,13 +193,13 @@ def test_alpha_requires_valid_family():
 # ---------------------------------------------------------------------------
 
 def test_wall_verdict_harmonic():
-    v = wall_verdict(two_ray_resolution_family(((1, 0), (-1, 0))), "O")
+    v = wall_verdict(induced_alpha(two_ray_resolution_family(((1, 0), (-1, 0)))), "O")
     assert v.verdict == WallVerdictKind.HARMONIC
     assert v.certificate == (1, 1)
 
 
 def test_wall_verdict_quasi_harmonic():
-    v = wall_verdict(two_ray_resolution_family(((1, 0), (-2, 0))), "O")
+    v = wall_verdict(induced_alpha(two_ray_resolution_family(((1, 0), (-2, 0)))), "O")
     assert v.verdict == WallVerdictKind.QUASI_HARMONIC
     a1, a2 = v.certificate
     assert a1 > 0 and a2 > 0
@@ -207,19 +207,19 @@ def test_wall_verdict_quasi_harmonic():
 
 
 def test_wall_verdict_not_quasi_harmonic_inconclusive():
-    v = wall_verdict(two_ray_resolution_family(((1, 0), (0, 1))), "O")
+    v = wall_verdict(induced_alpha(two_ray_resolution_family(((1, 0), (0, 1)))), "O")
     assert v.verdict == WallVerdictKind.INCONCLUSIVE
     assert "quasi-harmonic" in v.detail
 
 
 def test_wall_verdict_locally_combinatorially_surjective():
-    v = wall_verdict(ray_wall_family((1, 2, 3)), "O")
+    v = wall_verdict(induced_alpha(ray_wall_family((1, 2, 3))), "O")
     assert v.verdict == WallVerdictKind.LOCALLY_COMBINATORIALLY_SURJECTIVE
     assert len(v.witnesses) == 3
 
 
 def test_wall_verdict_uncovered_resolutions():
-    v = wall_verdict(ray_wall_family((1,)), "O")
+    v = wall_verdict(induced_alpha(ray_wall_family((1,))), "O")
     assert v.verdict == WallVerdictKind.INCONCLUSIVE
     assert len(v.uncovered) == 2
     assert set(v.witnesses.values()) == {"R0"}
@@ -230,7 +230,7 @@ def test_wall_verdict_uncovered_resolutions():
 # ---------------------------------------------------------------------------
 
 def test_image_strata_point_base():
-    strata = image_strata(point_family())
+    strata = image_strata(induced_alpha(point_family()))
     assert len(strata) == 1
     s = strata[0]
     assert s.image_dim == 0
@@ -239,7 +239,7 @@ def test_image_strata_point_base():
 
 
 def test_image_strata_ray_family():
-    strata = image_strata(ray_wall_family((1, 2)))
+    strata = image_strata(induced_alpha(ray_wall_family((1, 2))))
     by_canon = {s.canonical: s for s in strata}
     wall = by_canon[canonical_string(cross_type())]
     assert wall.image_dim == 0

@@ -106,5 +106,5 @@ def test_cli_verdicts_payload_equals_library(tmp_path, capsys):
     fpath.write_text(json.dumps(docs.family_to_doc(fam)))
     assert main(["verdicts", str(fpath), "--face", "O"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
-    expected = docs.verdict_to_doc(wall_verdict(fam, "O"))
+    expected = docs.verdict_to_doc(wall_verdict(induced_alpha(fam), "O"))
     assert payload["verdicts"] == [expected]

@@ -411,6 +411,20 @@ def test_enumerate_genus_one():
         assert dim_stratum(t) is not None
 
 
+def test_enumerate_checks_each_stratum_once(monkeypatch):
+    import tropmoduli.moduli
+    checked = []
+
+    def counting(t):
+        checked.append(canonical_string(t))
+        return stratum(t)
+
+    monkeypatch.setattr(tropmoduli.moduli, "stratum", counting)
+    out = enumerate_types(1, 0, ((1, 0), (0, 1), (-1, -1)), 3)
+    assert len(checked) > len(out)  # some classes have empty strata
+    assert len(checked) == len(set(checked))
+
+
 def test_enumerate_closed_under_operations():
     degree = ((1, 0), (0, 1), (-1, 0), (0, -1))
     out = enumerate_types(0, 0, degree, 1)
