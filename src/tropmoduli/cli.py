@@ -239,6 +239,8 @@ def _cmd_propagate(args):
     wg = docs.wallgraph_from_doc(_load_json(args.input))
     if args.seeds_file:
         seed_doc = _load_json(args.seeds_file)
+        if not isinstance(seed_doc, dict):
+            raise InputError('seeds file must be a JSON object with a "seeds" list', "")
         seeds = seed_doc.get("seeds")
         if not isinstance(seeds, list):
             raise InputError('seeds file needs a "seeds" list', "/seeds")

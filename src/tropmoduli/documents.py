@@ -138,7 +138,7 @@ def complex_from_doc(doc, pointer="") -> PolyhedralComplex:
             raise InputError("rank must be nonnegative", f"{p}/rank")
         chart = _chart_from_doc(_expect(fd, "chart", dict, p), rank, f"{p}/chart")
         faces.append(Face(id=fid, rank=rank, chart=chart,
-                          label=fd.get("label", "")))
+                          label=_expect(fd, "label", str, p, default="", required=False)))
     incs = []
     for i, idoc in enumerate(_expect(doc, "inclusions", list, pointer, default=[], required=False) or []):
         p = f"{pointer}/inclusions/{i}"
@@ -149,7 +149,12 @@ def complex_from_doc(doc, pointer="") -> PolyhedralComplex:
         incs.append(FaceInclusion(sub=_expect(idoc, "sub", str, p),
                                   super=_expect(idoc, "super", str, p),
                                   linear=linear, offset=offset))
-    maximal = doc.get("maximal")
+    maximal = _expect(doc, "maximal", list, pointer, required=False)
+    if maximal is not None:
+        declared = {f.id for f in faces}
+        for i, fid in enumerate(maximal):
+            if not isinstance(fid, str) or fid not in declared:
+                raise InputError("expected the id of a declared face", f"{pointer}/maximal/{i}")
     try:
         return PolyhedralComplex(faces, incs, maximal_faces=maximal)
     except (ValueError, KeyError) as exc:

@@ -14,6 +14,7 @@ and the skeleton constructor for combinatorial semistable pair data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -41,16 +42,13 @@ from .exact_linalg import (
     mat_rows,
     mat_vec,
     primitive_vector,
-    rank,
     smith_normal_form,
-    solve_linear,
     span_membership,
     strict_positive_combination,
     unimodular_inverse,
     vec,
     vec_add,
     vec_dot,
-    vec_sub,
 )
 
 
@@ -61,9 +59,13 @@ from .exact_linalg import (
 class Polyhedron:
     """Intersection of half-spaces <n,x> >= o with integral normals.
 
-    Equalities are stored separately.  The V-representation (vertices, rays
-    and lineality generators) is computed on demand and cached; all queries
-    are exact.
+    Equalities are stored separately.  One integer incidence pass, computed
+    on demand and cached on the instance, gives the V-representation
+    (vertices, rays and lineality generators) and records which
+    inequalities are tight at each vertex and each ray.  ``is_empty``,
+    ``has_interior``, ``dim`` and ``proper_faces`` are read off those
+    incidences and solve no LP; ``feasible_point`` and ``interior_point``
+    are LPs.  All queries are exact.
     """
 
     def __init__(self, ambient_dim: int, ineqs=(), eqs=()):
@@ -99,7 +101,8 @@ class Polyhedron:
         return self._cache['feasible']
 
     def is_empty(self) -> bool:
-        return self.feasible_point() is None
+        """No vertex once the lineality space is sliced off."""
+        return not self.vrep()[0]
 
     def interior_point(self):
         """A point with all inequalities strict, or None.
@@ -115,9 +118,18 @@ class Polyhedron:
         return self._cache['interior']
 
     def has_interior(self) -> bool:
-        return self.interior_point() is not None
+        """Whether ``interior_point`` finds a point, decided without an LP.
 
-    # -- V-representation ---------------------------------------------------
+        A nonempty polyhedron has a point where every inequality that is not
+        tight on all of it holds strictly, so an interior point exists iff
+        every equality is 0 = 0 and no inequality is tight at every vertex
+        and every ray (this covers 0·x >= 0 and lower dimension).
+        """
+        verts, rays, _ = self.vrep()
+        return bool(verts) and self._tight_on(range(len(verts)), range(len(rays))) == 0 and \
+            all(o == 0 and not any(n) for n, o in self.eqs)
+
+    # -- V-representation, incidences and the face lattice -------------------
 
     def vrep(self):
         """(vertices, rays, lines): P = conv(vertices) + cone(rays) + span(lines).
@@ -125,106 +137,138 @@ class Polyhedron:
         Rays and lines are primitive integer vectors; vertices are rational.
         Empty polyhedron yields ((), (), ()).
         """
-        if 'vrep' in self._cache:
-            return self._cache['vrep']
-        out = self._compute_vrep()
-        self._cache['vrep'] = out
+        return self._incidences()[0]
+
+    def _incidences(self):
+        """(vrep, vertex masks, ray masks), computed once and cached.
+
+        Bit j of a vertex's mask is set when inequality j is tight there, and
+        of a ray's mask when the ray lies on the hyperplane of inequality j.
+        Every row is scaled to integers once.  The lineality space is the
+        integer kernel of all normals; after slicing it off, vertices solve
+        the subsystems of rank D and extreme rays span the kernels of the
+        subsystems of rank D - 1, both by fraction-free elimination.
+        """
+        if 'incidences' in self._cache:
+            return self._cache['incidences']
+        D = self.ambient_dim
+        rows = [_integer_row(n, o) for n, o in self.ineqs]
+        nontrivial = [n for n, _ in self.ineqs + self.eqs if any(n)]
+        lines = () if _int_rank(nontrivial, D) == D else \
+            tuple(primitive_vector(l) for l in integer_kernel(nontrivial, D))
+        base, pivots = _int_echelon([_integer_row(n, o) for n, o in self.eqs]
+                                    + [l + (0,) for l in lines], D)
+        consistent = not any(row[D] for row in base[len(pivots):])  # no 0 = c != 0
+        base = base[:len(pivots)]
+
+        def tight_mask(point, scale):
+            """Tight inequalities at point/scale (a ray when scale is 0), or None."""
+            mask = 0
+            for j, row in enumerate(rows):
+                s = sum(a * x for a, x in zip(row, point)) - row[D] * scale
+                if s < 0:
+                    return None
+                if s == 0:
+                    mask |= 1 << j
+            return mask
+
+        verts = {}  # (numerators, common denominator) -> tight mask or None
+        for subset in combinations(range(len(rows)), D - len(pivots)) if consistent else ():
+            red, piv = _int_echelon(base + [rows[i] for i in subset], D)
+            if len(piv) < D or any(row[D] for row in red[D:]):
+                continue
+            den = math.lcm(*(red[c][c] for c in range(D)))
+            num = [red[c][D] * den // red[c][c] for c in range(D)]
+            g = math.gcd(den, *num)
+            key = (tuple(x // g for x in num), den // g)
+            if key not in verts:
+                verts[key] = tight_mask(*key)
+        verts = sorted((tuple(Fraction(x, den) for x in num), mask)
+                       for (num, den), mask in verts.items() if mask is not None)
+
+        rays = {}  # primitive direction -> tight mask
+        need = D - 1 - len(pivots)
+        cone = [row[:D] for row in base]
+        for subset in combinations(range(len(rows)), need) if verts and need >= 0 else ():
+            red, piv = _int_echelon(cone + [rows[i][:D] for i in subset], D)
+            if len(piv) != D - 1:
+                continue
+            free = next(c for c in range(D) if c not in piv)
+            den = math.lcm(*(red[r][c] for r, c in enumerate(piv)))
+            d = [0] * D
+            d[free] = den
+            for r, c in enumerate(piv):
+                d[c] = -red[r][free] * den // red[r][c]
+            d = primitive_vector(tuple(d))
+            for cand in (d, tuple(-x for x in d)):
+                mask = tight_mask(cand, 0)
+                if mask is not None:
+                    rays[cand] = mask
+                    break
+        rays = sorted(rays.items())
+
+        vrep = (tuple(v for v, _ in verts), tuple(r for r, _ in rays), lines) if verts \
+            else ((), (), ())
+        out = (vrep, tuple(m for _, m in verts), tuple(m for _, m in rays))
+        self._cache['incidences'] = out
         return out
 
-    def _compute_vrep(self):
-        D = self.ambient_dim
-        if self.is_empty():
-            return (), (), ()
-        normals = [n for n, _ in self.ineqs] + [n for n, _ in self.eqs]
-        nontrivial = [n for n in normals if any(c != 0 for c in n)]
-        lines = tuple(primitive_vector(l) for l in integer_kernel(nontrivial, D)) \
-            if nontrivial else tuple(tuple(1 if i == j else 0 for j in range(D)) for i in range(D))
-        if lines:
-            # slice along the lineality space and recurse on a pointed polyhedron
-            sliced = Polyhedron(
-                D,
-                self.ineqs,
-                self.eqs + tuple((l, Fraction(0)) for l in lines),
-            )
-            verts, rays, _ = sliced._compute_vrep()
-            return verts, rays, lines
-        if D == 0:
-            return ((),), (), ()
+    def _tight_on(self, vert_ids, ray_ids) -> int:
+        """Mask of the inequalities tight at every given vertex and ray."""
+        _, vmasks, rmasks = self._incidences()
+        mask = (1 << len(self.ineqs)) - 1
+        for i in vert_ids:
+            mask &= vmasks[i]
+        for i in ray_ids:
+            mask &= rmasks[i]
+        return mask
 
-        eq_rows = [vec(n) for n, _ in self.eqs]
-        eq_rhs = [o for _, o in self.eqs]
-        req = rank(eq_rows) if eq_rows else 0
-
-        verts = set()
-        need = D - req
-        if need >= 0:
-            for subset in combinations(range(len(self.ineqs)), need):
-                rows = list(eq_rows) + [vec(self.ineqs[i][0]) for i in subset]
-                rhs = list(eq_rhs) + [self.ineqs[i][1] for i in subset]
-                if rank(rows) != D:
-                    continue
-                x = solve_linear(rows, tuple(rhs))
-                if x is not None and self.contains(x):
-                    verts.add(x)
-
-        rays = set()
-        need_r = D - 1 - req
-        if need_r >= 0:
-            cone_rows = [vec(n) for n, _ in self.eqs]
-            for subset in combinations(range(len(self.ineqs)), need_r):
-                rows = cone_rows + [vec(self.ineqs[i][0]) for i in subset]
-                ker = [v for v in _rational_kernel_basis(rows, D)]
-                if len(ker) != 1:
-                    continue
-                d = _rational_to_primitive(ker[0])
-                for cand in (d, tuple(-c for c in d)):
-                    if all(vec_dot(vec(n), vec(cand)) >= 0 for n, _ in self.ineqs) and \
-                            all(vec_dot(vec(n), vec(cand)) == 0 for n, _ in self.eqs):
-                        rays.add(cand)
-                        break
-        return tuple(sorted(verts)), tuple(sorted(rays)), ()
+    def _face_dim(self, tight: int) -> int:
+        """D - rank(equalities + inequalities in the mask ``tight``)."""
+        rows = [n for n, _ in self.eqs] + \
+            [n for j, (n, _) in enumerate(self.ineqs) if tight >> j & 1]
+        return self.ambient_dim - _int_rank(rows, self.ambient_dim)
 
     def dim(self) -> int:
         """Dimension of the polyhedron, -1 if empty."""
-        verts, rays, lines = self.vrep()
+        verts, rays, _ = self.vrep()
         if not verts:
             return -1
-        base = verts[0]
-        rows = [vec_sub(v, base) for v in verts[1:]]
-        rows += [vec(r) for r in rays] + [vec(l) for l in lines]
-        return rank(rows) if rows else 0
-
-    # -- face lattice ---------------------------------------------------------
+        return self._face_dim(self._tight_on(range(len(verts)), range(len(rays))))
 
     def proper_faces(self):
-        """All proper nonempty faces, as _PFace records (cached)."""
+        """All proper nonempty faces, as _PFace records (cached).
+
+        The faces are the intersections of the per-inequality incidence sets
+        (tight vertices, tight rays) that keep a vertex, minus P itself,
+        ordered by (dim, vertex ids, ray ids).
+        """
         if 'faces' in self._cache:
             return self._cache['faces']
-        verts, rays, lines = self.vrep()
-        found = {}
-        whole = (frozenset(range(len(verts))), frozenset(range(len(rays))))
-        for size in range(1, len(self.ineqs) + 1):
-            for subset in combinations(range(len(self.ineqs)), size):
-                tv = frozenset(
-                    i for i, v in enumerate(verts)
-                    if all(vec_dot(vec(self.ineqs[j][0]), v) == self.ineqs[j][1] for j in subset)
-                )
-                if not tv:
-                    continue
-                tr = frozenset(
-                    i for i, r in enumerate(rays)
-                    if all(vec_dot(vec(self.ineqs[j][0]), vec(r)) == 0 for j in subset)
-                )
-                key = (tv, tr)
-                if key != whole and key not in found:
-                    found[key] = _PFace(
-                        poly=self,
-                        vert_ids=tv,
-                        ray_ids=tr,
-                        dim=_generator_dim([verts[i] for i in tv],
-                                           [rays[i] for i in tr], lines),
-                    )
-        faces = tuple(sorted(found.values(), key=lambda f: (f.dim, sorted(f.vert_ids), sorted(f.ray_ids))))
+        (verts, rays, _), vmasks, rmasks = self._incidences()
+        gens = set()
+        for j in range(len(self.ineqs)):
+            tv = sum(1 << i for i, m in enumerate(vmasks) if m >> j & 1)
+            if tv:
+                gens.add((tv, sum(1 << i for i, m in enumerate(rmasks) if m >> j & 1)))
+        found, frontier = set(gens), list(gens)
+        while frontier:
+            new = []
+            for tv, tr in frontier:
+                for gv, gr in gens:
+                    key = (tv & gv, tr & gr)
+                    if key[0] and key not in found:
+                        found.add(key)
+                        new.append(key)
+            frontier = new
+        found.discard(((1 << len(verts)) - 1, (1 << len(rays)) - 1))
+        faces = []
+        for tv, tr in found:
+            vert_ids = frozenset(i for i in range(len(verts)) if tv >> i & 1)
+            ray_ids = frozenset(i for i in range(len(rays)) if tr >> i & 1)
+            faces.append(_PFace(poly=self, vert_ids=vert_ids, ray_ids=ray_ids,
+                                dim=self._face_dim(self._tight_on(vert_ids, ray_ids))))
+        faces = tuple(sorted(faces, key=lambda f: (f.dim, sorted(f.vert_ids), sorted(f.ray_ids))))
         self._cache['faces'] = faces
         return faces
 
@@ -234,27 +278,52 @@ class Polyhedron:
         return frozenset(verts), frozenset(rays), tuple(lines)
 
 
-def _rational_kernel_basis(rows, ncols):
-    from .exact_linalg import kernel_rational
-    nontrivial = [r for r in rows if any(c != 0 for c in r)]
-    return kernel_rational(nontrivial, ncols)
+def _integer_row(normal, offset):
+    """The constraint <normal, x> ? offset as one integer row (q·normal, p)."""
+    return tuple(offset.denominator * c for c in normal) + (offset.numerator,)
+
+
+def _int_echelon(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination on integer rows.
+
+    Pivots are taken in the first ``ncols`` columns (later columns, such as
+    right-hand sides, are carried along).  Returns (rows, pivot columns):
+    pivot row r is zero in every pivot column but its own, and rows past the
+    pivots are zero in the first ``ncols`` columns.  Each eliminated row is
+    divided by the gcd of its entries, which keeps the entries small.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m, pivots
+
+
+def _int_rank(rows, ncols) -> int:
+    return len(_int_echelon(rows, ncols)[1])
 
 
 def _rational_to_primitive(v):
     denom = 1
     for x in v:
         f = frac(x)
-        denom = denom * f.denominator // __import__('math').gcd(denom, f.denominator)
+        denom = denom * f.denominator // math.gcd(denom, f.denominator)
     return primitive_vector(tuple(int(frac(x) * denom) for x in v))
-
-
-def _generator_dim(verts, rays, lines):
-    if not verts:
-        return -1
-    base = verts[0]
-    rows = [vec_sub(vec(v), vec(base)) for v in verts[1:]]
-    rows += [vec(r) for r in rays] + [vec(l) for l in lines]
-    return rank(rows) if rows else 0
 
 
 @dataclass(frozen=True)
@@ -274,12 +343,10 @@ class _PFace:
 
 
 def _span_equal(lines_a, lines_b) -> bool:
-    ra = rank([vec(l) for l in lines_a]) if lines_a else 0
-    rb = rank([vec(l) for l in lines_b]) if lines_b else 0
-    if ra != rb:
-        return False
-    rab = rank([vec(l) for l in tuple(lines_a) + tuple(lines_b)]) if (lines_a or lines_b) else 0
-    return rab == ra
+    """Whether two lists of integer vectors span the same subspace."""
+    ncols = len((tuple(lines_a) + tuple(lines_b) or ((),))[0])
+    ra = _int_rank(lines_a, ncols)
+    return ra == _int_rank(lines_b, ncols) == _int_rank(tuple(lines_a) + tuple(lines_b), ncols)
 
 
 def _triples_equal(a, b) -> bool:
@@ -424,8 +491,17 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
       (4) chart-level intersections of shared sub-faces agree across faces;
       plus partial-order sanity (antisymmetry, composition closure) and
       connectivity.
+
+    Chart queries read the charts' integer incidences and solve no LP.  The
+    inclusions are indexed by sub-face and by super-face once, so only
+    related pairs are visited; violations come out in a fixed order (faces
+    and inclusions in stored order, face pairs in sorted order).
     """
     report = ValidationReport()
+    supers_of, subs_of = {}, {}  # face id -> [(other face id, inclusion)] in stored order
+    for (a, b), inc in c.inclusions.items():
+        supers_of.setdefault(a, []).append((b, inc))
+        subs_of.setdefault(b, []).append((a, inc))
 
     for f in c.faces.values():
         if f.chart.ambient_dim != f.rank:
@@ -445,8 +521,8 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
         if c.faces[a].rank >= c.faces[b].rank:
             report.add("order", f"{a}->{b}", "sub-face rank must be smaller than super-face rank")
     for (a, b), inc_ab in c.inclusions.items():
-        for (b2, d), inc_bd in c.inclusions.items():
-            if b2 != b or a == d:
+        for d, inc_bd in supers_of.get(b, ()):
+            if a == d:
                 continue
             if (a, d) not in c.inclusions:
                 report.add("order", f"{a}->{d}", f"missing composite of {a}->{b} and {b}->{d}")
@@ -457,7 +533,8 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
                 report.add("order", f"{a}->{d}", "stored inclusion differs from the composite")
 
     # axiom 5 + image faces
-    image_face = {}  # (sub, super) -> _PFace key or None
+    image_face = {}  # (sub, super) -> _PFace or None
+    faces_by_members = {}  # face id -> {(vertex set, ray set): _PFace} of its chart
     for (a, b), inc in c.inclusions.items():
         cols = [ivec(col) for col in zip(*inc.linear)] if inc.linear and inc.linear[0] else []
         sub_rank = c.faces[a].rank
@@ -474,22 +551,23 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
         if _triples_equal(img, super_chart.generators()):
             report.add("3", f"{a}->{b}", "image equals the whole super chart")
             continue
-        match = None
-        for pf in super_chart.proper_faces():
-            if _triples_equal(img, pf.members()):
-                match = pf
-                break
+        if b not in faces_by_members:
+            faces_by_members[b] = {pf.members()[:2]: pf for pf in super_chart.proper_faces()}
+        match = faces_by_members[b].get(img[:2])
+        if match is not None and not _span_equal(img[2], super_chart.vrep()[2]):
+            match = None
         if match is None:
             report.add("5", f"{a}->{b}", "image of sub chart is not a face of the super chart")
         image_face[(a, b)] = match
 
     # axiom 3: every proper face of a chart is covered exactly once
     resolver = {}  # (face id, PFace key) -> sub id
+    subface_ids = {fid: sorted(a for a, _ in subs) for fid, subs in subs_of.items()}
     for fid, f in c.faces.items():
         if f.chart.ambient_dim != f.rank or f.chart.is_empty():
             continue
         by_face = {}
-        for sub in c.subface_ids(fid):
+        for sub in subface_ids.get(fid, ()):
             pf = image_face.get((sub, fid))
             if pf is not None:
                 by_face.setdefault((pf.vert_ids, pf.ray_ids), []).append(sub)
@@ -504,14 +582,14 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
                 report.add("3", fid, f"chart face of dim {pf.dim} is covered by {sorted(owners)}")
 
     # axiom 4: shared sub-face intersections agree across faces
-    super_of = {}
-    for (a, b) in c.inclusions:
-        super_of.setdefault(a, set()).add(b)
-    face_ids = sorted(c.faces)
+    sub_sets = {fid: set(subs) for fid, subs in subface_ids.items()}
+    face_ids = sorted(sub_sets)
     for i, w1 in enumerate(face_ids):
         for w2 in face_ids[i + 1:]:
-            common = sorted({s for s in c.subface_ids(w1)} & {s for s in c.subface_ids(w2)})
-            for v1, v2 in combinations(common, 2):
+            common = sub_sets[w1] & sub_sets[w2]
+            if len(common) < 2:
+                continue
+            for v1, v2 in combinations(sorted(common), 2):
                 res = []
                 for w in (w1, w2):
                     pf1 = image_face.get((v1, w))

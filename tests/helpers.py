@@ -141,6 +141,35 @@ def random_pair_data(rng: random.Random, max_components=5, max_strata=12):
         used_verticals |= vs
         hs = frozenset(h for h in horizontals if rng.random() < 0.4)
         supports.add((frozenset(vs), hs))
+    return supported_pair_data(rng, verticals, horizontals, supports, max_strata)
+
+
+def template_pair_data(rng: random.Random, nv: int, nh: int, maximal):
+    """Pair data on the maximal supports ``maximal``, given as index sets.
+
+    ``maximal`` lists (vertical indices, horizontal indices) pairs, as in the
+    complex templates of the benchmark; the seed relabels the components and
+    draws the lengths, so every pair of one template has the same face
+    lattice.
+    """
+    verticals = [f"D{i}" for i in range(nv)]
+    horizontals = [f"H{i}" for i in range(nh)]
+    rng.shuffle(verticals)
+    rng.shuffle(horizontals)
+    supports = {(frozenset(verticals[i] for i in vs), frozenset(horizontals[i] for i in hs))
+                for vs, hs in maximal}
+    return supported_pair_data(rng, tuple(sorted(verticals)), tuple(sorted(horizontals)),
+                               supports)
+
+
+def supported_pair_data(rng: random.Random, verticals, horizontals, supports, max_strata=None):
+    """Pair data whose strata are all sub-supports of ``supports``.
+
+    Supports are merged globally, so the exactly-one-cover condition holds
+    by construction.  Lengths are drawn once per comparability class forced
+    by shared vertical pairs.  None when there are more than ``max_strata``
+    strata.
+    """
     # close under sub-supports (nonempty vertical part)
     closed = set()
     for vs, hs in supports:
@@ -152,7 +181,7 @@ def random_pair_data(rng: random.Random, max_components=5, max_strata=12):
                 sub_h = frozenset(h for i, h in enumerate(hlist) if hmask >> i & 1)
                 closed.add((sub_v, sub_h))
     closed = sorted(closed, key=lambda s: (sorted(s[0]), sorted(s[1])))
-    if len(closed) > max_strata:
+    if max_strata is not None and len(closed) > max_strata:
         return None
     ids = {}
     for i, sup in enumerate(closed):

@@ -1,0 +1,309 @@
+"""Reference polyhedra and complex validation for differential tests.
+
+This is the subset-scan code the incidence-based ``Polyhedron`` queries and
+``validate_complex`` replaced: emptiness and interiors by LP, vertices and
+rays from every C(m, D) constraint subset, faces from every one of the 2^m
+subsets, and every relation between faces found by scanning all faces and
+inclusions.  Both must give identical answers.  It is kept apart from
+``oracles.py``, which the benchmark loads for its output checks.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
+from tropmoduli.errors import DependentGenerators
+from tropmoduli.exact_linalg import (
+    affine_compose,
+    feasible_point,
+    frac,
+    integer_kernel,
+    is_saturated,
+    ivec,
+    kernel_rational,
+    mat_rows,
+    mat_vec,
+    primitive_vector,
+    rank,
+    solve_linear,
+    vec,
+    vec_dot,
+    vec_sub,
+)
+from tropmoduli.polyhedral import ValidationReport
+
+
+# ---------------------------------------------------------------------------
+# reference polyhedra: emptiness and interior by LP, vertices and rays from
+# every C(m, D) constraint subset, faces from every one of the 2^m subsets.
+# Each function takes a Polyhedron but reads only its constraints.
+# ---------------------------------------------------------------------------
+
+def is_empty(p):
+    return feasible_point(p.eqs, p.ineqs, p.ambient_dim) is None
+
+
+def has_interior(p):
+    """A point with every inequality strict exists (and every equality is 0 = 0)."""
+    if not all(all(c == 0 for c in n) and o == 0 for n, o in p.eqs):
+        return False
+    return feasible_point((), p.ineqs, p.ambient_dim,
+                          strict=range(len(p.ineqs))) is not None
+
+
+def _contains(ineqs, eqs, x):
+    return all(vec_dot(vec(n), x) == o for n, o in eqs) and \
+        all(vec_dot(vec(n), x) >= o for n, o in ineqs)
+
+
+def _rational_to_primitive(v):
+    denom = 1
+    for x in v:
+        f = frac(x)
+        denom = denom * f.denominator // gcd(denom, f.denominator)
+    return primitive_vector(tuple(int(frac(x) * denom) for x in v))
+
+
+def _vrep(D, ineqs, eqs):
+    if feasible_point(eqs, ineqs, D) is None:
+        return (), (), ()
+    normals = [n for n, _ in ineqs] + [n for n, _ in eqs]
+    nontrivial = [n for n in normals if any(c != 0 for c in n)]
+    lines = tuple(primitive_vector(l) for l in integer_kernel(nontrivial, D)) \
+        if nontrivial else tuple(tuple(1 if i == j else 0 for j in range(D)) for i in range(D))
+    if lines:
+        # slice along the lineality space and recurse on a pointed polyhedron
+        verts, rays, _ = _vrep(D, ineqs, eqs + tuple((l, Fraction(0)) for l in lines))
+        return verts, rays, lines
+    if D == 0:
+        return ((),), (), ()
+
+    eq_rows = [vec(n) for n, _ in eqs]
+    eq_rhs = [o for _, o in eqs]
+    req = rank(eq_rows) if eq_rows else 0
+
+    verts = set()
+    need = D - req
+    if need >= 0:
+        for subset in combinations(range(len(ineqs)), need):
+            rows = list(eq_rows) + [vec(ineqs[i][0]) for i in subset]
+            rhs = list(eq_rhs) + [ineqs[i][1] for i in subset]
+            if rank(rows) != D:
+                continue
+            x = solve_linear(rows, tuple(rhs))
+            if x is not None and _contains(ineqs, eqs, x):
+                verts.add(x)
+
+    rays = set()
+    need_r = D - 1 - req
+    if need_r >= 0:
+        for subset in combinations(range(len(ineqs)), need_r):
+            rows = list(eq_rows) + [vec(ineqs[i][0]) for i in subset]
+            ker = kernel_rational([r for r in rows if any(c != 0 for c in r)], D)
+            if len(ker) != 1:
+                continue
+            d = _rational_to_primitive(ker[0])
+            for cand in (d, tuple(-c for c in d)):
+                if all(vec_dot(vec(n), vec(cand)) >= 0 for n, _ in ineqs) and \
+                        all(vec_dot(vec(n), vec(cand)) == 0 for n, _ in eqs):
+                    rays.add(cand)
+                    break
+    return tuple(sorted(verts)), tuple(sorted(rays)), ()
+
+
+def vrep(p):
+    """(vertices, rays, lines) exactly as ``Polyhedron.vrep`` documents them."""
+    return _vrep(p.ambient_dim, p.ineqs, p.eqs)
+
+
+def _generator_dim(verts, rays, lines):
+    if not verts:
+        return -1
+    rows = [vec_sub(vec(v), vec(verts[0])) for v in verts[1:]]
+    rows += [vec(r) for r in rays] + [vec(l) for l in lines]
+    return rank(rows) if rows else 0
+
+
+def proper_faces(p, generators=None):
+    """Proper nonempty faces as (vertex ids, ray ids, dim), in the order of
+    ``Polyhedron.proper_faces``: one face per tight set of every nonempty
+    subset of the inequalities."""
+    verts, rays, lines = generators or vrep(p)
+    found = {}
+    whole = (frozenset(range(len(verts))), frozenset(range(len(rays))))
+    for size in range(1, len(p.ineqs) + 1):
+        for subset in combinations(range(len(p.ineqs)), size):
+            tv = frozenset(i for i, v in enumerate(verts)
+                           if all(vec_dot(vec(p.ineqs[j][0]), v) == p.ineqs[j][1] for j in subset))
+            if not tv:
+                continue
+            tr = frozenset(i for i, r in enumerate(rays)
+                           if all(vec_dot(vec(p.ineqs[j][0]), vec(r)) == 0 for j in subset))
+            key = (tv, tr)
+            if key != whole and key not in found:
+                found[key] = (tv, tr, _generator_dim([verts[i] for i in tv],
+                                                     [rays[i] for i in tr], lines))
+    return sorted(found.values(), key=lambda f: (f[2], sorted(f[0]), sorted(f[1])))
+
+
+# ---------------------------------------------------------------------------
+# reference validate_complex: the same axioms and report order as the
+# library's, with every chart query answered by the reference polyhedra
+# above and every relation found by scanning all faces and inclusions.
+# ---------------------------------------------------------------------------
+
+def _span_equal(lines_a, lines_b) -> bool:
+    ra = rank([vec(l) for l in lines_a]) if lines_a else 0
+    rb = rank([vec(l) for l in lines_b]) if lines_b else 0
+    if ra != rb:
+        return False
+    rab = rank([vec(l) for l in tuple(lines_a) + tuple(lines_b)]) if (lines_a or lines_b) else 0
+    return rab == ra
+
+
+def _triples_equal(a, b) -> bool:
+    return a[0] == b[0] and a[1] == b[1] and _span_equal(a[2], b[2])
+
+
+def validate_complex(c):
+    report = ValidationReport()
+    vreps, faces = {}, {}
+
+    def vrep_of(fid):
+        if fid not in vreps:
+            vreps[fid] = vrep(c.faces[fid].chart)
+        return vreps[fid]
+
+    def faces_of(fid):
+        if fid not in faces:
+            faces[fid] = proper_faces(c.faces[fid].chart, vrep_of(fid))
+        return faces[fid]
+
+    def subface_ids(fid):
+        return sorted(s for s, t in c.inclusions if t == fid)
+
+    for f in c.faces.values():
+        if f.chart.ambient_dim != f.rank:
+            report.add("2", f.id, f"chart lives in R^{f.chart.ambient_dim} but rank is {f.rank}")
+            continue
+        if is_empty(f.chart):
+            report.add("2", f.id, "chart is empty")
+        elif f.rank > 0 and not has_interior(f.chart):
+            report.add("2", f.id, "chart has empty interior (degenerate)")
+
+    # order sanity
+    for (a, b) in c.inclusions:
+        if a == b:
+            report.add("order", f"{a}->{b}", "reflexive inclusion stored explicitly")
+        elif (b, a) in c.inclusions:
+            report.add("order", f"{a}->{b}", "inclusion relation is not antisymmetric")
+        if c.faces[a].rank >= c.faces[b].rank:
+            report.add("order", f"{a}->{b}", "sub-face rank must be smaller than super-face rank")
+    for (a, b), inc_ab in c.inclusions.items():
+        for (b2, d), inc_bd in c.inclusions.items():
+            if b2 != b or a == d:
+                continue
+            if (a, d) not in c.inclusions:
+                report.add("order", f"{a}->{d}", f"missing composite of {a}->{b} and {b}->{d}")
+                continue
+            lin, off = affine_compose(inc_bd.linear, vec(inc_bd.offset),
+                                      inc_ab.linear, vec(inc_ab.offset))
+            stored = c.inclusions[(a, d)]
+            if mat_rows(stored.linear) != mat_rows(lin) or vec(stored.offset) != off:
+                report.add("order", f"{a}->{d}", "stored inclusion differs from the composite")
+
+    # axiom 5 + image faces
+    image_face = {}  # (sub, super) -> (vertex ids, ray ids, dim) or None
+    for (a, b), inc in c.inclusions.items():
+        cols = [ivec(col) for col in zip(*inc.linear)] if inc.linear and inc.linear[0] else []
+        if c.faces[a].rank > 0:
+            try:
+                if not is_saturated(cols, c.faces[b].rank):
+                    report.add("5", f"{a}->{b}", "lattice image is not saturated")
+                    continue
+            except DependentGenerators:
+                report.add("5", f"{a}->{b}", "inclusion linear part is not injective")
+                continue
+        verts, rays, lines = vrep_of(a)
+        img = (frozenset(inc.apply(v) for v in verts),
+               frozenset(_rational_to_primitive(mat_vec(inc.linear, vec(r))) for r in rays),
+               tuple(_rational_to_primitive(mat_vec(inc.linear, vec(l))) for l in lines))
+        sverts, srays, slines = vrep_of(b)
+        if _triples_equal(img, (frozenset(sverts), frozenset(srays), slines)):
+            report.add("3", f"{a}->{b}", "image equals the whole super chart")
+            continue
+        match = None
+        for pf in faces_of(b):
+            members = (frozenset(sverts[i] for i in pf[0]),
+                       frozenset(srays[i] for i in pf[1]), slines)
+            if _triples_equal(img, members):
+                match = pf
+                break
+        if match is None:
+            report.add("5", f"{a}->{b}", "image of sub chart is not a face of the super chart")
+        image_face[(a, b)] = match
+
+    # axiom 3: every proper face of a chart is covered exactly once
+    resolver = {}
+    for fid, f in c.faces.items():
+        if f.chart.ambient_dim != f.rank or is_empty(f.chart):
+            continue
+        by_face = {}
+        for sub in subface_ids(fid):
+            pf = image_face.get((sub, fid))
+            if pf is not None:
+                by_face.setdefault(pf[:2], []).append(sub)
+        for pf in faces_of(fid):
+            owners = by_face.get(pf[:2], [])
+            if len(owners) == 1:
+                resolver[(fid, pf[:2])] = owners[0]
+            elif not owners:
+                report.add("3", fid, f"chart face of dim {pf[2]} is not the image of any sub-face")
+            else:
+                report.add("3", fid, f"chart face of dim {pf[2]} is covered by {sorted(owners)}")
+
+    # axiom 4: shared sub-face intersections agree across faces
+    face_ids = sorted(c.faces)
+    for i, w1 in enumerate(face_ids):
+        for w2 in face_ids[i + 1:]:
+            common = sorted(set(subface_ids(w1)) & set(subface_ids(w2)))
+            for v1, v2 in combinations(common, 2):
+                res = []
+                for w in (w1, w2):
+                    pf1 = image_face.get((v1, w))
+                    pf2 = image_face.get((v2, w))
+                    if pf1 is None or pf2 is None:
+                        res.append("skip")
+                        continue
+                    tv = pf1[0] & pf2[0]
+                    tr = pf1[1] & pf2[1]
+                    if not tv:
+                        res.append(None)
+                        continue
+                    res.append(resolver.get((w, (tv, tr)), "unknown"))
+                if "skip" in res:
+                    continue
+                if res[0] != res[1]:
+                    report.add("4", f"{w1} & {w2}",
+                               f"intersection of sub-faces {v1},{v2} resolves to "
+                               f"{res[0]} in one chart and {res[1]} in the other")
+
+    # connectivity
+    if len(c.faces) > 1:
+        seen = set()
+        stack = [next(iter(c.faces))]
+        adj = {}
+        for (a, b) in c.inclusions:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        while stack:
+            x = stack.pop()
+            if x in seen:
+                continue
+            seen.add(x)
+            stack.extend(adj.get(x, ()))
+        if len(seen) != len(c.faces):
+            report.add("connectivity", sorted(set(c.faces) - seen)[0], "complex is not connected")
+    return report

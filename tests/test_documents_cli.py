@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,11 +15,13 @@ from tropmoduli.polyhedral import validate_complex
 from helpers import (
     cross_type,
     point_family,
+    quadrant_complex,
     ray_pair_data,
     ray_wall_family,
     resolution_type,
     segment_family,
     segment_pair_data,
+    template_pair_data,
     triangle_pair_data,
     two_ray_resolution_family,
 )
@@ -382,3 +386,74 @@ def test_cli_verdicts_reports_unknown_face_before_invalid_family(tmp_path, capsy
         "payload": {"error": error, "message": message},
         "summary": f"{error}: {message}",
     }
+
+
+def test_cli_propagate_rejects_seeds_file_that_is_not_an_object(tmp_path, capsys):
+    wg_doc = docs.wallgraph_to_doc(wall_graph(resolve_4valent(cross_type(), "v")))
+    wpath = _write(tmp_path, "wg.json", wg_doc)
+    code, out = _run(capsys, ["propagate", wpath, "--seeds-file",
+                              _write(tmp_path, "seeds.json", [1, 2])])
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["payload"]["pointer"] == ""
+
+
+@pytest.mark.parametrize("edit, pointer", [
+    (lambda doc: doc.update(maximal="S01"), "/maximal"),
+    (lambda doc: doc.update(maximal=[1]), "/maximal/0"),
+    (lambda doc: doc.update(maximal=["S01", "nope"]), "/maximal/1"),
+    (lambda doc: doc["faces"][2].update(label=5), "/faces/2/label"),
+], ids=["maximal-string", "maximal-integer", "maximal-unknown", "label-integer"])
+def test_cli_validate_complex_rejects_bad_maximal_and_label(tmp_path, capsys, edit, pointer):
+    from tropmoduli.polyhedral import build_skeleton
+    doc = docs.complex_to_doc(build_skeleton(segment_pair_data()))
+    edit(doc)
+    code, out = _run(capsys, ["validate-complex", _write(tmp_path, "c.json", doc)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["payload"]["pointer"] == pointer
+
+
+def _relabelled(doc, rng):
+    """The same complex with faces and inclusions reordered and every face
+    id renamed consistently."""
+    out = copy.deepcopy(doc)
+    names = [f"F{i}" for i in range(len(out["faces"]))]
+    rng.shuffle(names)
+    rename = {f["id"]: name for f, name in zip(out["faces"], names)}
+    for f in out["faces"]:
+        f["id"] = rename[f["id"]]
+    for inc in out["inclusions"]:
+        inc["sub"], inc["super"] = rename[inc["sub"]], rename[inc["super"]]
+    out["maximal"] = [rename[fid] for fid in out["maximal"]]
+    rng.shuffle(out["faces"])
+    rng.shuffle(out["inclusions"])
+    return out
+
+
+def test_validate_complex_report_ignores_face_order_and_names(tmp_path, capsys):
+    from tropmoduli.polyhedral import build_skeleton
+    rng = random.Random(23)
+    valid = [docs.complex_to_doc(build_skeleton(triangle_pair_data())),
+             docs.complex_to_doc(quadrant_complex()),
+             docs.complex_to_doc(build_skeleton(template_pair_data(
+                 rng, 5, 1, (((0, 1, 2), (0,)), ((2, 3), ()), ((3, 4), (0,))))))]
+    invalid = []
+    for doc in valid:
+        dropped = copy.deepcopy(doc)
+        del dropped["inclusions"][rng.randrange(len(dropped["inclusions"]))]
+        shifted = copy.deepcopy(doc)
+        shifted["inclusions"][-1]["offset"][0] = "1/3"
+        invalid += [dropped, shifted]
+    for doc in valid + invalid:
+        code, out = _run(capsys, ["validate-complex", _write(tmp_path, "c.json", doc)])
+        assert code == (0 if doc in valid else 1)
+        for _ in range(3):
+            code2, out2 = _run(capsys, ["validate-complex",
+                                        _write(tmp_path, "c2.json", _relabelled(doc, rng))])
+            assert code2 == code
+            assert json.loads(out2)["status"] == json.loads(out)["status"]
+            if doc in valid:
+                assert out2 == out

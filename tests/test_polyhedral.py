@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import reference_polyhedral as reference
+
 from tropmoduli.errors import InconsistentStrata, NoCofacets, UnknownFace
-from tropmoduli.exact_linalg import vec
+from tropmoduli.exact_linalg import lp_maximize, vec
 from tropmoduli.polyhedral import (
     Face,
     FaceInclusion,
@@ -32,6 +34,7 @@ from helpers import (
     sample_chart_points,
     segment_complex,
     segment_pair_data,
+    template_pair_data,
     triangle_pair_data,
 )
 
@@ -376,3 +379,139 @@ def test_star_counts_on_skeleton():
     # each edge face has the triangle as unique cofacet
     sd = star(sk, "S01")
     assert len(sd.directions) == 1
+
+
+# ---------------------------------------------------------------------------
+# differential: integer incidences against the subset-scan reference
+# ---------------------------------------------------------------------------
+
+def _random_polyhedron(rng):
+    """D <= 3, up to 5 inequalities, up to 1 equality; zero normals,
+    duplicate and opposite rows make empty, lower-dimensional, unbounded
+    and lineality cases common."""
+    D = rng.randint(0, 3)
+
+    def row():
+        normal = (0,) * D if rng.random() < 0.08 else tuple(rng.randint(-2, 2) for _ in range(D))
+        return normal, Fraction(rng.randint(-3, 2), rng.choice((1, 1, 2, 3)))
+
+    ineqs = [row() for _ in range(rng.randint(0, 5))]
+    if ineqs and rng.random() < 0.15:
+        ineqs.append(rng.choice(ineqs))
+    if ineqs and rng.random() < 0.15:
+        n, o = rng.choice(ineqs)
+        ineqs.append((tuple(-c for c in n), -o))
+    rng.shuffle(ineqs)
+    eqs = [row()] if rng.random() < 0.25 else []
+    return Polyhedron(D, ineqs[:5], eqs)
+
+
+def test_polyhedron_queries_match_subset_scan_reference():
+    rng = random.Random(5)
+    seen = dict.fromkeys(("zero normal", "duplicate", "empty", "lower-dimensional",
+                          "unbounded", "lineality"), 0)
+    for _ in range(1200):
+        p = _random_polyhedron(rng)
+        vrep = reference.vrep(p)
+        assert p.vrep() == vrep, p
+        assert [(f.vert_ids, f.ray_ids, f.dim) for f in p.proper_faces()] == \
+            reference.proper_faces(p), p
+        assert p.is_empty() == reference.is_empty(p), p
+        assert p.has_interior() == reference.has_interior(p), p
+        seen["zero normal"] += any(not any(n) for n, _ in p.ineqs + p.eqs)
+        seen["duplicate"] += len(set(p.ineqs)) < len(p.ineqs)
+        seen["empty"] += p.is_empty()
+        seen["lower-dimensional"] += not p.is_empty() and not p.has_interior()
+        seen["unbounded"] += bool(vrep[1])
+        seen["lineality"] += bool(vrep[2])
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_polyhedron_queries_solve_no_lp(monkeypatch):
+    import tropmoduli.exact_linalg
+    calls = []
+    monkeypatch.setattr(tropmoduli.exact_linalg, "lp_maximize",
+                        lambda *args: calls.append(args) or lp_maximize(*args))
+    sk = build_skeleton(triangle_pair_data())
+    assert validate_complex(sk).ok
+    p = Polyhedron(2, [((1, 0), 0), ((-1, 0), -1)], [((1, 1), Fraction(1, 2))])
+    assert (p.is_empty(), p.has_interior(), p.dim()) == (False, False, 1)
+    assert calls == []
+    assert p.feasible_point() is not None and len(calls) == 1
+
+
+COMPLEX_TEMPLATES = [
+    (5, 1, (((0, 1, 2), (0,)), ((2, 3), ()), ((3, 4), (0,)))),
+    (6, 2, (((0, 1, 2), (0,)), ((2, 3, 4), (1,)), ((4, 5), (0,)))),
+    (6, 2, (((0, 1, 2, 3), (0,)), ((3, 4, 5), (1,)))),
+    (3, 0, (((0, 1, 2), ()),)),
+    (2, 2, (((0,), (0, 1)), ((0, 1), ()))),
+]
+
+
+def _mutations(c, rng):
+    """Copies of ``c`` with one inclusion dropped, an offset perturbed, a
+    linear part rewritten, a chart row removed and a chart row added."""
+    faces = list(c.faces.values())
+    incs = list(c.inclusions.values())
+    i = rng.randrange(len(incs))
+    inc = incs[i]
+    yield faces, incs[:i] + incs[i + 1:]
+    offset = list(inc.offset)
+    offset[rng.randrange(len(offset))] += Fraction(1, 2)
+    yield faces, incs[:i] + [FaceInclusion(inc.sub, inc.super, inc.linear, tuple(offset))] + incs[i + 1:]
+    wide = [x for x in incs if x.linear and x.linear[0]]
+    j = incs.index(rng.choice(wide))
+    lin = [list(row) for row in incs[j].linear]
+    r = rng.randrange(len(lin))
+    lin[r] = [x * rng.choice((-1, 2)) for x in lin[r]]
+    rng.shuffle(lin)
+    yield faces, incs[:j] + [FaceInclusion(incs[j].sub, incs[j].super, tuple(map(tuple, lin)),
+                                           incs[j].offset)] + incs[j + 1:]
+    charted = [f for f in faces if f.chart.ineqs]
+    f = rng.choice(charted)
+    k = rng.randrange(len(f.chart.ineqs))
+    chart = Polyhedron(f.rank, f.chart.ineqs[:k] + f.chart.ineqs[k + 1:], f.chart.eqs)
+    yield [Face(g.id, g.rank, chart) if g is f else g for g in faces], incs
+    f = rng.choice(faces)
+    extra = (tuple(rng.randint(-1, 1) for _ in range(f.rank)), Fraction(rng.randint(-2, 1)))
+    chart = Polyhedron(f.rank, f.chart.ineqs + (extra,), f.chart.eqs)
+    yield [Face(g.id, g.rank, chart) if g is f else g for g in faces], incs
+
+
+def test_validate_complex_matches_reference_on_templates_and_mutations():
+    rng = random.Random(27)
+    checked, axioms = 0, set()
+    skeletons = [build_skeleton(template_pair_data(rng, nv, nh, maximal))
+                 for nv, nh, maximal in COMPLEX_TEMPLATES]
+    while len(skeletons) < len(COMPLEX_TEMPLATES) + 4:
+        d = random_pair_data(rng)
+        sk = build_skeleton(d) if d is not None else None
+        if sk is not None and any(inc.linear[0] for inc in sk.inclusions.values()):
+            skeletons.append(sk)  # has an inclusion of positive rank to rewrite
+    for sk in skeletons:
+        assert validate_complex(sk).ok
+        complexes = [sk] + [PolyhedralComplex(faces, incs) for faces, incs in _mutations(sk, rng)]
+        for c in complexes:
+            got = validate_complex(c)
+            assert str(got) == str(reference.validate_complex(c))
+            checked += 1
+            axioms |= {v.axiom for v in got.violations}
+    assert checked == 6 * len(skeletons)
+    assert axioms == {"2", "3", "4", "5", "order"}, axioms
+
+
+def test_two_shared_vertices_resolving_differently_flagged():
+    # O1 and O2 land on the same vertex of W1 but on opposite ends of W2
+    seg = Polyhedron(1, [((1,), 0), ((-1,), -1)])
+    point = Polyhedron(0)
+    c = PolyhedralComplex(
+        [Face("O1", 0, point), Face("O2", 0, point), Face("W1", 1, seg), Face("W2", 1, seg)],
+        [FaceInclusion("O1", "W1", ((),), (Fraction(0),)),
+         FaceInclusion("O2", "W1", ((),), (Fraction(0),)),
+         FaceInclusion("O1", "W2", ((),), (Fraction(0),)),
+         FaceInclusion("O2", "W2", ((),), (Fraction(1),))],
+    )
+    report = validate_complex(c)
+    assert [v.subject for v in report.violations if v.axiom == "4"] == ["W1 & W2"]
+    assert str(report) == str(reference.validate_complex(c))
