@@ -257,99 +257,121 @@ def _cmd_propagate(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# verb table and parsers
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json",
-                        help="output format (default json)")
-    common.add_argument("--output", "-o", metavar="FILE",
-                        help="write the report to FILE instead of stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized internals (default 0)")
+def _arg(*flags, **options):
+    """One argument spec: the positional and keyword arguments of add_argument."""
+    return flags, options
 
+
+_COMMON = (
+    _arg("--format", choices=("json", "text"), default="json",
+         help="output format (default json)"),
+    _arg("--output", "-o", metavar="FILE",
+         help="write the report to FILE instead of stdout"),
+    _arg("--seed", type=int, default=0,
+         help="seed for randomized internals (default 0)"),
+)
+
+# The one place where a verb and its flags are declared: name -> (help,
+# handler, argument specs).  Every verb also takes the _COMMON specs, first.
+VERBS = {
+    "validate-complex": (
+        "check the gluing axioms of a polyhedral complex", _cmd_validate_complex,
+        (_arg("input", help="complex.json"),)),
+    "skeleton": (
+        "build the skeleton of semistable pair data", _cmd_skeleton,
+        (_arg("input", help="pair.json"),)),
+    "validate-curve": (
+        "check balancing (and edge relations, when positions are present)",
+        _cmd_validate_curve,
+        (_arg("input", help="curve.json or type.json"),)),
+    "enumerate": (
+        "enumerate stable balanced types with nonempty strata", _cmd_enumerate,
+        (_arg("--genus", type=int, required=True),
+         _arg("--contracted", type=int, default=0,
+              help="number of contracted legs (slope zero, first in order)"),
+         _arg("--degree", required=True,
+              help='JSON list of nonzero slopes, e.g. "[[1,0],[0,1],[-1,-1]]"'),
+         _arg("--max-edges", type=int, required=True),
+         _arg("--dim", type=int, default=None,
+              help="ambient lattice rank (required when the degree is empty)"))),
+    "classify": (
+        "weightless 3-valent / almost 3-valent / other", _cmd_classify,
+        (_arg("input", help="type.json"),)),
+    "resolve": (
+        "resolutions of a 4-valent vertex", _cmd_resolve,
+        (_arg("input", help="type.json"),
+         _arg("--vertex", help="4-valent vertex id (default: detected)"))),
+    "wallgraph": (
+        "node/wall incidence graph of weightless 3-valent types", _cmd_wallgraph,
+        (_arg("input", help="types.json"),)),
+    "validate-family": (
+        "check the family conditions over a base complex", _cmd_validate_family,
+        (_arg("input", help="family.json"),)),
+    "fiber": (
+        "the parameterized tropical curve over a point", _cmd_fiber,
+        (_arg("input", help="family.json"),
+         _arg("--face", required=True, help="face id the point is given in"),
+         _arg("--point", required=True,
+              help='chart coordinates as JSON, e.g. \'["1/2", 0]\''))),
+    "alpha": (
+        "per-face lifts of the induced moduli map and image strata", _cmd_alpha,
+        (_arg("input", help="family.json"),)),
+    "verdicts": (
+        "harmonic / quasi-harmonic / locally combinatorially surjective", _cmd_verdicts,
+        (_arg("input", help="family.json"),
+         _arg("--face", action="append", default=[],
+              help="face to test (repeatable; default: all with cofacets)"))),
+    "propagate": (
+        "saturate full-dimensional strata through wall incidences", _cmd_propagate,
+        (_arg("input", help="wallgraph.json"),
+         _arg("--seeds", help="comma-separated node ids"),
+         _arg("--seeds-file", help='JSON file with {"seeds": [...]}'))),
+}
+
+
+def _add_verb_arguments(parser, handler, specs):
+    for flags, options in _COMMON + specs:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(handler=handler)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every verb of VERBS as a subcommand."""
     parser = argparse.ArgumentParser(
         prog="tropmoduli",
         description="Exact tropical moduli toolkit: polyhedral complexes, "
                     "tropical curves, moduli strata and wall crossings.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, handler, help_, configure=None):
-        p = sub.add_parser(name, parents=[common], help=help_)
-        if configure:
-            configure(p)
-        p.set_defaults(handler=handler)
-
-    add("validate-complex", _cmd_validate_complex,
-        "check the gluing axioms of a polyhedral complex",
-        lambda p: p.add_argument("input", help="complex.json"))
-    add("skeleton", _cmd_skeleton,
-        "build the skeleton of semistable pair data",
-        lambda p: p.add_argument("input", help="pair.json"))
-    add("validate-curve", _cmd_validate_curve,
-        "check balancing (and edge relations, when positions are present)",
-        lambda p: p.add_argument("input", help="curve.json or type.json"))
-
-    def conf_enum(p):
-        p.add_argument("--genus", type=int, required=True)
-        p.add_argument("--contracted", type=int, default=0,
-                       help="number of contracted legs (slope zero, first in order)")
-        p.add_argument("--degree", required=True,
-                       help='JSON list of nonzero slopes, e.g. "[[1,0],[0,1],[-1,-1]]"')
-        p.add_argument("--max-edges", type=int, required=True)
-        p.add_argument("--dim", type=int, default=None,
-                       help="ambient lattice rank (required when the degree is empty)")
-    add("enumerate", _cmd_enumerate,
-        "enumerate stable balanced types with nonempty strata", conf_enum)
-
-    add("classify", _cmd_classify,
-        "weightless 3-valent / almost 3-valent / other",
-        lambda p: p.add_argument("input", help="type.json"))
-
-    def conf_resolve(p):
-        p.add_argument("input", help="type.json")
-        p.add_argument("--vertex", help="4-valent vertex id (default: detected)")
-    add("resolve", _cmd_resolve, "resolutions of a 4-valent vertex", conf_resolve)
-
-    add("wallgraph", _cmd_wallgraph,
-        "node/wall incidence graph of weightless 3-valent types",
-        lambda p: p.add_argument("input", help="types.json"))
-    add("validate-family", _cmd_validate_family,
-        "check the family conditions over a base complex",
-        lambda p: p.add_argument("input", help="family.json"))
-
-    def conf_fiber(p):
-        p.add_argument("input", help="family.json")
-        p.add_argument("--face", required=True, help="face id the point is given in")
-        p.add_argument("--point", required=True,
-                       help='chart coordinates as JSON, e.g. \'["1/2", 0]\'')
-    add("fiber", _cmd_fiber, "the parameterized tropical curve over a point", conf_fiber)
-
-    add("alpha", _cmd_alpha,
-        "per-face lifts of the induced moduli map and image strata",
-        lambda p: p.add_argument("input", help="family.json"))
-
-    def conf_verdicts(p):
-        p.add_argument("input", help="family.json")
-        p.add_argument("--face", action="append", default=[],
-                       help="face to test (repeatable; default: all with cofacets)")
-    add("verdicts", _cmd_verdicts,
-        "harmonic / quasi-harmonic / locally combinatorially surjective", conf_verdicts)
-
-    def conf_propagate(p):
-        p.add_argument("input", help="wallgraph.json")
-        p.add_argument("--seeds", help="comma-separated node ids")
-        p.add_argument("--seeds-file", help='JSON file with {"seeds": [...]}')
-    add("propagate", _cmd_propagate,
-        "saturate full-dimensional strata through wall incidences", conf_propagate)
+    for name, (help_, handler, specs) in VERBS.items():
+        _add_verb_arguments(sub.add_parser(name, help=help_), handler, specs)
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) returns, building only the named
+    verb's parser when argv starts with a verb and that parser takes the rest."""
+    if argv is None:
+        argv = sys.argv[1:]
+    verb = argv[0] if argv else None
+    if verb in VERBS:
+        _, handler, specs = VERBS[verb]
+        parser = argparse.ArgumentParser(prog=f"tropmoduli {verb}")
+        _add_verb_arguments(parser, handler, specs)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.verb = verb
+            return args
+    # no verb, an unknown verb, top-level help or arguments the verb does not
+    # take: the full parser prints the top-level help or usage error
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         status, payload, summary = args.handler(args)
     except InputError as exc:

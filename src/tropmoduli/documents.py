@@ -236,6 +236,8 @@ def type_from_doc(doc, pointer=""):
     """Returns (CombinatorialType, lengths or None, positions or None)."""
     check_schema(doc, pointer)
     dim = _expect(doc, "dim", int, pointer)
+    if dim < 0:
+        raise InputError("dim must be nonnegative", f"{pointer}/dim")
     vertices = []
     for i, vd in enumerate(_expect(doc, "vertices", list, pointer)):
         p = f"{pointer}/vertices/{i}"
@@ -340,6 +342,8 @@ def family_to_doc(f: FamilyDatum) -> dict:
 def family_from_doc(doc, pointer="") -> FamilyDatum:
     check_schema(doc, pointer)
     dim = _expect(doc, "dim", int, pointer)
+    if dim < 0:
+        raise InputError("dim must be nonnegative", f"{pointer}/dim")
     ext = tuple(_int_list(s, f"{pointer}/extended_degree/{i}")
                 for i, s in enumerate(_expect(doc, "extended_degree", list, pointer)))
     base = complex_from_doc(_expect(doc, "base", dict, pointer), f"{pointer}/base")

@@ -84,18 +84,6 @@ class StratumDescriptor:
     cycle_rows: tuple  # rows over the edge lengths (rhs 0)
     forest: tuple      # (vertex, parent, edge, +1/-1 along the edge); roots have no parent
 
-    def coordinate_names(self):
-        names = [f"len[{e}]" for e in self.edge_order]
-        for v in self.vertex_order:
-            names += [f"pos[{v}][{c}]" for c in range(self.type.dim)]
-        return names
-
-    def length_index(self, e) -> int:
-        return self.edge_order.index(e)
-
-    def position_index(self, v, c) -> int:
-        return len(self.edge_order) + self.vertex_order.index(v) * self.type.dim + c
-
     def _lengths(self):
         """Edge lengths, all >= 1, solving the cycle rows; None if none exist.
 

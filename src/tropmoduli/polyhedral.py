@@ -426,10 +426,6 @@ class PolyhedralComplex:
         self.face(fid)
         return sorted(s for s, t in self.inclusions if t == fid)
 
-    def superface_ids(self, fid: str):
-        self.face(fid)
-        return sorted(t for s, t in self.inclusions if s == fid)
-
     def cofacet_inclusions(self, fid: str):
         """Inclusions of ``fid`` into faces of rank exactly one higher."""
         r = self.face(fid).rank

@@ -346,6 +346,33 @@ def test_cli_rejects_entries_that_are_not_objects(tmp_path, capsys, verb, doc, p
     assert report["payload"]["pointer"] == pointer
 
 
+def _lone_vertex(dim):
+    return {"schema": docs.SCHEMA, "dim": dim, "vertices": [{"id": "v", "weight": 1}]}
+
+
+def _family_doc(edit):
+    doc = docs.family_to_doc(ray_wall_family((1, 2)))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("verb, doc, pointer", [
+    ("classify", _lone_vertex(-1), "/dim"),
+    ("validate-curve", _lone_vertex(-1), "/dim"),
+    ("wallgraph", {"schema": docs.SCHEMA, "types": [{"type": _lone_vertex(-1)}]},
+     "/types/0/type/dim"),
+    ("validate-family", _family_doc(lambda doc: doc.update(dim=-1)), "/dim"),
+    ("validate-family", _family_doc(lambda doc: doc["faces"][0]["type"].update(dim=-1)),
+     "/faces/0/type/dim"),
+], ids=["classify", "validate-curve", "wallgraph", "family", "family-face-type"])
+def test_cli_rejects_negative_dim(tmp_path, capsys, verb, doc, pointer):
+    code, out = _run(capsys, [verb, _write(tmp_path, "doc.json", doc)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["payload"]["pointer"] == pointer
+
+
 def test_cli_validates_a_family_once(tmp_path, capsys, monkeypatch):
     import tropmoduli.family
     calls = []

@@ -1,0 +1,94 @@
+"""sympy as a second exact oracle for the integer linear algebra kernels:
+rank, Smith normal form, integer kernels and fraction-free echelon forms."""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy import QQ, ZZ  # noqa: E402
+from sympy.polys.matrices import DM  # noqa: E402
+from sympy.polys.matrices.normalforms import invariant_factors  # noqa: E402
+
+from tropmoduli.exact_linalg import integer_kernel, mat_mul, rank, smith_normal_form  # noqa: E402
+from tropmoduli.polyhedral import _int_echelon  # noqa: E402
+
+
+def _matrices(count=300, seed=7):
+    """Seeded integer matrices up to 5 x 6, some with zero, repeated or
+    dependent rows."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and i % 5 == 1:
+            m[rng.randrange(rows)] = [0] * cols
+        if rows > 1 and i % 5 == 2:
+            m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+        if i % 7 == 3:
+            a, b = rng.randrange(rows), rng.randrange(rows)
+            m[rng.randrange(rows)] = [2 * x - y for x, y in zip(m[a], m[b])]
+        out.append(m)
+    return out
+
+
+MATRICES = _matrices()
+
+
+def _dm(m):
+    return DM([list(r) for r in m], ZZ)
+
+
+def test_matrices_cover_degenerate_cases():
+    kinds = {"zero row": 0, "repeated row": 0, "rank deficient": 0}
+    for m in MATRICES:
+        kinds["zero row"] += any(not any(r) for r in m)
+        kinds["repeated row"] += len({tuple(r) for r in m}) < len(m)
+        kinds["rank deficient"] += _dm(m).rank() < min(len(m), len(m[0]))
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_rank_matches_sympy():
+    for m in MATRICES:
+        assert rank(m) == _dm(m).rank(), m
+
+
+def test_smith_normal_form_matches_sympy():
+    for m in MATRICES:
+        u, s, v = smith_normal_form(m)
+        assert [list(r) for r in mat_mul(mat_mul(u, m), v)] == [list(r) for r in s], m
+        assert abs(_dm(u).det()) == 1 and abs(_dm(v).det()) == 1, m
+        assert all(s[i][j] == 0 for i in range(len(s)) for j in range(len(s[0])) if i != j)
+        diagonal = [s[i][i] for i in range(min(len(m), len(m[0])))]
+        assert diagonal == [abs(d) for d in invariant_factors(_dm(m))], m
+
+
+def test_integer_kernel_matches_sympy():
+    for m in MATRICES:
+        basis = integer_kernel(m, len(m[0]))
+        nullspace = _dm(m).convert_to(QQ).nullspace()
+        assert len(basis) == nullspace.shape[0], m
+        if not basis:
+            continue
+        k = _dm(basis)
+        assert not any(any(r) for r in (_dm(m) * k.transpose()).to_list()), m
+        # the same rational span, and every integer point of it is an integer
+        # combination of the basis: its invariant factors are all 1
+        assert k.convert_to(QQ).vstack(nullspace).rank() == len(basis), m
+        assert list(invariant_factors(k)) == [1] * len(basis), m
+
+
+def test_int_echelon_matches_sympy():
+    for m in MATRICES:
+        full = _dm(m).rank()
+        for ncols in {len(m[0]), len(m[0]) - 1} - {0}:  # later columns are carried
+            red, pivots = _int_echelon(m, ncols)
+            _, sympy_pivots = DM([r[:ncols] for r in m], QQ).rref()
+            assert tuple(pivots) == sympy_pivots, m
+            # row operations keep the row space of the whole rows
+            assert _dm(red).rank() == full == _dm(m).vstack(_dm(red)).rank(), m
+            for r, c in enumerate(pivots):
+                assert red[r][c] != 0
+                assert all(red[i][c] == 0 for i in range(len(red)) if i != r), m
+            assert all(not any(row[:ncols]) for row in red[len(pivots):]), m
