@@ -276,6 +276,8 @@ def type_from_doc(doc, pointer=""):
     if "positions" in doc:
         positions = {}
         for v, pos in _expect(doc, "positions", dict, pointer).items():
+            if v not in graph.vertex_ids():
+                raise InputError(f"position for unknown vertex {v!r}", f"{pointer}/positions/{v}")
             if not isinstance(pos, list) or len(pos) != dim:
                 raise InputError(f"position needs {dim} entries", f"{pointer}/positions/{v}")
             positions[v] = tuple(parse_rat(x, f"{pointer}/positions/{v}/{j}")
@@ -362,10 +364,15 @@ def family_from_doc(doc, pointer="") -> FamilyDatum:
         positions = {}
         for v, mp in _expect(fd, "positions", dict, p, default={}, required=False).items():
             pp = f"{p}/positions/{v}"
+            if v not in t.graph.vertex_ids():
+                raise InputError(f"position for unknown vertex {v!r}", pp)
             linear = tuple(_int_list(r, f"{pp}/linear/{j}")
                            for j, r in enumerate(_expect(mp, "linear", list, pp)))
             offset = tuple(parse_rat(x, f"{pp}/offset/{j}")
                            for j, x in enumerate(_expect(mp, "offset", list, pp)))
+            for key, part in (("linear", linear), ("offset", offset)):
+                if len(part) != dim:
+                    raise InputError(f"{key} needs {dim} entries", f"{pp}/{key}")
             positions[v] = AffineMapN(linear=linear, offset=offset)
         face_data[fid] = FaceCurveData(type=t, lengths=lengths, positions=positions)
     contractions = {}

@@ -42,8 +42,8 @@ from .moduli import (
     canonical_form,
     classify,
     dim_stratum,
-    resolve_4valent,
     stratum,
+    _resolutions,
 )
 from .polyhedral import (
     Harmonicity,
@@ -589,15 +589,14 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
             face=w, verdict=WallVerdictKind.INCONCLUSIVE,
             detail=f"cofacet types differ but the face type is "
                    f"{cls.classification.value}; the dichotomy does not apply")
-    resolutions = resolve_4valent(wall_type, cls.four_valent_vertex)
-    required = [r for r in resolutions if not stratum(r).is_empty()]
+    resolutions = _resolutions(wall_type, cls.four_valent_vertex)
+    required = [k for k in sorted(resolutions) if not stratum(resolutions[k]).is_empty()]
     attained = {}
     for inc in cofacet_incs:
         attained.setdefault(alpha.lifts[inc.super].canonical, inc.super)
     witnesses = {}
     uncovered = []
-    for r in required:
-        key = canonical_form(r).string
+    for key in required:
         if key in attained:
             witnesses[key] = attained[key]
         else:

@@ -10,15 +10,18 @@ enumerates types with fixed invariants, classifies walls (weightless almost
 3-valent types), resolves 4-valent vertices, and assembles the node/wall
 incidence graph used for wall-crossing arguments.
 
-Enumeration shares the spanning forest with the stratum systems: per
-multigraph, flow along the tree solves the balancing equations in integers
-and the fundamental cycles span the rest (no Smith normal form), and only
-one leg assignment per orbit of the multigraph's automorphisms is tried.
+Enumeration visits each unlabelled multigraph once, as its least labelling
+with sorted edge-end counts, and shares the spanning forest with the stratum
+systems: flow along the tree solves the balancing equations in integers and
+the fundamental cycles span the rest (no Smith normal form).  Only one leg
+assignment per orbit of the multigraph's automorphisms is tried.
 
-Isomorphisms of types fix every leg (the leg order is part of the data),
-so canonical forms are computed by refinement coloring on
-(weight, valence, incident slopes, leg positions) followed by minimization
-over the remaining vertex orderings.
+Isomorphisms of types fix every leg (the leg order is part of the data).
+The canonical form is the least serialization over the vertex orderings
+that respect the stable refinement colouring on (weight, leg positions,
+incident slopes, neighbour colours).  One search finds it, pruned by the
+automorphisms it meets, and those automorphisms generate the group that
+``automorphisms`` lists.
 """
 
 from __future__ import annotations
@@ -275,59 +278,124 @@ def sample_stratum(t: CombinatorialType, n: int, rng) -> list:
 # canonical labeling and isomorphisms
 # ---------------------------------------------------------------------------
 
-_CANONICAL_PERM_CAP = 40320  # 8!; types here are far smaller after refinement
+def _refine_colors(t: CombinatorialType, star):
+    """Stable vertex colours, from (weight, leg positions, outgoing slopes).
 
-
-def _refine_colors(t: CombinatorialType):
-    g = t.graph
+    ``star[v]`` lists (outgoing slope, neighbour) for each edge end at v; a
+    round appends the sorted (slope, neighbour colour) pairs to the rank of
+    each colour.  A round refines the one before it, so the partition is
+    stable as soon as it keeps the number of classes.
+    """
     legs_at = {}
-    for pos, (lid, v) in enumerate(g.legs):
+    for pos, (_, v) in enumerate(t.graph.legs):
         legs_at.setdefault(v, []).append(pos)
-    color = {}
-    for v, w in g.vertices:
-        out_slopes = sorted(
-            t.slope_of_item(item) for item in g.star_items(v) if item[0] == "edge")
-        color[v] = (w, tuple(legs_at.get(v, ())), tuple(out_slopes))
+    color = {v: (w, tuple(legs_at.get(v, ())), tuple(sorted(s for s, _ in star[v])))
+             for v, w in t.graph.vertices}
     while True:
         ranks = {c: i for i, c in enumerate(sorted(set(color.values())))}
-        neigh = {}
-        for v, _ in g.vertices:
-            sig = []
-            for item in g.star_items(v):
-                if item[0] != "edge":
-                    continue
-                _, eid, forward = item
-                a, b = g.edge_ends(eid)
-                other = b if forward else a
-                sig.append((t.slope_of_item(item), ranks[color[other]]))
-            neigh[v] = (ranks[color[v]], tuple(sorted(sig)))
-        if len(set(neigh.values())) == len(set(color.values())):
-            # partition stabilized (refinement cannot split further)
-            stable = all(
-                (color[a] == color[b]) == (neigh[a] == neigh[b])
-                for a, _ in g.vertices for b, _ in g.vertices
-            )
-            if stable:
-                return color
+        if len(ranks) == len(color):
+            return color  # discrete
+        neigh = {v: (ranks[color[v]], tuple(sorted((s, ranks[color[o]]) for s, o in star[v])))
+                 for v in color}
+        if len(set(neigh.values())) == len(ranks):
+            return color
         color = neigh
 
 
-def _serialize(t: CombinatorialType, order: dict):
-    g = t.graph
-    vlines = tuple(w for _, w in sorted(((order[v], w) for v, w in g.vertices)))
-    llines = tuple((order[v], t.slopes[lid]) for lid, v in g.legs)
-    erecs = []
-    for eid, u, v in g.edges:
-        iu, iv = order[u], order[v]
+def _edge_record(iu, iv, s):
+    """An edge between iu and iv with slope s along it, stored from the smaller end."""
+    if iu < iv:
+        return (iu, iv, s)
+    neg = tuple(-x for x in s)
+    return (iv, iu, neg) if iv < iu else (iu, iv, min(s, neg))
+
+
+def _orbit(x, gens):
+    seen, stack = {x}, [x]
+    while stack:
+        y = stack.pop()
+        for g in gens:
+            if g[y] not in seen:
+                seen.add(g[y])
+                stack.append(g[y])
+    return seen
+
+
+def _search(t: CombinatorialType):
+    """The canonical-labelling search: (vertex ids, best ordering, automorphisms).
+
+    Vertices, sorted by id, are numbered 0..n-1.  Orderings place the colour
+    classes in colour order and are visited depth first, the vertices of a
+    class in id order, as the product of permutations within classes lists
+    them.  A leaf's key is its sorted edge records; weights and leg records
+    agree at every leaf, since they are part of the colour and a vertex with
+    legs is alone in its class.  Equal keys make the map between the two
+    leaves an automorphism, so each leaf is compared with the first leaf and
+    the best one.  A candidate is skipped when an automorphism found so far
+    that fixes the current prefix maps an already tried candidate onto it,
+    and a new automorphism sends the search back to the level where its two
+    leaves part (McKay-Piperno).  Every skipped leaf is the image of an
+    earlier leaf with the same key, so the best ordering (as a tuple of
+    vertex numbers by position) is the first least one of the product, and
+    the automorphisms found (as tuples of images) generate the group.
+    """
+    vs = sorted(t.graph.vertex_ids())
+    index = {v: i for i, v in enumerate(vs)}
+    star = {v: [] for v in vs}
+    edges = []
+    for eid, u, v in t.graph.edges:
         s = t.slopes[eid]
-        if iu == iv:
-            s = min(s, tuple(-x for x in s))
-            erecs.append((iu, iv, s))
-        elif iu < iv:
-            erecs.append((iu, iv, s))
-        else:
-            erecs.append((iv, iu, tuple(-x for x in s)))
-    return (t.dim, vlines, llines, tuple(sorted(erecs)))
+        star[u].append((s, v))
+        star[v].append((tuple(-x for x in s), u))
+        edges.append((index[u], index[v], s))
+    color = _refine_colors(t, star)
+    classes = {}
+    for v in vs:
+        classes.setdefault(color[v], []).append(index[v])
+    n = len(vs)
+    if len(classes) == n:
+        return vs, tuple(classes[c][0] for c in sorted(classes)), []
+    cells = [classes[c] for c in sorted(classes) for _ in classes[c]]  # candidates by position
+    seq, gens = [], []
+    first = best = None  # (key, ordering)
+
+    def visit(depth):
+        """Search below the prefix ``seq``; returns the level to resume at."""
+        nonlocal first, best
+        if depth == n:
+            pos = {x: i for i, x in enumerate(seq)}
+            key = sorted(_edge_record(pos[a], pos[b], s) for a, b, s in edges)
+            if first is None:
+                first = best = (key, tuple(seq))
+                return n
+            for ref_key, ref in (first, best):
+                if key == ref_key:
+                    gen = list(range(n))
+                    for a, b in zip(ref, seq):
+                        gen[a] = b
+                    gens.append(tuple(gen))
+                    return next(i for i, (a, b) in enumerate(zip(ref, seq)) if a != b)
+            if key < best[0]:
+                best = (key, tuple(seq))
+            return n
+        tried, fixing, known = set(), [], 0
+        for x in cells[depth]:
+            if x in seq:
+                continue
+            fixing += [g for g in gens[known:] if all(g[v] == v for v in seq)]
+            known = len(gens)
+            if not tried.isdisjoint(_orbit(x, fixing)):
+                continue
+            tried.add(x)
+            seq.append(x)
+            back = visit(depth + 1)
+            seq.pop()
+            if back < depth:
+                return back
+        return depth
+
+    visit(0)
+    return vs, best[1], gens
 
 
 @dataclass(frozen=True)
@@ -349,65 +417,25 @@ def canonical_form(t: CombinatorialType) -> CanonicalForm:
     the refinement coloring; legs keep their positions, vertices become
     v0..vk and edges e0..em in serialization order.
     """
-    color = _refine_colors(t)
-    classes = {}
-    for v in sorted(color):
-        classes.setdefault(color[v], []).append(v)
-    class_list = [classes[c] for c in sorted(classes)]
-    total = 1
-    for cl in class_list:
-        f = 1
-        for i in range(2, len(cl) + 1):
-            f *= i
-        total *= f
-    if total > _CANONICAL_PERM_CAP:
-        raise RuntimeError(f"canonical labeling would branch over {total} orderings")
-
-    best = None
-    best_order = None
-    for perm_combo in product(*[permutations(cl) for cl in class_list]):
-        order = {}
-        idx = 0
-        for group in perm_combo:
-            for v in group:
-                order[v] = idx
-                idx += 1
-        key = _serialize(t, order)
-        if best is None or key < best:
-            best = key
-            best_order = order
-
-    vmap = {v: f"v{best_order[v]}" for v in best_order}
-    # canonical edge ids in serialization order
-    erecs = []
-    for eid, u, v in t.graph.edges:
-        iu, iv = best_order[u], best_order[v]
-        s = t.slopes[eid]
-        if iu == iv:
-            rec = (iu, iv, min(s, tuple(-x for x in s)))
-        elif iu < iv:
-            rec = (iu, iv, s)
-        else:
-            rec = (iv, iu, tuple(-x for x in s))
-        erecs.append((rec, eid))
-    erecs.sort(key=lambda r: (r[0], r[1]))
+    vs, best, _ = _search(t)
+    order = {vs[x]: i for i, x in enumerate(best)}
+    g = t.graph
+    erecs = sorted((_edge_record(order[u], order[v], t.slopes[eid]), eid)
+                   for eid, u, v in g.edges)
+    key = (t.dim,
+           tuple(w for _, w in sorted((order[v], w) for v, w in g.vertices)),
+           tuple((order[v], t.slopes[lid]) for lid, v in g.legs),
+           tuple(rec for rec, _ in erecs))
+    vmap = {v: f"v{i}" for v, i in order.items()}
     emap = {eid: f"e{i}" for i, (_, eid) in enumerate(erecs)}
-
-    new_vertices = tuple(sorted(((vmap[v], w) for v, w in t.graph.vertices),
-                                key=lambda x: int(x[0][1:])))
-    new_edges = []
-    for (rec, eid) in erecs:
-        iu, iv, s = rec
-        new_edges.append((emap[eid], f"v{iu}", f"v{iv}"))
-    new_legs = tuple((f"l{i}", vmap[v]) for i, (lid, v) in enumerate(t.graph.legs))
-    new_slopes = {}
-    for i, (lid, _) in enumerate(t.graph.legs):
-        new_slopes[f"l{i}"] = t.slopes[lid]
-    for (rec, eid) in erecs:
+    new_vertices = tuple((f"v{i}", w) for i, w in enumerate(key[1]))
+    new_edges = tuple((emap[eid], f"v{iu}", f"v{iv}") for (iu, iv, _), eid in erecs)
+    new_legs = tuple((f"l{i}", vmap[v]) for i, (_, v) in enumerate(g.legs))
+    new_slopes = {f"l{i}": t.slopes[lid] for i, (lid, _) in enumerate(g.legs)}
+    for rec, eid in erecs:
         new_slopes[emap[eid]] = rec[2]
-    canon = CombinatorialType(
-        WeightedGraph(new_vertices, tuple(new_edges), new_legs), new_slopes, t.dim)
-    return CanonicalForm(key=best, string=repr(best), vertex_map=vmap, edge_map=emap,
+    canon = CombinatorialType(WeightedGraph(new_vertices, new_edges, new_legs), new_slopes, t.dim)
+    return CanonicalForm(key=key, string=repr(key), vertex_map=vmap, edge_map=emap,
                          type=canon)
 
 
@@ -479,82 +507,33 @@ def is_type_isomorphism(t1: CombinatorialType, t2: CombinatorialType, iso: TypeI
 def automorphisms(t: CombinatorialType) -> list:
     """All isomorphisms t -> t fixing the legs pointwise.
 
-    Backtracks over color-compatible vertex bijections, then enumerates all
-    edge bijections within parallel slope classes.
+    The vertex maps are the group generated by the automorphisms the
+    canonical search finds.  Each extends by every edge bijection that
+    keeps ends and slopes: parallel edges of one slope, and loops at one
+    vertex of one slope up to sign, are interchangeable.
     """
-    color = _refine_colors(t)
-    g = t.graph
-    vs = sorted(g.vertex_ids())
-    candidates = {v: [u for u in vs if color[u] == color[v]] for v in vs}
-    legs_at = {}
-    for lid, v in g.legs:
-        legs_at.setdefault(v, []).append(lid)
-
-    pair_edges = {}
-    for e, u, v in g.edges:
-        key = (min(u, v), max(u, v))
-        pair_edges.setdefault(key, []).append(e)
-
-    def slope_along(e, a, b):
-        u, v = g.edge_ends(e)
-        s = t.slopes[e]
-        if (a, b) == (u, v):
-            return s
-        return tuple(-x for x in s)
-
+    vs, _, gens = _search(t)
+    group = {tuple(range(len(vs)))}
+    frontier = list(group)
+    while frontier:
+        h = frontier.pop()
+        for g in gens:
+            gh = tuple(g[x] for x in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    parallel = {}  # (u, v, slope from u) with u <= v -> edges
+    for e, u, v in t.graph.edges:
+        parallel.setdefault(_edge_record(u, v, t.slopes[e]), []).append(e)
     isos = []
-
-    def extend(i, vmap):
-        if i == len(vs):
-            # vertex map fixed; check incidence counts, then enumerate edge maps
-            groups = []
-            for (a, b), edges in sorted(pair_edges.items()):
-                ta, tb = vmap[a], vmap[b]
-                tkey = (min(ta, tb), max(ta, tb))
-                targets = pair_edges.get(tkey, [])
-                if len(targets) != len(edges):
-                    return
-                if a == b:
-                    bys = {}
-                    for e in edges:
-                        s = t.slopes[e]
-                        bys.setdefault(min(s, tuple(-x for x in s)), []).append(e)
-                    byt = {}
-                    for e in targets:
-                        s = t.slopes[e]
-                        byt.setdefault(min(s, tuple(-x for x in s)), []).append(e)
-                else:
-                    bys = {}
-                    for e in edges:
-                        bys.setdefault(slope_along(e, a, b), []).append(e)
-                    byt = {}
-                    for e in targets:
-                        byt.setdefault(slope_along(e, vmap[a], vmap[b]), []).append(e)
-                if sorted((k, len(v)) for k, v in bys.items()) != \
-                        sorted((k, len(v)) for k, v in byt.items()):
-                    return
-                for key in sorted(bys):
-                    groups.append((sorted(bys[key]), sorted(byt[key])))
-            for perm_combo in product(*[permutations(tgt) for _, tgt in groups]):
-                emap = {}
-                for (src, _), tgt_perm in zip(groups, perm_combo):
-                    for e, e2 in zip(src, tgt_perm):
-                        emap[e] = e2
-                isos.append(TypeIso.make(dict(vmap), emap))
-            return
-        v = vs[i]
-        for u in candidates[v]:
-            if u in vmap.values():
-                continue
-            if sorted(legs_at.get(v, [])) != sorted(legs_at.get(u, [])):
-                continue
-            vmap[v] = u
-            extend(i + 1, vmap)
-            del vmap[v]
-
-    extend(0, {})
-    out = [iso for iso in isos if is_type_isomorphism(t, t, iso)]
-    return sorted(out, key=lambda i: (i.vertex_map, i.edge_map))
+    for h in group:
+        vmap = {v: vs[h[i]] for i, v in enumerate(vs)}
+        parts = [(src, parallel[_edge_record(vmap[u], vmap[v], s)])
+                 for (u, v, s), src in parallel.items()]
+        for images in product(*(permutations(tgt) for _, tgt in parts)):
+            emap = {e: f for (src, _), image in zip(parts, images) for e, f in zip(src, image)}
+            isos.append(TypeIso.make(vmap, emap))
+    return sorted(isos, key=lambda i: (i.vertex_map, i.edge_map))
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +665,12 @@ def resolve_4valent(t: CombinatorialType, v: str) -> list:
     halves by a new edge whose slope is forced by balancing, and
     deduplicates up to isomorphism.
     """
+    out = _resolutions(t, v)
+    return [out[k] for k in sorted(out)]
+
+
+def _resolutions(t: CombinatorialType, v: str) -> dict:
+    """resolve_4valent's resolutions keyed by their canonical strings."""
     cls = classify(t)
     if cls.classification != WallClassification.WEIGHTLESS_ALMOST_3VALENT or \
             cls.four_valent_vertex != v:
@@ -735,11 +720,9 @@ def resolve_4valent(t: CombinatorialType, v: str) -> list:
             WeightedGraph(vertices, tuple(sorted(edges)), tuple(legs)), slopes, t.dim)
         assert check_balanced(res).ok
         assert classify(res).classification == WallClassification.WEIGHTLESS_3VALENT
-        cf = canonical_form(res)
-        out.setdefault(cf.string, res)
-    result = [out[k] for k in sorted(out)]
-    assert 1 <= len(result) <= 3
-    return result
+        out.setdefault(canonical_form(res).string, res)
+    assert 1 <= len(out) <= 3
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +775,25 @@ def _integer_box_solutions(particular, kernel, bound):
     return sorted(sols)
 
 
+def _end_permutations(ends):
+    """Vertex permutations keeping the edge-end counts ``ends``: products of
+    permutations within the classes of equal counts."""
+    classes = {}
+    for v, k in enumerate(ends):
+        classes.setdefault(k, []).append(v)
+    groups = list(classes.values())
+    for images in product(*(permutations(cl) for cl in groups)):
+        p = [0] * len(ends)
+        for cl, image in zip(groups, images):
+            for v, w in zip(cl, image):
+                p[v] = w
+        yield tuple(p)
+
+
+def _image(emulti, p):
+    return sorted((min(p[i], p[j]), max(p[i], p[j])) for i, j in emulti)
+
+
 def _automorphisms(emulti, ends) -> list:
     """Permutations p of the vertices mapping the sorted edge multiset to itself.
 
@@ -799,19 +801,25 @@ def _automorphisms(emulti, ends) -> list:
     it can qualify, so the search runs over products of permutations within
     its classes.
     """
-    nv = len(ends)
-    classes = {}
-    for v in range(nv):
-        classes.setdefault(ends[v], []).append(v)
-    groups = list(classes.values())
+    return [p for p in _end_permutations(ends) if _image(emulti, p) == list(emulti)]
+
+
+def _least_automorphisms(emulti, ends):
+    """``_automorphisms(emulti, ends)``, or None when a permutation keeping
+    ``ends`` maps the sorted edge multiset to a smaller one.
+
+    With ``ends`` non-increasing, the labellings of one unlabelled
+    multigraph that keep ``ends`` sorted are one orbit of those
+    permutations, so exactly one of them is the least and gets a list.
+    """
+    edges = list(emulti)
     autos = []
-    for images in product(*(permutations(cl) for cl in groups)):
-        p = [0] * nv
-        for cl, image in zip(groups, images):
-            for v, w in zip(cl, image):
-                p[v] = w
-        if sorted((min(p[i], p[j]), max(p[i], p[j])) for i, j in emulti) == list(emulti):
-            autos.append(tuple(p))
+    for p in _end_permutations(ends):
+        image = _image(emulti, p)
+        if image < edges:
+            return None
+        if image == edges:
+            autos.append(p)
     return autos
 
 
@@ -825,15 +833,16 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: Optional[int] =
     potential per coordinate, so every edge slope is a flow value across a
     potential cut and is at most the total source strength).
 
-    Work is done at the level it depends on.  Per connected multigraph: a
-    BFS spanning tree, whose fundamental cycles span the integer solutions
-    of the homogeneous balancing equations, and the vertex permutations
-    preserving the edge multiset.  Per vertex weighting: each vertex's
-    stability deficit max(0, 3 - 2w - ends), and the automorphisms that also
-    keep the weights.  A leg assignment is only tried when its legs cover
-    every deficit (exactly the stability condition) and it is the
-    lexicographically least of its orbit under those automorphisms (the
-    others give isomorphic types).  Then the tree flow solves the balancing
+    Work is done at the level it depends on.  Per unlabelled connected
+    multigraph, taken once as its least labelling with non-increasing
+    edge-end counts: a BFS spanning tree, whose fundamental cycles span the
+    integer solutions of the homogeneous balancing equations, and the
+    vertex permutations preserving the edge multiset.  Per vertex
+    weighting: each vertex's stability deficit max(0, 3 - 2w - ends), and
+    the automorphisms that also keep the weights.  A leg assignment is only
+    tried when its legs cover every deficit (exactly the stability
+    condition) and it is the lexicographically least of its orbit under
+    those automorphisms (the others give isomorphic types).  Then the tree flow solves the balancing
     equations in integers, and each candidate goes through its canonical
     form; the stratum emptiness check runs once per isomorphism class.
     """
@@ -861,17 +870,21 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: Optional[int] =
             if wsum < 0:
                 continue
             for emulti in combinations_with_replacement(pairs, ne):
+                ends = [0] * nv
+                for i, j in emulti:
+                    ends[i] += 1
+                    ends[j] += 1
+                if any(a < b for a, b in zip(ends, ends[1:])):
+                    continue  # another labelling of the multigraph sorts its ends
+                autos = _least_automorphisms(emulti, ends)
+                if autos is None:
+                    continue  # not the least labelling with sorted ends
                 edges = tuple((f"e{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(emulti))
                 non_loops = [(e, u, v) for e, u, v in edges if u != v]
                 forest, cycles = _spanning_forest(vids, non_loops)
                 if sum(1 for _, parent, _, _ in forest if parent is None) > 1:
                     continue  # disconnected
                 kernel = [tuple(coef.get(e, 0) for e, _, _ in non_loops) for coef in cycles]
-                ends = [0] * nv
-                for i, j in emulti:
-                    ends[i] += 1
-                    ends[j] += 1
-                autos = _automorphisms(emulti, ends)
                 for weights in _compositions(wsum, nv):
                     deficit = [max(0, 3 - 2 * w - k) for w, k in zip(weights, ends)]
                     if sum(deficit) > L:
@@ -979,8 +992,7 @@ def wall_graph(types) -> WallGraph:
             cf = canonical_form(w)
             if cf.string in walls:
                 continue
-            res = resolve_4valent(cf.type, classify(cf.type).four_valent_vertex)
-            keys = (canonical_string(r) for r in res)
+            keys = _resolutions(cf.type, classify(cf.type).four_valent_vertex)
             incident = sorted({node_key[k] for k in keys if k in node_key})
             walls[cf.string] = (cf.type, tuple(incident))
     wall_list = tuple(

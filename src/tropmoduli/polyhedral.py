@@ -700,26 +700,6 @@ class PIAMap:
         return self.per_face[fid]
 
 
-def validate_piamap(m: PIAMap) -> ValidationReport:
-    """Exact compatibility of the per-face maps along every inclusion."""
-    report = ValidationReport()
-    for fid, (lin, off) in m.per_face.items():
-        f = m.source.face(fid)
-        if len(lin) != m.target_dim or any(len(r) != f.rank for r in lin) or len(off) != m.target_dim:
-            report.add("shape", fid, "affine data of wrong shape")
-    for (a, b), inc in m.source.inclusions.items():
-        if a not in m.per_face or b not in m.per_face:
-            report.add("coverage", f"{a}->{b}", "face without a map")
-            continue
-        lin_b, off_b = m.per_face[b]
-        lin, off = affine_compose(lin_b, vec(off_b), inc.linear, vec(inc.offset))
-        lin_a, off_a = m.per_face[a]
-        if mat_rows(lin) != mat_rows(lin_a) or vec(off) != vec(off_a):
-            report.add("compatibility", f"{a}->{b}",
-                       "map on sub-face differs from restriction of super-face map")
-    return report
-
-
 def lin_of_image(m: PIAMap, w: str) -> Subspace:
     """Span of the linear part of the face map (charts are full-dimensional)."""
     m.source.face(w)

@@ -346,30 +346,6 @@ def segment_family(derivative=(1, 0)):
                        face_data=face_data, contractions=contractions)
 
 
-def sample_chart_points(poly: Polyhedron, n: int, rng: random.Random):
-    """Deterministic rational points of a chart: convex vertex combos plus rays."""
-    verts, rays, lines = poly.vrep()
-    pts = []
-    verts = list(verts)
-    for _ in range(n):
-        weights = [Fraction(rng.randint(0, 5)) for _ in verts]
-        if sum(weights) == 0:
-            weights[rng.randrange(len(verts))] = Fraction(1)
-        total = sum(weights)
-        pt = tuple(
-            sum(w * v[i] for w, v in zip(weights, verts)) / total
-            for i in range(poly.ambient_dim)
-        )
-        for r in rays:
-            c = Fraction(rng.randint(0, 3))
-            pt = tuple(p + c * x for p, x in zip(pt, r))
-        for l in lines:
-            c = Fraction(rng.randint(-3, 3))
-            pt = tuple(p + c * x for p, x in zip(pt, l))
-        pts.append(pt)
-    return pts
-
-
 def assert_stratum_systems_agree(t):
     """The cycle-space answers of ``stratum(t)`` match the full system.
 

@@ -484,3 +484,38 @@ def test_validate_complex_report_ignores_face_order_and_names(tmp_path, capsys):
             assert json.loads(out2)["status"] == json.loads(out)["status"]
             if doc in valid:
                 assert out2 == out
+
+
+def _with_positions(doc, positions):
+    doc = copy.deepcopy(doc)
+    doc["positions"] = positions
+    return doc
+
+
+_CROSS_DOC = docs.type_to_doc(cross_type())
+_CONST = {"linear": [[0], [0]], "offset": ["0", "0"]}
+
+
+@pytest.mark.parametrize("verb, doc, pointer", [
+    ("validate-family",
+     _family_doc(lambda doc: doc["faces"][1]["positions"]["va"].update(offset=["0"])),
+     "/faces/1/positions/va/offset"),
+    ("validate-family",
+     _family_doc(lambda doc: doc["faces"][1]["positions"]["vb"].update(linear=[[1]])),
+     "/faces/1/positions/vb/linear"),
+    ("validate-family",
+     _family_doc(lambda doc: doc["faces"][1]["positions"].update(zz=_CONST)),
+     "/faces/1/positions/zz"),
+    ("validate-curve", _with_positions(_CROSS_DOC, {"v": ["0", "0"], "ghost": ["1", "1"]}),
+     "/positions/ghost"),
+    ("wallgraph",
+     {"schema": docs.SCHEMA,
+      "types": [{"type": _with_positions(_CROSS_DOC, {"ghost": ["1", "1"]})}]},
+     "/types/0/type/positions/ghost"),
+], ids=["short-offset", "short-linear", "family-ghost", "curve-ghost", "nested-ghost"])
+def test_cli_rejects_bad_positions(tmp_path, capsys, verb, doc, pointer):
+    code, out = _run(capsys, [verb, _write(tmp_path, "doc.json", doc)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["payload"]["pointer"] == pointer

@@ -461,6 +461,9 @@ def test_global_balancing_of_enumerated_types():
     (1, 0, ((2, 0), (-1, 1), (-1, -1)), 2),
     (1, 1, ((1, 0), (0, 1), (-1, -1)), 2),
     (1, 2, (), 2),
+    (0, 0, ((1, 0), (0, 1), (-1, -1), (1, 0), (-1, 0)), 2),  # 15 of 26 types have 3 vertices
+    (0, 1, ((1, 0), (0, 1), (-1, 0), (0, -1)), 2),
+    (0, 1, ((1,), (1,), (-1,), (-1,)), 1),
 ])
 def test_enumerate_complete_against_brute_force(g, n, degree, dim):
     got = enumerate_types(g, n, degree, 2, dim=dim)

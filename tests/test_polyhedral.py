@@ -21,7 +21,6 @@ from tropmoduli.polyhedral import (
     lin_of_image,
     star,
     validate_complex,
-    validate_piamap,
 )
 
 from helpers import (
@@ -31,7 +30,6 @@ from helpers import (
     quadrant_complex,
     ray_pair_data,
     random_pair_data,
-    sample_chart_points,
     segment_complex,
     segment_pair_data,
     template_pair_data,
@@ -208,36 +206,6 @@ def test_lin_of_image():
     assert sub.dim == 1
     from tropmoduli.exact_linalg import span_membership
     assert span_membership(vec([1, 0]), sub)
-
-
-def test_piamap_compatibility_matches_sampling():
-    c = quadrant_complex()
-    good = PIAMap(c, 2, {
-        "O": (((), ()), (Fraction(0), Fraction(0))),
-        "X": (((1,), (0,)), (Fraction(0), Fraction(0))),
-        "Y": (((0,), (1,)), (Fraction(0), Fraction(0))),
-        "Q": (((1, 0), (0, 1)), (Fraction(0), Fraction(0))),
-    })
-    bad = PIAMap(c, 2, {
-        "O": (((), ()), (Fraction(0), Fraction(0))),
-        "X": (((1,), (1,)), (Fraction(0), Fraction(0))),  # disagrees with Q on X
-        "Y": (((0,), (1,)), (Fraction(0), Fraction(0))),
-        "Q": (((1, 0), (0, 1)), (Fraction(0), Fraction(0))),
-    })
-    rng = random.Random(3)
-    for m, expect in ((good, True), (bad, False)):
-        assert validate_piamap(m).ok == expect
-        sample_ok = True
-        for (a, b), inc in c.inclusions.items():
-            lin_a, off_a = m.per_face[a]
-            lin_b, off_b = m.per_face[b]
-            for x in sample_chart_points(c.faces[a].chart, 100, rng):
-                from tropmoduli.exact_linalg import affine_apply
-                lhs = affine_apply(lin_a, off_a, x)
-                rhs = affine_apply(lin_b, off_b, inc.apply(x))
-                if lhs != rhs:
-                    sample_ok = False
-        assert sample_ok == expect
 
 
 def test_harmonicity_trichotomy_examples():
