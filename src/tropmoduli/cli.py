@@ -107,7 +107,11 @@ def _cmd_validate_curve(args):
         if missing:
             violations.append({"axiom": "lengths", "subject": ",".join(missing),
                                "message": "edges without length"})
-        else:
+        unplaced = [v for v in t.graph.vertex_ids() if v not in positions]
+        if unplaced:
+            violations.append({"axiom": "positions", "subject": ",".join(unplaced),
+                               "message": "vertices without position"})
+        if not (missing or unplaced):
             curve = ParameterizedTropicalCurve(
                 TropicalCurve(t.graph, dict(lengths)), positions, dict(t.slopes), t.dim)
             for e in curve.edge_relation_violations():
@@ -244,6 +248,9 @@ def _cmd_propagate(args):
         seeds = seed_doc.get("seeds")
         if not isinstance(seeds, list):
             raise InputError('seeds file needs a "seeds" list', "/seeds")
+        for i, seed in enumerate(seeds):
+            if not isinstance(seed, str):
+                raise InputError("seeds are node ids (strings)", f"/seeds/{i}")
     elif args.seeds is not None:
         seeds = [s for s in args.seeds.split(",") if s]
     else:

@@ -259,6 +259,8 @@ def type_from_doc(doc, pointer=""):
         if "length" in ed:
             has_lengths = True
             lengths[eid] = parse_rat(ed["length"], f"{p}/length")
+            if lengths[eid] <= 0:
+                raise InputError("edge lengths must be positive", f"{p}/length")
     for i, ld in enumerate(_expect(doc, "legs", list, pointer, default=[], required=False) or []):
         p = f"{pointer}/legs/{i}"
         lid = _expect(ld, "id", str, p)

@@ -6,7 +6,12 @@ point anywhere: the geometric predicates built on top of this module are
 equality predicates, and a tolerance would make them meaningless.  The one
 LP kernel (``_simplex_standard``, behind ``lp_maximize``, ``feasible_point``
 and ``strict_positive_combination``) is a two-phase simplex on an integer
-tableau with one common denominator; it returns exact Fractions.
+tableau with one common denominator; it returns exact Fractions.  The one
+row reduction (``_int_echelon``, behind ``rank``, ``solve_linear``,
+``kernel_rational``, ``Subspace`` and ``span_membership``) is fraction-free
+Gauss-Jordan elimination on rows scaled to integers; results are divided by
+their pivots only where Fractions are returned.  Only ``det`` and the Smith
+normal form keep eliminations of their own.
 
 Vectors are plain tuples, matrices are tuples of row tuples.  All functions
 are pure; values are never mutated after construction.
@@ -105,12 +110,6 @@ def mat_vec(a: Mat, x: Vec) -> Vec:
     return tuple(sum((row[k] * x[k] for k in range(len(x))), Fraction(0)) for row in a)
 
 
-def mat_transpose(a: Mat) -> Mat:
-    if not a:
-        return ()
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
 def mat_columns(a: Mat, width: int | None = None) -> list:
     """Columns of ``a`` as vectors; ``width`` disambiguates empty matrices."""
     if not a:
@@ -143,67 +142,89 @@ def det(a: Mat) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# rational Gaussian elimination: rank, solve, kernel
+# fraction-free elimination: rank, solve, kernel
 # ---------------------------------------------------------------------------
 
-def _rref(rows: Sequence[Vec]):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(map(frac, r)) for r in rows]
+def _integral(row) -> IVec:
+    """A rational row scaled to integers by the lcm of its denominators;
+    an all-int row is returned as it is."""
+    if all(type(x) is int for x in row):
+        return row
+    row = [frac(x) for x in row]
+    den = lcm(1, *(x.denominator for x in row))
+    return tuple(_scaled(x, den) for x in row)
+
+
+def _int_echelon(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination on integer rows.
+
+    Pivots are taken in the first ``ncols`` columns (later columns, such as
+    right-hand sides, are carried along).  Returns (rows, pivot columns):
+    pivot row r is zero in every pivot column but its own, and rows past the
+    pivots are zero in the first ``ncols`` columns.  Each eliminated row is
+    divided by the gcd of its entries, which keeps the entries small.
+    Pivot row r is its pivot entry times row r of the reduced row echelon
+    form, whose pivot columns are the same.
+    """
+    m = [list(r) for r in rows]
     pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if len(pivots) == len(m):
             break
-    return [tuple(row) for row in m], pivots
+    return m, pivots
 
 
 def rank(rows: Sequence[Vec]) -> int:
     if not rows:
         return 0
-    _, pivots = _rref(rows)
-    return len(pivots)
+    return len(_int_echelon([_integral(r) for r in rows], len(rows[0]))[1])
 
 
 def solve_linear(a: Sequence[Vec], b: Vec) -> Optional[Vec]:
-    """One rational solution of ``a x = b``, or None if inconsistent."""
+    """One rational solution of ``a x = b``, or None if inconsistent.
+
+    Free variables are 0, so the solution is the one the reduced row echelon
+    form of ``[a | b]`` reads off.
+    """
     if not a:
         return None if any(x != 0 for x in b) else ()
     ncols = len(a[0])
-    aug = [tuple(row) + (bi,) for row, bi in zip(a, b, strict=True)]
-    red, pivots = _rref(aug)
+    red, pivots = _int_echelon([_integral(tuple(row) + (bi,)) for row, bi in zip(a, b, strict=True)],
+                               ncols + 1)
+    if pivots and pivots[-1] == ncols:  # pivot in the constant column: 0 = 1
+        return None
     x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        if c == ncols:  # pivot in the constant column: 0 = 1
-            return None
-        x[c] = red[r][ncols]
+    for row, c in zip(red, pivots):
+        x[c] = Fraction(row[ncols], row[c])
     return tuple(x)
 
 
 def kernel_rational(a: Sequence[Vec], ncols: int) -> list:
-    """Basis of the rational kernel of the row system ``a`` on R^ncols."""
-    if not a:
-        return [tuple(Fraction(1 if i == j else 0) for j in range(ncols)) for i in range(ncols)]
-    red, pivots = _rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the rational kernel of the row system ``a`` on R^ncols: one
+    vector per free column, 1 there and 0 in the other free columns."""
+    red, pivots = _int_echelon([_integral(r) for r in a], ncols)
     basis = []
-    for fcol in free:
+    for fcol in range(ncols):
+        if fcol in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fcol] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][fcol]
+        for row, c in zip(red, pivots):
+            v[c] = Fraction(-row[fcol], row[c])
         basis.append(tuple(v))
     return basis
 
@@ -376,19 +397,6 @@ def integer_kernel(a: Sequence[IVec], ncols: int) -> list:
     return [tuple(v[i][j] for i in range(ncols)) for j in range(r, ncols)]
 
 
-def unimodular_inverse(u: Mat) -> Mat:
-    """Exact integer inverse of a unimodular matrix."""
-    n = len(u)
-    ident = mat_identity(n)
-    cols = []
-    for j in range(n):
-        col = solve_linear([vec(row) for row in u], vec(tuple(ident[i][j] for i in range(n))))
-        assert col is not None
-        cols.append(col)
-    inv = tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
-    return inv
-
-
 def affine_apply(linear: Mat, offset: Vec, x: Vec) -> Vec:
     return vec_add(mat_vec(linear, x), offset)
 
@@ -418,8 +426,11 @@ class Subspace:
 
     @staticmethod
     def from_spanning(vectors: Sequence[Vec], ambient_dim: int) -> "Subspace":
-        red, pivots = _rref([vec(v) for v in vectors]) if vectors else ([], [])
-        basis = tuple(red[i] for i in range(len(pivots)))
+        """The subspace spanned, with the nonzero rows of the reduced row
+        echelon form as its basis."""
+        red, pivots = _int_echelon([_integral(v) for v in vectors],
+                                   len(vectors[0]) if vectors else 0)
+        basis = tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(red, pivots))
         return Subspace(ambient_dim, basis)
 
     @property
@@ -431,13 +442,7 @@ def span_membership(v: Vec, s: Subspace) -> bool:
     """Whether ``v`` lies in the rational span of ``s.basis``."""
     if len(v) != s.ambient_dim:
         raise DimMismatch(f"vector has length {len(v)}, subspace ambient is {s.ambient_dim}")
-    if vec_is_zero(v):
-        return True
-    if not s.basis:
-        return False
-    cols = [vec(b) for b in s.basis]
-    a = mat_transpose(mat_rows(cols))
-    return solve_linear(a, vec(v)) is not None
+    return rank([*s.basis, v]) == len(s.basis)  # the basis is independent
 
 
 # ---------------------------------------------------------------------------
@@ -664,16 +669,7 @@ def strict_positive_combination(vectors: Sequence[Vec], target: Subspace):
     point = feasible_point(eqs, [], k + nb, strict=(), nonneg=nonneg)
     if point is None:
         return None
-    a = [1 + point[i] for i in range(k)]
-    denom = 1
-    for x in a:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in a]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
+    ints = list(primitive_vector(_integral([1 + point[i] for i in range(k)])))
     assert all(x > 0 for x in ints)
     combo = zero_vec(dim)
     for ai, v in zip(ints, vectors):

@@ -347,15 +347,8 @@ def locate(base: PolyhedralComplex, fid: str, coords):
         return fid, x
     for sub in base.subface_ids(fid):
         inc = base.inclusions[(sub, fid)]
-        sub_rank = base.face(sub).rank
-        rows = [vec(r) for r in inc.linear]
-        sol = solve_linear(rows, vec_sub(x, vec(inc.offset))) if sub_rank else \
-            (() if vec_sub(x, vec(inc.offset)) == vec((0,) * face.rank) else None)
-        if sol is None:
-            continue
-        if rows and affine_apply(inc.linear, vec(inc.offset), sol) != x:
-            continue
-        if base.face(sub).chart.contains(sol):
+        sol = solve_linear(inc.linear, vec_sub(x, vec(inc.offset)))
+        if sol is not None and base.face(sub).chart.contains(sol):
             return locate(base, sub, sol)
     raise PointNotInComplex(
         f"boundary point {tuple(map(str, x))} of {fid!r} is not covered by a sub-face")
@@ -393,7 +386,7 @@ class FaceLift:
     canon_edge_map: dict           # stabilized edge id -> canonical id
 
     def rank(self) -> int:
-        return rank([vec(r) for r in self.linear]) if self.linear else 0
+        return rank(self.linear)
 
 
 @dataclass

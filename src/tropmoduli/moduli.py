@@ -46,7 +46,6 @@ from .exact_linalg import (
     kernel_rational,
     lp_maximize,
     rank,
-    vec,
 )
 from .tropcurve import (
     CombinatorialType,
@@ -240,10 +239,7 @@ def sample_stratum(t: CombinatorialType, n: int, rng) -> list:
     x0 = desc.interior_point()
     if x0 is None:
         return []
-    kernel = kernel_rational([vec(r) for r in desc.equalities], desc.ambient_dim) \
-        if desc.equalities else \
-        [vec(tuple(1 if i == j else 0 for j in range(desc.ambient_dim)))
-         for i in range(desc.ambient_dim)]
+    kernel = kernel_rational(desc.equalities, desc.ambient_dim)
 
     nlen = len(desc.edge_order)
 

@@ -31,6 +31,8 @@ from .errors import (
 )
 from .exact_linalg import (
     Subspace,
+    _int_echelon,
+    _integral,
     affine_apply,
     affine_compose,
     feasible_point,
@@ -42,10 +44,11 @@ from .exact_linalg import (
     mat_rows,
     mat_vec,
     primitive_vector,
+    rank,
     smith_normal_form,
+    solve_linear,
     span_membership,
     strict_positive_combination,
-    unimodular_inverse,
     vec,
     vec_add,
     vec_dot,
@@ -154,7 +157,7 @@ class Polyhedron:
         D = self.ambient_dim
         rows = [_integer_row(n, o) for n, o in self.ineqs]
         nontrivial = [n for n, _ in self.ineqs + self.eqs if any(n)]
-        lines = () if _int_rank(nontrivial, D) == D else \
+        lines = () if rank(nontrivial) == D else \
             tuple(primitive_vector(l) for l in integer_kernel(nontrivial, D))
         base, pivots = _int_echelon([_integer_row(n, o) for n, o in self.eqs]
                                     + [l + (0,) for l in lines], D)
@@ -227,7 +230,7 @@ class Polyhedron:
         """D - rank(equalities + inequalities in the mask ``tight``)."""
         rows = [n for n, _ in self.eqs] + \
             [n for j, (n, _) in enumerate(self.ineqs) if tight >> j & 1]
-        return self.ambient_dim - _int_rank(rows, self.ambient_dim)
+        return self.ambient_dim - rank(rows)
 
     def dim(self) -> int:
         """Dimension of the polyhedron, -1 if empty."""
@@ -283,49 +286,6 @@ def _integer_row(normal, offset):
     return tuple(offset.denominator * c for c in normal) + (offset.numerator,)
 
 
-def _int_echelon(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination on integer rows.
-
-    Pivots are taken in the first ``ncols`` columns (later columns, such as
-    right-hand sides, are carried along).  Returns (rows, pivot columns):
-    pivot row r is zero in every pivot column but its own, and rows past the
-    pivots are zero in the first ``ncols`` columns.  Each eliminated row is
-    divided by the gcd of its entries, which keeps the entries small.
-    """
-    m = [list(r) for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        p = prow[c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if i != r and f:
-                row = [p * x - f * y for x, y in zip(row, prow)]
-                g = math.gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        if len(pivots) == len(m):
-            break
-    return m, pivots
-
-
-def _int_rank(rows, ncols) -> int:
-    return len(_int_echelon(rows, ncols)[1])
-
-
-def _rational_to_primitive(v):
-    denom = 1
-    for x in v:
-        f = frac(x)
-        denom = denom * f.denominator // math.gcd(denom, f.denominator)
-    return primitive_vector(tuple(int(frac(x) * denom) for x in v))
-
-
 @dataclass(frozen=True)
 class _PFace:
     """A face of a polyhedron, identified by its tight vertices and rays."""
@@ -344,9 +304,7 @@ class _PFace:
 
 def _span_equal(lines_a, lines_b) -> bool:
     """Whether two lists of integer vectors span the same subspace."""
-    ncols = len((tuple(lines_a) + tuple(lines_b) or ((),))[0])
-    ra = _int_rank(lines_a, ncols)
-    return ra == _int_rank(lines_b, ncols) == _int_rank(tuple(lines_a) + tuple(lines_b), ncols)
+    return rank(lines_a) == rank(lines_b) == rank(tuple(lines_a) + tuple(lines_b))
 
 
 def _triples_equal(a, b) -> bool:
@@ -470,8 +428,8 @@ def _image_triple(complex_, inc: FaceInclusion):
     sub_chart = complex_.face(inc.sub).chart
     verts, rays, lines = sub_chart.vrep()
     iverts = frozenset(inc.apply(v) for v in verts)
-    irays = frozenset(_rational_to_primitive(mat_vec(inc.linear, vec(r))) for r in rays)
-    ilines = tuple(_rational_to_primitive(mat_vec(inc.linear, vec(l))) for l in lines)
+    irays = frozenset(primitive_vector(_integral(mat_vec(inc.linear, vec(r)))) for r in rays)
+    ilines = tuple(primitive_vector(_integral(mat_vec(inc.linear, vec(l)))) for l in lines)
     return iverts, irays, ilines
 
 
@@ -655,9 +613,9 @@ def star(c: PolyhedralComplex, w: str) -> StarData:
         if face.rank == 0:
             e = (1,)
         else:
-            u, s, v = smith_normal_form(inc.linear)
-            uinv = unimodular_inverse(u)
-            e = tuple(uinv[i][r - 1] for i in range(r))
+            # column r - 1 of u^-1 for the Smith form u·linear·v = s
+            u, _, _ = smith_normal_form(inc.linear)
+            e = tuple(int(x) for x in solve_linear(u, tuple(int(i == r - 1) for i in range(r))))
         p = face.chart.feasible_point() if face.rank == 0 else face.chart.interior_point()
         if p is None:
             raise TropModuliError(f"face {w!r} has no interior point")

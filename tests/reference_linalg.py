@@ -1,0 +1,86 @@
+"""Reference rational row reduction for differential tests.
+
+This is the ``Fraction`` reduced row echelon form that ``rank``,
+``solve_linear``, ``kernel_rational`` and ``Subspace.from_spanning`` used
+before they moved onto the fraction-free ``_int_echelon``, and the full
+``unimodular_inverse`` that ``star`` read one column of.  Both must give
+identical answers.  It is kept apart from ``oracles.py``, which the
+benchmark loads for its output checks.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def _rref(rows):
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m], pivots
+
+
+def rank(rows) -> int:
+    if not rows:
+        return 0
+    return len(_rref(rows)[1])
+
+
+def solve_linear(a, b):
+    """One rational solution of ``a x = b`` (free variables 0), or None."""
+    if not a:
+        return None if any(x != 0 for x in b) else ()
+    ncols = len(a[0])
+    red, pivots = _rref([tuple(row) + (bi,) for row, bi in zip(a, b, strict=True)])
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        if c == ncols:  # pivot in the constant column: 0 = 1
+            return None
+        x[c] = red[r][ncols]
+    return tuple(x)
+
+
+def kernel_rational(a, ncols: int) -> list:
+    """One kernel vector per free column: 1 there, 0 in the other free columns."""
+    if not a:
+        return [tuple(Fraction(1 if i == j else 0) for j in range(ncols)) for i in range(ncols)]
+    red, pivots = _rref(a)
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fcol] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][fcol]
+        basis.append(tuple(v))
+    return basis
+
+
+def spanning_basis(vectors) -> tuple:
+    """The nonzero rows of the reduced row echelon form of ``vectors``."""
+    red, pivots = _rref(vectors) if vectors else ([], [])
+    return tuple(red[i] for i in range(len(pivots)))
+
+
+def unimodular_inverse(u):
+    """Exact integer inverse of a unimodular matrix, column by column."""
+    n = len(u)
+    cols = [solve_linear(u, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    assert all(col is not None for col in cols)
+    return tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))

@@ -5,7 +5,9 @@ This is the subset-scan code the incidence-based ``Polyhedron`` queries and
 rays from every C(m, D) constraint subset, faces from every one of the 2^m
 subsets, and every relation between faces found by scanning all faces and
 inclusions.  Both must give identical answers.  It is kept apart from
-``oracles.py``, which the benchmark loads for its output checks.
+``oracles.py``, which the benchmark loads for its output checks.  Its rank,
+solving and kernels come from the ``Fraction`` reference in
+``reference_linalg``, not from the fraction-free kernel under test.
 """
 
 from __future__ import annotations
@@ -22,17 +24,16 @@ from tropmoduli.exact_linalg import (
     integer_kernel,
     is_saturated,
     ivec,
-    kernel_rational,
     mat_rows,
     mat_vec,
     primitive_vector,
-    rank,
-    solve_linear,
     vec,
     vec_dot,
     vec_sub,
 )
 from tropmoduli.polyhedral import ValidationReport
+
+from reference_linalg import kernel_rational, rank, solve_linear
 
 
 # ---------------------------------------------------------------------------

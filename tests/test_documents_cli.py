@@ -164,6 +164,17 @@ def test_cli_validate_curve(tmp_path, capsys):
     path2 = _write(tmp_path, "bad.json", tri)
     code, out = _run(capsys, ["validate-curve", path2])
     assert code == 1
+    # a realized resolution is valid; dropping a vertex's position is a violation
+    doc = _resolution_doc()
+    code, out = _run(capsys, ["validate-curve", _write(tmp_path, "placed.json", doc)])
+    assert code == 0
+    del doc["positions"]["va"]
+    code, out = _run(capsys, ["validate-curve", _write(tmp_path, "unplaced.json", doc)])
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "violations"
+    assert [(v["axiom"], v["subject"]) for v in report["payload"]["violations"]] == \
+        [("positions", "va")]
 
 
 def test_cli_enumerate_deterministic(capsys):
@@ -418,12 +429,14 @@ def test_cli_verdicts_reports_unknown_face_before_invalid_family(tmp_path, capsy
 def test_cli_propagate_rejects_seeds_file_that_is_not_an_object(tmp_path, capsys):
     wg_doc = docs.wallgraph_to_doc(wall_graph(resolve_4valent(cross_type(), "v")))
     wpath = _write(tmp_path, "wg.json", wg_doc)
-    code, out = _run(capsys, ["propagate", wpath, "--seeds-file",
-                              _write(tmp_path, "seeds.json", [1, 2])])
-    assert code == 2
-    report = json.loads(out)
-    assert report["status"] == "error"
-    assert report["payload"]["pointer"] == ""
+    for seeds, pointer in [([1, 2], ""), ({"seeds": [[1]]}, "/seeds/0"),
+                           ({"seeds": ["x", {"a": 1}]}, "/seeds/1")]:
+        code, out = _run(capsys, ["propagate", wpath, "--seeds-file",
+                                  _write(tmp_path, "seeds.json", seeds)])
+        assert code == 2
+        report = json.loads(out)
+        assert report["status"] == "error"
+        assert report["payload"]["pointer"] == pointer
 
 
 @pytest.mark.parametrize("edit, pointer", [
@@ -496,6 +509,15 @@ _CROSS_DOC = docs.type_to_doc(cross_type())
 _CONST = {"linear": [[0], [0]], "offset": ["0", "0"]}
 
 
+def _resolution_doc(length=1):
+    """A resolution with edge length ``length`` and a position for every
+    vertex that satisfies the edge relation."""
+    t = resolution_type(1)
+    vb = tuple(Fraction(length) * s for s in t.slopes["e"])
+    return docs.type_to_doc(t, lengths={"e": Fraction(length)},
+                            positions={"va": (0, 0), "vb": vb})
+
+
 @pytest.mark.parametrize("verb, doc, pointer", [
     ("validate-family",
      _family_doc(lambda doc: doc["faces"][1]["positions"]["va"].update(offset=["0"])),
@@ -512,7 +534,10 @@ _CONST = {"linear": [[0], [0]], "offset": ["0", "0"]}
      {"schema": docs.SCHEMA,
       "types": [{"type": _with_positions(_CROSS_DOC, {"ghost": ["1", "1"]})}]},
      "/types/0/type/positions/ghost"),
-], ids=["short-offset", "short-linear", "family-ghost", "curve-ghost", "nested-ghost"])
+    ("validate-curve", _resolution_doc(0), "/edges/0/length"),
+    ("validate-curve", _resolution_doc(-1), "/edges/0/length"),
+], ids=["short-offset", "short-linear", "family-ghost", "curve-ghost", "nested-ghost",
+        "curve-zero-length", "curve-negative-length"])
 def test_cli_rejects_bad_positions(tmp_path, capsys, verb, doc, pointer):
     code, out = _run(capsys, [verb, _write(tmp_path, "doc.json", doc)])
     assert code == 2

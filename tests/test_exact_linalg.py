@@ -26,6 +26,7 @@ from tropmoduli.exact_linalg import (
     vec,
 )
 
+import reference_linalg as reference
 from oracles import fm_positive_combination_exists, reference_lp_maximize
 
 
@@ -255,3 +256,85 @@ def test_strict_positive_combination_vs_fm_random():
         assert (got is not None) == expect, (vectors, target.basis)
         if got is not None:
             verify_certificate(got, vectors, target)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free row reduction against the Fraction RREF reference
+# ---------------------------------------------------------------------------
+
+def _rational_systems(count=1500, seed=11):
+    """Seeded systems up to 5 x 5 with mixed denominators (every fourth one
+    all-int), some with zero, repeated, dependent or single rows, and some
+    with no rows or no columns."""
+    rng = random.Random(seed)
+
+    def entry(integral):
+        if integral:
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6)))
+
+    out = []
+    for i in range(count):
+        nrows = 1 if i % 9 == 4 else rng.randint(0, 5)
+        ncols = 0 if i % 31 == 7 else rng.randint(1, 5)
+        integral = i % 4 == 0
+        m = [tuple(entry(integral) for _ in range(ncols)) for _ in range(nrows)]
+        if nrows > 1 and i % 5 == 1:
+            m[rng.randrange(nrows)] = (0,) * ncols
+        if nrows > 1 and i % 5 == 2:
+            m[rng.randrange(nrows)] = m[rng.randrange(nrows)]
+        if nrows > 1 and i % 7 == 3:
+            a, b = rng.randrange(nrows), rng.randrange(nrows)
+            m[rng.randrange(nrows)] = tuple(2 * x - Fraction(y, 3) for x, y in zip(m[a], m[b]))
+        x = tuple(entry(integral) for _ in range(ncols))
+        consistent = tuple(sum((c * y for c, y in zip(row, x)), Fraction(0)) for row in m)
+        out.append((m, ncols, consistent, tuple(entry(integral) for _ in range(nrows))))
+    return out
+
+
+SYSTEMS = _rational_systems()
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+def test_rational_systems_cover_degenerate_cases():
+    kinds = {"no rows": 0, "no columns": 0, "single row": 0, "zero row": 0,
+             "repeated row": 0, "rank deficient": 0, "inconsistent": 0}
+    for m, ncols, _, b in SYSTEMS:
+        kinds["no rows"] += not m
+        kinds["no columns"] += bool(m) and ncols == 0
+        kinds["single row"] += len(m) == 1
+        kinds["zero row"] += any(not any(r) for r in m) and ncols > 0
+        kinds["repeated row"] += len(set(m)) < len(m)
+        kinds["rank deficient"] += bool(m) and reference.rank(m) < min(len(m), ncols)
+        kinds["inconsistent"] += reference.solve_linear(m, b) is None
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_row_reduction_matches_fraction_reference():
+    for m, ncols, consistent, b in SYSTEMS:
+        assert rank(m) == reference.rank(m), m
+        for rhs in (consistent, b):
+            got = solve_linear(m, rhs)
+            assert got == reference.solve_linear(m, rhs), (m, rhs)
+            assert got is None or _all_fractions([got])
+        ker = kernel_rational(m, ncols)
+        assert ker == reference.kernel_rational(m, ncols), m
+        assert _all_fractions(ker)
+        basis = Subspace.from_spanning(m, ncols).basis
+        assert basis == reference.spanning_basis(m), m
+        assert _all_fractions(basis)
+
+
+def test_span_membership_matches_fraction_reference():
+    for m, ncols, consistent, b in SYSTEMS:
+        if not m or not ncols:
+            continue
+        s = Subspace.from_spanning(m, ncols)
+        cols = [tuple(v[i] for v in s.basis) for i in range(ncols)]
+        for v in (m[0], tuple(b[:1] * ncols), tuple(x - y for x, y in zip(m[-1], m[0]))):
+            expect = reference.solve_linear(cols, v) is not None if s.basis else not any(v)
+            assert span_membership(v, s) == expect, (m, v)
+

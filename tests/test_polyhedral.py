@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import reference_linalg
 import reference_polyhedral as reference
 
 from tropmoduli.errors import InconsistentStrata, NoCofacets, UnknownFace
-from tropmoduli.exact_linalg import lp_maximize, vec
+from tropmoduli.exact_linalg import lp_maximize, smith_normal_form, vec
 from tropmoduli.polyhedral import (
     Face,
     FaceInclusion,
@@ -467,6 +468,27 @@ def test_validate_complex_matches_reference_on_templates_and_mutations():
             axioms |= {v.axiom for v in got.violations}
     assert checked == 6 * len(skeletons)
     assert axioms == {"2", "3", "4", "5", "order"}, axioms
+
+
+def test_star_directions_match_reference_inverse_on_templates():
+    """Each star direction is, up to its orientation, column r - 1 of the
+    inverse of the Smith form's u, as the reference inverse gives it."""
+    rng = random.Random(31)
+    checked = 0
+    for nv, nh, maximal in COMPLEX_TEMPLATES:
+        sk = build_skeleton(template_pair_data(rng, nv, nh, maximal))
+        for w in sk.faces:
+            directions = dict(star(sk, w).directions)
+            for inc in sk.cofacet_inclusions(w):
+                r = sk.faces[inc.super].rank
+                if r == 1:
+                    e = (1,)
+                else:
+                    inv = reference_linalg.unimodular_inverse(smith_normal_form(inc.linear)[0])
+                    e = tuple(inv[i][r - 1] for i in range(r))
+                assert directions[inc.super] in (e, tuple(-x for x in e)), (w, inc.super)
+                checked += 1
+    assert checked > 100, checked
 
 
 def test_two_shared_vertices_resolving_differently_flagged():

@@ -1,7 +1,9 @@
-"""sympy as a second exact oracle for the integer linear algebra kernels:
-rank, Smith normal form, integer kernels and fraction-free echelon forms."""
+"""sympy as a second exact oracle for the linear algebra kernels: rank,
+Smith normal form, integer kernels and fraction-free echelon forms over the
+integers, and spans, rational kernels and solvability over the rationals."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,18 +12,29 @@ from sympy import QQ, ZZ  # noqa: E402
 from sympy.polys.matrices import DM  # noqa: E402
 from sympy.polys.matrices.normalforms import invariant_factors  # noqa: E402
 
-from tropmoduli.exact_linalg import integer_kernel, mat_mul, rank, smith_normal_form  # noqa: E402
+from tropmoduli.exact_linalg import (  # noqa: E402
+    Subspace,
+    integer_kernel,
+    kernel_rational,
+    mat_mul,
+    rank,
+    smith_normal_form,
+    solve_linear,
+)
 from tropmoduli.polyhedral import _int_echelon  # noqa: E402
 
 
-def _matrices(count=300, seed=7):
+def _matrices(count=300, seed=7, rational=False):
     """Seeded integer matrices up to 5 x 6, some with zero, repeated or
-    dependent rows."""
+    dependent rows; with ``rational``, entries are Fractions over mixed
+    denominators."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        if rational:
+            m = [[Fraction(x, rng.choice((1, 2, 3, 5))) for x in r] for r in m]
         if rows > 1 and i % 5 == 1:
             m[rng.randrange(rows)] = [0] * cols
         if rows > 1 and i % 5 == 2:
@@ -34,10 +47,19 @@ def _matrices(count=300, seed=7):
 
 
 MATRICES = _matrices()
+RATIONAL = _matrices(seed=8, rational=True)
 
 
 def _dm(m):
     return DM([list(r) for r in m], ZZ)
+
+
+def _qq(m):
+    return DM([[QQ(x.numerator, x.denominator) for x in r] for r in m], QQ)
+
+
+def _fractions(dm):
+    return [tuple(Fraction(int(x.numerator), int(x.denominator)) for x in r) for r in dm.to_list()]
 
 
 def test_matrices_cover_degenerate_cases():
@@ -92,3 +114,24 @@ def test_int_echelon_matches_sympy():
                 assert red[r][c] != 0
                 assert all(red[i][c] == 0 for i in range(len(red)) if i != r), m
             assert all(not any(row[:ncols]) for row in red[len(pivots):]), m
+
+
+def test_rational_matrices_cover_degenerate_cases():
+    kinds = {"zero row": 0, "rank deficient": 0, "fractional": 0}
+    for m in RATIONAL:
+        kinds["zero row"] += any(not any(r) for r in m)
+        kinds["rank deficient"] += _qq(m).rank() < min(len(m), len(m[0]))
+        kinds["fractional"] += any(x.denominator > 1 for r in m for x in r)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_rational_span_kernel_and_solvability_match_sympy():
+    rng = random.Random(9)
+    for m in RATIONAL:
+        red, pivots = _qq(m).rref()
+        basis = Subspace.from_spanning(m, len(m[0])).basis
+        assert list(basis) == _fractions(red)[:len(pivots)], m
+        assert kernel_rational(m, len(m[0])) == _fractions(_qq(m).nullspace()), m
+        b = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7))) for _ in m]
+        rises = _qq([list(r) + [bi] for r, bi in zip(m, b)]).rank() > len(pivots)
+        assert (solve_linear(m, b) is None) == rises, (m, b)
