@@ -355,10 +355,15 @@ def family_from_doc(doc, pointer="") -> FamilyDatum:
     for i, fd in enumerate(_expect(doc, "faces", list, pointer)):
         p = f"{pointer}/faces/{i}"
         fid = _expect(fd, "face", str, p)
+        if fid in face_data:
+            raise InputError(f"repeated face {fid!r}", f"{p}/face")
         t, _, _ = type_from_doc(_expect(fd, "type", dict, p), f"{p}/type")
+        edge_ids = {e for e, _, _ in t.graph.edges}
         lengths = {}
         for e, fn in _expect(fd, "lengths", dict, p, default={}, required=False).items():
             pp = f"{p}/lengths/{e}"
+            if e not in edge_ids:
+                raise InputError(f"length for unknown edge {e!r}", pp)
             lengths[e] = AffineFn(
                 linear=_int_list(_expect(fn, "linear", list, pp), f"{pp}/linear"),
                 offset=parse_rat(_expect(fn, "offset", None, pp), f"{pp}/offset"),
@@ -380,7 +385,10 @@ def family_from_doc(doc, pointer="") -> FamilyDatum:
     contractions = {}
     for i, cd in enumerate(_expect(doc, "contractions", list, pointer, default=[], required=False) or []):
         p = f"{pointer}/contractions/{i}"
-        contractions[(_expect(cd, "sub", str, p), _expect(cd, "super", str, p))] = Contraction(
+        key = (_expect(cd, "sub", str, p), _expect(cd, "super", str, p))
+        if key in contractions:
+            raise InputError(f"repeated contraction {key[0]!r} -> {key[1]!r}", p)
+        contractions[key] = Contraction(
             vertex_map=dict(_expect(cd, "vertex_map", dict, p)),
             edge_map=dict(_expect(cd, "edge_map", dict, p, default={}, required=False) or {}),
         )

@@ -11,7 +11,9 @@ row reduction (``_int_echelon``, behind ``rank``, ``solve_linear``,
 ``kernel_rational``, ``Subspace`` and ``span_membership``) is fraction-free
 Gauss-Jordan elimination on rows scaled to integers; results are divided by
 their pivots only where Fractions are returned.  Only ``det`` and the Smith
-normal form keep eliminations of their own.
+normal form keep eliminations of their own.  The one multigraph traversal,
+``_forest``, is a breadth-first spanning forest; its fundamental cycles are
+a lattice basis of the integer kernel of the incidence matrix.
 
 Vectors are plain tuples, matrices are tuples of row tuples.  All functions
 are pure; values are never mutated after construction.
@@ -404,6 +406,68 @@ def affine_apply(linear: Mat, offset: Vec, x: Vec) -> Vec:
 def affine_compose(outer_lin: Mat, outer_off: Vec, inner_lin: Mat, inner_off: Vec):
     """The affine map x -> outer(inner(x)) as a (linear, offset) pair."""
     return mat_mul(outer_lin, inner_lin), vec_add(mat_vec(outer_lin, inner_off), vec(outer_off))
+
+
+# ---------------------------------------------------------------------------
+# spanning forests: the integer kernel of an incidence matrix
+# ---------------------------------------------------------------------------
+
+def _forest(vertices, edges):
+    """Breadth-first spanning forest of a multigraph.
+
+    ``edges`` are (id, u, v) triples, loops allowed, with both ends among
+    ``vertices``.  Returns (vertex, parent, edge, sign) in BFS order: a root
+    with parent None for each vertex, in ``vertices`` order, that no earlier
+    tree reached, and the neighbours of each vertex in ``edges`` order; sign
+    is +1 when the edge is stored parent -> vertex.  The graph is connected
+    iff only the first entry is a root.
+    """
+    adj = {v: [] for v in vertices}
+    for eid, u, v in edges:
+        adj[u].append((eid, v, 1))
+        adj[v].append((eid, u, -1))
+    forest, seen = [], set()
+    for root in vertices:
+        if root in seen:
+            continue
+        seen.add(root)
+        forest.append((root, None, None, 0))
+        queue = [root]
+        for u in queue:
+            for eid, w, sign in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    forest.append((w, u, eid, sign))
+                    queue.append(w)
+    return tuple(forest)
+
+
+def _spanning_forest(vertices, edges):
+    """``_forest`` and the fundamental cycles of the multigraph.
+
+    ``cycles`` has one {edge: coefficient} per non-tree edge: the edge
+    itself, then back to its tail along the forest, so every vertex has as
+    much coefficient flowing in as out.  The incidence matrix of a graph is
+    totally unimodular, so these cycles are a lattice basis of its integer
+    kernel.
+    """
+    forest = _forest(vertices, edges)
+    # path[v] = {tree edge: sign} from the root of v's tree down to v
+    path = {}
+    for v, parent, eid, sign in forest:
+        path[v] = {} if parent is None else {**path[parent], eid: sign}
+    tree_edges = {eid for _, _, eid, _ in forest}
+    cycles = []
+    for eid, u, v in edges:
+        if eid in tree_edges:
+            continue
+        coef = {eid: 1}
+        for f, sign in path[v].items():
+            coef[f] = coef.get(f, 0) - sign
+        for f, sign in path[u].items():
+            coef[f] = coef.get(f, 0) + sign
+        cycles.append(coef)
+    return forest, cycles
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import Optional
 
 from .errors import InvalidFamily, NoCofacets, PointNotInComplex, SeedNotInGraph
 from .exact_linalg import (
+    _forest,
     affine_apply,
     affine_compose,
     frac,
@@ -171,13 +172,15 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
     if not base_report.ok or any(v.axiom == "coverage" for v in report.violations):
         return report
 
-    # per-face fiber conditions
+    # per-face fiber conditions; inclusion checks skip faces with malformed data
+    malformed = set()
     for fid in sorted(f.base.faces):
         data = f.face_data[fid]
         face = f.base.face(fid)
         t = data.type
         if t.dim != f.dim:
             report.add("1", fid, f"type lives in Z^{t.dim}, family in Z^{f.dim}")
+            malformed.add(fid)
             continue
         if extended_degree(t) != f.extended_degree:
             report.add("degree", fid, "extended degree differs from the family degree")
@@ -188,6 +191,7 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
         missing += [v for v in t.graph.vertex_ids() if v not in data.positions]
         if missing:
             report.add("1", fid, f"missing affine data for {missing}")
+            malformed.add(fid)
             continue
         shape_bad = False
         for e, fn in data.lengths.items():
@@ -200,6 +204,7 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
                 report.add("1", fid, f"position of {u!r} has affine data of wrong shape")
                 shape_bad = True
         if shape_bad:
+            malformed.add(fid)
             continue
 
         pts = _generating_points(face.chart)
@@ -233,6 +238,8 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
 
     # inclusion conditions (2), (3) and the zero-locus iff
     for (sub, sup), inc in sorted(f.base.inclusions.items()):
+        if sub in malformed or sup in malformed:
+            continue
         phi = f.contractions[(sub, sup)]
         tsub = f.face_data[sub].type
         tsup = f.face_data[sup].type
@@ -288,15 +295,7 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
         for x, cls in sorted(classes.items()):
             internal = [(e, u, v) for e, u, v in gsup.edges
                         if e not in phi.edge_map and u in cls and v in cls]
-            seen = {min(cls)}
-            changed = True
-            while changed:
-                changed = False
-                for _, u, v in internal:
-                    if (u in seen) != (v in seen):
-                        seen |= {u, v}
-                        changed = True
-            if seen != cls:
+            if any(parent is None for _, parent, _, _ in _forest(sorted(cls), internal)[1:]):
                 report.add("contraction", subject, f"preimage of {x!r} is not connected")
                 continue
             b1 = len(internal) - (len(cls) - 1)

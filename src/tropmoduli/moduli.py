@@ -11,9 +11,10 @@ enumerates types with fixed invariants, classifies walls (weightless almost
 incidence graph used for wall-crossing arguments.
 
 Enumeration visits each unlabelled multigraph once, as its least labelling
-with sorted edge-end counts, and shares the spanning forest with the stratum
-systems: flow along the tree solves the balancing equations in integers and
-the fundamental cycles span the rest (no Smith normal form).  Only one leg
+with sorted edge-end counts, and shares ``exact_linalg._spanning_forest``
+with the stratum systems: flow along the tree solves the balancing
+equations in integers and the fundamental cycles span the rest (no Smith
+normal form).  Contraction and wall paths use the same walk.  Only one leg
 assignment per orbit of the multigraph's automorphisms is tried.
 
 Isomorphisms of types fix every leg (the leg order is part of the data).
@@ -27,7 +28,6 @@ automorphisms it meets, and those automorphisms generate the group that
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -42,6 +42,8 @@ from .errors import (
     UnbalancedType,
 )
 from .exact_linalg import (
+    _forest,
+    _spanning_forest,
     feasible_point,
     kernel_rational,
     lp_maximize,
@@ -50,6 +52,7 @@ from .exact_linalg import (
 from .tropcurve import (
     CombinatorialType,
     WeightedGraph,
+    _place,
     check_balanced,
     extended_degree,
     genus,
@@ -104,15 +107,8 @@ class StratumDescriptor:
         lengths = self._lengths()
         if lengths is None:
             return None
-        dim, slopes = self.type.dim, self.type.slopes
-        epos = {e: i for i, e in enumerate(self.edge_order)}
-        pos = {}
-        for v, parent, e, sign in self.forest:
-            if parent is None:
-                pos[v] = (Fraction(0),) * dim
-            else:
-                step = sign * lengths[epos[e]]
-                pos[v] = tuple(p + step * s for p, s in zip(pos[parent], slopes[e]))
+        pos = _place(self.forest, (Fraction(0),) * self.type.dim,
+                     dict(zip(self.edge_order, lengths)), self.type.slopes)
         return lengths + tuple(x for v in self.vertex_order for x in pos[v])
 
     def is_empty(self) -> bool:
@@ -159,49 +155,6 @@ def stratum(t: CombinatorialType) -> StratumDescriptor:
     return StratumDescriptor(type=t, edge_order=edge_order, vertex_order=vertex_order,
                              ambient_dim=ambient, equalities=tuple(rows),
                              cycle_rows=tuple(cycle_rows), forest=forest)
-
-
-def _spanning_forest(vertices, edges):
-    """Breadth-first spanning forest and fundamental cycles of a multigraph.
-
-    ``edges`` are (id, u, v) triples, loops allowed.  ``forest`` lists
-    (vertex, parent, edge, sign) in BFS order, roots first with parent None;
-    sign is +1 when the edge is stored parent -> vertex.  ``cycles`` has one
-    {edge: coefficient} per non-tree edge: the edge itself, then back to its
-    tail along the forest, so every vertex has as much coefficient flowing
-    in as out.  The incidence matrix of a graph is totally unimodular, so
-    these cycles are a lattice basis of its integer kernel.
-    """
-    adj = {v: [] for v in vertices}
-    for eid, u, v in edges:
-        adj[u].append((eid, v, 1))
-        adj[v].append((eid, u, -1))
-    # path[v] = {tree edge: sign} from the root of v's tree down to v
-    forest, path, tree_edges = [], {}, set()
-    for root in vertices:
-        if root in path:
-            continue
-        path[root] = {}
-        forest.append((root, None, None, 0))
-        queue = [root]
-        for u in queue:
-            for eid, w, sign in adj[u]:
-                if w not in path:
-                    path[w] = {**path[u], eid: sign}
-                    forest.append((w, u, eid, sign))
-                    tree_edges.add(eid)
-                    queue.append(w)
-    cycles = []
-    for eid, u, v in edges:
-        if eid in tree_edges:
-            continue
-        coef = {eid: 1}
-        for f, sign in path[v].items():
-            coef[f] = coef.get(f, 0) - sign
-        for f, sign in path[u].items():
-            coef[f] = coef.get(f, 0) + sign
-        cycles.append(coef)
-    return tuple(forest), cycles
 
 
 def _tree_flow(forest, b):
@@ -579,39 +532,24 @@ def contract_any_slope(t: CombinatorialType, edges) -> CombinatorialType:
     known = {e for e, _, _ in g.edges}
     if not edges <= known:
         raise KeyError(f"unknown edges {sorted(edges - known)}")
-    parent = {v: v for v in g.vertex_ids()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e, u, v in g.edges:
-        if e in edges and u != v:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-    comp = {}
-    for v in g.vertex_ids():
-        comp.setdefault(find(v), []).append(v)
-    name = {r: min(vs) for r, vs in comp.items()}
-
-    weights = {}
-    for r, vs in comp.items():
-        w = sum(dict(g.vertices)[v] for v in vs)
-        internal = sum(1 for e, u, v in g.edges
-                       if e in edges and find(u) == r and find(v) == r)
-        w += internal - (len(vs) - 1)  # first Betti number of the contracted piece
-        weights[name[r]] = w
+    # each piece is a tree of the contracted edges' forest, named by its root,
+    # its least vertex id; its weight is the sum of its weights plus b_1
+    contracted = [(e, u, v) for e, u, v in g.edges if e in edges]
+    weight = dict(g.vertices)
+    name, weights = {}, {}
+    for v, parent, _, _ in _forest(sorted(weight), contracted):
+        name[v] = v if parent is None else name[parent]
+        weights[name[v]] = weights.get(name[v], 1) + weight[v] - 1
+    for _, u, _ in contracted:
+        weights[name[u]] += 1  # b_1 = |E| - |V| + 1 of the piece
 
     new_edges, new_slopes = [], {}
     for e, u, v in g.edges:
         if e in edges:
             continue
-        new_edges.append((e, name[find(u)], name[find(v)]))
+        new_edges.append((e, name[u], name[v]))
         new_slopes[e] = t.slopes[e]
-    new_legs = tuple((lid, name[find(v)]) for lid, v in g.legs)
+    new_legs = tuple((lid, name[v]) for lid, v in g.legs)
     for lid, _ in g.legs:
         new_slopes[lid] = t.slopes[lid]
     graph = WeightedGraph(tuple(sorted(weights.items())), tuple(sorted(new_edges)), new_legs)
@@ -1004,27 +942,14 @@ def connected_through_walls(wg: WallGraph, t1: CombinatorialType, t2: Combinator
     if k1 not in wg.node_key or k2 not in wg.node_key:
         raise SeedNotInGraph("queried type is not a node of the wall graph")
     start, goal = wg.node_key[k1], wg.node_key[k2]
-    if start == goal:
-        return True, (start,)
-    walls_at = {}
-    for wid, _, res in wg.walls:
-        for nid in res:
-            walls_at.setdefault(nid, []).append((wid, res))
-    prev = {start: None}
-    queue = deque([start])
-    while queue:
-        nid = queue.popleft()
-        for wid, res in walls_at.get(nid, ()):
-            for other in res:
-                if other not in prev:
-                    prev[other] = (nid, wid)
-                    if other == goal:
-                        path = [other]
-                        cur = other
-                        while prev[cur] is not None:
-                            pn, pw = prev[cur]
-                            path.extend([pw, pn])
-                            cur = pn
-                        return True, tuple(reversed(path))
-                    queue.append(other)
-    return False, None
+    # a wall joins every two of its resolutions; in stored order, the walk's
+    # tree is the breadth-first tree from start
+    edges = [(wid, a, b) for wid, _, res in wg.walls for a, b in combinations(res, 2)]
+    up = {v: (parent, wid) for v, parent, wid, _ in _forest((start, *wg.node_ids()), edges)}
+    path = [goal]
+    while up[path[-1]][0] is not None:
+        parent, wid = up[path[-1]]
+        path += [wid, parent]
+    if path[-1] != start:
+        return False, None
+    return True, tuple(reversed(path))

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .exact_linalg import (
     Subspace,
+    _forest,
     _int_echelon,
     _integral,
     affine_apply,
@@ -565,22 +566,11 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
                                f"{res[0]} in one chart and {res[1]} in the other")
 
     # connectivity
-    if len(c.faces) > 1:
-        seen = set()
-        stack = [next(iter(c.faces))]
-        adj = {}
-        for (a, b) in c.inclusions:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(adj.get(x, ()))
-        if len(seen) != len(c.faces):
-            missing = sorted(set(c.faces) - seen)
-            report.add("connectivity", missing[0], "complex is not connected")
+    forest = _forest(list(c.faces), [(key, *key) for key in c.inclusions])
+    roots = [i for i, (_, parent, _, _) in enumerate(forest) if parent is None]
+    if len(roots) > 1:  # name the least face outside the first face's tree
+        report.add("connectivity", min(fid for fid, _, _, _ in forest[roots[1]:]),
+                   "complex is not connected")
     return report
 
 

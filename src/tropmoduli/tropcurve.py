@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CycleInconsistency, Disconnected, UnbalancedType, Unstabilizable
-from .exact_linalg import frac, ivec, vec, vec_add, vec_is_zero, vec_scale, vec_sub
+from .exact_linalg import _forest, frac, ivec, vec, vec_scale, vec_sub
 
 
 @dataclass(frozen=True)
@@ -90,20 +90,8 @@ class WeightedGraph:
         return len(self.star_items(v))
 
     def is_connected(self) -> bool:
-        ids = self.vertex_ids()
-        adj = {v: set() for v in ids}
-        for _, u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = set()
-        stack = [ids[0]]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(adj[x])
-        return len(seen) == len(ids)
+        forest = _forest(self.vertex_ids(), self.edges)
+        return all(parent is not None for _, parent, _, _ in forest[1:])
 
 
 class CombinatorialType:
@@ -240,60 +228,50 @@ class Degree:
         return Degree(ext, tuple(s for s in ext if any(x != 0 for x in s)))
 
 
+def _place(forest, origin, lengths, slopes) -> dict:
+    """Positions along a ``_forest``: each root at ``origin``, each other
+    vertex one edge relation away from its parent."""
+    pos = {}
+    for v, parent, e, sign in forest:
+        if parent is None:
+            pos[v] = origin
+        else:
+            step = sign * lengths[e]
+            pos[v] = tuple(p + step * s for p, s in zip(pos[parent], slopes[e]))
+    return pos
+
+
 def realize(t: CombinatorialType, lengths: dict, root_position,
             root=None) -> ParameterizedTropicalCurve:
     """Propagate positions from the root along a spanning tree.
 
-    Fails with CycleInconsistency when a non-tree edge (or a loop with
-    nonzero slope) closes inconsistently; the witness cycle is attached to
-    the exception.
+    Fails with Disconnected when the tree misses a vertex, and otherwise
+    with CycleInconsistency at the least edge id whose relation fails: a
+    non-tree edge that closes inconsistently or a loop with nonzero slope.
+    The witness cycle is attached to the exception.
     """
     report = check_balanced(t)
     if not report.ok:
         raise UnbalancedType(f"unbalanced at {[v for v, _ in report.failures]}")
     curve = TropicalCurve(t.graph, dict(lengths))
-    ids = sorted(t.graph.vertex_ids())
     if root is None:
-        root = ids[0]
-    positions = {root: vec(root_position)}
-    tree_path = {root: ()}  # vertex -> edge ids from root
-    queue = [root]
-    non_tree = []
-    visited_edges = set()
-    while queue:
-        u = queue.pop(0)
-        for item in sorted(t.graph.star_items(u)):
-            if item[0] != "edge":
-                continue
-            _, eid, forward = item
-            if eid in visited_edges:
-                continue
-            a, b = t.graph.edge_ends(eid)
-            other = b if u == a and forward else a
-            if a == b:  # loop
-                visited_edges.add(eid)
-                if not vec_is_zero(vec(t.slopes[eid])):
-                    raise CycleInconsistency(
-                        f"loop {eid!r} has nonzero slope", cycle=(eid,))
-                continue
-            if other in positions:
-                non_tree.append(eid)
-                visited_edges.add(eid)
-                continue
-            visited_edges.add(eid)
-            step = vec_scale(curve.lengths[eid], vec(t.slope_of_item(item)))
-            positions[other] = vec_add(positions[u], step)
-            tree_path[other] = tree_path[u] + (eid,)
-            queue.append(other)
-    if len(positions) != len(ids):
+        root = min(t.graph.vertex_ids())
+    edges = sorted(t.graph.edges)
+    forest = _forest((root, *t.graph.vertex_ids()), edges)
+    if any(parent is None for _, parent, _, _ in forest[1:]):
         raise Disconnected("type graph is not connected")
-    for eid in non_tree:
-        a, b = t.graph.edge_ends(eid)
-        expect = vec_scale(curve.lengths[eid], vec(t.slopes[eid]))
-        if vec_sub(positions[b], positions[a]) != expect:
-            cycle = tree_path[a] + (eid,) + tuple(reversed(tree_path[b]))
-            raise CycleInconsistency(
-                f"edge {eid!r} closes a cycle with nonzero slope sum", cycle=cycle)
+    positions = _place(forest, vec(root_position), curve.lengths, t.slopes)
+    path = {}  # tree edges from the root down to each vertex
+    for v, parent, e, _ in forest:
+        path[v] = () if parent is None else path[parent] + (e,)
+    for eid, a, b in edges:
+        if vec_sub(positions[b], positions[a]) == vec_scale(curve.lengths[eid], vec(t.slopes[eid])):
+            continue
+        if a == b:
+            raise CycleInconsistency(f"loop {eid!r} has nonzero slope", cycle=(eid,))
+        cycle = path[a] + (eid,) + path[b][::-1]
+        raise CycleInconsistency(
+            f"edge {eid!r} closes a cycle with nonzero slope sum", cycle=cycle)
     return ParameterizedTropicalCurve(curve, positions, dict(t.slopes), t.dim)
 
 

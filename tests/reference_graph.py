@@ -1,0 +1,202 @@
+"""Reference graph walks for differential tests.
+
+These are the traversals that ``WeightedGraph.is_connected`` (a depth-first
+search), ``contract_any_slope`` (a union-find), ``realize`` (its own
+breadth-first search), ``connected_through_walls`` (a ``deque`` BFS) and
+``_spanning_forest`` (a BFS building its path dicts as it goes) used before
+they all moved onto the one walk ``exact_linalg._forest``.  Results must be
+identical; ``realize`` must also raise the same exception, message and
+witness cycle on an input with a single defect.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from tropmoduli.errors import CycleInconsistency, Disconnected, SeedNotInGraph, UnbalancedType
+from tropmoduli.exact_linalg import vec, vec_add, vec_is_zero, vec_scale, vec_sub
+from tropmoduli.moduli import canonical_form
+from tropmoduli.tropcurve import (
+    CombinatorialType,
+    ParameterizedTropicalCurve,
+    TropicalCurve,
+    WeightedGraph,
+    check_balanced,
+)
+
+
+def is_connected(g: WeightedGraph) -> bool:
+    ids = g.vertex_ids()
+    adj = {v: set() for v in ids}
+    for _, u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = set()
+    stack = [ids[0]]
+    while stack:
+        x = stack.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        stack.extend(adj[x])
+    return len(seen) == len(ids)
+
+
+def spanning_forest(vertices, edges):
+    adj = {v: [] for v in vertices}
+    for eid, u, v in edges:
+        adj[u].append((eid, v, 1))
+        adj[v].append((eid, u, -1))
+    forest, path, tree_edges = [], {}, set()
+    for root in vertices:
+        if root in path:
+            continue
+        path[root] = {}
+        forest.append((root, None, None, 0))
+        queue = [root]
+        for u in queue:
+            for eid, w, sign in adj[u]:
+                if w not in path:
+                    path[w] = {**path[u], eid: sign}
+                    forest.append((w, u, eid, sign))
+                    tree_edges.add(eid)
+                    queue.append(w)
+    cycles = []
+    for eid, u, v in edges:
+        if eid in tree_edges:
+            continue
+        coef = {eid: 1}
+        for f, sign in path[v].items():
+            coef[f] = coef.get(f, 0) - sign
+        for f, sign in path[u].items():
+            coef[f] = coef.get(f, 0) + sign
+        cycles.append(coef)
+    return tuple(forest), cycles
+
+
+def contract_any_slope(t: CombinatorialType, edges) -> CombinatorialType:
+    edges = set(edges)
+    g = t.graph
+    known = {e for e, _, _ in g.edges}
+    if not edges <= known:
+        raise KeyError(f"unknown edges {sorted(edges - known)}")
+    parent = {v: v for v in g.vertex_ids()}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e, u, v in g.edges:
+        if e in edges and u != v:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[max(ru, rv)] = min(ru, rv)
+    comp = {}
+    for v in g.vertex_ids():
+        comp.setdefault(find(v), []).append(v)
+    name = {r: min(vs) for r, vs in comp.items()}
+
+    weights = {}
+    for r, vs in comp.items():
+        w = sum(dict(g.vertices)[v] for v in vs)
+        internal = sum(1 for e, u, v in g.edges
+                       if e in edges and find(u) == r and find(v) == r)
+        w += internal - (len(vs) - 1)
+        weights[name[r]] = w
+
+    new_edges, new_slopes = [], {}
+    for e, u, v in g.edges:
+        if e in edges:
+            continue
+        new_edges.append((e, name[find(u)], name[find(v)]))
+        new_slopes[e] = t.slopes[e]
+    new_legs = tuple((lid, name[find(v)]) for lid, v in g.legs)
+    for lid, _ in g.legs:
+        new_slopes[lid] = t.slopes[lid]
+    graph = WeightedGraph(tuple(sorted(weights.items())), tuple(sorted(new_edges)), new_legs)
+    return CombinatorialType(graph, new_slopes, t.dim)
+
+
+def realize(t: CombinatorialType, lengths: dict, root_position,
+            root=None) -> ParameterizedTropicalCurve:
+    report = check_balanced(t)
+    if not report.ok:
+        raise UnbalancedType(f"unbalanced at {[v for v, _ in report.failures]}")
+    curve = TropicalCurve(t.graph, dict(lengths))
+    ids = sorted(t.graph.vertex_ids())
+    if root is None:
+        root = ids[0]
+    positions = {root: vec(root_position)}
+    tree_path = {root: ()}
+    queue = [root]
+    non_tree = []
+    visited_edges = set()
+    while queue:
+        u = queue.pop(0)
+        for item in sorted(t.graph.star_items(u)):
+            if item[0] != "edge":
+                continue
+            _, eid, forward = item
+            if eid in visited_edges:
+                continue
+            a, b = t.graph.edge_ends(eid)
+            other = b if u == a and forward else a
+            if a == b:
+                visited_edges.add(eid)
+                if not vec_is_zero(vec(t.slopes[eid])):
+                    raise CycleInconsistency(
+                        f"loop {eid!r} has nonzero slope", cycle=(eid,))
+                continue
+            if other in positions:
+                non_tree.append(eid)
+                visited_edges.add(eid)
+                continue
+            visited_edges.add(eid)
+            step = vec_scale(curve.lengths[eid], vec(t.slope_of_item(item)))
+            positions[other] = vec_add(positions[u], step)
+            tree_path[other] = tree_path[u] + (eid,)
+            queue.append(other)
+    if len(positions) != len(ids):
+        raise Disconnected("type graph is not connected")
+    for eid in non_tree:
+        a, b = t.graph.edge_ends(eid)
+        expect = vec_scale(curve.lengths[eid], vec(t.slopes[eid]))
+        if vec_sub(positions[b], positions[a]) != expect:
+            cycle = tree_path[a] + (eid,) + tuple(reversed(tree_path[b]))
+            raise CycleInconsistency(
+                f"edge {eid!r} closes a cycle with nonzero slope sum", cycle=cycle)
+    return ParameterizedTropicalCurve(curve, positions, dict(t.slopes), t.dim)
+
+
+def connected_through_walls(wg, t1: CombinatorialType, t2: CombinatorialType):
+    k1 = canonical_form(t1).string
+    k2 = canonical_form(t2).string
+    if k1 not in wg.node_key or k2 not in wg.node_key:
+        raise SeedNotInGraph("queried type is not a node of the wall graph")
+    start, goal = wg.node_key[k1], wg.node_key[k2]
+    if start == goal:
+        return True, (start,)
+    walls_at = {}
+    for wid, _, res in wg.walls:
+        for nid in res:
+            walls_at.setdefault(nid, []).append((wid, res))
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        nid = queue.popleft()
+        for wid, res in walls_at.get(nid, ()):
+            for other in res:
+                if other not in prev:
+                    prev[other] = (nid, wid)
+                    if other == goal:
+                        path = [other]
+                        cur = other
+                        while prev[cur] is not None:
+                            pn, pw = prev[cur]
+                            path.extend([pw, pn])
+                            cur = pn
+                        return True, tuple(reversed(path))
+                    queue.append(other)
+    return False, None

@@ -544,3 +544,161 @@ def test_cli_rejects_bad_positions(tmp_path, capsys, verb, doc, pointer):
     report = json.loads(out)
     assert report["status"] == "error"
     assert report["payload"]["pointer"] == pointer
+
+
+_REPORT_KEYS = {"schema", "verb", "status", "payload", "summary"}
+
+
+def _dim_3_type_without_length(doc):
+    """Face R0 gets a type in Z^3 and loses its edge length."""
+    face = doc["faces"][1]
+    face["type"]["dim"] = 3
+    for item in face["type"]["edges"] + face["type"]["legs"]:
+        item["slope"].append(0)
+    del face["lengths"]["e"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["faces"][1]["lengths"].pop("e"), "missing affine data for ['e']"),
+    (lambda doc: doc["faces"][1]["positions"].pop("va"), "missing affine data for ['va']"),
+    (lambda doc: doc["faces"][1]["lengths"].update(e={"linear": [], "offset": "1"}),
+     "length of 'e' has linear part of wrong arity"),
+    (lambda doc: doc["faces"][1]["positions"]["va"].update(linear=[[1, 2], [0, 0]]),
+     "position of 'va' has affine data of wrong shape"),
+    (_dim_3_type_without_length, "type lives in Z^3, family in Z^2"),
+], ids=["no-length", "no-position", "short-length", "wide-position", "wrong-dim-no-length"])
+def test_cli_family_with_malformed_face_data_reports_axiom_1(tmp_path, capsys, edit, message):
+    fpath = _write(tmp_path, "family.json", _family_doc(edit))
+    code, out = _run(capsys, ["validate-family", fpath])
+    assert code == 1
+    report = json.loads(out)
+    assert set(report) == _REPORT_KEYS and report["status"] == "violations"
+    assert report["payload"]["violations"] == [{"axiom": "1", "subject": "R0", "message": message}]
+    for verb in ("alpha", "verdicts"):
+        code, out = _run(capsys, [verb, fpath])
+        assert code == 2
+        report = json.loads(out)
+        assert set(report) == _REPORT_KEYS and report["status"] == "error"
+        assert report["payload"] == {"error": "InvalidFamily",
+                                     "message": f"AXIOM(1) violated at R0: {message}"}
+
+
+@pytest.mark.parametrize("edit, pointer", [
+    (lambda doc: doc["faces"].append(copy.deepcopy(doc["faces"][1])), "/faces/3/face"),
+    (lambda doc: doc["contractions"].append(copy.deepcopy(doc["contractions"][0])),
+     "/contractions/2"),
+    (lambda doc: doc["faces"][1]["lengths"].update(zz={"linear": [0], "offset": "1"}),
+     "/faces/1/lengths/zz"),
+], ids=["repeated-face", "repeated-contraction", "unknown-edge-length"])
+def test_cli_rejects_repeated_or_unknown_family_entries(tmp_path, capsys, edit, pointer):
+    fpath = _write(tmp_path, "family.json", _family_doc(edit))
+    for verb in ("validate-family", "alpha", "verdicts"):
+        code, out = _run(capsys, [verb, fpath])
+        assert code == 2
+        report = json.loads(out)
+        assert set(report) == _REPORT_KEYS and report["status"] == "error"
+        assert report["payload"]["pointer"] == pointer
+
+
+def _reversed_names(ids, prefix):
+    """New names for ``ids`` that sort in the opposite order."""
+    old = sorted(set(ids))
+    return {x: f"{prefix}{len(old) - 1 - i:02d}" for i, x in enumerate(old)}
+
+
+def _rename_type_doc(doc, vmap, emap):
+    for vd in doc["vertices"]:
+        vd["id"] = vmap[vd["id"]]
+    for ed in doc.get("edges", []):
+        ed["id"], ed["u"], ed["v"] = emap[ed["id"]], vmap[ed["u"]], vmap[ed["v"]]
+    for ld in doc.get("legs", []):
+        ld["v"] = vmap[ld["v"]]
+
+
+def _renamed(doc):
+    """The same type or family document with every vertex and edge id renamed
+    consistently, so that the ids sort in reverse; returns it with the
+    vertex renaming."""
+    doc = copy.deepcopy(doc)
+    types = [fd["type"] for fd in doc["faces"]] if "faces" in doc else [doc]
+    vmap = _reversed_names([vd["id"] for td in types for vd in td["vertices"]], "x")
+    emap = _reversed_names([ed["id"] for td in types for ed in td.get("edges", [])], "f")
+    for td in types:
+        _rename_type_doc(td, vmap, emap)
+    for fd in doc.get("faces", []):
+        fd["lengths"] = {emap[e]: fn for e, fn in fd["lengths"].items()}
+        fd["positions"] = {vmap[v]: mp for v, mp in fd["positions"].items()}
+    for cd in doc.get("contractions", []):
+        cd["vertex_map"] = {vmap[a]: vmap[b] for a, b in cd["vertex_map"].items()}
+        cd["edge_map"] = {emap[a]: emap[b] for a, b in cd["edge_map"].items()}
+    return doc, vmap
+
+
+def test_classify_ignores_vertex_and_edge_names(tmp_path, capsys):
+    from tropmoduli.moduli import enumerate_types
+    types = [cross_type(), resolution_type(1), resolution_type(3)]
+    types += enumerate_types(0, 0, ((1, 0), (1, 0), (0, 1), (-2, 0), (0, -1)), 2)
+    types += enumerate_types(1, 1, ((1, 0), (0, 1), (-1, -1)), 3)
+    assert any(u == v for t in types for _, u, v in t.graph.edges)  # loops
+    for t in types:
+        doc = docs.type_to_doc(t)
+        renamed, vmap = _renamed(doc)
+        assert renamed != doc
+        code, out = _run(capsys, ["classify", _write(tmp_path, "t.json", doc)])
+        code2, out2 = _run(capsys, ["classify", _write(tmp_path, "t2.json", renamed)])
+        assert code == code2 == 0
+        want, got = json.loads(out)["payload"], json.loads(out2)["payload"]
+        assert got["canonical"] == want["canonical"]
+        assert got["classification"] == want["classification"]
+        assert got["four_valent_vertex"] == vmap.get(want["four_valent_vertex"])
+
+
+def _reverify(fpath, verdict):
+    """The certificate's combination of the star derivatives of the lifts lies
+    in the span of the face's own image."""
+    from tropmoduli.exact_linalg import rank
+    from tropmoduli.family import induced_alpha
+    from tropmoduli.polyhedral import star
+    with open(fpath) as fh:
+        f = docs.family_from_doc(json.load(fh))
+    alpha = induced_alpha(f)
+    image = [tuple(col) for col in zip(*alpha.lifts[verdict["face"]].linear)]
+    total = None
+    for (cofacet, e), coef in zip(star(f.base, verdict["face"]).directions,
+                                  verdict["certificate"]):
+        assert coef > 0
+        d = tuple(sum(a * x for a, x in zip(row, e)) for row in alpha.lifts[cofacet].linear)
+        total = tuple(coef * x for x in d) if total is None else \
+            tuple(a + coef * x for a, x in zip(total, d))
+    assert rank(image + [total]) == rank(image)
+
+
+def test_alpha_and_verdicts_ignore_vertex_and_edge_names(tmp_path, capsys):
+    families = [ray_wall_family((1,)), ray_wall_family((1, 2, 3)), segment_family(),
+                two_ray_resolution_family(((1, 0), (-1, 0))),
+                two_ray_resolution_family(((1, 0), (-2, 0)))]
+    kinds = set()
+    for fam in families:
+        doc = docs.family_to_doc(fam)
+        renamed, _ = _renamed(doc)
+        assert renamed != doc
+        paths = [_write(tmp_path, "f.json", doc), _write(tmp_path, "f2.json", renamed)]
+        alphas = []
+        for path in paths:
+            code, out = _run(capsys, ["alpha", path])
+            assert code == 0
+            payload = json.loads(out)["payload"]
+            alphas.append(([(s["face"], s["canonical"], s["image_dim"]) for s in payload["faces"]],
+                           payload["image_strata"]))
+        assert alphas[0] == alphas[1]
+        verdicts = []
+        for path in paths:
+            code, out = _run(capsys, ["verdicts", path])
+            assert code == 0
+            verdicts.append(json.loads(out)["payload"]["verdicts"])
+            for v in verdicts[-1]:
+                if "certificate" in v:
+                    _reverify(path, v)
+        assert verdicts[0] == verdicts[1]
+        kinds |= {v["verdict"] for v in verdicts[0]}
+    assert len(kinds) == 4, kinds

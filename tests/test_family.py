@@ -81,6 +81,18 @@ def test_validate_catches_bad_slope_under_contraction():
     assert not report.ok
 
 
+def test_preimage_classes_must_be_connected():
+    """Merging the ends of a surviving edge leaves their preimage class with
+    no contracted edge inside: a disconnected preimage."""
+    from tropmoduli.family import Contraction
+    f = two_ray_resolution_family()
+    f.contractions[("O", "R0")] = Contraction(vertex_map={"va": "va", "vb": "va"},
+                                              edge_map={"e": "e"})
+    found = [(v.axiom, v.subject, v.message) for v in validate_family(f).violations]
+    assert ("contraction", "O->R0", "preimage of 'va' is not connected") in found
+    assert validate_family(ray_wall_family((1, 2))).ok  # {va, vb} joined by contracted e
+
+
 # ---------------------------------------------------------------------------
 # fibers
 # ---------------------------------------------------------------------------
