@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import DimMismatch, InputError, UnknownFace
 from .exact_linalg import frac
 from .family import (
     AffineFn,
@@ -157,7 +157,7 @@ def complex_from_doc(doc, pointer="") -> PolyhedralComplex:
                 raise InputError("expected the id of a declared face", f"{pointer}/maximal/{i}")
     try:
         return PolyhedralComplex(faces, incs, maximal_faces=maximal)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, UnknownFace, DimMismatch) as exc:
         raise InputError(str(exc), pointer) from None
 
 
@@ -357,6 +357,8 @@ def family_from_doc(doc, pointer="") -> FamilyDatum:
         fid = _expect(fd, "face", str, p)
         if fid in face_data:
             raise InputError(f"repeated face {fid!r}", f"{p}/face")
+        if fid not in base.faces:
+            raise InputError(f"face {fid!r} is not in the base", f"{p}/face")
         t, _, _ = type_from_doc(_expect(fd, "type", dict, p), f"{p}/type")
         edge_ids = {e for e, _, _ in t.graph.edges}
         lengths = {}
@@ -388,6 +390,8 @@ def family_from_doc(doc, pointer="") -> FamilyDatum:
         key = (_expect(cd, "sub", str, p), _expect(cd, "super", str, p))
         if key in contractions:
             raise InputError(f"repeated contraction {key[0]!r} -> {key[1]!r}", p)
+        if key not in base.inclusions:
+            raise InputError(f"{key[0]!r} -> {key[1]!r} is not an inclusion of the base", p)
         contractions[key] = Contraction(
             vertex_map=dict(_expect(cd, "vertex_map", dict, p)),
             edge_map=dict(_expect(cd, "edge_map", dict, p, default={}, required=False) or {}),

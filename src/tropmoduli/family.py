@@ -366,7 +366,10 @@ def fiber(f: FamilyDatum, fid: str, coords) -> ParameterizedTropicalCurve:
         lengths[e] = val
     positions = {u: data.positions[u](x) for u in data.type.graph.vertex_ids()}
     curve = TropicalCurve(data.type.graph, lengths)
-    return ParameterizedTropicalCurve(curve, positions, dict(data.type.slopes), f.dim)
+    p = ParameterizedTropicalCurve(curve, positions, dict(data.type.slopes), f.dim)
+    if not p.is_valid():
+        raise InvalidFamily(f"the fiber at a point of {where!r} is not a valid curve")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -893,9 +893,9 @@ class WallGraph:
 def wall_graph(types) -> WallGraph:
     """Node/wall incidence graph of weightless 3-valent types.
 
-    Walls are the almost 3-valent types obtained by contracting one
-    non-loop edge of a node; a wall's incidences are the resolutions that
-    appear in the node set.
+    A node meets a wall when contracting one of its non-loop edges gives
+    that wall; the walls are the weightless almost 3-valent types met this
+    way, and a wall's incidences are exactly its resolutions in the node set.
     """
     if not types:
         return WallGraph((), (), {})
@@ -913,24 +913,18 @@ def wall_graph(types) -> WallGraph:
         canon_nodes.setdefault(cf.string, cf.type)
     node_key = {k: f"n{i}" for i, k in enumerate(sorted(canon_nodes))}
 
+    # contracting a non-loop edge between two weightless 3-valent vertices
+    # leaves one weightless 4-valent vertex, and balancing there forces the
+    # slope of the edge: the node is the resolution of that pairing
     walls = {}
-    for k in node_key:
+    for k, nid in node_key.items():
         t = canon_nodes[k]
         for e, u, v in t.graph.edges:
-            if u == v:
-                continue
-            w = contract_any_slope(t, {e})
-            cls = classify(w)
-            if cls.classification != WallClassification.WEIGHTLESS_ALMOST_3VALENT:
-                continue
-            cf = canonical_form(w)
-            if cf.string in walls:
-                continue
-            keys = _resolutions(cf.type, classify(cf.type).four_valent_vertex)
-            incident = sorted({node_key[k] for k in keys if k in node_key})
-            walls[cf.string] = (cf.type, tuple(incident))
-    wall_list = tuple(
-        (f"w{i}", walls[k][0], walls[k][1]) for i, k in enumerate(sorted(walls)))
+            if u != v:
+                cf = canonical_form(contract_any_slope(t, {e}))
+                walls.setdefault(cf.string, (cf.type, set()))[1].add(nid)
+    wall_list = tuple((f"w{i}", walls[k][0], tuple(sorted(walls[k][1])))
+                      for i, k in enumerate(sorted(walls)))
     nodes = tuple((nid, canon_nodes[k]) for k, nid in node_key.items())
     return WallGraph(nodes=nodes, walls=wall_list, node_key=node_key)
 

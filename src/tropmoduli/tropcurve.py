@@ -54,12 +54,6 @@ class WeightedGraph:
             if v not in vset:
                 raise ValueError(f"leg {l!r} attached to unknown vertex")
 
-    def weight(self, v) -> int:
-        for vid, w in self.vertices:
-            if vid == v:
-                return w
-        raise KeyError(v)
-
     def vertex_ids(self):
         return [v for v, _ in self.vertices]
 

@@ -7,21 +7,40 @@ breadth-first search), ``connected_through_walls`` (a ``deque`` BFS) and
 they all moved onto the one walk ``exact_linalg._forest``.  Results must be
 identical; ``realize`` must also raise the same exception, message and
 witness cycle on an input with a single defect.
+
+``reference_wall_graph`` is ``wall_graph`` as it was before it took its
+incidences from one-edge contractions alone: it contracts each non-loop
+edge of each node, keeps the weightless almost 3-valent results, and
+rebuilds every new wall's resolutions to find the nodes that meet it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from tropmoduli.errors import CycleInconsistency, Disconnected, SeedNotInGraph, UnbalancedType
+from tropmoduli.errors import (
+    CycleInconsistency,
+    Disconnected,
+    MixedInvariants,
+    SeedNotInGraph,
+    UnbalancedType,
+)
 from tropmoduli.exact_linalg import vec, vec_add, vec_is_zero, vec_scale, vec_sub
-from tropmoduli.moduli import canonical_form
+from tropmoduli.moduli import (
+    WallClassification,
+    WallGraph,
+    _resolutions,
+    canonical_form,
+    classify,
+)
 from tropmoduli.tropcurve import (
     CombinatorialType,
     ParameterizedTropicalCurve,
     TropicalCurve,
     WeightedGraph,
     check_balanced,
+    extended_degree,
+    genus,
 )
 
 
@@ -200,3 +219,42 @@ def connected_through_walls(wg, t1: CombinatorialType, t2: CombinatorialType):
                         return True, tuple(reversed(path))
                     queue.append(other)
     return False, None
+
+
+def reference_wall_graph(types) -> WallGraph:
+    if not types:
+        return WallGraph((), (), {})
+    invariants = set()
+    for t in types:
+        if classify(t).classification != WallClassification.WEIGHTLESS_3VALENT:
+            raise MixedInvariants("wall graph nodes must be weightless and 3-valent")
+        invariants.add((genus(t.graph), t.dim, extended_degree(t)))
+    if len(invariants) > 1:
+        raise MixedInvariants(f"mixed invariants: {sorted(invariants)}")
+
+    canon_nodes = {}
+    for t in types:
+        cf = canonical_form(t)
+        canon_nodes.setdefault(cf.string, cf.type)
+    node_key = {k: f"n{i}" for i, k in enumerate(sorted(canon_nodes))}
+
+    walls = {}
+    for k in node_key:
+        t = canon_nodes[k]
+        for e, u, v in t.graph.edges:
+            if u == v:
+                continue
+            w = contract_any_slope(t, {e})
+            cls = classify(w)
+            if cls.classification != WallClassification.WEIGHTLESS_ALMOST_3VALENT:
+                continue
+            cf = canonical_form(w)
+            if cf.string in walls:
+                continue
+            keys = _resolutions(cf.type, classify(cf.type).four_valent_vertex)
+            incident = sorted({node_key[k] for k in keys if k in node_key})
+            walls[cf.string] = (cf.type, tuple(incident))
+    wall_list = tuple(
+        (f"w{i}", walls[k][0], walls[k][1]) for i, k in enumerate(sorted(walls)))
+    nodes = tuple((nid, canon_nodes[k]) for k, nid in node_key.items())
+    return WallGraph(nodes=nodes, walls=wall_list, node_key=node_key)

@@ -702,3 +702,60 @@ def test_alpha_and_verdicts_ignore_vertex_and_edge_names(tmp_path, capsys):
         assert verdicts[0] == verdicts[1]
         kinds |= {v["verdict"] for v in verdicts[0]}
     assert len(kinds) == 4, kinds
+
+
+def test_cli_fiber_refuses_a_point_whose_curve_is_invalid(tmp_path, capsys):
+    fpath = _write(tmp_path, "family.json", docs.family_to_doc(ray_wall_family((1, 2), -1)))
+    code, out = _run(capsys, ["fiber", fpath, "--face", "R0", "--point", '["2"]'])
+    assert code == 2
+    report = json.loads(out)
+    assert set(report) == _REPORT_KEYS and report["status"] == "error"
+    assert report["payload"]["error"] == "InvalidFamily"
+    code, out = _run(capsys, ["fiber", fpath, "--face", "R0", "--point", '["1/2"]'])
+    assert code == 2 and "length of 'e'" in json.loads(out)["payload"]["message"]
+    valid = _write(tmp_path, "valid.json", docs.family_to_doc(ray_wall_family((1, 2))))
+    code, out = _run(capsys, ["fiber", valid, "--face", "R0", "--point", '["2"]'])
+    assert code == 0
+    curve = _write(tmp_path, "curve.json", json.loads(out)["payload"])
+    assert _run(capsys, ["validate-curve", curve])[0] == 0
+
+
+def _unknown_face(doc):
+    doc["faces"].append({**copy.deepcopy(doc["faces"][1]), "face": "ZZ"})
+
+
+def _contraction_off_the_base(doc):
+    doc["contractions"].append({"sub": "R0", "super": "R1", "vertex_map": {"va": "va", "vb": "vb"},
+                                "edge_map": {"e": "e"}})
+
+
+@pytest.mark.parametrize("edit, pointer", [
+    (_unknown_face, "/faces/3/face"),
+    (_contraction_off_the_base, "/contractions/2"),
+], ids=["unknown-face", "contraction-not-an-inclusion"])
+def test_cli_rejects_family_entries_the_base_lacks(tmp_path, capsys, edit, pointer):
+    fpath = _write(tmp_path, "family.json", _family_doc(edit))
+    for verb in ("validate-family", "alpha"):
+        code, out = _run(capsys, [verb, fpath])
+        assert code == 2
+        report = json.loads(out)
+        assert set(report) == _REPORT_KEYS and report["status"] == "error"
+        assert report["payload"]["pointer"] == pointer
+
+
+@pytest.mark.parametrize("edit", [
+    lambda inc: inc.update(sub="ZZ"),
+    lambda inc: inc.update(offset=["0", "0"]),
+], ids=["undeclared-face", "wrong-shape"])
+def test_cli_rejects_bad_complex_inclusions_at_the_complex(tmp_path, capsys, edit):
+    from helpers import segment_complex
+    cdoc = docs.complex_to_doc(segment_complex())
+    edit(cdoc["inclusions"][0])
+    fdoc = _family_doc(lambda doc: None)
+    edit(fdoc["base"]["inclusions"][0])
+    for verb, doc, pointer in (("validate-complex", cdoc, ""), ("validate-family", fdoc, "/base")):
+        code, out = _run(capsys, [verb, _write(tmp_path, "doc.json", doc)])
+        assert code == 2
+        report = json.loads(out)
+        assert set(report) == _REPORT_KEYS and report["status"] == "error"
+        assert report["payload"]["pointer"] == pointer
