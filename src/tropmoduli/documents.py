@@ -63,6 +63,8 @@ def _expect(doc, key, kind, pointer, default=None, required=True):
 
 
 def _int_list(values, pointer):
+    if not isinstance(values, list):
+        raise InputError("expected a list of integers", pointer)
     out = []
     for i, x in enumerate(values):
         if isinstance(x, bool) or not isinstance(x, int):
@@ -76,6 +78,13 @@ def _str_list(values, pointer):
         if not isinstance(x, str):
             raise InputError("expected a string", f"{pointer}/{i}")
     return tuple(values)
+
+
+def _str_map(values, pointer):
+    for k, x in values.items():
+        if not isinstance(x, str):
+            raise InputError("expected a string", f"{pointer}/{k}")
+    return dict(values)
 
 
 def check_schema(doc, pointer=""):
@@ -195,7 +204,7 @@ def pair_from_doc(doc, pointer="") -> SemistablePairData:
     for i, pair in enumerate(_expect(doc, "order", list, pointer, default=[], required=False) or []):
         if not isinstance(pair, list) or len(pair) != 2:
             raise InputError("order entries are [below, above] pairs", f"{pointer}/order/{i}")
-        order.append((pair[0], pair[1]))
+        order.append(_str_list(pair, f"{pointer}/order/{i}"))
     return SemistablePairData(
         vertical_components=_str_list(_expect(doc, "vertical", list, pointer),
                                       f"{pointer}/vertical"),
@@ -393,8 +402,9 @@ def family_from_doc(doc, pointer="") -> FamilyDatum:
         if key not in base.inclusions:
             raise InputError(f"{key[0]!r} -> {key[1]!r} is not an inclusion of the base", p)
         contractions[key] = Contraction(
-            vertex_map=dict(_expect(cd, "vertex_map", dict, p)),
-            edge_map=dict(_expect(cd, "edge_map", dict, p, default={}, required=False) or {}),
+            vertex_map=_str_map(_expect(cd, "vertex_map", dict, p), f"{p}/vertex_map"),
+            edge_map=_str_map(_expect(cd, "edge_map", dict, p, default={}, required=False)
+                              or {}, f"{p}/edge_map"),
         )
     return FamilyDatum(base=base, dim=dim, extended_degree=ext,
                        face_data=face_data, contractions=contractions)

@@ -10,7 +10,9 @@ tableau with one common denominator; it returns exact Fractions.  The one
 row reduction (``_int_echelon``, behind ``rank``, ``solve_linear``,
 ``kernel_rational``, ``Subspace`` and ``span_membership``) is fraction-free
 Gauss-Jordan elimination on rows scaled to integers; results are divided by
-their pivots only where Fractions are returned.  Only ``det`` and the Smith
+their pivots only where Fractions are returned.  ``affine_apply`` and
+``affine_compose`` likewise sum integer numerators over one common
+denominator (``_over_common``).  Only ``det`` and the Smith
 normal form keep eliminations of their own.  The one multigraph traversal,
 ``_forest``, is a breadth-first spanning forest; its fundamental cycles are
 a lattice basis of the integer kernel of the incidence matrix.
@@ -147,14 +149,15 @@ def det(a: Mat) -> Fraction:
 # fraction-free elimination: rank, solve, kernel
 # ---------------------------------------------------------------------------
 
-def _integral(row) -> IVec:
-    """A rational row scaled to integers by the lcm of its denominators;
-    an all-int row is returned as it is."""
+def _over_common(row):
+    """A rational row as (integer numerators, the lcm of its denominators):
+    lowest terms, so equal rows give equal pairs.  An all-int row is
+    returned as it is, over 1."""
     if all(type(x) is int for x in row):
-        return row
+        return row, 1
     row = [frac(x) for x in row]
     den = lcm(1, *(x.denominator for x in row))
-    return tuple(_scaled(x, den) for x in row)
+    return tuple(_scaled(x, den) for x in row), den
 
 
 def _int_echelon(rows, ncols):
@@ -193,7 +196,7 @@ def _int_echelon(rows, ncols):
 def rank(rows: Sequence[Vec]) -> int:
     if not rows:
         return 0
-    return len(_int_echelon([_integral(r) for r in rows], len(rows[0]))[1])
+    return len(_int_echelon([_over_common(r)[0] for r in rows], len(rows[0]))[1])
 
 
 def solve_linear(a: Sequence[Vec], b: Vec) -> Optional[Vec]:
@@ -205,7 +208,8 @@ def solve_linear(a: Sequence[Vec], b: Vec) -> Optional[Vec]:
     if not a:
         return None if any(x != 0 for x in b) else ()
     ncols = len(a[0])
-    red, pivots = _int_echelon([_integral(tuple(row) + (bi,)) for row, bi in zip(a, b, strict=True)],
+    red, pivots = _int_echelon([_over_common(tuple(row) + (bi,))[0]
+                                for row, bi in zip(a, b, strict=True)],
                                ncols + 1)
     if pivots and pivots[-1] == ncols:  # pivot in the constant column: 0 = 1
         return None
@@ -218,7 +222,7 @@ def solve_linear(a: Sequence[Vec], b: Vec) -> Optional[Vec]:
 def kernel_rational(a: Sequence[Vec], ncols: int) -> list:
     """Basis of the rational kernel of the row system ``a`` on R^ncols: one
     vector per free column, 1 there and 0 in the other free columns."""
-    red, pivots = _int_echelon([_integral(r) for r in a], ncols)
+    red, pivots = _int_echelon([_over_common(r)[0] for r in a], ncols)
     basis = []
     for fcol in range(ncols):
         if fcol in pivots:
@@ -400,12 +404,18 @@ def integer_kernel(a: Sequence[IVec], ncols: int) -> list:
 
 
 def affine_apply(linear: Mat, offset: Vec, x: Vec) -> Vec:
-    return vec_add(mat_vec(linear, x), offset)
+    """linear · x + offset, summed over integers and made a Fraction once."""
+    if linear and len(linear[0]) != len(x):
+        raise DimMismatch(f"matrix has {len(linear[0])} columns, vector has {len(x)}")
+    (xs, xd), (bs, bd) = _over_common(x), _over_common(offset)
+    rows = [_over_common(row) for row in linear]
+    return tuple(Fraction(bd * sum(a * y for a, y in zip(r, xs)) + rd * xd * b, rd * xd * bd)
+                 for (r, rd), b in zip(rows, bs, strict=True))
 
 
 def affine_compose(outer_lin: Mat, outer_off: Vec, inner_lin: Mat, inner_off: Vec):
     """The affine map x -> outer(inner(x)) as a (linear, offset) pair."""
-    return mat_mul(outer_lin, inner_lin), vec_add(mat_vec(outer_lin, inner_off), vec(outer_off))
+    return mat_mul(outer_lin, inner_lin), affine_apply(outer_lin, outer_off, inner_off)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +502,7 @@ class Subspace:
     def from_spanning(vectors: Sequence[Vec], ambient_dim: int) -> "Subspace":
         """The subspace spanned, with the nonzero rows of the reduced row
         echelon form as its basis."""
-        red, pivots = _int_echelon([_integral(v) for v in vectors],
+        red, pivots = _int_echelon([_over_common(v)[0] for v in vectors],
                                    len(vectors[0]) if vectors else 0)
         basis = tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(red, pivots))
         return Subspace(ambient_dim, basis)
@@ -733,7 +743,7 @@ def strict_positive_combination(vectors: Sequence[Vec], target: Subspace):
     point = feasible_point(eqs, [], k + nb, strict=(), nonneg=nonneg)
     if point is None:
         return None
-    ints = list(primitive_vector(_integral([1 + point[i] for i in range(k)])))
+    ints = list(primitive_vector(_over_common([1 + point[i] for i in range(k)])[0]))
     assert all(x > 0 for x in ints)
     combo = zero_vec(dim)
     for ai, v in zip(ints, vectors):

@@ -3,10 +3,11 @@
 A family assigns to every face of the base complex a combinatorial type,
 an affine length function per edge and an affine position map per vertex,
 together with weighted contractions along face inclusions.  Validation
-checks the fiber condition on an affine-hull generating set of rational
-points per face, the length/position compatibilities along inclusions, and
-the zero-locus condition (an edge is contracted exactly when its length
-vanishes identically on the sub-face).
+checks the fiber condition per face, the length/position compatibilities
+along inclusions, and the zero-locus condition (an edge is contracted
+exactly when its length vanishes identically on the sub-face).  On a
+full-dimensional chart each is an identity of affine maps, decided once on
+their integer coefficients; points are evaluated only to name a failure.
 
 The induced moduli map assigns to each face the affine lift of the
 stabilized fiber into the stratum coordinates of its canonical type.
@@ -84,7 +85,7 @@ class AffineFn:
 
     def compose_embed(self, linear, offset) -> "AffineFn":
         """Restrict along an affine embedding of another chart."""
-        lin, off = affine_compose((self.linear,), (self.offset,), linear, vec(offset))
+        lin, off = affine_compose((self.linear,), (self.offset,), linear, offset)
         return AffineFn(tuple(lin[0]), off[0])
 
 
@@ -96,10 +97,10 @@ class AffineMapN:
     offset: tuple  # dim rationals
 
     def __call__(self, x):
-        return affine_apply(self.linear, vec(self.offset), vec(x))
+        return affine_apply(self.linear, self.offset, tuple(x))
 
     def compose_embed(self, linear, offset) -> "AffineMapN":
-        lin, off = affine_compose(self.linear, vec(self.offset), linear, vec(offset))
+        lin, off = affine_compose(self.linear, self.offset, linear, offset)
         return AffineMapN(tuple(tuple(r) for r in lin), tuple(off))
 
 
@@ -137,8 +138,9 @@ class FamilyDatum:
 def _generating_points(chart):
     """Vertices, an interior point, and interior +- ray/line displacements.
 
-    These affinely span a full-dimensional chart, so affine identities that
-    hold on them hold on the whole face.
+    These affinely span a full-dimensional chart, so an affine identity
+    fails on the face exactly when it fails at one of them; validation
+    builds them only to name such a point.
     """
     verts, rays, lines = chart.vrep()
     pts = [vec(v) for v in verts]
@@ -207,12 +209,12 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
             malformed.add(fid)
             continue
 
-        pts = _generating_points(face.chart)
+        pts = None  # built once per face, only when an edge relation fails
         verts, rays, lines = face.chart.vrep()
-        inner = face.chart.interior_point() if face.rank > 0 else face.chart.feasible_point()
         for e, u, v in t.graph.edges:
             fn = data.lengths[e]
             # nonnegative on the face: vertex values and recession signs
+            before = len(report.violations)
             for w in verts:
                 if fn(vec(w)) < 0:
                     report.add("1", fid, f"length of {e!r} is negative at vertex {w}")
@@ -225,16 +227,25 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
                 if sum(a * x for a, x in zip(fn.linear, l)) != 0:
                     report.add("1", fid, f"length of {e!r} is unbounded below along a line")
                     break
-            if inner is not None and fn(inner) <= 0:
+            # a length nonnegative on the face is 0 at an interior point only
+            # if it is identically 0; otherwise its interior value decides
+            if len(report.violations) == before:
+                vanishes = fn.is_zero()
+            else:
+                inner = face.chart.interior_point() if face.rank else face.chart.feasible_point()
+                vanishes = inner is not None and fn(inner) <= 0
+            if vanishes:
                 report.add("1", fid, f"length of {e!r} vanishes on the interior")
-            # edge relation as an identity, checked on the generating set
-            slope = vec(t.slopes[e])
-            for x in pts:
-                lhs = vec_sub(data.positions[v](x), data.positions[u](x))
-                if lhs != vec_scale(fn(x), slope):
-                    report.add("1", fid,
-                               f"edge relation fails for {e!r} at {tuple(map(str, x))}")
-                    break
+            # the edge relation P_v - P_u = l_e * slope, coefficient by coefficient
+            pu, pv, slope = data.positions[u], data.positions[v], t.slopes[e]
+            if any(tuple(y - x for x, y in zip(ru, rv)) != tuple(c * k for k in fn.linear)
+                   or ov - ou != c * fn.offset
+                   for ru, rv, ou, ov, c in zip(pu.linear, pv.linear, vec(pu.offset),
+                                                vec(pv.offset), slope)):
+                pts = pts or _generating_points(face.chart)
+                x = next(x for x in pts
+                         if vec_sub(pv(x), pu(x)) != vec_scale(fn(x), vec(slope)))
+                report.add("1", fid, f"edge relation fails for {e!r} at {tuple(map(str, x))}")
 
     # inclusion conditions (2), (3) and the zero-locus iff
     for (sub, sup), inc in sorted(f.base.inclusions.items()):
@@ -303,7 +314,7 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
                 report.add("contraction", subject,
                            f"weight of {x!r} is not the contracted genus")
 
-        sub_pts = _generating_points(f.base.face(sub).chart)
+        # restrictions agree on the full-dimensional sub chart iff their coefficients do
         lens_sub = f.face_data[sub].lengths
         lens_sup = f.face_data[sup].lengths
         pos_sub = f.face_data[sub].positions
@@ -312,7 +323,7 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
             restricted = lens_sup[e].compose_embed(inc.linear, inc.offset)
             if e in phi.edge_map:
                 target = lens_sub[phi.edge_map[e]]
-                if any(restricted(x) != target(x) for x in sub_pts):
+                if restricted.linear != tuple(target.linear) or restricted.offset != target.offset:
                     report.add("2", subject, f"length of {e!r} disagrees on the sub-face")
                 if restricted.is_zero():
                     report.add("zero-locus", subject,
@@ -324,7 +335,8 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
         for u in gsup.vertex_ids():
             restricted = pos_sup[u].compose_embed(inc.linear, inc.offset)
             target = pos_sub[vm[u]]
-            if any(restricted(x) != target(x) for x in sub_pts):
+            if restricted.linear != tuple(map(tuple, target.linear)) \
+                    or restricted.offset != vec(target.offset):
                 report.add("3", subject, f"position of {u!r} disagrees on the sub-face")
     return report
 
@@ -357,6 +369,10 @@ def fiber(f: FamilyDatum, fid: str, coords) -> ParameterizedTropicalCurve:
     """The parameterized tropical curve over a rational point of the base."""
     where, x = locate(f.base, fid, coords)
     data = f.face_data[where]
+    missing = [e for e, _, _ in data.type.graph.edges if e not in data.lengths]
+    missing += [v for v in data.type.graph.vertex_ids() if v not in data.positions]
+    if missing:
+        raise InvalidFamily(f"face {where!r} has no affine data for {missing}")
     lengths = {}
     for e, _, _ in data.type.graph.edges:
         val = data.lengths[e](x)
@@ -558,9 +574,7 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
                                     [stab_sup.edge_chains[rev_emap[e]] for e in edges_w],
                                     [rev_vmap[u] for u in verts_w])
             # the rewritten lift must restrict to the face lift exactly
-            lin_r, off_r = affine_compose(rows, vec(offs), inc.linear, vec(inc.offset))
-            if tuple(tuple(r) for r in lin_r) != tuple(tuple(r) for r in lift_w.linear) \
-                    or vec(off_r) != vec(lift_w.offset):
+            if affine_compose(rows, offs, inc.linear, inc.offset) != (lift_w.linear, lift_w.offset):
                 raise InvalidFamily(
                     f"lift over {sup!r} does not restrict to the lift over {w!r}")
             per_face[sup] = (rows, offs)

@@ -610,6 +610,9 @@ def _resolutions(t: CombinatorialType, v: str) -> dict:
             cls.four_valent_vertex != v:
         raise NotAlmost3Valent(
             f"type is {cls.classification.value} with 4-valent vertex {cls.four_valent_vertex!r}")
+    bal = check_balanced(t)
+    if not bal.ok:  # every resolution would be unbalanced where t is
+        raise UnbalancedType(f"unbalanced at {[x for x, _ in bal.failures]}")
     g = t.graph
     items = sorted(g.star_items(v))
     assert len(items) == 4

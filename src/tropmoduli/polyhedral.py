@@ -33,15 +33,15 @@ from .exact_linalg import (
     Subspace,
     _forest,
     _int_echelon,
-    _integral,
+    _over_common,
     affine_apply,
-    affine_compose,
     feasible_point,
     frac,
     integer_kernel,
     is_saturated,
     ivec,
     mat_columns,
+    mat_mul,
     mat_rows,
     mat_vec,
     primitive_vector,
@@ -144,7 +144,7 @@ class Polyhedron:
         return self._incidences()[0]
 
     def _incidences(self):
-        """(vrep, vertex masks, ray masks), computed once and cached.
+        """(vrep, vertex masks, ray masks, vertex keys), computed once and cached.
 
         Bit j of a vertex's mask is set when inequality j is tight there, and
         of a ray's mask when the ray lies on the hyperplane of inequality j.
@@ -187,7 +187,7 @@ class Polyhedron:
             key = (tuple(x // g for x in num), den // g)
             if key not in verts:
                 verts[key] = tight_mask(*key)
-        verts = sorted((tuple(Fraction(x, den) for x in num), mask)
+        verts = sorted((tuple(Fraction(x, den) for x in num), (num, den), mask)
                        for (num, den), mask in verts.items() if mask is not None)
 
         rays = {}  # primitive direction -> tight mask
@@ -211,15 +211,16 @@ class Polyhedron:
                     break
         rays = sorted(rays.items())
 
-        vrep = (tuple(v for v, _ in verts), tuple(r for r, _ in rays), lines) if verts \
+        vrep = (tuple(v for v, _, _ in verts), tuple(r for r, _ in rays), lines) if verts \
             else ((), (), ())
-        out = (vrep, tuple(m for _, m in verts), tuple(m for _, m in rays))
+        out = (vrep, tuple(m for _, _, m in verts), tuple(m for _, m in rays),
+               tuple(key for _, key, _ in verts))
         self._cache['incidences'] = out
         return out
 
     def _tight_on(self, vert_ids, ray_ids) -> int:
         """Mask of the inequalities tight at every given vertex and ray."""
-        _, vmasks, rmasks = self._incidences()
+        _, vmasks, rmasks, _ = self._incidences()
         mask = (1 << len(self.ineqs)) - 1
         for i in vert_ids:
             mask &= vmasks[i]
@@ -249,7 +250,7 @@ class Polyhedron:
         """
         if 'faces' in self._cache:
             return self._cache['faces']
-        (verts, rays, _), vmasks, rmasks = self._incidences()
+        (verts, rays, _), vmasks, rmasks, _ = self._incidences()
         gens = set()
         for j in range(len(self.ineqs)):
             tv = sum(1 << i for i, m in enumerate(vmasks) if m >> j & 1)
@@ -336,7 +337,7 @@ class FaceInclusion:
     offset: tuple  # super_rank rationals
 
     def apply(self, x):
-        return affine_apply(self.linear, self.offset, vec(x))
+        return affine_apply(self.linear, self.offset, tuple(x))
 
     def columns(self):
         return mat_columns(self.linear, width=len(self.linear[0]) if self.linear else 0)
@@ -424,13 +425,15 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _image_triple(complex_, inc: FaceInclusion):
-    """Generator triple of the embedded image of the sub chart."""
-    sub_chart = complex_.face(inc.sub).chart
-    verts, rays, lines = sub_chart.vrep()
-    iverts = frozenset(inc.apply(v) for v in verts)
-    irays = frozenset(primitive_vector(_integral(mat_vec(inc.linear, vec(r)))) for r in rays)
-    ilines = tuple(primitive_vector(_integral(mat_vec(inc.linear, vec(l)))) for l in lines)
+def _image_triple(complex_, inc: FaceInclusion, off, oden):
+    """Generator triple of the embedded image of the sub chart, in integers:
+    vertices from their (numerators, denominator) keys, the offset as off/oden."""
+    (_, rays, lines), _, _, keys = complex_.face(inc.sub).chart._incidences()
+    dot = lambda row, v: sum(a * x for a, x in zip(row, v))
+    iverts = frozenset(tuple(Fraction(oden * dot(row, num) + den * o, den * oden)
+                             for row, o in zip(inc.linear, off)) for num, den in keys)
+    irays = frozenset(primitive_vector(tuple(dot(row, r) for row in inc.linear)) for r in rays)
+    ilines = tuple(primitive_vector(tuple(dot(row, l) for row in inc.linear)) for l in lines)
     return iverts, irays, ilines
 
 
@@ -475,6 +478,7 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             report.add("order", f"{a}->{b}", "inclusion relation is not antisymmetric")
         if c.faces[a].rank >= c.faces[b].rank:
             report.add("order", f"{a}->{b}", "sub-face rank must be smaller than super-face rank")
+    offsets = {key: _over_common(inc.offset) for key, inc in c.inclusions.items()}
     for (a, b), inc_ab in c.inclusions.items():
         for d, inc_bd in supers_of.get(b, ()):
             if a == d:
@@ -482,9 +486,11 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             if (a, d) not in c.inclusions:
                 report.add("order", f"{a}->{d}", f"missing composite of {a}->{b} and {b}->{d}")
                 continue
-            lin, off = affine_compose(inc_bd.linear, vec(inc_bd.offset), inc_ab.linear, vec(inc_ab.offset))
-            stored = c.inclusions[(a, d)]
-            if mat_rows(stored.linear) != mat_rows(lin) or vec(stored.offset) != off:
+            # offsets p/q, s/t, u/w of a->b, b->d, a->d: L_bd·p/q + s/t = u/w
+            (p, q), (s, t), (u, w) = offsets[(a, b)], offsets[(b, d)], offsets[(a, d)]
+            if mat_rows(c.inclusions[(a, d)].linear) != mat_mul(inc_bd.linear, inc_ab.linear) \
+                    or any(w * (t * sum(x * y for x, y in zip(row, p)) + q * si) != q * t * ui
+                           for row, si, ui in zip(inc_bd.linear, s, u, strict=True)):
                 report.add("order", f"{a}->{d}", "stored inclusion differs from the composite")
 
     # axiom 5 + image faces
@@ -501,7 +507,7 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             except DependentGenerators:
                 report.add("5", f"{a}->{b}", "inclusion linear part is not injective")
                 continue
-        img = _image_triple(c, inc)
+        img = _image_triple(c, inc, *offsets[(a, b)])
         super_chart = c.faces[b].chart
         if _triples_equal(img, super_chart.generators()):
             report.add("3", f"{a}->{b}", "image equals the whole super chart")

@@ -346,6 +346,68 @@ def segment_family(derivative=(1, 0)):
                        face_data=face_data, contractions=contractions)
 
 
+def path_family(derivatives, seg_lengths):
+    """The resolution type over a path P0-E1-P1-...-Em-Pm of segments.
+
+    Segment E_i has length ``seg_lengths[i-1]`` and the curve moves with
+    derivative ``derivatives[i-1]`` along it; the edge length is constant 1.
+    This is the shape of the benchmark's path family documents.
+    """
+    t = resolution_type(1)
+    s = t.slopes["e"]
+    pos = [(Fraction(0), Fraction(0))]
+    for d, ln in zip(derivatives, seg_lengths):
+        pos.append(tuple(p + ln * x for p, x in zip(pos[-1], d)))
+    faces, incs, face_data, contractions = [], [], {}, {}
+    for i, p in enumerate(pos):
+        faces.append(Face(f"P{i}", 0, Polyhedron(0)))
+        face_data[f"P{i}"] = FaceCurveData(
+            type=t, lengths={"e": AffineFn((), Fraction(1))},
+            positions={"va": const_positionN(p, 0),
+                       "vb": const_positionN(tuple(x + y for x, y in zip(p, s)), 0)})
+    for i, (d, ln) in enumerate(zip(derivatives, seg_lengths), start=1):
+        eid, start = f"E{i}", pos[i - 1]
+        faces.append(Face(eid, 1, Polyhedron(1, [((1,), 0), ((-1,), -Fraction(ln))])))
+        lin = ((d[0],), (d[1],))
+        face_data[eid] = FaceCurveData(
+            type=t, lengths={"e": AffineFn((0,), Fraction(1))},
+            positions={"va": AffineMapN(lin, start),
+                       "vb": AffineMapN(lin, tuple(x + y for x, y in zip(start, s)))})
+        for pid, off in ((f"P{i - 1}", Fraction(0)), (f"P{i}", Fraction(ln))):
+            incs.append(FaceInclusion(sub=pid, super=eid, linear=((),), offset=(off,)))
+            contractions[(pid, eid)] = Contraction(vertex_map={"va": "va", "vb": "vb"},
+                                                   edge_map={"e": "e"})
+    return FamilyDatum(base=PolyhedralComplex(faces, incs), dim=2, extended_degree=CROSS_DEGREE,
+                       face_data=face_data, contractions=contractions)
+
+
+def quadrant_family(length=((1, 2), Fraction(1, 2)), derivatives=((1, 0), (2, -1)),
+                    start=(Fraction(1, 3), 0)):
+    """The resolution type over ``quadrant_complex``: on Q the edge length is
+    ``length[0]`` . (x, y) + ``length[1]`` and vertex va sits at
+    x * derivatives[0] + y * derivatives[1] + start; the rays and the origin
+    carry the restrictions."""
+    t = resolution_type(1)
+    s = t.slopes["e"]
+    (a, b), c = length
+    dx, dy = derivatives
+    charts = {"Q": ((a, b), (dx, dy)), "X": ((a,), (dx,)), "Y": ((b,), (dy,)), "O": ((), ())}
+    face_data = {}
+    for fid, (lin, cols) in charts.items():
+        va = tuple(tuple(col[k] for col in cols) for k in range(2))
+        vb = tuple(tuple(x + s[k] * y for x, y in zip(va[k], lin)) for k in range(2))
+        face_data[fid] = FaceCurveData(
+            type=t, lengths={"e": AffineFn(lin, Fraction(c))},
+            positions={"va": AffineMapN(va, tuple(Fraction(x) for x in start)),
+                       "vb": AffineMapN(vb, tuple(Fraction(x) + c * y
+                                                  for x, y in zip(start, s)))})
+    base = quadrant_complex()
+    contractions = {key: Contraction(vertex_map={"va": "va", "vb": "vb"}, edge_map={"e": "e"})
+                    for key in base.inclusions}
+    return FamilyDatum(base=base, dim=2, extended_degree=CROSS_DEGREE,
+                       face_data=face_data, contractions=contractions)
+
+
 def assert_stratum_systems_agree(t):
     """The cycle-space answers of ``stratum(t)`` match the full system.
 

@@ -1,11 +1,13 @@
-"""Reference rational row reduction for differential tests.
+"""Reference rational linear algebra for differential tests.
 
 This is the ``Fraction`` reduced row echelon form that ``rank``,
 ``solve_linear``, ``kernel_rational`` and ``Subspace.from_spanning`` used
-before they moved onto the fraction-free ``_int_echelon``, and the full
-``unimodular_inverse`` that ``star`` read one column of.  Both must give
-identical answers.  It is kept apart from ``oracles.py``, which the
-benchmark loads for its output checks.
+before they moved onto the fraction-free ``_int_echelon``, the full
+``unimodular_inverse`` that ``star`` read one column of, and the
+``Fraction`` ``affine_apply`` and ``affine_compose`` that summed products
+of Fractions before they moved onto integer numerators over one common
+denominator.  Both must give identical answers.  It is kept apart from
+``oracles.py``, which the benchmark loads for its output checks.
 """
 
 from __future__ import annotations
@@ -84,3 +86,19 @@ def unimodular_inverse(u):
     cols = [solve_linear(u, tuple(int(i == j) for i in range(n))) for j in range(n)]
     assert all(col is not None for col in cols)
     return tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
+
+
+def affine_apply(linear, offset, x):
+    """linear · x + offset, summed in Fractions."""
+    return tuple(sum((Fraction(a) * Fraction(xi) for a, xi in zip(row, x, strict=True)),
+                     Fraction(0)) + Fraction(o)
+                 for row, o in zip(linear, offset, strict=True))
+
+
+def affine_compose(outer_lin, outer_off, inner_lin, inner_off):
+    """The affine map x -> outer(inner(x)) as a (linear, offset) pair."""
+    cols = len(inner_lin[0]) if inner_lin else 0
+    lin = tuple(tuple(sum(row[k] * inner_lin[k][j] for k in range(len(inner_lin)))
+                      for j in range(cols))
+                for row in outer_lin)
+    return lin, affine_apply(outer_lin, outer_off, inner_off)

@@ -6,8 +6,8 @@ rays from every C(m, D) constraint subset, faces from every one of the 2^m
 subsets, and every relation between faces found by scanning all faces and
 inclusions.  Both must give identical answers.  It is kept apart from
 ``oracles.py``, which the benchmark loads for its output checks.  Its rank,
-solving and kernels come from the ``Fraction`` reference in
-``reference_linalg``, not from the fraction-free kernel under test.
+solving, kernels and affine maps come from the ``Fraction`` reference in
+``reference_linalg``, not from the integer kernels under test.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from math import gcd
 
 from tropmoduli.errors import DependentGenerators
 from tropmoduli.exact_linalg import (
-    affine_compose,
     feasible_point,
     frac,
     integer_kernel,
@@ -33,7 +32,13 @@ from tropmoduli.exact_linalg import (
 )
 from tropmoduli.polyhedral import ValidationReport
 
-from reference_linalg import kernel_rational, rank, solve_linear
+from reference_linalg import (
+    affine_apply,
+    affine_compose,
+    kernel_rational,
+    rank,
+    solve_linear,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +233,7 @@ def validate_complex(c):
                 report.add("5", f"{a}->{b}", "inclusion linear part is not injective")
                 continue
         verts, rays, lines = vrep_of(a)
-        img = (frozenset(inc.apply(v) for v in verts),
+        img = (frozenset(affine_apply(inc.linear, inc.offset, v) for v in verts),
                frozenset(_rational_to_primitive(mat_vec(inc.linear, vec(r))) for r in rays),
                tuple(_rational_to_primitive(mat_vec(inc.linear, vec(l))) for l in lines))
         sverts, srays, slines = vrep_of(b)

@@ -14,6 +14,7 @@ from tropmoduli.polyhedral import validate_complex
 
 from helpers import (
     cross_type,
+    path_family,
     point_family,
     quadrant_complex,
     ray_pair_data,
@@ -759,3 +760,85 @@ def test_cli_rejects_bad_complex_inclusions_at_the_complex(tmp_path, capsys, edi
         report = json.loads(out)
         assert set(report) == _REPORT_KEYS and report["status"] == "error"
         assert report["payload"]["pointer"] == pointer
+
+
+def test_cli_fiber_on_a_face_without_affine_data_is_an_invalid_family(tmp_path, capsys):
+    doc = docs.family_to_doc(path_family([(1, 2), (2, 4)], [Fraction(3, 2), 2]))
+    face = next(fd for fd in doc["faces"] if fd["face"] == "E2")
+    face["lengths"] = {}
+    fpath = _write(tmp_path, "family.json", doc)
+    code, out = _run(capsys, ["fiber", fpath, "--face", "E2", "--point", '["1/2"]'])
+    assert code == 2
+    report = json.loads(out)
+    assert set(report) == _REPORT_KEYS and report["status"] == "error"
+    assert report["payload"] == {"error": "InvalidFamily",
+                                 "message": "face 'E2' has no affine data for ['e']"}
+    code, out = _run(capsys, ["validate-family", fpath])
+    assert code == 1
+    assert json.loads(out)["payload"]["violations"] == [
+        {"axiom": "1", "subject": "E2", "message": "missing affine data for ['e']"}]
+
+
+def test_cli_resolve_refuses_an_unbalanced_cross(tmp_path, capsys):
+    doc = docs.type_to_doc(cross_type())
+    doc["legs"][0]["slope"] = [x + 1 for x in doc["legs"][0]["slope"]]
+    tpath = _write(tmp_path, "cross.json", doc)
+    code, out = _run(capsys, ["resolve", tpath])
+    assert code == 2
+    report = json.loads(out)
+    assert set(report) == _REPORT_KEYS and report["status"] == "error"
+    assert report["payload"]["error"] == "UnbalancedType"
+    code, out = _run(capsys, ["classify", tpath])
+    assert code == 0
+    assert json.loads(out)["payload"]["classification"] == "weightless_almost_3valent"
+
+
+def _set_inclusion_row(doc):
+    doc["base"]["inclusions"][0]["linear"][0] = True
+
+
+@pytest.mark.parametrize("edit, pointer", [
+    (lambda doc: doc["extended_degree"].__setitem__(0, 5), "/extended_degree/0"),
+    (lambda doc: doc["faces"][1]["positions"]["vb"]["linear"].__setitem__(0, None),
+     "/faces/1/positions/vb/linear/0"),
+    (_set_inclusion_row, "/base/inclusions/0/linear/0"),
+], ids=["degree-int", "position-row-null", "inclusion-row-bool"])
+def test_cli_rejects_a_scalar_where_an_integer_vector_belongs(tmp_path, capsys, edit, pointer):
+    fpath = _write(tmp_path, "family.json", _family_doc(edit))
+    for verb in ("validate-family", "alpha"):
+        code, out = _run(capsys, [verb, fpath])
+        assert code == 2
+        report = json.loads(out)
+        assert set(report) == _REPORT_KEYS and report["status"] == "error"
+        assert report["payload"]["pointer"] == pointer
+
+
+@pytest.mark.parametrize("family, key, value", [
+    (lambda: ray_wall_family((1, 2)), "vertex_map", ["v"]),
+    (two_ray_resolution_family, "edge_map", ["e"]),
+    (two_ray_resolution_family, "edge_map", 7),
+], ids=["vertex-map-list", "edge-map-list", "edge-map-int"])
+def test_cli_rejects_a_contraction_map_value_that_is_not_a_string(tmp_path, capsys,
+                                                                   family, key, value):
+    doc = docs.family_to_doc(family())
+    m = doc["contractions"][0][key]
+    first = sorted(m)[0]
+    m[first] = value
+    fpath = _write(tmp_path, "family.json", doc)
+    for verb in ("validate-family", "alpha", "verdicts"):
+        code, out = _run(capsys, [verb, fpath])
+        assert code == 2
+        report = json.loads(out)
+        assert set(report) == _REPORT_KEYS and report["status"] == "error"
+        assert report["payload"]["pointer"] == f"/contractions/0/{key}/{first}"
+
+
+def test_cli_skeleton_rejects_a_non_string_order_entry(tmp_path, capsys):
+    doc = docs.pair_to_doc(segment_pair_data())
+    doc["order"][0][1] = [doc["order"][0][1]]
+    code, out = _run(capsys, ["skeleton", _write(tmp_path, "pair.json", doc)])
+    assert code == 2
+    report = json.loads(out)
+    assert set(report) == _REPORT_KEYS and report["status"] == "error"
+    assert report["payload"]["pointer"] == "/order/0/1"
+

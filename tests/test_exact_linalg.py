@@ -7,6 +7,8 @@ import pytest
 from tropmoduli.errors import DependentGenerators, DimMismatch, ZeroVector
 from tropmoduli.exact_linalg import (
     Subspace,
+    affine_apply,
+    affine_compose,
     det,
     feasible_point,
     integer_kernel,
@@ -337,4 +339,36 @@ def test_span_membership_matches_fraction_reference():
         for v in (m[0], tuple(b[:1] * ncols), tuple(x - y for x, y in zip(m[-1], m[0]))):
             expect = reference.solve_linear(cols, v) is not None if s.basis else not any(v)
             assert span_membership(v, s) == expect, (m, v)
+
+
+def _rational(rng):
+    """An int, or a Fraction over one of several denominators."""
+    if rng.random() < 0.3:
+        return rng.randint(-5, 5)
+    return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, 7, 9)))
+
+
+def test_affine_maps_match_fraction_reference():
+    """Integer numerators over one denominator give exactly the Fractions of
+    the reference, on 1,000 seeded shapes including empty rows and columns."""
+    rng = random.Random(11)
+    shapes = set()
+    for _ in range(1000):
+        rows, mid, cols = (rng.randint(0, 4) for _ in range(3))
+        shapes.add((rows == 0, mid == 0, cols == 0))
+        entry = (lambda: rng.randint(-4, 4)) if rng.random() < 0.8 else (lambda: _rational(rng))
+        outer = tuple(tuple(entry() for _ in range(mid)) for _ in range(rows))
+        inner = tuple(tuple(rng.randint(-4, 4) for _ in range(cols)) for _ in range(mid))
+        outer_off = tuple(_rational(rng) for _ in range(rows))
+        inner_off = tuple(_rational(rng) for _ in range(mid))
+        x = tuple(_rational(rng) for _ in range(mid))
+        got = affine_apply(outer, outer_off, x)
+        assert got == reference.affine_apply(outer, outer_off, x)
+        assert all(type(v) is Fraction for v in got)
+        lin, off = affine_compose(outer, outer_off, inner, inner_off)
+        assert (lin, off) == reference.affine_compose(outer, outer_off, inner, inner_off)
+        assert all(type(v) is Fraction for v in off)
+    assert len(shapes) == 8
+    with pytest.raises(DimMismatch):
+        affine_apply(((1, 2),), (0,), (Fraction(1, 2),))
 
