@@ -15,18 +15,11 @@ import json
 import sys
 
 from . import documents as docs
-from .errors import InputError, TropModuliError
+from .errors import Disconnected, InputError, TropModuliError
 from .family import fiber, image_strata, induced_alpha, propagate_closure, validate_family, wall_verdict
 from .moduli import canonical_string, classify, enumerate_types, resolve_4valent, wall_graph
 from .polyhedral import build_skeleton, validate_complex
-from .tropcurve import (
-    ParameterizedTropicalCurve,
-    TropicalCurve,
-    check_balanced,
-    genus,
-    is_stable,
-)
-from .errors import Disconnected
+from .tropcurve import ParameterizedTropicalCurve, TropicalCurve, check_balanced, genus, is_stable
 
 
 def _load_json(path: str):
@@ -242,15 +235,7 @@ def _cmd_verdicts(args):
 def _cmd_propagate(args):
     wg = docs.wallgraph_from_doc(_load_json(args.input))
     if args.seeds_file:
-        seed_doc = _load_json(args.seeds_file)
-        if not isinstance(seed_doc, dict):
-            raise InputError('seeds file must be a JSON object with a "seeds" list', "")
-        seeds = seed_doc.get("seeds")
-        if not isinstance(seeds, list):
-            raise InputError('seeds file needs a "seeds" list', "/seeds")
-        for i, seed in enumerate(seeds):
-            if not isinstance(seed, str):
-                raise InputError("seeds are node ids (strings)", f"/seeds/{i}")
+        (seeds,) = docs.SCHEMAS["seeds"](_load_json(args.seeds_file), "")
     elif args.seeds is not None:
         seeds = [s for s in args.seeds.split(",") if s]
     else:

@@ -1,36 +1,28 @@
 """JSON document schemas (versioned "tropmoduli/1").
 
 All rationals are serialized as "p/q" strings (plain "p" for integers);
-no floats appear in any document.  Parsers report schema violations with
-JSON-pointer-style paths.
+no floats appear in any document.
+
+``SCHEMAS`` is the one place where a document's shape is declared: per
+kind, a tree of nodes ``(value, pointer) -> converted value`` built once
+at import.  One walk of it checks a document and converts it to tuples of
+ints and Fractions; an input error names the first bad JSON pointer.
+Each ``*_from_doc`` then only resolves cross-references (ids, maximal
+faces, wall resolutions, base faces and inclusions) and builds the object.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DimMismatch, InputError, UnknownFace
 from .exact_linalg import frac
-from .family import (
-    AffineFn,
-    AffineMapN,
-    Contraction,
-    FaceCurveData,
-    FamilyDatum,
-    FaceLift,
-    ImageStratum,
-    WallVerdict,
-)
+from .family import (AffineFn, AffineMapN, Contraction, FaceCurveData, FaceLift, FamilyDatum,
+                     ImageStratum, WallVerdict)
 from .moduli import WallGraph, canonical_form
-from .polyhedral import (
-    Face,
-    FaceInclusion,
-    Polyhedron,
-    PolyhedralComplex,
-    SemistablePairData,
-    Stratum,
-    ValidationReport,
-)
+from .polyhedral import (Face, FaceInclusion, Polyhedron, PolyhedralComplex, SemistablePairData,
+                         Stratum, ValidationReport)
 from .tropcurve import CombinatorialType, ParameterizedTropicalCurve, WeightedGraph
 
 SCHEMA = "tropmoduli/1"
@@ -49,187 +41,319 @@ def parse_rat(value, pointer: str) -> Fraction:
         raise InputError(f"bad rational {value!r}: {exc}", pointer) from None
 
 
-def _expect(doc, key, kind, pointer, default=None, required=True):
-    if not isinstance(doc, dict):
-        raise InputError("expected a JSON object", pointer)
-    if key not in doc:
-        if required:
-            raise InputError(f"missing key {key!r}", pointer)
-        return default
-    value = doc[key]
-    if kind is not None and not isinstance(value, kind) or isinstance(value, bool) and kind is int:
-        raise InputError(f"key {key!r} has wrong type", f"{pointer}/{key}")
-    return value
-
-
-def _int_list(values, pointer):
-    if not isinstance(values, list):
-        raise InputError("expected a list of integers", pointer)
-    out = []
-    for i, x in enumerate(values):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise InputError("expected an integer", f"{pointer}/{i}")
-        out.append(x)
-    return tuple(out)
-
-
-def _str_list(values, pointer):
-    for i, x in enumerate(values):
-        if not isinstance(x, str):
-            raise InputError("expected a string", f"{pointer}/{i}")
-    return tuple(values)
-
-
-def _str_map(values, pointer):
-    for k, x in values.items():
-        if not isinstance(x, str):
-            raise InputError("expected a string", f"{pointer}/{k}")
-    return dict(values)
-
-
 def check_schema(doc, pointer=""):
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object", pointer)
     if doc.get("schema") != SCHEMA:
         raise InputError(f'expected "schema": "{SCHEMA}"', f"{pointer}/schema")
+    return doc
 
 
 # ---------------------------------------------------------------------------
-# polyhedral complexes
+# objects from documents: one walk of SCHEMAS, then the cross-references
 # ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _scalar(kind, message):
+    """A JSON value of one Python type (JSON true/false are not integers)."""
+    def scalar(value, pointer):
+        if type(value) is not kind:
+            raise InputError(message, pointer)
+        return value
+    scalar.kind = kind  # lists and objects pass a value of this type without a call
+    return scalar
+
+
+def _list(item, size=None, message="expected a list"):
+    """A JSON list as a tuple of item nodes; with a size, of exactly that
+    many entries, the length checked first."""
+    kind = getattr(item, "kind", None)
+
+    def items(value, pointer):
+        if not isinstance(value, list) or size is not None and len(value) != size:
+            raise InputError(message, pointer)
+        if kind is not None:
+            for x in value:
+                if type(x) is not kind:
+                    break
+            else:
+                return tuple(value)
+        return tuple([item(x, f"{pointer}/{i}") for i, x in enumerate(value)])
+    return items
+
+
+def _id_map(item):
+    def ids(value, pointer):
+        if not isinstance(value, dict):
+            raise InputError("expected a JSON object", pointer)
+        return {k: item(x, f"{pointer}/{k}") for k, x in value.items()}
+    return ids
+
+
+def _object(*fields, schema=False):
+    """A JSON object with (key, node) required and (key, node, default)
+    optional fields, checked in declared order after the schema key (when
+    ``schema`` is set), as the tuple of their values.  A node given as
+    (earlier key, make) is make(that key's value), cached per value: a dim
+    or rank fixes the vector lengths inside the field."""
+    index = {f[0]: i for i, f in enumerate(fields)}
+    spec = []
+    for key, node, *default in fields:
+        given = None
+        if isinstance(node, tuple):
+            given, node = index[node[0]], lru_cache(maxsize=64)(node[1])
+        spec.append((key, "/" + key, node, getattr(node, "kind", None), given,
+                     default[0] if default else _REQUIRED))
+
+    def obj(value, pointer):
+        if schema:
+            check_schema(value, pointer)
+        elif not isinstance(value, dict):
+            raise InputError("expected a JSON object", pointer)
+        out = []
+        for key, suffix, node, kind, given, default in spec:
+            v = value.get(key, _REQUIRED)
+            if v is _REQUIRED:
+                if default is _REQUIRED:
+                    raise InputError(f"missing key {key!r}", pointer)
+                v = default
+            elif type(v) is not kind:
+                v = (node if given is None else node(out[given]))(v, pointer + suffix)
+            out.append(v)
+        return tuple(out)
+    return obj
+
+
+def _checked(node, ok, message):
+    def checked(value, pointer):
+        value = node(value, pointer)
+        if not ok(value):
+            raise InputError(message, pointer)
+        return value
+    return checked
+
+
+def _natural(message):
+    return _checked(_integer, lambda n: n >= 0, message)
+
+
+def _sized(node, size, message):
+    return _checked(node, lambda v: len(v) == size, message)
+
+
+_string, _integer = _scalar(str, "expected a string"), _scalar(int, "expected an integer")
+_STRINGS, _INTS, _RATIONALS = _list(_string), _list(_integer), _list(parse_rat)
+
+
+def _chart(rank):
+    def row(value, pointer):  # [normal..., offset], its length checked first
+        if not isinstance(value, list) or len(value) != rank + 1:
+            raise InputError(f"constraint row needs {rank} normal entries and an offset", pointer)
+        return _INTS(value[:-1], pointer), parse_rat(value[-1], f"{pointer}/{rank}")
+    return _object(("ineqs", _list(row), ()), ("eqs", _list(row), ()))
+
+
+_COMPLEX = _object(
+    ("faces", _list(_object(
+        ("id", _string), ("rank", _natural("rank must be nonnegative")),
+        ("chart", ("rank", _chart)), ("label", _string, "")))),
+    ("inclusions", _list(_object(
+        ("sub", _string), ("super", _string), ("linear", _list(_INTS)),
+        ("offset", _RATIONALS))), ()),
+    ("maximal", _STRINGS, None),
+    schema=True)
+_TYPE = _object(
+    ("dim", _natural("dim must be nonnegative")),
+    ("vertices", _list(_object(
+        ("id", _string), ("weight", _natural("weights are nonnegative"), 0)))),
+    ("edges", ("dim", lambda dim: _list(_object(
+        ("id", _string), ("u", _string), ("v", _string),
+        ("slope", _sized(_INTS, dim, f"slope needs {dim} entries")),
+        ("length", _checked(parse_rat, lambda x: x > 0, "edge lengths must be positive"),
+         None)))), ()),
+    ("legs", ("dim", lambda dim: _list(_object(
+        ("id", _string), ("v", _string),
+        ("slope", _sized(_INTS, dim, f"slope needs {dim} entries"))))), ()),
+    ("positions", ("dim", lambda dim: _id_map(
+        _list(parse_rat, dim, f"position needs {dim} entries"))), None),
+    schema=True)
+SCHEMAS = {
+    "complex": _COMPLEX,
+    "pair": _object(
+        ("vertical", _STRINGS), ("horizontal", _STRINGS, ()),
+        ("strata", _list(_object(
+            ("id", _string), ("vertical", _STRINGS), ("horizontal", _STRINGS, ()),
+            ("length", parse_rat)))),
+        ("order", _list(_list(_string, 2, "order entries are [below, above] pairs")), ()),
+        schema=True),
+    "type": _TYPE,
+    "types": _object(("types", _list(_object(("type", _TYPE)))), schema=True),
+    "family": _object(
+        ("dim", _natural("dim must be nonnegative")),
+        ("extended_degree", _list(_INTS)),
+        ("base", _COMPLEX),
+        ("faces", ("dim", lambda dim: _list(_object(
+            ("face", _string), ("type", _TYPE),
+            ("lengths", _id_map(_object(("linear", _INTS), ("offset", parse_rat))), {}),
+            ("positions", _id_map(_object(
+                ("linear", _sized(_list(_INTS), dim, f"linear needs {dim} entries")),
+                ("offset", _sized(_RATIONALS, dim, f"offset needs {dim} entries")))), {}))))),
+        ("contractions", _list(_object(
+            ("sub", _string), ("super", _string),
+            ("vertex_map", _id_map(_string)), ("edge_map", _id_map(_string), {}))), ()),
+        schema=True),
+    "wallgraph": _object(
+        ("nodes", _list(_object(("id", _string), ("type", _TYPE)))),
+        ("walls", _list(_object(("id", _string), ("type", _TYPE), ("resolutions", _STRINGS))),
+         ()),
+        schema=True),
+    "seeds": _object(("seeds", _STRINGS)),
+}
+
+
+def _check_known(keys, known, what, pointer):
+    for k in keys:
+        if k not in known:
+            raise InputError(f"{what} {k!r}", f"{pointer}/{k}")
+
+
+def _complex(checked, pointer) -> PolyhedralComplex:
+    faces, inclusions, maximal = checked
+    declared = {f[0] for f in faces}
+    for i, fid in enumerate(maximal or ()):
+        if fid not in declared:
+            raise InputError("expected the id of a declared face", f"{pointer}/maximal/{i}")
+    try:
+        return PolyhedralComplex([Face(fid, rank, Polyhedron(rank, ineqs, eqs), label)
+                                  for fid, rank, (ineqs, eqs), label in faces],
+                                 [FaceInclusion(*inc) for inc in inclusions], maximal)
+    except (ValueError, KeyError, UnknownFace, DimMismatch) as exc:
+        raise InputError(str(exc), pointer) from None
+
+
+def complex_from_doc(doc, pointer="") -> PolyhedralComplex:
+    return _complex(SCHEMAS["complex"](doc, pointer), pointer)
+
+
+def pair_from_doc(doc, pointer="") -> SemistablePairData:
+    vertical, horizontal, strata, order = SCHEMAS["pair"](doc, pointer)
+    return SemistablePairData(vertical, horizontal, tuple(Stratum(*s) for s in strata), order)
+
+
+def _type(checked, pointer):
+    dim, vertices, edges, legs, positions = checked
+    slopes = {e[0]: e[3] for e in edges}
+    slopes.update({lid: slope for lid, _, slope in legs})
+    try:
+        graph = WeightedGraph(vertices, tuple([e[:3] for e in edges]),
+                              tuple([l[:2] for l in legs]))
+        t = CombinatorialType(graph, slopes, dim)
+    except ValueError as exc:
+        raise InputError(str(exc), pointer) from None
+    if positions is not None:
+        _check_known(positions, set(graph.vertex_ids()), "position for unknown vertex",
+                     f"{pointer}/positions")
+    return t, {e[0]: e[4] for e in edges if e[4] is not None} or None, positions
+
+
+def type_from_doc(doc, pointer=""):
+    """Returns (CombinatorialType, lengths or None, positions or None)."""
+    return _type(SCHEMAS["type"](doc, pointer), pointer)
+
+
+def types_from_doc(doc, pointer=""):
+    (types,) = SCHEMAS["types"](doc, pointer)
+    return [_type(t, f"{pointer}/types/{i}/type")[0] for i, (t,) in enumerate(types)]
+
+
+def family_from_doc(doc, pointer="") -> FamilyDatum:
+    dim, ext, base, faces, contractions = SCHEMAS["family"](doc, pointer)
+    base = _complex(base, f"{pointer}/base")
+    face_data = {}
+    for i, (fid, t, lengths, positions) in enumerate(faces):
+        p = f"{pointer}/faces/{i}"
+        if fid in face_data:
+            raise InputError(f"repeated face {fid!r}", f"{p}/face")
+        if fid not in base.faces:
+            raise InputError(f"face {fid!r} is not in the base", f"{p}/face")
+        t = _type(t, f"{p}/type")[0]
+        _check_known(lengths, {e for e, _, _ in t.graph.edges}, "length for unknown edge",
+                     f"{p}/lengths")
+        _check_known(positions, set(t.graph.vertex_ids()), "position for unknown vertex",
+                     f"{p}/positions")
+        face_data[fid] = FaceCurveData(t, {e: AffineFn(*fn) for e, fn in lengths.items()},
+                                       {v: AffineMapN(*mp) for v, mp in positions.items()})
+    contracted = {}
+    for i, (sub, sup, vertex_map, edge_map) in enumerate(contractions):
+        p = f"{pointer}/contractions/{i}"
+        if (sub, sup) in contracted:
+            raise InputError(f"repeated contraction {sub!r} -> {sup!r}", p)
+        if (sub, sup) not in base.inclusions:
+            raise InputError(f"{sub!r} -> {sup!r} is not an inclusion of the base", p)
+        contracted[(sub, sup)] = Contraction(vertex_map, dict(edge_map))
+    return FamilyDatum(base, dim, ext, face_data, contracted)
+
+
+def wallgraph_from_doc(doc, pointer="") -> WallGraph:
+    nodes, walls = SCHEMAS["wallgraph"](doc, pointer)
+    nodes = tuple((nid, _type(t, f"{pointer}/nodes/{i}/type")[0])
+                  for i, (nid, t) in enumerate(nodes))
+    node_ids = {nid for nid, _ in nodes}
+    built = []
+    for i, (wid, t, res) in enumerate(walls):
+        p = f"{pointer}/walls/{i}"
+        built.append((wid, _type(t, f"{p}/type")[0], res))
+        for j, nid in enumerate(res):
+            if nid not in node_ids:
+                raise InputError(f"resolution {nid!r} is not a node id", f"{p}/resolutions/{j}")
+    return WallGraph(nodes, tuple(built), {canonical_form(t).string: nid for nid, t in nodes})
+
+
+# ---------------------------------------------------------------------------
+# documents from objects
+# ---------------------------------------------------------------------------
+
+def _affine_to_doc(linear, offset):
+    return {"linear": [list(r) for r in linear], "offset": [rat_str(x) for x in offset]}
+
 
 def _chart_to_doc(p: Polyhedron):
-    return {
-        "ineqs": [list(n) + [rat_str(o)] for n, o in p.ineqs],
-        "eqs": [list(n) + [rat_str(o)] for n, o in p.eqs],
-    }
-
-
-def _chart_from_doc(doc, dim, pointer):
-    rows = {"ineqs": [], "eqs": []}
-    for key in ("ineqs", "eqs"):
-        for i, row in enumerate(_expect(doc, key, list, pointer, default=[], required=False) or []):
-            if not isinstance(row, list) or len(row) != dim + 1:
-                raise InputError(f"constraint row needs {dim} normal entries and an offset",
-                                 f"{pointer}/{key}/{i}")
-            normal = _int_list(row[:-1], f"{pointer}/{key}/{i}")
-            offset = parse_rat(row[-1], f"{pointer}/{key}/{i}/{dim}")
-            rows[key].append((normal, offset))
-    return Polyhedron(dim, rows["ineqs"], rows["eqs"])
+    return {key: [list(n) + [rat_str(o)] for n, o in rows]
+            for key, rows in (("ineqs", p.ineqs), ("eqs", p.eqs))}
 
 
 def complex_to_doc(c: PolyhedralComplex) -> dict:
     return {
         "schema": SCHEMA,
-        "faces": [
-            {"id": f.id, "rank": f.rank, "chart": _chart_to_doc(f.chart),
-             **({"label": f.label} if f.label else {})}
-            for f in (c.faces[fid] for fid in sorted(c.faces))
-        ],
-        "inclusions": [
-            {"sub": inc.sub, "super": inc.super,
-             "linear": [list(row) for row in inc.linear],
-             "offset": [rat_str(x) for x in inc.offset]}
-            for inc in (c.inclusions[k] for k in sorted(c.inclusions))
-        ],
+        "faces": [{"id": f.id, "rank": f.rank, "chart": _chart_to_doc(f.chart),
+                   **({"label": f.label} if f.label else {})} for _, f in sorted(c.faces.items())],
+        "inclusions": [{"sub": i.sub, "super": i.super, **_affine_to_doc(i.linear, i.offset)}
+                       for _, i in sorted(c.inclusions.items())],
         "maximal": sorted(c.maximal_faces),
     }
 
-
-def complex_from_doc(doc, pointer="") -> PolyhedralComplex:
-    check_schema(doc, pointer)
-    faces = []
-    for i, fd in enumerate(_expect(doc, "faces", list, pointer)):
-        p = f"{pointer}/faces/{i}"
-        fid = _expect(fd, "id", str, p)
-        rank = _expect(fd, "rank", int, p)
-        if rank < 0:
-            raise InputError("rank must be nonnegative", f"{p}/rank")
-        chart = _chart_from_doc(_expect(fd, "chart", dict, p), rank, f"{p}/chart")
-        faces.append(Face(id=fid, rank=rank, chart=chart,
-                          label=_expect(fd, "label", str, p, default="", required=False)))
-    incs = []
-    for i, idoc in enumerate(_expect(doc, "inclusions", list, pointer, default=[], required=False) or []):
-        p = f"{pointer}/inclusions/{i}"
-        linear = tuple(_int_list(row, f"{p}/linear/{j}")
-                       for j, row in enumerate(_expect(idoc, "linear", list, p)))
-        offset = tuple(parse_rat(x, f"{p}/offset/{j}")
-                       for j, x in enumerate(_expect(idoc, "offset", list, p)))
-        incs.append(FaceInclusion(sub=_expect(idoc, "sub", str, p),
-                                  super=_expect(idoc, "super", str, p),
-                                  linear=linear, offset=offset))
-    maximal = _expect(doc, "maximal", list, pointer, required=False)
-    if maximal is not None:
-        declared = {f.id for f in faces}
-        for i, fid in enumerate(maximal):
-            if not isinstance(fid, str) or fid not in declared:
-                raise InputError("expected the id of a declared face", f"{pointer}/maximal/{i}")
-    try:
-        return PolyhedralComplex(faces, incs, maximal_faces=maximal)
-    except (ValueError, KeyError, UnknownFace, DimMismatch) as exc:
-        raise InputError(str(exc), pointer) from None
-
-
-# ---------------------------------------------------------------------------
-# semistable pair data
-# ---------------------------------------------------------------------------
 
 def pair_to_doc(d: SemistablePairData) -> dict:
     return {
         "schema": SCHEMA,
         "vertical": list(d.vertical_components),
         "horizontal": list(d.horizontal_components),
-        "strata": [
-            {"id": s.id, "vertical": list(s.verticals),
-             "horizontal": list(s.horizontals), "length": rat_str(s.length)}
-            for s in d.strata
-        ],
+        "strata": [{"id": s.id, "vertical": list(s.verticals), "horizontal": list(s.horizontals),
+                    "length": rat_str(s.length)} for s in d.strata],
         "order": [list(p) for p in d.order],
     }
 
-
-def pair_from_doc(doc, pointer="") -> SemistablePairData:
-    check_schema(doc, pointer)
-    strata = []
-    for i, sd in enumerate(_expect(doc, "strata", list, pointer)):
-        p = f"{pointer}/strata/{i}"
-        strata.append(Stratum(
-            id=_expect(sd, "id", str, p),
-            verticals=_str_list(_expect(sd, "vertical", list, p), f"{p}/vertical"),
-            horizontals=_str_list(_expect(sd, "horizontal", list, p, default=[], required=False)
-                                  or [], f"{p}/horizontal"),
-            length=parse_rat(_expect(sd, "length", None, p), f"{p}/length"),
-        ))
-    order = []
-    for i, pair in enumerate(_expect(doc, "order", list, pointer, default=[], required=False) or []):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputError("order entries are [below, above] pairs", f"{pointer}/order/{i}")
-        order.append(_str_list(pair, f"{pointer}/order/{i}"))
-    return SemistablePairData(
-        vertical_components=_str_list(_expect(doc, "vertical", list, pointer),
-                                      f"{pointer}/vertical"),
-        horizontal_components=_str_list(
-            _expect(doc, "horizontal", list, pointer, default=[], required=False) or [],
-            f"{pointer}/horizontal"),
-        strata=tuple(strata),
-        order=tuple(order),
-    )
-
-
-# ---------------------------------------------------------------------------
-# curves and types
-# ---------------------------------------------------------------------------
 
 def type_to_doc(t: CombinatorialType, lengths=None, positions=None) -> dict:
     doc = {
         "schema": SCHEMA,
         "dim": t.dim,
         "vertices": [{"id": v, "weight": w} for v, w in t.graph.vertices],
-        "edges": [
-            {"id": e, "u": u, "v": v, "slope": list(t.slopes[e]),
-             **({"length": rat_str(lengths[e])} if lengths else {})}
-            for e, u, v in t.graph.edges
-        ],
+        "edges": [{"id": e, "u": u, "v": v, "slope": list(t.slopes[e]),
+                   **({"length": rat_str(lengths[e])} if lengths else {})}
+                  for e, u, v in t.graph.edges],
         "legs": [{"id": l, "v": v, "slope": list(t.slopes[l])} for l, v in t.graph.legs],
     }
     if positions:
@@ -241,213 +365,39 @@ def curve_to_doc(p: ParameterizedTropicalCurve) -> dict:
     return type_to_doc(p.type, lengths=p.curve.lengths, positions=p.positions)
 
 
-def type_from_doc(doc, pointer=""):
-    """Returns (CombinatorialType, lengths or None, positions or None)."""
-    check_schema(doc, pointer)
-    dim = _expect(doc, "dim", int, pointer)
-    if dim < 0:
-        raise InputError("dim must be nonnegative", f"{pointer}/dim")
-    vertices = []
-    for i, vd in enumerate(_expect(doc, "vertices", list, pointer)):
-        p = f"{pointer}/vertices/{i}"
-        w = _expect(vd, "weight", int, p, default=0, required=False)
-        if w < 0:
-            raise InputError("weights are nonnegative", f"{p}/weight")
-        vertices.append((_expect(vd, "id", str, p), w))
-    edges, legs, slopes = [], [], {}
-    lengths = {}
-    has_lengths = False
-    for i, ed in enumerate(_expect(doc, "edges", list, pointer, default=[], required=False) or []):
-        p = f"{pointer}/edges/{i}"
-        eid = _expect(ed, "id", str, p)
-        edges.append((eid, _expect(ed, "u", str, p), _expect(ed, "v", str, p)))
-        slope = _int_list(_expect(ed, "slope", list, p), f"{p}/slope")
-        if len(slope) != dim:
-            raise InputError(f"slope needs {dim} entries", f"{p}/slope")
-        slopes[eid] = slope
-        if "length" in ed:
-            has_lengths = True
-            lengths[eid] = parse_rat(ed["length"], f"{p}/length")
-            if lengths[eid] <= 0:
-                raise InputError("edge lengths must be positive", f"{p}/length")
-    for i, ld in enumerate(_expect(doc, "legs", list, pointer, default=[], required=False) or []):
-        p = f"{pointer}/legs/{i}"
-        lid = _expect(ld, "id", str, p)
-        legs.append((lid, _expect(ld, "v", str, p)))
-        slope = _int_list(_expect(ld, "slope", list, p), f"{p}/slope")
-        if len(slope) != dim:
-            raise InputError(f"slope needs {dim} entries", f"{p}/slope")
-        slopes[lid] = slope
-    try:
-        graph = WeightedGraph(tuple(vertices), tuple(edges), tuple(legs))
-        t = CombinatorialType(graph, slopes, dim)
-    except ValueError as exc:
-        raise InputError(str(exc), pointer) from None
-    positions = None
-    if "positions" in doc:
-        positions = {}
-        for v, pos in _expect(doc, "positions", dict, pointer).items():
-            if v not in graph.vertex_ids():
-                raise InputError(f"position for unknown vertex {v!r}", f"{pointer}/positions/{v}")
-            if not isinstance(pos, list) or len(pos) != dim:
-                raise InputError(f"position needs {dim} entries", f"{pointer}/positions/{v}")
-            positions[v] = tuple(parse_rat(x, f"{pointer}/positions/{v}/{j}")
-                                 for j, x in enumerate(pos))
-    return t, (lengths if has_lengths else None), positions
+def _typed_to_doc(t: CombinatorialType, **fields) -> dict:
+    return {**fields, "canonical": canonical_form(t).string, "type": type_to_doc(t)}
 
 
 def types_to_doc(types) -> dict:
-    return {
-        "schema": SCHEMA,
-        "types": [
-            {"canonical": canonical_form(t).string, "type": type_to_doc(t)}
-            for t in types
-        ],
-    }
+    return {"schema": SCHEMA, "types": [_typed_to_doc(t) for t in types]}
 
-
-def types_from_doc(doc, pointer=""):
-    check_schema(doc, pointer)
-    out = []
-    for i, td in enumerate(_expect(doc, "types", list, pointer)):
-        t, _, _ = type_from_doc(_expect(td, "type", dict, f"{pointer}/types/{i}"),
-                                f"{pointer}/types/{i}/type")
-        out.append(t)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# families
-# ---------------------------------------------------------------------------
 
 def family_to_doc(f: FamilyDatum) -> dict:
-    faces = []
-    for fid in sorted(f.face_data):
-        data = f.face_data[fid]
-        faces.append({
-            "face": fid,
-            "type": type_to_doc(data.type),
-            "lengths": {
-                e: {"linear": list(fn.linear), "offset": rat_str(fn.offset)}
-                for e, fn in sorted(data.lengths.items())
-            },
-            "positions": {
-                v: {"linear": [list(r) for r in mp.linear],
-                    "offset": [rat_str(x) for x in mp.offset]}
-                for v, mp in sorted(data.positions.items())
-            },
-        })
     return {
         "schema": SCHEMA,
         "dim": f.dim,
         "extended_degree": [list(s) for s in f.extended_degree],
         "base": complex_to_doc(f.base),
-        "faces": faces,
-        "contractions": [
-            {"sub": sub, "super": sup,
-             "vertex_map": dict(sorted(c.vertex_map.items())),
-             "edge_map": dict(sorted(c.edge_map.items()))}
-            for (sub, sup), c in sorted(f.contractions.items())
-        ],
+        "faces": [{"face": fid, "type": type_to_doc(data.type),
+                   "lengths": {e: {"linear": list(fn.linear), "offset": rat_str(fn.offset)}
+                               for e, fn in sorted(data.lengths.items())},
+                   "positions": {v: _affine_to_doc(mp.linear, mp.offset)
+                                 for v, mp in sorted(data.positions.items())}}
+                  for fid, data in sorted(f.face_data.items())],
+        "contractions": [{"sub": sub, "super": sup,
+                          "vertex_map": dict(sorted(c.vertex_map.items())),
+                          "edge_map": dict(sorted(c.edge_map.items()))}
+                         for (sub, sup), c in sorted(f.contractions.items())],
     }
 
-
-def family_from_doc(doc, pointer="") -> FamilyDatum:
-    check_schema(doc, pointer)
-    dim = _expect(doc, "dim", int, pointer)
-    if dim < 0:
-        raise InputError("dim must be nonnegative", f"{pointer}/dim")
-    ext = tuple(_int_list(s, f"{pointer}/extended_degree/{i}")
-                for i, s in enumerate(_expect(doc, "extended_degree", list, pointer)))
-    base = complex_from_doc(_expect(doc, "base", dict, pointer), f"{pointer}/base")
-    face_data = {}
-    for i, fd in enumerate(_expect(doc, "faces", list, pointer)):
-        p = f"{pointer}/faces/{i}"
-        fid = _expect(fd, "face", str, p)
-        if fid in face_data:
-            raise InputError(f"repeated face {fid!r}", f"{p}/face")
-        if fid not in base.faces:
-            raise InputError(f"face {fid!r} is not in the base", f"{p}/face")
-        t, _, _ = type_from_doc(_expect(fd, "type", dict, p), f"{p}/type")
-        edge_ids = {e for e, _, _ in t.graph.edges}
-        lengths = {}
-        for e, fn in _expect(fd, "lengths", dict, p, default={}, required=False).items():
-            pp = f"{p}/lengths/{e}"
-            if e not in edge_ids:
-                raise InputError(f"length for unknown edge {e!r}", pp)
-            lengths[e] = AffineFn(
-                linear=_int_list(_expect(fn, "linear", list, pp), f"{pp}/linear"),
-                offset=parse_rat(_expect(fn, "offset", None, pp), f"{pp}/offset"),
-            )
-        positions = {}
-        for v, mp in _expect(fd, "positions", dict, p, default={}, required=False).items():
-            pp = f"{p}/positions/{v}"
-            if v not in t.graph.vertex_ids():
-                raise InputError(f"position for unknown vertex {v!r}", pp)
-            linear = tuple(_int_list(r, f"{pp}/linear/{j}")
-                           for j, r in enumerate(_expect(mp, "linear", list, pp)))
-            offset = tuple(parse_rat(x, f"{pp}/offset/{j}")
-                           for j, x in enumerate(_expect(mp, "offset", list, pp)))
-            for key, part in (("linear", linear), ("offset", offset)):
-                if len(part) != dim:
-                    raise InputError(f"{key} needs {dim} entries", f"{pp}/{key}")
-            positions[v] = AffineMapN(linear=linear, offset=offset)
-        face_data[fid] = FaceCurveData(type=t, lengths=lengths, positions=positions)
-    contractions = {}
-    for i, cd in enumerate(_expect(doc, "contractions", list, pointer, default=[], required=False) or []):
-        p = f"{pointer}/contractions/{i}"
-        key = (_expect(cd, "sub", str, p), _expect(cd, "super", str, p))
-        if key in contractions:
-            raise InputError(f"repeated contraction {key[0]!r} -> {key[1]!r}", p)
-        if key not in base.inclusions:
-            raise InputError(f"{key[0]!r} -> {key[1]!r} is not an inclusion of the base", p)
-        contractions[key] = Contraction(
-            vertex_map=_str_map(_expect(cd, "vertex_map", dict, p), f"{p}/vertex_map"),
-            edge_map=_str_map(_expect(cd, "edge_map", dict, p, default={}, required=False)
-                              or {}, f"{p}/edge_map"),
-        )
-    return FamilyDatum(base=base, dim=dim, extended_degree=ext,
-                       face_data=face_data, contractions=contractions)
-
-
-# ---------------------------------------------------------------------------
-# wall graphs, verdicts, reports
-# ---------------------------------------------------------------------------
 
 def wallgraph_to_doc(wg: WallGraph) -> dict:
     return {
         "schema": SCHEMA,
-        "nodes": [
-            {"id": nid, "canonical": canonical_form(t).string, "type": type_to_doc(t)}
-            for nid, t in wg.nodes
-        ],
-        "walls": [
-            {"id": wid, "canonical": canonical_form(t).string, "type": type_to_doc(t),
-             "resolutions": list(res)}
-            for wid, t, res in wg.walls
-        ],
+        "nodes": [_typed_to_doc(t, id=nid) for nid, t in wg.nodes],
+        "walls": [_typed_to_doc(t, id=wid, resolutions=list(res)) for wid, t, res in wg.walls],
     }
-
-
-def wallgraph_from_doc(doc, pointer="") -> WallGraph:
-    check_schema(doc, pointer)
-    nodes = []
-    for i, nd in enumerate(_expect(doc, "nodes", list, pointer)):
-        p = f"{pointer}/nodes/{i}"
-        t, _, _ = type_from_doc(_expect(nd, "type", dict, p), f"{p}/type")
-        nodes.append((_expect(nd, "id", str, p), t))
-    node_ids = {nid for nid, _ in nodes}
-    walls = []
-    for i, wd in enumerate(_expect(doc, "walls", list, pointer, default=[], required=False) or []):
-        p = f"{pointer}/walls/{i}"
-        t, _, _ = type_from_doc(_expect(wd, "type", dict, p), f"{p}/type")
-        res = _str_list(_expect(wd, "resolutions", list, p), f"{p}/resolutions")
-        for j, nid in enumerate(res):
-            if nid not in node_ids:
-                raise InputError(f"resolution {nid!r} is not a node id", f"{p}/resolutions/{j}")
-        walls.append((_expect(wd, "id", str, p), t, res))
-    node_key = {canonical_form(t).string: nid for nid, t in nodes}
-    return WallGraph(nodes=tuple(nodes), walls=tuple(walls), node_key=node_key)
 
 
 def verdict_to_doc(v: WallVerdict) -> dict:
@@ -464,31 +414,15 @@ def verdict_to_doc(v: WallVerdict) -> dict:
 
 
 def report_to_doc(report: ValidationReport) -> dict:
-    return {
-        "violations": [
-            {"axiom": v.axiom, "subject": v.subject, "message": v.message}
-            for v in report.violations
-        ],
-    }
+    return {"violations": [{"axiom": v.axiom, "subject": v.subject, "message": v.message}
+                           for v in report.violations]}
 
 
 def lift_to_doc(lift: FaceLift) -> dict:
-    return {
-        "face": lift.face,
-        "canonical": lift.canonical,
-        "type": type_to_doc(lift.type),
-        "lift": {
-            "linear": [list(r) for r in lift.linear],
-            "offset": [rat_str(x) for x in lift.offset],
-        },
-        "image_dim": lift.rank(),
-    }
+    return {"face": lift.face, "canonical": lift.canonical, "type": type_to_doc(lift.type),
+            "lift": _affine_to_doc(lift.linear, lift.offset), "image_dim": lift.rank()}
 
 
 def image_stratum_to_doc(s: ImageStratum) -> dict:
-    return {
-        "canonical": s.canonical,
-        "image_dim": s.image_dim,
-        "stratum_dim": s.stratum_dim,
-        "full_dimensional": s.full_dimensional,
-    }
+    return {"canonical": s.canonical, "image_dim": s.image_dim, "stratum_dim": s.stratum_dim,
+            "full_dimensional": s.full_dimensional}

@@ -156,6 +156,30 @@ def _generating_points(chart):
     return pts
 
 
+def _affine_faults(f: FamilyDatum, fid: str):
+    """Face fid's curve data (None if it has none), the edges and vertices it
+    lacks affine data for, and axiom-1 messages for a type in another lattice
+    or affine data of the wrong shape; validate_family reports them all and
+    fiber refuses a face with any."""
+    data = f.face_data.get(fid)
+    if data is None:
+        return None, [], []
+    graph, rank = data.type.graph, f.base.face(fid).rank
+    if data.type.dim != f.dim:
+        return data, [], [f"type lives in Z^{data.type.dim}, family in Z^{f.dim}"]
+    missing = [e for e, _, _ in graph.edges if e not in data.lengths]
+    missing += [v for v in graph.vertex_ids() if v not in data.positions]
+    if missing:
+        return data, missing, []
+    misshapen = [f"length of {e!r} has linear part of wrong arity"
+                 for e, fn in data.lengths.items() if len(fn.linear) != rank]
+    misshapen += [f"position of {u!r} has affine data of wrong shape"
+                  for u, mp in data.positions.items()
+                  if len(mp.linear) != f.dim or any(len(r) != rank for r in mp.linear)
+                  or len(mp.offset) != f.dim]
+    return data, [], misshapen
+
+
 def validate_family(f: FamilyDatum) -> ValidationReport:
     """Definition-style family validation, one report entry per violation."""
     report = ValidationReport()
@@ -165,47 +189,32 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
     if not base_report.ok:
         return report
 
-    for fid in sorted(f.base.faces):
-        if fid not in f.face_data:
+    faults = {fid: _affine_faults(f, fid) for fid in sorted(f.base.faces)}
+    for fid, (data, _, _) in faults.items():
+        if data is None:
             report.add("coverage", fid, "face without curve data")
     for key in sorted(f.base.inclusions):
         if key not in f.contractions:
             report.add("coverage", f"{key[0]}->{key[1]}", "inclusion without contraction")
-    if not base_report.ok or any(v.axiom == "coverage" for v in report.violations):
+    if report.violations:
         return report
 
     # per-face fiber conditions; inclusion checks skip faces with malformed data
     malformed = set()
-    for fid in sorted(f.base.faces):
-        data = f.face_data[fid]
+    for fid, (data, missing, misshapen) in faults.items():
         face = f.base.face(fid)
         t = data.type
-        if t.dim != f.dim:
-            report.add("1", fid, f"type lives in Z^{t.dim}, family in Z^{f.dim}")
-            malformed.add(fid)
-            continue
-        if extended_degree(t) != f.extended_degree:
-            report.add("degree", fid, "extended degree differs from the family degree")
-        bal = check_balanced(t)
-        if not bal.ok:
-            report.add("1", fid, f"type unbalanced at {[v for v, _ in bal.failures]}")
-        missing = [e for e, _, _ in t.graph.edges if e not in data.lengths]
-        missing += [v for v in t.graph.vertex_ids() if v not in data.positions]
+        if t.dim == f.dim:
+            if extended_degree(t) != f.extended_degree:
+                report.add("degree", fid, "extended degree differs from the family degree")
+            bal = check_balanced(t)
+            if not bal.ok:
+                report.add("1", fid, f"type unbalanced at {[v for v, _ in bal.failures]}")
         if missing:
             report.add("1", fid, f"missing affine data for {missing}")
-            malformed.add(fid)
-            continue
-        shape_bad = False
-        for e, fn in data.lengths.items():
-            if len(fn.linear) != face.rank:
-                report.add("1", fid, f"length of {e!r} has linear part of wrong arity")
-                shape_bad = True
-        for u, mp in data.positions.items():
-            if len(mp.linear) != f.dim or any(len(r) != face.rank for r in mp.linear) \
-                    or len(mp.offset) != f.dim:
-                report.add("1", fid, f"position of {u!r} has affine data of wrong shape")
-                shape_bad = True
-        if shape_bad:
+        for message in misshapen:
+            report.add("1", fid, message)
+        if missing or misshapen:
             malformed.add(fid)
             continue
 
@@ -368,11 +377,13 @@ def locate(base: PolyhedralComplex, fid: str, coords):
 def fiber(f: FamilyDatum, fid: str, coords) -> ParameterizedTropicalCurve:
     """The parameterized tropical curve over a rational point of the base."""
     where, x = locate(f.base, fid, coords)
-    data = f.face_data[where]
-    missing = [e for e, _, _ in data.type.graph.edges if e not in data.lengths]
-    missing += [v for v in data.type.graph.vertex_ids() if v not in data.positions]
+    data, missing, misshapen = _affine_faults(f, where)
+    if data is None:
+        raise InvalidFamily(f"face {where!r} has no curve data")
     if missing:
         raise InvalidFamily(f"face {where!r} has no affine data for {missing}")
+    if misshapen:
+        raise InvalidFamily(f"face {where!r}: {misshapen[0]}")
     lengths = {}
     for e, _, _ in data.type.graph.edges:
         val = data.lengths[e](x)

@@ -727,23 +727,10 @@ def _end_permutations(ends):
         yield tuple(p)
 
 
-def _image(emulti, p):
-    return sorted((min(p[i], p[j]), max(p[i], p[j])) for i, j in emulti)
-
-
-def _automorphisms(emulti, ends) -> list:
-    """Permutations p of the vertices mapping the sorted edge multiset to itself.
-
-    ``ends[v]`` is the number of edge ends at v.  Only permutations keeping
-    it can qualify, so the search runs over products of permutations within
-    its classes.
-    """
-    return [p for p in _end_permutations(ends) if _image(emulti, p) == list(emulti)]
-
-
 def _least_automorphisms(emulti, ends):
-    """``_automorphisms(emulti, ends)``, or None when a permutation keeping
-    ``ends`` maps the sorted edge multiset to a smaller one.
+    """The permutations keeping ``ends`` (the number of edge ends at each
+    vertex) that map the sorted edge multiset ``emulti`` to itself, or None
+    when one of them maps it to a smaller one.
 
     With ``ends`` non-increasing, the labellings of one unlabelled
     multigraph that keep ``ends`` sorted are one orbit of those
@@ -752,7 +739,7 @@ def _least_automorphisms(emulti, ends):
     edges = list(emulti)
     autos = []
     for p in _end_permutations(ends):
-        image = _image(emulti, p)
+        image = sorted((min(p[i], p[j]), max(p[i], p[j])) for i, j in emulti)
         if image < edges:
             return None
         if image == edges:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -431,3 +432,41 @@ def assert_stratum_systems_agree(t):
     for row in desc.equalities:
         assert sum(a * x for a, x in zip(row, point)) == 0
     assert all(x > 0 for x in point[:nlen])
+
+
+# ---------------------------------------------------------------------------
+# faulty JSON documents
+# ---------------------------------------------------------------------------
+
+# values put in place of a node: every JSON type, a bad rational, nested lists
+RETYPED = [None, True, False, 0, 7, -1, "1/0", "x", [], {}, [[1]], [[]], [0, [1]]]
+
+
+def json_paths(doc, prefix=()):
+    """The path (a tuple of keys and indices) of every node of a JSON document."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) \
+        else ()
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+def mutated(doc, kind, path, value=None):
+    """``doc`` with the node at ``path`` deleted, duplicated (a list entry
+    next to itself, an object entry under a new key) or retyped to ``value``."""
+    if not path:
+        return copy.deepcopy(value)
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "duplicate" and isinstance(parent, list):
+        parent.insert(key + 1, copy.deepcopy(parent[key]))
+    elif kind == "duplicate":
+        parent[key + "2"] = copy.deepcopy(parent[key])
+    else:
+        parent[key] = copy.deepcopy(value)
+    return doc

@@ -7,13 +7,17 @@ the colour classes in order and returns the least serialization, breaking
 ties by the first ordering in product-of-permutations order.  Its cost is
 the product of the class sizes' factorials, so it is only for small types.
 ``moduli.canonical_form`` must return the same key, string, maps and type.
+
+``reference_automorphisms`` lists every automorphism of a labelled
+multigraph; ``moduli._least_automorphisms`` must return the same list on
+a least labelling.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
 
-from tropmoduli.moduli import CanonicalForm
+from tropmoduli.moduli import CanonicalForm, _end_permutations
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
 
 
@@ -96,3 +100,14 @@ def reference_canonical_form(t: CombinatorialType) -> CanonicalForm:
         new_slopes[emap[eid]] = rec[2]
     canon = CombinatorialType(WeightedGraph(new_vertices, new_edges, new_legs), new_slopes, t.dim)
     return CanonicalForm(key=best, string=repr(best), vertex_map=vmap, edge_map=emap, type=canon)
+
+
+def reference_automorphisms(emulti, ends) -> list:
+    """Permutations p of the vertices mapping the sorted edge multiset to itself.
+
+    ``ends[v]`` is the number of edge ends at v.  Only permutations keeping
+    it can qualify, so the search runs over products of permutations within
+    its classes.
+    """
+    return [p for p in _end_permutations(ends)
+            if sorted((min(p[i], p[j]), max(p[i], p[j])) for i, j in emulti) == list(emulti)]

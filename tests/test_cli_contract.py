@@ -1,0 +1,114 @@
+"""A fuzzer for the CLI contract.
+
+Every file-reading verb runs on a valid document with one or two nodes
+deleted, given another JSON type, or duplicated, and ``enumerate`` runs
+on malformed flags.  Each run must end with exit 0, 1 or 2 and a report
+with exactly the five report keys whose status matches the exit code; no
+exception may escape ``cli.main``.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from tropmoduli import documents as docs
+from tropmoduli.cli import main
+from tropmoduli.moduli import resolve_4valent, wall_graph
+from tropmoduli.polyhedral import build_skeleton
+
+from helpers import (
+    RETYPED,
+    cross_type,
+    json_paths,
+    mutated,
+    path_family,
+    resolution_type,
+    triangle_pair_data,
+)
+
+_REPORT_KEYS = {"schema", "verb", "status", "payload", "summary"}
+_STATUS = {0: "ok", 1: "violations", 2: "error"}
+
+_FAMILY = docs.family_to_doc(path_family([(1, 2), (2, 4)], [Fraction(3, 2), 2]))
+_WALLGRAPH = docs.wallgraph_to_doc(wall_graph(resolve_4valent(cross_type(), "v")))
+_RESOLVED = resolution_type(2)
+_CURVE = docs.type_to_doc(_RESOLVED, lengths={"e": Fraction(2)}, positions={
+    "va": (0, 0), "vb": tuple(2 * x for x in _RESOLVED.slopes["e"])})
+
+# verb, input document, flags after the input path
+SEEDS = [
+    ("validate-complex", docs.complex_to_doc(build_skeleton(triangle_pair_data())), []),
+    ("skeleton", docs.pair_to_doc(triangle_pair_data()), []),
+    ("validate-curve", _CURVE, []),
+    ("classify", docs.type_to_doc(cross_type()), []),
+    ("resolve", docs.type_to_doc(cross_type()), []),
+    ("wallgraph", docs.types_to_doc(resolve_4valent(cross_type(), "v")), []),
+    ("validate-family", _FAMILY, []),
+    ("fiber", _FAMILY, ["--face", "E2", "--point", '["1/2"]']),
+    ("alpha", _FAMILY, []),
+    ("verdicts", _FAMILY, []),
+    ("propagate", _WALLGRAPH, ["--seeds", _WALLGRAPH["nodes"][0]["id"]]),
+]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+def _run(workdir, argv):
+    out = workdir / "report.json"
+    code = main(argv + ["-o", str(out)])
+    report = json.loads(out.read_text())
+    assert code in _STATUS, (argv, code)
+    assert set(report) == _REPORT_KEYS, (argv, report)
+    assert report["status"] == _STATUS[code], (argv, report)
+    return code
+
+
+@pytest.mark.parametrize("verb, doc, flags", SEEDS, ids=[verb for verb, _, _ in SEEDS])
+def test_seed_documents_are_valid(workdir, verb, doc, flags):
+    path = workdir / "seed.json"
+    path.write_text(json.dumps(doc))
+    assert _run(workdir, [verb, str(path)] + flags) == 0
+
+
+@st.composite
+def _mutated_input(draw):
+    verb, doc, flags = draw(st.sampled_from(SEEDS))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(json_paths(doc))))
+        kind = draw(st.sampled_from(["delete", "duplicate", "retype"] if path else ["retype"]))
+        doc = mutated(doc, kind, path, draw(st.sampled_from(RETYPED)))
+    return verb, doc, flags
+
+
+_FUZZ = settings(max_examples=300, derandomize=True, deadline=5000, database=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@_FUZZ
+@given(_mutated_input())
+def test_file_reading_verbs_keep_the_contract_on_mutated_documents(workdir, case):
+    verb, doc, flags = case
+    path = workdir / "input.json"
+    path.write_text(json.dumps(doc))
+    _run(workdir, [verb, str(path)] + flags)
+
+
+_DEGREES = st.one_of(
+    st.sampled_from(["[[1,0],[0,1],[-1,-1]]", "[]", "[[1,0],[0,1,2]]", "[[0,0],[1,1]]",
+                     "[[1,true],[0,1]]", "[1,2]", "{}", "null", "[[\"1/2\",0]]", "[[", "x"]),
+    st.lists(st.lists(st.integers(-2, 2), min_size=0, max_size=3), max_size=4).map(json.dumps))
+
+
+@_FUZZ
+@given(_DEGREES, st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 2),
+       st.one_of(st.none(), st.integers(-1, 3)))
+def test_enumerate_keeps_the_contract_on_malformed_flags(workdir, degree, genus, contracted,
+                                                         max_edges, dim):
+    argv = ["enumerate", "--degree", degree, "--genus", str(genus),
+            "--contracted", str(contracted), "--max-edges", str(max_edges)]
+    _run(workdir, argv + ([] if dim is None else ["--dim", str(dim)]))

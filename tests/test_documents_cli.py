@@ -550,13 +550,16 @@ def test_cli_rejects_bad_positions(tmp_path, capsys, verb, doc, pointer):
 _REPORT_KEYS = {"schema", "verb", "status", "payload", "summary"}
 
 
-def _dim_3_type_without_length(doc):
-    """Face R0 gets a type in Z^3 and loses its edge length."""
-    face = doc["faces"][1]
+def _type_in_z3(face):
     face["type"]["dim"] = 3
     for item in face["type"]["edges"] + face["type"]["legs"]:
         item["slope"].append(0)
-    del face["lengths"]["e"]
+
+
+def _dim_3_type_without_length(doc):
+    """Face R0 gets a type in Z^3 and loses its edge length."""
+    _type_in_z3(doc["faces"][1])
+    del doc["faces"][1]["lengths"]["e"]
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -762,21 +765,39 @@ def test_cli_rejects_bad_complex_inclusions_at_the_complex(tmp_path, capsys, edi
         assert report["payload"]["pointer"] == pointer
 
 
-def test_cli_fiber_on_a_face_without_affine_data_is_an_invalid_family(tmp_path, capsys):
+def _e2(doc):
+    return next(fd for fd in doc["faces"] if fd["face"] == "E2")
+
+
+@pytest.mark.parametrize("edit, message, violation", [
+    (lambda doc: _e2(doc).update(lengths={}),
+     "face 'E2' has no affine data for ['e']", ("1", "missing affine data for ['e']")),
+    (lambda doc: doc["faces"].remove(_e2(doc)),
+     "face 'E2' has no curve data", ("coverage", "face without curve data")),
+    (lambda doc: _e2(doc).update(lengths={"e": {"linear": [], "offset": "1"}}),
+     "face 'E2': length of 'e' has linear part of wrong arity",
+     ("1", "length of 'e' has linear part of wrong arity")),
+    (lambda doc: _e2(doc).update(lengths={"e": {"linear": [], "offset": "5"}}),
+     "face 'E2': length of 'e' has linear part of wrong arity",
+     ("1", "length of 'e' has linear part of wrong arity")),
+    (lambda doc: _type_in_z3(_e2(doc)), "face 'E2': type lives in Z^3, family in Z^2",
+     ("1", "type lives in Z^3, family in Z^2")),
+], ids=["no-length", "no-curve-data", "short-length", "short-length-offset-5", "wrong-dim"])
+def test_cli_fiber_on_a_face_without_affine_data_is_an_invalid_family(tmp_path, capsys, edit,
+                                                                      message, violation):
     doc = docs.family_to_doc(path_family([(1, 2), (2, 4)], [Fraction(3, 2), 2]))
-    face = next(fd for fd in doc["faces"] if fd["face"] == "E2")
-    face["lengths"] = {}
+    edit(doc)
     fpath = _write(tmp_path, "family.json", doc)
     code, out = _run(capsys, ["fiber", fpath, "--face", "E2", "--point", '["1/2"]'])
     assert code == 2
     report = json.loads(out)
     assert set(report) == _REPORT_KEYS and report["status"] == "error"
-    assert report["payload"] == {"error": "InvalidFamily",
-                                 "message": "face 'E2' has no affine data for ['e']"}
+    assert report["payload"] == {"error": "InvalidFamily", "message": message}
     code, out = _run(capsys, ["validate-family", fpath])
     assert code == 1
+    axiom, text = violation
     assert json.loads(out)["payload"]["violations"] == [
-        {"axiom": "1", "subject": "E2", "message": "missing affine data for ['e']"}]
+        {"axiom": axiom, "subject": "E2", "message": text}]
 
 
 def test_cli_resolve_refuses_an_unbalanced_cross(tmp_path, capsys):

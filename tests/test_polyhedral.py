@@ -505,3 +505,17 @@ def test_two_shared_vertices_resolving_differently_flagged():
     report = validate_complex(c)
     assert [v.subject for v in report.violations if v.axiom == "4"] == ["W1 & W2"]
     assert str(report) == str(reference.validate_complex(c))
+
+
+def test_inclusions_onto_two_super_charts_are_each_flagged():
+    # F maps onto the whole of E and onto the whole of G, which differs from E
+    c = PolyhedralComplex(
+        [Face("F", 1, Polyhedron(1, [((1,), 0), ((-1,), -2)])),
+         Face("E", 1, Polyhedron(1, [((1,), 0), ((-1,), -2)])),
+         Face("G", 1, Polyhedron(1, [((1,), 1), ((-1,), -3)]))],
+        [FaceInclusion("F", "E", ((1,),), (Fraction(0),)),
+         FaceInclusion("F", "G", ((1,),), (Fraction(1),))],
+    )
+    report = validate_complex(c)
+    assert [v.subject for v in report.violations if v.axiom == "3"][:2] == ["F->E", "F->G"]
+    assert str(report) == str(reference.validate_complex(c))
