@@ -66,21 +66,24 @@ def _scalar(kind, message):
     return scalar
 
 
-def _list(item, size=None, message="expected a list"):
-    """A JSON list as a tuple of item nodes; with a size, of exactly that
-    many entries, the length checked first."""
+def _list(item, size=None, message="expected a list", late=False):
+    """A JSON list as a tuple of item nodes; with a size, of exactly that many
+    entries, the length checked first (with ``late``, after the entries)."""
     kind = getattr(item, "kind", None)
+    early = size is not None and not late
 
     def items(value, pointer):
-        if not isinstance(value, list) or size is not None and len(value) != size:
+        if not isinstance(value, list) or early and len(value) != size:
+            raise InputError(message if early else "expected a list", pointer)
+        for x in value:
+            if type(x) is not kind:
+                value = tuple([item(x, f"{pointer}/{i}") for i, x in enumerate(value)])
+                break
+        else:
+            value = tuple(value)
+        if late and len(value) != size:
             raise InputError(message, pointer)
-        if kind is not None:
-            for x in value:
-                if type(x) is not kind:
-                    break
-            else:
-                return tuple(value)
-        return tuple([item(x, f"{pointer}/{i}") for i, x in enumerate(value)])
+        return value
     return items
 
 
@@ -126,21 +129,18 @@ def _object(*fields, schema=False):
     return obj
 
 
-def _checked(node, ok, message):
-    def checked(value, pointer):
-        value = node(value, pointer)
-        if not ok(value):
-            raise InputError(message, pointer)
-        return value
-    return checked
-
-
 def _natural(message):
-    return _checked(_integer, lambda n: n >= 0, message)
+    def natural(value, pointer):
+        if type(value) is not int or value < 0:
+            raise InputError(message if type(value) is int else "expected an integer", pointer)
+        return value
+    return natural
 
 
-def _sized(node, size, message):
-    return _checked(node, lambda v: len(v) == size, message)
+def _positive(value, pointer):
+    if (value := parse_rat(value, pointer)) <= 0:
+        raise InputError("edge lengths must be positive", pointer)
+    return value
 
 
 _string, _integer = _scalar(str, "expected a string"), _scalar(int, "expected an integer")
@@ -170,12 +170,11 @@ _TYPE = _object(
         ("id", _string), ("weight", _natural("weights are nonnegative"), 0)))),
     ("edges", ("dim", lambda dim: _list(_object(
         ("id", _string), ("u", _string), ("v", _string),
-        ("slope", _sized(_INTS, dim, f"slope needs {dim} entries")),
-        ("length", _checked(parse_rat, lambda x: x > 0, "edge lengths must be positive"),
-         None)))), ()),
+        ("slope", _list(_integer, dim, f"slope needs {dim} entries", late=True)),
+        ("length", _positive, None)))), ()),
     ("legs", ("dim", lambda dim: _list(_object(
         ("id", _string), ("v", _string),
-        ("slope", _sized(_INTS, dim, f"slope needs {dim} entries"))))), ()),
+        ("slope", _list(_integer, dim, f"slope needs {dim} entries", late=True))))), ()),
     ("positions", ("dim", lambda dim: _id_map(
         _list(parse_rat, dim, f"position needs {dim} entries"))), None),
     schema=True)
@@ -198,8 +197,9 @@ SCHEMAS = {
             ("face", _string), ("type", _TYPE),
             ("lengths", _id_map(_object(("linear", _INTS), ("offset", parse_rat))), {}),
             ("positions", _id_map(_object(
-                ("linear", _sized(_list(_INTS), dim, f"linear needs {dim} entries")),
-                ("offset", _sized(_RATIONALS, dim, f"offset needs {dim} entries")))), {}))))),
+                ("linear", _list(_INTS, dim, f"linear needs {dim} entries", late=True)),
+                ("offset", _list(parse_rat, dim, f"offset needs {dim} entries", late=True)))),
+             {}))))),
         ("contractions", _list(_object(
             ("sub", _string), ("super", _string),
             ("vertex_map", _id_map(_string)), ("edge_map", _id_map(_string), {}))), ()),

@@ -15,14 +15,16 @@ with sorted edge-end counts, and shares ``exact_linalg._spanning_forest``
 with the stratum systems: flow along the tree solves the balancing
 equations in integers and the fundamental cycles span the rest (no Smith
 normal form).  Contraction and wall paths use the same walk.  Only one leg
-assignment per orbit of the multigraph's automorphisms is tried.
+assignment per orbit of the multigraph's automorphisms is tried, and only
+classes with a cycle get a stratum check: tree classes are nonempty.
 
 Isomorphisms of types fix every leg (the leg order is part of the data).
 The canonical form is the least serialization over the vertex orderings
 that respect the stable refinement colouring on (weight, leg positions,
 incident slopes, neighbour colours).  One search finds it, pruned by the
 automorphisms it meets, and those automorphisms generate the group that
-``automorphisms`` lists.
+``automorphisms`` lists.  The type it returns records its string in
+``_canonical``, so ``wall_graph`` does not label it again.
 """
 
 from __future__ import annotations
@@ -383,8 +385,10 @@ def canonical_form(t: CombinatorialType) -> CanonicalForm:
     new_slopes = {f"l{i}": t.slopes[lid] for i, (lid, _) in enumerate(g.legs)}
     for rec, eid in erecs:
         new_slopes[emap[eid]] = rec[2]
-    canon = CombinatorialType(WeightedGraph(new_vertices, new_edges, new_legs), new_slopes, t.dim)
-    return CanonicalForm(key=key, string=repr(key), vertex_map=vmap, edge_map=emap,
+    canon = CombinatorialType._trusted(
+        WeightedGraph._trusted(new_vertices, new_edges, new_legs), new_slopes, t.dim)
+    canon._canonical = repr(key)
+    return CanonicalForm(key=key, string=canon._canonical, vertex_map=vmap, edge_map=emap,
                          type=canon)
 
 
@@ -552,8 +556,9 @@ def contract_any_slope(t: CombinatorialType, edges) -> CombinatorialType:
     new_legs = tuple((lid, name[v]) for lid, v in g.legs)
     for lid, _ in g.legs:
         new_slopes[lid] = t.slopes[lid]
-    graph = WeightedGraph(tuple(sorted(weights.items())), tuple(sorted(new_edges)), new_legs)
-    return CombinatorialType(graph, new_slopes, t.dim)
+    graph = WeightedGraph._trusted(tuple(sorted(weights.items())), tuple(sorted(new_edges)),
+                                   new_legs)
+    return CombinatorialType._trusted(graph, new_slopes, t.dim)
 
 
 def contract(t: CombinatorialType, edges) -> CombinatorialType:
@@ -653,8 +658,8 @@ def _resolutions(t: CombinatorialType, v: str) -> dict:
             sum(t.slope_of_item(items[i])[c] for i in side_a) for c in range(t.dim))
         slopes[new_edge] = tuple(-x for x in total_a)  # slope along va -> vb
         edges.append((new_edge, va, vb))
-        res = CombinatorialType(
-            WeightedGraph(vertices, tuple(sorted(edges)), tuple(legs)), slopes, t.dim)
+        res = CombinatorialType._trusted(
+            WeightedGraph._trusted(vertices, tuple(sorted(edges)), tuple(legs)), slopes, t.dim)
         assert check_balanced(res).ok
         assert classify(res).classification == WallClassification.WEIGHTLESS_3VALENT
         out.setdefault(canonical_form(res).string, res)
@@ -766,9 +771,10 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: Optional[int] =
     the automorphisms that also keep the weights.  A leg assignment is only
     tried when its legs cover every deficit (exactly the stability
     condition) and it is the lexicographically least of its orbit under
-    those automorphisms (the others give isomorphic types).  Then the tree flow solves the balancing
-    equations in integers, and each candidate goes through its canonical
-    form; the stratum emptiness check runs once per isomorphism class.
+    those automorphisms (the others give isomorphic types).  Then the tree
+    flow solves the balancing equations in integers, and each candidate
+    goes through its canonical form.  Emptiness is checked once per class
+    with a cycle; a tree class has no cycle rows, so it is nonempty.
     """
     degree = tuple(tuple(int(x) for x in s) for s in degree)
     if dim is None:
@@ -822,11 +828,11 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: Optional[int] =
                         if any(tuple(p[a] for a in assign) < assign for p in weight_autos):
                             continue  # not the least of its orbit
                         legs = tuple((f"l{i}", vids[a]) for i, a in enumerate(assign))
-                        graph = WeightedGraph(vertices, edges, legs)
+                        graph = WeightedGraph._trusted(vertices, edges, legs)
                         for t in _balanced_types(graph, forest, kernel, ext, dim, bound):
                             cf = canonical_form(t)
                             if cf.string not in found:  # None records an empty stratum
-                                empty = stratum(cf.type).is_empty()
+                                empty = ne > nv - 1 and stratum(cf.type).is_empty()
                                 found[cf.string] = None if empty else cf.type
     return [found[k] for k in sorted(found) if found[k] is not None]
 
@@ -863,7 +869,7 @@ def _balanced_types(graph: WeightedGraph, forest, kernel, ext, dim, bound):
             slopes[e] = tuple(combo[c][k] for c in range(dim))
         for e in loops:
             slopes[e] = (0,) * dim  # nonzero loop slopes force empty strata
-        yield CombinatorialType(graph, slopes, dim)
+        yield CombinatorialType._trusted(graph, slopes, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -897,10 +903,11 @@ def wall_graph(types) -> WallGraph:
     if len(invariants) > 1:
         raise MixedInvariants(f"mixed invariants: {sorted(invariants)}")
 
-    canon_nodes = {}
+    canon_nodes = {}  # a type canonical_form returned is canonical and knows its string
     for t in types:
-        cf = canonical_form(t)
-        canon_nodes.setdefault(cf.string, cf.type)
+        if t._canonical is None:
+            t = canonical_form(t).type
+        canon_nodes.setdefault(t._canonical, t)
     node_key = {k: f"n{i}" for i, k in enumerate(sorted(canon_nodes))}
 
     # contracting a non-loop edge between two weightless 3-valent vertices

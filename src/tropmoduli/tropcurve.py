@@ -9,7 +9,10 @@ position(v) - position(u) = length(e) * slope(u -> v) exactly.
 Slopes are stored once per edge, along the stored (u, v) orientation; the
 reverse orientation is the negation.  Legs are always oriented away from
 their vertex.  Loops contribute both orientations to the star of their
-vertex, so they never affect balancing.
+vertex, so they never affect balancing.  The constructors validate; the
+unchecked ``_trusted`` builds are only for ``moduli.canonical_form``,
+``contract_any_slope``, ``_resolutions``, ``enumerate_types`` and
+``stabilize_type``, which build from valid parts.
 """
 
 from __future__ import annotations
@@ -54,6 +57,13 @@ class WeightedGraph:
             if v not in vset:
                 raise ValueError(f"leg {l!r} attached to unknown vertex")
 
+    @classmethod
+    def _trusted(cls, vertices, edges, legs):
+        """A graph from parts already known to be valid, without the checks."""
+        g = object.__new__(cls)
+        g.__dict__.update(vertices=vertices, edges=edges, legs=legs)
+        return g
+
     def vertex_ids(self):
         return [v for v, _ in self.vertices]
 
@@ -91,6 +101,8 @@ class WeightedGraph:
 class CombinatorialType:
     """Weighted leg-ordered graph with a slope vector per edge and leg."""
 
+    _canonical = None  # canonical string, set only on types moduli.canonical_form returns
+
     def __init__(self, graph: WeightedGraph, slopes: dict, dim: int):
         self.graph = graph
         self.dim = dim
@@ -106,6 +118,13 @@ class CombinatorialType:
             if len(s) != dim:
                 raise ValueError(f"slope for {key!r} has wrong dimension")
             self.slopes[key] = s
+
+    @classmethod
+    def _trusted(cls, graph: WeightedGraph, slopes: dict, dim: int):
+        """A type from a valid graph and complete integer slopes, without the checks."""
+        t = object.__new__(cls)
+        t.graph, t.slopes, t.dim = graph, slopes, dim
+        return t
 
     def __eq__(self, other):
         return isinstance(other, CombinatorialType) and \
@@ -352,11 +371,9 @@ def stabilize_type(t: CombinatorialType) -> StabilizationResult:
 
     if not weights:
         raise Unstabilizable("stabilization emptied the curve")
-    graph = WeightedGraph(
-        vertices=tuple(sorted((v, w) for v, w in weights.items())),
-        edges=tuple(sorted((e, u, v) for e, (u, v) in ends.items())),
-        legs=t.graph.legs,
-    )
+    graph = WeightedGraph._trusted(tuple(sorted(weights.items())),
+                                   tuple(sorted((e, u, v) for e, (u, v) in ends.items())),
+                                   t.graph.legs)
     if not is_stable(graph):
         bad = [v for v, w in graph.vertices if graph.valence(v) + 2 * w < 3]
         raise Unstabilizable(f"no stable model: vertices {bad} cannot be removed")

@@ -470,3 +470,50 @@ def mutated(doc, kind, path, value=None):
     else:
         parent[key] = copy.deepcopy(value)
     return doc
+
+
+# ---------------------------------------------------------------------------
+# enumeration cases and relabelled types
+# ---------------------------------------------------------------------------
+
+# the cases of test_enumerate_complete_against_brute_force, 3-vertex ones included
+# (15 of the 26 types of the 5-leg case have 3 vertices)
+BRUTE_FORCE_CASES = [
+    (0, 0, ((1, 0), (0, 1), (-1, 0), (0, -1)), 2),
+    (0, 0, ((1, 0), (1, 0), (-1, 0), (-1, 0)), 2),
+    (0, 0, ((1,), (1,), (-1,), (-1,)), 1),
+    (0, 1, ((1, 0), (0, 1), (-1, -1)), 2),
+    (1, 0, ((1, 0), (-1, 0)), 2),
+    (1, 0, ((2, 0), (-1, 1), (-1, -1)), 2),
+    (1, 1, ((1, 0), (0, 1), (-1, -1)), 2),
+    (1, 2, (), 2),
+    (0, 0, ((1, 0), (0, 1), (-1, -1), (1, 0), (-1, 0)), 2),
+    (0, 1, ((1, 0), (0, 1), (-1, 0), (0, -1)), 2),
+    (0, 1, ((1,), (1,), (-1,), (-1,)), 1),
+]
+
+
+def relabelled(t, rng):
+    """The same type under fresh vertex and edge ids, shuffled tuples and
+    random edge orientations; legs keep their order."""
+    g = t.graph
+    names = [f"{rng.choice('abcxyz')}{k}" for k in range(len(g.vertices))]
+    rng.shuffle(names)
+    vname = dict(zip(g.vertex_ids(), names))
+    vertices = [(vname[v], w) for v, w in g.vertices]
+    rng.shuffle(vertices)
+    edges, slopes = [], {}
+    for k, (e, u, v) in enumerate(g.edges):
+        eid = f"f{rng.randrange(1000)}_{k}"
+        s = t.slopes[e]
+        if rng.random() < 0.5:
+            edges.append((eid, vname[u], vname[v]))
+            slopes[eid] = s
+        else:
+            edges.append((eid, vname[v], vname[u]))
+            slopes[eid] = tuple(-x for x in s)
+    rng.shuffle(edges)
+    legs = tuple((f"m{k}", vname[v]) for k, (lid, v) in enumerate(g.legs))
+    for k, (lid, _) in enumerate(g.legs):
+        slopes[f"m{k}"] = t.slopes[lid]
+    return CombinatorialType(WeightedGraph(tuple(vertices), tuple(edges), legs), slopes, t.dim)

@@ -1,0 +1,81 @@
+"""Reference enumeration loop for differential tests.
+
+``reference_enumerate_types`` is ``moduli.enumerate_types`` as it was
+before tree classes skipped the stratum check: it builds and checks the
+stratum of every isomorphism class, and it rebuilds every candidate type
+through the validating ``WeightedGraph`` and ``CombinatorialType``
+constructors before labelling it.  Its output must be identical.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations_with_replacement, product
+
+from tropmoduli.moduli import (
+    _balanced_types,
+    _compositions,
+    _least_automorphisms,
+    _spanning_forest,
+    canonical_form,
+    stratum,
+)
+from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
+
+
+def reference_enumerate_types(g, n, degree, max_edges, dim=None, checked=None):
+    """enumerate_types with a stratum check for every class; the canonical
+    type of each checked class is appended to ``checked`` when given."""
+    degree = tuple(tuple(int(x) for x in s) for s in degree)
+    dim = len(degree[0]) if dim is None else dim
+    ext = tuple((0,) * dim for _ in range(n)) + degree
+    L = len(ext)
+    bound = [sum(abs(s[c]) for s in ext) for c in range(dim)]
+    checked = [] if checked is None else checked
+
+    found = {}
+    max_nv = 2 * g - 2 + L
+    for nv in range(1, min(max_nv, max_edges + 1) + 1 if max_nv >= 1 else 0):
+        vids = [f"v{i}" for i in range(nv)]
+        pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
+        for ne in range(max(nv - 1, 0), min(max_edges, nv - 1 + g) + 1):
+            wsum = g - (ne - nv + 1)
+            if wsum < 0:
+                continue
+            for emulti in combinations_with_replacement(pairs, ne):
+                ends = [0] * nv
+                for i, j in emulti:
+                    ends[i] += 1
+                    ends[j] += 1
+                if any(a < b for a, b in zip(ends, ends[1:])):
+                    continue
+                autos = _least_automorphisms(emulti, ends)
+                if autos is None:
+                    continue
+                edges = tuple((f"e{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(emulti))
+                non_loops = [(e, u, v) for e, u, v in edges if u != v]
+                forest, cycles = _spanning_forest(vids, non_loops)
+                if sum(1 for _, parent, _, _ in forest if parent is None) > 1:
+                    continue
+                kernel = [tuple(coef.get(e, 0) for e, _, _ in non_loops) for coef in cycles]
+                for weights in _compositions(wsum, nv):
+                    deficit = [max(0, 3 - 2 * w - k) for w, k in zip(weights, ends)]
+                    if sum(deficit) > L:
+                        continue
+                    weight_autos = [p for p in autos
+                                    if all(weights[p[v]] == weights[v] for v in range(nv))]
+                    vertices = tuple(zip(vids, weights))
+                    for assign in product(range(nv), repeat=L):
+                        if any(assign.count(v) < deficit[v] for v in range(nv)):
+                            continue
+                        if any(tuple(p[a] for a in assign) < assign for p in weight_autos):
+                            continue
+                        legs = tuple((f"l{i}", vids[a]) for i, a in enumerate(assign))
+                        graph = WeightedGraph(vertices, edges, legs)
+                        for t in _balanced_types(graph, forest, kernel, ext, dim, bound):
+                            t = CombinatorialType(graph, dict(t.slopes), dim)
+                            cf = canonical_form(t)
+                            if cf.string not in found:
+                                checked.append(cf.type)
+                                empty = stratum(cf.type).is_empty()
+                                found[cf.string] = None if empty else cf.type
+    return [found[k] for k in sorted(found) if found[k] is not None]

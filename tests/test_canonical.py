@@ -25,28 +25,13 @@ from tropmoduli.moduli import (
 )
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
 
+from helpers import BRUTE_FORCE_CASES, relabelled
 from oracles import brute_force_isomorphisms
 from reference_canonical import (
     reference_automorphisms,
     reference_canonical_form,
     reference_serialize,
 )
-
-# the cases of test_enumerate_complete_against_brute_force, 3-vertex ones included
-BRUTE_FORCE_CASES = [
-    (0, 0, ((1, 0), (0, 1), (-1, 0), (0, -1)), 2),
-    (0, 0, ((1, 0), (1, 0), (-1, 0), (-1, 0)), 2),
-    (0, 0, ((1,), (1,), (-1,), (-1,)), 1),
-    (0, 1, ((1, 0), (0, 1), (-1, -1)), 2),
-    (1, 0, ((1, 0), (-1, 0)), 2),
-    (1, 0, ((2, 0), (-1, 1), (-1, -1)), 2),
-    (1, 1, ((1, 0), (0, 1), (-1, -1)), 2),
-    (1, 2, (), 2),
-    (0, 0, ((1, 0), (0, 1), (-1, -1), (1, 0), (-1, 0)), 2),
-    (0, 1, ((1, 0), (0, 1), (-1, 0), (0, -1)), 2),
-    (0, 1, ((1,), (1,), (-1,), (-1,)), 1),
-]
-
 
 def assert_matches_reference(t):
     got, want = canonical_form(t), reference_canonical_form(t)
@@ -55,32 +40,6 @@ def assert_matches_reference(t):
     assert got.vertex_map == want.vertex_map
     assert got.edge_map == want.edge_map
     assert got.type == want.type
-
-
-def relabelled(t, rng):
-    """The same type under fresh vertex and edge ids, shuffled tuples and
-    random edge orientations; legs keep their order."""
-    g = t.graph
-    names = [f"{rng.choice('abcxyz')}{k}" for k in range(len(g.vertices))]
-    rng.shuffle(names)
-    vname = dict(zip(g.vertex_ids(), names))
-    vertices = [(vname[v], w) for v, w in g.vertices]
-    rng.shuffle(vertices)
-    edges, slopes = [], {}
-    for k, (e, u, v) in enumerate(g.edges):
-        eid = f"f{rng.randrange(1000)}_{k}"
-        s = t.slopes[e]
-        if rng.random() < 0.5:
-            edges.append((eid, vname[u], vname[v]))
-            slopes[eid] = s
-        else:
-            edges.append((eid, vname[v], vname[u]))
-            slopes[eid] = tuple(-x for x in s)
-    rng.shuffle(edges)
-    legs = tuple((f"m{k}", vname[v]) for k, (lid, v) in enumerate(g.legs))
-    for k, (lid, _) in enumerate(g.legs):
-        slopes[f"m{k}"] = t.slopes[lid]
-    return CombinatorialType(WeightedGraph(tuple(vertices), tuple(edges), legs), slopes, t.dim)
 
 
 def canonicalised_inputs(monkeypatch, g, n, degree, dim):

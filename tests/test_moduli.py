@@ -35,9 +35,10 @@ from tropmoduli.moduli import (
 )
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, check_balanced, genus, is_stable
 
-from helpers import assert_stratum_systems_agree
+from helpers import BRUTE_FORCE_CASES, assert_stratum_systems_agree
 from oracles import affine_hull_dim, brute_force_isomorphisms, brute_force_types
 from reference_canonical import reference_automorphisms
+from reference_enumerate import reference_enumerate_types
 
 
 def tripod():
@@ -411,18 +412,36 @@ def test_enumerate_genus_one():
         assert dim_stratum(t) is not None
 
 
+def has_cycle(t):
+    return len(t.graph.edges) > len(t.graph.vertices) - 1
+
+
 def test_enumerate_checks_each_stratum_once(monkeypatch):
     import tropmoduli.moduli
     checked = []
 
     def counting(t):
-        checked.append(canonical_string(t))
+        checked.append(t)
         return stratum(t)
 
+    degree = ((1, 0), (0, 1), (-1, -1))
+    every = []  # the reference checks the stratum of every class, trees included
+    reference_enumerate_types(1, 0, degree, 3, checked=every)
     monkeypatch.setattr(tropmoduli.moduli, "stratum", counting)
-    out = enumerate_types(1, 0, ((1, 0), (0, 1), (-1, -1)), 3)
-    assert len(checked) > len(out)  # some classes have empty strata
-    assert len(checked) == len(set(checked))
+    out = enumerate_types(1, 0, degree, 3)
+    strings = [canonical_string(t) for t in checked]
+    assert all(has_cycle(t) for t in checked)  # no tree class
+    assert len(strings) == len(set(strings))
+    cyclic = {canonical_string(t) for t in out if has_cycle(t)}
+    assert cyclic < set(strings)  # some classes with a cycle have empty strata
+    assert any(not has_cycle(t) for t in every)
+    assert sorted(strings) == sorted(canonical_string(t) for t in every if has_cycle(t))
+
+
+@pytest.mark.parametrize("g, n, degree, dim", BRUTE_FORCE_CASES)
+def test_enumerate_matches_the_check_every_class_reference(g, n, degree, dim):
+    assert enumerate_types(g, n, degree, 2, dim=dim) == \
+        reference_enumerate_types(g, n, degree, 2, dim=dim)
 
 
 def test_enumerate_closed_under_operations():
@@ -452,19 +471,7 @@ def test_global_balancing_of_enumerated_types():
         assert total == [0, 0]
 
 
-@pytest.mark.parametrize("g, n, degree, dim", [
-    (0, 0, ((1, 0), (0, 1), (-1, 0), (0, -1)), 2),
-    (0, 0, ((1, 0), (1, 0), (-1, 0), (-1, 0)), 2),
-    (0, 0, ((1,), (1,), (-1,), (-1,)), 1),
-    (0, 1, ((1, 0), (0, 1), (-1, -1)), 2),
-    (1, 0, ((1, 0), (-1, 0)), 2),
-    (1, 0, ((2, 0), (-1, 1), (-1, -1)), 2),
-    (1, 1, ((1, 0), (0, 1), (-1, -1)), 2),
-    (1, 2, (), 2),
-    (0, 0, ((1, 0), (0, 1), (-1, -1), (1, 0), (-1, 0)), 2),  # 15 of 26 types have 3 vertices
-    (0, 1, ((1, 0), (0, 1), (-1, 0), (0, -1)), 2),
-    (0, 1, ((1,), (1,), (-1,), (-1,)), 1),
-])
+@pytest.mark.parametrize("g, n, degree, dim", BRUTE_FORCE_CASES)
 def test_enumerate_complete_against_brute_force(g, n, degree, dim):
     got = enumerate_types(g, n, degree, 2, dim=dim)
     want = brute_force_types(g, n, degree, 2, dim)
