@@ -6,6 +6,7 @@ Submodules:
   tropcurve     tropical curves, balancing, realization, stabilization
   moduli        strata, canonical types, resolutions, enumeration, wall graph
   family        families over a base complex, the induced map, wall verdicts
+  records       value equality and hashing for the plain slotted records
   documents     JSON document schemas ("tropmoduli/1")
   cli           command-line front end
 """

@@ -366,7 +366,8 @@ def curve_to_doc(p: ParameterizedTropicalCurve) -> dict:
 
 
 def _typed_to_doc(t: CombinatorialType, **fields) -> dict:
-    return {**fields, "canonical": canonical_form(t).string, "type": type_to_doc(t)}
+    canonical = canonical_form(t).string if t._canonical is None else t._canonical
+    return {**fields, "canonical": canonical, "type": type_to_doc(t)}
 
 
 def types_to_doc(types) -> dict:

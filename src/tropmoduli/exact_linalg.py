@@ -18,17 +18,18 @@ normal form keep eliminations of their own.  The one multigraph traversal,
 a lattice basis of the integer kernel of the incidence matrix.
 
 Vectors are plain tuples, matrices are tuples of row tuples.  All functions
-are pure; values are never mutated after construction.
+are pure; values are never mutated after construction.  ``Subspace`` is a
+plain slotted record (see ``records``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
 
 from .errors import DependentGenerators, DimMismatch, ZeroVector
+from .records import FrozenRecord
 
 Vec = tuple  # tuple of Fraction (or int coercible)
 IVec = tuple  # tuple of int
@@ -82,20 +83,12 @@ def vec_dot(a: Vec, b: Vec):
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
-def vec_is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
-
-
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 
 
 def mat_rows(m: Sequence[Sequence]) -> Mat:
     return tuple(tuple(row) for row in m)
-
-
-def mat_identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -199,7 +192,7 @@ def rank(rows: Sequence[Vec]) -> int:
     return len(_int_echelon([_over_common(r)[0] for r in rows], len(rows[0]))[1])
 
 
-def solve_linear(a: Sequence[Vec], b: Vec) -> Optional[Vec]:
+def solve_linear(a: Sequence[Vec], b: Vec) -> Vec | None:
     """One rational solution of ``a x = b``, or None if inconsistent.
 
     Free variables are 0, so the solution is the one the reduced row echelon
@@ -373,7 +366,7 @@ def is_saturated(sub_basis: Sequence[IVec], ambient_dim: int) -> bool:
     return all(d == 1 for d in divisors)
 
 
-def integer_solve(a: Sequence[IVec], b: IVec) -> Optional[IVec]:
+def integer_solve(a: Sequence[IVec], b: IVec) -> IVec | None:
     """One integer solution of ``a x = b`` or None (via Smith normal form)."""
     if not a:
         return None
@@ -484,14 +477,12 @@ def _spanning_forest(vertices, edges):
 # subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(FrozenRecord):
     """A rational linear subspace given by an independent basis."""
 
-    ambient_dim: int
-    basis: tuple
-
-    def __post_init__(self):
+    __slots__ = ("ambient_dim", "basis")
+    def __init__(self, ambient_dim: int, basis: tuple):
+        self.ambient_dim, self.basis = ambient_dim, basis
         for b in self.basis:
             if len(b) != self.ambient_dim:
                 raise DimMismatch("basis vector has wrong length")

@@ -15,15 +15,14 @@ stabilized fiber into the stratum coordinates of its canonical type.
 faces; wall verdicts and image strata take the map it returns.  Wall
 verdicts implement the harmonic / quasi-harmonic / locally combinatorially
 surjective trichotomy at a face, and closure propagation saturates a seed
-set of maximal strata through walls.
+set of maximal strata through walls.  The family, its face data, the lifts
+and the verdicts are plain slotted records (see ``records``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InvalidFamily, NoCofacets, PointNotInComplex, SeedNotInGraph
 from .exact_linalg import (
@@ -55,6 +54,7 @@ from .polyhedral import (
     harmonicity_at,
     validate_complex,
 )
+from .records import FrozenRecord, Record
 from .tropcurve import (
     CombinatorialType,
     ParameterizedTropicalCurve,
@@ -70,12 +70,13 @@ from .tropcurve import (
 # data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineFn:
+class AffineFn(FrozenRecord):
     """Integral affine function on a face chart: x -> linear . x + offset."""
 
-    linear: tuple  # integer row over the chart coordinates
-    offset: Fraction
+    __slots__ = ("linear", "offset")
+    def __init__(self, linear: tuple, offset: Fraction):
+        self.linear = linear  # integer row over the chart coordinates
+        self.offset = offset
 
     def __call__(self, x):
         return sum((a * xi for a, xi in zip(self.linear, x)), Fraction(0)) + self.offset
@@ -89,12 +90,13 @@ class AffineFn:
         return AffineFn(tuple(lin[0]), off[0])
 
 
-@dataclass(frozen=True)
-class AffineMapN:
+class AffineMapN(FrozenRecord):
     """Integral affine map from a face chart to N_R."""
 
-    linear: tuple  # dim rows, each an integer row over chart coordinates
-    offset: tuple  # dim rationals
+    __slots__ = ("linear", "offset")
+    def __init__(self, linear: tuple, offset: tuple):
+        self.linear = linear  # dim rows, each an integer row over chart coordinates
+        self.offset = offset  # dim rationals
 
     def __call__(self, x):
         return affine_apply(self.linear, self.offset, tuple(x))
@@ -104,31 +106,32 @@ class AffineMapN:
         return AffineMapN(tuple(tuple(r) for r in lin), tuple(off))
 
 
-@dataclass
-class FaceCurveData:
-    type: CombinatorialType
-    lengths: dict    # edge id -> AffineFn
-    positions: dict  # vertex id -> AffineMapN
+class FaceCurveData(Record):
+    __slots__ = ("type", "lengths", "positions")
+    def __init__(self, type: CombinatorialType, lengths: dict, positions: dict):
+        self.type = type
+        self.lengths = lengths  # edge id -> AffineFn
+        self.positions = positions  # vertex id -> AffineMapN
 
 
-@dataclass
-class Contraction:
+class Contraction(Record):
     """Weighted contraction from the super-face graph onto the sub-face graph.
 
     ``vertex_map`` is total; ``edge_map`` lists the surviving edges only.
     """
 
-    vertex_map: dict
-    edge_map: dict
+    __slots__ = ("vertex_map", "edge_map")
+    def __init__(self, vertex_map: dict, edge_map: dict):
+        self.vertex_map, self.edge_map = vertex_map, edge_map
 
 
-@dataclass
-class FamilyDatum:
-    base: PolyhedralComplex
-    dim: int
-    extended_degree: tuple
-    face_data: dict      # face id -> FaceCurveData
-    contractions: dict   # (sub id, super id) -> Contraction
+class FamilyDatum(Record):
+    __slots__ = ("base", "dim", "extended_degree", "face_data", "contractions")
+    def __init__(self, base: PolyhedralComplex, dim: int, extended_degree: tuple,
+                 face_data: dict, contractions: dict):
+        self.base, self.dim, self.extended_degree = base, dim, extended_degree
+        self.face_data = face_data  # face id -> FaceCurveData
+        self.contractions = contractions  # (sub id, super id) -> Contraction
 
 
 # ---------------------------------------------------------------------------
@@ -403,25 +406,28 @@ def fiber(f: FamilyDatum, fid: str, coords) -> ParameterizedTropicalCurve:
 # the induced map to moduli
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FaceLift:
-    face: str
-    type: CombinatorialType        # canonical representative of the stabilized fiber type
-    canonical: str
-    linear: tuple                  # stratum-coordinate rows over the chart
-    offset: tuple
-    stab: StabilizationResult      # the stabilized fiber type over the face
-    canon_vertex_map: dict         # stabilized vertex id -> canonical id
-    canon_edge_map: dict           # stabilized edge id -> canonical id
+class FaceLift(Record):
+    __slots__ = ("face", "type", "canonical", "linear", "offset", "stab", "canon_vertex_map",
+                 "canon_edge_map")
+    def __init__(self, face: str, type: CombinatorialType, canonical: str, linear: tuple,
+                 offset: tuple, stab: StabilizationResult, canon_vertex_map: dict,
+                 canon_edge_map: dict):
+        self.face, self.canonical, self.offset = face, canonical, offset
+        self.type = type  # canonical representative of the stabilized fiber type
+        self.linear = linear  # stratum-coordinate rows over the chart
+        self.stab = stab  # the stabilized fiber type over the face
+        self.canon_vertex_map = canon_vertex_map  # stabilized vertex id -> canonical id
+        self.canon_edge_map = canon_edge_map  # stabilized edge id -> canonical id
 
     def rank(self) -> int:
         return rank(self.linear)
 
 
-@dataclass
-class InducedMap:
-    family: FamilyDatum
-    lifts: dict  # face id -> FaceLift
+class InducedMap(Record):
+    __slots__ = ("family", "lifts")
+    def __init__(self, family: FamilyDatum, lifts: dict):
+        self.family = family
+        self.lifts = lifts  # face id -> FaceLift
 
 
 def _canonical_order(canon_map: dict) -> list:
@@ -494,14 +500,15 @@ class WallVerdictKind(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class WallVerdict:
-    face: str
-    verdict: WallVerdictKind
-    certificate: Optional[tuple] = None   # LP coefficients for (quasi-)harmonic
-    witnesses: dict = field(default_factory=dict)  # resolution canonical -> cofacet face
-    uncovered: tuple = ()                 # canonical strings of unattained strata
-    detail: str = ""
+class WallVerdict(Record):
+    __slots__ = ("face", "verdict", "certificate", "witnesses", "uncovered", "detail")
+    def __init__(self, face: str, verdict: WallVerdictKind, certificate: tuple | None = None,
+                 witnesses: dict | None = None, uncovered: tuple = (), detail: str = ""):
+        self.face, self.verdict, self.detail = face, verdict, detail
+        self.certificate = certificate  # LP coefficients for (quasi-)harmonic
+        # resolution canonical -> cofacet face
+        self.witnesses = {} if witnesses is None else witnesses
+        self.uncovered = uncovered  # canonical strings of unattained strata
 
 
 def _stabilized_contraction(f: FamilyDatum, sub: str, sup: str, stab_sub, stab_super):
@@ -634,13 +641,12 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
 # image strata and closure propagation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ImageStratum:
-    canonical: str
-    type: CombinatorialType
-    image_dim: int
-    stratum_dim: Optional[int]
-    full_dimensional: bool
+class ImageStratum(FrozenRecord):
+    __slots__ = ("canonical", "type", "image_dim", "stratum_dim", "full_dimensional")
+    def __init__(self, canonical: str, type: CombinatorialType, image_dim: int,
+                 stratum_dim: int | None, full_dimensional: bool):
+        self.canonical, self.type, self.image_dim = canonical, type, image_dim
+        self.stratum_dim, self.full_dimensional = stratum_dim, full_dimensional
 
 
 def image_strata(alpha: InducedMap) -> list:
@@ -666,10 +672,11 @@ def image_strata(alpha: InducedMap) -> list:
     return out
 
 
-@dataclass
-class PropagationResult:
-    closure: tuple  # sorted node ids
-    trace: tuple    # (wall id, tuple of added node ids) in application order
+class PropagationResult(Record):
+    __slots__ = ("closure", "trace")
+    def __init__(self, closure: tuple, trace: tuple):
+        self.closure = closure  # sorted node ids
+        self.trace = trace  # (wall id, tuple of added node ids) in application order
 
 
 def propagate_closure(wg: WallGraph, seeds) -> PropagationResult:

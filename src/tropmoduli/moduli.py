@@ -24,17 +24,17 @@ that respect the stable refinement colouring on (weight, leg positions,
 incident slopes, neighbour colours).  One search finds it, pruned by the
 automorphisms it meets, and those automorphisms generate the group that
 ``automorphisms`` lists.  The type it returns records its string in
-``_canonical``, so ``wall_graph`` does not label it again.
+``_canonical``, so neither ``wall_graph`` nor the document writers label
+it again.  Stratum systems, canonical forms, isomorphisms, wall classes and
+the wall graph are plain slotted records (see ``records``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from typing import Optional
 
 from .errors import (
     MixedInvariants,
@@ -51,6 +51,7 @@ from .exact_linalg import (
     lp_maximize,
     rank,
 )
+from .records import FrozenRecord, Record
 from .tropcurve import (
     CombinatorialType,
     WeightedGraph,
@@ -65,8 +66,7 @@ from .tropcurve import (
 # stratum systems
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StratumDescriptor:
+class StratumDescriptor(Record):
     """Linear system cutting M_Theta inside R^{|E|} x (R^dim)^{|V|}.
 
     Coordinates: edge lengths in sorted edge-id order, then vertex position
@@ -83,13 +83,15 @@ class StratumDescriptor:
     nonempty without an LP, and dim = dim * #components + |E| - rank.
     """
 
-    type: CombinatorialType
-    edge_order: tuple
-    vertex_order: tuple
-    ambient_dim: int
-    equalities: tuple  # rows over the ambient coordinates (rhs 0)
-    cycle_rows: tuple  # rows over the edge lengths (rhs 0)
-    forest: tuple      # (vertex, parent, edge, +1/-1 along the edge); roots have no parent
+    __slots__ = ("type", "edge_order", "vertex_order", "ambient_dim", "equalities", "cycle_rows",
+                 "forest")
+    def __init__(self, type: CombinatorialType, edge_order: tuple, vertex_order: tuple,
+                 ambient_dim: int, equalities: tuple, cycle_rows: tuple, forest: tuple):
+        self.type, self.edge_order, self.vertex_order = type, edge_order, vertex_order
+        self.ambient_dim = ambient_dim
+        self.equalities = equalities  # rows over the ambient coordinates (rhs 0)
+        self.cycle_rows = cycle_rows  # rows over the edge lengths (rhs 0)
+        self.forest = forest  # (vertex, parent, edge, +1/-1 along the edge); roots have no parent
 
     def _lengths(self):
         """Edge lengths, all >= 1, solving the cycle rows; None if none exist.
@@ -116,7 +118,7 @@ class StratumDescriptor:
     def is_empty(self) -> bool:
         return self._lengths() is None
 
-    def dim(self) -> Optional[int]:
+    def dim(self) -> int | None:
         if self.is_empty():
             return None
         roots = sum(1 for _, parent, _, _ in self.forest if parent is None)
@@ -178,7 +180,7 @@ def _tree_flow(forest, b):
     return x
 
 
-def dim_stratum(t: CombinatorialType) -> Optional[int]:
+def dim_stratum(t: CombinatorialType) -> int | None:
     """Dimension of the stratum, or None when it is empty."""
     return stratum(t).dim()
 
@@ -349,13 +351,13 @@ def _search(t: CombinatorialType):
     return vs, best[1], gens
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    key: tuple
-    string: str
-    vertex_map: dict   # original id -> canonical id
-    edge_map: dict     # original id -> canonical id
-    type: CombinatorialType
+class CanonicalForm(FrozenRecord):
+    __slots__ = ("key", "string", "vertex_map", "edge_map", "type")
+    def __init__(self, key: tuple, string: str, vertex_map: dict, edge_map: dict,
+                 type: CombinatorialType):
+        self.key, self.string, self.type = key, string, type
+        self.vertex_map = vertex_map  # original id -> canonical id
+        self.edge_map = edge_map  # original id -> canonical id
 
     def __hash__(self):
         return hash(self.string)
@@ -396,15 +398,16 @@ def canonical_string(t: CombinatorialType) -> str:
     return canonical_form(t).string
 
 
-@dataclass(frozen=True)
-class TypeIso:
+class TypeIso(FrozenRecord):
     """Isomorphism of combinatorial types: vertex and edge bijections.
 
     Legs are fixed pointwise (the leg order is part of the data).
     """
 
-    vertex_map: tuple  # sorted (old, new) pairs
-    edge_map: tuple
+    __slots__ = ("vertex_map", "edge_map")
+    def __init__(self, vertex_map: tuple, edge_map: tuple):
+        self.vertex_map = vertex_map  # sorted (old, new) pairs
+        self.edge_map = edge_map
 
     @staticmethod
     def make(vmap: dict, emap: dict) -> "TypeIso":
@@ -426,35 +429,6 @@ class TypeIso:
     def invert(self) -> "TypeIso":
         return TypeIso.make({v: k for k, v in self.vertex_map},
                             {e: k for k, e in self.edge_map})
-
-
-def is_type_isomorphism(t1: CombinatorialType, t2: CombinatorialType, iso: TypeIso) -> bool:
-    vmap, emap = iso.vdict(), iso.edict()
-    g1, g2 = t1.graph, t2.graph
-    if sorted(vmap) != sorted(g1.vertex_ids()) or sorted(vmap.values()) != sorted(g2.vertex_ids()):
-        return False
-    if sorted(emap) != sorted(e for e, _, _ in g1.edges) or \
-            sorted(emap.values()) != sorted(e for e, _, _ in g2.edges):
-        return False
-    w2 = dict(g2.vertices)
-    for v, w in g1.vertices:
-        if w2[vmap[v]] != w:
-            return False
-    if len(g1.legs) != len(g2.legs):
-        return False
-    for (l1, v1), (l2, v2) in zip(g1.legs, g2.legs):
-        if vmap[v1] != v2 or t1.slopes[l1] != t2.slopes[l2]:
-            return False
-    ends2 = {e: (u, v) for e, u, v in g2.edges}
-    for e, u, v in g1.edges:
-        u2, v2 = ends2[emap[e]]
-        s1, s2 = t1.slopes[e], t2.slopes[emap[e]]
-        if (vmap[u], vmap[v]) == (u2, v2) and s1 == s2:
-            continue
-        if (vmap[u], vmap[v]) == (v2, u2) and s1 == tuple(-x for x in s2):
-            continue
-        return False
-    return True
 
 
 def automorphisms(t: CombinatorialType) -> list:
@@ -499,10 +473,10 @@ class WallClassification(str, Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class WallClass:
-    classification: WallClassification
-    four_valent_vertex: Optional[str] = None
+class WallClass(FrozenRecord):
+    __slots__ = ("classification", "four_valent_vertex")
+    def __init__(self, classification: WallClassification, four_valent_vertex: str | None = None):
+        self.classification, self.four_valent_vertex = classification, four_valent_vertex
 
 
 def classify(t: CombinatorialType) -> WallClass:
@@ -611,10 +585,11 @@ def resolve_4valent(t: CombinatorialType, v: str) -> list:
 def _resolutions(t: CombinatorialType, v: str) -> dict:
     """resolve_4valent's resolutions keyed by their canonical strings."""
     cls = classify(t)
-    if cls.classification != WallClassification.WEIGHTLESS_ALMOST_3VALENT or \
-            cls.four_valent_vertex != v:
+    if cls.classification != WallClassification.WEIGHTLESS_ALMOST_3VALENT:
         raise NotAlmost3Valent(
             f"type is {cls.classification.value} with 4-valent vertex {cls.four_valent_vertex!r}")
+    if cls.four_valent_vertex != v:
+        raise NotAlmost3Valent(f"vertex {v!r} is not the 4-valent vertex {cls.four_valent_vertex!r}")
     bal = check_balanced(t)
     if not bal.ok:  # every resolution would be unbalanced where t is
         raise UnbalancedType(f"unbalanced at {[x for x, _ in bal.failures]}")
@@ -752,7 +727,7 @@ def _least_automorphisms(emulti, ends):
     return autos
 
 
-def enumerate_types(g: int, n: int, degree, max_edges: int, dim: Optional[int] = None):
+def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = None):
     """All stable balanced types with the given invariants, up to isomorphism.
 
     Extended degree is n zero legs followed by ``degree`` (nonzero slopes);
@@ -876,11 +851,12 @@ def _balanced_types(graph: WeightedGraph, forest, kernel, ext, dim, bound):
 # wall graph
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WallGraph:
-    nodes: tuple       # (node id, CombinatorialType)
-    walls: tuple       # (wall id, CombinatorialType, tuple of incident node ids)
-    node_key: dict     # canonical key -> node id
+class WallGraph(Record):
+    __slots__ = ("nodes", "walls", "node_key")
+    def __init__(self, nodes: tuple, walls: tuple, node_key: dict):
+        self.nodes = nodes  # (node id, CombinatorialType)
+        self.walls = walls  # (wall id, CombinatorialType, tuple of incident node ids)
+        self.node_key = node_key  # canonical key -> node id
 
     def node_ids(self):
         return [nid for nid, _ in self.nodes]

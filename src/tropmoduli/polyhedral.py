@@ -10,16 +10,17 @@ The module also provides piecewise integral affine maps on complexes, the
 star of a face (primitive normal directions into codimension-one cofacets),
 the harmonic / quasi-harmonic / not-quasi-harmonic trichotomy at a face,
 and the skeleton constructor for combinatorial semistable pair data.
+Faces, inclusions, stars, maps, verdicts and pair data are plain slotted
+records (see ``records``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
 
 from .errors import (
     DependentGenerators,
@@ -54,6 +55,7 @@ from .exact_linalg import (
     vec_add,
     vec_dot,
 )
+from .records import FrozenRecord, Record
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +290,12 @@ def _integer_row(normal, offset):
     return tuple(offset.denominator * c for c in normal) + (offset.numerator,)
 
 
-@dataclass(frozen=True)
-class _PFace:
+class _PFace(FrozenRecord):
     """A face of a polyhedron, identified by its tight vertices and rays."""
 
-    poly: Polyhedron
-    vert_ids: frozenset
-    ray_ids: frozenset
-    dim: int
+    __slots__ = ("poly", "vert_ids", "ray_ids", "dim")
+    def __init__(self, poly: Polyhedron, vert_ids: frozenset, ray_ids: frozenset, dim: int):
+        self.poly, self.vert_ids, self.ray_ids, self.dim = poly, vert_ids, ray_ids, dim
 
     def members(self):
         verts, rays, lines = self.poly.vrep()
@@ -317,24 +317,22 @@ def _triples_equal(a, b) -> bool:
 # faces, inclusions, complexes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Face:
+class Face(FrozenRecord):
     """A face of a complex: an abstract cell with a chart in R^rank."""
 
-    id: str
-    rank: int
-    chart: Polyhedron
-    label: str = ""
+    __slots__ = ("id", "rank", "chart", "label")
+    def __init__(self, id: str, rank: int, chart: Polyhedron, label: str = ""):
+        self.id, self.rank, self.chart, self.label = id, rank, chart, label
 
 
-@dataclass(frozen=True)
-class FaceInclusion:
+class FaceInclusion(FrozenRecord):
     """Integral affine embedding of a sub-face chart into a super-face chart."""
 
-    sub: str
-    super: str
-    linear: tuple  # super_rank x sub_rank integer matrix
-    offset: tuple  # super_rank rationals
+    __slots__ = ("sub", "super", "linear", "offset")
+    def __init__(self, sub: str, super: str, linear: tuple, offset: tuple):
+        self.sub, self.super = sub, super
+        self.linear = linear  # super_rank x sub_rank integer matrix
+        self.offset = offset  # super_rank rationals
 
     def apply(self, x):
         return affine_apply(self.linear, self.offset, tuple(x))
@@ -351,7 +349,7 @@ class PolyhedralComplex:
     """
 
     def __init__(self, faces: Sequence[Face], inclusions: Sequence[FaceInclusion],
-                 maximal_faces: Optional[Sequence[str]] = None):
+                 maximal_faces: Sequence[str] | None = None):
         self.faces = {}
         for f in faces:
             if f.id in self.faces:
@@ -398,19 +396,19 @@ class PolyhedralComplex:
 # validation (Definition-style axioms as report entries)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    subject: str
-    message: str
+class Violation(FrozenRecord):
+    __slots__ = ("axiom", "subject", "message")
+    def __init__(self, axiom: str, subject: str, message: str):
+        self.axiom, self.subject, self.message = axiom, subject, message
 
     def __str__(self):
         return f"AXIOM({self.axiom}) violated at {self.subject}: {self.message}"
 
 
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("violations",)
+    def __init__(self, violations: list | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -587,12 +585,13 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
 # Star(W) and harmonicity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StarData:
+class StarData(FrozenRecord):
     """Primitive directions into the codimension-one cofacets of a face."""
 
-    face: str
-    directions: tuple  # ((cofacet id, primitive vector in N_cofacet), ...)
+    __slots__ = ("face", "directions")
+    def __init__(self, face: str, directions: tuple):
+        self.face = face
+        self.directions = directions  # ((cofacet id, primitive vector in N_cofacet), ...)
 
 
 def star(c: PolyhedralComplex, w: str) -> StarData:
@@ -643,13 +642,13 @@ def star(c: PolyhedralComplex, w: str) -> StarData:
     return sd
 
 
-@dataclass(frozen=True)
-class PIAMap:
+class PIAMap(FrozenRecord):
     """Piecewise integral affine map: one affine map per face chart."""
 
-    source: PolyhedralComplex
-    target_dim: int
-    per_face: dict  # face id -> (linear rows, offset)
+    __slots__ = ("source", "target_dim", "per_face")
+    def __init__(self, source: PolyhedralComplex, target_dim: int, per_face: dict):
+        self.source, self.target_dim = source, target_dim
+        self.per_face = per_face  # face id -> (linear rows, offset)
 
     def face_map(self, fid: str):
         if fid not in self.per_face:
@@ -671,12 +670,13 @@ class Harmonicity(str, Enum):
     NOT_QUASI_HARMONIC = "not_quasi_harmonic"
 
 
-@dataclass(frozen=True)
-class HarmonicityResult:
-    verdict: Harmonicity
-    certificate: Optional[tuple]  # positive integers, one per star direction
-    derivatives: tuple            # images of the star directions
-    star: StarData
+class HarmonicityResult(FrozenRecord):
+    __slots__ = ("verdict", "certificate", "derivatives", "star")
+    def __init__(self, verdict: Harmonicity, certificate: tuple | None, derivatives: tuple,
+                 star: StarData):
+        self.verdict, self.star = verdict, star
+        self.certificate = certificate  # positive integers, one per star direction
+        self.derivatives = derivatives  # images of the star directions
 
 
 def harmonicity_at(m: PIAMap, w: str) -> HarmonicityResult:
@@ -709,26 +709,26 @@ def harmonicity_at(m: PIAMap, w: str) -> HarmonicityResult:
 # strictly semistable pairs and their skeletons
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Stratum:
-    id: str
-    verticals: tuple  # component ids, |verticals| = a + 1 >= 1
-    horizontals: tuple
-    length: Fraction
+class Stratum(FrozenRecord):
+    __slots__ = ("id", "verticals", "horizontals", "length")
+    def __init__(self, id: str, verticals: tuple, horizontals: tuple, length: Fraction):
+        self.id, self.horizontals, self.length = id, horizontals, length
+        self.verticals = verticals  # component ids, |verticals| = a + 1 >= 1
 
 
-@dataclass(frozen=True)
-class SemistablePairData:
+class SemistablePairData(FrozenRecord):
     """Combinatorial shadow of a strictly semistable pair.
 
     ``order`` lists pairs (S, T) meaning S <= T in the closure order on
     strata (S is the deeper stratum, so its polyhedron is the bigger one).
     """
 
-    vertical_components: tuple
-    horizontal_components: tuple
-    strata: tuple
-    order: tuple
+    __slots__ = ("vertical_components", "horizontal_components", "strata", "order")
+    def __init__(self, vertical_components: tuple, horizontal_components: tuple, strata: tuple,
+                 order: tuple):
+        self.vertical_components = vertical_components
+        self.horizontal_components = horizontal_components
+        self.strata, self.order = strata, order
 
     def stratum(self, sid: str) -> Stratum:
         for s in self.strata:

@@ -1,0 +1,24 @@
+"""Records: plain classes that name their fields in ``__slots__`` and set them
+in their own ``__init__``.  Records of one class with equal fields are equal.
+A ``FrozenRecord`` is never assigned to after construction and hashes by its
+fields; any other record is unhashable."""
+
+
+class Record:
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, k) for k in self.__slots__))

@@ -12,20 +12,20 @@ their vertex.  Loops contribute both orientations to the star of their
 vertex, so they never affect balancing.  The constructors validate; the
 unchecked ``_trusted`` builds are only for ``moduli.canonical_form``,
 ``contract_any_slope``, ``_resolutions``, ``enumerate_types`` and
-``stabilize_type``, which build from valid parts.
+``stabilize_type``, which build from valid parts.  Graphs, curves, degrees
+and reports are plain slotted records (see ``records``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CycleInconsistency, Disconnected, UnbalancedType, Unstabilizable
 from .exact_linalg import _forest, frac, ivec, vec, vec_scale, vec_sub
+from .records import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(FrozenRecord):
     """Weighted multigraph with ordered legs.
 
     vertices: ((id, weight), ...); edges: ((id, u, v), ...) with loops
@@ -33,11 +33,13 @@ class WeightedGraph:
     order and is significant.
     """
 
-    vertices: tuple
-    edges: tuple
-    legs: tuple
+    __slots__ = ("vertices", "edges", "legs")
+    def __init__(self, vertices: tuple, edges: tuple, legs: tuple):
+        self.vertices, self.edges, self.legs = vertices, edges, legs
+        self.__post_init__()
 
     def __post_init__(self):
+        """The checks that ``__init__`` runs and ``_trusted`` skips."""
         ids = [v for v, _ in self.vertices]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
@@ -61,17 +63,11 @@ class WeightedGraph:
     def _trusted(cls, vertices, edges, legs):
         """A graph from parts already known to be valid, without the checks."""
         g = object.__new__(cls)
-        g.__dict__.update(vertices=vertices, edges=edges, legs=legs)
+        g.vertices, g.edges, g.legs = vertices, edges, legs
         return g
 
     def vertex_ids(self):
         return [v for v, _ in self.vertices]
-
-    def edge_ends(self, e):
-        for eid, u, v in self.edges:
-            if eid == e:
-                return u, v
-        raise KeyError(e)
 
     def star_items(self, v):
         """Oriented edge-ends and legs with tail v, as hashable items.
@@ -142,12 +138,11 @@ class CombinatorialType:
         return s if forward else tuple(-x for x in s)
 
 
-@dataclass
-class TropicalCurve:
-    graph: WeightedGraph
-    lengths: dict  # edge id -> positive Fraction
-
-    def __post_init__(self):
+class TropicalCurve(Record):
+    __slots__ = ("graph", "lengths")
+    def __init__(self, graph: WeightedGraph, lengths: dict):
+        self.graph = graph
+        self.lengths = lengths  # edge id -> positive Fraction
         for eid, _, _ in self.graph.edges:
             if eid not in self.lengths:
                 raise ValueError(f"missing length for edge {eid!r}")
@@ -203,9 +198,10 @@ def is_stable(g: WeightedGraph) -> bool:
     return all(g.valence(v) + 2 * w >= 3 for v, w in g.vertices)
 
 
-@dataclass
-class BalanceReport:
-    failures: tuple  # ((vertex id, deficit vector), ...)
+class BalanceReport(Record):
+    __slots__ = ("failures",)
+    def __init__(self, failures: tuple):
+        self.failures = failures  # ((vertex id, deficit vector), ...)
 
     @property
     def ok(self) -> bool:
@@ -230,15 +226,10 @@ def extended_degree(t: CombinatorialType) -> tuple:
     return tuple(t.slopes[lid] for lid, _ in t.graph.legs)
 
 
-@dataclass(frozen=True)
-class Degree:
-    extended: tuple
-    reduced: tuple
-
-    @staticmethod
-    def of_type(t: CombinatorialType) -> "Degree":
-        ext = extended_degree(t)
-        return Degree(ext, tuple(s for s in ext if any(x != 0 for x in s)))
+class Degree(FrozenRecord):
+    __slots__ = ("extended", "reduced")
+    def __init__(self, extended: tuple, reduced: tuple):
+        self.extended, self.reduced = extended, reduced
 
 
 def _place(forest, origin, lengths, slopes) -> dict:
@@ -297,12 +288,12 @@ def type_of(p: ParameterizedTropicalCurve) -> CombinatorialType:
 # stabilization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StabilizationResult:
-    graph: WeightedGraph
-    slopes: dict
-    edge_chains: dict       # surviving edge id -> tuple of original edge ids
-    kept_vertices: tuple
+class StabilizationResult(Record):
+    __slots__ = ("graph", "slopes", "edge_chains", "kept_vertices")
+    def __init__(self, graph: WeightedGraph, slopes: dict, edge_chains: dict,
+                 kept_vertices: tuple):
+        self.graph, self.slopes, self.kept_vertices = graph, slopes, kept_vertices
+        self.edge_chains = edge_chains  # surviving edge id -> tuple of original edge ids
 
 
 def stabilize_type(t: CombinatorialType) -> StabilizationResult:

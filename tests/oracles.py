@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
+from tropmoduli.moduli import TypeIso
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
 
 
@@ -111,6 +112,35 @@ def brute_force_isomorphisms(t1, t2):
             if ok:
                 out.append((vmap, emap))
     return out
+
+
+def is_type_isomorphism(t1: CombinatorialType, t2: CombinatorialType, iso: TypeIso) -> bool:
+    vmap, emap = iso.vdict(), iso.edict()
+    g1, g2 = t1.graph, t2.graph
+    if sorted(vmap) != sorted(g1.vertex_ids()) or sorted(vmap.values()) != sorted(g2.vertex_ids()):
+        return False
+    if sorted(emap) != sorted(e for e, _, _ in g1.edges) or \
+            sorted(emap.values()) != sorted(e for e, _, _ in g2.edges):
+        return False
+    w2 = dict(g2.vertices)
+    for v, w in g1.vertices:
+        if w2[vmap[v]] != w:
+            return False
+    if len(g1.legs) != len(g2.legs):
+        return False
+    for (l1, v1), (l2, v2) in zip(g1.legs, g2.legs):
+        if vmap[v1] != v2 or t1.slopes[l1] != t2.slopes[l2]:
+            return False
+    ends2 = {e: (u, v) for e, u, v in g2.edges}
+    for e, u, v in g1.edges:
+        u2, v2 = ends2[emap[e]]
+        s1, s2 = t1.slopes[e], t2.slopes[emap[e]]
+        if (vmap[u], vmap[v]) == (u2, v2) and s1 == s2:
+            continue
+        if (vmap[u], vmap[v]) == (v2, u2) and s1 == tuple(-x for x in s2):
+            continue
+        return False
+    return True
 
 
 def _fm_stratum_nonempty(vertices, edges, slopes, dim):

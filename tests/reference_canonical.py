@@ -23,6 +23,7 @@ from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
 
 def reference_refine_colors(t: CombinatorialType):
     g = t.graph
+    ends = {e: (u, v) for e, u, v in g.edges}
     legs_at = {}
     for pos, (lid, v) in enumerate(g.legs):
         legs_at.setdefault(v, []).append(pos)
@@ -40,7 +41,7 @@ def reference_refine_colors(t: CombinatorialType):
                 if item[0] != "edge":
                     continue
                 _, eid, forward = item
-                a, b = g.edge_ends(eid)
+                a, b = ends[eid]
                 other = b if forward else a
                 sig.append((t.slope_of_item(item), ranks[color[other]]))
             neigh[v] = (ranks[color[v]], tuple(sorted(sig)))

@@ -25,7 +25,7 @@ from tropmoduli.errors import (
     SeedNotInGraph,
     UnbalancedType,
 )
-from tropmoduli.exact_linalg import vec, vec_add, vec_is_zero, vec_scale, vec_sub
+from tropmoduli.exact_linalg import vec, vec_add, vec_scale, vec_sub
 from tropmoduli.moduli import (
     WallClassification,
     WallGraph,
@@ -145,6 +145,7 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
         raise UnbalancedType(f"unbalanced at {[v for v, _ in report.failures]}")
     curve = TropicalCurve(t.graph, dict(lengths))
     ids = sorted(t.graph.vertex_ids())
+    ends = {e: (u, v) for e, u, v in t.graph.edges}
     if root is None:
         root = ids[0]
     positions = {root: vec(root_position)}
@@ -160,11 +161,11 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
             _, eid, forward = item
             if eid in visited_edges:
                 continue
-            a, b = t.graph.edge_ends(eid)
+            a, b = ends[eid]
             other = b if u == a and forward else a
             if a == b:
                 visited_edges.add(eid)
-                if not vec_is_zero(vec(t.slopes[eid])):
+                if not all(x == 0 for x in t.slopes[eid]):
                     raise CycleInconsistency(
                         f"loop {eid!r} has nonzero slope", cycle=(eid,))
                 continue
@@ -180,7 +181,7 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
     if len(positions) != len(ids):
         raise Disconnected("type graph is not connected")
     for eid in non_tree:
-        a, b = t.graph.edge_ends(eid)
+        a, b = ends[eid]
         expect = vec_scale(curve.lengths[eid], vec(t.slopes[eid]))
         if vec_sub(positions[b], positions[a]) != expect:
             cycle = tree_path[a] + (eid,) + tuple(reversed(tree_path[b]))

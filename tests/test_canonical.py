@@ -19,14 +19,13 @@ from tropmoduli.moduli import (
     automorphisms,
     canonical_form,
     enumerate_types,
-    is_type_isomorphism,
     wall_graph,
     WallClassification,
 )
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
 
 from helpers import BRUTE_FORCE_CASES, relabelled
-from oracles import brute_force_isomorphisms
+from oracles import brute_force_isomorphisms, is_type_isomorphism
 from reference_canonical import (
     reference_automorphisms,
     reference_canonical_form,

@@ -189,6 +189,25 @@ def test_cli_enumerate_deterministic(capsys):
     assert len(payload["types"]) == 4
 
 
+def test_cli_writes_marked_types_without_relabelling(tmp_path, capsys, monkeypatch):
+    enum_argv = ["enumerate", "--genus", "0", "--degree", "[[1,0],[0,1],[-1,-1]]",
+                 "--contracted", "1", "--max-edges", "2"]
+    tpath = _write(tmp_path, "types.json", docs.types_to_doc(resolve_4valent(cross_type(), "v")))
+    runs = [enum_argv, ["wallgraph", tpath]]
+    labelled = []
+    original = docs.canonical_form
+    monkeypatch.setattr(docs, "canonical_form", lambda t: labelled.append(t) or original(t))
+    reports = [_run(capsys, argv) for argv in runs]
+    assert [code for code, _ in reports] == [0, 0]
+    assert not [t for t in labelled if t._canonical is not None]
+
+    def relabelling_typed_to_doc(t, **fields):
+        return {**fields, "canonical": original(t).string, "type": docs.type_to_doc(t)}
+
+    monkeypatch.setattr(docs, "_typed_to_doc", relabelling_typed_to_doc)
+    assert [_run(capsys, argv) for argv in runs] == reports
+
+
 @pytest.mark.parametrize("flags, pointer", [
     (["--genus", "-1"], "/genus"),
     (["--contracted", "-1"], "/contracted"),
@@ -221,6 +240,20 @@ def test_cli_classify_and_resolve(tmp_path, capsys):
     assert len(types) == 3
     code, out = _run(capsys, ["resolve", path, "--vertex", "v"])
     assert code == 0
+
+
+def test_cli_resolve_names_the_vertex_that_was_passed(tmp_path, capsys):
+    path = _write(tmp_path, "cross.json", docs.type_to_doc(cross_type()))
+    code, out = _run(capsys, ["resolve", path, "--vertex", "zzz"])
+    assert code == 2
+    assert json.loads(out)["payload"] == {
+        "error": "NotAlmost3Valent", "message": "vertex 'zzz' is not the 4-valent vertex 'v'"}
+    path = _write(tmp_path, "resolved.json", docs.type_to_doc(resolution_type(1)))
+    code, out = _run(capsys, ["resolve", path, "--vertex", "va"])
+    assert code == 2
+    assert json.loads(out)["payload"] == {
+        "error": "NotAlmost3Valent",
+        "message": "type is weightless_3valent with 4-valent vertex None"}
 
 
 def test_cli_wallgraph_and_propagate(tmp_path, capsys):

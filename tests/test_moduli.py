@@ -27,7 +27,6 @@ from tropmoduli.moduli import (
     dim_stratum,
     enumerate_types,
     is_adjacent,
-    is_type_isomorphism,
     resolve_4valent,
     sample_stratum,
     stratum,
@@ -36,7 +35,8 @@ from tropmoduli.moduli import (
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, check_balanced, genus, is_stable
 
 from helpers import BRUTE_FORCE_CASES, assert_stratum_systems_agree
-from oracles import affine_hull_dim, brute_force_isomorphisms, brute_force_types
+from oracles import affine_hull_dim, brute_force_isomorphisms, brute_force_types, \
+    is_type_isomorphism
 from reference_canonical import reference_automorphisms
 from reference_enumerate import reference_enumerate_types
 

@@ -1,0 +1,97 @@
+"""Value semantics of the library's records.
+
+Records compare equal when they are of the same class with equal fields.
+The immutable ones hash by their fields (``CanonicalForm`` by its string);
+the mutable ones are unhashable.
+"""
+
+import sys
+
+import pytest
+
+import tropmoduli  # noqa: F401  (loads every module)
+
+FROZEN = {
+    "exact_linalg": ["Subspace"],
+    "polyhedral": ["_PFace", "Face", "FaceInclusion", "Violation", "StarData", "PIAMap",
+                   "HarmonicityResult", "Stratum", "SemistablePairData"],
+    "tropcurve": ["WeightedGraph", "Degree"],
+    "moduli": ["CanonicalForm", "TypeIso", "WallClass"],
+    "family": ["AffineFn", "AffineMapN", "ImageStratum"],
+}
+MUTABLE = {
+    "polyhedral": ["ValidationReport"],
+    "tropcurve": ["TropicalCurve", "BalanceReport", "StabilizationResult"],
+    "moduli": ["StratumDescriptor", "WallGraph"],
+    "family": ["FaceCurveData", "Contraction", "FamilyDatum", "FaceLift", "InducedMap",
+               "WallVerdict", "PropagationResult"],
+}
+
+
+def _classes(table):
+    return [getattr(sys.modules[f"tropmoduli.{mod}"], name)
+            for mod, names in table.items() for name in names]
+
+
+RECORDS = [(cls, True) for cls in _classes(FROZEN)] + [(cls, False) for cls in _classes(MUTABLE)]
+
+# fields for the records whose constructor checks them; any others take any values
+VALID = {
+    "Subspace": lambda: (2, ((1, 0),)),
+    "WeightedGraph": lambda: ((("v", 0),), (("e", "v", "v"),), (("l", "v"),)),
+    "TropicalCurve": lambda: (
+        tropmoduli.WeightedGraph((("v", 0),), (("e", "v", "v"),), ()), {"e": 1}),
+}
+
+
+def _fields(cls):
+    """Fresh field values, equal on every call but not the same objects."""
+    if cls.__name__ in VALID:
+        return VALID[cls.__name__]()
+    return tuple((cls.__name__, name) for name in cls.__slots__)
+
+
+def test_every_record_is_listed():
+    from tropmoduli.records import Record
+
+    found = {cls for mod in list(sys.modules.values())
+             if mod is not None and mod.__name__.startswith("tropmoduli.")
+             for cls in vars(mod).values()
+             if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == mod.__name__
+             and cls.__slots__}
+    assert found == {cls for cls, _ in RECORDS}
+    assert len(RECORDS) == 31
+
+
+@pytest.mark.parametrize("cls, frozen", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_semantics(cls, frozen):
+    a, b = cls(*_fields(cls)), cls(*_fields(cls))
+    assert a == b and not a != b
+    assert a is not b
+
+    class Twin(cls):
+        __slots__ = ()
+
+    twin = Twin(*_fields(cls))
+    assert a != twin and twin != a
+    assert a != _fields(cls)
+    if cls.__name__ not in VALID:
+        for i in range(len(cls.__slots__)):
+            changed = list(_fields(cls))
+            changed[i] = "other"
+            assert a != cls(*changed)
+    if frozen:
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+def test_canonical_form_hashes_by_its_string():
+    from tropmoduli.moduli import CanonicalForm
+
+    a = CanonicalForm(("k",), "s", {}, {}, None)
+    assert hash(a) == hash("s")
+    assert a == CanonicalForm(("k",), "s", {}, {}, None)
+    assert a != CanonicalForm(("j",), "s", {}, {}, None)

@@ -1,6 +1,7 @@
 """The package needs only the standard library at run time."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +25,15 @@ def test_runtime_imports_are_stdlib_only():
                 if top != "tropmoduli" and top not in sys.stdlib_module_names:
                     outside.append((path.name, node.lineno, name))
     assert outside == []
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """A cold start imports the package and the CLI and builds the parser;
+    ``-S`` keeps ``site`` from loading any of these modules first."""
+    src = str(Path(tropmoduli.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tropmoduli, tropmoduli.cli; "
+            "tropmoduli.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

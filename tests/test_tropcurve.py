@@ -129,15 +129,20 @@ def test_type_of_round_trip():
     assert p3.positions == p.positions
 
 
+def degree_of(t):
+    ext = extended_degree(t)
+    return Degree(ext, tuple(s for s in ext if any(x != 0 for x in s)))
+
+
 def test_extended_degree():
     t = two_vertex_type()
     assert extended_degree(t) == ((0, 1), (-1, -1), (1, 1), (0, -1))
-    d = Degree.of_type(t)
+    d = degree_of(t)
     assert d.extended == d.reduced
     g = WeightedGraph(vertices=(("v", 0),), edges=(),
                       legs=(("l0", "v"), ("l1", "v"), ("l2", "v"), ("l3", "v")))
     t2 = CombinatorialType(g, {"l0": (0, 0), "l1": (1, 0), "l2": (0, 1), "l3": (-1, -1)}, 2)
-    d2 = Degree.of_type(t2)
+    d2 = degree_of(t2)
     assert len(d2.extended) == 4 and len(d2.reduced) == 3
 
 
