@@ -40,7 +40,6 @@ from .tropcurve import (
     is_stable,
     realize,
     stabilize,
-    type_of,
 )
 from .moduli import (
     StratumDescriptor,
@@ -59,7 +58,6 @@ from .moduli import (
     enumerate_types,
     is_adjacent,
     resolve_4valent,
-    sample_stratum,
     stratum,
     wall_graph,
 )

@@ -3,9 +3,9 @@
 A combinatorial type cuts out a stratum inside R^{|E|} x (R^dim)^{|V|}: one
 length coordinate per edge, one position block per vertex, the edge
 relations as equalities and strict positivity of the lengths.  This module
-builds those systems and decides nonemptiness and dimension exactly on the
-cycle space: the stratum is a translation of R^dim times the positive
-lengths closing every fundamental cycle, so tree types need no LP.  It also
+decides nonemptiness and dimension exactly on the cycle space alone: the
+stratum is a translation of R^dim per component times the positive lengths
+closing every fundamental cycle, so tree types need no LP.  It also
 enumerates types with fixed invariants, classifies walls (weightless almost
 3-valent types), resolves 4-valent vertices, and assembles the node/wall
 incidence graph used for wall-crossing arguments.
@@ -14,7 +14,9 @@ Enumeration visits each unlabelled multigraph once, as its least labelling
 with sorted edge-end counts, and shares ``exact_linalg._spanning_forest``
 with the stratum systems: flow along the tree solves the balancing
 equations in integers and the fundamental cycles span the rest (no Smith
-normal form).  Contraction and wall paths use the same walk.  Only one leg
+normal form).  A cycle's coefficient is the slope of its own non-tree edge,
+so the slopes within the bound come from a box of coefficients, walked
+without an LP.  Contraction and wall paths use the same walk.  Only one leg
 assignment per orbit of the multigraph's automorphisms is tried, and only
 classes with a cycle get a stratum check: tree classes are nonempty.
 
@@ -31,7 +33,6 @@ the wall graph are plain slotted records (see ``records``).
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -47,15 +48,12 @@ from .exact_linalg import (
     _forest,
     _spanning_forest,
     feasible_point,
-    kernel_rational,
-    lp_maximize,
     rank,
 )
 from .records import FrozenRecord, Record
 from .tropcurve import (
     CombinatorialType,
     WeightedGraph,
-    _place,
     check_balanced,
     extended_degree,
     genus,
@@ -67,29 +65,23 @@ from .tropcurve import (
 # ---------------------------------------------------------------------------
 
 class StratumDescriptor(Record):
-    """Linear system cutting M_Theta inside R^{|E|} x (R^dim)^{|V|}.
+    """The stratum M_Theta of a balanced type, on its cycle space.
 
-    Coordinates: edge lengths in sorted edge-id order, then vertex position
-    blocks in sorted vertex-id order.  ``equalities`` are the edge relations
-    over all of these coordinates; with strict positivity of every length
-    they describe the stratum.
-
-    Emptiness, dimension and interior points are decided on the cycle space
-    instead (Mikhalkin's parameterization): positions are one free point per
-    connected component, moved along a spanning forest, times the lengths
-    l > 0 with sum_{e in C} l_e * s_e = 0 for every fundamental cycle C.
-    ``cycle_rows`` are those conditions over the lengths alone (b_1 * dim
-    rows, zero rows left out), so a type without them (every tree type) is
-    nonempty without an LP, and dim = dim * #components + |E| - rank.
+    A point of M_Theta is one length l_e > 0 per edge and one position in
+    R^dim per vertex, every edge relation holding.  Positions are one free
+    point per connected component, moved along ``forest`` (Mikhalkin's
+    parameterization), so the stratum is R^(dim * #components) times the
+    lengths l > 0 with sum_{e in C} l_e * s_e = 0 for every fundamental
+    cycle C.  ``cycle_rows`` are those conditions over the lengths in
+    ``edge_order`` (sorted edge ids; b_1 * dim rows, zero rows left out),
+    so a type without them (every tree type) is nonempty without an LP,
+    and dim = dim * #components + |E| - rank.
     """
 
-    __slots__ = ("type", "edge_order", "vertex_order", "ambient_dim", "equalities", "cycle_rows",
-                 "forest")
-    def __init__(self, type: CombinatorialType, edge_order: tuple, vertex_order: tuple,
-                 ambient_dim: int, equalities: tuple, cycle_rows: tuple, forest: tuple):
-        self.type, self.edge_order, self.vertex_order = type, edge_order, vertex_order
-        self.ambient_dim = ambient_dim
-        self.equalities = equalities  # rows over the ambient coordinates (rhs 0)
+    __slots__ = ("type", "edge_order", "cycle_rows", "forest")
+    def __init__(self, type: CombinatorialType, edge_order: tuple, cycle_rows: tuple,
+                 forest: tuple):
+        self.type, self.edge_order = type, edge_order
         self.cycle_rows = cycle_rows  # rows over the edge lengths (rhs 0)
         self.forest = forest  # (vertex, parent, edge, +1/-1 along the edge); roots have no parent
 
@@ -106,15 +98,6 @@ class StratumDescriptor(Record):
                                nonneg=[True] * n)
         return None if slack is None else tuple(1 + x for x in slack)
 
-    def interior_point(self):
-        """A point with all lengths strictly positive, or None if empty."""
-        lengths = self._lengths()
-        if lengths is None:
-            return None
-        pos = _place(self.forest, (Fraction(0),) * self.type.dim,
-                     dict(zip(self.edge_order, lengths)), self.type.slopes)
-        return lengths + tuple(x for v in self.vertex_order for x in pos[v])
-
     def is_empty(self) -> bool:
         return self._lengths() is None
 
@@ -127,27 +110,14 @@ class StratumDescriptor(Record):
 
 
 def stratum(t: CombinatorialType) -> StratumDescriptor:
-    """Equality/inequality system of the stratum of a balanced type."""
+    """The cycle-space system of the stratum of a balanced type."""
     rep = check_balanced(t)
     if not rep.ok:
         raise UnbalancedType(f"unbalanced at {[v for v, _ in rep.failures]}")
     edge_order = tuple(sorted(e for e, _, _ in t.graph.edges))
-    vertex_order = tuple(sorted(t.graph.vertex_ids()))
-    ambient = len(edge_order) + t.dim * len(vertex_order)
-    vpos = {v: len(edge_order) + i * t.dim for i, v in enumerate(vertex_order)}
     epos = {e: i for i, e in enumerate(edge_order)}
-    rows = []
-    for eid, u, v in sorted(t.graph.edges):
-        s = t.slopes[eid]
-        for c in range(t.dim):
-            row = [0] * ambient
-            row[epos[eid]] -= s[c]
-            row[vpos[v] + c] += 1
-            row[vpos[u] + c] -= 1
-            rows.append(tuple(row))
-
     # each fundamental cycle closes up: sum_{e in C} coef_e * l_e * s_e = 0
-    forest, cycles = _spanning_forest(vertex_order, sorted(t.graph.edges))
+    forest, cycles = _spanning_forest(sorted(t.graph.vertex_ids()), sorted(t.graph.edges))
     cycle_rows = []
     for coef in cycles:
         for c in range(t.dim):
@@ -156,9 +126,8 @@ def stratum(t: CombinatorialType) -> StratumDescriptor:
                 row[epos[f]] += k * t.slopes[f][c]
             if any(row):
                 cycle_rows.append(tuple(row))
-    return StratumDescriptor(type=t, edge_order=edge_order, vertex_order=vertex_order,
-                             ambient_dim=ambient, equalities=tuple(rows),
-                             cycle_rows=tuple(cycle_rows), forest=forest)
+    return StratumDescriptor(type=t, edge_order=edge_order, cycle_rows=tuple(cycle_rows),
+                             forest=forest)
 
 
 def _tree_flow(forest, b):
@@ -183,48 +152,6 @@ def _tree_flow(forest, b):
 def dim_stratum(t: CombinatorialType) -> int | None:
     """Dimension of the stratum, or None when it is empty."""
     return stratum(t).dim()
-
-
-def sample_stratum(t: CombinatorialType, n: int, rng) -> list:
-    """n exact rational points of the stratum (strictly positive lengths).
-
-    The first samples walk along each kernel direction of the equality
-    system from an interior point, so the affine hull of the output equals
-    the stratum's affine hull; the rest are random kernel combinations.
-    """
-    desc = stratum(t)
-    x0 = desc.interior_point()
-    if x0 is None:
-        return []
-    kernel = kernel_rational(desc.equalities, desc.ambient_dim)
-
-    nlen = len(desc.edge_order)
-
-    def step_limit(direction):
-        # largest lam with x0 + lam*direction keeping lengths positive, halved
-        lam = Fraction(1)
-        for i in range(nlen):
-            d = direction[i]
-            if d < 0:
-                lam = min(lam, -x0[i] / d / 2)
-        return lam
-
-    samples = [tuple(x0)]
-    for k in kernel:
-        lam = step_limit(k)
-        if lam > 0:
-            samples.append(tuple(x + lam * d for x, d in zip(x0, k)))
-        if len(samples) >= n:
-            return samples[:n]
-    while len(samples) < n:
-        direction = [Fraction(0)] * desc.ambient_dim
-        for k in kernel:
-            c = Fraction(rng.randint(-5, 5))
-            direction = [d + c * x for d, x in zip(direction, k)]
-        lam = step_limit(direction)
-        if lam > 0 or all(d == 0 for d in direction):
-            samples.append(tuple(x + lam * d for x, d in zip(x0, direction)))
-    return samples[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -659,36 +586,18 @@ def _compositions(total: int, parts: int):
 def _integer_box_solutions(particular, kernel, bound):
     """All integer vectors particular + sum(c_i * kernel_i) within |x_e| <= bound, sorted.
 
-    The kernel vectors must be independent; every lattice basis of the same
-    lattice gives the same points.  Bounds for each coefficient come from
-    exact LP relaxations, so the recursion is complete; kernel ranks here
-    are the first Betti number of the graph, which is tiny.
+    ``kernel`` must be the fundamental cycles of the spanning forest that
+    ``particular`` flows along (``_spanning_forest`` and ``_tree_flow``):
+    cycle i is 1 on its own non-tree edge, which no other cycle and no tree
+    flow touches.  So c_i is that edge's value, and every solution has its
+    coefficients in the box [-bound, bound]^b_1, which is walked directly.
     """
-    ne = len(particular)
+    cols = [tuple(k[e] for k in kernel) for e in range(len(particular))]
     sols = []
-
-    def recurse(level, base):
-        if level == len(kernel):
-            if all(abs(x) <= bound for x in base):
-                sols.append(tuple(base))
-            return
-        # optimize c_level over the LP relaxation of the remaining freedom
-        nfree = len(kernel) - level
-        ineqs = []
-        for e in range(ne):
-            coef = tuple(kernel[level + j][e] for j in range(nfree))
-            ineqs.append((coef, -bound - base[e]))                      # base + K c >= -B
-            ineqs.append((tuple(-x for x in coef), base[e] - bound))    # -(base + K c) >= -B
-        lo_obj = tuple(-1 if j == 0 else 0 for j in range(nfree))
-        hi_obj = tuple(1 if j == 0 else 0 for j in range(nfree))
-        status_hi, _, val_hi = lp_maximize(hi_obj, [], ineqs, [False] * nfree)
-        status_lo, _, val_lo = lp_maximize(lo_obj, [], ineqs, [False] * nfree)
-        if status_hi != 'optimal' or status_lo != 'optimal':
-            return  # infeasible box (or unbounded, impossible for independent kernels)
-        for c in range(math.ceil(-val_lo), math.floor(val_hi) + 1):
-            recurse(level + 1, [b + c * k for b, k in zip(base, kernel[level])])
-
-    recurse(0, list(particular))
+    for coefs in product(range(-bound, bound + 1), repeat=len(kernel)):
+        x = tuple(p + sum(c * k for c, k in zip(coefs, col)) for p, col in zip(particular, cols))
+        if all(abs(v) <= bound for v in x):
+            sols.append(x)
     return sorted(sols)
 
 

@@ -279,11 +279,6 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
     return ParameterizedTropicalCurve(curve, positions, dict(t.slopes), t.dim)
 
 
-def type_of(p: ParameterizedTropicalCurve) -> CombinatorialType:
-    """Forget lengths and positions."""
-    return CombinatorialType(p.graph, dict(p.type.slopes), p.dim)
-
-
 # ---------------------------------------------------------------------------
 # stabilization
 # ---------------------------------------------------------------------------

@@ -6,9 +6,7 @@ import copy
 import random
 from fractions import Fraction
 
-from tropmoduli.exact_linalg import feasible_point, rank
 from tropmoduli.family import AffineFn, AffineMapN, Contraction, FaceCurveData, FamilyDatum
-from tropmoduli.moduli import stratum
 from tropmoduli.polyhedral import (
     Face,
     FaceInclusion,
@@ -407,31 +405,6 @@ def quadrant_family(length=((1, 2), Fraction(1, 2)), derivatives=((1, 0), (2, -1
                     for key in base.inclusions}
     return FamilyDatum(base=base, dim=2, extended_degree=CROSS_DEGREE,
                        face_data=face_data, contractions=contractions)
-
-
-def assert_stratum_systems_agree(t):
-    """The cycle-space answers of ``stratum(t)`` match the full system.
-
-    The full-system answer is ``feasible_point`` on every edge relation
-    (lengths and positions) with strict lengths, and ambient_dim - rank.
-    """
-    desc = stratum(t)
-    nlen = len(desc.edge_order)
-    lengths = [(tuple(1 if j == i else 0 for j in range(desc.ambient_dim)), 0)
-               for i in range(nlen)]
-    full = feasible_point([(r, 0) for r in desc.equalities], lengths, desc.ambient_dim,
-                          strict=range(nlen))
-    assert desc.is_empty() == (full is None)
-    if full is None:
-        assert desc.dim() is None
-        assert desc.interior_point() is None
-        return
-    assert desc.dim() == desc.ambient_dim - rank(desc.equalities)
-    point = desc.interior_point()
-    assert len(point) == desc.ambient_dim
-    for row in desc.equalities:
-        assert sum(a * x for a, x in zip(row, point)) == 0
-    assert all(x > 0 for x in point[:nlen])
 
 
 # ---------------------------------------------------------------------------

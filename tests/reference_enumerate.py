@@ -1,16 +1,23 @@
-"""Reference enumeration loop for differential tests.
+"""Reference enumeration code for differential tests.
 
 ``reference_enumerate_types`` is ``moduli.enumerate_types`` as it was
 before tree classes skipped the stratum check: it builds and checks the
 stratum of every isomorphism class, and it rebuilds every candidate type
 through the validating ``WeightedGraph`` and ``CombinatorialType``
 constructors before labelling it.  Its output must be identical.
+
+``reference_integer_box_solutions`` is the slope search as it was before
+it walked the box of fundamental-cycle coefficients: it bounds each
+coefficient by two exact LP relaxations, so it is complete for any
+independent kernel.  On fundamental cycles its output must be identical.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations_with_replacement, product
 
+from tropmoduli.exact_linalg import lp_maximize
 from tropmoduli.moduli import (
     _balanced_types,
     _compositions,
@@ -79,3 +86,39 @@ def reference_enumerate_types(g, n, degree, max_edges, dim=None, checked=None):
                                 empty = stratum(cf.type).is_empty()
                                 found[cf.string] = None if empty else cf.type
     return [found[k] for k in sorted(found) if found[k] is not None]
+
+
+def reference_integer_box_solutions(particular, kernel, bound):
+    """All integer vectors particular + sum(c_i * kernel_i) within |x_e| <= bound, sorted.
+
+    The kernel vectors must be independent; every lattice basis of the same
+    lattice gives the same points.  Bounds for each coefficient come from
+    exact LP relaxations, so the recursion is complete; kernel ranks here
+    are the first Betti number of the graph, which is tiny.
+    """
+    ne = len(particular)
+    sols = []
+
+    def recurse(level, base):
+        if level == len(kernel):
+            if all(abs(x) <= bound for x in base):
+                sols.append(tuple(base))
+            return
+        # optimize c_level over the LP relaxation of the remaining freedom
+        nfree = len(kernel) - level
+        ineqs = []
+        for e in range(ne):
+            coef = tuple(kernel[level + j][e] for j in range(nfree))
+            ineqs.append((coef, -bound - base[e]))                      # base + K c >= -B
+            ineqs.append((tuple(-x for x in coef), base[e] - bound))    # -(base + K c) >= -B
+        lo_obj = tuple(-1 if j == 0 else 0 for j in range(nfree))
+        hi_obj = tuple(1 if j == 0 else 0 for j in range(nfree))
+        status_hi, _, val_hi = lp_maximize(hi_obj, [], ineqs, [False] * nfree)
+        status_lo, _, val_lo = lp_maximize(lo_obj, [], ineqs, [False] * nfree)
+        if status_hi != 'optimal' or status_lo != 'optimal':
+            return  # infeasible box (or unbounded, impossible for independent kernels)
+        for c in range(math.ceil(-val_lo), math.floor(val_hi) + 1):
+            recurse(level + 1, [b + c * k for b, k in zip(base, kernel[level])])
+
+    recurse(0, list(particular))
+    return sorted(sols)

@@ -31,8 +31,6 @@ from tropmoduli.moduli import (
     dim_stratum,
     enumerate_types,
     resolve_4valent,
-    sample_stratum,
-    stratum,
     wall_graph,
 )
 from tropmoduli.polyhedral import (
@@ -46,7 +44,6 @@ from tropmoduli.polyhedral import (
 from tropmoduli.tropcurve import check_balanced, is_stable
 
 from helpers import (
-    assert_stratum_systems_agree,
     fan_complex,
     point_family,
     random_pair_data,
@@ -55,6 +52,7 @@ from helpers import (
     two_ray_resolution_family,
 )
 from oracles import affine_hull_dim, fm_positive_combination_exists
+from reference_stratum import ambient_system, assert_stratum_systems_agree, sample_stratum
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +187,10 @@ def test_criterion_4_stratum_dimension_oracle(enumerated_universe):
             assert d is not None  # enumeration keeps nonempty strata only
             samples = sample_stratum(t, 50, rng)
             assert len(samples) == 50
-            desc = stratum(t)
-            nlen = len(desc.edge_order)
+            edge_order, _, _, equalities = ambient_system(t)
+            nlen = len(edge_order)
             for s in samples:
-                for row in desc.equalities:
+                for row in equalities:
                     assert sum(Fraction(a) * x for a, x in zip(row, s)) == 0
                 assert all(x > 0 for x in s[:nlen])
             assert affine_hull_dim(samples) == d, (label, canonical_string(t))

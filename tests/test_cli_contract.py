@@ -112,3 +112,27 @@ def test_enumerate_keeps_the_contract_on_malformed_flags(workdir, degree, genus,
     argv = ["enumerate", "--degree", degree, "--genus", str(genus),
             "--contracted", str(contracted), "--max-edges", str(max_edges)]
     _run(workdir, argv + ([] if dim is None else ["--dim", str(dim)]))
+
+
+_HUGE_INT = "9" * 5000  # past CPython's 4,300-digit limit on int parsing
+
+
+@pytest.mark.parametrize("where, detail", [("document", "4300"), ("degree", "4300"),
+                                           ("point", "4300"), ("encoding", "utf-8")])
+def test_json_that_python_cannot_load_is_an_input_error(workdir, where, detail):
+    family, bad = workdir / "family.json", workdir / "bad.json"
+    family.write_text(json.dumps(_FAMILY))
+    bad.write_text(f'{{"schema": "{docs.SCHEMA}", "dim": {_HUGE_INT}}}')
+    if where == "encoding":
+        bad.write_bytes(b'{"schema": "\xff"}')
+    argv = {"document": ["classify", str(bad)],
+            "encoding": ["classify", str(bad)],
+            "degree": ["enumerate", "--degree", f"[[{_HUGE_INT}, 0]]", "--genus", "0",
+                       "--max-edges", "1"],
+            "point": ["fiber", str(family), "--face", "E2", "--point", f"[{_HUGE_INT}]"]}[where]
+    assert _run(workdir, argv) == 2
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["schema"] == docs.SCHEMA and report["verb"] == argv[0]
+    assert set(report["payload"]) == {"pointer", "message"}
+    assert "is not valid JSON" in report["payload"]["message"]
+    assert detail in report["payload"]["message"]

@@ -18,7 +18,7 @@ from tropmoduli.family import (
     wall_verdict,
 )
 from tropmoduli.moduli import canonical_string, resolve_4valent, wall_graph
-from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, stabilize, type_of
+from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, stabilize
 
 from helpers import (
     const_positionN,
@@ -112,7 +112,7 @@ def test_fiber_on_ray_and_at_wall():
     # t = 0 resolves to the wall face and yields the 4-valent curve
     q = fiber(f, "R0", (0,))
     assert len(q.graph.vertex_ids()) == 1
-    assert canonical_string(type_of(q)) == canonical_string(cross_type())
+    assert canonical_string(q.type) == canonical_string(cross_type())
 
 
 def test_fiber_matches_direct_evaluation():
@@ -143,7 +143,7 @@ def test_fiber_validates_as_curve():
         p = fiber(f, "R1", q)
         assert p.is_valid()
         stab = stabilize(p)
-        assert canonical_string(type_of(stab)) == canonical_string(resolution_type(2))
+        assert canonical_string(stab.type) == canonical_string(resolution_type(2))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from tropmoduli.exact_linalg import affine_apply, vec
 from tropmoduli.family import induced_alpha, fiber, wall_verdict
 from tropmoduli.moduli import canonical_string, enumerate_types, stratum
 from tropmoduli.polyhedral import build_skeleton, star
-from tropmoduli.tropcurve import stabilize, type_of
+from tropmoduli.tropcurve import stabilize
 
 from helpers import (
     random_pair_data,
@@ -34,7 +34,7 @@ def test_fiber_stabilization_matches_recorded_type():
                 p = fiber(fam, fid, q)
                 assert p.is_valid()
                 stab = stabilize(p)
-                assert canonical_string(type_of(stab)) == alpha.lifts[fid].canonical
+                assert canonical_string(stab.type) == alpha.lifts[fid].canonical
 
 
 def test_alpha_restriction_same_type_exact():

@@ -14,6 +14,7 @@ from tropmoduli.errors import (
 from tropmoduli.exact_linalg import integer_kernel, integer_solve
 from tropmoduli.moduli import (
     TypeIso,
+    _integer_box_solutions,
     _spanning_forest,
     _tree_flow,
     WallClassification,
@@ -28,17 +29,17 @@ from tropmoduli.moduli import (
     enumerate_types,
     is_adjacent,
     resolve_4valent,
-    sample_stratum,
     stratum,
     wall_graph,
 )
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, check_balanced, genus, is_stable
 
-from helpers import BRUTE_FORCE_CASES, assert_stratum_systems_agree
+from helpers import BRUTE_FORCE_CASES
 from oracles import affine_hull_dim, brute_force_isomorphisms, brute_force_types, \
     is_type_isomorphism
 from reference_canonical import reference_automorphisms
-from reference_enumerate import reference_enumerate_types
+from reference_enumerate import reference_enumerate_types, reference_integer_box_solutions
+from reference_stratum import ambient_system, assert_stratum_systems_agree, sample_stratum
 
 
 def tripod():
@@ -93,15 +94,19 @@ def nonzero_loop():
 
 def test_stratum_tripod():
     d = stratum(tripod())
-    assert d.ambient_dim == 2
-    assert d.equalities == ()
+    _, _, ambient, equalities = ambient_system(tripod())
+    assert ambient == 2
+    assert equalities == ()
+    assert d.cycle_rows == ()
     assert d.dim() == 2
 
 
 def test_stratum_two_vertex():
     d = stratum(two_vertex())
-    assert d.ambient_dim == 5
-    assert len(d.equalities) == 2
+    _, _, ambient, equalities = ambient_system(two_vertex())
+    assert ambient == 5
+    assert len(equalities) == 2
+    assert d.cycle_rows == ()
     assert d.dim() == 3
 
 
@@ -163,10 +168,10 @@ def test_sample_stratum_matches_dim():
         d = dim_stratum(t)
         samples = sample_stratum(t, 50, rng)
         assert len(samples) == 50
-        desc = stratum(t)
-        nlen = len(desc.edge_order)
+        edge_order, _, _, equalities = ambient_system(t)
+        nlen = len(edge_order)
         for s in samples:
-            for row in desc.equalities:
+            for row in equalities:
                 assert sum(Fraction(a) * x for a, x in zip(row, s)) == 0
             assert all(x > 0 for x in s[:nlen])
         assert affine_hull_dim(samples) == d
@@ -534,6 +539,34 @@ def test_tree_flow_and_cycles_match_smith_normal_form():
             if flow is not None:
                 x = [flow.get(e, 0) for e, _, _ in edges]
                 assert [sum(r * xi for r, xi in zip(row, x)) for row in a] == b
+
+
+def test_box_walk_matches_lp_bounded_search():
+    # random multigraphs with loops and parallel edges, connected or not
+    rng = random.Random(17)
+    walked = 0
+    while walked < 100:
+        nv = rng.randint(1, 5)
+        vertices = [f"v{i}" for i in range(nv)]
+        pairs = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 5))]
+        if pairs:
+            pairs.append(rng.choice(pairs))  # a parallel edge (or a second loop)
+        edges = [(f"e{k}", vertices[i], vertices[j]) for k, (i, j) in enumerate(pairs)]
+        forest, cycles = _spanning_forest(vertices, edges)
+        if len(cycles) > 2:
+            continue  # keeps the reference quick: it makes two LPs per node of its tree
+        walked += 1
+        kernel = [tuple(coef.get(e, 0) for e, _, _ in edges) for coef in cycles]
+        root, b = {}, {}
+        for v, parent, _, _ in forest:  # b sums to zero over each component
+            root[v] = v if parent is None else root[parent]
+            b[v] = 0 if parent is None else rng.randint(-3, 3)
+            b[root[v]] -= b[v]
+        flow = _tree_flow(forest, b)
+        particular = tuple(flow.get(e, 0) for e, _, _ in edges)
+        for bound in range(5):
+            assert _integer_box_solutions(particular, kernel, bound) == \
+                reference_integer_box_solutions(particular, kernel, bound), (edges, b, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from tropmoduli.tropcurve import (
     realize,
     stabilize,
     stabilize_type,
-    type_of,
 )
 
 
@@ -121,11 +120,11 @@ def test_realize_loop_nonzero_slope():
 def test_type_of_round_trip():
     t = two_vertex_type()
     p = realize(t, {"e": 3}, (0, 0))
-    assert type_of(p) == t
+    assert p.type == t
     p2 = realize(t, {"e": 7}, (0, 0))
-    assert type_of(p2) == t  # lengths forgotten
+    assert p2.type == t  # lengths forgotten
     # re-realizing with the same data reproduces identical positions
-    p3 = realize(type_of(p), {"e": 3}, (0, 0))
+    p3 = realize(p.type, {"e": 3}, (0, 0))
     assert p3.positions == p.positions
 
 

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from tropmoduli import documents as docs
-from tropmoduli import moduli
+from tropmoduli import exact_linalg, moduli
 from tropmoduli.moduli import (
     StratumDescriptor,
     WallClassification,
@@ -146,22 +146,24 @@ def test_wall_graph_of_relabelled_nodes_equals_that_of_canonical_nodes(
 
 
 # (g, n, degree, max_edges): types, canonical_form calls in enumerate_types,
-# stratum checks, 3-valent nodes, canonical_form calls in wall_graph, walls
+# stratum checks, LP calls, 3-valent nodes, canonical_form calls in
+# wall_graph, walls
 WORK = [
-    ((0, 0, SIX_LEGS, 2), (131, 131, 0, 0, 0, 0)),
-    ((0, 0, SIX_LEGS, 3), (236, 236, 0, 105, 315, 105)),
-    ((1, 0, ((1, 0), (0, 1), (-1, -1)), 3), (16, 151, 80, 3, 6, 4)),
+    ((0, 0, SIX_LEGS, 2), (131, 131, 0, 0, 0, 0, 0)),
+    ((0, 0, SIX_LEGS, 3), (236, 236, 0, 0, 105, 315, 105)),
+    ((1, 0, ((1, 0), (0, 1), (-1, -1)), 3), (16, 151, 80, 72, 3, 6, 4)),
 ]
 
 
 @pytest.mark.parametrize("case, counts", WORK)
 def test_enumeration_and_wall_graph_work_counts(monkeypatch, case, counts):
-    labelled, checked, validated = [], [], []
+    labelled, checked, validated, lps = [], [], [], []
     original, is_empty = moduli.canonical_form, StratumDescriptor.is_empty
+    lp_maximize = exact_linalg.lp_maximize
     init, post_init = CombinatorialType.__init__, WeightedGraph.__post_init__
 
     def counting_is_empty(self):
-        checked.append(self.type)
+        checked.append(self)
         return is_empty(self)
 
     def counting_init(self, *args):
@@ -174,6 +176,8 @@ def test_enumeration_and_wall_graph_work_counts(monkeypatch, case, counts):
 
     monkeypatch.setattr(moduli, "canonical_form", lambda t: labelled.append(t) or original(t))
     monkeypatch.setattr(StratumDescriptor, "is_empty", counting_is_empty)
+    monkeypatch.setattr(exact_linalg, "lp_maximize",
+                        lambda *args: lps.append(args) or lp_maximize(*args))
     monkeypatch.setattr(CombinatorialType, "__init__", counting_init)
     monkeypatch.setattr(WeightedGraph, "__post_init__", counting_post_init)
     types = enumerate_types(*case)
@@ -181,9 +185,11 @@ def test_enumeration_and_wall_graph_work_counts(monkeypatch, case, counts):
     nodes = nodes_of(types)
     wg = wall_graph(nodes)
     in_wall_graph = labelled[in_enumerate:]
-    assert (len(types), in_enumerate, len(checked), len(nodes), len(in_wall_graph),
+    assert (len(types), in_enumerate, len(checked), len(lps), len(nodes), len(in_wall_graph),
             len(wg.walls)) == counts
-    assert all(len(t.graph.edges) > len(t.graph.vertices) - 1 for t in checked)  # no tree class
+    assert all(len(d.type.graph.edges) > len(d.type.graph.vertices) - 1
+               for d in checked)  # no tree class
+    assert len(lps) == sum(bool(d.cycle_rows) for d in checked)  # one LP per check with cycle rows
     assert not any(t is node for t in in_wall_graph for node in nodes)  # no node relabelled
     assert len(in_wall_graph) == sum(u != v for t in nodes for _, u, v in t.graph.edges)
     assert validated == []
