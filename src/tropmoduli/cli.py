@@ -106,7 +106,7 @@ def _cmd_validate_curve(args):
                                "message": "vertices without position"})
         if not (missing or unplaced):
             curve = ParameterizedTropicalCurve(
-                TropicalCurve(t.graph, dict(lengths)), positions, dict(t.slopes), t.dim)
+                TropicalCurve(t.graph, lengths), positions, dict(t.slopes), t.dim)
             for e in curve.edge_relation_violations():
                 violations.append({"axiom": "edge-relation", "subject": e,
                                    "message": "positions do not match length * slope"})

@@ -13,6 +13,8 @@ faces, wall resolutions, base faces and inclusions) and builds the object.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,10 +34,20 @@ def rat_str(x) -> str:
     return str(frac(x))
 
 
+# Fraction(str) scales a decimal by 10**exponent: an exponent past the
+# integer digit limit would take minutes to build
+_EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?[eE]"
+                       r"([-+]?\d+(?:_\d+)*)\s*")
+
+
 def parse_rat(value, pointer: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise InputError(f"expected a rational 'p/q' string, got {value!r}", pointer)
     try:
+        exponent = isinstance(value, str) and _EXPONENT.fullmatch(value)
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if exponent and 0 < limit < abs(int(exponent[1])):
+            raise ValueError(f"exponent exceeds {limit} in magnitude")
         return frac(value if isinstance(value, str) else int(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {value!r}: {exc}", pointer) from None
@@ -308,7 +320,7 @@ def wallgraph_from_doc(doc, pointer="") -> WallGraph:
         for j, nid in enumerate(res):
             if nid not in node_ids:
                 raise InputError(f"resolution {nid!r} is not a node id", f"{p}/resolutions/{j}")
-    return WallGraph(nodes, tuple(built), {canonical_form(t).string: nid for nid, t in nodes})
+    return WallGraph(nodes, tuple(built))
 
 
 # ---------------------------------------------------------------------------

@@ -339,28 +339,20 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
     return mat_rows(u), mat_rows(s), mat_rows(v)
 
 
-def elementary_divisors(m: Sequence[Sequence[int]]) -> list:
-    _, s, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i] != 0:
-            out.append(s[i][i])
-    return out
-
-
 def is_saturated(sub_basis: Sequence[IVec], ambient_dim: int) -> bool:
     """Whether the sublattice spanned equals its rational span ∩ Z^ambient_dim.
 
-    Decided via elementary divisors: the sublattice is saturated iff they are
-    all 1.  Raises DependentGenerators on dependent input.
+    Decided on the Smith form's diagonal (the elementary divisors): the
+    sublattice is saturated iff they are all 1.  Raises DependentGenerators
+    on dependent input.
     """
     if not sub_basis:
         return True
     for b in sub_basis:
         if len(b) != ambient_dim:
             raise DimMismatch(f"generator has length {len(b)}, ambient is {ambient_dim}")
-    mat = [tuple(b) for b in sub_basis]
-    divisors = elementary_divisors(mat)
+    _, s, _ = smith_normal_form([tuple(b) for b in sub_basis])
+    divisors = [s[i][i] for i in range(min(len(s), ambient_dim)) if s[i][i] != 0]
     if len(divisors) < len(sub_basis):
         raise DependentGenerators("generators are linearly dependent")
     return all(d == 1 for d in divisors)

@@ -26,9 +26,9 @@ that respect the stable refinement colouring on (weight, leg positions,
 incident slopes, neighbour colours).  One search finds it, pruned by the
 automorphisms it meets, and those automorphisms generate the group that
 ``automorphisms`` lists.  The type it returns records its string in
-``_canonical``, so neither ``wall_graph`` nor the document writers label
-it again.  Stratum systems, canonical forms, isomorphisms, wall classes and
-the wall graph are plain slotted records (see ``records``).
+``_canonical``, which ``wall_graph``, ``connected_through_walls`` and the
+document writers read.  Stratum systems, canonical forms, isomorphisms,
+wall classes and the wall graph are plain slotted records (see ``records``).
 """
 
 from __future__ import annotations
@@ -761,11 +761,10 @@ def _balanced_types(graph: WeightedGraph, forest, kernel, ext, dim, bound):
 # ---------------------------------------------------------------------------
 
 class WallGraph(Record):
-    __slots__ = ("nodes", "walls", "node_key")
-    def __init__(self, nodes: tuple, walls: tuple, node_key: dict):
+    __slots__ = ("nodes", "walls")
+    def __init__(self, nodes: tuple, walls: tuple):
         self.nodes = nodes  # (node id, CombinatorialType)
         self.walls = walls  # (wall id, CombinatorialType, tuple of incident node ids)
-        self.node_key = node_key  # canonical key -> node id
 
     def node_ids(self):
         return [nid for nid, _ in self.nodes]
@@ -779,7 +778,7 @@ def wall_graph(types) -> WallGraph:
     way, and a wall's incidences are exactly its resolutions in the node set.
     """
     if not types:
-        return WallGraph((), (), {})
+        return WallGraph((), ())
     invariants = set()
     for t in types:
         if classify(t).classification != WallClassification.WEIGHTLESS_3VALENT:
@@ -808,16 +807,18 @@ def wall_graph(types) -> WallGraph:
     wall_list = tuple((f"w{i}", walls[k][0], tuple(sorted(walls[k][1])))
                       for i, k in enumerate(sorted(walls)))
     nodes = tuple((nid, canon_nodes[k]) for k, nid in node_key.items())
-    return WallGraph(nodes=nodes, walls=wall_list, node_key=node_key)
+    return WallGraph(nodes=nodes, walls=wall_list)
 
 
 def connected_through_walls(wg: WallGraph, t1: CombinatorialType, t2: CombinatorialType):
     """(connected, path) where the path alternates node, wall, node ids."""
+    node_key = {canonical_form(t).string if t._canonical is None else t._canonical: nid
+                for nid, t in wg.nodes}
     k1 = canonical_form(t1).string
     k2 = canonical_form(t2).string
-    if k1 not in wg.node_key or k2 not in wg.node_key:
+    if k1 not in node_key or k2 not in node_key:
         raise SeedNotInGraph("queried type is not a node of the wall graph")
-    start, goal = wg.node_key[k1], wg.node_key[k2]
+    start, goal = node_key[k1], node_key[k2]
     # a wall joins every two of its resolutions; in stored order, the walk's
     # tree is the breadth-first tree from start
     edges = [(wid, a, b) for wid, _, res in wg.walls for a, b in combinations(res, 2)]

@@ -10,8 +10,9 @@ The module also provides piecewise integral affine maps on complexes, the
 star of a face (primitive normal directions into codimension-one cofacets),
 the harmonic / quasi-harmonic / not-quasi-harmonic trichotomy at a face,
 and the skeleton constructor for combinatorial semistable pair data.
-Faces, inclusions, stars, maps, verdicts and pair data are plain slotted
-records (see ``records``).
+Validation and stars locate embedded faces on the charts' integer
+incidences and solve no LP.  Faces, inclusions, stars, maps, verdicts and
+pair data are plain slotted records (see ``records``).
 """
 
 from __future__ import annotations
@@ -68,10 +69,11 @@ class Polyhedron:
     Equalities are stored separately.  One integer incidence pass, computed
     on demand and cached on the instance, gives the V-representation
     (vertices, rays and lineality generators) and records which
-    inequalities are tight at each vertex and each ray.  ``is_empty``,
+    inequalities are tight at each vertex and each ray, with each vertex
+    keyed by its lowest-terms (numerators, denominator).  ``is_empty``,
     ``has_interior``, ``dim`` and ``proper_faces`` are read off those
     incidences and solve no LP; ``feasible_point`` and ``interior_point``
-    are LPs.  All queries are exact.
+    are LPs, which no query of a complex calls.  All queries are exact.
     """
 
     def __init__(self, ambient_dim: int, ineqs=(), eqs=()):
@@ -273,16 +275,11 @@ class Polyhedron:
         for tv, tr in found:
             vert_ids = frozenset(i for i in range(len(verts)) if tv >> i & 1)
             ray_ids = frozenset(i for i in range(len(rays)) if tr >> i & 1)
-            faces.append(_PFace(poly=self, vert_ids=vert_ids, ray_ids=ray_ids,
+            faces.append(_PFace(vert_ids=vert_ids, ray_ids=ray_ids,
                                 dim=self._face_dim(self._tight_on(vert_ids, ray_ids))))
         faces = tuple(sorted(faces, key=lambda f: (f.dim, sorted(f.vert_ids), sorted(f.ray_ids))))
         self._cache['faces'] = faces
         return faces
-
-    def generators(self):
-        """Vertex/ray/line generator triple as explicit sets."""
-        verts, rays, lines = self.vrep()
-        return frozenset(verts), frozenset(rays), tuple(lines)
 
 
 def _integer_row(normal, offset):
@@ -290,27 +287,17 @@ def _integer_row(normal, offset):
     return tuple(offset.denominator * c for c in normal) + (offset.numerator,)
 
 
+def _dot(row, v):
+    """Integer dot product over the first len(v) entries of ``row``."""
+    return sum(a * x for a, x in zip(row, v))
+
+
 class _PFace(FrozenRecord):
     """A face of a polyhedron, identified by its tight vertices and rays."""
 
-    __slots__ = ("poly", "vert_ids", "ray_ids", "dim")
-    def __init__(self, poly: Polyhedron, vert_ids: frozenset, ray_ids: frozenset, dim: int):
-        self.poly, self.vert_ids, self.ray_ids, self.dim = poly, vert_ids, ray_ids, dim
-
-    def members(self):
-        verts, rays, lines = self.poly.vrep()
-        return (frozenset(verts[i] for i in self.vert_ids),
-                frozenset(rays[i] for i in self.ray_ids),
-                tuple(lines))
-
-
-def _span_equal(lines_a, lines_b) -> bool:
-    """Whether two lists of integer vectors span the same subspace."""
-    return rank(lines_a) == rank(lines_b) == rank(tuple(lines_a) + tuple(lines_b))
-
-
-def _triples_equal(a, b) -> bool:
-    return a[0] == b[0] and a[1] == b[1] and _span_equal(a[2], b[2])
+    __slots__ = ("vert_ids", "ray_ids", "dim")
+    def __init__(self, vert_ids: frozenset, ray_ids: frozenset, dim: int):
+        self.vert_ids, self.ray_ids, self.dim = vert_ids, ray_ids, dim
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +323,6 @@ class FaceInclusion(FrozenRecord):
 
     def apply(self, x):
         return affine_apply(self.linear, self.offset, tuple(x))
-
-    def columns(self):
-        return mat_columns(self.linear, width=len(self.linear[0]) if self.linear else 0)
 
 
 class PolyhedralComplex:
@@ -423,16 +407,17 @@ class ValidationReport(Record):
         return "\n".join(str(v) for v in self.violations)
 
 
-def _image_triple(complex_, inc: FaceInclusion, off, oden):
-    """Generator triple of the embedded image of the sub chart, in integers:
-    vertices from their (numerators, denominator) keys, the offset as off/oden."""
+def _image(complex_, inc: FaceInclusion, off, oden):
+    """The sub chart's lowest-terms vertex keys, primitive rays and lines
+    mapped through ``inc`` (offset off/oden), all in integers."""
     (_, rays, lines), _, _, keys = complex_.face(inc.sub).chart._incidences()
-    dot = lambda row, v: sum(a * x for a, x in zip(row, v))
-    iverts = frozenset(tuple(Fraction(oden * dot(row, num) + den * o, den * oden)
-                             for row, o in zip(inc.linear, off)) for num, den in keys)
-    irays = frozenset(primitive_vector(tuple(dot(row, r) for row in inc.linear)) for r in rays)
-    ilines = tuple(primitive_vector(tuple(dot(row, l) for row in inc.linear)) for l in lines)
-    return iverts, irays, ilines
+    ikeys = []
+    for num, den in keys:
+        img = [oden * _dot(row, num) + den * o for row, o in zip(inc.linear, off)]
+        g = math.gcd(den * oden, *img)
+        ikeys.append((tuple(x // g for x in img), den * oden // g))
+    mapped = lambda vs: [primitive_vector(tuple(_dot(row, v) for row in inc.linear)) for v in vs]
+    return ikeys, mapped(rays), mapped(lines)
 
 
 def validate_complex(c: PolyhedralComplex) -> ValidationReport:
@@ -491,10 +476,9 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
                            for row, si, ui in zip(inc_bd.linear, s, u, strict=True)):
                 report.add("order", f"{a}->{d}", "stored inclusion differs from the composite")
 
-    # axiom 5 + image faces
-    image_face = {}  # (sub, super) -> _PFace or None
-    generators = {}  # face id -> generator triple of its chart
-    faces_by_members = {}  # face id -> {(vertex set, ray set): _PFace} of its chart
+    # axiom 5 + image faces, as (vertex ids, ray ids) of the super chart
+    image_face = {}  # (sub, super) -> (vertex ids, ray ids) of a proper face, or None
+    index = {}  # face id -> (vertex key -> id, ray -> id, lines, whole key, proper face keys)
     for (a, b), inc in c.inclusions.items():
         cols = [ivec(col) for col in zip(*inc.linear)] if inc.linear and inc.linear[0] else []
         sub_rank = c.faces[a].rank
@@ -506,21 +490,26 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             except DependentGenerators:
                 report.add("5", f"{a}->{b}", "inclusion linear part is not injective")
                 continue
-        img = _image_triple(c, inc, *offsets[(a, b)])
-        super_chart = c.faces[b].chart
-        if b not in generators:
-            generators[b] = super_chart.generators()
-        if _triples_equal(img, generators[b]):
-            report.add("3", f"{a}->{b}", "image equals the whole super chart")
-            continue
-        if b not in faces_by_members:
-            faces_by_members[b] = {pf.members()[:2]: pf for pf in super_chart.proper_faces()}
-        match = faces_by_members[b].get(img[:2])
-        if match is not None and not _span_equal(img[2], super_chart.vrep()[2]):
-            match = None
-        if match is None:
+        if b not in index:
+            chart = c.faces[b].chart
+            (_, rays, lines), _, _, keys = chart._incidences()
+            index[b] = ({k: i for i, k in enumerate(keys)}, {r: i for i, r in enumerate(rays)},
+                        lines, (frozenset(range(len(keys))), frozenset(range(len(rays)))),
+                        {(pf.vert_ids, pf.ray_ids) for pf in chart.proper_faces()})
+        vert_id, ray_id, lines, whole, proper = index[b]
+        img_keys, img_rays, img_lines = _image(c, inc, *offsets[(a, b)])
+        # a generator outside the super chart gets id None, which no face has
+        key = (frozenset(vert_id.get(k) for k in img_keys),
+               frozenset(ray_id.get(r) for r in img_rays))
+        if (key == whole or key in proper) and \
+                rank(img_lines) == rank(lines) == rank([*img_lines, *lines]):  # equal spans
+            if key == whole:
+                report.add("3", f"{a}->{b}", "image equals the whole super chart")
+                continue
+            image_face[(a, b)] = key
+        else:
             report.add("5", f"{a}->{b}", "image of sub chart is not a face of the super chart")
-        image_face[(a, b)] = match
+            image_face[(a, b)] = None
 
     # axiom 3: every proper face of a chart is covered exactly once
     resolver = {}  # (face id, PFace key) -> sub id
@@ -530,9 +519,9 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             continue
         by_face = {}
         for sub in subface_ids.get(fid, ()):
-            pf = image_face.get((sub, fid))
-            if pf is not None:
-                by_face.setdefault((pf.vert_ids, pf.ray_ids), []).append(sub)
+            key = image_face.get((sub, fid))
+            if key is not None:
+                by_face.setdefault(key, []).append(sub)
         for pf in f.chart.proper_faces():
             key = (pf.vert_ids, pf.ray_ids)
             owners = by_face.get(key, [])
@@ -554,13 +543,13 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             for v1, v2 in combinations(sorted(common), 2):
                 res = []
                 for w in (w1, w2):
-                    pf1 = image_face.get((v1, w))
-                    pf2 = image_face.get((v2, w))
-                    if pf1 is None or pf2 is None:
+                    key1 = image_face.get((v1, w))
+                    key2 = image_face.get((v2, w))
+                    if key1 is None or key2 is None:
                         res.append("skip")
                         continue
-                    tv = pf1.vert_ids & pf2.vert_ids
-                    tr = pf1.ray_ids & pf2.ray_ids
+                    tv = key1[0] & key2[0]
+                    tr = key1[1] & key2[1]
                     if not tv:
                         res.append(None)
                         continue
@@ -598,8 +587,11 @@ def star(c: PolyhedralComplex, w: str) -> StarData:
     """Star of a face: one primitive generator of N_cofacet / N_face per cofacet.
 
     The generator is oriented into the cofacet chart, i.e. the cofacet lies
-    on the nonnegative side of the facet supporting the embedded face.
-    Assumes the complex is valid.
+    on the nonnegative side of the facet supporting the embedded face: the
+    first stored inequality of the cofacet chart that is tight at every image
+    vertex, zero on every image ray and not zero on the generator.  The
+    embedded face is read off the charts' integer incidences, so no LP is
+    solved.  Assumes the complex is valid.
     """
     cache = c._cache.setdefault('star', {})
     if w in cache:
@@ -614,19 +606,16 @@ def star(c: PolyhedralComplex, w: str) -> StarData:
             # column r - 1 of u^-1 for the Smith form u·linear·v = s
             u, _, _ = smith_normal_form(inc.linear)
             e = tuple(int(x) for x in solve_linear(u, tuple(int(i == r - 1) for i in range(r))))
-        p = face.chart.feasible_point() if face.rank == 0 else face.chart.interior_point()
-        if p is None:
+        if face.chart.is_empty() if face.rank == 0 else not face.chart.has_interior():
             raise TropModuliError(f"face {w!r} has no interior point")
-        q = inc.apply(p)
-        super_chart = c.faces[inc.super].chart
-        cols = inc.columns()
+        keys, rays, _ = _image(c, inc, *_over_common(inc.offset))
         oriented = None
-        for n, o in super_chart.ineqs:
-            if vec_dot(vec(n), q) != o:
+        for n, o in c.faces[inc.super].chart.ineqs:
+            row = _integer_row(n, o)
+            if any(_dot(row, num) != row[-1] * den for num, den in keys) or \
+                    any(_dot(n, ray) for ray in rays):
                 continue
-            if any(vec_dot(vec(n), vec(col)) != 0 for col in cols):
-                continue
-            d = vec_dot(vec(n), vec(e))
+            d = _dot(n, e)
             if d > 0:
                 oriented = e
                 break

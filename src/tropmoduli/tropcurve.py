@@ -142,7 +142,7 @@ class TropicalCurve(Record):
     __slots__ = ("graph", "lengths")
     def __init__(self, graph: WeightedGraph, lengths: dict):
         self.graph = graph
-        self.lengths = lengths  # edge id -> positive Fraction
+        self.lengths = dict(lengths)  # edge id -> positive Fraction, in a copy of the argument
         for eid, _, _ in self.graph.edges:
             if eid not in self.lengths:
                 raise ValueError(f"missing length for edge {eid!r}")
@@ -257,7 +257,7 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
     report = check_balanced(t)
     if not report.ok:
         raise UnbalancedType(f"unbalanced at {[v for v, _ in report.failures]}")
-    curve = TropicalCurve(t.graph, dict(lengths))
+    curve = TropicalCurve(t.graph, lengths)
     if root is None:
         root = min(t.graph.vertex_ids())
     edges = sorted(t.graph.edges)

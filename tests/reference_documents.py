@@ -15,7 +15,7 @@ from tropmoduli.documents import SCHEMA
 from tropmoduli.errors import DimMismatch, InputError, UnknownFace
 from tropmoduli.exact_linalg import frac
 from tropmoduli.family import AffineFn, AffineMapN, Contraction, FaceCurveData, FamilyDatum
-from tropmoduli.moduli import WallGraph, canonical_form
+from tropmoduli.moduli import WallGraph
 from tropmoduli.polyhedral import (Face, FaceInclusion, Polyhedron, PolyhedralComplex,
                                    SemistablePairData, Stratum)
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
@@ -290,5 +290,4 @@ def wallgraph_from_doc(doc, pointer="") -> WallGraph:
             if nid not in node_ids:
                 raise InputError(f"resolution {nid!r} is not a node id", f"{p}/resolutions/{j}")
         walls.append((_expect(wd, "id", str, p), t, res))
-    node_key = {canonical_form(t).string: nid for nid, t in nodes}
-    return WallGraph(nodes=tuple(nodes), walls=tuple(walls), node_key=node_key)
+    return WallGraph(nodes=tuple(nodes), walls=tuple(walls))

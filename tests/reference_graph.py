@@ -191,11 +191,15 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
 
 
 def connected_through_walls(wg, t1: CombinatorialType, t2: CombinatorialType):
+    # nodes that canonical_form returned carry their string (labelling all
+    # nodes on every query would make this reference the slowest test)
+    node_key = {canonical_form(t).string if t._canonical is None else t._canonical: nid
+                for nid, t in wg.nodes}
     k1 = canonical_form(t1).string
     k2 = canonical_form(t2).string
-    if k1 not in wg.node_key or k2 not in wg.node_key:
+    if k1 not in node_key or k2 not in node_key:
         raise SeedNotInGraph("queried type is not a node of the wall graph")
-    start, goal = wg.node_key[k1], wg.node_key[k2]
+    start, goal = node_key[k1], node_key[k2]
     if start == goal:
         return True, (start,)
     walls_at = {}
@@ -224,7 +228,7 @@ def connected_through_walls(wg, t1: CombinatorialType, t2: CombinatorialType):
 
 def reference_wall_graph(types) -> WallGraph:
     if not types:
-        return WallGraph((), (), {})
+        return WallGraph((), ())
     invariants = set()
     for t in types:
         if classify(t).classification != WallClassification.WEIGHTLESS_3VALENT:
@@ -258,4 +262,4 @@ def reference_wall_graph(types) -> WallGraph:
     wall_list = tuple(
         (f"w{i}", walls[k][0], walls[k][1]) for i, k in enumerate(sorted(walls)))
     nodes = tuple((nid, canon_nodes[k]) for k, nid in node_key.items())
-    return WallGraph(nodes=nodes, walls=wall_list, node_key=node_key)
+    return WallGraph(nodes=nodes, walls=wall_list)

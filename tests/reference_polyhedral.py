@@ -1,10 +1,12 @@
-"""Reference polyhedra and complex validation for differential tests.
+"""Reference polyhedra, complex validation and stars for differential tests.
 
 This is the subset-scan code the incidence-based ``Polyhedron`` queries and
 ``validate_complex`` replaced: emptiness and interiors by LP, vertices and
 rays from every C(m, D) constraint subset, faces from every one of the 2^m
 subsets, and every relation between faces found by scanning all faces and
-inclusions.  Both must give identical answers.  It is kept apart from
+inclusions.  ``star`` finds the facet a face embeds into at the image of an
+LP interior point, where the library reads it off the incidences.  Both must
+give identical answers.  It is kept apart from
 ``oracles.py``, which the benchmark loads for its output checks.  Its rank,
 solving, kernels and affine maps come from the ``Fraction`` reference in
 ``reference_linalg``, not from the integer kernels under test.
@@ -16,21 +18,23 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from tropmoduli.errors import DependentGenerators
+from tropmoduli.errors import DependentGenerators, TropModuliError
 from tropmoduli.exact_linalg import (
     feasible_point,
     frac,
     integer_kernel,
     is_saturated,
     ivec,
+    mat_columns,
     mat_rows,
     mat_vec,
     primitive_vector,
+    smith_normal_form,
     vec,
     vec_dot,
     vec_sub,
 )
-from tropmoduli.polyhedral import ValidationReport
+from tropmoduli.polyhedral import StarData, ValidationReport
 
 from reference_linalg import (
     affine_apply,
@@ -313,3 +317,46 @@ def validate_complex(c):
         if len(seen) != len(c.faces):
             report.add("connectivity", sorted(set(c.faces) - seen)[0], "complex is not connected")
     return report
+
+
+# ---------------------------------------------------------------------------
+# reference star: the facet supporting the embedded face is the one tight at
+# the image of an LP point of the face chart and zero on the inclusion's
+# columns.  It keeps no cache, so it never answers from the library's.
+# ---------------------------------------------------------------------------
+
+def star(c, w):
+    face = c.face(w)
+    dirs = []
+    for inc in c.cofacet_inclusions(w):
+        r = c.faces[inc.super].rank
+        if face.rank == 0:
+            e = (1,)
+        else:
+            # column r - 1 of u^-1 for the Smith form u·linear·v = s
+            u, _, _ = smith_normal_form(inc.linear)
+            e = tuple(int(x) for x in solve_linear(u, tuple(int(i == r - 1) for i in range(r))))
+        p = face.chart.feasible_point() if face.rank == 0 else face.chart.interior_point()
+        if p is None:
+            raise TropModuliError(f"face {w!r} has no interior point")
+        q = inc.apply(p)
+        super_chart = c.faces[inc.super].chart
+        cols = mat_columns(inc.linear, width=len(inc.linear[0]) if inc.linear else 0)
+        oriented = None
+        for n, o in super_chart.ineqs:
+            if vec_dot(vec(n), q) != o:
+                continue
+            if any(vec_dot(vec(n), vec(col)) != 0 for col in cols):
+                continue
+            d = vec_dot(vec(n), vec(e))
+            if d > 0:
+                oriented = e
+                break
+            if d < 0:
+                oriented = tuple(-x for x in e)
+                break
+        if oriented is None:
+            raise TropModuliError(
+                f"image of {w!r} is not a facet of {inc.super!r}; validate the complex first")
+        dirs.append((inc.super, oriented))
+    return StarData(face=w, directions=tuple(dirs))

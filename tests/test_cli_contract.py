@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tropmoduli import documents as docs
 from tropmoduli.cli import main
+from tropmoduli.errors import InputError
 from tropmoduli.moduli import resolve_4valent, wall_graph
 from tropmoduli.polyhedral import build_skeleton
 
@@ -136,3 +137,36 @@ def test_json_that_python_cannot_load_is_an_input_error(workdir, where, detail):
     assert set(report["payload"]) == {"pointer", "message"}
     assert "is not valid JSON" in report["payload"]["message"]
     assert detail in report["payload"]["message"]
+
+
+@pytest.mark.parametrize("where", ["document", "point"])
+def test_rational_with_a_huge_exponent_is_an_input_error(workdir, where):
+    """Fraction("1e10000000") would build 10**10000000; the exponent is
+    refused at its pointer instead."""
+    path = workdir / "input.json"
+    if where == "document":
+        curve = json.loads(json.dumps(_CURVE))
+        curve["edges"][0]["length"] = "1e10000000"
+        path.write_text(json.dumps(curve))
+        argv, pointer = ["validate-curve", str(path)], "/edges/0/length"
+    else:
+        path.write_text(json.dumps(_FAMILY))
+        argv = ["fiber", str(path), "--face", "E2", "--point", '["1e10000000"]']
+        pointer = "/point/0"
+    assert _run(workdir, argv) == 2
+    payload = json.loads((workdir / "report.json").read_text())["payload"]
+    assert payload["pointer"] == pointer
+    assert "bad rational" in payload["message"] and "exponent" in payload["message"]
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1E+10_000_000", "-.5e-4301", "2.e4301"])
+def test_parse_rat_refuses_exponents_past_the_digit_limit(text):
+    with pytest.raises(InputError, match="bad rational .* exponent exceeds 4300"):
+        docs.parse_rat(text, "/x")
+
+
+@pytest.mark.parametrize("text, value", [("1e4300", Fraction(10) ** 4300),
+                                         ("-1_0e-4_300", -Fraction(1, 10 ** 4299)),
+                                         ("1.5e3", Fraction(1500))])
+def test_parse_rat_keeps_exponents_within_the_digit_limit(text, value):
+    assert docs.parse_rat(text, "/x") == value

@@ -208,7 +208,7 @@ def test_connected_through_walls_matches_reference(degree):
     for _ in range(3):
         walls = tuple((f"w{i}", None, tuple(rng.sample(ids, rng.randint(1, 3))))
                       for i in range(rng.randint(0, len(ids))))
-        graphs.append(WallGraph(nodes=wg.nodes, walls=walls, node_key=wg.node_key))
+        graphs.append(WallGraph(nodes=wg.nodes, walls=walls))
     unconnected = 0
     for g in graphs:
         members = [t for _, t in g.nodes]

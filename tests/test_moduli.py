@@ -584,7 +584,8 @@ def test_wall_graph_single_wall():
     ok, path = connected_through_walls(wg, nodes[0], nodes[1])
     assert ok and len(path) == 3
     ok, path = connected_through_walls(wg, nodes[2], nodes[2])
-    assert ok and path == (wg.node_key[canonical_form(nodes[2]).string],)
+    node_key = {canonical_form(t).string: nid for nid, t in wg.nodes}
+    assert ok and path == (node_key[canonical_form(nodes[2]).string],)
 
 
 def test_wall_graph_mixed_invariants():

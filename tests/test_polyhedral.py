@@ -403,6 +403,7 @@ def test_polyhedron_queries_solve_no_lp(monkeypatch):
                         lambda *args: calls.append(args) or lp_maximize(*args))
     sk = build_skeleton(triangle_pair_data())
     assert validate_complex(sk).ok
+    assert sum(len(star(sk, w).directions) for w in sk.faces) > 0
     p = Polyhedron(2, [((1, 0), 0), ((-1, 0), -1)], [((1, 1), Fraction(1, 2))])
     assert (p.is_empty(), p.has_interior(), p.dim()) == (False, False, 1)
     assert calls == []
@@ -487,6 +488,22 @@ def test_star_directions_match_reference_inverse_on_templates():
                     inv = reference_linalg.unimodular_inverse(smith_normal_form(inc.linear)[0])
                     e = tuple(inv[i][r - 1] for i in range(r))
                 assert directions[inc.super] in (e, tuple(-x for x in e)), (w, inc.super)
+                checked += 1
+    assert checked > 100, checked
+
+
+def test_star_matches_lp_reference_on_templates_and_grid_fans():
+    """Directions, orientation included, equal those of the star that finds
+    the supporting facet at the image of an LP interior point."""
+    rng = random.Random(33)
+    complexes = [build_skeleton(template_pair_data(rng, nv, nh, maximal))
+                 for nv, nh, maximal in COMPLEX_TEMPLATES]
+    complexes += [fan_complex(k) for k in (1, 2, 3, 4)]  # the criterion-2 grid
+    checked = 0
+    for c in complexes:
+        for w in c.faces:
+            if c.cofacet_inclusions(w):
+                assert star(c, w) == reference.star(c, w), w
                 checked += 1
     assert checked > 100, checked
 

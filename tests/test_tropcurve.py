@@ -78,6 +78,14 @@ def test_check_balanced():
     assert check_balanced(two_vertex_type()).ok
 
 
+def test_tropical_curve_leaves_the_callers_lengths_alone():
+    g = two_vertex_type().graph
+    lengths = {"e": "3/2"}
+    curve = TropicalCurve(g, lengths)
+    assert lengths == {"e": "3/2"} and type(lengths["e"]) is str
+    assert curve.lengths == {"e": Fraction(3, 2)} and type(curve.lengths["e"]) is Fraction
+
+
 def test_realize_tripod():
     p = realize(tripod(), {}, (0, 0))
     assert p.positions == {"v": (Fraction(0), Fraction(0))}
