@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from . import documents as docs
 from .errors import Disconnected, InputError, TropModuliError
@@ -47,9 +49,48 @@ def _report(verb, status, payload, summary):
     }
 
 
+def _encode(value, out, newline):
+    """Append to ``out`` the pieces of ``json.dumps(value, sort_keys=True,
+    indent=2)``, ``newline`` being the line break and indent of value's own
+    line.  Only dicts with string keys, lists, tuples, strings, ints, bools
+    and None are encoded; anything else, a float included, is a TypeError."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        for i, item in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _encode(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            _encode(value[key], out, inner)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report, fmt, output):
+    """Write the report as JSON (byte for byte what ``json.dumps(report,
+    sort_keys=True, indent=2)`` writes, from ``_encode``) or as text."""
     if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        out = []
+        _encode(report, out, "\n")
+        text = "".join(out) + "\n"
     else:
         lines = [f"status: {report['status']}", report["summary"]]
         payload = report["payload"]
@@ -343,17 +384,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _verb_parser(verb) -> argparse.ArgumentParser:
+    """The parser of one verb alone, built once per process; a parse reads
+    its defaults afresh and leaves the parser as it was."""
+    _, handler, specs = VERBS[verb]
+    parser = argparse.ArgumentParser(prog=f"tropmoduli {verb}")
+    _add_verb_arguments(parser, handler, specs)
+    return parser
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """What build_parser().parse_args(argv) returns, building only the named
+    """What build_parser().parse_args(argv) returns, using only the named
     verb's parser when argv starts with a verb and that parser takes the rest."""
     if argv is None:
         argv = sys.argv[1:]
     verb = argv[0] if argv else None
     if verb in VERBS:
-        _, handler, specs = VERBS[verb]
-        parser = argparse.ArgumentParser(prog=f"tropmoduli {verb}")
-        _add_verb_arguments(parser, handler, specs)
-        args, extras = parser.parse_known_args(argv[1:])
+        args, extras = _verb_parser(verb).parse_known_args(argv[1:])
         if not extras:
             args.verb = verb
             return args

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimMismatch, InputError, UnknownFace
-from .exact_linalg import frac
+from .exact_linalg import _rat_str as rat_str, frac
 from .family import (AffineFn, AffineMapN, Contraction, FaceCurveData, FaceLift, FamilyDatum,
                      ImageStratum, WallVerdict)
 from .moduli import WallGraph, canonical_form
@@ -30,10 +30,6 @@ from .tropcurve import CombinatorialType, ParameterizedTropicalCurve, WeightedGr
 SCHEMA = "tropmoduli/1"
 
 
-def rat_str(x) -> str:
-    return str(frac(x))
-
-
 # Fraction(str) scales a decimal by 10**exponent: an exponent past the
 # integer digit limit would take minutes to build
 _EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?[eE]"
@@ -41,14 +37,21 @@ _EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?
 
 
 def parse_rat(value, pointer: str) -> Fraction:
+    """A JSON int or rational string as a Fraction, accepting what ``frac``
+    accepts (a "p/q" string takes its integer fast path), but refusing a
+    decimal exponent past the integer digit limit; the exponent is looked
+    for only in a string holding an "e" or "E"."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise InputError(f"expected a rational 'p/q' string, got {value!r}", pointer)
     try:
-        exponent = isinstance(value, str) and _EXPONENT.fullmatch(value)
-        limit = sys.get_int_max_str_digits()  # 0: no limit
-        if exponent and 0 < limit < abs(int(exponent[1])):
-            raise ValueError(f"exponent exceeds {limit} in magnitude")
-        return frac(value if isinstance(value, str) else int(value))
+        if isinstance(value, str):
+            if "e" in value or "E" in value:
+                exponent = _EXPONENT.fullmatch(value)
+                limit = sys.get_int_max_str_digits()  # 0: no limit
+                if exponent and 0 < limit < abs(int(exponent[1])):
+                    raise ValueError(f"exponent exceeds {limit} in magnitude")
+            return frac(value)
+        return Fraction(int(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {value!r}: {exc}", pointer) from None
 

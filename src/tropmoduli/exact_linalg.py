@@ -24,11 +24,12 @@ plain slotted record (see ``records``).
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DependentGenerators, DimMismatch, ZeroVector
+from .errors import DependentGenerators, DimMismatch, InputError, ZeroVector
 from .records import FrozenRecord
 
 Vec = tuple  # tuple of Fraction (or int coercible)
@@ -41,14 +42,33 @@ Mat = tuple  # tuple of row tuples
 # ---------------------------------------------------------------------------
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction.
+
+    A string of the ASCII shape ``-?[0-9]+(/[0-9]+)?`` is read with
+    ``int``, about twice as fast, and every other string goes to
+    ``Fraction(str)``; the strings accepted and the errors raised (a zero
+    denominator, an integer past the digit limit) are that constructor's."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        if x.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+            return Fraction(int(num), int(den) if slash else 1)
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def _rat_str(x) -> str:
+    """The "p/q" string of x (plain "p" for an integer).  A numerator or
+    denominator past the integer digit limit cannot be printed: that is an
+    InputError naming the limit, since only input can carry such a value."""
+    try:
+        return str(frac(x))
+    except ValueError:
+        raise InputError(f"a rational with more than {sys.get_int_max_str_digits()} digits "
+                         "(the integer digit limit) cannot be written") from None
 
 
 def vec(entries: Iterable) -> Vec:

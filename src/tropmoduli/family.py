@@ -27,6 +27,7 @@ from fractions import Fraction
 from .errors import InvalidFamily, NoCofacets, PointNotInComplex, SeedNotInGraph
 from .exact_linalg import (
     _forest,
+    _rat_str,
     affine_apply,
     affine_compose,
     frac,
@@ -257,7 +258,8 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
                 pts = pts or _generating_points(face.chart)
                 x = next(x for x in pts
                          if vec_sub(pv(x), pu(x)) != vec_scale(fn(x), vec(slope)))
-                report.add("1", fid, f"edge relation fails for {e!r} at {tuple(map(str, x))}")
+                report.add("1", fid,
+                           f"edge relation fails for {e!r} at {tuple(map(_rat_str, x))}")
 
     # inclusion conditions (2), (3) and the zero-locus iff
     for (sub, sup), inc in sorted(f.base.inclusions.items()):
@@ -365,7 +367,7 @@ def locate(base: PolyhedralComplex, fid: str, coords):
     if len(x) != face.rank:
         raise PointNotInComplex(f"point has {len(x)} coordinates, face rank is {face.rank}")
     if not face.chart.contains(x):
-        raise PointNotInComplex(f"point {tuple(map(str, x))} is outside face {fid!r}")
+        raise PointNotInComplex(f"point {tuple(map(_rat_str, x))} is outside face {fid!r}")
     if face.rank == 0 or face.chart.contains(x, strict=True):
         return fid, x
     for sub in base.subface_ids(fid):
@@ -374,7 +376,7 @@ def locate(base: PolyhedralComplex, fid: str, coords):
         if sol is not None and base.face(sub).chart.contains(sol):
             return locate(base, sub, sol)
     raise PointNotInComplex(
-        f"boundary point {tuple(map(str, x))} of {fid!r} is not covered by a sub-face")
+        f"boundary point {tuple(map(_rat_str, x))} of {fid!r} is not covered by a sub-face")
 
 
 def fiber(f: FamilyDatum, fid: str, coords) -> ParameterizedTropicalCurve:

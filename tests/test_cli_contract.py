@@ -170,3 +170,67 @@ def test_parse_rat_refuses_exponents_past_the_digit_limit(text):
                                          ("1.5e3", Fraction(1500))])
 def test_parse_rat_keeps_exponents_within_the_digit_limit(text, value):
     assert docs.parse_rat(text, "/x") == value
+
+
+# a point coordinate past the digit limit once printed: outside E2 it is
+# named in the PointNotInComplex message, inside E2 it reaches the report
+_DIGIT_LIMIT_POINTS = [('["1e4300"]', 2, "input"), ('["-1e4300"]', 2, "input"),
+                       (f'["1/{"3" * 4300}"]', 2, "input"),
+                       ('["1e4299"]', 2, "PointNotInComplex"), ('["1e-4299"]', 0, None)]
+
+
+@pytest.mark.parametrize("point, code, error", _DIGIT_LIMIT_POINTS,
+                         ids=["1e4300", "-1e4300", "1/3...3", "1e4299", "1e-4299"])
+def test_fiber_point_past_the_digit_limit_is_an_input_error(workdir, point, code, error):
+    path = workdir / "family.json"
+    path.write_text(json.dumps(_FAMILY))
+    assert _run(workdir, ["fiber", str(path), "--face", "E2", "--point", point]) == code
+    payload = json.loads((workdir / "report.json").read_text())["payload"]
+    if error == "input":
+        assert payload == {"pointer": "", "message": "a rational with more than 4300 digits "
+                                                     "(the integer digit limit) cannot be written"}
+    elif error:
+        assert payload["error"] == error
+
+
+def test_family_message_past_the_digit_limit_is_an_input_error(workdir):
+    """A ray from 10**4300 whose edge relation fails: the violation would
+    name the ray's vertex, which has 4,301 digits."""
+    doc = docs.family_to_doc(path_family([(1, 2)], [Fraction(2)]))
+    base = doc["base"]
+    base["faces"] = [f for f in base["faces"] if f["id"] != "P1"]
+    base["inclusions"] = [{**i, "offset": ["1e4300"]} for i in base["inclusions"]
+                          if i["sub"] == "P0"]
+    base["maximal"] = ["E1"]
+    ray = next(f for f in base["faces"] if f["id"] == "E1")
+    ray["chart"]["ineqs"] = [[1, "1e4300"]]
+    doc["faces"] = [{**f, "lengths": {"e": {**f["lengths"]["e"], "offset": "5"}}}
+                    for f in doc["faces"] if f["face"] != "P1"]
+    doc["contractions"] = [c for c in doc["contractions"] if c["sub"] == "P0"]
+    path = workdir / "family.json"
+    path.write_text(json.dumps(doc))
+    assert _run(workdir, ["validate-family", str(path)]) == 2
+    payload = json.loads((workdir / "report.json").read_text())["payload"]
+    assert "4300 digits" in payload["message"]
+    ray["chart"]["ineqs"], base["inclusions"][0]["offset"] = [[1, "7"]], ["7"]
+    path.write_text(json.dumps(doc))
+    assert _run(workdir, ["validate-family", str(path)]) == 1
+
+
+_COORDINATES = st.one_of(
+    st.fractions().map(str), st.integers(-5, 5),
+    st.sampled_from(["1e4300", "-1e4300", "1e-4300", "1e4299", "1e10000000", "1.5e3", "+1/2",
+                     " 1", "1/0", "x", "9" * 4301, "1/" + "3" * 4300, "1/" + "0" * 5000]),
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.lists(st.integers(), max_size=2))
+_POINTS = st.one_of(
+    st.lists(_COORDINATES, max_size=3).map(json.dumps),
+    st.sampled_from(["[", "", "{}", "null", '"1/2"', "[NaN]", "[1e400]", f"[{_HUGE_INT}]",
+                     '["1/2",]']))
+
+
+@_FUZZ
+@given(st.sampled_from(["E1", "E2", "P0", "nope"]), _POINTS)
+def test_fiber_keeps_the_contract_on_malformed_points(workdir, face, point):
+    path = workdir / "family.json"
+    path.write_text(json.dumps(_FAMILY))
+    _run(workdir, ["fiber", str(path), "--face", face, "--point", point])

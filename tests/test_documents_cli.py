@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropmoduli import documents as docs
+from tropmoduli import cli, documents as docs
 from tropmoduli.cli import main
 from tropmoduli.errors import InputError
 from tropmoduli.family import propagate_closure, validate_family
@@ -98,6 +98,21 @@ def test_schema_errors_carry_pointers():
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+@pytest.fixture(autouse=True)
+def _reports_are_what_json_dumps_writes(monkeypatch):
+    """Every JSON report the tests of this module make the CLI write is, byte
+    for byte, what json.dumps(report, sort_keys=True, indent=2) writes."""
+    emit = cli._emit
+
+    def checked(report, fmt, output):
+        if fmt == "json":
+            out = []
+            cli._encode(report, out, "\n")
+            assert "".join(out) == json.dumps(report, sort_keys=True, indent=2)
+        emit(report, fmt, output)
+    monkeypatch.setattr(cli, "_emit", checked)
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
