@@ -31,7 +31,6 @@ from .polyhedral import (
 )
 from .tropcurve import (
     CombinatorialType,
-    Degree,
     ParameterizedTropicalCurve,
     TropicalCurve,
     WeightedGraph,

@@ -128,8 +128,9 @@ def _cmd_validate_curve(args):
     violations = []
     balance = check_balanced(t)
     for v, deficit in balance.failures:
+        total = ", ".join(map(docs.rat_str, deficit))
         violations.append({"axiom": "balance", "subject": v,
-                           "message": f"slope sum {list(deficit)} is nonzero"})
+                           "message": f"slope sum [{total}] is nonzero"})
     try:
         g = genus(t.graph)
     except Disconnected:

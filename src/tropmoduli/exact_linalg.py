@@ -60,15 +60,20 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def _too_long() -> InputError:
+    """The error for a number past the integer digit limit, which cannot be
+    printed: an InputError naming the limit, since only input can carry or
+    build such a value."""
+    return InputError(f"a rational with more than {sys.get_int_max_str_digits()} digits "
+                      "(the integer digit limit) cannot be written")
+
+
 def _rat_str(x) -> str:
-    """The "p/q" string of x (plain "p" for an integer).  A numerator or
-    denominator past the integer digit limit cannot be printed: that is an
-    InputError naming the limit, since only input can carry such a value."""
+    """The "p/q" string of x (plain "p" for an integer); see ``_too_long``."""
     try:
         return str(frac(x))
     except ValueError:
-        raise InputError(f"a rational with more than {sys.get_int_max_str_digits()} digits "
-                         "(the integer digit limit) cannot be written") from None
+        raise _too_long() from None
 
 
 def vec(entries: Iterable) -> Vec:

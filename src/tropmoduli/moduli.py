@@ -47,6 +47,7 @@ from .errors import (
 from .exact_linalg import (
     _forest,
     _spanning_forest,
+    _too_long,
     feasible_point,
     rank,
 )
@@ -316,7 +317,10 @@ def canonical_form(t: CombinatorialType) -> CanonicalForm:
         new_slopes[emap[eid]] = rec[2]
     canon = CombinatorialType._trusted(
         WeightedGraph._trusted(new_vertices, new_edges, new_legs), new_slopes, t.dim)
-    canon._canonical = repr(key)
+    try:
+        canon._canonical = repr(key)
+    except ValueError:  # a slope past the integer digit limit, built by adding input slopes
+        raise _too_long() from None
     return CanonicalForm(key=key, string=canon._canonical, vertex_map=vmap, edge_map=emap,
                          type=canon)
 
@@ -524,10 +528,9 @@ def _resolutions(t: CombinatorialType, v: str) -> dict:
     items = sorted(g.star_items(v))
     assert len(items) == 4
     taken_v = set(g.vertex_ids())
-    taken_e = {e for e, _, _ in g.edges}
     va = _fresh_id(f"{v}a", taken_v)
     vb = _fresh_id(f"{v}b", taken_v | {va})
-    new_edge = _fresh_id("eres", taken_e)
+    new_edge = _fresh_id("eres", {e for e, _, _ in g.edges} | {l for l, _ in g.legs})
 
     out = {}
     for first in ((0, 1), (0, 2), (0, 3)):

@@ -36,6 +36,7 @@ from .exact_linalg import (
     _forest,
     _int_echelon,
     _over_common,
+    _rat_str,
     affine_apply,
     feasible_point,
     frac,
@@ -329,7 +330,8 @@ class PolyhedralComplex:
     """Finite face set glued along integral affine inclusions.
 
     Instances are treated as immutable once built; all queries are read-only
-    and cache their results on the instance.
+    and cache their results on the instance.  Each face's sub- and super-face
+    ids are indexed once, in stored inclusion order.
     """
 
     def __init__(self, faces: Sequence[Face], inclusions: Sequence[FaceInclusion],
@@ -340,6 +342,8 @@ class PolyhedralComplex:
                 raise ValueError(f"duplicate face id {f.id!r}")
             self.faces[f.id] = f
         self.inclusions = {}
+        self._subs = {fid: [] for fid in self.faces}  # face id -> sub-face ids
+        self._supers = {fid: [] for fid in self.faces}  # face id -> super-face ids
         for inc in inclusions:
             if inc.sub not in self.faces or inc.super not in self.faces:
                 raise UnknownFace(f"inclusion {inc.sub!r} -> {inc.super!r} references unknown face")
@@ -352,9 +356,10 @@ class PolyhedralComplex:
                     or len(inc.offset) != super_rank:
                 raise DimMismatch(f"inclusion {key} has affine data of wrong shape")
             self.inclusions[key] = inc
+            self._subs[inc.super].append(inc.sub)
+            self._supers[inc.sub].append(inc.super)
         if maximal_faces is None:
-            subs = {s for s, _ in self.inclusions}
-            maximal_faces = [fid for fid in self.faces if fid not in subs]
+            maximal_faces = [fid for fid, sups in self._supers.items() if not sups]
         self.maximal_faces = tuple(maximal_faces)
         self._cache = {}
 
@@ -366,14 +371,13 @@ class PolyhedralComplex:
 
     def subface_ids(self, fid: str):
         self.face(fid)
-        return sorted(s for s, t in self.inclusions if t == fid)
+        return sorted(self._subs[fid])
 
     def cofacet_inclusions(self, fid: str):
         """Inclusions of ``fid`` into faces of rank exactly one higher."""
         r = self.face(fid).rank
-        out = [inc for (s, t), inc in self.inclusions.items()
-               if s == fid and self.faces[t].rank == r + 1]
-        return sorted(out, key=lambda inc: inc.super)
+        return [self.inclusions[(fid, t)] for t in sorted(self._supers[fid])
+                if self.faces[t].rank == r + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +437,12 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
       plus partial-order sanity (antisymmetry, composition closure) and
       connectivity.
 
-    Chart queries read the charts' integer incidences and solve no LP.  The
-    inclusions are indexed by sub-face and by super-face once, so only
-    related pairs are visited; violations come out in a fixed order (faces
-    and inclusions in stored order, face pairs in sorted order).
+    Chart queries read the charts' integer incidences and solve no LP.  Only
+    related pairs are visited, through the complex's sub- and super-face
+    index; violations come out in a fixed order (faces and inclusions in
+    stored order, face pairs in sorted order).
     """
     report = ValidationReport()
-    supers_of, subs_of = {}, {}  # face id -> [(other face id, inclusion)] in stored order
-    for (a, b), inc in c.inclusions.items():
-        supers_of.setdefault(a, []).append((b, inc))
-        subs_of.setdefault(b, []).append((a, inc))
-
     for f in c.faces.values():
         if f.chart.ambient_dim != f.rank:
             report.add("2", f.id, f"chart lives in R^{f.chart.ambient_dim} but rank is {f.rank}")
@@ -463,12 +462,13 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             report.add("order", f"{a}->{b}", "sub-face rank must be smaller than super-face rank")
     offsets = {key: _over_common(inc.offset) for key, inc in c.inclusions.items()}
     for (a, b), inc_ab in c.inclusions.items():
-        for d, inc_bd in supers_of.get(b, ()):
+        for d in c._supers[b]:
             if a == d:
                 continue
             if (a, d) not in c.inclusions:
                 report.add("order", f"{a}->{d}", f"missing composite of {a}->{b} and {b}->{d}")
                 continue
+            inc_bd = c.inclusions[(b, d)]
             # offsets p/q, s/t, u/w of a->b, b->d, a->d: L_bd·p/q + s/t = u/w
             (p, q), (s, t), (u, w) = offsets[(a, b)], offsets[(b, d)], offsets[(a, d)]
             if mat_rows(c.inclusions[(a, d)].linear) != mat_mul(inc_bd.linear, inc_ab.linear) \
@@ -513,12 +513,11 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
 
     # axiom 3: every proper face of a chart is covered exactly once
     resolver = {}  # (face id, PFace key) -> sub id
-    subface_ids = {fid: sorted(a for a, _ in subs) for fid, subs in subs_of.items()}
     for fid, f in c.faces.items():
         if f.chart.ambient_dim != f.rank or f.chart.is_empty():
             continue
         by_face = {}
-        for sub in subface_ids.get(fid, ()):
+        for sub in c.subface_ids(fid):
             key = image_face.get((sub, fid))
             if key is not None:
                 by_face.setdefault(key, []).append(sub)
@@ -533,7 +532,7 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
                 report.add("3", fid, f"chart face of dim {pf.dim} is covered by {sorted(owners)}")
 
     # axiom 4: shared sub-face intersections agree across faces
-    sub_sets = {fid: set(subs) for fid, subs in subface_ids.items()}
+    sub_sets = {fid: set(subs) for fid, subs in c._subs.items() if len(subs) > 1}
     face_ids = sorted(sub_sets)
     for i, w1 in enumerate(face_ids):
         for w2 in face_ids[i + 1:]:
@@ -719,42 +718,21 @@ class SemistablePairData(FrozenRecord):
         self.horizontal_components = horizontal_components
         self.strata, self.order = strata, order
 
-    def stratum(self, sid: str) -> Stratum:
-        for s in self.strata:
-            if s.id == sid:
-                return s
-        raise InconsistentStrata(f"unknown stratum {sid!r}")
-
-
-def _closure_order(d: SemistablePairData):
-    """Reflexive-transitive closure of the given order pairs."""
-    below = {s.id: {s.id} for s in d.strata}  # sid -> set of T with sid <= T
-    for a, b in d.order:
-        if a not in below or b not in below:
-            raise InconsistentStrata(f"order pair ({a!r}, {b!r}) references unknown stratum")
-        below[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in below:
-            extra = set()
-            for b in below[a]:
-                extra |= below[b]
-            if not extra <= below[a]:
-                below[a] |= extra
-                changed = True
-    return below
-
 
 def _check_pair_data(d: SemistablePairData):
-    seen = set()
+    """The strata by id and each stratum's up-set (the T with S <= T in the
+    reflexive-transitive closure of the order pairs), once the data is
+    consistent.  Each up-set comes from one depth-first walk over the order
+    pairs and is checked in sorted order, so the first inconsistency found
+    does not depend on hash order."""
     comp = set(d.vertical_components) | set(d.horizontal_components)
     if len(comp) != len(d.vertical_components) + len(d.horizontal_components):
         raise InconsistentStrata("component ids are not distinct")
+    strata = {}
     for s in d.strata:
-        if s.id in seen:
+        if s.id in strata:
             raise InconsistentStrata(f"duplicate stratum id {s.id!r}")
-        seen.add(s.id)
+        strata[s.id] = s
         if not s.verticals:
             raise InconsistentStrata(f"stratum {s.id!r} has empty vertical support")
         if not set(s.verticals) <= set(d.vertical_components):
@@ -765,14 +743,26 @@ def _check_pair_data(d: SemistablePairData):
             raise InconsistentStrata(f"stratum {s.id!r} repeats a component")
         if s.length <= 0:
             raise InconsistentStrata(f"stratum {s.id!r} has nonpositive length")
-    below = _closure_order(d)
-    strata = {s.id: s for s in d.strata}
-    for a, ups in below.items():
+    above = {sid: [] for sid in strata}
+    for a, b in d.order:
+        if a not in strata or b not in strata:
+            raise InconsistentStrata(f"order pair ({a!r}, {b!r}) references unknown stratum")
+        above[a].append(b)
+    ups = {}
+    for sid in strata:
+        up, stack = {sid}, [sid]
+        while stack:
+            for b in above[stack.pop()]:
+                if b not in up:
+                    up.add(b)
+                    stack.append(b)
+        ups[sid] = up
+    for a, up in ups.items():
         sa = strata[a]
         supports = {}
-        for b in ups:
+        for b in sorted(up):
             sb = strata[b]
-            if a != b and b in below and a in below[b]:
+            if a != b and a in ups[b]:
                 raise InconsistentStrata(f"order cycle through {a!r} and {b!r}")
             if not set(sb.verticals) <= set(sa.verticals) or \
                     not set(sb.horizontals) <= set(sa.horizontals):
@@ -790,65 +780,42 @@ def _check_pair_data(d: SemistablePairData):
             if a != b and len(sb.verticals) >= 2 and sb.length != sa.length:
                 raise InconsistentStrata(
                     f"comparable strata {a!r}, {b!r} share a vertical pair "
-                    f"but have lengths {sa.length} != {sb.length}")
-    return below
+                    f"but have lengths {_rat_str(sa.length)} != {_rat_str(sb.length)}")
+    return strata, ups
+
+
+def _chart_coords(s: Stratum):
+    """(dropped vertical, chart coordinates) of a stratum: the first sorted
+    vertical is dropped, and the coordinates are the other sorted verticals
+    followed by the sorted horizontals."""
+    verts = sorted(s.verticals)
+    return verts[0], verts[1:] + sorted(s.horizontals)
 
 
 def _stratum_chart(s: Stratum) -> Polyhedron:
-    """Chart of Delta(a, length) x R^b_{>=0} in the dropped-first-vertical coordinates."""
-    verts = sorted(s.verticals)
-    horiz = sorted(s.horizontals)
-    a = len(verts) - 1
-    b = len(horiz)
-    dim = a + b
-    ineqs = []
-    for i in range(a):
-        ineqs.append((tuple(1 if j == i else 0 for j in range(dim)), Fraction(0)))
+    """Chart of Delta(a, length) x R^b_{>=0} in the stratum's chart coordinates."""
+    _, coords = _chart_coords(s)
+    a = len(s.verticals) - 1
+    unit = lambda x: tuple(int(y == x) for y in coords)
+    ineqs = [(unit(x), 0) for x in coords[:a]]
     if a > 0:
-        ineqs.append((tuple(-1 if j < a else 0 for j in range(dim)), -s.length))
-    for k in range(b):
-        ineqs.append((tuple(1 if j == a + k else 0 for j in range(dim)), Fraction(0)))
-    return Polyhedron(dim, ineqs)
+        ineqs.append((tuple(-(y in s.verticals) for y in coords), -s.length))
+    return Polyhedron(len(coords), ineqs + [(unit(x), 0) for x in coords[a:]])
 
 
 def _skeleton_inclusion(sub: Stratum, sup: Stratum) -> tuple:
     """Affine embed of the chart of ``sub`` into the chart of ``sup``.
 
-    ``sub`` is the shallower stratum (smaller polyhedron): sup <= sub.
+    ``sub`` is the shallower stratum (smaller polyhedron): sup <= sub.  Each
+    coordinate of the ``sup`` chart is the same coordinate of the ``sub``
+    chart, the length minus the sub's vertical coordinates for the sub's
+    dropped vertical, or 0.
     """
-    sup_verts = sorted(sup.verticals)
-    sup_horiz = sorted(sup.horizontals)
-    sub_verts = sorted(sub.verticals)
-    sub_horiz = sorted(sub.horizontals)
-    sub_dim = (len(sub_verts) - 1) + len(sub_horiz)
-    sub_cols = {v: i for i, v in enumerate(sub_verts[1:])}
-    for k, h in enumerate(sub_horiz):
-        sub_cols[h] = (len(sub_verts) - 1) + k
-
-    def full_coord(v):
-        """(linear row over sub chart coords, offset) of the y_v coordinate."""
-        row = [0] * sub_dim
-        if v not in sub.verticals:
-            return row, Fraction(0)
-        if v == sub_verts[0]:
-            for w in sub_verts[1:]:
-                row[sub_cols[w]] = -1
-            return row, sup.length
-        row[sub_cols[v]] = 1
-        return row, Fraction(0)
-
-    rows, offs = [], []
-    for v in sup_verts[1:]:
-        row, off = full_coord(v)
-        rows.append(tuple(row))
-        offs.append(off)
-    for h in sup_horiz:
-        row = [0] * sub_dim
-        if h in sub.horizontals:
-            row[sub_cols[h]] = 1
-        rows.append(tuple(row))
-        offs.append(Fraction(0))
-    return tuple(rows), tuple(offs)
+    dropped, coords = _chart_coords(sub)
+    sup_coords = _chart_coords(sup)[1]
+    rows = tuple(tuple(-(y in sub.verticals) if x == dropped else int(y == x) for y in coords)
+                 for x in sup_coords)
+    return rows, tuple(sup.length if x == dropped else Fraction(0) for x in sup_coords)
 
 
 def build_skeleton(d: SemistablePairData) -> PolyhedralComplex:
@@ -860,21 +827,13 @@ def build_skeleton(d: SemistablePairData) -> PolyhedralComplex:
     comparable strata the shallower chart embeds as the face where the
     missing coordinates vanish.
     """
-    below = _check_pair_data(d)
-    strata = {s.id: s for s in d.strata}
+    strata, ups = _check_pair_data(d)
     faces = []
     for sid in sorted(strata):
         s = strata[sid]
         chart = _stratum_chart(s)
         faces.append(Face(id=sid, rank=chart.ambient_dim, chart=chart,
                           label=f"V={','.join(sorted(s.verticals))}"))
-    inclusions = []
-    for a in sorted(below):
-        for b in sorted(below[a]):
-            if a == b:
-                continue
-            lin, off = _skeleton_inclusion(strata[b], strata[a])
-            inclusions.append(FaceInclusion(sub=b, super=a, linear=lin, offset=off))
-    minimal = [sid for sid in sorted(strata)
-               if all(sid not in below[o] or o == sid for o in below)]
-    return PolyhedralComplex(faces, inclusions, maximal_faces=minimal)
+    inclusions = [FaceInclusion(b, a, *_skeleton_inclusion(strata[b], strata[a]))
+                  for a in sorted(ups) for b in sorted(ups[a]) if a != b]
+    return PolyhedralComplex(faces, inclusions)  # maximal faces: the minimal strata

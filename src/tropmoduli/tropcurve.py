@@ -6,14 +6,15 @@ combinatorial type adds an integer slope vector per oriented edge and leg;
 a parameterized curve adds vertex positions satisfying the edge relation
 position(v) - position(u) = length(e) * slope(u -> v) exactly.
 
-Slopes are stored once per edge, along the stored (u, v) orientation; the
-reverse orientation is the negation.  Legs are always oriented away from
-their vertex.  Loops contribute both orientations to the star of their
-vertex, so they never affect balancing.  The constructors validate; the
-unchecked ``_trusted`` builds are only for ``moduli.canonical_form``,
-``contract_any_slope``, ``_resolutions``, ``enumerate_types`` and
-``stabilize_type``, which build from valid parts.  Graphs, curves, degrees
-and reports are plain slotted records (see ``records``).
+Edge and leg ids share one namespace, the keys of the slopes, so no id
+names both an edge and a leg.  Slopes are stored once per edge, along the
+stored (u, v) orientation; the reverse orientation is the negation.  Legs
+are always oriented away from their vertex.  Loops contribute both
+orientations to the star of their vertex, so they never affect balancing.
+The constructors validate; the unchecked ``_trusted`` builds are only for
+``moduli.canonical_form``, ``contract_any_slope``, ``_resolutions``,
+``enumerate_types`` and ``stabilize_type``, which build from valid parts.
+Graphs, curves and reports are plain slotted records (see ``records``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ class WeightedGraph(FrozenRecord):
         lids = [l for l, _ in self.legs]
         if len(set(lids)) != len(lids):
             raise ValueError("duplicate leg ids")
+        shared = sorted(set(eids) & set(lids))
+        if shared:
+            raise ValueError(f"id {shared[0]!r} names both an edge and a leg")
         for l, v in self.legs:
             if v not in vset:
                 raise ValueError(f"leg {l!r} attached to unknown vertex")
@@ -224,12 +228,6 @@ def check_balanced(t: CombinatorialType) -> BalanceReport:
 def extended_degree(t: CombinatorialType) -> tuple:
     """Leg slopes in leg order."""
     return tuple(t.slopes[lid] for lid, _ in t.graph.legs)
-
-
-class Degree(FrozenRecord):
-    __slots__ = ("extended", "reduced")
-    def __init__(self, extended: tuple, reduced: tuple):
-        self.extended, self.reduced = extended, reduced
 
 
 def _place(forest, origin, lengths, slopes) -> dict:

@@ -424,9 +424,18 @@ def json_paths(doc, prefix=()):
         yield from json_paths(value, prefix + (key,))
 
 
+def id_paths(doc):
+    """The paths of the edge and leg ids of every type document in ``doc``."""
+    return [p for p in json_paths(doc)
+            if len(p) >= 3 and p[-1] == "id" and p[-3] in ("edges", "legs")]
+
+
 def mutated(doc, kind, path, value=None):
     """``doc`` with the node at ``path`` deleted, duplicated (a list entry
-    next to itself, an object entry under a new key) or retyped to ``value``."""
+    next to itself, an object entry under a new key), retyped to ``value``
+    or, for an edge or leg id (see ``id_paths``), renamed to another edge or
+    leg id of its type document, the one at index ``value`` modulo their
+    number."""
     if not path:
         return copy.deepcopy(value)
     doc = copy.deepcopy(doc)
@@ -440,6 +449,15 @@ def mutated(doc, kind, path, value=None):
         parent.insert(key + 1, copy.deepcopy(parent[key]))
     elif kind == "duplicate":
         parent[key + "2"] = copy.deepcopy(parent[key])
+    elif kind == "rename":
+        type_doc = doc
+        for k in path[:-3]:
+            type_doc = type_doc[k]
+        old = parent[key]
+        others = [x["id"] for part in ("edges", "legs") if isinstance(type_doc.get(part), list)
+                  for x in type_doc[part] if isinstance(x, dict) and x.get("id", old) != old]
+        if others:
+            parent[key] = others[value % len(others)]
     else:
         parent[key] = copy.deepcopy(value)
     return doc

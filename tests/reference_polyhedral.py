@@ -5,8 +5,11 @@ This is the subset-scan code the incidence-based ``Polyhedron`` queries and
 rays from every C(m, D) constraint subset, faces from every one of the 2^m
 subsets, and every relation between faces found by scanning all faces and
 inclusions.  ``star`` finds the facet a face embeds into at the image of an
-LP interior point, where the library reads it off the incidences.  Both must
-give identical answers.  It is kept apart from
+LP interior point, where the library reads it off the incidences.
+``build_skeleton`` closes the order by a repeat-until-stable loop and writes
+each chart and inclusion out coordinate by coordinate, where the library
+walks each up-set once and reads both off one chart-coordinate map.  Both
+must give identical answers.  It is kept apart from
 ``oracles.py``, which the benchmark loads for its output checks.  Its rank,
 solving, kernels and affine maps come from the ``Fraction`` reference in
 ``reference_linalg``, not from the integer kernels under test.
@@ -34,7 +37,15 @@ from tropmoduli.exact_linalg import (
     vec_dot,
     vec_sub,
 )
-from tropmoduli.polyhedral import StarData, ValidationReport
+from tropmoduli.errors import InconsistentStrata
+from tropmoduli.polyhedral import (
+    Face,
+    FaceInclusion,
+    Polyhedron,
+    PolyhedralComplex,
+    StarData,
+    ValidationReport,
+)
 
 from reference_linalg import (
     affine_apply,
@@ -360,3 +371,150 @@ def star(c, w):
                 f"image of {w!r} is not a facet of {inc.super!r}; validate the complex first")
         dirs.append((inc.super, oriented))
     return StarData(face=w, directions=tuple(dirs))
+
+
+# ---------------------------------------------------------------------------
+# reference skeletons: the order closure by a repeat-until-stable loop, each
+# chart and each inclusion written out coordinate by coordinate, and the
+# maximal faces found by scanning the closure.  The consistency checks walk
+# the up-sets as sets, so on inconsistent data only the exception type is
+# comparable (the message can name another stratum under another hash seed).
+# ---------------------------------------------------------------------------
+
+def _closure_order(d):
+    """Reflexive-transitive closure of the given order pairs."""
+    below = {s.id: {s.id} for s in d.strata}  # sid -> set of T with sid <= T
+    for a, b in d.order:
+        if a not in below or b not in below:
+            raise InconsistentStrata(f"order pair ({a!r}, {b!r}) references unknown stratum")
+        below[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in below:
+            extra = set()
+            for b in below[a]:
+                extra |= below[b]
+            if not extra <= below[a]:
+                below[a] |= extra
+                changed = True
+    return below
+
+
+def _check_pair_data(d):
+    seen = set()
+    comp = set(d.vertical_components) | set(d.horizontal_components)
+    if len(comp) != len(d.vertical_components) + len(d.horizontal_components):
+        raise InconsistentStrata("component ids are not distinct")
+    for s in d.strata:
+        if s.id in seen:
+            raise InconsistentStrata(f"duplicate stratum id {s.id!r}")
+        seen.add(s.id)
+        if not s.verticals:
+            raise InconsistentStrata(f"stratum {s.id!r} has empty vertical support")
+        if not set(s.verticals) <= set(d.vertical_components):
+            raise InconsistentStrata(f"stratum {s.id!r} references unknown vertical component")
+        if not set(s.horizontals) <= set(d.horizontal_components):
+            raise InconsistentStrata(f"stratum {s.id!r} references unknown horizontal component")
+        if len(set(s.verticals)) != len(s.verticals) or len(set(s.horizontals)) != len(s.horizontals):
+            raise InconsistentStrata(f"stratum {s.id!r} repeats a component")
+        if s.length <= 0:
+            raise InconsistentStrata(f"stratum {s.id!r} has nonpositive length")
+    below = _closure_order(d)
+    strata = {s.id: s for s in d.strata}
+    for a, ups in below.items():
+        sa = strata[a]
+        supports = {}
+        for b in ups:
+            sb = strata[b]
+            if a != b and b in below and a in below[b]:
+                raise InconsistentStrata(f"order cycle through {a!r} and {b!r}")
+            if not set(sb.verticals) <= set(sa.verticals) or \
+                    not set(sb.horizontals) <= set(sa.horizontals):
+                raise InconsistentStrata(f"{a!r} <= {b!r} but supports do not shrink")
+            if a != b and set(sb.verticals) == set(sa.verticals) and \
+                    set(sb.horizontals) == set(sa.horizontals):
+                raise InconsistentStrata(f"comparable strata {a!r}, {b!r} share the same support")
+            key = (frozenset(sb.verticals), frozenset(sb.horizontals))
+            if key in supports and supports[key] != b:
+                raise InconsistentStrata(
+                    f"strata {supports[key]!r} and {b!r} above {a!r} share a support")
+            supports[key] = b
+            if a != b and len(sb.verticals) >= 2 and sb.length != sa.length:
+                raise InconsistentStrata(
+                    f"comparable strata {a!r}, {b!r} share a vertical pair "
+                    f"but have lengths {sa.length} != {sb.length}")
+    return below
+
+
+def _stratum_chart(s):
+    """Chart of Delta(a, length) x R^b_{>=0} in the dropped-first-vertical coordinates."""
+    a = len(s.verticals) - 1
+    b = len(s.horizontals)
+    dim = a + b
+    ineqs = []
+    for i in range(a):
+        ineqs.append((tuple(1 if j == i else 0 for j in range(dim)), Fraction(0)))
+    if a > 0:
+        ineqs.append((tuple(-1 if j < a else 0 for j in range(dim)), -s.length))
+    for k in range(b):
+        ineqs.append((tuple(1 if j == a + k else 0 for j in range(dim)), Fraction(0)))
+    return Polyhedron(dim, ineqs)
+
+
+def _skeleton_inclusion(sub, sup):
+    """Affine embed of the chart of ``sub`` into the chart of ``sup`` (sup <= sub)."""
+    sup_verts = sorted(sup.verticals)
+    sup_horiz = sorted(sup.horizontals)
+    sub_verts = sorted(sub.verticals)
+    sub_horiz = sorted(sub.horizontals)
+    sub_dim = (len(sub_verts) - 1) + len(sub_horiz)
+    sub_cols = {v: i for i, v in enumerate(sub_verts[1:])}
+    for k, h in enumerate(sub_horiz):
+        sub_cols[h] = (len(sub_verts) - 1) + k
+
+    def full_coord(v):
+        """(linear row over sub chart coords, offset) of the y_v coordinate."""
+        row = [0] * sub_dim
+        if v not in sub.verticals:
+            return row, Fraction(0)
+        if v == sub_verts[0]:
+            for w in sub_verts[1:]:
+                row[sub_cols[w]] = -1
+            return row, sup.length
+        row[sub_cols[v]] = 1
+        return row, Fraction(0)
+
+    rows, offs = [], []
+    for v in sup_verts[1:]:
+        row, off = full_coord(v)
+        rows.append(tuple(row))
+        offs.append(off)
+    for h in sup_horiz:
+        row = [0] * sub_dim
+        if h in sub.horizontals:
+            row[sub_cols[h]] = 1
+        rows.append(tuple(row))
+        offs.append(Fraction(0))
+    return tuple(rows), tuple(offs)
+
+
+def build_skeleton(d):
+    below = _check_pair_data(d)
+    strata = {s.id: s for s in d.strata}
+    faces = []
+    for sid in sorted(strata):
+        s = strata[sid]
+        chart = _stratum_chart(s)
+        faces.append(Face(id=sid, rank=chart.ambient_dim, chart=chart,
+                          label=f"V={','.join(sorted(s.verticals))}"))
+    inclusions = []
+    for a in sorted(below):
+        for b in sorted(below[a]):
+            if a == b:
+                continue
+            lin, off = _skeleton_inclusion(strata[b], strata[a])
+            inclusions.append(FaceInclusion(sub=b, super=a, linear=lin, offset=off))
+    minimal = [sid for sid in sorted(strata)
+               if all(sid not in below[o] or o == sid for o in below)]
+    return PolyhedralComplex(faces, inclusions, maximal_faces=minimal)

@@ -1,8 +1,9 @@
 """A fuzzer for the CLI contract.
 
 Every file-reading verb runs on a valid document with one or two nodes
-deleted, given another JSON type, or duplicated, and ``enumerate`` runs
-on malformed flags.  Each run must end with exit 0, 1 or 2 and a report
+deleted, given another JSON type, or duplicated, or with an edge or leg id
+renamed to another edge or leg id of its type, and ``enumerate`` runs on
+malformed flags.  Each run must end with exit 0, 1 or 2 and a report
 with exactly the five report keys whose status matches the exit code; no
 exception may escape ``cli.main``.
 """
@@ -22,6 +23,7 @@ from tropmoduli.polyhedral import build_skeleton
 from helpers import (
     RETYPED,
     cross_type,
+    id_paths,
     json_paths,
     mutated,
     path_family,
@@ -80,9 +82,14 @@ def test_seed_documents_are_valid(workdir, verb, doc, flags):
 def _mutated_input(draw):
     verb, doc, flags = draw(st.sampled_from(SEEDS))
     for _ in range(draw(st.integers(1, 2))):
-        path = draw(st.sampled_from(list(json_paths(doc))))
-        kind = draw(st.sampled_from(["delete", "duplicate", "retype"] if path else ["retype"]))
-        doc = mutated(doc, kind, path, draw(st.sampled_from(RETYPED)))
+        paths, ids = list(json_paths(doc)), id_paths(doc)
+        kind = draw(st.sampled_from((["delete", "duplicate"] if len(paths) > 1 else []) +
+                                    ["retype"] + (["rename"] if ids else [])))
+        if kind == "rename":
+            doc = mutated(doc, kind, draw(st.sampled_from(ids)), draw(st.integers(0, 9)))
+        else:
+            path = draw(st.sampled_from(paths if kind == "retype" else paths[1:]))
+            doc = mutated(doc, kind, path, draw(st.sampled_from(RETYPED)))
     return verb, doc, flags
 
 
@@ -234,3 +241,73 @@ def test_fiber_keeps_the_contract_on_malformed_points(workdir, face, point):
     path = workdir / "family.json"
     path.write_text(json.dumps(_FAMILY))
     _run(workdir, ["fiber", str(path), "--face", face, "--point", point])
+
+
+def _type_doc(vertices, edges, legs, dim=1):
+    """A type document from (id, u, v, slope) edges and (id, vertex, slope) legs."""
+    return {"schema": docs.SCHEMA, "dim": dim,
+            "vertices": [{"id": v, "weight": 0} for v in vertices],
+            "edges": [{"id": e, "u": u, "v": v, "slope": s} for e, u, v, s in edges],
+            "legs": [{"id": l, "v": v, "slope": s} for l, v, s in legs]}
+
+
+# balanced: at a, edge x (+1) and legs y (+1), x (-2); at b, edge x (-1) and leg z (+1)
+_SHARED_ID = _type_doc(["a", "b"], [("x", "a", "b", [1])],
+                       [("y", "a", [1]), ("x", "a", [-2]), ("z", "b", [1])])
+
+
+@pytest.mark.parametrize("verb", ["validate-curve", "classify", "resolve", "in-family"])
+def test_an_id_naming_an_edge_and_a_leg_is_an_input_error(workdir, verb):
+    """Slopes are keyed by edge and leg ids alike, so a shared id would give
+    the edge the leg's slope; the document is refused at its type."""
+    doc, pointer = _SHARED_ID, ""
+    if verb == "in-family":
+        doc = json.loads(json.dumps(_FAMILY))
+        legs = doc["faces"][0]["type"]["legs"]
+        legs[0]["id"] = doc["faces"][0]["type"]["edges"][0]["id"]
+        verb, pointer = "validate-family", "/faces/0/type"
+    path = workdir / "shared.json"
+    path.write_text(json.dumps(doc))
+    assert _run(workdir, [verb, str(path)]) == 2
+    payload = json.loads((workdir / "report.json").read_text())["payload"]
+    assert payload["pointer"] == pointer
+    assert payload["message"].endswith("names both an edge and a leg")
+
+
+def test_resolve_picks_its_new_edge_id_fresh_against_leg_ids(workdir):
+    cross = docs.type_to_doc(cross_type())
+    cross["legs"][0]["id"] = "eres"
+    path = workdir / "cross.json"
+    path.write_text(json.dumps(cross))
+    assert _run(workdir, ["resolve", str(path)]) == 0
+    types = json.loads((workdir / "report.json").read_text())["payload"]["types"]
+    assert len(types) == 3
+    for t in types:
+        assert [e["id"] for e in t["type"]["edges"]] == ["eres'"]
+        assert [l["id"] for l in t["type"]["legs"]] == ["eres", "l1", "l2", "l3"]
+
+
+_NINES = int("9" * 4300)  # the longest integer within the digit limit; twice it is not
+
+
+def _digit_limit_input(case):
+    if case == "validate-curve":  # the slope sum at the one vertex
+        return _type_doc(["v"], [], [("l0", "v", [_NINES]), ("l1", "v", [_NINES])])
+    if case == "resolve":  # the slope of the resolution's new edge, in its canonical string
+        return _type_doc(["v"], [], [(f"l{i}", "v", [sx * _NINES, sy]) for i, (sx, sy)
+                                     in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)])], dim=2)
+    return {"schema": docs.SCHEMA, "vertical": ["A", "B", "C"], "horizontal": [],
+            "strata": [{"id": "s", "vertical": ["A", "B", "C"], "horizontal": [],
+                        "length": "1e4300"},
+                       {"id": "t", "vertical": ["A", "B"], "horizontal": [], "length": "1"}],
+            "order": [["s", "t"]]}  # the lengths, in the length-mismatch message
+
+
+@pytest.mark.parametrize("verb", ["validate-curve", "resolve", "skeleton"])
+def test_numbers_built_past_the_digit_limit_are_input_errors(workdir, verb):
+    path = workdir / "input.json"
+    path.write_text(json.dumps(_digit_limit_input(verb)))
+    assert _run(workdir, [verb, str(path)]) == 2
+    payload = json.loads((workdir / "report.json").read_text())["payload"]
+    assert payload == {"pointer": "", "message": "a rational with more than 4300 digits "
+                                                 "(the integer digit limit) cannot be written"}

@@ -5,7 +5,6 @@ import pytest
 from tropmoduli.errors import CycleInconsistency, Disconnected, Unstabilizable
 from tropmoduli.tropcurve import (
     CombinatorialType,
-    Degree,
     ParameterizedTropicalCurve,
     TropicalCurve,
     WeightedGraph,
@@ -137,20 +136,31 @@ def test_type_of_round_trip():
 
 
 def degree_of(t):
+    """(extended degree, reduced degree): the leg slopes, and the nonzero ones."""
     ext = extended_degree(t)
-    return Degree(ext, tuple(s for s in ext if any(x != 0 for x in s)))
+    return ext, tuple(s for s in ext if any(x != 0 for x in s))
 
 
 def test_extended_degree():
     t = two_vertex_type()
     assert extended_degree(t) == ((0, 1), (-1, -1), (1, 1), (0, -1))
-    d = degree_of(t)
-    assert d.extended == d.reduced
+    extended, reduced = degree_of(t)
+    assert extended == reduced
     g = WeightedGraph(vertices=(("v", 0),), edges=(),
                       legs=(("l0", "v"), ("l1", "v"), ("l2", "v"), ("l3", "v")))
     t2 = CombinatorialType(g, {"l0": (0, 0), "l1": (1, 0), "l2": (0, 1), "l3": (-1, -1)}, 2)
-    d2 = degree_of(t2)
-    assert len(d2.extended) == 4 and len(d2.reduced) == 3
+    extended, reduced = degree_of(t2)
+    assert len(extended) == 4 and len(reduced) == 3
+
+
+@pytest.mark.parametrize("vertices, edges, legs", [
+    ((("a", 0), ("b", 0)), (("x", "a", "b"),), (("x", "a"),)),
+    ((("a", 0),), (("x", "a", "a"), ("y", "a", "a")), (("z", "a"), ("y", "a"), ("x", "a"))),
+])
+def test_an_id_naming_an_edge_and_a_leg_is_refused(vertices, edges, legs):
+    """Edge and leg ids share the slopes' namespace; the least shared id is named."""
+    with pytest.raises(ValueError, match="id 'x' names both an edge and a leg"):
+        WeightedGraph(vertices, edges, legs)
 
 
 def test_stabilize_fixed_point():
