@@ -4,16 +4,17 @@ Everything in here works over ``fractions.Fraction`` (for rational data) or
 plain Python integers (for lattice data).  There is deliberately no floating
 point anywhere: the geometric predicates built on top of this module are
 equality predicates, and a tolerance would make them meaningless.  The one
-LP kernel (``_simplex_standard``, behind ``lp_maximize``, ``feasible_point``
-and ``strict_positive_combination``) is a two-phase simplex on an integer
-tableau with one common denominator; it returns exact Fractions.  The one
-row reduction (``_int_echelon``, behind ``rank``, ``solve_linear``,
+LP kernel (``_simplex_standard``, behind ``lp_maximize``) is a two-phase
+simplex on an integer tableau with one common denominator; it returns exact
+Fractions.  The library asks it one question, ``_positive_solution``: has
+rows·x = 0 a solution with x_i >= 1 on given coordinates?  The one row
+reduction (``_int_echelon``, behind ``rank``, ``solve_linear``,
 ``kernel_rational``, ``Subspace`` and ``span_membership``) is fraction-free
 Gauss-Jordan elimination on rows scaled to integers; results are divided by
 their pivots only where Fractions are returned.  ``affine_apply`` and
 ``affine_compose`` likewise sum integer numerators over one common
-denominator (``_over_common``).  Only ``det`` and the Smith
-normal form keep eliminations of their own.  The one multigraph traversal,
+denominator (``_over_common``).  Only ``det`` and the Smith normal form keep
+eliminations of their own.  The one multigraph traversal,
 ``_forest``, is a breadth-first spanning forest; its fundamental cycles are
 a lattice basis of the integer kernel of the incidence matrix.
 
@@ -695,42 +696,26 @@ def lp_maximize(objective: Vec, eqs: Sequence, ineqs: Sequence, nonneg: Sequence
     return 'optimal', tuple(x), value
 
 
-def feasible_point(eqs: Sequence, ineqs: Sequence, dim: int,
-                   strict: Sequence[int] = (), nonneg: Sequence[bool] | None = None):
-    """A rational point satisfying the system, or None.
-
-    ``eqs``/``ineqs`` are (coefficient vector, rhs) pairs meaning coef·x = rhs
-    resp. coef·x >= rhs over free variables (unless ``nonneg`` is given).
-    Inequalities listed in ``strict`` must hold strictly; strictness is
-    decided exactly by maximizing a common slack bounded by 1.
-    """
-    if nonneg is None:
-        nonneg = [False] * dim
-    strict = set(strict)
-    # variables: x_0..x_{dim-1}, t
-    eqs2 = [(tuple(c) + (0,), r) for c, r in eqs]
-    ineqs2 = []
-    for k, (c, r) in enumerate(ineqs):
-        tcoef = -1 if k in strict else 0
-        ineqs2.append((tuple(c) + (tcoef,), r))
-    ineqs2.append(((0,) * dim + (-1,), -1))  # t <= 1
-    obj = (0,) * dim + (1,)
-    status, x, value = lp_maximize(obj, eqs2, ineqs2, list(nonneg) + [True])
+def _positive_solution(rows: Sequence, n: int):
+    """A solution of rows·x = 0 with x_i >= 1 for i < n and the other
+    entries free, or None.  By homogeneity one exists iff one with x_i > 0
+    does.  With x_i = 1 + s_i it is rows·s = -(sum of the first n columns)
+    with s_i >= 0, which ``lp_maximize`` decides with a zero objective."""
+    width = len(rows[0]) if rows else n
+    eqs = [(row, -sum(row[:n])) for row in rows]
+    status, s, _ = lp_maximize((0,) * width, eqs, [], [True] * n + [False] * (width - n))
     if status != 'optimal':
         return None
-    if strict and value <= 0:
-        return None
-    return tuple(x[:dim])
+    return tuple(1 + x for x in s[:n]) + s[n:]
 
 
 def strict_positive_combination(vectors: Sequence[Vec], target: Subspace):
     """Positive integers a_i with sum(a_i * v_i) in ``target``, if any exist.
 
-    The strict positivity a_i > 0 is encoded as a_i >= 1, which is equivalent
-    by homogeneity of the constraint (target is a linear subspace, so any
-    positive solution scales to one with entries >= 1).  The returned
-    certificate is integer-scaled with the common denominator cleared.
-    Returns None when no positive combination exists.
+    The unknowns are the a_i, each >= 1 (``_positive_solution``), and free
+    coefficients b_j on the basis of ``target``.  The returned certificate
+    is integer-scaled with the common denominator cleared.  Returns None
+    when no positive combination exists.
     """
     k = len(vectors)
     for v in vectors:
@@ -738,22 +723,15 @@ def strict_positive_combination(vectors: Sequence[Vec], target: Subspace):
             raise DimMismatch("vector/target dimension mismatch")
     if k == 0:
         return []
-    nb = len(target.basis)
-    dim = target.ambient_dim
-    # variables: s_0..s_{k-1} >= 0 (a_i = 1 + s_i), b_0..b_{nb-1} free
-    eqs = []
-    for c in range(dim):
-        coef = [frac(vectors[i][c]) for i in range(k)]
-        coef += [-frac(target.basis[j][c]) for j in range(nb)]
-        rhs = -sum((frac(vectors[i][c]) for i in range(k)), Fraction(0))
-        eqs.append((tuple(coef), rhs))
-    nonneg = [True] * k + [False] * nb
-    point = feasible_point(eqs, [], k + nb, strict=(), nonneg=nonneg)
+    # one row per coordinate: sum_i a_i v_i - sum_j b_j basis_j = 0
+    rows = [tuple(frac(v[c]) for v in vectors) + tuple(-frac(b[c]) for b in target.basis)
+            for c in range(target.ambient_dim)]
+    point = _positive_solution(rows, k)
     if point is None:
         return None
-    ints = list(primitive_vector(_over_common([1 + point[i] for i in range(k)])[0]))
+    ints = list(primitive_vector(_over_common(point[:k])[0]))
     assert all(x > 0 for x in ints)
-    combo = zero_vec(dim)
+    combo = zero_vec(target.ambient_dim)
     for ai, v in zip(ints, vectors):
         combo = vec_add(combo, vec_scale(ai, vec(v)))
     assert span_membership(combo, target)

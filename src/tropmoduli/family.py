@@ -7,7 +7,9 @@ checks the fiber condition per face, the length/position compatibilities
 along inclusions, and the zero-locus condition (an edge is contracted
 exactly when its length vanishes identically on the sub-face).  On a
 full-dimensional chart each is an identity of affine maps, decided once on
-their integer coefficients; points are evaluated only to name a failure.
+their integer coefficients; the sign and zeros of a length are read off the
+chart's vertices, rays and lines.  No LP is solved, and points are
+evaluated only to name a failure.
 
 The induced moduli map assigns to each face the affine lift of the
 stabilized fiber into the stratum coordinates of its canonical type.
@@ -140,7 +142,8 @@ class FamilyDatum(Record):
 # ---------------------------------------------------------------------------
 
 def _generating_points(chart):
-    """Vertices, an interior point, and interior +- ray/line displacements.
+    """The vertices, then the first vertex moved along each ray and along
+    plus and minus each line.
 
     These affinely span a full-dimensional chart, so an affine identity
     fails on the face exactly when it fails at one of them; validation
@@ -148,16 +151,8 @@ def _generating_points(chart):
     """
     verts, rays, lines = chart.vrep()
     pts = [vec(v) for v in verts]
-    inner = chart.interior_point() if chart.ambient_dim > 0 else chart.feasible_point()
-    if inner is not None:
-        inner = vec(inner)
-        pts.append(inner)
-        for r in rays:
-            pts.append(vec_add(inner, vec(r)))
-        for l in lines:
-            pts.append(vec_add(inner, vec(l)))
-            pts.append(vec_sub(inner, vec(l)))
-    return pts
+    moves = [vec(r) for r in rays] + [vec(s * x for x in l) for l in lines for s in (1, -1)]
+    return pts + [vec_add(pts[0], m) for m in moves]
 
 
 def _affine_faults(f: FamilyDatum, fid: str):
@@ -185,7 +180,18 @@ def _affine_faults(f: FamilyDatum, fid: str):
 
 
 def validate_family(f: FamilyDatum) -> ValidationReport:
-    """Definition-style family validation, one report entry per violation."""
+    """Definition-style family validation, one report entry per violation.
+
+    Lengths are checked on the generators of each chart (Minkowski-Weyl:
+    P = conv(vertices) + cone(rays) + span(lines)) and no LP is solved.  A
+    length is negative somewhere on its face exactly when it is negative at
+    a vertex, decreases along a ray or is not constant along a line.  The
+    zero-locus rule: a length has a zero in the interior of a
+    full-dimensional chart exactly when it is constant there and equal to
+    0, or it takes both strict signs among its values, which are its value
+    at each vertex, linear·r for each ray r and ±linear·l for each line l
+    (the interior is convex and dense in the chart).
+    """
     report = ValidationReport()
     base_report = validate_complex(f.base)
     for v in base_report.violations:
@@ -226,28 +232,19 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
         verts, rays, lines = face.chart.vrep()
         for e, u, v in t.graph.edges:
             fn = data.lengths[e]
-            # nonnegative on the face: vertex values and recession signs
-            before = len(report.violations)
-            for w in verts:
-                if fn(vec(w)) < 0:
-                    report.add("1", fid, f"length of {e!r} is negative at vertex {w}")
-                    break
-            for r in rays:
-                if sum(a * x for a, x in zip(fn.linear, r)) < 0:
-                    report.add("1", fid, f"length of {e!r} decreases along a ray")
-                    break
-            for l in lines:
-                if sum(a * x for a, x in zip(fn.linear, l)) != 0:
-                    report.add("1", fid, f"length of {e!r} is unbounded below along a line")
-                    break
-            # a length nonnegative on the face is 0 at an interior point only
-            # if it is identically 0; otherwise its interior value decides
-            if len(report.violations) == before:
-                vanishes = fn.is_zero()
-            else:
-                inner = face.chart.interior_point() if face.rank else face.chart.feasible_point()
-                vanishes = inner is not None and fn(inner) <= 0
-            if vanishes:
+            values = [fn(vec(w)) for w in verts]
+            ray_rates = [sum(a * x for a, x in zip(fn.linear, r)) for r in rays]
+            line_rates = [sum(a * x for a, x in zip(fn.linear, l)) for l in lines]
+            neg = next((w for w, y in zip(verts, values) if y < 0), None)
+            if neg is not None:
+                report.add("1", fid, f"length of {e!r} is negative at vertex "
+                                     f"{tuple(map(_rat_str, neg))}")
+            if any(y < 0 for y in ray_rates):
+                report.add("1", fid, f"length of {e!r} decreases along a ray")
+            if any(line_rates):
+                report.add("1", fid, f"length of {e!r} is unbounded below along a line")
+            values += ray_rates + line_rates + [-y for y in line_rates]
+            if fn.is_zero() or (any(y < 0 for y in values) and any(y > 0 for y in values)):
                 report.add("1", fid, f"length of {e!r} vanishes on the interior")
             # the edge relation P_v - P_u = l_e * slope, coefficient by coefficient
             pu, pv, slope = data.positions[u], data.positions[v], t.slopes[e]
@@ -394,7 +391,7 @@ def fiber(f: FamilyDatum, fid: str, coords) -> ParameterizedTropicalCurve:
         val = data.lengths[e](x)
         if val <= 0:
             raise InvalidFamily(
-                f"length of {e!r} is {val} at an interior point of {where!r}")
+                f"length of {e!r} is {_rat_str(val)} at an interior point of {where!r}")
         lengths[e] = val
     positions = {u: data.positions[u](x) for u in data.type.graph.vertex_ids()}
     curve = TropicalCurve(data.type.graph, lengths)

@@ -46,9 +46,9 @@ from .errors import (
 )
 from .exact_linalg import (
     _forest,
+    _positive_solution,
     _spanning_forest,
     _too_long,
-    feasible_point,
     rank,
 )
 from .records import FrozenRecord, Record
@@ -87,17 +87,12 @@ class StratumDescriptor(Record):
         self.forest = forest  # (vertex, parent, edge, +1/-1 along the edge); roots have no parent
 
     def _lengths(self):
-        """Edge lengths, all >= 1, solving the cycle rows; None if none exist.
-
-        By homogeneity lengths > 0 exist iff lengths >= 1 do, so the LP runs
-        on the slacks l - 1 >= 0.
-        """
+        """Edge lengths, all >= 1, solving the cycle rows; None if none exist
+        (by homogeneity, lengths > 0 exist iff lengths >= 1 do)."""
         n = len(self.edge_order)
         if not self.cycle_rows:
             return (Fraction(1),) * n
-        slack = feasible_point([(r, -sum(r)) for r in self.cycle_rows], [], n,
-                               nonneg=[True] * n)
-        return None if slack is None else tuple(1 + x for x in slack)
+        return _positive_solution(self.cycle_rows, n)
 
     def is_empty(self) -> bool:
         return self._lengths() is None

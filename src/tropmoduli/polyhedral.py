@@ -10,8 +10,9 @@ The module also provides piecewise integral affine maps on complexes, the
 star of a face (primitive normal directions into codimension-one cofacets),
 the harmonic / quasi-harmonic / not-quasi-harmonic trichotomy at a face,
 and the skeleton constructor for combinatorial semistable pair data.
-Validation and stars locate embedded faces on the charts' integer
-incidences and solve no LP.  Faces, inclusions, stars, maps, verdicts and
+Polyhedron queries, validation and stars read the charts' integer
+incidences; only the quasi-harmonicity test of ``harmonicity_at`` solves
+an LP.  Faces, inclusions, stars, maps, verdicts and
 pair data are plain slotted records (see ``records``).
 """
 
@@ -38,7 +39,6 @@ from .exact_linalg import (
     _over_common,
     _rat_str,
     affine_apply,
-    feasible_point,
     frac,
     integer_kernel,
     is_saturated,
@@ -71,10 +71,12 @@ class Polyhedron:
     on demand and cached on the instance, gives the V-representation
     (vertices, rays and lineality generators) and records which
     inequalities are tight at each vertex and each ray, with each vertex
-    keyed by its lowest-terms (numerators, denominator).  ``is_empty``,
-    ``has_interior``, ``dim`` and ``proper_faces`` are read off those
-    incidences and solve no LP; ``feasible_point`` and ``interior_point``
-    are LPs, which no query of a complex calls.  All queries are exact.
+    keyed by its lowest-terms (numerators, denominator).  Every query is
+    read off those incidences and solves no LP: ``is_empty``,
+    ``has_interior``, ``dim`` and ``proper_faces``, and the points
+    ``feasible_point`` and ``interior_point``, built from the generators
+    of P = conv(vertices) + cone(rays) + span(lines) (Minkowski-Weyl).
+    All queries are exact.
     """
 
     def __init__(self, ambient_dim: int, ineqs=(), eqs=()):
@@ -105,29 +107,30 @@ class Polyhedron:
         return True
 
     def feasible_point(self):
-        if 'feasible' not in self._cache:
-            self._cache['feasible'] = feasible_point(self.eqs, self.ineqs, self.ambient_dim)
-        return self._cache['feasible']
+        """The first vertex, or None when the polyhedron is empty."""
+        verts = self.vrep()[0]
+        return verts[0] if verts else None
 
     def is_empty(self) -> bool:
         """No vertex once the lineality space is sliced off."""
         return not self.vrep()[0]
 
     def interior_point(self):
-        """A point with all inequalities strict, or None.
+        """The centroid of the vertices plus the sum of the rays when
+        ``has_interior``, else None.
 
-        Any nontrivial equality makes the (ambient) interior empty.
+        Every inequality is then slack at some vertex or along some ray, so
+        it holds strictly at that point.
         """
-        if 'interior' not in self._cache:
-            pt = None
-            if all(all(c == 0 for c in n) and o == 0 for n, o in self.eqs):
-                pt = feasible_point((), self.ineqs, self.ambient_dim,
-                                    strict=range(len(self.ineqs)))
-            self._cache['interior'] = pt
-        return self._cache['interior']
+        if not self.has_interior():
+            return None
+        verts, rays, _ = self.vrep()
+        return tuple(sum(c) / len(verts) + sum(r[i] for r in rays)
+                     for i, c in enumerate(zip(*verts)))
 
     def has_interior(self) -> bool:
-        """Whether ``interior_point`` finds a point, decided without an LP.
+        """Whether some point satisfies every inequality strictly, decided
+        without an LP.
 
         A nonempty polyhedron has a point where every inequality that is not
         tight on all of it holds strictly, so an interior point exists iff

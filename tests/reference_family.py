@@ -4,11 +4,15 @@ This is ``validate_family`` as it was before it decided each affine
 identity once, on the maps' integer coefficients: it evaluates both sides
 of every edge relation at every generating point of the face chart, and
 both sides of every length and position restriction at every generating
-point of the sub-face chart, and it finds the interior point of every
-chart by LP.  Reports must be identical, entry for entry and in order.
-The affine maps are evaluated and composed in Fractions by
-``reference_linalg``, and preimage classes are walked by
-``reference_graph``, not by the kernels under test.
+point of the sub-face chart.  It decides the zero locus by search, not by
+the library's sign rule: it finds an interior point of the chart by LP
+(``reference_polyhedral.interior_point``) and looks for a root of the length
+there, on the open segment from it to each vertex, and on the open
+half-line from it along each ray and along plus and minus each line.
+Reports must be identical, entry for entry and in order.  The affine maps
+are evaluated and composed in Fractions by ``reference_linalg``, and
+preimage classes are walked by ``reference_graph``, not by the kernels
+under test.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from tropmoduli.tropcurve import check_balanced, extended_degree
 
 from reference_graph import spanning_forest
 from reference_linalg import affine_apply, affine_compose
+from reference_polyhedral import feasible_point, interior_point
 
 
 def _length(fn, x):
@@ -42,23 +47,57 @@ def _restrict_position(mp, inc):
 
 
 def _generating_points(chart):
-    """Vertices, an interior point, and interior +- ray/line displacements.
+    """Vertices, then the first vertex moved along each ray and along plus
+    and minus each line.
 
     These affinely span a full-dimensional chart, so affine identities that
     hold on them hold on the whole face.
     """
     verts, rays, lines = chart.vrep()
     pts = [tuple(map(Fraction, v)) for v in verts]
-    inner = chart.interior_point() if chart.ambient_dim > 0 else chart.feasible_point()
-    if inner is not None:
-        inner = tuple(map(Fraction, inner))
-        pts.append(inner)
-        for r in rays:
-            pts.append(tuple(x + y for x, y in zip(inner, r)))
-        for l in lines:
-            pts.append(tuple(x + y for x, y in zip(inner, l)))
-            pts.append(tuple(x - y for x, y in zip(inner, l)))
+    for r in rays:
+        pts.append(tuple(x + y for x, y in zip(pts[0], r)))
+    for l in lines:
+        pts.append(tuple(x + y for x, y in zip(pts[0], l)))
+        pts.append(tuple(x - y for x, y in zip(pts[0], l)))
     return pts
+
+
+def _strictly_inside(chart, x):
+    return all(sum(a * y for a, y in zip(n, x)) > o for n, o in chart.ineqs)
+
+
+def _vanishes_inside(fn, chart, inner):
+    """Whether the length fn has a zero in the interior of the chart.
+
+    ``inner`` is an interior point.  Each candidate root lies at inner, on
+    the open segment from inner to a vertex, or on the open half-line from
+    inner along a ray or along plus or minus a line; a candidate counts
+    only if fn is 0 there and every inequality holds strictly.  Since the
+    chart is conv(vertices) + cone(rays) + span(lines), a length that is
+    nonzero at inner and has an interior zero takes the other sign at a
+    vertex or grows the other way along a ray or a line, so the search is
+    complete.
+    """
+    a = _length(fn, inner)
+    if a == 0:
+        return True
+    verts, rays, lines = chart.vrep()
+    # (direction from inner, bound on the step: 1 for a segment, None for a half-line)
+    paths = [(tuple(Fraction(w_i) - x for w_i, x in zip(w, inner)), 1) for w in verts]
+    paths += [(r, None) for r in rays]
+    paths += [(tuple(s * y for y in l), None) for l in lines for s in (1, -1)]
+    for d, bound in paths:
+        rate = _length(fn, tuple(x + y for x, y in zip(inner, d))) - a
+        if rate == 0:
+            continue
+        step = -a / rate
+        if step <= 0 or (bound is not None and step >= bound):
+            continue
+        root = tuple(x + step * y for x, y in zip(inner, d))
+        if _length(fn, root) == 0 and _strictly_inside(chart, root):
+            return True
+    return False
 
 
 def validate_family(f: FamilyDatum) -> ValidationReport:
@@ -117,13 +156,14 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
 
         pts = _generating_points(face.chart)
         verts, rays, lines = face.chart.vrep()
-        inner = face.chart.interior_point() if face.rank > 0 else face.chart.feasible_point()
+        inner = interior_point(face.chart) if face.rank > 0 else feasible_point(face.chart)
         for e, u, v in t.graph.edges:
             fn = data.lengths[e]
             # nonnegative on the face: vertex values and recession signs
             for w in verts:
                 if _length(fn, w) < 0:
-                    report.add("1", fid, f"length of {e!r} is negative at vertex {w}")
+                    report.add("1", fid,
+                               f"length of {e!r} is negative at vertex {tuple(map(str, w))}")
                     break
             for r in rays:
                 if sum(a * x for a, x in zip(fn.linear, r)) < 0:
@@ -133,7 +173,7 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
                 if sum(a * x for a, x in zip(fn.linear, l)) != 0:
                     report.add("1", fid, f"length of {e!r} is unbounded below along a line")
                     break
-            if inner is not None and _length(fn, inner) <= 0:
+            if inner is not None and _vanishes_inside(fn, face.chart, inner):
                 report.add("1", fid, f"length of {e!r} vanishes on the interior")
             # edge relation as an identity, checked on the generating set
             slope = t.slopes[e]

@@ -6,13 +6,21 @@ before they moved onto the fraction-free ``_int_echelon``, the full
 ``unimodular_inverse`` that ``star`` read one column of, and the
 ``Fraction`` ``affine_apply`` and ``affine_compose`` that summed products
 of Fractions before they moved onto integer numerators over one common
-denominator.  Both must give identical answers.  It is kept apart from
-``oracles.py``, which the benchmark loads for its output checks.
+denominator.  Both must give identical answers.  It also keeps
+``feasible_point``, the general LP feasibility query (with its common
+slack ``t <= 1`` for strict inequalities) that the library used before
+its only LP question became ``_positive_solution``; the reference
+polyhedra, stratum sampler and family validator find their points with
+it.  It is kept apart from ``oracles.py``, which the benchmark loads for
+its output checks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
+
+from tropmoduli.exact_linalg import lp_maximize
 
 
 def _rref(rows):
@@ -102,3 +110,31 @@ def affine_compose(outer_lin, outer_off, inner_lin, inner_off):
                       for j in range(cols))
                 for row in outer_lin)
     return lin, affine_apply(outer_lin, outer_off, inner_off)
+
+
+def feasible_point(eqs: Sequence, ineqs: Sequence, dim: int,
+                   strict: Sequence[int] = (), nonneg: Sequence[bool] | None = None):
+    """A rational point satisfying the system, or None.
+
+    ``eqs``/``ineqs`` are (coefficient vector, rhs) pairs meaning coef·x = rhs
+    resp. coef·x >= rhs over free variables (unless ``nonneg`` is given).
+    Inequalities listed in ``strict`` must hold strictly; strictness is
+    decided exactly by maximizing a common slack bounded by 1.
+    """
+    if nonneg is None:
+        nonneg = [False] * dim
+    strict = set(strict)
+    # variables: x_0..x_{dim-1}, t
+    eqs2 = [(tuple(c) + (0,), r) for c, r in eqs]
+    ineqs2 = []
+    for k, (c, r) in enumerate(ineqs):
+        tcoef = -1 if k in strict else 0
+        ineqs2.append((tuple(c) + (tcoef,), r))
+    ineqs2.append(((0,) * dim + (-1,), -1))  # t <= 1
+    obj = (0,) * dim + (1,)
+    status, x, value = lp_maximize(obj, eqs2, ineqs2, list(nonneg) + [True])
+    if status != 'optimal':
+        return None
+    if strict and value <= 0:
+        return None
+    return tuple(x[:dim])

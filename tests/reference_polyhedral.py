@@ -1,7 +1,8 @@
 """Reference polyhedra, complex validation and stars for differential tests.
 
 This is the subset-scan code the incidence-based ``Polyhedron`` queries and
-``validate_complex`` replaced: emptiness and interiors by LP, vertices and
+``validate_complex`` replaced: emptiness, interiors and the points
+``feasible_point`` and ``interior_point`` by LP, vertices and
 rays from every C(m, D) constraint subset, faces from every one of the 2^m
 subsets, and every relation between faces found by scanning all faces and
 inclusions.  ``star`` finds the facet a face embeds into at the image of an
@@ -23,7 +24,6 @@ from math import gcd
 
 from tropmoduli.errors import DependentGenerators, TropModuliError
 from tropmoduli.exact_linalg import (
-    feasible_point,
     frac,
     integer_kernel,
     is_saturated,
@@ -50,6 +50,7 @@ from tropmoduli.polyhedral import (
 from reference_linalg import (
     affine_apply,
     affine_compose,
+    feasible_point as lp_point,
     kernel_rational,
     rank,
     solve_linear,
@@ -62,16 +63,25 @@ from reference_linalg import (
 # Each function takes a Polyhedron but reads only its constraints.
 # ---------------------------------------------------------------------------
 
+def feasible_point(p):
+    """A point of p found by LP, or None."""
+    return lp_point(p.eqs, p.ineqs, p.ambient_dim)
+
+
+def interior_point(p):
+    """A point with every inequality strict (and every equality 0 = 0) found
+    by LP, or None."""
+    if not all(all(c == 0 for c in n) and o == 0 for n, o in p.eqs):
+        return None
+    return lp_point((), p.ineqs, p.ambient_dim, strict=range(len(p.ineqs)))
+
+
 def is_empty(p):
-    return feasible_point(p.eqs, p.ineqs, p.ambient_dim) is None
+    return feasible_point(p) is None
 
 
 def has_interior(p):
-    """A point with every inequality strict exists (and every equality is 0 = 0)."""
-    if not all(all(c == 0 for c in n) and o == 0 for n, o in p.eqs):
-        return False
-    return feasible_point((), p.ineqs, p.ambient_dim,
-                          strict=range(len(p.ineqs))) is not None
+    return interior_point(p) is not None
 
 
 def _contains(ineqs, eqs, x):
@@ -88,7 +98,7 @@ def _rational_to_primitive(v):
 
 
 def _vrep(D, ineqs, eqs):
-    if feasible_point(eqs, ineqs, D) is None:
+    if lp_point(eqs, ineqs, D) is None:
         return (), (), ()
     normals = [n for n, _ in ineqs] + [n for n, _ in eqs]
     nontrivial = [n for n in normals if any(c != 0 for c in n)]
@@ -347,7 +357,7 @@ def star(c, w):
             # column r - 1 of u^-1 for the Smith form u·linear·v = s
             u, _, _ = smith_normal_form(inc.linear)
             e = tuple(int(x) for x in solve_linear(u, tuple(int(i == r - 1) for i in range(r))))
-        p = face.chart.feasible_point() if face.rank == 0 else face.chart.interior_point()
+        p = feasible_point(face.chart) if face.rank == 0 else interior_point(face.chart)
         if p is None:
             raise TropModuliError(f"face {w!r} has no interior point")
         q = inc.apply(p)

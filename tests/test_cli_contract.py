@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tropmoduli import documents as docs
 from tropmoduli.cli import main
 from tropmoduli.errors import InputError
+from tropmoduli.family import AffineFn
 from tropmoduli.moduli import resolve_4valent, wall_graph
 from tropmoduli.polyhedral import build_skeleton
 
@@ -27,6 +28,7 @@ from helpers import (
     json_paths,
     mutated,
     path_family,
+    ray_wall_family,
     resolution_type,
     triangle_pair_data,
 )
@@ -222,6 +224,51 @@ def test_family_message_past_the_digit_limit_is_an_input_error(workdir):
     ray["chart"]["ineqs"], base["inclusions"][0]["offset"] = [[1, "7"]], ["7"]
     path.write_text(json.dumps(doc))
     assert _run(workdir, ["validate-family", str(path)]) == 1
+
+
+def test_negative_length_at_a_vertex_past_the_digit_limit_is_an_input_error(workdir):
+    """A ray from 10**4300 with length -10·t: the violation names the ray's
+    vertex, which has 4,301 digits; from 7 it names ('7',)."""
+    doc = docs.family_to_doc(path_family([(1, 2)], [Fraction(2)]))
+    base = doc["base"]
+    base["faces"] = [f for f in base["faces"] if f["id"] != "P1"]
+    base["inclusions"] = [{**i, "offset": ["1e4300"]} for i in base["inclusions"]
+                          if i["sub"] == "P0"]
+    base["maximal"] = ["E1"]
+    ray = next(f for f in base["faces"] if f["id"] == "E1")
+    ray["chart"]["ineqs"] = [[1, "1e4300"]]
+    doc["faces"] = [f for f in doc["faces"] if f["face"] != "P1"]
+    next(f for f in doc["faces"] if f["face"] == "E1")["lengths"]["e"] = \
+        {"linear": [-10], "offset": "0"}
+    doc["contractions"] = [c for c in doc["contractions"] if c["sub"] == "P0"]
+    path = workdir / "family.json"
+    path.write_text(json.dumps(doc))
+    assert _run(workdir, ["validate-family", str(path)]) == 2
+    payload = json.loads((workdir / "report.json").read_text())["payload"]
+    assert payload == {"pointer": "", "message": "a rational with more than 4300 digits "
+                                                 "(the integer digit limit) cannot be written"}
+    ray["chart"]["ineqs"], base["inclusions"][0]["offset"] = [[1, "7"]], ["7"]
+    path.write_text(json.dumps(doc))
+    assert _run(workdir, ["validate-family", str(path)]) == 1
+    violations = json.loads((workdir / "report.json").read_text())["payload"]["violations"]
+    assert "length of 'e' is negative at vertex ('7',)" in [v["message"] for v in violations]
+
+
+@pytest.mark.parametrize("point, payload", [
+    ('["1e4299"]', {"pointer": "", "message": "a rational with more than 4300 digits "
+                                              "(the integer digit limit) cannot be written"}),
+    ('["1/2"]', {"error": "InvalidFamily",
+                 "message": "length of 'e' is -5 at an interior point of 'R0'"})],
+    ids=["1e4299", "1/2"])
+def test_fiber_length_past_the_digit_limit_is_an_input_error(workdir, point, payload):
+    """The length -10·t on a ray, at t = 10**4299, is -10**4300, which has
+    4,301 digits; at t = 1/2 the fiber is refused and names the value -5."""
+    f = ray_wall_family((1,))
+    f.face_data["R0"].lengths["e"] = AffineFn((-10,), Fraction(0))
+    path = workdir / "family.json"
+    path.write_text(json.dumps(docs.family_to_doc(f)))
+    assert _run(workdir, ["fiber", str(path), "--face", "R0", "--point", point]) == 2
+    assert json.loads((workdir / "report.json").read_text())["payload"] == payload
 
 
 _COORDINATES = st.one_of(

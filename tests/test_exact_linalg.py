@@ -1,16 +1,19 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from tropmoduli.errors import DependentGenerators, DimMismatch, ZeroVector
+import tropmoduli
 from tropmoduli.exact_linalg import (
     Subspace,
+    _positive_solution,
     affine_apply,
     affine_compose,
     det,
-    feasible_point,
     integer_kernel,
     integer_solve,
     is_saturated,
@@ -28,6 +31,7 @@ from tropmoduli.exact_linalg import (
 )
 
 import reference_linalg as reference
+from reference_linalg import feasible_point
 from oracles import fm_positive_combination_exists, reference_lp_maximize
 
 
@@ -371,3 +375,57 @@ def test_affine_maps_match_fraction_reference():
     with pytest.raises(DimMismatch):
         affine_apply(((1, 2),), (0,), (Fraction(1, 2),))
 
+
+def test_positive_solution_matches_the_slack_lp_of_feasible_point():
+    """``_positive_solution`` returns the point that the general feasibility
+    LP gave on the slacks x_i - 1 >= 0, so certificates and stratum lengths
+    do not change with the LP's shape."""
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(200):
+        n, free = rng.randint(1, 4), rng.randint(0, 2)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(n + free))
+                for _ in range(rng.randint(1, 3))]
+        slack = feasible_point([(r, -sum(r[:n])) for r in rows], [], n + free,
+                               nonneg=[True] * n + [False] * free)
+        expect = None if slack is None else tuple(1 + x for x in slack[:n]) + slack[n:]
+        got = _positive_solution(rows, n)
+        assert got == expect, rows
+        if got is not None:
+            assert all(x >= 1 for x in got[:n])
+            assert all(sum(a * x for a, x in zip(r, got)) == 0 for r in rows)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def _lp_callers(tree):
+    """Names of the functions (``<module>`` at top level) that call
+    ``lp_maximize``, by name or as an attribute, once per call."""
+    callers = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self):
+            self.stack = ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_Call(self, node):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "lp_maximize":
+                callers.append(self.stack[-1])
+            self.generic_visit(node)
+
+    Visitor().visit(tree)
+    return callers
+
+
+def test_only_positive_solution_solves_an_lp():
+    """The library asks an LP two questions, stratum emptiness and
+    quasi-harmonicity, and both go through ``_positive_solution``."""
+    callers = []
+    for path in sorted(Path(tropmoduli.__file__).parent.glob("*.py")):
+        callers += [(path.name, name) for name in _lp_callers(ast.parse(path.read_text()))]
+    assert callers == [("exact_linalg.py", "_positive_solution")]

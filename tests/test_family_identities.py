@@ -1,10 +1,12 @@
 """``validate_family`` against the point-sampling reference.
 
 The library decides each affine identity of a family once, on integer
-coefficients; ``reference_family`` evaluates both sides at every generating
-point of a chart.  On the test families, on the benchmark's family shapes
-and on seeded single mutations of them, both must give the same violations
-in the same order.
+coefficients, and the zero locus of a length by its signs on the chart's
+generators; ``reference_family`` evaluates both sides at every generating
+point of a chart and searches for roots from an LP interior point.  On the
+test families, on the benchmark's family shapes, on lengths placed around
+the zero-locus rule and on seeded single mutations of them, both must give
+the same violations in the same order.
 """
 
 import copy
@@ -13,17 +15,33 @@ from fractions import Fraction
 
 import pytest
 
-from tropmoduli.family import AffineFn, AffineMapN, validate_family
-from tropmoduli.polyhedral import FaceInclusion, validate_complex
+from tropmoduli import exact_linalg
+from tropmoduli.family import (
+    AffineFn,
+    AffineMapN,
+    FaceCurveData,
+    FamilyDatum,
+    validate_family,
+)
+from tropmoduli.polyhedral import (
+    Face,
+    FaceInclusion,
+    PolyhedralComplex,
+    Polyhedron,
+    validate_complex,
+)
 from tropmoduli.tropcurve import CombinatorialType
 
 import reference_family
 import reference_polyhedral
 from helpers import (
+    CROSS_DEGREE,
+    const_positionN,
     path_family,
     point_family,
     quadrant_family,
     ray_wall_family,
+    resolution_type,
     segment_family,
     two_ray_resolution_family,
 )
@@ -132,3 +150,76 @@ def test_single_mutations_match_point_sampling_reference(kind):
     # the mutations reach the checks they aim at
     assert {"length": {"1", "2"}, "position": {"1", "3"}, "inclusion": {"base"},
             "slope": {"1", "contraction"}}[kind] <= axioms, axioms
+
+
+# ---------------------------------------------------------------------------
+# the zero-locus rule
+# ---------------------------------------------------------------------------
+
+_VANISHES = "length of 'e' vanishes on the interior"
+
+
+def _with_length(f, fid, linear, offset):
+    f.face_data[fid].lengths["e"] = AffineFn(linear, Fraction(offset))
+    return f
+
+
+def _line_family(linear, offset):
+    """The resolution type over one face whose chart is the whole line, with
+    edge length linear * x + offset; the positions satisfy the edge relation,
+    so only the length can be at fault."""
+    t = resolution_type(1)
+    s = t.slopes["e"]
+    data = FaceCurveData(type=t, lengths={"e": AffineFn((linear,), Fraction(offset))},
+                         positions={"va": const_positionN((0, 0), 1),
+                                    "vb": AffineMapN(tuple((c * linear,) for c in s),
+                                                     tuple(c * Fraction(offset) for c in s))})
+    return FamilyDatum(base=PolyhedralComplex([Face("L", 1, Polyhedron(1))], []), dim=2,
+                       extended_degree=CROSS_DEGREE, face_data={"L": data}, contractions={})
+
+
+def _segment(linear, offset, fid="E1"):
+    return lambda: _with_length(path_family([(1, 0)], [2]), fid, linear, offset)
+
+
+# name -> (family, face, whether the length of 'e' vanishes on its interior)
+ZERO_LOCUS = {
+    # on E1 = [0, 2]
+    "segment x-1": (_segment((1,), -1), "E1", True),
+    "segment x-1/2": (_segment((1,), Fraction(-1, 2)), "E1", True),
+    "segment x-5": (_segment((1,), -5), "E1", False),
+    "segment x-2": (_segment((1,), -2), "E1", False),  # 0 only at an end point
+    "segment 0": (_segment((0,), 0), "E1", True),
+    # on R0 = [0, oo); 5 - t vanishes beyond the vertex moved along the ray
+    "ray t-1": (lambda: ray_wall_family((1,), -1), "R0", True),
+    "ray 5-t": (lambda: _with_length(ray_wall_family((1,)), "R0", (-1,), 5), "R0", True),
+    "ray -5-t": (lambda: _with_length(ray_wall_family((1,)), "R0", (-1,), -5), "R0", False),
+    "ray 5+t": (lambda: _with_length(ray_wall_family((1,)), "R0", (1,), 5), "R0", False),
+    # on the whole line
+    "line x": (lambda: _line_family(1, 0), "L", True),
+    "line 0": (lambda: _line_family(0, 0), "L", True),
+    "line 3": (lambda: _line_family(0, 3), "L", False),
+    # on the rank-0 face P0, where a length is a constant
+    "point -5": (_segment((), -5, "P0"), "P0", False),
+    "point 0": (_segment((), 0, "P0"), "P0", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_LOCUS))
+def test_zero_locus_rule_matches_the_root_search(name):
+    build, fid, vanishes = ZERO_LOCUS[name]
+    f = build()
+    found = _entries(validate_family(f))
+    assert (("1", fid, _VANISHES) in found) == vanishes, found
+    assert found == _entries(reference_family.validate_family(f))
+
+
+def test_validate_family_solves_no_lp(monkeypatch):
+    families = [FAMILIES[name]() for name in sorted(FAMILIES)]
+    families += [build() for build, _, _ in ZERO_LOCUS.values()]
+
+    def refuse(*args):
+        raise AssertionError("validate_family solved an LP")
+
+    monkeypatch.setattr(exact_linalg, "lp_maximize", refuse)
+    assert sum(len(validate_family(f).violations) for f in families) > 0

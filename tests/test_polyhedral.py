@@ -406,8 +406,23 @@ def test_polyhedron_queries_solve_no_lp(monkeypatch):
     assert sum(len(star(sk, w).directions) for w in sk.faces) > 0
     p = Polyhedron(2, [((1, 0), 0), ((-1, 0), -1)], [((1, 1), Fraction(1, 2))])
     assert (p.is_empty(), p.has_interior(), p.dim()) == (False, False, 1)
+    assert p.feasible_point() is not None and p.interior_point() is None
     assert calls == []
-    assert p.feasible_point() is not None and len(calls) == 1
+
+
+def test_polyhedron_points_match_the_lp_reference():
+    """``feasible_point`` is the first vertex and ``interior_point`` the
+    centroid of the vertices plus the sum of the rays; both exist exactly
+    when the reference LP finds a point, and lie in the polyhedron (the
+    interior one strictly)."""
+    rng = random.Random(5)
+    for _ in range(1200):
+        p = _random_polyhedron(rng)
+        point, inner = p.feasible_point(), p.interior_point()
+        assert (point is None) == (reference.feasible_point(p) is None), p
+        assert (inner is None) == (reference.interior_point(p) is None), p
+        assert point is None or p.contains(point), p
+        assert inner is None or p.contains(inner, strict=True), p
 
 
 COMPLEX_TEMPLATES = [
