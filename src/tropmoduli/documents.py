@@ -22,7 +22,8 @@ from .errors import DimMismatch, InputError, UnknownFace
 from .exact_linalg import _rat_str as rat_str, frac
 from .family import (AffineFn, AffineMapN, Contraction, FaceCurveData, FaceLift, FamilyDatum,
                      ImageStratum, WallVerdict)
-from .moduli import WallGraph, canonical_form
+# canonical_form is not called here; perfbench/test_smoke.py checks that its tracer rebinds it here
+from .moduli import WallGraph, canonical_form, canonical_string  # noqa: F401
 from .polyhedral import (Face, FaceInclusion, Polyhedron, PolyhedralComplex, SemistablePairData,
                          Stratum, ValidationReport)
 from .tropcurve import CombinatorialType, ParameterizedTropicalCurve, WeightedGraph
@@ -381,8 +382,7 @@ def curve_to_doc(p: ParameterizedTropicalCurve) -> dict:
 
 
 def _typed_to_doc(t: CombinatorialType, **fields) -> dict:
-    canonical = canonical_form(t).string if t._canonical is None else t._canonical
-    return {**fields, "canonical": canonical, "type": type_to_doc(t)}
+    return {**fields, "canonical": canonical_string(t), "type": type_to_doc(t)}
 
 
 def types_to_doc(types) -> dict:

@@ -9,9 +9,9 @@ simplex on an integer tableau with one common denominator; it returns exact
 Fractions.  The library asks it one question, ``_positive_solution``: has
 rows·x = 0 a solution with x_i >= 1 on given coordinates?  The one row
 reduction (``_int_echelon``, behind ``rank``, ``solve_linear``,
-``kernel_rational``, ``Subspace`` and ``span_membership``) is fraction-free
-Gauss-Jordan elimination on rows scaled to integers; results are divided by
-their pivots only where Fractions are returned.  ``affine_apply`` and
+``Subspace`` and ``span_membership``) is fraction-free Gauss-Jordan
+elimination on rows scaled to integers; results are divided by their
+pivots only where Fractions are returned.  ``affine_apply`` and
 ``affine_compose`` likewise sum integer numerators over one common
 denominator (``_over_common``).  Only ``det`` and the Smith normal form keep
 eliminations of their own.  The one multigraph traversal,
@@ -236,22 +236,6 @@ def solve_linear(a: Sequence[Vec], b: Vec) -> Vec | None:
     for row, c in zip(red, pivots):
         x[c] = Fraction(row[ncols], row[c])
     return tuple(x)
-
-
-def kernel_rational(a: Sequence[Vec], ncols: int) -> list:
-    """Basis of the rational kernel of the row system ``a`` on R^ncols: one
-    vector per free column, 1 there and 0 in the other free columns."""
-    red, pivots = _int_echelon([_over_common(r)[0] for r in a], ncols)
-    basis = []
-    for fcol in range(ncols):
-        if fcol in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
-        for row, c in zip(red, pivots):
-            v[c] = Fraction(-row[fcol], row[c])
-        basis.append(tuple(v))
-    return basis
 
 
 # ---------------------------------------------------------------------------

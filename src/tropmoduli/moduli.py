@@ -10,15 +10,16 @@ enumerates types with fixed invariants, classifies walls (weightless almost
 3-valent types), resolves 4-valent vertices, and assembles the node/wall
 incidence graph used for wall-crossing arguments.
 
-Enumeration visits each unlabelled multigraph once, as its least labelling
-with sorted edge-end counts, and shares ``exact_linalg._spanning_forest``
-with the stratum systems: flow along the tree solves the balancing
-equations in integers and the fundamental cycles span the rest (no Smith
-normal form).  A cycle's coefficient is the slope of its own non-tree edge,
-so the slopes within the bound come from a box of coefficients, walked
-without an LP.  Contraction and wall paths use the same walk.  Only one leg
-assignment per orbit of the multigraph's automorphisms is tried, and only
-classes with a cycle get a stratum check: tree classes are nonempty.
+Enumeration visits each unlabelled connected multigraph once, as the
+labelling the canonical search leaves in place (``_multigraphs``), and
+shares ``exact_linalg._spanning_forest`` with the stratum systems: flow
+along the tree solves the balancing equations in integers and the
+fundamental cycles span the rest (no Smith normal form).  A cycle's
+coefficient is the slope of its own non-tree edge, so the slopes within
+the bound come from a box of coefficients, walked without an LP.
+Contraction and wall paths use the same walk.  Only one leg assignment per
+orbit of the multigraph's automorphisms is tried, and only classes with a
+cycle get a stratum check: tree classes are nonempty.
 
 Isomorphisms of types fix every leg (the leg order is part of the data).
 The canonical form is the least serialization over the vertex orderings
@@ -26,15 +27,16 @@ that respect the stable refinement colouring on (weight, leg positions,
 incident slopes, neighbour colours).  One search finds it, pruned by the
 automorphisms it meets, and those automorphisms generate the group that
 ``automorphisms`` lists.  The type it returns records its string in
-``_canonical``, which ``wall_graph``, ``connected_through_walls`` and the
-document writers read.  Stratum systems, canonical forms, isomorphisms,
-wall classes and the wall graph are plain slotted records (see ``records``).
+``_canonical``, which ``wall_graph`` and ``canonical_string`` read.
+Stratum systems, canonical forms, isomorphisms, wall classes and the wall
+graph are plain slotted records (see ``records``).
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .errors import (
@@ -197,6 +199,20 @@ def _orbit(x, gens):
     return seen
 
 
+def _group(gens, n):
+    """The sorted group of permutations of 0..n-1 that ``gens`` generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        h = frontier.pop()
+        for g in gens:
+            gh = tuple(g[x] for x in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return tuple(sorted(group))
+
+
 def _search(t: CombinatorialType):
     """The canonical-labelling search: (vertex ids, best ordering, automorphisms).
 
@@ -321,7 +337,8 @@ def canonical_form(t: CombinatorialType) -> CanonicalForm:
 
 
 def canonical_string(t: CombinatorialType) -> str:
-    return canonical_form(t).string
+    """The canonical string of t's class, read off the marker of a canonical type."""
+    return canonical_form(t).string if t._canonical is None else t._canonical
 
 
 class TypeIso(FrozenRecord):
@@ -366,20 +383,11 @@ def automorphisms(t: CombinatorialType) -> list:
     vertex of one slope up to sign, are interchangeable.
     """
     vs, _, gens = _search(t)
-    group = {tuple(range(len(vs)))}
-    frontier = list(group)
-    while frontier:
-        h = frontier.pop()
-        for g in gens:
-            gh = tuple(g[x] for x in h)
-            if gh not in group:
-                group.add(gh)
-                frontier.append(gh)
     parallel = {}  # (u, v, slope from u) with u <= v -> edges
     for e, u, v in t.graph.edges:
         parallel.setdefault(_edge_record(u, v, t.slopes[e]), []).append(e)
     isos = []
-    for h in group:
+    for h in _group(gens, len(vs)):
         vmap = {v: vs[h[i]] for i, v in enumerate(vs)}
         parts = [(src, parallel[_edge_record(vmap[u], vmap[v], s)])
                  for (u, v, s), src in parallel.items()]
@@ -599,39 +607,43 @@ def _integer_box_solutions(particular, kernel, bound):
     return sorted(sols)
 
 
-def _end_permutations(ends):
-    """Vertex permutations keeping the edge-end counts ``ends``: products of
-    permutations within the classes of equal counts."""
-    classes = {}
-    for v, k in enumerate(ends):
-        classes.setdefault(k, []).append(v)
-    groups = list(classes.values())
-    for images in product(*(permutations(cl) for cl in groups)):
-        p = [0] * len(ends)
-        for cl, image in zip(groups, images):
-            for v, w in zip(cl, image):
-                p[v] = w
-        yield tuple(p)
+@lru_cache(maxsize=None)
+def _multigraphs(nv: int, ne: int) -> tuple:
+    """The connected multigraphs with nv vertices and ne edges, one labelling
+    per isomorphism class: (edges, ends, forest, kernel, automorphisms) each.
 
-
-def _least_automorphisms(emulti, ends):
-    """The permutations keeping ``ends`` (the number of edge ends at each
-    vertex) that map the sorted edge multiset ``emulti`` to itself, or None
-    when one of them maps it to a smaller one.
-
-    With ``ends`` non-increasing, the labellings of one unlabelled
-    multigraph that keep ``ends`` sorted are one orbit of those
-    permutations, so exactly one of them is the least and gets a list.
+    The labelling kept is the one the canonical search leaves in place.
+    Relabelled by the search's ordering, a multigraph has runs of ids as
+    colour classes, so the identity is its first ordering and a least one;
+    the keys are the edge multisets, so no other labelling of the class is
+    kept.  Colour classes ascend by degree, so labellings whose edge-end
+    counts ``ends`` decrease are skipped before the search.  ``forest`` is
+    a BFS spanning tree of the non-loop edges, ``kernel`` their fundamental
+    cycles in edge order and ``automorphisms`` the group that keeps the
+    edge multiset.
     """
-    edges = list(emulti)
-    autos = []
-    for p in _end_permutations(ends):
-        image = sorted((min(p[i], p[j]), max(p[i], p[j])) for i, j in emulti)
-        if image < edges:
-            return None
-        if image == edges:
-            autos.append(p)
-    return autos
+    vids = [f"v{i}" for i in range(nv)]
+    pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
+    plain = tuple((i, 0) for i in range(nv))  # integer ids: "v10" sorts before "v2"
+    table = []
+    for emulti in combinations_with_replacement(pairs, ne):
+        ends = [0] * nv
+        for i, j in emulti:
+            ends[i] += 1
+            ends[j] += 1
+        if any(a > b for a, b in zip(ends, ends[1:])):
+            continue
+        edges = tuple((f"e{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(emulti))
+        non_loops = [(e, u, v) for e, u, v in edges if u != v]
+        forest, cycles = _spanning_forest(vids, non_loops)
+        if sum(1 for _, parent, _, _ in forest if parent is None) > 1:
+            continue  # disconnected
+        graph = WeightedGraph._trusted(plain, tuple((k, *p) for k, p in enumerate(emulti)), ())
+        _, order, gens = _search(CombinatorialType._trusted(graph, dict.fromkeys(range(ne), ()), 0))
+        if order == tuple(range(nv)):
+            kernel = tuple(tuple(coef.get(e, 0) for e, _, _ in non_loops) for coef in cycles)
+            table.append((edges, tuple(ends), forest, kernel, _group(gens, nv)))
+    return tuple(table)
 
 
 def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = None):
@@ -645,8 +657,8 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = No
     potential cut and is at most the total source strength).
 
     Work is done at the level it depends on.  Per unlabelled connected
-    multigraph, taken once as its least labelling with non-increasing
-    edge-end counts: a BFS spanning tree, whose fundamental cycles span the
+    multigraph, taken once from ``_multigraphs`` and cached per vertex and
+    edge count: a BFS spanning tree, whose fundamental cycles span the
     integer solutions of the homogeneous balancing equations, and the
     vertex permutations preserving the edge multiset.  Per vertex
     weighting: each vertex's stability deficit max(0, 3 - 2w - ends), and
@@ -676,27 +688,11 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = No
     max_nv = 2 * g - 2 + L
     for nv in range(1, min(max_nv, max_edges + 1) + 1 if max_nv >= 1 else 0):
         vids = [f"v{i}" for i in range(nv)]
-        pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
         for ne in range(max(nv - 1, 0), min(max_edges, nv - 1 + g) + 1):
             wsum = g - (ne - nv + 1)
             if wsum < 0:
                 continue
-            for emulti in combinations_with_replacement(pairs, ne):
-                ends = [0] * nv
-                for i, j in emulti:
-                    ends[i] += 1
-                    ends[j] += 1
-                if any(a < b for a, b in zip(ends, ends[1:])):
-                    continue  # another labelling of the multigraph sorts its ends
-                autos = _least_automorphisms(emulti, ends)
-                if autos is None:
-                    continue  # not the least labelling with sorted ends
-                edges = tuple((f"e{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(emulti))
-                non_loops = [(e, u, v) for e, u, v in edges if u != v]
-                forest, cycles = _spanning_forest(vids, non_loops)
-                if sum(1 for _, parent, _, _ in forest if parent is None) > 1:
-                    continue  # disconnected
-                kernel = [tuple(coef.get(e, 0) for e, _, _ in non_loops) for coef in cycles]
+            for edges, ends, forest, kernel, autos in _multigraphs(nv, ne):
                 for weights in _compositions(wsum, nv):
                     deficit = [max(0, 3 - 2 * w - k) for w, k in zip(weights, ends)]
                     if sum(deficit) > L:
@@ -810,10 +806,9 @@ def wall_graph(types) -> WallGraph:
 
 def connected_through_walls(wg: WallGraph, t1: CombinatorialType, t2: CombinatorialType):
     """(connected, path) where the path alternates node, wall, node ids."""
-    node_key = {canonical_form(t).string if t._canonical is None else t._canonical: nid
-                for nid, t in wg.nodes}
-    k1 = canonical_form(t1).string
-    k2 = canonical_form(t2).string
+    node_key = {canonical_string(t): nid for nid, t in wg.nodes}
+    k1 = canonical_string(t1)
+    k2 = canonical_string(t2)
     if k1 not in node_key or k2 not in node_key:
         raise SeedNotInGraph("queried type is not a node of the wall graph")
     start, goal = node_key[k1], node_key[k2]

@@ -483,6 +483,8 @@ BRUTE_FORCE_CASES = [
     (0, 1, ((1,), (1,), (-1,), (-1,)), 1),
 ]
 
+SIX_LEGS = ((1, 0), (0, 1), (-1, -1), (1, 0), (0, 1), (-1, -1))
+
 
 def relabelled(t, rng):
     """The same type under fresh vertex and edge ids, shuffled tuples and

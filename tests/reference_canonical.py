@@ -8,17 +8,58 @@ ties by the first ordering in product-of-permutations order.  Its cost is
 the product of the class sizes' factorials, so it is only for small types.
 ``moduli.canonical_form`` must return the same key, string, maps and type.
 
-``reference_automorphisms`` lists every automorphism of a labelled
-multigraph; ``moduli._least_automorphisms`` must return the same list on
-a least labelling.
+``_end_permutations`` and ``_least_automorphisms`` are the brute-force
+labelling search that ``enumerate_types`` used before it read its
+multigraphs off ``moduli._multigraphs``: every permutation that keeps the
+edge-end counts is tried, to pick each multigraph's least labelling with
+non-increasing counts and its automorphisms.  ``reference_enumerate_types``
+still labels its multigraphs this way.  ``reference_automorphisms`` lists
+every automorphism of a labelled multigraph; ``_least_automorphisms`` must
+return the same list on a least labelling, and ``_multigraphs`` the same
+group on its own labelling.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
 
-from tropmoduli.moduli import CanonicalForm, _end_permutations
+from tropmoduli.moduli import CanonicalForm
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
+
+
+def _end_permutations(ends):
+    """Vertex permutations keeping the edge-end counts ``ends``: products of
+    permutations within the classes of equal counts."""
+    classes = {}
+    for v, k in enumerate(ends):
+        classes.setdefault(k, []).append(v)
+    groups = list(classes.values())
+    for images in product(*(permutations(cl) for cl in groups)):
+        p = [0] * len(ends)
+        for cl, image in zip(groups, images):
+            for v, w in zip(cl, image):
+                p[v] = w
+        yield tuple(p)
+
+
+def _least_automorphisms(emulti, ends):
+    """The permutations keeping ``ends`` (the number of edge ends at each
+    vertex) that map the sorted edge multiset ``emulti`` to itself, or None
+    when one of them maps it to a smaller one.
+
+    With ``ends`` non-increasing, the labellings of one unlabelled
+    multigraph that keep ``ends`` sorted are one orbit of those
+    permutations, so exactly one of them is the least and gets a list.
+    """
+    edges = list(emulti)
+    autos = []
+    for p in _end_permutations(ends):
+        image = sorted((min(p[i], p[j]), max(p[i], p[j])) for i, j in emulti)
+        if image < edges:
+            return None
+        if image == edges:
+            autos.append(p)
+    return autos
 
 
 def reference_refine_colors(t: CombinatorialType):

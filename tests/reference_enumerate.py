@@ -2,9 +2,11 @@
 
 ``reference_enumerate_types`` is ``moduli.enumerate_types`` as it was
 before tree classes skipped the stratum check: it builds and checks the
-stratum of every isomorphism class, and it rebuilds every candidate type
+stratum of every isomorphism class, it rebuilds every candidate type
 through the validating ``WeightedGraph`` and ``CombinatorialType``
-constructors before labelling it.  Its output must be identical.
+constructors before labelling it, and it labels each multigraph by the
+brute-force search in ``reference_canonical``.  Its output must be
+identical.
 
 ``reference_integer_box_solutions`` is the slope search as it was before
 it walked the box of fundamental-cycle coefficients: it bounds each
@@ -21,12 +23,13 @@ from tropmoduli.exact_linalg import lp_maximize
 from tropmoduli.moduli import (
     _balanced_types,
     _compositions,
-    _least_automorphisms,
     _spanning_forest,
     canonical_form,
     stratum,
 )
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
+
+from reference_canonical import _least_automorphisms
 
 
 def reference_enumerate_types(g, n, degree, max_edges, dim=None, checked=None):

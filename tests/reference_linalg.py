@@ -6,7 +6,9 @@ before they moved onto the fraction-free ``_int_echelon``, the full
 ``unimodular_inverse`` that ``star`` read one column of, and the
 ``Fraction`` ``affine_apply`` and ``affine_compose`` that summed products
 of Fractions before they moved onto integer numerators over one common
-denominator.  Both must give identical answers.  It also keeps
+denominator.  Both must give identical answers.  ``kernel_rational`` has
+no library counterpart any more; ``reference_stratum`` samples along it
+and the sympy oracle checks it.  It also keeps
 ``feasible_point``, the general LP feasibility query (with its common
 slack ``t <= 1`` for strict inequalities) that the library used before
 its only LP question became ``_positive_solution``; the reference

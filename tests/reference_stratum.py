@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from tropmoduli.exact_linalg import kernel_rational, rank
+from tropmoduli.exact_linalg import rank
 from tropmoduli.moduli import stratum
 from tropmoduli.tropcurve import _place
 
-from reference_linalg import feasible_point
+from reference_linalg import feasible_point, kernel_rational
 
 
 def ambient_system(t):

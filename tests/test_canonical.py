@@ -3,11 +3,15 @@
 ``moduli.canonical_form`` prunes its search by the automorphisms it finds;
 ``reference_canonical_form`` tries every ordering that respects the colour
 classes.  They must agree on key, string, vertex map, edge map and type.
+The multigraph table that enumeration reads, which the same search
+labels, is checked against brute-force relabellings.
 """
 
+import ast
 import json
 import random
 from itertools import combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,6 @@ from tropmoduli import documents as docs
 from tropmoduli import moduli
 from tropmoduli.cli import main
 from tropmoduli.moduli import (
-    _least_automorphisms,
     automorphisms,
     canonical_form,
     enumerate_types,
@@ -194,22 +197,55 @@ def _all_relabellings(emulti, nv):
             for p in permutations(range(nv))}
 
 
-def test_one_least_labelling_per_multigraph():
+def _connected(emulti, nv):
+    reached = {0}
+    for _ in range(nv):
+        reached |= {j for i, j in emulti if i in reached} | {i for i, j in emulti if j in reached}
+    return len(reached) == nv
+
+
+def test_one_labelling_per_connected_multigraph():
     for nv in range(1, 5):
         pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
-        for ne in range(5):
-            kept = {}
-            for emulti in combinations_with_replacement(pairs, ne):
-                ends = [0] * nv
-                for i, j in emulti:
-                    ends[i] += 1
-                    ends[j] += 1
-                cls = min(_all_relabellings(emulti, nv))
-                kept.setdefault(cls, [])
-                if ends != sorted(ends, reverse=True):
-                    continue
-                autos = _least_automorphisms(emulti, ends)
-                if autos is not None:
-                    assert autos == reference_automorphisms(emulti, ends)
-                    kept[cls].append(emulti)
-            assert all(len(reps) == 1 for reps in kept.values()), (nv, ne)
+        for ne in range(6):
+            table = moduli._multigraphs(nv, ne)
+            assert type(table) is tuple
+            want = {min(_all_relabellings(emulti, nv))
+                    for emulti in combinations_with_replacement(pairs, ne)
+                    if _connected(emulti, nv)}
+            got = []
+            for entry in table:
+                assert type(entry) is tuple and all(type(x) is tuple for x in entry)
+                edges, ends, _, _, autos = entry
+                emulti = tuple((int(u[1:]), int(v[1:])) for _, u, v in edges)
+                got.append(min(_all_relabellings(emulti, nv)))
+                assert list(ends) == sorted(ends)
+                assert list(autos) == sorted(reference_automorphisms(emulti, ends))
+            assert sorted(got) == sorted(want), (nv, ne)
+
+
+def test_enumeration_is_the_same_from_a_cold_multigraph_table():
+    degree = ((1, 0), (0, 1), (-1, -1))
+    moduli._multigraphs.cache_clear()
+    cold = enumerate_types(1, 1, degree, 3)
+    assert moduli._multigraphs.cache_info().currsize
+    assert enumerate_types(1, 1, degree, 3) == cold
+
+
+def test_only_automorphisms_calls_permutations():
+    """One vertex-labelling search: ``_search``.  ``automorphisms`` permutes
+    only parallel edges; no other code in the package tries permutations."""
+    callers = set()
+    for path in Path(moduli.__file__).parent.rglob("*.py"):
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "permutations":
+                    callers.add((path.name, where))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert callers == {("moduli.py", "automorphisms")}

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropmoduli import cli, documents as docs
+from tropmoduli import cli, documents as docs, moduli
 from tropmoduli.cli import main
 from tropmoduli.errors import InputError
 from tropmoduli.family import propagate_closure, validate_family
@@ -210,8 +210,8 @@ def test_cli_writes_marked_types_without_relabelling(tmp_path, capsys, monkeypat
     tpath = _write(tmp_path, "types.json", docs.types_to_doc(resolve_4valent(cross_type(), "v")))
     runs = [enum_argv, ["wallgraph", tpath]]
     labelled = []
-    original = docs.canonical_form
-    monkeypatch.setattr(docs, "canonical_form", lambda t: labelled.append(t) or original(t))
+    original = moduli.canonical_form
+    monkeypatch.setattr(moduli, "canonical_form", lambda t: labelled.append(t) or original(t))
     reports = [_run(capsys, argv) for argv in runs]
     assert [code for code, _ in reports] == [0, 0]
     assert not [t for t in labelled if t._canonical is not None]

@@ -34,7 +34,7 @@ from tropmoduli.moduli import (
 )
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, check_balanced, genus, is_stable
 
-from helpers import BRUTE_FORCE_CASES
+from helpers import BRUTE_FORCE_CASES, SIX_LEGS
 from oracles import affine_hull_dim, brute_force_isomorphisms, brute_force_types, \
     is_type_isomorphism
 from reference_canonical import reference_automorphisms
@@ -447,6 +447,18 @@ def test_enumerate_checks_each_stratum_once(monkeypatch):
 def test_enumerate_matches_the_check_every_class_reference(g, n, degree, dim):
     assert enumerate_types(g, n, degree, 2, dim=dim) == \
         reference_enumerate_types(g, n, degree, 2, dim=dim)
+
+
+# genus 2 gives loops, parallel edges and up to five vertices
+@pytest.mark.parametrize("g, n, degree, max_edges", [
+    (1, 0, ((1, 0), (0, 1), (-1, -1)), 3),
+    (2, 0, ((1,), (-1,)), 4),
+    (2, 1, ((1,), (-1,)), 4),
+    (0, 0, SIX_LEGS, 3),
+])
+def test_enumerate_matches_the_reference_beyond_two_edges(g, n, degree, max_edges):
+    assert enumerate_types(g, n, degree, max_edges) == \
+        reference_enumerate_types(g, n, degree, max_edges)
 
 
 def test_enumerate_closed_under_operations():

@@ -1,6 +1,7 @@
 """sympy as a second exact oracle for the linear algebra kernels: rank,
 Smith normal form, integer kernels and fraction-free echelon forms over the
-integers, and spans, rational kernels and solvability over the rationals."""
+integers, and spans, rational kernels (of ``reference_linalg``) and
+solvability over the rationals."""
 
 import random
 from fractions import Fraction
@@ -15,13 +16,14 @@ from sympy.polys.matrices.normalforms import invariant_factors  # noqa: E402
 from tropmoduli.exact_linalg import (  # noqa: E402
     Subspace,
     integer_kernel,
-    kernel_rational,
     mat_mul,
     rank,
     smith_normal_form,
     solve_linear,
 )
 from tropmoduli.polyhedral import _int_echelon  # noqa: E402
+
+import reference_linalg  # noqa: E402
 
 
 def _matrices(count=300, seed=7, rational=False):
@@ -131,7 +133,8 @@ def test_rational_span_kernel_and_solvability_match_sympy():
         red, pivots = _qq(m).rref()
         basis = Subspace.from_spanning(m, len(m[0])).basis
         assert list(basis) == _fractions(red)[:len(pivots)], m
-        assert kernel_rational(m, len(m[0])) == _fractions(_qq(m).nullspace()), m
+        assert reference_linalg.kernel_rational(m, len(m[0])) == \
+            _fractions(_qq(m).nullspace()), m
         b = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7))) for _ in m]
         rises = _qq([list(r) + [bi] for r, bi in zip(m, b)]).rank() > len(pivots)
         assert (solve_linear(m, b) is None) == rises, (m, b)

@@ -4,8 +4,8 @@
 constructors' checks; every graph and type built through them must equal
 the one the validating constructors build from the same parts.  A type
 that ``canonical_form`` returned records its canonical string in
-``_canonical``, which ``wall_graph`` reads instead of labelling the node
-again; no other type carries one.
+``_canonical``, which ``wall_graph`` and ``canonical_string`` read instead
+of labelling the type again; no other type carries one.
 """
 
 import random
@@ -27,9 +27,7 @@ from tropmoduli.moduli import (
 )
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, stabilize_type
 
-from helpers import BRUTE_FORCE_CASES, cross_type, relabelled
-
-SIX_LEGS = ((1, 0), (0, 1), (-1, -1), (1, 0), (0, 1), (-1, -1))
+from helpers import BRUTE_FORCE_CASES, SIX_LEGS, cross_type, relabelled
 
 
 def nodes_of(types):
@@ -128,6 +126,16 @@ def test_decoded_and_public_types_carry_no_marker():
     wg = docs.wallgraph_from_doc(docs.wallgraph_to_doc(wall_graph(nodes_of(types))))
     assert all(t._canonical is None for _, t in wg.nodes)
     assert cross_type()._canonical is None
+
+
+def test_writing_enumerated_types_labels_nothing(monkeypatch):
+    types = enumerate_types(0, 0, ((1, 0), (0, 1), (-1, 0), (0, -1)), 2)
+    want = docs.types_to_doc(types)
+    labelled = []
+    original = moduli.canonical_form
+    monkeypatch.setattr(moduli, "canonical_form", lambda t: labelled.append(t) or original(t))
+    assert docs.types_to_doc(types) == want
+    assert labelled == []
 
 
 @pytest.mark.parametrize("g, n, degree, dim", BRUTE_FORCE_CASES)
