@@ -11,8 +11,8 @@ Submodules:
   cli           command-line front end
 """
 
-from .exact_linalg import Subspace, smith_normal_form, is_saturated, primitive_vector, \
-    span_membership, strict_positive_combination
+from .exact_linalg import smith_normal_form, is_saturated, primitive_vector, \
+    strict_positive_combination
 from .polyhedral import (
     Face,
     FaceInclusion,
@@ -25,7 +25,6 @@ from .polyhedral import (
     Stratum,
     build_skeleton,
     harmonicity_at,
-    lin_of_image,
     star,
     validate_complex,
 )

@@ -8,10 +8,10 @@ LP kernel (``_simplex_standard``, behind ``lp_maximize``) is a two-phase
 simplex on an integer tableau with one common denominator; it returns exact
 Fractions.  The library asks it one question, ``_positive_solution``: has
 rows·x = 0 a solution with x_i >= 1 on given coordinates?  The one row
-reduction (``_int_echelon``, behind ``rank``, ``solve_linear``,
-``Subspace`` and ``span_membership``) is fraction-free Gauss-Jordan
-elimination on rows scaled to integers; results are divided by their
-pivots only where Fractions are returned.  ``affine_apply`` and
+reduction (``_int_echelon``, behind ``rank``, ``solve_linear`` and
+``_span_basis``) is fraction-free Gauss-Jordan elimination on rows scaled
+to integers; results are divided by their pivots only where Fractions are
+returned.  ``affine_apply`` and
 ``affine_compose`` likewise sum integer numerators over one common
 denominator (``_over_common``).  Only ``det`` and the Smith normal form keep
 eliminations of their own.  The one multigraph traversal,
@@ -19,8 +19,8 @@ eliminations of their own.  The one multigraph traversal,
 a lattice basis of the integer kernel of the incidence matrix.
 
 Vectors are plain tuples, matrices are tuples of row tuples.  All functions
-are pure; values are never mutated after construction.  ``Subspace`` is a
-plain slotted record (see ``records``).
+are pure; values are never mutated after construction.  A linear span is
+given by independent integer rows, as ``_span_basis`` returns them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DependentGenerators, DimMismatch, InputError, ZeroVector
-from .records import FrozenRecord
 
 Vec = tuple  # tuple of Fraction (or int coercible)
 IVec = tuple  # tuple of int
@@ -109,10 +108,6 @@ def vec_dot(a: Vec, b: Vec):
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def mat_rows(m: Sequence[Sequence]) -> Mat:
     return tuple(tuple(row) for row in m)
 
@@ -131,13 +126,6 @@ def mat_vec(a: Mat, x: Vec) -> Vec:
     if a and len(a[0]) != len(x):
         raise DimMismatch(f"matrix has {len(a[0])} columns, vector has {len(x)}")
     return tuple(sum((row[k] * x[k] for k in range(len(x))), Fraction(0)) for row in a)
-
-
-def mat_columns(a: Mat, width: int | None = None) -> list:
-    """Columns of ``a`` as vectors; ``width`` disambiguates empty matrices."""
-    if not a:
-        return [() for _ in range(width or 0)] if width else []
-    return [tuple(row[j] for row in a) for j in range(len(a[0]))]
 
 
 def det(a: Mat) -> Fraction:
@@ -216,6 +204,15 @@ def rank(rows: Sequence[Vec]) -> int:
     if not rows:
         return 0
     return len(_int_echelon([_over_common(r)[0] for r in rows], len(rows[0]))[1])
+
+
+def _span_basis(vectors: Sequence[IVec]) -> tuple:
+    """Independent integer rows spanning the integer ``vectors``: the pivot
+    rows of ``_int_echelon``, each negated where its pivot is negative, so
+    row r is a positive multiple of row r of the reduced row echelon form."""
+    red, pivots = _int_echelon(vectors, len(vectors[0]) if vectors else 0)
+    return tuple(tuple(-x for x in row) if row[c] < 0 else tuple(row)
+                 for row, c in zip(red, pivots))
 
 
 def solve_linear(a: Sequence[Vec], b: Vec) -> Vec | None:
@@ -476,43 +473,6 @@ def _spanning_forest(vertices, edges):
 
 
 # ---------------------------------------------------------------------------
-# subspaces
-# ---------------------------------------------------------------------------
-
-class Subspace(FrozenRecord):
-    """A rational linear subspace given by an independent basis."""
-
-    __slots__ = ("ambient_dim", "basis")
-    def __init__(self, ambient_dim: int, basis: tuple):
-        self.ambient_dim, self.basis = ambient_dim, basis
-        for b in self.basis:
-            if len(b) != self.ambient_dim:
-                raise DimMismatch("basis vector has wrong length")
-        if self.basis and rank(self.basis) != len(self.basis):
-            raise DependentGenerators("subspace basis is dependent")
-
-    @staticmethod
-    def from_spanning(vectors: Sequence[Vec], ambient_dim: int) -> "Subspace":
-        """The subspace spanned, with the nonzero rows of the reduced row
-        echelon form as its basis."""
-        red, pivots = _int_echelon([_over_common(v)[0] for v in vectors],
-                                   len(vectors[0]) if vectors else 0)
-        basis = tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(red, pivots))
-        return Subspace(ambient_dim, basis)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def span_membership(v: Vec, s: Subspace) -> bool:
-    """Whether ``v`` lies in the rational span of ``s.basis``."""
-    if len(v) != s.ambient_dim:
-        raise DimMismatch(f"vector has length {len(v)}, subspace ambient is {s.ambient_dim}")
-    return rank([*s.basis, v]) == len(s.basis)  # the basis is independent
-
-
-# ---------------------------------------------------------------------------
 # exact LP: fraction-free two-phase simplex with Bland's rule
 # ---------------------------------------------------------------------------
 
@@ -693,30 +653,29 @@ def _positive_solution(rows: Sequence, n: int):
     return tuple(1 + x for x in s[:n]) + s[n:]
 
 
-def strict_positive_combination(vectors: Sequence[Vec], target: Subspace):
-    """Positive integers a_i with sum(a_i * v_i) in ``target``, if any exist.
+def strict_positive_combination(vectors: Sequence[IVec], basis: Sequence[IVec]):
+    """Positive integers a_i with sum(a_i * v_i) in the span of ``basis``, if any exist.
 
-    The unknowns are the a_i, each >= 1 (``_positive_solution``), and free
-    coefficients b_j on the basis of ``target``.  The returned certificate
-    is integer-scaled with the common denominator cleared.  Returns None
-    when no positive combination exists.
+    ``vectors`` and the independent ``basis`` rows are integer vectors of
+    one length.  The unknowns are the a_i, each >= 1
+    (``_positive_solution``), and free coefficients b_j on the basis rows.
+    The returned certificate is integer-scaled with the common denominator
+    cleared.  Returns None when no positive combination exists.
     """
     k = len(vectors)
-    for v in vectors:
-        if len(v) != target.ambient_dim:
-            raise DimMismatch("vector/target dimension mismatch")
     if k == 0:
         return []
+    dim = len(vectors[0])
+    if any(len(v) != dim for v in (*vectors, *basis)):
+        raise DimMismatch("vector/target dimension mismatch")
     # one row per coordinate: sum_i a_i v_i - sum_j b_j basis_j = 0
-    rows = [tuple(frac(v[c]) for v in vectors) + tuple(-frac(b[c]) for b in target.basis)
-            for c in range(target.ambient_dim)]
+    rows = [tuple(v[c] for v in vectors) + tuple(-b[c] for b in basis) for c in range(dim)]
     point = _positive_solution(rows, k)
     if point is None:
         return None
-    ints = list(primitive_vector(_over_common(point[:k])[0]))
+    den = lcm(*(x.denominator for x in point[:k]))
+    ints = list(primitive_vector(tuple(_scaled(x, den) for x in point[:k])))
     assert all(x > 0 for x in ints)
-    combo = zero_vec(target.ambient_dim)
-    for ai, v in zip(ints, vectors):
-        combo = vec_add(combo, vec_scale(ai, vec(v)))
-    assert span_membership(combo, target)
+    combo = tuple(sum(a * v[c] for a, v in zip(ints, vectors)) for c in range(dim))
+    assert rank([*basis, combo]) == len(basis)
     return ints

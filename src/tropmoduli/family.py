@@ -368,6 +368,8 @@ def locate(base: PolyhedralComplex, fid: str, coords):
     if face.rank == 0 or face.chart.contains(x, strict=True):
         return fid, x
     for sub in base.subface_ids(fid):
+        if base.face(sub).rank >= face.rank:  # inclusions may form a cycle
+            continue
         inc = base.inclusions[(sub, fid)]
         sol = solve_linear(inc.linear, vec_sub(x, vec(inc.offset)))
         if sol is not None and base.face(sub).chart.contains(sol):

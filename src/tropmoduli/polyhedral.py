@@ -12,8 +12,10 @@ the harmonic / quasi-harmonic / not-quasi-harmonic trichotomy at a face,
 and the skeleton constructor for combinatorial semistable pair data.
 Polyhedron queries, validation and stars read the charts' integer
 incidences; only the quasi-harmonicity test of ``harmonicity_at`` solves
-an LP.  Faces, inclusions, stars, maps, verdicts and
-pair data are plain slotted records (see ``records``).
+an LP.  ``harmonicity_at`` works on integer rows throughout: derivatives,
+the image span and the LP's coefficients are integers.  Faces,
+inclusions, stars, maps, verdicts and pair data are plain slotted records
+(see ``records``).
 """
 
 from __future__ import annotations
@@ -33,28 +35,24 @@ from .errors import (
     UnknownFace,
 )
 from .exact_linalg import (
-    Subspace,
     _forest,
     _int_echelon,
     _over_common,
     _rat_str,
+    _span_basis,
     affine_apply,
     frac,
     integer_kernel,
     is_saturated,
     ivec,
-    mat_columns,
     mat_mul,
     mat_rows,
-    mat_vec,
     primitive_vector,
     rank,
     smith_normal_form,
     solve_linear,
-    span_membership,
     strict_positive_combination,
     vec,
-    vec_add,
     vec_dot,
 )
 from .records import FrozenRecord, Record
@@ -647,14 +645,6 @@ class PIAMap(FrozenRecord):
         return self.per_face[fid]
 
 
-def lin_of_image(m: PIAMap, w: str) -> Subspace:
-    """Span of the linear part of the face map (charts are full-dimensional)."""
-    m.source.face(w)
-    lin, _ = m.face_map(w)
-    cols = mat_columns(lin, width=m.source.face(w).rank)
-    return Subspace.from_spanning([vec(col) for col in cols], m.target_dim)
-
-
 class Harmonicity(str, Enum):
     HARMONIC = "harmonic"
     QUASI_HARMONIC_ONLY = "quasi_harmonic_only"
@@ -675,7 +665,8 @@ def harmonicity_at(m: PIAMap, w: str) -> HarmonicityResult:
 
     Computes the derivative of the map along each star direction and tests
     whether the plain sum (resp. some positive integer combination) lies in
-    the span of the image of the face.
+    the span of the image of the face: ``_span_basis`` of the face map's
+    columns (charts are full-dimensional).
     """
     sd = star(m.source, w)
     if not sd.directions:
@@ -683,14 +674,16 @@ def harmonicity_at(m: PIAMap, w: str) -> HarmonicityResult:
     derivs = []
     for cofacet, e in sd.directions:
         lin, _ = m.face_map(cofacet)
-        derivs.append(mat_vec(lin, vec(e)))
-    target = lin_of_image(m, w)
-    total = vec((0,) * m.target_dim)
-    for d in derivs:
-        total = vec_add(total, d)
-    if span_membership(total, target):
+        if any(len(row) != len(e) for row in lin):
+            raise DimMismatch(f"map on {cofacet!r} has a row of width other than {len(e)}")
+        derivs.append(tuple(_dot(row, e) for row in lin))
+    basis = _span_basis(tuple(zip(*m.face_map(w)[0])))
+    if any(len(v) != m.target_dim for v in (*derivs, *basis)):
+        raise DimMismatch(f"a derivative or image row has length other than {m.target_dim}")
+    total = tuple(map(sum, zip(*derivs)))
+    if rank([*basis, total]) == len(basis):
         return HarmonicityResult(Harmonicity.HARMONIC, (1,) * len(derivs), tuple(derivs), sd)
-    cert = strict_positive_combination(derivs, target)
+    cert = strict_positive_combination(derivs, basis)
     if cert is not None:
         return HarmonicityResult(Harmonicity.QUASI_HARMONIC_ONLY, tuple(cert), tuple(derivs), sd)
     return HarmonicityResult(Harmonicity.NOT_QUASI_HARMONIC, None, tuple(derivs), sd)

@@ -15,6 +15,14 @@ its only LP question became ``_positive_solution``; the reference
 polyhedra, stratum sampler and family validator find their points with
 it.  It is kept apart from ``oracles.py``, which the benchmark loads for
 its output checks.
+
+``Subspace``, ``span_membership`` and ``strict_positive_combination`` are
+the ``Fraction`` path that ``harmonicity_at`` took before it moved onto
+integer rows: a subspace is the basis of reduced row echelon rows that
+``spanning_basis`` returns (the old ``Subspace.from_spanning`` gave the
+same rows), membership is a rank test, and every LP entry goes through
+``frac``.  The LP itself is the library's ``_positive_solution``, so the
+two paths must return the same certificates.
 """
 
 from __future__ import annotations
@@ -22,7 +30,18 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from tropmoduli.exact_linalg import lp_maximize
+from tropmoduli.errors import DependentGenerators, DimMismatch
+from tropmoduli.exact_linalg import (
+    _over_common,
+    _positive_solution,
+    frac,
+    lp_maximize,
+    primitive_vector,
+    vec,
+    vec_add,
+    vec_scale,
+)
+from tropmoduli.records import FrozenRecord
 
 
 def _rref(rows):
@@ -140,3 +159,62 @@ def feasible_point(eqs: Sequence, ineqs: Sequence, dim: int,
     if strict and value <= 0:
         return None
     return tuple(x[:dim])
+
+
+class Subspace(FrozenRecord):
+    """A rational linear subspace given by an independent basis."""
+
+    __slots__ = ("ambient_dim", "basis")
+    def __init__(self, ambient_dim: int, basis: tuple):
+        self.ambient_dim, self.basis = ambient_dim, basis
+        for b in self.basis:
+            if len(b) != self.ambient_dim:
+                raise DimMismatch("basis vector has wrong length")
+        if self.basis and rank(self.basis) != len(self.basis):
+            raise DependentGenerators("subspace basis is dependent")
+
+    @staticmethod
+    def from_spanning(vectors: Sequence, ambient_dim: int) -> "Subspace":
+        """The subspace spanned, with the nonzero rows of the reduced row
+        echelon form as its basis."""
+        return Subspace(ambient_dim, spanning_basis(vectors))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+
+def span_membership(v, s: Subspace) -> bool:
+    """Whether ``v`` lies in the rational span of ``s.basis``."""
+    if len(v) != s.ambient_dim:
+        raise DimMismatch(f"vector has length {len(v)}, subspace ambient is {s.ambient_dim}")
+    return rank([*s.basis, v]) == len(s.basis)  # the basis is independent
+
+
+def strict_positive_combination(vectors: Sequence, target: Subspace):
+    """Positive integers a_i with sum(a_i * v_i) in ``target``, if any exist.
+
+    The unknowns are the a_i, each >= 1 (``_positive_solution``), and free
+    coefficients b_j on the basis of ``target``.  The returned certificate
+    is integer-scaled with the common denominator cleared.  Returns None
+    when no positive combination exists.
+    """
+    k = len(vectors)
+    for v in vectors:
+        if len(v) != target.ambient_dim:
+            raise DimMismatch("vector/target dimension mismatch")
+    if k == 0:
+        return []
+    # one row per coordinate: sum_i a_i v_i - sum_j b_j basis_j = 0
+    rows = [tuple(frac(v[c]) for v in vectors) + tuple(-frac(b[c]) for b in target.basis)
+            for c in range(target.ambient_dim)]
+    point = _positive_solution(rows, k)
+    if point is None:
+        return None
+    ints = list(primitive_vector(_over_common(point[:k])[0]))
+    assert all(x > 0 for x in ints)
+    combo = (Fraction(0),) * target.ambient_dim
+    for ai, v in zip(ints, vectors):
+        combo = vec_add(combo, vec_scale(ai, vec(v)))
+    assert span_membership(combo, target)
+    return ints

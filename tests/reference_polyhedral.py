@@ -14,6 +14,14 @@ must give identical answers.  It is kept apart from
 ``oracles.py``, which the benchmark loads for its output checks.  Its rank,
 solving, kernels and affine maps come from the ``Fraction`` reference in
 ``reference_linalg``, not from the integer kernels under test.
+
+``reference_harmonicity_at`` is the ``Fraction`` path that
+``harmonicity_at`` took before it moved onto integer rows: derivatives
+summed by ``mat_vec``, the image span as a ``Subspace`` of reduced row
+echelon rows (``lin_of_image``), and membership and positive combinations
+over ``Fraction``s.  It reads the library's ``star``, which this path
+does not change and which ``star`` below checks.  Verdicts, certificates
+and derivatives must be equal.
 """
 
 from __future__ import annotations
@@ -22,25 +30,28 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from tropmoduli.errors import DependentGenerators, TropModuliError
+from tropmoduli.errors import DependentGenerators, NoCofacets, TropModuliError
 from tropmoduli.exact_linalg import (
     frac,
     integer_kernel,
     is_saturated,
     ivec,
-    mat_columns,
     mat_rows,
     mat_vec,
     primitive_vector,
     smith_normal_form,
     vec,
+    vec_add,
     vec_dot,
     vec_sub,
 )
 from tropmoduli.errors import InconsistentStrata
+from tropmoduli import polyhedral as library
 from tropmoduli.polyhedral import (
     Face,
     FaceInclusion,
+    Harmonicity,
+    HarmonicityResult,
     Polyhedron,
     PolyhedralComplex,
     StarData,
@@ -48,13 +59,23 @@ from tropmoduli.polyhedral import (
 )
 
 from reference_linalg import (
+    Subspace,
     affine_apply,
     affine_compose,
     feasible_point as lp_point,
     kernel_rational,
     rank,
     solve_linear,
+    span_membership,
+    strict_positive_combination,
 )
+
+
+def mat_columns(a, width=None) -> list:
+    """Columns of ``a`` as vectors; ``width`` disambiguates empty matrices."""
+    if not a:
+        return [() for _ in range(width or 0)] if width else []
+    return [tuple(row[j] for row in a) for j in range(len(a[0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +402,40 @@ def star(c, w):
                 f"image of {w!r} is not a facet of {inc.super!r}; validate the complex first")
         dirs.append((inc.super, oriented))
     return StarData(face=w, directions=tuple(dirs))
+
+
+def lin_of_image(m, w) -> Subspace:
+    """Span of the linear part of the face map (charts are full-dimensional)."""
+    m.source.face(w)
+    lin, _ = m.face_map(w)
+    cols = mat_columns(lin, width=m.source.face(w).rank)
+    return Subspace.from_spanning([vec(col) for col in cols], m.target_dim)
+
+
+def reference_harmonicity_at(m, w) -> HarmonicityResult:
+    """Trichotomy at a face: harmonic / quasi-harmonic only / not quasi-harmonic.
+
+    Computes the derivative of the map along each star direction and tests
+    whether the plain sum (resp. some positive integer combination) lies in
+    the span of the image of the face.
+    """
+    sd = library.star(m.source, w)
+    if not sd.directions:
+        raise NoCofacets(f"face {w!r} has no codimension-one cofacets")
+    derivs = []
+    for cofacet, e in sd.directions:
+        lin, _ = m.face_map(cofacet)
+        derivs.append(mat_vec(lin, vec(e)))
+    target = lin_of_image(m, w)
+    total = vec((0,) * m.target_dim)
+    for d in derivs:
+        total = vec_add(total, d)
+    if span_membership(total, target):
+        return HarmonicityResult(Harmonicity.HARMONIC, (1,) * len(derivs), tuple(derivs), sd)
+    cert = strict_positive_combination(derivs, target)
+    if cert is not None:
+        return HarmonicityResult(Harmonicity.QUASI_HARMONIC_ONLY, tuple(cert), tuple(derivs), sd)
+    return HarmonicityResult(Harmonicity.NOT_QUASI_HARMONIC, None, tuple(derivs), sd)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,31 @@ def test_fiber_length_past_the_digit_limit_is_an_input_error(workdir, point, pay
     assert json.loads((workdir / "report.json").read_text())["payload"] == payload
 
 
+def test_fiber_on_cyclic_inclusions_is_an_input_error(workdir):
+    """Faces A and B, both the segment [0, 1], include into each other.  A
+    boundary point of A is looked up only in sub-faces of smaller rank, so
+    it is not covered, rather than recursing around the cycle."""
+    segment = {"ineqs": [[1, "0"], [-1, "-1"]], "eqs": []}
+    curve = {"schema": docs.SCHEMA, "dim": 1, "vertices": [{"id": "v", "weight": 0}],
+             "edges": [], "legs": [{"id": "l0", "v": "v", "slope": [1]},
+                                   {"id": "l1", "v": "v", "slope": [-1]}]}
+    doc = {"schema": docs.SCHEMA, "dim": 1, "extended_degree": [[1], [-1]],
+           "base": {"schema": docs.SCHEMA, "maximal": ["A", "B"],
+                    "faces": [{"id": f, "rank": 1, "chart": segment} for f in "AB"],
+                    "inclusions": [{"sub": a, "super": b, "linear": [[1]], "offset": ["0"]}
+                                   for a, b in ("AB", "BA")]},
+           "faces": [{"face": f, "type": curve, "lengths": {},
+                      "positions": {"v": {"linear": [[0]], "offset": ["0"]}}} for f in "AB"],
+           "contractions": [{"sub": a, "super": b, "vertex_map": {"v": "v"}, "edge_map": {}}
+                            for a, b in ("AB", "BA")]}
+    path = workdir / "family.json"
+    path.write_text(json.dumps(doc))
+    assert _run(workdir, ["fiber", str(path), "--face", "A", "--point", '["0"]']) == 2
+    payload = json.loads((workdir / "report.json").read_text())["payload"]
+    assert payload == {"error": "PointNotInComplex",
+                       "message": "boundary point ('0',) of 'A' is not covered by a sub-face"}
+
+
 _COORDINATES = st.one_of(
     st.fractions().map(str), st.integers(-5, 5),
     st.sampled_from(["1e4300", "-1e4300", "1e-4300", "1e4299", "1e10000000", "1.5e3", "+1/2",

@@ -2,6 +2,7 @@ import ast
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from tropmoduli.errors import DependentGenerators, DimMismatch, ZeroVector
 import tropmoduli
 from tropmoduli.exact_linalg import (
-    Subspace,
     _positive_solution,
+    _span_basis,
     affine_apply,
     affine_compose,
     det,
@@ -24,7 +25,6 @@ from tropmoduli.exact_linalg import (
     rank,
     smith_normal_form,
     solve_linear,
-    span_membership,
     strict_positive_combination,
     vec,
 )
@@ -102,17 +102,22 @@ def test_primitive_vector_idempotent():
         assert g == 1
 
 
+def _in_span(v, vectors) -> bool:
+    """Membership by rank against the independent rows of ``_span_basis``."""
+    basis = _span_basis(vectors)
+    return rank([*basis, v]) == len(basis)
+
+
 def test_span_membership():
-    s = Subspace(2, (vec([1, 1]),))
-    assert span_membership(vec([1, 1]), s) is True
-    zero = Subspace(2, ())
-    assert span_membership(vec([1, 0]), zero) is False
-    assert span_membership(vec([0, 0]), zero) is True
-    line = Subspace(3, (vec([1, 2, 3]),))
-    assert span_membership(vec([2, 4, 6]), line) is True
-    assert span_membership(vec([2, 4, 7]), line) is False
+    assert _in_span((1, 1), [(1, 1)]) is True
+    assert _in_span((1, 0), []) is False
+    assert _in_span((0, 0), []) is True
+    assert _in_span((2, 4, 6), [(1, 2, 3)]) is True
+    assert _in_span((2, 4, 7), [(1, 2, 3)]) is False
+    assert _in_span((2, 4, 7), [(1, 2, 3), (-2, -4, -6), (0, 0, 0)]) is False
+    assert _span_basis([(0, -2, 4), (0, 3, -6)]) == ((0, 2, -4),)  # pivot made positive
     with pytest.raises(DimMismatch):
-        span_membership(vec([1, 0, 0]), s)
+        strict_positive_combination([(1, 0, 0)], [(1, 1)])
 
 
 def test_solve_and_kernel():
@@ -210,40 +215,38 @@ def test_feasible_point_strict():
     assert feasible_point([], [((1,), 0), ((-1,), 0)], 1) == (Fraction(0),)
 
 
-def verify_certificate(coeffs, vectors, target):
+def verify_certificate(coeffs, vectors, basis):
     assert coeffs is not None
     assert all(isinstance(c, int) and c > 0 for c in coeffs)
-    total = tuple(
-        sum(c * Fraction(v[i]) for c, v in zip(coeffs, vectors))
-        for i in range(target.ambient_dim)
-    )
-    assert span_membership(total, target)
+    total = tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(len(vectors[0])))
+    assert rank([*basis, total]) == len(basis)
 
 
 def test_strict_positive_combination_examples():
-    zero2 = Subspace(2, ())
-    got = strict_positive_combination([vec([1, 0]), vec([-1, 0])], zero2)
-    verify_certificate(got, [(1, 0), (-1, 0)], zero2)
-    assert strict_positive_combination([vec([1, 0]), vec([0, 1])], zero2) is None
-    line = Subspace(2, (vec([1, 0]),))
-    got = strict_positive_combination([vec([1, 1]), vec([1, -2])], line)
+    got = strict_positive_combination([(1, 0), (-1, 0)], ())
+    verify_certificate(got, [(1, 0), (-1, 0)], ())
+    assert strict_positive_combination([(1, 0), (0, 1)], ()) is None
+    line = ((1, 0),)
+    got = strict_positive_combination([(1, 1), (1, -2)], line)
     verify_certificate(got, [(1, 1), (1, -2)], line)
 
 
 def test_strict_positive_combination_vs_fm_dim1_exhaustive():
-    zero1 = Subspace(1, ())
     values = [-2, -1, 0, 1, 2]
     for k in (1, 2, 3):
         for combo in product(values, repeat=k):
-            vectors = [vec([c]) for c in combo]
-            got = strict_positive_combination(vectors, zero1)
-            expect = fm_positive_combination_exists([(c,) for c in combo], [], 1)
+            vectors = [(c,) for c in combo]
+            got = strict_positive_combination(vectors, ())
+            expect = fm_positive_combination_exists(vectors, [], 1)
             assert (got is not None) == expect, combo
             if got is not None:
-                verify_certificate(got, [(c,) for c in combo], zero1)
+                verify_certificate(got, vectors, ())
 
 
 def test_strict_positive_combination_vs_fm_random():
+    """Against the Fourier-Motzkin oracle, and against the ``Fraction``
+    reference on the reduced row echelon basis: the integer basis rows are
+    positive multiples of it, so the certificates are the same."""
     rng = random.Random(7)
     for _ in range(150):
         dim = rng.randint(1, 3)
@@ -251,12 +254,14 @@ def test_strict_positive_combination_vs_fm_random():
         vectors = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(k)]
         nb = rng.randint(0, dim - 1)
         basis_candidates = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(nb)]
-        target = Subspace.from_spanning([vec(b) for b in basis_candidates], dim)
-        got = strict_positive_combination([vec(v) for v in vectors], target)
-        expect = fm_positive_combination_exists(vectors, list(target.basis), dim)
-        assert (got is not None) == expect, (vectors, target.basis)
+        basis = _span_basis(basis_candidates)
+        got = strict_positive_combination(vectors, basis)
+        expect = fm_positive_combination_exists(vectors, list(basis), dim)
+        assert (got is not None) == expect, (vectors, basis)
         if got is not None:
-            verify_certificate(got, vectors, target)
+            verify_certificate(got, vectors, basis)
+        target = reference.Subspace.from_spanning(basis_candidates, dim)
+        assert got == reference.strict_positive_combination(vectors, target), (vectors, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +326,38 @@ def test_row_reduction_matches_fraction_reference():
             got = solve_linear(m, rhs)
             assert got == reference.solve_linear(m, rhs), (m, rhs)
             assert got is None or _all_fractions([got])
-        basis = Subspace.from_spanning(m, ncols).basis
-        assert basis == reference.spanning_basis(m), m
-        assert _all_fractions(basis)
+        basis = _span_basis(_integer_rows(m))
+        assert all(type(x) is int for row in basis for x in row)
+        assert _positive_multiples(basis, reference.spanning_basis(m)), m
+
+
+def _integer_rows(m):
+    """Each row times the lcm of its denominators: the same span over the integers."""
+    return [tuple(int(Fraction(x) * lcm(*(Fraction(y).denominator for y in row))) for x in row)
+            for row in m]
+
+
+def _positive_multiples(rows, rref_rows) -> bool:
+    """Whether each row is a positive multiple of the matching reduced row
+    echelon row (whose pivot entry is 1)."""
+    if len(rows) != len(rref_rows):
+        return False
+    for row, ref in zip(rows, rref_rows):
+        scale = row[next(i for i, x in enumerate(ref) if x)]
+        if scale <= 0 or row != tuple(scale * x for x in ref):
+            return False
+    return True
 
 
 def test_span_membership_matches_fraction_reference():
     for m, ncols, consistent, b in SYSTEMS:
         if not m or not ncols:
             continue
-        s = Subspace.from_spanning(m, ncols)
-        cols = [tuple(v[i] for v in s.basis) for i in range(ncols)]
+        basis = reference.spanning_basis(m)
+        cols = [tuple(v[i] for v in basis) for i in range(ncols)]
         for v in (m[0], tuple(b[:1] * ncols), tuple(x - y for x, y in zip(m[-1], m[0]))):
-            expect = reference.solve_linear(cols, v) is not None if s.basis else not any(v)
-            assert span_membership(v, s) == expect, (m, v)
+            expect = reference.solve_linear(cols, v) is not None if basis else not any(v)
+            assert _in_span(_integer_rows([v])[0], _integer_rows(m)) == expect, (m, v)
 
 
 def _rational(rng):

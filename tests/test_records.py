@@ -12,7 +12,6 @@ import pytest
 import tropmoduli  # noqa: F401  (loads every module)
 
 FROZEN = {
-    "exact_linalg": ["Subspace"],
     "polyhedral": ["_PFace", "Face", "FaceInclusion", "Violation", "StarData", "PIAMap",
                    "HarmonicityResult", "Stratum", "SemistablePairData"],
     "tropcurve": ["WeightedGraph"],
@@ -37,7 +36,6 @@ RECORDS = [(cls, True) for cls in _classes(FROZEN)] + [(cls, False) for cls in _
 
 # fields for the records whose constructor checks them; any others take any values
 VALID = {
-    "Subspace": lambda: (2, ((1, 0),)),
     "WeightedGraph": lambda: ((("v", 0),), (("e", "v", "v"),), (("l", "v"),)),
     "TropicalCurve": lambda: (
         tropmoduli.WeightedGraph((("v", 0),), (("e", "v", "v"),), ()), {"e": 1}),
@@ -60,7 +58,7 @@ def test_every_record_is_listed():
              if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == mod.__name__
              and cls.__slots__}
     assert found == {cls for cls, _ in RECORDS}
-    assert len(RECORDS) == 30
+    assert len(RECORDS) == 29
 
 
 @pytest.mark.parametrize("cls, frozen", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])

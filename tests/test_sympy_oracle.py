@@ -1,10 +1,11 @@
 """sympy as a second exact oracle for the linear algebra kernels: rank,
 Smith normal form, integer kernels and fraction-free echelon forms over the
-integers, and spans, rational kernels (of ``reference_linalg``) and
-solvability over the rationals."""
+integers, spans (``_span_basis`` of rows scaled to integers), rational
+kernels (of ``reference_linalg``) and solvability over the rationals."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,7 +15,7 @@ from sympy.polys.matrices import DM  # noqa: E402
 from sympy.polys.matrices.normalforms import invariant_factors  # noqa: E402
 
 from tropmoduli.exact_linalg import (  # noqa: E402
-    Subspace,
+    _span_basis,
     integer_kernel,
     mat_mul,
     rank,
@@ -131,8 +132,12 @@ def test_rational_span_kernel_and_solvability_match_sympy():
     rng = random.Random(9)
     for m in RATIONAL:
         red, pivots = _qq(m).rref()
-        basis = Subspace.from_spanning(m, len(m[0])).basis
-        assert list(basis) == _fractions(red)[:len(pivots)], m
+        # _span_basis of the rows scaled to integers: positive multiples of the RREF rows
+        rows = [tuple(int(x * lcm(*(y.denominator for y in r))) for x in r) for r in m]
+        basis = _span_basis(rows)
+        assert len(basis) == len(pivots), m
+        for row, want, c in zip(basis, _fractions(red), pivots):
+            assert row[c] > 0 and tuple(Fraction(x, row[c]) for x in row) == want, m
         assert reference_linalg.kernel_rational(m, len(m[0])) == \
             _fractions(_qq(m).nullspace()), m
         b = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7))) for _ in m]
