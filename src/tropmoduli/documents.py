@@ -6,7 +6,8 @@ no floats appear in any document.
 ``SCHEMAS`` is the one place where a document's shape is declared: per
 kind, a tree of nodes ``(value, pointer) -> converted value`` built once
 at import.  One walk of it checks a document and converts it to tuples of
-ints and Fractions; an input error names the first bad JSON pointer.
+ints and Fractions (offsets: integer numerators over one denominator); an
+input error names the first bad JSON pointer.
 Each ``*_from_doc`` then only resolves cross-references (ids, maximal
 faces, wall resolutions, base faces and inclusions) and builds the object.
 """
@@ -17,6 +18,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import DimMismatch, InputError, UnknownFace
 from .exact_linalg import _rat_str as rat_str, frac
@@ -37,24 +39,44 @@ _EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?
                        r"([-+]?\d+(?:_\d+)*)\s*")
 
 
-def parse_rat(value, pointer: str) -> Fraction:
-    """A JSON int or rational string as a Fraction, accepting what ``frac``
-    accepts (a "p/q" string takes its integer fast path), but refusing a
-    decimal exponent past the integer digit limit; the exponent is looked
-    for only in a string holding an "e" or "E"."""
+def _ratio(value, pointer: str):
+    """A JSON int or rational string as (numerator, denominator), accepting
+    what ``frac`` accepts, but refusing a decimal exponent past the integer
+    digit limit (looked for only in a string holding an "e" or "E").  An int
+    or a "p/q" string of ASCII digits builds no Fraction."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise InputError(f"expected a rational 'p/q' string, got {value!r}", pointer)
     try:
-        if isinstance(value, str):
-            if "e" in value or "E" in value:
-                exponent = _EXPONENT.fullmatch(value)
-                limit = sys.get_int_max_str_digits()  # 0: no limit
-                if exponent and 0 < limit < abs(int(exponent[1])):
-                    raise ValueError(f"exponent exceeds {limit} in magnitude")
-            return frac(value)
-        return Fraction(int(value))
+        if isinstance(value, int):
+            return value, 1
+        num, slash, den = value.partition("/")
+        if value.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+            p, q = int(num), int(den) if slash else 1
+            if q:
+                return p, q
+        if "e" in value or "E" in value:
+            exponent = _EXPONENT.fullmatch(value)
+            limit = sys.get_int_max_str_digits()  # 0: no limit
+            if exponent and 0 < limit < abs(int(exponent[1])):
+                raise ValueError(f"exponent exceeds {limit} in magnitude")
+        x = frac(value)
+        return x.numerator, x.denominator
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {value!r}: {exc}", pointer) from None
+
+
+def parse_rat(value, pointer: str) -> Fraction:
+    """``_ratio`` as a Fraction."""
+    return Fraction(*_ratio(value, pointer))
+
+
+def _over(node):
+    """A node of ``_ratio`` pairs as (integer numerators, one denominator)."""
+    def over(value, pointer):
+        pairs = node(value, pointer)
+        den = lcm(*(q for _, q in pairs))
+        return tuple(p * (den // q) for p, q in pairs), den
+    return over
 
 
 def check_schema(doc, pointer=""):
@@ -160,7 +182,7 @@ def _positive(value, pointer):
 
 
 _string, _integer = _scalar(str, "expected a string"), _scalar(int, "expected an integer")
-_STRINGS, _INTS, _RATIONALS = _list(_string), _list(_integer), _list(parse_rat)
+_STRINGS, _INTS = _list(_string), _list(_integer)
 
 
 def _chart(rank):
@@ -177,7 +199,7 @@ _COMPLEX = _object(
         ("chart", ("rank", _chart)), ("label", _string, "")))),
     ("inclusions", _list(_object(
         ("sub", _string), ("super", _string), ("linear", _list(_INTS)),
-        ("offset", _RATIONALS))), ()),
+        ("offset", _over(_list(_ratio))))), ()),
     ("maximal", _STRINGS, None),
     schema=True)
 _TYPE = _object(
@@ -211,10 +233,10 @@ SCHEMAS = {
         ("base", _COMPLEX),
         ("faces", ("dim", lambda dim: _list(_object(
             ("face", _string), ("type", _TYPE),
-            ("lengths", _id_map(_object(("linear", _INTS), ("offset", parse_rat))), {}),
+            ("lengths", _id_map(_object(("linear", _INTS), ("offset", _ratio))), {}),
             ("positions", _id_map(_object(
                 ("linear", _list(_INTS, dim, f"linear needs {dim} entries", late=True)),
-                ("offset", _list(parse_rat, dim, f"offset needs {dim} entries", late=True)))),
+                ("offset", _over(_list(_ratio, dim, f"offset needs {dim} entries", late=True))))),
              {}))))),
         ("contractions", _list(_object(
             ("sub", _string), ("super", _string),
@@ -244,7 +266,8 @@ def _complex(checked, pointer) -> PolyhedralComplex:
     try:
         return PolyhedralComplex([Face(fid, rank, Polyhedron(rank, ineqs, eqs), label)
                                   for fid, rank, (ineqs, eqs), label in faces],
-                                 [FaceInclusion(*inc) for inc in inclusions], maximal)
+                                 [FaceInclusion(sub, sup, linear, *offset)
+                                  for sub, sup, linear, offset in inclusions], maximal)
     except (ValueError, KeyError, UnknownFace, DimMismatch) as exc:
         raise InputError(str(exc), pointer) from None
 
@@ -299,8 +322,9 @@ def family_from_doc(doc, pointer="") -> FamilyDatum:
                      f"{p}/lengths")
         _check_known(positions, set(t.graph.vertex_ids()), "position for unknown vertex",
                      f"{p}/positions")
-        face_data[fid] = FaceCurveData(t, {e: AffineFn(*fn) for e, fn in lengths.items()},
-                                       {v: AffineMapN(*mp) for v, mp in positions.items()})
+        face_data[fid] = FaceCurveData(
+            t, {e: AffineFn(lin, *off) for e, (lin, off) in lengths.items()},
+            {v: AffineMapN(lin, *off) for v, (lin, off) in positions.items()})
     contracted = {}
     for i, (sub, sup, vertex_map, edge_map) in enumerate(contractions):
         p = f"{pointer}/contractions/{i}"
@@ -331,8 +355,8 @@ def wallgraph_from_doc(doc, pointer="") -> WallGraph:
 # documents from objects
 # ---------------------------------------------------------------------------
 
-def _affine_to_doc(linear, offset):
-    return {"linear": [list(r) for r in linear], "offset": [rat_str(x) for x in offset]}
+def _affine_to_doc(linear, num, den):
+    return {"linear": [list(r) for r in linear], "offset": [rat_str(n, den) for n in num]}
 
 
 def _chart_to_doc(p: Polyhedron):
@@ -345,7 +369,7 @@ def complex_to_doc(c: PolyhedralComplex) -> dict:
         "schema": SCHEMA,
         "faces": [{"id": f.id, "rank": f.rank, "chart": _chart_to_doc(f.chart),
                    **({"label": f.label} if f.label else {})} for _, f in sorted(c.faces.items())],
-        "inclusions": [{"sub": i.sub, "super": i.super, **_affine_to_doc(i.linear, i.offset)}
+        "inclusions": [{"sub": i.sub, "super": i.super, **_affine_to_doc(i.linear, i.num, i.den)}
                        for _, i in sorted(c.inclusions.items())],
         "maximal": sorted(c.maximal_faces),
     }
@@ -396,9 +420,9 @@ def family_to_doc(f: FamilyDatum) -> dict:
         "extended_degree": [list(s) for s in f.extended_degree],
         "base": complex_to_doc(f.base),
         "faces": [{"face": fid, "type": type_to_doc(data.type),
-                   "lengths": {e: {"linear": list(fn.linear), "offset": rat_str(fn.offset)}
+                   "lengths": {e: {"linear": list(fn.linear), "offset": rat_str(fn.num, fn.den)}
                                for e, fn in sorted(data.lengths.items())},
-                   "positions": {v: _affine_to_doc(mp.linear, mp.offset)
+                   "positions": {v: _affine_to_doc(mp.linear, mp.num, mp.den)
                                  for v, mp in sorted(data.positions.items())}}
                   for fid, data in sorted(f.face_data.items())],
         "contractions": [{"sub": sub, "super": sup,
@@ -436,7 +460,7 @@ def report_to_doc(report: ValidationReport) -> dict:
 
 def lift_to_doc(lift: FaceLift) -> dict:
     return {"face": lift.face, "canonical": lift.canonical, "type": type_to_doc(lift.type),
-            "lift": _affine_to_doc(lift.linear, lift.offset), "image_dim": lift.rank()}
+            "lift": _affine_to_doc(lift.linear, lift.num, lift.den), "image_dim": lift.rank()}
 
 
 def image_stratum_to_doc(s: ImageStratum) -> dict:

@@ -11,12 +11,12 @@ rows·x = 0 a solution with x_i >= 1 on given coordinates?  The one row
 reduction (``_int_echelon``, behind ``rank``, ``solve_linear`` and
 ``_span_basis``) is fraction-free Gauss-Jordan elimination on rows scaled
 to integers; results are divided by their pivots only where Fractions are
-returned.  ``affine_apply`` and
-``affine_compose`` likewise sum integer numerators over one common
-denominator (``_over_common``).  Only ``det`` and the Smith normal form keep
-eliminations of their own.  The one multigraph traversal,
-``_forest``, is a breadth-first spanning forest; its fundamental cycles are
-a lattice basis of the integer kernel of the incidence matrix.
+returned.  ``affine_apply`` and ``_affine_over`` likewise sum integer
+numerators over one common denominator (``_over_common``).  Only ``det``
+and the Smith normal form keep eliminations of their own.  The one
+multigraph traversal, ``_forest``, is a breadth-first spanning forest; its
+fundamental cycles are a lattice basis of the integer kernel of the
+incidence matrix.
 
 Vectors are plain tuples, matrices are tuples of row tuples.  All functions
 are pure; values are never mutated after construction.  A linear span is
@@ -68,10 +68,14 @@ def _too_long() -> InputError:
                       "(the integer digit limit) cannot be written")
 
 
-def _rat_str(x) -> str:
-    """The "p/q" string of x (plain "p" for an integer); see ``_too_long``."""
+def _rat_str(x, den: int = 1) -> str:
+    """The "p/q" string of x, or of the integer x over ``den`` (plain "p"
+    for an integer), in lowest terms; see ``_too_long``."""
     try:
-        return str(frac(x))
+        if type(x) is not int:
+            return str(frac(x))
+        g = gcd(x, den)
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
     except ValueError:
         raise _too_long() from None
 
@@ -156,10 +160,13 @@ def det(a: Mat) -> Fraction:
 # fraction-free elimination: rank, solve, kernel
 # ---------------------------------------------------------------------------
 
-def _over_common(row):
-    """A rational row as (integer numerators, the lcm of its denominators):
-    lowest terms, so equal rows give equal pairs.  An all-int row is
-    returned as it is, over 1."""
+def _over_common(row, den: int = 1):
+    """A rational row, or an integer row over ``den`` > 1, as (integer
+    numerators, the lcm of the entries' denominators): lowest terms, so
+    equal rows give equal pairs.  An all-int row over 1 is returned as it is."""
+    if den != 1:
+        g = gcd(den, *row)
+        return tuple(x // g for x in row), den // g
     if all(type(x) is int for x in row):
         return row, 1
     row = [frac(x) for x in row]
@@ -405,9 +412,11 @@ def affine_apply(linear: Mat, offset: Vec, x: Vec) -> Vec:
                  for (r, rd), b in zip(rows, bs, strict=True))
 
 
-def affine_compose(outer_lin: Mat, outer_off: Vec, inner_lin: Mat, inner_off: Vec):
-    """The affine map x -> outer(inner(x)) as a (linear, offset) pair."""
-    return mat_mul(outer_lin, inner_lin), affine_apply(outer_lin, outer_off, inner_off)
+def _affine_over(linear: Mat, num: IVec, den: int, x: IVec, xden: int):
+    """linear · x/xden + num/den for an integer matrix ``linear``, as
+    ``_over_common`` gives it: all in integers."""
+    return _over_common(tuple(xden * n + den * sum(a * y for a, y in zip(row, x))
+                              for row, n in zip(linear, num, strict=True)), den * xden)
 
 
 # ---------------------------------------------------------------------------

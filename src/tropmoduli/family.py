@@ -25,14 +25,17 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidFamily, NoCofacets, PointNotInComplex, SeedNotInGraph
 from .exact_linalg import (
+    _affine_over,
     _forest,
+    _over_common,
     _rat_str,
     affine_apply,
-    affine_compose,
-    frac,
+    mat_mul,
+    mat_rows,
     rank,
     solve_linear,
     vec,
@@ -57,7 +60,7 @@ from .polyhedral import (
     harmonicity_at,
     validate_complex,
 )
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, Offset, Record
 from .tropcurve import (
     CombinatorialType,
     ParameterizedTropicalCurve,
@@ -74,39 +77,46 @@ from .tropcurve import (
 # ---------------------------------------------------------------------------
 
 class AffineFn(FrozenRecord):
-    """Integral affine function on a face chart: x -> linear . x + offset."""
+    """Integral affine function on a face chart: x -> linear . x + offset,
+    the offset stored as for ``records.Offset``, with one numerator."""
 
-    __slots__ = ("linear", "offset")
-    def __init__(self, linear: tuple, offset: Fraction):
-        self.linear = linear  # integer row over the chart coordinates
-        self.offset = offset
+    __slots__ = ("linear", "num", "den")
+    def __init__(self, linear: tuple, offset, den: int = 1):
+        self.linear = tuple(linear)  # integer row over the chart coordinates
+        (self.num,), self.den = _over_common((offset,), den)
+
+    @property
+    def offset(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     def __call__(self, x):
         return sum((a * xi for a, xi in zip(self.linear, x)), Fraction(0)) + self.offset
 
     def is_zero(self) -> bool:
-        return self.offset == 0 and all(a == 0 for a in self.linear)
+        return self.num == 0 and all(a == 0 for a in self.linear)
 
-    def compose_embed(self, linear, offset) -> "AffineFn":
-        """Restrict along an affine embedding of another chart."""
-        lin, off = affine_compose((self.linear,), (self.offset,), linear, offset)
-        return AffineFn(tuple(lin[0]), off[0])
+    def compose_embed(self, linear, offset, den: int = 1) -> "AffineFn":
+        """Restrict along an affine embedding (offset as for the constructor)."""
+        (num,), d = _affine_over((self.linear,), (self.num,), self.den,
+                                 *_over_common(tuple(offset), den))
+        return AffineFn(mat_mul((self.linear,), linear)[0], num, d)
 
 
-class AffineMapN(FrozenRecord):
+class AffineMapN(Offset, FrozenRecord):
     """Integral affine map from a face chart to N_R."""
 
-    __slots__ = ("linear", "offset")
-    def __init__(self, linear: tuple, offset: tuple):
-        self.linear = linear  # dim rows, each an integer row over chart coordinates
-        self.offset = offset  # dim rationals
+    __slots__ = ("linear", "num", "den")
+    def __init__(self, linear: tuple, offset: tuple, den: int = 1):
+        self.linear = mat_rows(linear)  # dim rows, each an integer row over chart coordinates
+        self.num, self.den = _over_common(tuple(offset), den)  # dim numerators
 
     def __call__(self, x):
         return affine_apply(self.linear, self.offset, tuple(x))
 
-    def compose_embed(self, linear, offset) -> "AffineMapN":
-        lin, off = affine_compose(self.linear, self.offset, linear, offset)
-        return AffineMapN(tuple(tuple(r) for r in lin), tuple(off))
+    def compose_embed(self, linear, offset, den: int = 1) -> "AffineMapN":
+        return AffineMapN(mat_mul(self.linear, linear),
+                          *_affine_over(self.linear, self.num, self.den,
+                                        *_over_common(tuple(offset), den)))
 
 
 class FaceCurveData(Record):
@@ -175,7 +185,7 @@ def _affine_faults(f: FamilyDatum, fid: str):
     misshapen += [f"position of {u!r} has affine data of wrong shape"
                   for u, mp in data.positions.items()
                   if len(mp.linear) != f.dim or any(len(r) != rank for r in mp.linear)
-                  or len(mp.offset) != f.dim]
+                  or len(mp.num) != f.dim]
     return data, [], misshapen
 
 
@@ -229,10 +239,12 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
             continue
 
         pts = None  # built once per face, only when an edge relation fails
-        verts, rays, lines = face.chart.vrep()
+        (verts, rays, lines), _, _, keys = face.chart._incidences()
         for e, u, v in t.graph.edges:
             fn = data.lengths[e]
-            values = [fn(vec(w)) for w in verts]
+            # den·fn.den times the value at each vertex num/den: the same sign
+            values = [fn.den * sum(a * x for a, x in zip(fn.linear, num)) + fn.num * den
+                      for num, den in keys]
             ray_rates = [sum(a * x for a, x in zip(fn.linear, r)) for r in rays]
             line_rates = [sum(a * x for a, x in zip(fn.linear, l)) for l in lines]
             neg = next((w for w, y in zip(verts, values) if y < 0), None)
@@ -249,9 +261,8 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
             # the edge relation P_v - P_u = l_e * slope, coefficient by coefficient
             pu, pv, slope = data.positions[u], data.positions[v], t.slopes[e]
             if any(tuple(y - x for x, y in zip(ru, rv)) != tuple(c * k for k in fn.linear)
-                   or ov - ou != c * fn.offset
-                   for ru, rv, ou, ov, c in zip(pu.linear, pv.linear, vec(pu.offset),
-                                                vec(pv.offset), slope)):
+                   or (ov * pu.den - ou * pv.den) * fn.den != c * fn.num * pu.den * pv.den
+                   for ru, rv, ou, ov, c in zip(pu.linear, pv.linear, pu.num, pv.num, slope)):
                 pts = pts or _generating_points(face.chart)
                 x = next(x for x in pts
                          if vec_sub(pv(x), pu(x)) != vec_scale(fn(x), vec(slope)))
@@ -331,10 +342,10 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
         pos_sub = f.face_data[sub].positions
         pos_sup = f.face_data[sup].positions
         for e, u, v in gsup.edges:
-            restricted = lens_sup[e].compose_embed(inc.linear, inc.offset)
+            restricted = lens_sup[e].compose_embed(inc.linear, inc.num, inc.den)
             if e in phi.edge_map:
                 target = lens_sub[phi.edge_map[e]]
-                if restricted.linear != tuple(target.linear) or restricted.offset != target.offset:
+                if restricted != target:
                     report.add("2", subject, f"length of {e!r} disagrees on the sub-face")
                 if restricted.is_zero():
                     report.add("zero-locus", subject,
@@ -344,10 +355,9 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
                     report.add("zero-locus", subject,
                                f"contracted edge {e!r} has nonvanishing length on the sub-face")
         for u in gsup.vertex_ids():
-            restricted = pos_sup[u].compose_embed(inc.linear, inc.offset)
+            restricted = pos_sup[u].compose_embed(inc.linear, inc.num, inc.den)
             target = pos_sub[vm[u]]
-            if restricted.linear != tuple(map(tuple, target.linear)) \
-                    or restricted.offset != vec(target.offset):
+            if restricted != target:
                 report.add("3", subject, f"position of {u!r} disagrees on the sub-face")
     return report
 
@@ -407,15 +417,16 @@ def fiber(f: FamilyDatum, fid: str, coords) -> ParameterizedTropicalCurve:
 # the induced map to moduli
 # ---------------------------------------------------------------------------
 
-class FaceLift(Record):
-    __slots__ = ("face", "type", "canonical", "linear", "offset", "stab", "canon_vertex_map",
-                 "canon_edge_map")
+class FaceLift(Offset, Record):
+    __slots__ = ("face", "type", "canonical", "linear", "num", "den", "stab",
+                 "canon_vertex_map", "canon_edge_map")
     def __init__(self, face: str, type: CombinatorialType, canonical: str, linear: tuple,
                  offset: tuple, stab: StabilizationResult, canon_vertex_map: dict,
-                 canon_edge_map: dict):
-        self.face, self.canonical, self.offset = face, canonical, offset
+                 canon_edge_map: dict, den: int = 1):
+        self.face, self.canonical = face, canonical
         self.type = type  # canonical representative of the stabilized fiber type
         self.linear = linear  # stratum-coordinate rows over the chart
+        self.num, self.den = _over_common(tuple(offset), den)
         self.stab = stab  # the stabilized fiber type over the face
         self.canon_vertex_map = canon_vertex_map  # stabilized vertex id -> canonical id
         self.canon_edge_map = canon_edge_map  # stabilized edge id -> canonical id
@@ -437,38 +448,31 @@ def _canonical_order(canon_map: dict) -> list:
 
 
 def _lift_rows(f: FamilyDatum, fid: str, chains, vertices):
-    """Stratum-coordinate rows over the chart of face ``fid``.
+    """Stratum-coordinate rows over the chart of face ``fid``, and their
+    offsets as (numerators, denominator).
 
     One row per edge chain, the sum of the chain's length functions, then
     ``dim`` position rows per vertex; both lists come in canonical order.
     """
     data = f.face_data[fid]
-    face_rank = f.base.face(fid).rank
-    rows, offs = [], []
-    for chain in chains:
-        lin = [0] * face_rank
-        off = Fraction(0)
-        for gamma in chain:
-            fn = data.lengths[gamma]
-            lin = [a + b for a, b in zip(lin, fn.linear)]
-            off += fn.offset
-        rows.append(tuple(lin))
-        offs.append(off)
-    for u in vertices:
-        mp = data.positions[u]
-        for c in range(f.dim):
-            rows.append(tuple(mp.linear[c]))
-            offs.append(frac(mp.offset[c]))
-    return tuple(rows), tuple(offs)
+    fns = [[data.lengths[gamma] for gamma in chain] for chain in chains]
+    maps = [data.positions[u] for u in vertices]
+    den = lcm(*(fn.den for chain in fns for fn in chain), *(mp.den for mp in maps))
+    rows = [tuple(map(sum, zip(*(fn.linear for fn in chain)))) for chain in fns]  # chains: nonempty
+    offs = [sum(fn.num * (den // fn.den) for fn in chain) for chain in fns]
+    for mp in maps:
+        rows += map(tuple, mp.linear)
+        offs += (n * (den // mp.den) for n in mp.num)
+    return tuple(rows), *_over_common(tuple(offs), den)
 
 
 def _face_lift(f: FamilyDatum, fid: str) -> FaceLift:
     stab = stabilize_type(f.face_data[fid].type)
     cf = canonical_form(CombinatorialType(stab.graph, stab.slopes, f.dim))
     chains = [stab.edge_chains[e] for e in _canonical_order(cf.edge_map)]
-    linear, offset = _lift_rows(f, fid, chains, _canonical_order(cf.vertex_map))
+    linear, num, den = _lift_rows(f, fid, chains, _canonical_order(cf.vertex_map))
     return FaceLift(face=fid, type=cf.type, canonical=cf.string,
-                    linear=linear, offset=offset, stab=stab,
+                    linear=linear, offset=num, den=den, stab=stab,
                     canon_vertex_map=dict(cf.vertex_map),
                     canon_edge_map=dict(cf.edge_map))
 
@@ -589,14 +593,15 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
             vmap, emap = maps
             rev_emap = {sub_e: sup_e for sup_e, sub_e in emap.items()}
             rev_vmap = {sub_v: sup_v for sup_v, sub_v in vmap.items()}
-            rows, offs = _lift_rows(f, sup,
-                                    [stab_sup.edge_chains[rev_emap[e]] for e in edges_w],
-                                    [rev_vmap[u] for u in verts_w])
+            rows, num, den = _lift_rows(f, sup,
+                                        [stab_sup.edge_chains[rev_emap[e]] for e in edges_w],
+                                        [rev_vmap[u] for u in verts_w])
             # the rewritten lift must restrict to the face lift exactly
-            if affine_compose(rows, offs, inc.linear, inc.offset) != (lift_w.linear, lift_w.offset):
+            if mat_mul(rows, inc.linear) != lift_w.linear or \
+                    _affine_over(rows, num, den, inc.num, inc.den) != (lift_w.num, lift_w.den):
                 raise InvalidFamily(
                     f"lift over {sup!r} does not restrict to the lift over {w!r}")
-            per_face[sup] = (rows, offs)
+            per_face[sup] = (rows, tuple(Fraction(n, den) for n in num))
         local = PIAMap(source=f.base, target_dim=len(lift_w.linear), per_face=per_face)
         res = harmonicity_at(local, w)
         if res.verdict == Harmonicity.HARMONIC:

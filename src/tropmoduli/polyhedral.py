@@ -35,6 +35,7 @@ from .errors import (
     UnknownFace,
 )
 from .exact_linalg import (
+    _affine_over,
     _forest,
     _int_echelon,
     _over_common,
@@ -50,12 +51,11 @@ from .exact_linalg import (
     primitive_vector,
     rank,
     smith_normal_form,
-    solve_linear,
     strict_positive_combination,
     vec,
     vec_dot,
 )
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, Offset, Record
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +65,13 @@ from .records import FrozenRecord, Record
 class Polyhedron:
     """Intersection of half-spaces <n,x> >= o with integral normals.
 
-    Equalities are stored separately.  One integer incidence pass, computed
-    on demand and cached on the instance, gives the V-representation
-    (vertices, rays and lineality generators) and records which
-    inequalities are tight at each vertex and each ray, with each vertex
-    keyed by its lowest-terms (numerators, denominator).  Every query is
-    read off those incidences and solves no LP: ``is_empty``,
+    Equalities are stored separately.  Polyhedra with equal constraints are
+    equal, and a complex keeps one of them (see ``PolyhedralComplex``).  One
+    integer incidence pass, computed on demand and cached on the instance,
+    gives the V-representation (vertices, rays and lineality generators) and
+    records which inequalities are tight at each vertex and each ray, with
+    each vertex keyed by its lowest-terms (numerators, denominator).  Every
+    query is read off those incidences and solves no LP: ``is_empty``,
     ``has_interior``, ``dim`` and ``proper_faces``, and the points
     ``feasible_point`` and ``interior_point``, built from the generators
     of P = conv(vertices) + cone(rays) + span(lines) (Minkowski-Weyl).
@@ -84,7 +85,16 @@ class Polyhedron:
         for n, _ in self.ineqs + self.eqs:
             if len(n) != ambient_dim:
                 raise DimMismatch("constraint normal has wrong length")
+        self._key = (ambient_dim, tuple(n + (o.numerator, o.denominator) for n, o in self.ineqs),
+                     tuple(n + (o.numerator, o.denominator) for n, o in self.eqs))
+        self._hash = hash(self._key)
         self._cache = {}
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"Polyhedron(dim={self.ambient_dim}, ineqs={len(self.ineqs)}, eqs={len(self.eqs)})"
@@ -314,14 +324,14 @@ class Face(FrozenRecord):
         self.id, self.rank, self.chart, self.label = id, rank, chart, label
 
 
-class FaceInclusion(FrozenRecord):
+class FaceInclusion(Offset, FrozenRecord):
     """Integral affine embedding of a sub-face chart into a super-face chart."""
 
-    __slots__ = ("sub", "super", "linear", "offset")
-    def __init__(self, sub: str, super: str, linear: tuple, offset: tuple):
+    __slots__ = ("sub", "super", "linear", "num", "den")
+    def __init__(self, sub: str, super: str, linear: tuple, offset: tuple, den: int = 1):
         self.sub, self.super = sub, super
-        self.linear = linear  # super_rank x sub_rank integer matrix
-        self.offset = offset  # super_rank rationals
+        self.linear = mat_rows(linear)  # super_rank x sub_rank integer matrix
+        self.num, self.den = _over_common(tuple(offset), den)  # super_rank numerators
 
     def apply(self, x):
         return affine_apply(self.linear, self.offset, tuple(x))
@@ -330,18 +340,22 @@ class FaceInclusion(FrozenRecord):
 class PolyhedralComplex:
     """Finite face set glued along integral affine inclusions.
 
-    Instances are treated as immutable once built; all queries are read-only
-    and cache their results on the instance.  Each face's sub- and super-face
-    ids are indexed once, in stored inclusion order.
+    Instances are treated as immutable once built; all queries are read-only.
+    Faces with equal charts share the first such chart, so chart geometry
+    (incidences, face lattice) is cached once per distinct chart, and
+    ``star`` caches stars and directions on the complex.  Each face's sub-
+    and super-face ids are indexed once, in stored inclusion order.
     """
 
     def __init__(self, faces: Sequence[Face], inclusions: Sequence[FaceInclusion],
                  maximal_faces: Sequence[str] | None = None):
         self.faces = {}
+        charts = {}  # chart -> the first equal chart
         for f in faces:
             if f.id in self.faces:
                 raise ValueError(f"duplicate face id {f.id!r}")
-            self.faces[f.id] = f
+            chart = charts.setdefault(f.chart, f.chart)
+            self.faces[f.id] = f if chart is f.chart else Face(f.id, f.rank, chart, f.label)
         self.inclusions = {}
         self._subs = {fid: [] for fid in self.faces}  # face id -> sub-face ids
         self._supers = {fid: [] for fid in self.faces}  # face id -> super-face ids
@@ -354,7 +368,7 @@ class PolyhedralComplex:
             sub_rank = self.faces[inc.sub].rank
             super_rank = self.faces[inc.super].rank
             if len(inc.linear) != super_rank or any(len(r) != sub_rank for r in inc.linear) \
-                    or len(inc.offset) != super_rank:
+                    or len(inc.num) != super_rank:
                 raise DimMismatch(f"inclusion {key} has affine data of wrong shape")
             self.inclusions[key] = inc
             self._subs[inc.super].append(inc.sub)
@@ -412,15 +426,11 @@ class ValidationReport(Record):
         return "\n".join(str(v) for v in self.violations)
 
 
-def _image(complex_, inc: FaceInclusion, off, oden):
-    """The sub chart's lowest-terms vertex keys, primitive rays and lines
-    mapped through ``inc`` (offset off/oden), all in integers."""
-    (_, rays, lines), _, _, keys = complex_.face(inc.sub).chart._incidences()
-    ikeys = []
-    for num, den in keys:
-        img = [oden * _dot(row, num) + den * o for row, o in zip(inc.linear, off)]
-        g = math.gcd(den * oden, *img)
-        ikeys.append((tuple(x // g for x in img), den * oden // g))
+def _image(chart: Polyhedron, inc: FaceInclusion):
+    """The lowest-terms vertex keys, primitive rays and lines of the sub
+    chart ``chart`` mapped through ``inc``, all in integers."""
+    (_, rays, lines), _, _, keys = chart._incidences()
+    ikeys = [_affine_over(inc.linear, inc.num, inc.den, num, den) for num, den in keys]
     mapped = lambda vs: [primitive_vector(tuple(_dot(row, v) for row in inc.linear)) for v in vs]
     return ikeys, mapped(rays), mapped(lines)
 
@@ -441,7 +451,8 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
     Chart queries read the charts' integer incidences and solve no LP.  Only
     related pairs are visited, through the complex's sub- and super-face
     index; violations come out in a fixed order (faces and inclusions in
-    stored order, face pairs in sorted order).
+    stored order, face pairs in sorted order).  Saturation and images are
+    decided once per call and key (see ``faults`` and ``images``).
     """
     report = ValidationReport()
     for f in c.faces.values():
@@ -461,7 +472,6 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             report.add("order", f"{a}->{b}", "inclusion relation is not antisymmetric")
         if c.faces[a].rank >= c.faces[b].rank:
             report.add("order", f"{a}->{b}", "sub-face rank must be smaller than super-face rank")
-    offsets = {key: _over_common(inc.offset) for key, inc in c.inclusions.items()}
     for (a, b), inc_ab in c.inclusions.items():
         for d in c._supers[b]:
             if a == d:
@@ -469,48 +479,51 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             if (a, d) not in c.inclusions:
                 report.add("order", f"{a}->{d}", f"missing composite of {a}->{b} and {b}->{d}")
                 continue
-            inc_bd = c.inclusions[(b, d)]
-            # offsets p/q, s/t, u/w of a->b, b->d, a->d: L_bd·p/q + s/t = u/w
-            (p, q), (s, t), (u, w) = offsets[(a, b)], offsets[(b, d)], offsets[(a, d)]
-            if mat_rows(c.inclusions[(a, d)].linear) != mat_mul(inc_bd.linear, inc_ab.linear) \
-                    or any(w * (t * sum(x * y for x, y in zip(row, p)) + q * si) != q * t * ui
-                           for row, si, ui in zip(inc_bd.linear, s, u, strict=True)):
+            inc_bd, inc_ad = c.inclusions[(b, d)], c.inclusions[(a, d)]
+            if inc_ad.linear != mat_mul(inc_bd.linear, inc_ab.linear) or (inc_ad.num, inc_ad.den) \
+                    != _affine_over(inc_bd.linear, inc_bd.num, inc_bd.den, inc_ab.num, inc_ab.den):
                 report.add("order", f"{a}->{d}", "stored inclusion differs from the composite")
 
     # axiom 5 + image faces, as (vertex ids, ray ids) of the super chart
     image_face = {}  # (sub, super) -> (vertex ids, ray ids) of a proper face, or None
-    index = {}  # face id -> (vertex key -> id, ray -> id, lines, whole key, proper face keys)
+    faults = {}  # linear part -> axiom-5 message, or None when saturated
+    images = {}  # (sub chart, super chart, linear, num, den) -> face key, or None
+    index = {}  # chart -> (vertex key -> id, ray -> id, lines, whole key, proper face keys)
     for (a, b), inc in c.inclusions.items():
-        cols = [ivec(col) for col in zip(*inc.linear)] if inc.linear and inc.linear[0] else []
-        sub_rank = c.faces[a].rank
-        if sub_rank > 0:
+        fault = faults.get(inc.linear, ...) if c.faces[a].rank > 0 else None
+        if fault is ...:
             try:
-                if not is_saturated(cols, c.faces[b].rank):
-                    report.add("5", f"{a}->{b}", "lattice image is not saturated")
-                    continue
+                fault = None if is_saturated([ivec(col) for col in zip(*inc.linear)],
+                                             len(inc.linear)) else "lattice image is not saturated"
             except DependentGenerators:
-                report.add("5", f"{a}->{b}", "inclusion linear part is not injective")
-                continue
-        if b not in index:
-            chart = c.faces[b].chart
+                fault = "inclusion linear part is not injective"
+            faults[inc.linear] = fault
+        if fault:
+            report.add("5", f"{a}->{b}", fault)
+            continue
+        sub_chart, chart = c.faces[a].chart, c.faces[b].chart
+        if chart not in index:
             (_, rays, lines), _, _, keys = chart._incidences()
-            index[b] = ({k: i for i, k in enumerate(keys)}, {r: i for i, r in enumerate(rays)},
-                        lines, (frozenset(range(len(keys))), frozenset(range(len(rays)))),
-                        {(pf.vert_ids, pf.ray_ids) for pf in chart.proper_faces()})
-        vert_id, ray_id, lines, whole, proper = index[b]
-        img_keys, img_rays, img_lines = _image(c, inc, *offsets[(a, b)])
-        # a generator outside the super chart gets id None, which no face has
-        key = (frozenset(vert_id.get(k) for k in img_keys),
-               frozenset(ray_id.get(r) for r in img_rays))
-        if (key == whole or key in proper) and \
-                rank(img_lines) == rank(lines) == rank([*img_lines, *lines]):  # equal spans
-            if key == whole:
-                report.add("3", f"{a}->{b}", "image equals the whole super chart")
-                continue
-            image_face[(a, b)] = key
-        else:
-            report.add("5", f"{a}->{b}", "image of sub chart is not a face of the super chart")
+            index[chart] = ({k: i for i, k in enumerate(keys)}, {r: i for i, r in enumerate(rays)},
+                            lines, (frozenset(range(len(keys))), frozenset(range(len(rays)))),
+                            {(pf.vert_ids, pf.ray_ids) for pf in chart.proper_faces()})
+        vert_id, ray_id, lines, whole, proper = index[chart]
+        memo = (sub_chart, chart, inc.linear, inc.num, inc.den)
+        key = images.get(memo, ...)
+        if key is ...:
+            img_keys, img_rays, img_lines = _image(sub_chart, inc)
+            # a generator outside the super chart gets id None, which no face has
+            key = (frozenset(vert_id.get(k) for k in img_keys),
+                   frozenset(ray_id.get(r) for r in img_rays))
+            # a face, and the image lines span the chart's lineality space
+            key = images[memo] = key if (key == whole or key in proper) and \
+                rank(img_lines) == rank(lines) == rank([*img_lines, *lines]) else None
+        image_face[(a, b)] = key
+        if key == whole:
+            report.add("3", f"{a}->{b}", "image equals the whole super chart")
             image_face[(a, b)] = None
+        elif key is None:
+            report.add("5", f"{a}->{b}", "image of sub chart is not a face of the super chart")
 
     # axiom 3: every proper face of a chart is covered exactly once
     resolver = {}  # (face id, PFace key) -> sub id
@@ -591,44 +604,53 @@ def star(c: PolyhedralComplex, w: str) -> StarData:
     first stored inequality of the cofacet chart that is tight at every image
     vertex, zero on every image ray and not zero on the generator.  The
     embedded face is read off the charts' integer incidences, so no LP is
-    solved.  Assumes the complex is valid.
+    solved; ``_direction`` runs once per complex and key.  Assumes the complex
+    is valid.
     """
     cache = c._cache.setdefault('star', {})
     if w in cache:
         return cache[w]
+    directions = c._cache.setdefault('directions', {})  # see _direction
     face = c.face(w)
     dirs = []
     for inc in c.cofacet_inclusions(w):
-        r = c.faces[inc.super].rank
-        if face.rank == 0:
-            e = (1,)
-        else:
-            # column r - 1 of u^-1 for the Smith form u·linear·v = s
-            u, _, _ = smith_normal_form(inc.linear)
-            e = tuple(int(x) for x in solve_linear(u, tuple(int(i == r - 1) for i in range(r))))
         if face.chart.is_empty() if face.rank == 0 else not face.chart.has_interior():
             raise TropModuliError(f"face {w!r} has no interior point")
-        keys, rays, _ = _image(c, inc, *_over_common(inc.offset))
-        oriented = None
-        for n, o in c.faces[inc.super].chart.ineqs:
-            row = _integer_row(n, o)
-            if any(_dot(row, num) != row[-1] * den for num, den in keys) or \
-                    any(_dot(n, ray) for ray in rays):
-                continue
-            d = _dot(n, e)
-            if d > 0:
-                oriented = e
-                break
-            if d < 0:
-                oriented = tuple(-x for x in e)
-                break
-        if oriented is None:
+        key = (face.chart, c.faces[inc.super].chart, inc.linear, inc.num, inc.den)
+        e = directions.get(key, ...)
+        if e is ...:
+            e = directions[key] = _direction(*key[:2], inc)
+        if e is None:
             raise TropModuliError(
                 f"image of {w!r} is not a facet of {inc.super!r}; validate the complex first")
-        dirs.append((inc.super, oriented))
+        dirs.append((inc.super, e))
     sd = StarData(face=w, directions=tuple(dirs))
     cache[w] = sd
     return sd
+
+
+def _direction(sub_chart: Polyhedron, chart: Polyhedron, inc: FaceInclusion):
+    """The generator of N_chart / N_sub_chart that ``star`` takes, oriented
+    into ``chart``, or None when the image of ``sub_chart`` is no facet: column
+    r - 1 of u^-1 for the Smith form u·linear·v = s, the one solution of
+    u·e = (0, ..., 0, 1), which is integral because u is unimodular."""
+    r = len(inc.linear)
+    e = (1,)
+    if r > 1:
+        u, _, _ = smith_normal_form(inc.linear)
+        red, _ = _int_echelon([row + (int(i == r - 1),) for i, row in enumerate(u)], r)
+        e = tuple(row[r] // row[i] for i, row in enumerate(red))
+        assert all(row[r] % row[i] == 0 for i, row in enumerate(red)), "u is not unimodular"
+    keys, rays, _ = _image(sub_chart, inc)
+    for n, o in chart.ineqs:
+        row = _integer_row(n, o)
+        if any(_dot(row, num) != row[-1] * den for num, den in keys) or \
+                any(_dot(n, ray) for ray in rays):
+            continue
+        d = _dot(n, e)
+        if d:
+            return e if d > 0 else tuple(-x for x in e)
+    return None
 
 
 class PIAMap(FrozenRecord):
@@ -800,7 +822,8 @@ def _stratum_chart(s: Stratum) -> Polyhedron:
 
 
 def _skeleton_inclusion(sub: Stratum, sup: Stratum) -> tuple:
-    """Affine embed of the chart of ``sub`` into the chart of ``sup``.
+    """Affine embed of the chart of ``sub`` into the chart of ``sup``, as
+    (linear, offset numerators, offset denominator).
 
     ``sub`` is the shallower stratum (smaller polyhedron): sup <= sub.  Each
     coordinate of the ``sup`` chart is the same coordinate of the ``sub``
@@ -811,7 +834,8 @@ def _skeleton_inclusion(sub: Stratum, sup: Stratum) -> tuple:
     sup_coords = _chart_coords(sup)[1]
     rows = tuple(tuple(-(y in sub.verticals) if x == dropped else int(y == x) for y in coords)
                  for x in sup_coords)
-    return rows, tuple(sup.length if x == dropped else Fraction(0) for x in sup_coords)
+    n, d = sup.length.numerator, sup.length.denominator
+    return rows, tuple(n if x == dropped else 0 for x in sup_coords), d
 
 
 def build_skeleton(d: SemistablePairData) -> PolyhedralComplex:

@@ -3,6 +3,8 @@ in their own ``__init__``.  Records of one class with equal fields are equal.
 A ``FrozenRecord`` is never assigned to after construction and hashes by its
 fields; any other record is unhashable."""
 
+from fractions import Fraction
+
 
 class Record:
     __slots__ = ()
@@ -22,3 +24,14 @@ class FrozenRecord(Record):
 
     def __hash__(self):
         return hash(tuple(getattr(self, k) for k in self.__slots__))
+
+
+class Offset:
+    """A record whose offset, given as rationals or as integers over ``den``,
+    is stored once as lowest-terms integers ``num`` over one ``den``
+    (``exact_linalg._over_common``); ``offset`` builds its Fractions."""
+    __slots__ = ()
+
+    @property
+    def offset(self):
+        return tuple(Fraction(n, self.den) for n in self.num)

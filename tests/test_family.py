@@ -291,3 +291,39 @@ def test_propagate_unknown_seed():
     wg = wall_graph(resolve_4valent(cross_type(), "v"))
     with pytest.raises(SeedNotInGraph):
         propagate_closure(wg, {"n99"})
+
+
+def test_offsets_are_integers_once_from_the_document_on(monkeypatch):
+    """Reading a family document, validating its base and the family and
+    lifting it pass no non-integer row to ``_over_common`` and build few
+    Fractions: offsets are read into integers once, in the document walk.
+    Before they were stored that way, these two documents cost 165
+    non-integer rows and 405 Fractions."""
+    from tropmoduli import exact_linalg, family, polyhedral
+    from tropmoduli.documents import family_from_doc, family_to_doc
+    from tropmoduli.polyhedral import validate_complex
+
+    from helpers import path_family, quadrant_family
+
+    path = path_family([(1, 0), (1, 1), (0, 1)], [Fraction(3, 2), Fraction(2, 3), 2])
+    docs = [family_to_doc(path), family_to_doc(quadrant_family())]
+    counts = {"rows": 0, "fractions": 0}
+    over_common, new = exact_linalg._over_common, Fraction.__new__
+
+    def counted_over_common(row, *den):
+        counts["rows"] += not all(type(x) is int for x in row)
+        return over_common(row, *den)
+
+    def counted_new(cls, *args, **kwargs):
+        counts["fractions"] += 1
+        return new(cls, *args, **kwargs)
+    for module in (exact_linalg, family, polyhedral):
+        monkeypatch.setattr(module, "_over_common", counted_over_common)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    for doc in docs:
+        f = family_from_doc(doc)
+        assert validate_complex(f.base).ok and validate_family(f).ok
+        induced_alpha(f)
+    monkeypatch.undo()
+    assert counts["rows"] == 0
+    assert counts["fractions"] <= 40, counts  # 19: chart offsets and vertices

@@ -551,3 +551,147 @@ def test_inclusions_onto_two_super_charts_are_each_flagged():
     report = validate_complex(c)
     assert [v.subject for v in report.violations if v.axiom == "3"][:2] == ["F->E", "F->G"]
     assert str(report) == str(reference.validate_complex(c))
+
+
+# ---------------------------------------------------------------------------
+# equal charts: one object per complex, and verdicts that sharing never moves
+# ---------------------------------------------------------------------------
+
+def _cli_skeleton(tmp_path, monkeypatch):
+    """The skeleton the benchmark's seed-1 cli batch writes for scenario 0,
+    read back with ``complex_from_doc``."""
+    import importlib.util
+    import json
+    import sys
+    from pathlib import Path
+
+    from tropmoduli import cli
+    from tropmoduli.documents import complex_from_doc
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    workloads.cli_prepare(1, "tiny", tmp_path)  # scenario 0 is the same at every size
+    out = tmp_path / "complex.json"
+    assert cli.main(["skeleton", str(tmp_path / "s0" / "pair.json"), "-o", str(out)]) == 0
+    return complex_from_doc(json.loads(out.read_text(encoding="utf-8"))["payload"])
+
+
+def _incidence_passes(monkeypatch):
+    """A counter of ``_incidences`` cache misses, from now on."""
+    passes = []
+    orig = Polyhedron._incidences
+
+    def counted(self):
+        if 'incidences' not in self._cache:
+            passes.append(self)
+        return orig(self)
+    monkeypatch.setattr(Polyhedron, "_incidences", counted)
+    return passes
+
+
+def _assert_shared(c):
+    """Equal charts are one object; returns the number of distinct charts."""
+    charts = {}
+    for f in c.faces.values():
+        assert charts.setdefault(f.chart, f.chart) is f.chart, f.id
+    return len(charts)
+
+
+def test_equal_charts_are_shared_and_read_once(tmp_path, monkeypatch):
+    c = _cli_skeleton(tmp_path, monkeypatch)
+    monkeypatch.undo()
+    assert (len(c.faces), _assert_shared(c)) == (32, 12)
+    sk = build_skeleton(template_pair_data(random.Random(5), *COMPLEX_TEMPLATES[1]))
+    distinct = _assert_shared(sk)
+    assert distinct < len(sk.faces)
+    seg = lambda: Polyhedron(1, [((1,), 0), ((-1,), -1)])
+    by_hand = PolyhedralComplex(  # a circle of two segments
+        [Face("O", 0, Polyhedron(0)), Face("P", 0, Polyhedron(0)), Face("A", 1, seg(), "a"),
+         Face("B", 1, seg())],
+        [FaceInclusion(v, e, ((),), (t,)) for v, e, t in
+         (("O", "A", 0), ("P", "A", 1), ("O", "B", 1), ("P", "B", 0))])
+    assert _assert_shared(by_hand) == 2 and by_hand.faces["B"].chart is by_hand.faces["A"].chart
+    assert by_hand.faces["B"] == Face("B", 1, seg()) and by_hand.faces["A"].label == "a"
+    assert seg() == seg() and hash(seg()) == hash(seg()) and seg() != Polyhedron(1)
+    for complex_, charts in ((c, 12), (sk, distinct), (by_hand, 2)):
+        passes = _incidence_passes(monkeypatch)
+        assert validate_complex(complex_).ok
+        assert len(passes) == charts
+        monkeypatch.undo()
+
+
+def _unshared(c):
+    """A copy of ``c`` in which every face has a chart object of its own."""
+    copy = PolyhedralComplex(c.faces.values(), c.inclusions.values(), c.maximal_faces)
+    copy.faces = {fid: Face(f.id, f.rank, Polyhedron(f.rank, f.chart.ineqs, f.chart.eqs), f.label)
+                  for fid, f in c.faces.items()}
+    return copy
+
+
+def _star_or_error(c, w):
+    try:
+        return star(c, w)
+    except Exception as exc:  # the two copies must fail alike too
+        return type(exc).__name__, str(exc)
+
+
+def _adversarial_complexes():
+    """Inclusions whose charts (and linear parts) equal those of a valid
+    inclusion, but whose image is another face or no face at all."""
+    seg = lambda: Polyhedron(1, [((1,), 0), ((-1,), -1)])
+    square = lambda: Polyhedron(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)])
+    point = Polyhedron(0)
+    # equal charts, different maps: Q lands on the far end of E1 but inside E2
+    yield PolyhedralComplex(
+        [Face("P", 0, point), Face("Q", 0, point), Face("E1", 1, seg()), Face("E2", 1, seg())],
+        [FaceInclusion("P", "E1", ((),), (0,)), FaceInclusion("Q", "E1", ((),), (1,)),
+         FaceInclusion("P", "E2", ((),), (0,)),
+         FaceInclusion("Q", "E2", ((),), (Fraction(1, 2),))])
+    edges = [Face(f"L{i}", 1, seg()) for i in range(4)]
+    corners = [Face(f"V{i}", 0, point) for i in range(4)]
+    for offset, linear in (((0, Fraction(1, 2)), ((1,), (0,))),  # equal linear, other offset
+                           ((0, 0), ((1,), (1,)))):  # the diagonal: equal charts, no face
+        sides = [((1,), (0,)), ((0,), (1,)), ((1,), (0,)), ((0,), (1,))]
+        starts = [(0, 0), (0, 0), (0, 1), (1, 0)]
+        incs = [FaceInclusion(f"L{i}", "F", lin, off) for i, (lin, off) in enumerate(zip(sides, starts))]
+        incs[3:] = [FaceInclusion("L3", "F", linear, offset)]
+        ends = {0: ((0, 0), (1, 0)), 1: ((0, 0), (0, 1)), 2: ((0, 1), (1, 1)), 3: ((1, 0), (1, 1))}
+        corner = {(0, 0): "V0", (1, 0): "V1", (0, 1): "V2", (1, 1): "V3"}
+        for i, pts in ends.items():
+            for t, p in enumerate(pts):
+                incs.append(FaceInclusion(corner[p], f"L{i}", ((),), (t,)))
+                incs.append(FaceInclusion(corner[p], "F", ((),) * 2, p))
+        incs = list({(i.sub, i.super): i for i in incs}.values())
+        yield PolyhedralComplex([*corners, *edges, Face("F", 2, square())], incs)
+    # A maps onto the whole of W1, which is no face; axiom 4 must skip the pair
+    # (A, P), whose images in W2 do not meet
+    yield PolyhedralComplex(
+        [Face("P", 0, point), Face("A", 1, seg()), Face("W1", 1, seg()), Face("W2", 2, square())],
+        [FaceInclusion("A", "W1", ((1,),), (0,)), FaceInclusion("P", "W1", ((),), (0,)),
+         FaceInclusion("A", "W2", ((1,), (0,)), (0, 0)),
+         FaceInclusion("P", "W2", ((), ()), (0, 1))])
+
+
+def test_sharing_never_changes_a_verdict():
+    """validate_complex and star agree on a complex with shared charts, on a
+    copy with a chart object per face, and with the reference validation,
+    over the skeleton templates, their mutations and adversarial cases."""
+    rng = random.Random(41)
+    cases = []
+    for nv, nh, maximal in COMPLEX_TEMPLATES:
+        sk = build_skeleton(template_pair_data(rng, nv, nh, maximal))
+        cases += [sk] + [PolyhedralComplex(faces, incs) for faces, incs in _mutations(sk, rng)]
+    adversarial = list(_adversarial_complexes())
+    flagged = 0
+    for c in cases + adversarial:
+        got = str(validate_complex(c))
+        assert got == str(validate_complex(_unshared(c))) == str(reference.validate_complex(c))
+        flagged += c in adversarial and ("AXIOM(5)" in got or "AXIOM(4)" not in got)
+        copy = _unshared(c)
+        for w in c.faces:
+            if c.cofacet_inclusions(w):
+                assert _star_or_error(c, w) == _star_or_error(copy, w), w
+    assert flagged == len(adversarial) == 4

@@ -6,6 +6,7 @@ the mutable ones are unhashable.
 """
 
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -34,11 +35,17 @@ def _classes(table):
 
 RECORDS = [(cls, True) for cls in _classes(FROZEN)] + [(cls, False) for cls in _classes(MUTABLE)]
 
-# fields for the records whose constructor checks them; any others take any values
+# fields for the records whose constructor checks or converts them; any
+# others take any values
 VALID = {
     "WeightedGraph": lambda: ((("v", 0),), (("e", "v", "v"),), (("l", "v"),)),
     "TropicalCurve": lambda: (
         tropmoduli.WeightedGraph((("v", 0),), (("e", "v", "v"),), ()), {"e": 1}),
+    # an offset is stored as integer numerators over one denominator
+    "FaceInclusion": lambda: ("a", "b", ((1,), (0,)), (Fraction(1, 2), 3)),
+    "AffineFn": lambda: ((1, 2), Fraction(3, 4)),
+    "AffineMapN": lambda: (((1,), (2,)), (Fraction(1, 3), 0)),
+    "FaceLift": lambda: ("f", None, "c", ((1,),), (Fraction(1, 2),), None, {}, {}),
 }
 
 
@@ -93,3 +100,22 @@ def test_canonical_form_hashes_by_its_string():
     assert hash(a) == hash("s")
     assert a == CanonicalForm(("k",), "s", {}, {}, None)
     assert a != CanonicalForm(("j",), "s", {}, {}, None)
+
+
+def test_offsets_keep_their_values_equality_and_hashing():
+    """Offsets given as rationals or as integers over a denominator are
+    stored once in lowest terms, and read back as the same Fractions."""
+    from tropmoduli.family import AffineFn, AffineMapN
+    from tropmoduli.polyhedral import FaceInclusion
+
+    a = FaceInclusion("a", "b", [[1], [0]], (Fraction(1, 2), 3))
+    b = FaceInclusion("a", "b", ((1,), (0,)), (3, 18), 6)
+    assert a == b and hash(a) == hash(b)
+    assert (a.num, a.den) == ((1, 6), 2) and a.offset == (Fraction(1, 2), 3)
+    assert all(type(x) is Fraction for x in a.offset)
+    assert a != FaceInclusion("a", "b", ((1,), (0,)), (Fraction(1, 2), 4))
+    f = AffineFn((1,), "-4/6")
+    assert f == AffineFn((1,), -2, 3) and f.offset == Fraction(-2, 3)
+    assert (f.num, f.den) == (-2, 3)
+    m = AffineMapN(((1,),), (0,), 5)
+    assert (m.num, m.den) == ((0,), 1) and m.offset == (0,)
