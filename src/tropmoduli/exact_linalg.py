@@ -11,8 +11,8 @@ rows·x = 0 a solution with x_i >= 1 on given coordinates?  The one row
 reduction (``_int_echelon``, behind ``rank``, ``solve_linear`` and
 ``_span_basis``) is fraction-free Gauss-Jordan elimination on rows scaled
 to integers; results are divided by their pivots only where Fractions are
-returned.  ``affine_apply`` and ``_affine_over`` likewise sum integer
-numerators over one common denominator (``_over_common``).  Only ``det``
+returned.  ``_affine_over`` likewise sums affine maps as integer numerators
+over one common denominator (``_over_common``).  Only ``det``
 and the Smith normal form keep eliminations of their own.  The one
 multigraph traversal, ``_forest``, is a breadth-first spanning forest; its
 fundamental cycles are a lattice basis of the integer kernel of the
@@ -108,10 +108,6 @@ def vec_scale(c, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-def vec_dot(a: Vec, b: Vec):
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
-
-
 def mat_rows(m: Sequence[Sequence]) -> Mat:
     return tuple(tuple(row) for row in m)
 
@@ -124,12 +120,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
         for i in range(len(a))
     )
-
-
-def mat_vec(a: Mat, x: Vec) -> Vec:
-    if a and len(a[0]) != len(x):
-        raise DimMismatch(f"matrix has {len(a[0])} columns, vector has {len(x)}")
-    return tuple(sum((row[k] * x[k] for k in range(len(x))), Fraction(0)) for row in a)
 
 
 def det(a: Mat) -> Fraction:
@@ -377,20 +367,18 @@ def integer_solve(a: Sequence[IVec], b: IVec) -> IVec | None:
     if not a:
         return None
     rows, cols = len(a), len(a[0])
+    if len(b) != rows:
+        raise DimMismatch(f"matrix has {rows} columns, vector has {len(b)}")  # u in u·b
     u, s, v = smith_normal_form(a)
-    ub = mat_vec(u, vec(b))
-    y = [Fraction(0)] * cols
-    for i in range(rows):
+    y = [0] * cols
+    for i, row in enumerate(u):
+        ub = sum(p * q for p, q in zip(row, b))
         d = s[i][i] if i < cols else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] / d
-    x = mat_vec(v, tuple(y))
-    return tuple(int(c) for c in x)
+        if (ub % d if d else ub) != 0:
+            return None
+        if d:
+            y[i] = ub // d
+    return tuple(sum(p * q for p, q in zip(row, y)) for row in v)
 
 
 def integer_kernel(a: Sequence[IVec], ncols: int) -> list:
@@ -400,16 +388,6 @@ def integer_kernel(a: Sequence[IVec], ncols: int) -> list:
     _, s, v = smith_normal_form(a)
     r = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i] != 0)
     return [tuple(v[i][j] for i in range(ncols)) for j in range(r, ncols)]
-
-
-def affine_apply(linear: Mat, offset: Vec, x: Vec) -> Vec:
-    """linear · x + offset, summed over integers and made a Fraction once."""
-    if linear and len(linear[0]) != len(x):
-        raise DimMismatch(f"matrix has {len(linear[0])} columns, vector has {len(x)}")
-    (xs, xd), (bs, bd) = _over_common(x), _over_common(offset)
-    rows = [_over_common(row) for row in linear]
-    return tuple(Fraction(bd * sum(a * y for a, y in zip(r, xs)) + rd * xd * b, rd * xd * bd)
-                 for (r, rd), b in zip(rows, bs, strict=True))
 
 
 def _affine_over(linear: Mat, num: IVec, den: int, x: IVec, xden: int):

@@ -33,7 +33,6 @@ from .exact_linalg import (
     _forest,
     _over_common,
     _rat_str,
-    affine_apply,
     mat_mul,
     mat_rows,
     rank,
@@ -60,7 +59,7 @@ from .polyhedral import (
     harmonicity_at,
     validate_complex,
 )
-from .records import FrozenRecord, Offset, Record
+from .records import FrozenRecord, Offset, Record, _affine_at
 from .tropcurve import (
     CombinatorialType,
     ParameterizedTropicalCurve,
@@ -90,7 +89,7 @@ class AffineFn(FrozenRecord):
         return Fraction(self.num, self.den)
 
     def __call__(self, x):
-        return sum((a * xi for a, xi in zip(self.linear, x)), Fraction(0)) + self.offset
+        return _affine_at((self.linear,), (self.num,), self.den, x)[0]
 
     def is_zero(self) -> bool:
         return self.num == 0 and all(a == 0 for a in self.linear)
@@ -111,7 +110,7 @@ class AffineMapN(Offset, FrozenRecord):
         self.num, self.den = _over_common(tuple(offset), den)  # dim numerators
 
     def __call__(self, x):
-        return affine_apply(self.linear, self.offset, tuple(x))
+        return _affine_at(self.linear, self.num, self.den, x)
 
     def compose_embed(self, linear, offset, den: int = 1) -> "AffineMapN":
         return AffineMapN(mat_mul(self.linear, linear),
@@ -239,7 +238,7 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
             continue
 
         pts = None  # built once per face, only when an edge relation fails
-        (verts, rays, lines), _, _, keys = face.chart._incidences()
+        (verts, rays, lines), _, _, keys = face.chart._incidences
         for e, u, v in t.graph.edges:
             fn = data.lengths[e]
             # den·fn.den times the value at each vertex num/den: the same sign

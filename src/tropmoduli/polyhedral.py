@@ -24,6 +24,7 @@ import math
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -41,7 +42,6 @@ from .exact_linalg import (
     _over_common,
     _rat_str,
     _span_basis,
-    affine_apply,
     frac,
     integer_kernel,
     is_saturated,
@@ -52,10 +52,8 @@ from .exact_linalg import (
     rank,
     smith_normal_form,
     strict_positive_combination,
-    vec,
-    vec_dot,
 )
-from .records import FrozenRecord, Offset, Record
+from .records import FrozenRecord, Offset, Record, _affine_at
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +65,14 @@ class Polyhedron:
 
     Equalities are stored separately.  Polyhedra with equal constraints are
     equal, and a complex keeps one of them (see ``PolyhedralComplex``).  One
-    integer incidence pass, computed on demand and cached on the instance,
-    gives the V-representation (vertices, rays and lineality generators) and
-    records which inequalities are tight at each vertex and each ray, with
-    each vertex keyed by its lowest-terms (numerators, denominator).  Every
-    query is read off those incidences and solves no LP: ``is_empty``,
-    ``has_interior``, ``dim`` and ``proper_faces``, and the points
-    ``feasible_point`` and ``interior_point``, built from the generators
-    of P = conv(vertices) + cone(rays) + span(lines) (Minkowski-Weyl).
-    All queries are exact.
+    integer incidence pass, the cached attribute ``_incidences``, gives the
+    V-representation (vertices, rays and lineality generators) and records
+    which inequalities are tight at each vertex and each ray, with each
+    vertex keyed by its lowest-terms (numerators, denominator); the face
+    lattice and the vertex and ray indexes are cached attributes read off
+    it.  No query solves an LP: ``is_empty``, ``has_interior``, ``dim``,
+    ``proper_faces``, and ``feasible_point`` and ``interior_point``, built
+    from P = conv(vertices) + cone(rays) + span(lines) (Minkowski-Weyl).
     """
 
     def __init__(self, ambient_dim: int, ineqs=(), eqs=()):
@@ -88,7 +85,6 @@ class Polyhedron:
         self._key = (ambient_dim, tuple(n + (o.numerator, o.denominator) for n, o in self.ineqs),
                      tuple(n + (o.numerator, o.denominator) for n, o in self.eqs))
         self._hash = hash(self._key)
-        self._cache = {}
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
@@ -102,17 +98,13 @@ class Polyhedron:
     # -- point queries ------------------------------------------------------
 
     def contains(self, x, strict: bool = False) -> bool:
-        x = vec(x)
-        if len(x) != self.ambient_dim:
+        """q·<n, x_num> against p·x_den on the rows (n, p, q) of ``_key``."""
+        num, den = _over_common(tuple(x))
+        if len(num) != self.ambient_dim:
             raise DimMismatch("point has wrong dimension")
-        for n, o in self.eqs:
-            if vec_dot(vec(n), x) != o:
-                return False
-        for n, o in self.ineqs:
-            val = vec_dot(vec(n), x)
-            if val < o or (strict and val == o):
-                return False
-        return True
+        side = lambda row: row[-1] * _dot(row, num) - row[-2] * den
+        _, ineqs, eqs = self._key  # sides are integers: strict (> 0) is >= 1
+        return all(side(r) == 0 for r in eqs) and all(side(r) >= strict for r in ineqs)
 
     def feasible_point(self):
         """The first vertex, or None when the polyhedron is empty."""
@@ -157,10 +149,11 @@ class Polyhedron:
         Rays and lines are primitive integer vectors; vertices are rational.
         Empty polyhedron yields ((), (), ()).
         """
-        return self._incidences()[0]
+        return self._incidences[0]
 
+    @cached_property
     def _incidences(self):
-        """(vrep, vertex masks, ray masks, vertex keys), computed once and cached.
+        """(vrep, vertex masks, ray masks, vertex keys).
 
         Bit j of a vertex's mask is set when inequality j is tight there, and
         of a ray's mask when the ray lies on the hyperplane of inequality j.
@@ -169,8 +162,6 @@ class Polyhedron:
         the subsystems of rank D and extreme rays span the kernels of the
         subsystems of rank D - 1, both by fraction-free elimination.
         """
-        if 'incidences' in self._cache:
-            return self._cache['incidences']
         D = self.ambient_dim
         rows = [_integer_row(n, o) for n, o in self.ineqs]
         nontrivial = [n for n, _ in self.ineqs + self.eqs if any(n)]
@@ -229,14 +220,22 @@ class Polyhedron:
 
         vrep = (tuple(v for v, _, _ in verts), tuple(r for r, _ in rays), lines) if verts \
             else ((), (), ())
-        out = (vrep, tuple(m for _, _, m in verts), tuple(m for _, m in rays),
-               tuple(key for _, key, _ in verts))
-        self._cache['incidences'] = out
-        return out
+        return (vrep, tuple(m for _, _, m in verts), tuple(m for _, m in rays),
+                tuple(key for _, key, _ in verts))
+
+    @cached_property
+    def _vertex_id(self):
+        """Lowest-terms vertex key -> vertex id."""
+        return {k: i for i, k in enumerate(self._incidences[3])}
+
+    @cached_property
+    def _ray_id(self):
+        """Primitive ray -> ray id."""
+        return {r: i for i, r in enumerate(self._incidences[0][1])}
 
     def _tight_on(self, vert_ids, ray_ids) -> int:
         """Mask of the inequalities tight at every given vertex and ray."""
-        _, vmasks, rmasks, _ = self._incidences()
+        _, vmasks, rmasks, _ = self._incidences
         mask = (1 << len(self.ineqs)) - 1
         for i in vert_ids:
             mask &= vmasks[i]
@@ -257,16 +256,17 @@ class Polyhedron:
             return -1
         return self._face_dim(self._tight_on(range(len(verts)), range(len(rays))))
 
-    def proper_faces(self):
-        """All proper nonempty faces, as _PFace records (cached).
+    @cached_property
+    def _faces(self):
+        """The face lattice: ``proper_faces`` by (vertex ids, ray ids)."""
+        return {(f.vert_ids, f.ray_ids): f for f in self.proper_faces()}
 
-        The faces are the intersections of the per-inequality incidence sets
-        (tight vertices, tight rays) that keep a vertex, minus P itself,
-        ordered by (dim, vertex ids, ray ids).
-        """
-        if 'faces' in self._cache:
-            return self._cache['faces']
-        (verts, rays, _), vmasks, rmasks, _ = self._incidences()
+    def proper_faces(self):
+        """All proper nonempty faces, as _PFace records ordered by (dim, vertex
+        ids, ray ids): the intersections of the per-inequality incidence sets
+        (tight vertices, tight rays) that keep a vertex, minus P itself.
+        Computed on each call; ``_faces`` keeps them."""
+        (verts, rays, _), vmasks, rmasks, _ = self._incidences
         gens = set()
         for j in range(len(self.ineqs)):
             tv = sum(1 << i for i, m in enumerate(vmasks) if m >> j & 1)
@@ -289,9 +289,7 @@ class Polyhedron:
             ray_ids = frozenset(i for i in range(len(rays)) if tr >> i & 1)
             faces.append(_PFace(vert_ids=vert_ids, ray_ids=ray_ids,
                                 dim=self._face_dim(self._tight_on(vert_ids, ray_ids))))
-        faces = tuple(sorted(faces, key=lambda f: (f.dim, sorted(f.vert_ids), sorted(f.ray_ids))))
-        self._cache['faces'] = faces
-        return faces
+        return tuple(sorted(faces, key=lambda f: (f.dim, sorted(f.vert_ids), sorted(f.ray_ids))))
 
 
 def _integer_row(normal, offset):
@@ -334,7 +332,7 @@ class FaceInclusion(Offset, FrozenRecord):
         self.num, self.den = _over_common(tuple(offset), den)  # super_rank numerators
 
     def apply(self, x):
-        return affine_apply(self.linear, self.offset, tuple(x))
+        return _affine_at(self.linear, self.num, self.den, x)
 
 
 class PolyhedralComplex:
@@ -342,9 +340,9 @@ class PolyhedralComplex:
 
     Instances are treated as immutable once built; all queries are read-only.
     Faces with equal charts share the first such chart, so chart geometry
-    (incidences, face lattice) is cached once per distinct chart, and
-    ``star`` caches stars and directions on the complex.  Each face's sub-
-    and super-face ids are indexed once, in stored inclusion order.
+    (``Polyhedron``'s cached attributes) is computed once per distinct chart;
+    ``star`` keeps its stars and directions in ``_stars`` and ``_directions``.
+    Each face's sub- and super-face ids are indexed once, in inclusion order.
     """
 
     def __init__(self, faces: Sequence[Face], inclusions: Sequence[FaceInclusion],
@@ -376,7 +374,7 @@ class PolyhedralComplex:
         if maximal_faces is None:
             maximal_faces = [fid for fid, sups in self._supers.items() if not sups]
         self.maximal_faces = tuple(maximal_faces)
-        self._cache = {}
+        self._stars, self._directions = {}, {}  # see star
 
     def face(self, fid: str) -> Face:
         try:
@@ -426,13 +424,15 @@ class ValidationReport(Record):
         return "\n".join(str(v) for v in self.violations)
 
 
-def _image(chart: Polyhedron, inc: FaceInclusion):
-    """The lowest-terms vertex keys, primitive rays and lines of the sub
-    chart ``chart`` mapped through ``inc``, all in integers."""
-    (_, rays, lines), _, _, keys = chart._incidences()
-    ikeys = [_affine_over(inc.linear, inc.num, inc.den, num, den) for num, den in keys]
+def _image(sub_chart: Polyhedron, chart: Polyhedron, inc: FaceInclusion):
+    """The image of ``sub_chart`` through ``inc`` as (vertex ids, ray ids) of
+    ``chart``, where a generator that is not one of the chart's gets the id
+    None, and the image's lines; all in integers."""
+    (_, rays, lines), _, _, keys = sub_chart._incidences
     mapped = lambda vs: [primitive_vector(tuple(_dot(row, v) for row in inc.linear)) for v in vs]
-    return ikeys, mapped(rays), mapped(lines)
+    return (frozenset(chart._vertex_id.get(_affine_over(inc.linear, inc.num, inc.den, *k))
+                      for k in keys),
+            frozenset(map(chart._ray_id.get, mapped(rays)))), mapped(lines)
 
 
 def validate_complex(c: PolyhedralComplex) -> ValidationReport:
@@ -448,11 +448,11 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
       plus partial-order sanity (antisymmetry, composition closure) and
       connectivity.
 
-    Chart queries read the charts' integer incidences and solve no LP.  Only
+    Chart queries read the charts' cached incidences and solve no LP.  Only
     related pairs are visited, through the complex's sub- and super-face
     index; violations come out in a fixed order (faces and inclusions in
-    stored order, face pairs in sorted order).  Saturation and images are
-    decided once per call and key (see ``faults`` and ``images``).
+    stored order, face pairs in sorted order).  Saturation and images
+    (``_image``) are decided once per call and key (``faults``, ``images``).
     """
     report = ValidationReport()
     for f in c.faces.values():
@@ -488,7 +488,6 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
     image_face = {}  # (sub, super) -> (vertex ids, ray ids) of a proper face, or None
     faults = {}  # linear part -> axiom-5 message, or None when saturated
     images = {}  # (sub chart, super chart, linear, num, den) -> face key, or None
-    index = {}  # chart -> (vertex key -> id, ray -> id, lines, whole key, proper face keys)
     for (a, b), inc in c.inclusions.items():
         fault = faults.get(inc.linear, ...) if c.faces[a].rank > 0 else None
         if fault is ...:
@@ -502,21 +501,14 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             report.add("5", f"{a}->{b}", fault)
             continue
         sub_chart, chart = c.faces[a].chart, c.faces[b].chart
-        if chart not in index:
-            (_, rays, lines), _, _, keys = chart._incidences()
-            index[chart] = ({k: i for i, k in enumerate(keys)}, {r: i for i, r in enumerate(rays)},
-                            lines, (frozenset(range(len(keys))), frozenset(range(len(rays)))),
-                            {(pf.vert_ids, pf.ray_ids) for pf in chart.proper_faces()})
-        vert_id, ray_id, lines, whole, proper = index[chart]
+        (_, rays, lines), _, _, keys = chart._incidences
+        whole = (frozenset(range(len(keys))), frozenset(range(len(rays))))
         memo = (sub_chart, chart, inc.linear, inc.num, inc.den)
         key = images.get(memo, ...)
         if key is ...:
-            img_keys, img_rays, img_lines = _image(sub_chart, inc)
-            # a generator outside the super chart gets id None, which no face has
-            key = (frozenset(vert_id.get(k) for k in img_keys),
-                   frozenset(ray_id.get(r) for r in img_rays))
+            key, img_lines = _image(sub_chart, chart, inc)
             # a face, and the image lines span the chart's lineality space
-            key = images[memo] = key if (key == whole or key in proper) and \
+            key = images[memo] = key if (key == whole or key in chart._faces) and \
                 rank(img_lines) == rank(lines) == rank([*img_lines, *lines]) else None
         image_face[(a, b)] = key
         if key == whole:
@@ -535,8 +527,7 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             key = image_face.get((sub, fid))
             if key is not None:
                 by_face.setdefault(key, []).append(sub)
-        for pf in f.chart.proper_faces():
-            key = (pf.vert_ids, pf.ray_ids)
+        for key, pf in f.chart._faces.items():
             owners = by_face.get(key, [])
             if len(owners) == 1:
                 resolver[(fid, key)] = owners[0]
@@ -601,31 +592,27 @@ def star(c: PolyhedralComplex, w: str) -> StarData:
 
     The generator is oriented into the cofacet chart, i.e. the cofacet lies
     on the nonnegative side of the facet supporting the embedded face: the
-    first stored inequality of the cofacet chart that is tight at every image
-    vertex, zero on every image ray and not zero on the generator.  The
-    embedded face is read off the charts' integer incidences, so no LP is
-    solved; ``_direction`` runs once per complex and key.  Assumes the complex
-    is valid.
+    first stored inequality of the cofacet chart that is tight on the image
+    (``_image``) and not zero on the generator, so no LP is solved; the
+    complex keeps stars and directions.  Assumes the complex is valid: an
+    image with a generator outside the cofacet chart's raises.
     """
-    cache = c._cache.setdefault('star', {})
-    if w in cache:
-        return cache[w]
-    directions = c._cache.setdefault('directions', {})  # see _direction
+    if w in c._stars:
+        return c._stars[w]
     face = c.face(w)
     dirs = []
     for inc in c.cofacet_inclusions(w):
         if face.chart.is_empty() if face.rank == 0 else not face.chart.has_interior():
             raise TropModuliError(f"face {w!r} has no interior point")
         key = (face.chart, c.faces[inc.super].chart, inc.linear, inc.num, inc.den)
-        e = directions.get(key, ...)
+        e = c._directions.get(key, ...)
         if e is ...:
-            e = directions[key] = _direction(*key[:2], inc)
+            e = c._directions[key] = _direction(*key[:2], inc)
         if e is None:
             raise TropModuliError(
                 f"image of {w!r} is not a facet of {inc.super!r}; validate the complex first")
         dirs.append((inc.super, e))
-    sd = StarData(face=w, directions=tuple(dirs))
-    cache[w] = sd
+    sd = c._stars[w] = StarData(face=w, directions=tuple(dirs))
     return sd
 
 
@@ -641,13 +628,12 @@ def _direction(sub_chart: Polyhedron, chart: Polyhedron, inc: FaceInclusion):
         red, _ = _int_echelon([row + (int(i == r - 1),) for i, row in enumerate(u)], r)
         e = tuple(row[r] // row[i] for i, row in enumerate(red))
         assert all(row[r] % row[i] == 0 for i, row in enumerate(red)), "u is not unimodular"
-    keys, rays, _ = _image(sub_chart, inc)
-    for n, o in chart.ineqs:
-        row = _integer_row(n, o)
-        if any(_dot(row, num) != row[-1] * den for num, den in keys) or \
-                any(_dot(n, ray) for ray in rays):
-            continue
-        d = _dot(n, e)
+    ids, _ = _image(sub_chart, chart, inc)
+    if None in ids[0] or None in ids[1]:
+        return None
+    tight = chart._tight_on(*ids)
+    for j, (n, _) in enumerate(chart.ineqs):
+        d = _dot(n, e) if tight >> j & 1 else 0
         if d:
             return e if d > 0 else tuple(-x for x in e)
     return None

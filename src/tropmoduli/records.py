@@ -5,6 +5,9 @@ fields; any other record is unhashable."""
 
 from fractions import Fraction
 
+from .errors import DimMismatch
+from .exact_linalg import _affine_over, _over_common
+
 
 class Record:
     __slots__ = ()
@@ -35,3 +38,12 @@ class Offset:
     @property
     def offset(self):
         return tuple(Fraction(n, self.den) for n in self.num)
+
+
+def _affine_at(linear, num, den: int, x) -> tuple:
+    """Integer ``linear`` · x + num/den by ``_affine_over``, as Fractions."""
+    xnum, xden = _over_common(tuple(x))
+    if any(len(row) != len(xnum) for row in linear):
+        raise DimMismatch(f"matrix has {len(linear[0])} columns, vector has {len(xnum)}")
+    out, out_den = _affine_over(linear, num, den, xnum, xden)
+    return tuple(Fraction(n, out_den) for n in out)

@@ -6,7 +6,9 @@ before they moved onto the fraction-free ``_int_echelon``, the full
 ``unimodular_inverse`` that ``star`` read one column of, and the
 ``Fraction`` ``affine_apply`` and ``affine_compose`` that summed products
 of Fractions before they moved onto integer numerators over one common
-denominator.  Both must give identical answers.  ``kernel_rational`` has
+denominator, with the ``Fraction`` dot product ``vec_dot`` and
+matrix-vector product ``mat_vec`` that the library no longer uses.  Both
+must give identical answers.  ``kernel_rational`` has
 no library counterpart any more; ``reference_stratum`` samples along it
 and the sympy oracle checks it.  It also keeps
 ``feasible_point``, the general LP feasibility query (with its common
@@ -115,6 +117,16 @@ def unimodular_inverse(u):
     cols = [solve_linear(u, tuple(int(i == j) for i in range(n))) for j in range(n)]
     assert all(col is not None for col in cols)
     return tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
+
+
+def vec_dot(a, b):
+    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def mat_vec(a, x):
+    if a and len(a[0]) != len(x):
+        raise DimMismatch(f"matrix has {len(a[0])} columns, vector has {len(x)}")
+    return tuple(sum((row[k] * x[k] for k in range(len(x))), Fraction(0)) for row in a)
 
 
 def affine_apply(linear, offset, x):

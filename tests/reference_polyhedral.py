@@ -37,12 +37,10 @@ from tropmoduli.exact_linalg import (
     is_saturated,
     ivec,
     mat_rows,
-    mat_vec,
     primitive_vector,
     smith_normal_form,
     vec,
     vec_add,
-    vec_dot,
     vec_sub,
 )
 from tropmoduli.errors import InconsistentStrata
@@ -64,10 +62,12 @@ from reference_linalg import (
     affine_compose,
     feasible_point as lp_point,
     kernel_rational,
+    mat_vec,
     rank,
     solve_linear,
     span_membership,
     strict_positive_combination,
+    vec_dot,
 )
 
 

@@ -14,7 +14,6 @@ from tropmoduli.exact_linalg import (
     _over_common,
     _positive_solution,
     _span_basis,
-    affine_apply,
     det,
     integer_kernel,
     integer_solve,
@@ -29,6 +28,9 @@ from tropmoduli.exact_linalg import (
     strict_positive_combination,
     vec,
 )
+
+from tropmoduli.family import AffineFn, AffineMapN
+from tropmoduli.polyhedral import FaceInclusion
 
 import reference_linalg as reference
 from reference_linalg import feasible_point
@@ -370,7 +372,10 @@ def _rational(rng):
 
 def test_affine_maps_match_fraction_reference():
     """Integer numerators over one denominator give exactly the Fractions of
-    the reference, on 1,000 seeded shapes including empty rows and columns."""
+    the reference, on 1,000 seeded shapes including empty rows and columns:
+    ``FaceInclusion.apply`` and calls of ``AffineMapN`` and of one
+    ``AffineFn`` per row, on the draws with an integer linear part, and
+    ``_affine_over`` as the composite offset."""
     rng = random.Random(11)
     shapes = set()
     for _ in range(1000):
@@ -382,17 +387,19 @@ def test_affine_maps_match_fraction_reference():
         outer_off = tuple(_rational(rng) for _ in range(rows))
         inner_off = tuple(_rational(rng) for _ in range(mid))
         x = tuple(_rational(rng) for _ in range(mid))
-        got = affine_apply(outer, outer_off, x)
-        assert got == reference.affine_apply(outer, outer_off, x)
-        assert all(type(v) is Fraction for v in got)
-        if all(type(a) is int for row in outer for a in row):  # an integral composite
+        if all(type(a) is int for row in outer for a in row):  # an integral map
+            expect = reference.affine_apply(outer, outer_off, x)
+            for got in (FaceInclusion("a", "b", outer, outer_off).apply(x),
+                        AffineMapN(outer, outer_off)(x),
+                        tuple(AffineFn(row, o)(x) for row, o in zip(outer, outer_off))):
+                assert got == expect and all(type(v) is Fraction for v in got)
             num, den = _affine_over(outer, *_over_common(outer_off), *_over_common(inner_off))
             off = reference.affine_compose(outer, outer_off, inner, inner_off)[1]
             assert tuple(Fraction(n, den) for n in num) == off
             assert (num, den) == _over_common(off)
     assert len(shapes) == 8
     with pytest.raises(DimMismatch):
-        affine_apply(((1, 2),), (0,), (Fraction(1, 2),))
+        FaceInclusion("a", "b", ((1, 2),), (0,)).apply((Fraction(1, 2),))
 
 
 def test_positive_solution_matches_the_slack_lp_of_feasible_point():

@@ -150,7 +150,7 @@ def test_verdicts_fixtures_match_the_reference(tmp_path, monkeypatch):
 
 
 def test_harmonicity_runs_on_integer_rows(monkeypatch):
-    """No ``frac``, ``vec``, ``mat_vec`` or ``vec_add`` call, and only int
+    """No ``frac``, ``vec`` or ``vec_add`` call, and only int
     coefficients reach ``lp_maximize``.  ``star`` reads the inclusion
     offsets and is cached per complex, so it runs once before the patch."""
     c = fan_complex(3)
@@ -166,7 +166,7 @@ def test_harmonicity_runs_on_integer_rows(monkeypatch):
         raise AssertionError("a Fraction helper ran on the harmonicity path")
 
     for module in (exact_linalg, polyhedral):
-        for name in ("frac", "vec", "mat_vec", "vec_add"):
+        for name in ("frac", "vec", "vec_add"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     entries = []

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 from tropmoduli import documents as docs
 from tropmoduli.cli import main
-from tropmoduli.exact_linalg import affine_apply, vec
+from tropmoduli.exact_linalg import vec
 from tropmoduli.family import induced_alpha, fiber, wall_verdict
 from tropmoduli.moduli import canonical_string, enumerate_types, stratum
 from tropmoduli.polyhedral import build_skeleton, star
 from tropmoduli.tropcurve import stabilize
 
+from reference_linalg import affine_apply
 from helpers import (
     random_pair_data,
     ray_wall_family,

@@ -1,13 +1,27 @@
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 import reference_linalg
 import reference_polyhedral as reference
 
-from tropmoduli.errors import InconsistentStrata, NoCofacets, UnknownFace
-from tropmoduli.exact_linalg import _span_basis, lp_maximize, rank, smith_normal_form
+from tropmoduli.errors import (
+    DimMismatch,
+    InconsistentStrata,
+    NoCofacets,
+    TropModuliError,
+    UnknownFace,
+)
+from tropmoduli.exact_linalg import (
+    _span_basis,
+    integer_solve,
+    lp_maximize,
+    rank,
+    smith_normal_form,
+    vec,
+)
 from tropmoduli.polyhedral import (
     Face,
     FaceInclusion,
@@ -425,6 +439,40 @@ def test_polyhedron_points_match_the_lp_reference():
         assert inner is None or p.contains(inner, strict=True), p
 
 
+def _contains_strictly(p, x):
+    """The ``Fraction`` reference of ``contains(x, strict=True)``."""
+    return reference._contains((), p.eqs, x) and \
+        all(reference_linalg.vec_dot(vec(n), x) > o for n, o in p.ineqs)
+
+
+def test_integer_containment_matches_the_fraction_reference():
+    """``contains`` on integer rows agrees with the ``Fraction`` reference,
+    strict and not, at every vertex, at each vertex moved by a ray and by
+    half a ray, and at seeded rational points of the 1,200 random
+    polyhedra."""
+    rng, points = random.Random(5), random.Random(6)
+    outcomes = set()
+    for _ in range(1200):
+        p = _random_polyhedron(rng)
+        verts, rays, _ = p.vrep()
+        xs = list(verts) + [tuple(x + t * r for x, r in zip(v, ray))
+                            for v in verts for ray in rays for t in (1, Fraction(1, 2))]
+        xs += [tuple(points.randint(-3, 3) if points.random() < 0.3 else
+                     Fraction(points.randint(-6, 6), points.randint(1, 3))
+                     for _ in range(p.ambient_dim)) for _ in range(4)]
+        for x in xs:
+            got = (p.contains(x), p.contains(x, strict=True))
+            assert got == (reference._contains(p.ineqs, p.eqs, vec(x)),
+                           _contains_strictly(p, vec(x))), (p, x)
+            outcomes.add(got)
+        with pytest.raises(DimMismatch):
+            p.contains((0,) * (p.ambient_dim + 1))
+    assert outcomes == {(False, False), (True, False), (True, True)}
+    assert integer_solve(((2, 0), (0, 1)), (4, 3)) == (2, 3)
+    assert integer_solve(((2, 0), (0, 1)), (4, Fraction(3, 2))) is None
+    assert integer_solve(((1,),), (Fraction(1, 2),)) is None
+
+
 COMPLEX_TEMPLATES = [
     (5, 1, (((0, 1, 2), (0,)), ((2, 3), ()), ((3, 4), (0,)))),
     (6, 2, (((0, 1, 2), (0,)), ((2, 3, 4), (1,)), ((4, 5), (0,)))),
@@ -580,14 +628,16 @@ def _cli_skeleton(tmp_path, monkeypatch):
 
 
 def _incidence_passes(monkeypatch):
-    """A counter of ``_incidences`` cache misses, from now on."""
+    """A counter of first computations of the cached ``_incidences``, from
+    now on."""
     passes = []
-    orig = Polyhedron._incidences
+    orig = vars(Polyhedron)["_incidences"].func
 
     def counted(self):
-        if 'incidences' not in self._cache:
-            passes.append(self)
+        passes.append(self)
         return orig(self)
+    counted = cached_property(counted)
+    counted.__set_name__(Polyhedron, "_incidences")
     monkeypatch.setattr(Polyhedron, "_incidences", counted)
     return passes
 
@@ -695,3 +745,17 @@ def test_sharing_never_changes_a_verdict():
             if c.cofacet_inclusions(w):
                 assert _star_or_error(c, w) == _star_or_error(copy, w), w
     assert flagged == len(adversarial) == 4
+
+
+def test_star_refuses_an_image_that_is_no_face():
+    """The segment [0, 1/2] mapped onto half the bottom edge of the unit
+    square: ``validate_complex`` flags the inclusion, and ``star`` raises
+    instead of orienting by the bottom edge's inequality."""
+    square = Polyhedron(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)])
+    c = PolyhedralComplex(
+        [Face("a", 1, Polyhedron(1, [((1,), 0), ((-1,), Fraction(-1, 2))])), Face("b", 2, square)],
+        [FaceInclusion("a", "b", ((1,), (0,)), (0, 0))])
+    assert ("5", "a->b") in {(v.axiom, v.subject) for v in validate_complex(c).violations}
+    with pytest.raises(TropModuliError,
+                       match="image of 'a' is not a facet of 'b'; validate the complex first"):
+        star(c, "a")
