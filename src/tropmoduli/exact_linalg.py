@@ -8,12 +8,13 @@ LP kernel (``_simplex_standard``, behind ``lp_maximize``) is a two-phase
 simplex on an integer tableau with one common denominator; it returns exact
 Fractions.  The library asks it one question, ``_positive_solution``: has
 rows·x = 0 a solution with x_i >= 1 on given coordinates?  The one row
-reduction (``_int_echelon``, behind ``rank``, ``solve_linear`` and
-``_span_basis``) is fraction-free Gauss-Jordan elimination on rows scaled
-to integers; results are divided by their pivots only where Fractions are
-returned.  ``_affine_over`` likewise sums affine maps as integer numerators
-over one common denominator (``_over_common``).  Only ``det``
-and the Smith normal form keep eliminations of their own.  The one
+reduction (``_int_echelon``, behind ``rank`` and ``_span_basis``, and
+called directly by the chart incidences, star directions and
+``family.locate``'s preimages) is fraction-free Gauss-Jordan elimination
+on rows scaled to integers; its callers divide by the pivots only where
+they return Fractions.  ``_affine_over`` likewise sums affine maps as
+integer numerators over one common denominator (``_over_common``).  Only
+``det`` and the Smith normal form keep eliminations of their own.  The one
 multigraph traversal, ``_forest``, is a breadth-first spanning forest; its
 fundamental cycles are a lattice basis of the integer kernel of the
 incidence matrix.
@@ -42,20 +43,12 @@ Mat = tuple  # tuple of row tuples
 # ---------------------------------------------------------------------------
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction.
-
-    A string of the ASCII shape ``-?[0-9]+(/[0-9]+)?`` is read with
-    ``int``, about twice as fast, and every other string goes to
-    ``Fraction(str)``; the strings accepted and the errors raised (a zero
-    denominator, an integer past the digit limit) are that constructor's."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction.  A string goes
+    to ``Fraction(str)``, so the strings accepted and the errors raised are
+    that constructor's (``documents._ratio`` reads ASCII "p/q" without it)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        num, slash, den = x.partition("/")
-        if x.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
-            return Fraction(int(num), int(den) if slash else 1)
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
@@ -94,18 +87,6 @@ def ivec(entries: Iterable) -> IVec:
             x = int(f)
         out.append(x)
     return tuple(out)
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
 
 
 def mat_rows(m: Sequence[Sequence]) -> Mat:
@@ -147,7 +128,7 @@ def det(a: Mat) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination: rank, solve, kernel
+# fraction-free elimination: rank and spans
 # ---------------------------------------------------------------------------
 
 def _over_common(row, den: int = 1):
@@ -210,26 +191,6 @@ def _span_basis(vectors: Sequence[IVec]) -> tuple:
     red, pivots = _int_echelon(vectors, len(vectors[0]) if vectors else 0)
     return tuple(tuple(-x for x in row) if row[c] < 0 else tuple(row)
                  for row, c in zip(red, pivots))
-
-
-def solve_linear(a: Sequence[Vec], b: Vec) -> Vec | None:
-    """One rational solution of ``a x = b``, or None if inconsistent.
-
-    Free variables are 0, so the solution is the one the reduced row echelon
-    form of ``[a | b]`` reads off.
-    """
-    if not a:
-        return None if any(x != 0 for x in b) else ()
-    ncols = len(a[0])
-    red, pivots = _int_echelon([_over_common(tuple(row) + (bi,))[0]
-                                for row, bi in zip(a, b, strict=True)],
-                               ncols + 1)
-    if pivots and pivots[-1] == ncols:  # pivot in the constant column: 0 = 1
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(red, pivots):
-        x[c] = Fraction(row[ncols], row[c])
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

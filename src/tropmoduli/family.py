@@ -8,8 +8,8 @@ along inclusions, and the zero-locus condition (an edge is contracted
 exactly when its length vanishes identically on the sub-face).  On a
 full-dimensional chart each is an identity of affine maps, decided once on
 their integer coefficients; the sign and zeros of a length are read off the
-chart's vertices, rays and lines.  No LP is solved, and points are
-evaluated only to name a failure.
+chart's vertices, rays and lines.  No LP is solved, and a failing edge
+relation is named from its integer residual at the chart's vertex keys.
 
 The induced moduli map assigns to each face the affine lift of the
 stabilized fiber into the stratum coordinates of its canonical type.
@@ -31,16 +31,13 @@ from .errors import InvalidFamily, NoCofacets, PointNotInComplex, SeedNotInGraph
 from .exact_linalg import (
     _affine_over,
     _forest,
+    _int_echelon,
     _over_common,
     _rat_str,
     mat_mul,
     mat_rows,
     rank,
-    solve_linear,
     vec,
-    vec_add,
-    vec_scale,
-    vec_sub,
 )
 from .moduli import (
     WallClassification,
@@ -56,6 +53,7 @@ from .polyhedral import (
     PIAMap,
     PolyhedralComplex,
     ValidationReport,
+    _dot,
     harmonicity_at,
     validate_complex,
 )
@@ -150,20 +148,6 @@ class FamilyDatum(Record):
 # validation
 # ---------------------------------------------------------------------------
 
-def _generating_points(chart):
-    """The vertices, then the first vertex moved along each ray and along
-    plus and minus each line.
-
-    These affinely span a full-dimensional chart, so an affine identity
-    fails on the face exactly when it fails at one of them; validation
-    builds them only to name such a point.
-    """
-    verts, rays, lines = chart.vrep()
-    pts = [vec(v) for v in verts]
-    moves = [vec(r) for r in rays] + [vec(s * x for x in l) for l in lines for s in (1, -1)]
-    return pts + [vec_add(pts[0], m) for m in moves]
-
-
 def _affine_faults(f: FamilyDatum, fid: str):
     """Face fid's curve data (None if it has none), the edges and vertices it
     lacks affine data for, and axiom-1 messages for a type in another lattice
@@ -237,8 +221,8 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
             malformed.add(fid)
             continue
 
-        pts = None  # built once per face, only when an edge relation fails
-        (verts, rays, lines), _, _, keys = face.chart._incidences
+        (_, rays, lines), _, _, keys = face.chart._incidences
+        point = lambda num, den: tuple(_rat_str(x, den) for x in num)  # a vertex key's string
         for e, u, v in t.graph.edges:
             fn = data.lengths[e]
             # den·fn.den times the value at each vertex num/den: the same sign
@@ -246,10 +230,9 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
                       for num, den in keys]
             ray_rates = [sum(a * x for a, x in zip(fn.linear, r)) for r in rays]
             line_rates = [sum(a * x for a, x in zip(fn.linear, l)) for l in lines]
-            neg = next((w for w, y in zip(verts, values) if y < 0), None)
+            neg = next((k for k, y in zip(keys, values) if y < 0), None)
             if neg is not None:
-                report.add("1", fid, f"length of {e!r} is negative at vertex "
-                                     f"{tuple(map(_rat_str, neg))}")
+                report.add("1", fid, f"length of {e!r} is negative at vertex {point(*neg)}")
             if any(y < 0 for y in ray_rates):
                 report.add("1", fid, f"length of {e!r} decreases along a ray")
             if any(line_rates):
@@ -257,16 +240,21 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
             values += ray_rates + line_rates + [-y for y in line_rates]
             if fn.is_zero() or (any(y < 0 for y in values) and any(y > 0 for y in values)):
                 report.add("1", fid, f"length of {e!r} vanishes on the interior")
-            # the edge relation P_v - P_u = l_e * slope, coefficient by coefficient
-            pu, pv, slope = data.positions[u], data.positions[v], t.slopes[e]
-            if any(tuple(y - x for x, y in zip(ru, rv)) != tuple(c * k for k in fn.linear)
-                   or (ov * pu.den - ou * pv.den) * fn.den != c * fn.num * pu.den * pv.den
-                   for ru, rv, ou, ov, c in zip(pu.linear, pv.linear, pu.num, pv.num, slope)):
-                pts = pts or _generating_points(face.chart)
-                x = next(x for x in pts
-                         if vec_sub(pv(x), pu(x)) != vec_scale(fn(x), vec(slope)))
-                report.add("1", fid,
-                           f"edge relation fails for {e!r} at {tuple(map(_rat_str, x))}")
+            # the edge relation: den·(P_v - P_u - l_e·slope) as integer rows
+            # (linear part, offset), which holds iff every row is zero
+            pu, pv = data.positions[u], data.positions[v]
+            den = lcm(pu.den, pv.den, fn.den)
+            res = [(tuple(den * (b - a - c * k) for a, b, k in zip(ru, rv, fn.linear)),
+                    ov * (den // pv.den) - ou * (den // pu.den) - c * fn.num * (den // fn.den))
+                   for ru, rv, ou, ov, c in zip(pu.linear, pv.linear, pu.num, pv.num, t.slopes[e])]
+            if any(o or any(r) for r, o in res):
+                # the first vertex where it fails, else vertex 0 moved along
+                # the first ray or line where the residual changes
+                at = next((k for k in keys if any(_dot(r, k[0]) + o * k[1] for r, o in res)), None)
+                if at is None:
+                    g = next(g for g in rays + lines if any(_dot(r, g) for r, _ in res))
+                    at = (tuple(x + keys[0][1] * y for x, y in zip(keys[0][0], g)), keys[0][1])
+                report.add("1", fid, f"edge relation fails for {e!r} at {point(*at)}")
 
     # inclusion conditions (2), (3) and the zero-locus iff
     for (sub, sup), inc in sorted(f.base.inclusions.items()):
@@ -367,7 +355,9 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
 
 def locate(base: PolyhedralComplex, fid: str, coords):
     """Resolve a point given in some face's chart to the face whose interior
-    holds it; returns (face id, chart coordinates)."""
+    holds it; returns (face id, chart coordinates).  The preimage y of a
+    boundary point x = x_num/den under a sub-face inclusion is solved on the
+    integer rows [den·inc.den·linear | x_num·inc.den - inc.num·den]."""
     face = base.face(fid)
     x = vec(coords)
     if len(x) != face.rank:
@@ -376,13 +366,20 @@ def locate(base: PolyhedralComplex, fid: str, coords):
         raise PointNotInComplex(f"point {tuple(map(_rat_str, x))} is outside face {fid!r}")
     if face.rank == 0 or face.chart.contains(x, strict=True):
         return fid, x
+    num, den = _over_common(x)
     for sub in base.subface_ids(fid):
-        if base.face(sub).rank >= face.rank:  # inclusions may form a cycle
+        n = base.face(sub).rank
+        if n >= face.rank:  # inclusions may form a cycle
             continue
         inc = base.inclusions[(sub, fid)]
-        sol = solve_linear(inc.linear, vec_sub(x, vec(inc.offset)))
-        if sol is not None and base.face(sub).chart.contains(sol):
-            return locate(base, sub, sol)
+        red, pivots = _int_echelon([(*(den * inc.den * a for a in row), xn * inc.den - o * den)
+                                    for row, xn, o in zip(inc.linear, num, inc.num)], n)
+        if any(row[n] for row in red[len(pivots):]):  # 0 = c != 0: no preimage
+            continue
+        ratio = {c: Fraction(row[n], row[c]) for row, c in zip(red, pivots)}
+        y = [ratio.get(j, Fraction(0)) for j in range(n)]  # free coordinates 0
+        if base.face(sub).chart.contains(y):
+            return locate(base, sub, y)
     raise PointNotInComplex(
         f"boundary point {tuple(map(_rat_str, x))} of {fid!r} is not covered by a sub-face")
 

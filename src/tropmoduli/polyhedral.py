@@ -10,8 +10,8 @@ The module also provides piecewise integral affine maps on complexes, the
 star of a face (primitive normal directions into codimension-one cofacets),
 the harmonic / quasi-harmonic / not-quasi-harmonic trichotomy at a face,
 and the skeleton constructor for combinatorial semistable pair data.
-Polyhedron queries, validation and stars read the charts' integer
-incidences; only the quasi-harmonicity test of ``harmonicity_at`` solves
+Polyhedron queries, validation and stars read the charts' integer rows
+and incidences; only the quasi-harmonicity test of ``harmonicity_at`` solves
 an LP.  ``harmonicity_at`` works on integer rows throughout: derivatives,
 the image span and the LP's coefficients are integers.  Faces,
 inclusions, stars, maps, verdicts and pair data are plain slotted records
@@ -64,15 +64,17 @@ class Polyhedron:
     """Intersection of half-spaces <n,x> >= o with integral normals.
 
     Equalities are stored separately.  Polyhedra with equal constraints are
-    equal, and a complex keeps one of them (see ``PolyhedralComplex``).  One
-    integer incidence pass, the cached attribute ``_incidences``, gives the
-    V-representation (vertices, rays and lineality generators) and records
-    which inequalities are tight at each vertex and each ray, with each
-    vertex keyed by its lowest-terms (numerators, denominator); the face
-    lattice and the vertex and ray indexes are cached attributes read off
-    it.  No query solves an LP: ``is_empty``, ``has_interior``, ``dim``,
-    ``proper_faces``, and ``feasible_point`` and ``interior_point``, built
-    from P = conv(vertices) + cone(rays) + span(lines) (Minkowski-Weyl).
+    equal, and a complex keeps one of them (see ``PolyhedralComplex``).  Each
+    constraint <n, x> ? p/q is kept once as the integer row (q·n, p), which
+    every query reads.  One incidence pass, the cached attribute
+    ``_incidences``, gives the V-representation (vertices, rays and
+    lineality generators) and records which inequalities are tight at each
+    vertex and each ray, with each vertex keyed by its lowest-terms
+    (numerators, denominator); the face lattice and the vertex and ray
+    indexes (by tight mask) are cached attributes read off it.  No query
+    solves an LP: ``is_empty``, ``has_interior``, ``dim``, ``proper_faces``,
+    and ``feasible_point`` and ``interior_point``, built from
+    P = conv(vertices) + cone(rays) + span(lines) (Minkowski-Weyl).
     """
 
     def __init__(self, ambient_dim: int, ineqs=(), eqs=()):
@@ -82,9 +84,10 @@ class Polyhedron:
         for n, _ in self.ineqs + self.eqs:
             if len(n) != ambient_dim:
                 raise DimMismatch("constraint normal has wrong length")
-        self._key = (ambient_dim, tuple(n + (o.numerator, o.denominator) for n, o in self.ineqs),
-                     tuple(n + (o.numerator, o.denominator) for n, o in self.eqs))
-        self._hash = hash(self._key)
+        self._rows, self._eq_rows = (tuple((*[o.denominator * c for c in n], o.numerator)
+                                           for n, o in cs) for cs in (self.ineqs, self.eqs))
+        self._key = (ambient_dim, self.ineqs, self.eqs)
+        self._hash = hash((ambient_dim, self._rows, self._eq_rows))  # equal keys, equal rows
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
@@ -98,13 +101,12 @@ class Polyhedron:
     # -- point queries ------------------------------------------------------
 
     def contains(self, x, strict: bool = False) -> bool:
-        """q·<n, x_num> against p·x_den on the rows (n, p, q) of ``_key``."""
+        """q·<n, x_num> against p·x_den on the integer rows (q·n, p)."""
         num, den = _over_common(tuple(x))
         if len(num) != self.ambient_dim:
             raise DimMismatch("point has wrong dimension")
-        side = lambda row: row[-1] * _dot(row, num) - row[-2] * den
-        _, ineqs, eqs = self._key  # sides are integers: strict (> 0) is >= 1
-        return all(side(r) == 0 for r in eqs) and all(side(r) >= strict for r in ineqs)
+        side = lambda row: _dot(row, num) - row[-1] * den  # an integer: strict (> 0) is >= 1
+        return all(not side(r) for r in self._eq_rows) and all(side(r) >= strict for r in self._rows)
 
     def feasible_point(self):
         """The first vertex, or None when the polyhedron is empty."""
@@ -157,31 +159,18 @@ class Polyhedron:
 
         Bit j of a vertex's mask is set when inequality j is tight there, and
         of a ray's mask when the ray lies on the hyperplane of inequality j.
-        Every row is scaled to integers once.  The lineality space is the
-        integer kernel of all normals; after slicing it off, vertices solve
-        the subsystems of rank D and extreme rays span the kernels of the
-        subsystems of rank D - 1, both by fraction-free elimination.
+        The lineality space is the integer kernel of all normals; after
+        slicing it off, vertices solve the subsystems of rank D and extreme
+        rays span the kernels of the subsystems of rank D - 1, both by
+        fraction-free elimination on the integer rows.
         """
-        D = self.ambient_dim
-        rows = [_integer_row(n, o) for n, o in self.ineqs]
+        D, rows, tight_mask = self.ambient_dim, self._rows, self._tight_mask
         nontrivial = [n for n, _ in self.ineqs + self.eqs if any(n)]
         lines = () if rank(nontrivial) == D else \
             tuple(primitive_vector(l) for l in integer_kernel(nontrivial, D))
-        base, pivots = _int_echelon([_integer_row(n, o) for n, o in self.eqs]
-                                    + [l + (0,) for l in lines], D)
+        base, pivots = _int_echelon([*self._eq_rows, *(l + (0,) for l in lines)], D)
         consistent = not any(row[D] for row in base[len(pivots):])  # no 0 = c != 0
         base = base[:len(pivots)]
-
-        def tight_mask(point, scale):
-            """Tight inequalities at point/scale (a ray when scale is 0), or None."""
-            mask = 0
-            for j, row in enumerate(rows):
-                s = sum(a * x for a, x in zip(row, point)) - row[D] * scale
-                if s < 0:
-                    return None
-                if s == 0:
-                    mask |= 1 << j
-            return mask
 
         verts = {}  # (numerators, common denominator) -> tight mask or None
         for subset in combinations(range(len(rows)), D - len(pivots)) if consistent else ():
@@ -223,15 +212,31 @@ class Polyhedron:
         return (vrep, tuple(m for _, _, m in verts), tuple(m for _, m in rays),
                 tuple(key for _, key, _ in verts))
 
+    def _tight_mask(self, point, scale):
+        """Tight inequalities at point/scale (a direction when scale is 0), or
+        None outside the polyhedron (its recession cone)."""
+        if any(_dot(row, point) != row[-1] * scale for row in self._eq_rows):
+            return None
+        mask = 0
+        for j, row in enumerate(self._rows):
+            s = sum(a * x for a, x in zip(row, point)) - row[-1] * scale
+            if s < 0:
+                return None
+            if s == 0:
+                mask |= 1 << j
+        return mask
+
     @cached_property
     def _vertex_id(self):
-        """Lowest-terms vertex key -> vertex id."""
-        return {k: i for i, k in enumerate(self._incidences[3])}
+        """Vertex tight mask -> vertex id.  A point of the polyhedron with a
+        vertex's mask is that vertex modulo the lineality space."""
+        return {m: i for i, m in enumerate(self._incidences[1])}
 
     @cached_property
     def _ray_id(self):
-        """Primitive ray -> ray id."""
-        return {r: i for i, r in enumerate(self._incidences[0][1])}
+        """Ray tight mask -> ray id.  A direction of the recession cone with a
+        ray's mask is a positive multiple of that ray modulo the lines."""
+        return {m: i for i, m in enumerate(self._incidences[2])}
 
     def _tight_on(self, vert_ids, ray_ids) -> int:
         """Mask of the inequalities tight at every given vertex and ray."""
@@ -290,11 +295,6 @@ class Polyhedron:
             faces.append(_PFace(vert_ids=vert_ids, ray_ids=ray_ids,
                                 dim=self._face_dim(self._tight_on(vert_ids, ray_ids))))
         return tuple(sorted(faces, key=lambda f: (f.dim, sorted(f.vert_ids), sorted(f.ray_ids))))
-
-
-def _integer_row(normal, offset):
-    """The constraint <normal, x> ? offset as one integer row (q·normal, p)."""
-    return tuple(offset.denominator * c for c in normal) + (offset.numerator,)
 
 
 def _dot(row, v):
@@ -426,13 +426,15 @@ class ValidationReport(Record):
 
 def _image(sub_chart: Polyhedron, chart: Polyhedron, inc: FaceInclusion):
     """The image of ``sub_chart`` through ``inc`` as (vertex ids, ray ids) of
-    ``chart``, where a generator that is not one of the chart's gets the id
-    None, and the image's lines; all in integers."""
+    ``chart``, and the image's lines; all in integers.  Generators are
+    matched by their tight masks, so modulo the chart's lines, and one that
+    is not one of the chart's gets the id None."""
     (_, rays, lines), _, _, keys = sub_chart._incidences
     mapped = lambda vs: [primitive_vector(tuple(_dot(row, v) for row in inc.linear)) for v in vs]
-    return (frozenset(chart._vertex_id.get(_affine_over(inc.linear, inc.num, inc.den, *k))
-                      for k in keys),
-            frozenset(map(chart._ray_id.get, mapped(rays)))), mapped(lines)
+    points = (_affine_over(inc.linear, inc.num, inc.den, *k) for k in keys)
+    return (frozenset(chart._vertex_id.get(chart._tight_mask(*p)) for p in points),
+            frozenset(chart._ray_id.get(chart._tight_mask(r, 0)) for r in mapped(rays))), \
+        mapped(lines)
 
 
 def validate_complex(c: PolyhedralComplex) -> ValidationReport:
@@ -452,7 +454,8 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
     related pairs are visited, through the complex's sub- and super-face
     index; violations come out in a fixed order (faces and inclusions in
     stored order, face pairs in sorted order).  Saturation and images
-    (``_image``) are decided once per call and key (``faults``, ``images``).
+    (``_image``, matched modulo the super chart's lines) are decided once
+    per call and key (``faults``, ``images``).
     """
     report = ValidationReport()
     for f in c.faces.values():

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CycleInconsistency, Disconnected, UnbalancedType, Unstabilizable
-from .exact_linalg import _forest, frac, ivec, vec, vec_scale, vec_sub
+from .exact_linalg import _forest, frac, ivec, vec
 from .records import FrozenRecord, Record
 
 
@@ -178,8 +178,9 @@ class ParameterizedTropicalCurve:
         """Edges where position(v) - position(u) != length * slope(u->v)."""
         bad = []
         for eid, u, v in self.graph.edges:
-            expect = vec_scale(self.curve.lengths[eid], vec(self.type.slopes[eid]))
-            if vec_sub(self.positions[v], self.positions[u]) != expect:
+            length = self.curve.lengths[eid]
+            if any(q - p != length * s for p, q, s in
+                   zip(self.positions[u], self.positions[v], self.type.slopes[eid])):
                 bad.append(eid)
         return bad
 
@@ -248,7 +249,8 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
             root=None) -> ParameterizedTropicalCurve:
     """Propagate positions from the root along a spanning tree.
 
-    Fails with Disconnected when the tree misses a vertex, and otherwise
+    Fails with ValueError when ``root_position`` is not in R^dim, then with
+    Disconnected when the tree misses a vertex, and otherwise
     with CycleInconsistency at the least edge id whose relation fails: a
     non-tree edge that closes inconsistently or a loop with nonzero slope.
     The witness cycle is attached to the exception.
@@ -259,16 +261,20 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
     curve = TropicalCurve(t.graph, lengths)
     if root is None:
         root = min(t.graph.vertex_ids())
+    origin = vec(root_position)
+    if len(origin) != t.dim:
+        raise ValueError(f"position of root {root!r} has {len(origin)} coordinates, not {t.dim}")
     edges = sorted(t.graph.edges)
     forest = _forest((root, *t.graph.vertex_ids()), edges)
     if any(parent is None for _, parent, _, _ in forest[1:]):
         raise Disconnected("type graph is not connected")
-    positions = _place(forest, vec(root_position), curve.lengths, t.slopes)
+    positions = _place(forest, origin, curve.lengths, t.slopes)
     path = {}  # tree edges from the root down to each vertex
     for v, parent, e, _ in forest:
         path[v] = () if parent is None else path[parent] + (e,)
     for eid, a, b in edges:
-        if vec_sub(positions[b], positions[a]) == vec_scale(curve.lengths[eid], vec(t.slopes[eid])):
+        if all(q - p == curve.lengths[eid] * s
+               for p, q, s in zip(positions[a], positions[b], t.slopes[eid])):
             continue
         if a == b:
             raise CycleInconsistency(f"loop {eid!r} has nonzero slope", cycle=(eid,))

@@ -6,7 +6,15 @@ import copy
 import random
 from fractions import Fraction
 
-from tropmoduli.family import AffineFn, AffineMapN, Contraction, FaceCurveData, FamilyDatum
+from tropmoduli.errors import PointNotInComplex
+from tropmoduli.family import (
+    AffineFn,
+    AffineMapN,
+    Contraction,
+    FaceCurveData,
+    FamilyDatum,
+    locate,
+)
 from tropmoduli.polyhedral import (
     Face,
     FaceInclusion,
@@ -405,6 +413,71 @@ def quadrant_family(length=((1, 2), Fraction(1, 2)), derivatives=((1, 0), (2, -1
                     for key in base.inclusions}
     return FamilyDatum(base=base, dim=2, extended_degree=CROSS_DEGREE,
                        face_data=face_data, contractions=contractions)
+
+
+def half_plane_family():
+    """The resolution type over the half-plane H = {y >= 0}, whose chart has
+    the line (1, 0), and over its boundary line L, included by x -> (x, 0).
+
+    On H the edge length is y + 1, va sits at (x, 0) and vb at
+    va + (y + 1) * slope, so the positions move along the line, along the
+    ray (0, 1) and with the vertex; L carries the restrictions."""
+    t = resolution_type(1)
+    s = t.slopes["e"]
+    base = PolyhedralComplex(
+        [Face("L", 1, Polyhedron(1)), Face("H", 2, Polyhedron(2, [((0, 1), 0)]))],
+        [FaceInclusion("L", "H", ((1,), (0,)), (0, 0))])
+    face_data = {
+        "H": FaceCurveData(
+            type=t, lengths={"e": AffineFn((0, 1), 1)},
+            positions={"va": AffineMapN(((1, 0), (0, 0)), (0, 0)),
+                       "vb": AffineMapN(((1, s[0]), (0, s[1])), s)}),
+        "L": FaceCurveData(
+            type=t, lengths={"e": AffineFn((0,), 1)},
+            positions={"va": AffineMapN(((1,), (0,)), (0, 0)),
+                       "vb": AffineMapN(((1,), (0,)), s)}),
+    }
+    contractions = {("L", "H"): Contraction(vertex_map={"va": "va", "vb": "vb"},
+                                            edge_map={"e": "e"})}
+    return FamilyDatum(base=base, dim=2, extended_degree=CROSS_DEGREE,
+                       face_data=face_data, contractions=contractions)
+
+
+def locate_points(seed=31, per_face=40):
+    """Seeded (name, base, face id, point) cases for ``family.locate`` on the
+    bases of the quadrant, segment, path, ray-wall and half-plane families.
+
+    Each point is a chart vertex or a point between two vertices (some past
+    them), moved along each ray and line by a random multiple (some
+    negative), and sometimes one coordinate is redrawn, so points land on
+    the boundary, in the interior and outside the face."""
+    rng = random.Random(seed)
+    ratios = (0, 0, 1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(7, 3), -1)
+    bases = {"quadrant": quadrant_complex(), "segment": segment_complex(Fraction(5, 2)),
+             "path": path_family([(1, 0), (2, 1), (0, 1)], [1, Fraction(2, 3), 3]).base,
+             "ray-wall": fan_complex(3), "half-plane": half_plane_family().base}
+    out = []
+    for name, base in bases.items():
+        for fid in sorted(base.faces):
+            verts, rays, lines = base.face(fid).chart.vrep()
+            for _ in range(per_face):
+                a, b, lam = rng.choice(verts), rng.choice(verts), rng.choice(ratios)
+                x = [p + lam * (q - p) for p, q in zip(a, b)]
+                for g in rays + lines:
+                    c = rng.choice(ratios)
+                    x = [p + c * y for p, y in zip(x, g)]
+                if x and rng.random() < 0.2:
+                    x[rng.randrange(len(x))] = rng.choice(ratios)
+                out.append((name, base, fid, tuple(Fraction(p) for p in x)))
+    return out
+
+
+def locate_outcome(base, fid, x):
+    """``family.locate``'s answer in the form of ``reference_family.locate``."""
+    try:
+        return locate(base, fid, x)
+    except PointNotInComplex as exc:
+        return "outside" if "is outside face" in str(exc) else "uncovered"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ half-line from it along each ray and along plus and minus each line.
 Reports must be identical, entry for entry and in order.  The affine maps
 are evaluated and composed in Fractions by ``reference_linalg``, and
 preimage classes are walked by ``reference_graph``, not by the kernels
-under test.
+under test.  ``locate`` is the library's point location with the
+preimage of a boundary point solved by a given rational solver
+(``reference_linalg.solve_linear``, or sympy's) instead of on integers.
 """
 
 from __future__ import annotations
@@ -26,6 +28,31 @@ from tropmoduli.tropcurve import check_balanced, extended_degree
 from reference_graph import spanning_forest
 from reference_linalg import affine_apply, affine_compose
 from reference_polyhedral import feasible_point, interior_point
+
+
+def locate(base, fid, x, solve):
+    """``family.locate`` with the preimage solved by ``solve(a, b)`` (one
+    rational solution of a y = b with free coordinates 0, or None) and
+    containment tested in Fractions: (face id, coordinates), or "outside"
+    or "uncovered" where the library raises PointNotInComplex."""
+    def inside(chart, y, strict=False):
+        side = lambda n, o: sum((a * c for a, c in zip(n, y, strict=True)), Fraction(0)) - o
+        return all(side(n, o) == 0 for n, o in chart.eqs) and \
+            all(side(n, o) > 0 if strict else side(n, o) >= 0 for n, o in chart.ineqs)
+
+    face = base.face(fid)
+    if not inside(face.chart, x):
+        return "outside"
+    if face.rank == 0 or inside(face.chart, x, strict=True):
+        return fid, x
+    for sub in sorted(s for s, t in base.inclusions if t == fid):
+        if base.face(sub).rank >= face.rank:
+            continue
+        inc = base.inclusions[(sub, fid)]
+        y = solve(inc.linear, tuple(a - b for a, b in zip(x, inc.offset)))
+        if y is not None and inside(base.face(sub).chart, y):
+            return locate(base, sub, y, solve)
+    return "uncovered"
 
 
 def _length(fn, x):

@@ -25,7 +25,7 @@ from tropmoduli.errors import (
     SeedNotInGraph,
     UnbalancedType,
 )
-from tropmoduli.exact_linalg import vec, vec_add, vec_scale, vec_sub
+from tropmoduli.exact_linalg import vec
 from tropmoduli.moduli import (
     WallClassification,
     WallGraph,
@@ -42,6 +42,8 @@ from tropmoduli.tropcurve import (
     extended_degree,
     genus,
 )
+
+from reference_linalg import vec_add, vec_scale, vec_sub
 
 
 def is_connected(g: WeightedGraph) -> bool:

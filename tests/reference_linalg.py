@@ -7,10 +7,13 @@ before they moved onto the fraction-free ``_int_echelon``, the full
 ``Fraction`` ``affine_apply`` and ``affine_compose`` that summed products
 of Fractions before they moved onto integer numerators over one common
 denominator, with the ``Fraction`` dot product ``vec_dot`` and
-matrix-vector product ``mat_vec`` that the library no longer uses.  Both
-must give identical answers.  ``kernel_rational`` has
-no library counterpart any more; ``reference_stratum`` samples along it
-and the sympy oracle checks it.  It also keeps
+matrix-vector product ``mat_vec`` and the ``Fraction`` vector sums
+``vec_add``, ``vec_sub`` and ``vec_scale`` that the library no longer
+uses.  Both must give identical answers.  ``kernel_rational`` and
+``solve_linear`` have no library counterpart any more:
+``reference_stratum`` samples along the first, the sympy oracle checks
+it, and ``solve_linear`` is the reference for ``family.locate``'s integer
+preimages.  It also keeps
 ``feasible_point``, the general LP feasibility query (with its common
 slack ``t <= 1`` for strict inequalities) that the library used before
 its only LP question became ``_positive_solution``; the reference
@@ -40,8 +43,6 @@ from tropmoduli.exact_linalg import (
     lp_maximize,
     primitive_vector,
     vec,
-    vec_add,
-    vec_scale,
 )
 from tropmoduli.records import FrozenRecord
 
@@ -117,6 +118,18 @@ def unimodular_inverse(u):
     cols = [solve_linear(u, tuple(int(i == j) for i in range(n))) for j in range(n)]
     assert all(col is not None for col in cols)
     return tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
+
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def vec_scale(c, a):
+    return tuple(c * x for x in a)
 
 
 def vec_dot(a, b):

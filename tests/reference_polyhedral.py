@@ -40,8 +40,6 @@ from tropmoduli.exact_linalg import (
     primitive_vector,
     smith_normal_form,
     vec,
-    vec_add,
-    vec_sub,
 )
 from tropmoduli.errors import InconsistentStrata
 from tropmoduli import polyhedral as library
@@ -67,7 +65,9 @@ from reference_linalg import (
     solve_linear,
     span_membership,
     strict_positive_combination,
+    vec_add,
     vec_dot,
+    vec_sub,
 )
 
 
@@ -216,7 +216,21 @@ def _span_equal(lines_a, lines_b) -> bool:
 
 
 def _triples_equal(a, b) -> bool:
-    return a[0] == b[0] and a[1] == b[1] and _span_equal(a[2], b[2])
+    """Whether the generators a = (vertices, rays, lines) give the polyhedron
+    that b does, modulo the lines of b: every vertex of a is a vertex of b
+    plus a combination of b's lines, every ray of a a positive multiple of a
+    ray of b plus one, each generator of b is met, and the lines span the
+    same space.  Each test solves one system with ``solve_linear``."""
+    def modulo(v, w, ray):
+        cols = ([w] if ray else []) + list(b[2])
+        sol = solve_linear(tuple(zip(*cols)), vec(v) if ray else vec_sub(vec(v), vec(w)))
+        return sol is not None and (not ray or sol[0] > 0)
+
+    def meets(gens, targets, ray):
+        found = [next((w for w in targets if modulo(v, w, ray)), None) for v in gens]
+        return None not in found and set(found) == set(targets)
+
+    return _span_equal(a[2], b[2]) and meets(a[0], b[0], False) and meets(a[1], b[1], True)
 
 
 def validate_complex(c):

@@ -24,7 +24,6 @@ from tropmoduli.exact_linalg import (
     primitive_vector,
     rank,
     smith_normal_form,
-    solve_linear,
     strict_positive_combination,
     vec,
 )
@@ -32,7 +31,9 @@ from tropmoduli.exact_linalg import (
 from tropmoduli.family import AffineFn, AffineMapN
 from tropmoduli.polyhedral import FaceInclusion
 
+import reference_family
 import reference_linalg as reference
+from helpers import locate_outcome, locate_points, quadrant_complex
 from reference_linalg import feasible_point
 from oracles import fm_positive_combination_exists, reference_lp_maximize
 
@@ -125,10 +126,14 @@ def test_span_membership():
 
 def test_solve_and_kernel():
     a = [vec([1, 2]), vec([2, 4])]
-    x = solve_linear(a, vec([3, 6]))
-    assert x is not None and x[0] + 2 * x[1] == 3
-    assert solve_linear(a, vec([3, 7])) is None
     assert rank(a) == 1
+    # locate solves the preimage of a boundary point on integers: (0, 3/2)
+    # has none through X -> Q (0 = 3/2) and y = 3/2 through Y -> Q
+    q = quadrant_complex()
+    assert locate_outcome(q, "Q", (0, Fraction(3, 2))) == ("Y", (Fraction(3, 2),))
+    assert locate_outcome(q, "Q", (0, 0)) == ("O", ())
+    assert locate_outcome(q, "Q", (Fraction(1, 3), 2)) == ("Q", (Fraction(1, 3), 2))
+    assert locate_outcome(q, "Q", (-1, 0)) == "outside"
 
 
 def test_integer_solve_and_kernel():
@@ -325,13 +330,26 @@ def test_rational_systems_cover_degenerate_cases():
 def test_row_reduction_matches_fraction_reference():
     for m, ncols, consistent, b in SYSTEMS:
         assert rank(m) == reference.rank(m), m
-        for rhs in (consistent, b):
-            got = solve_linear(m, rhs)
-            assert got == reference.solve_linear(m, rhs), (m, rhs)
-            assert got is None or _all_fractions([got])
         basis = _span_basis(_integer_rows(m))
         assert all(type(x) is int for row in basis for x in row)
         assert _positive_multiples(basis, reference.spanning_basis(m)), m
+    # the integer preimages of locate against the Fraction solve_linear
+    kinds = {"outside": 0, "interior": 0, "boundary": 0, "no preimage": 0}
+
+    def solve(a, b):
+        x = reference.solve_linear(a, b)
+        kinds["no preimage"] += x is None
+        return x
+
+    for name, base, fid, x in locate_points():
+        got = locate_outcome(base, fid, x)
+        assert got == reference_family.locate(base, fid, x, solve), (name, fid, x)
+        if got == "outside":
+            kinds["outside"] += 1
+        else:
+            assert _all_fractions([got[1]]), got
+            kinds["interior" if got[0] == fid else "boundary"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def _integer_rows(m):

@@ -19,6 +19,7 @@ from tropmoduli import exact_linalg
 from tropmoduli.family import (
     AffineFn,
     AffineMapN,
+    Contraction,
     FaceCurveData,
     FamilyDatum,
     validate_family,
@@ -37,6 +38,7 @@ import reference_polyhedral
 from helpers import (
     CROSS_DEGREE,
     const_positionN,
+    half_plane_family,
     path_family,
     point_family,
     quadrant_family,
@@ -75,6 +77,7 @@ FAMILIES = {
     "path-0": lambda: _benchmark_path_family(0),
     "path-1": lambda: _benchmark_path_family(1),
     "quadrant": quadrant_family,
+    "half-plane": half_plane_family,  # a chart with a line
 }
 
 
@@ -84,6 +87,54 @@ def test_validate_family_matches_point_sampling_reference(name):
     found = _entries(validate_family(f))
     assert found == _entries(reference_family.validate_family(f))
     assert bool(found) == (name == "ray-wall-bad")
+
+
+def _segment_from_a_third():
+    """The resolution type over the segment [1/3, 2] and its end points,
+    with edge length 1 and constant positions: the chart's first vertex is
+    not the origin."""
+    t = resolution_type(1)
+    s = t.slopes["e"]
+    base = PolyhedralComplex(
+        [Face("V0", 0, Polyhedron(0)), Face("V1", 0, Polyhedron(0)),
+         Face("E", 1, Polyhedron(1, [((1,), Fraction(1, 3)), ((-1,), -2)]))],
+        [FaceInclusion("V0", "E", ((),), (Fraction(1, 3),)), FaceInclusion("V1", "E", ((),), (2,))])
+    data = lambda rank: FaceCurveData(
+        type=t, lengths={"e": AffineFn((0,) * rank, 1)},
+        positions={"va": const_positionN((0, 0), rank), "vb": const_positionN(s, rank)})
+    return FamilyDatum(base=base, dim=2, extended_degree=CROSS_DEGREE,
+                       face_data={"V0": data(0), "V1": data(0), "E": data(1)},
+                       contractions={(v, "E"): Contraction(vertex_map={"va": "va", "vb": "vb"},
+                                                           edge_map={"e": "e"})
+                                     for v in ("V0", "V1")})
+
+
+def test_edge_relation_failures_are_named_at_a_vertex_along_a_ray_and_along_a_line():
+    """On the half-plane {y >= 0} (vertex (0, 0), ray (0, 1), one line), a
+    wrong offset of vb fails at the vertex, a wrong y coefficient only along
+    the ray and a wrong x coefficient only along the line.  On [1/3, 2], vb
+    moved by x - 1/3 fails only at the second vertex.  Each failure is named
+    at the reference's first failing generating point."""
+    line = half_plane_family().base.face("H").chart.vrep()[2][0]
+    cases = {
+        "vertex": (half_plane_family, "H",
+                   lambda lin, off: (lin, (off[0] + 1, off[1])), ("0", "0")),
+        "ray": (half_plane_family, "H",
+                lambda lin, off: (((1, lin[0][1] + 1), lin[1]), off), ("0", "1")),
+        "line": (half_plane_family, "H",
+                 lambda lin, off: (((2, lin[0][1]), lin[1]), off), tuple(map(str, line))),
+        "second vertex": (_segment_from_a_third, "E",
+                          lambda lin, off: (((1,), lin[1]), (off[0] - Fraction(1, 3), off[1])),
+                          ("2",)),
+    }
+    for name, (build, fid, change, at) in cases.items():
+        f = build()
+        vb = f.face_data[fid].positions["vb"]
+        f.face_data[fid].positions["vb"] = AffineMapN(*change(vb.linear, vb.offset))
+        found = _entries(validate_family(f))
+        assert found == _entries(reference_family.validate_family(f)), name
+        assert ("1", fid, f"edge relation fails for 'e' at {at}") in found, (name, found)
+    assert not validate_family(_segment_from_a_third()).violations
 
 
 def _delta(rng):

@@ -759,3 +759,46 @@ def test_star_refuses_an_image_that_is_no_face():
     with pytest.raises(TropModuliError,
                        match="image of 'a' is not a facet of 'b'; validate the complex first"):
         star(c, "a")
+
+
+def _line_into_half_plane(offset):
+    """The line R mapped into the half-plane {y >= 0} by x -> (x, 0) + offset."""
+    return PolyhedralComplex(
+        [Face("a", 1, Polyhedron(1)), Face("b", 2, Polyhedron(2, [((0, 1), 0)]))],
+        [FaceInclusion("a", "b", ((1,), (0,)), offset)])
+
+
+def _half_planes_on_a_quarter_space(shear):
+    """{t >= 0} in R^2 mapped onto the face c = 0 of {b >= 0, c >= 0} in R^3
+    by (s, t) -> (s + shear * t, t, 0), a second copy onto b = 0 by
+    (s, t) -> (s, 0, t), and the line R onto their common edge and into both
+    half-planes as t = 0."""
+    half = Polyhedron(2, [((0, 1), 0)])
+    faces = [Face("L", 1, Polyhedron(1)), Face("T", 2, half), Face("U", 2, half),
+             Face("Q", 3, Polyhedron(3, [((0, 1, 0), 0), ((0, 0, 1), 0)]))]
+    incs = [FaceInclusion("T", "Q", ((1, shear), (0, 1), (0, 0)), (0, 0, 0)),
+            FaceInclusion("U", "Q", ((1, 0), (0, 0), (0, 1)), (0, 0, 0)),
+            FaceInclusion("L", "T", ((1,), (0,)), (0, 0)),
+            FaceInclusion("L", "U", ((1,), (0,)), (0, 0)),
+            FaceInclusion("L", "Q", ((1,), (0,), (0,)), (0, 0, 0))]
+    return PolyhedralComplex(faces, incs)
+
+
+def test_images_are_matched_modulo_the_lines_of_the_super_chart():
+    """An inclusion that moves a chart along the super chart's lines, by its
+    offset or by a shear, still maps it onto a face: ``validate_complex``
+    (and the reference) accept it and ``star`` orients it."""
+    for offset in ((0, 0), (3, 0), (Fraction(1, 2), 0), (-7, 0)):
+        c = _line_into_half_plane(offset)
+        assert validate_complex(c).ok and reference.validate_complex(c).ok, offset
+        assert star(c, "a").directions == reference.star(c, "a").directions == (("b", (0, 1)),)
+    for shear in (0, 1, -2):
+        c = _half_planes_on_a_quarter_space(shear)
+        assert validate_complex(c).ok and reference.validate_complex(c).ok, shear
+        for w, expect in (("T", (("Q", (0, 0, 1)),)), ("U", (("Q", (0, 1, 0)),)),
+                          ("L", (("T", (0, 1)), ("U", (0, 1))))):
+            assert star(c, w).directions == reference.star(c, w).directions == expect, (shear, w)
+    # off the lines the image is still no face
+    c = _line_into_half_plane((0, 1))
+    assert str(validate_complex(c)) == str(reference.validate_complex(c))
+    assert ("5", "a->b") in {(v.axiom, v.subject) for v in validate_complex(c).violations}

@@ -1,7 +1,8 @@
 """sympy as a second exact oracle for the linear algebra kernels: rank,
 Smith normal form, integer kernels and fraction-free echelon forms over the
 integers, spans (``_span_basis`` of rows scaled to integers), rational
-kernels (of ``reference_linalg``) and solvability over the rationals."""
+kernels (of ``reference_linalg``) and solvability over the rationals (the
+integer preimages of ``family.locate``)."""
 
 import random
 from fractions import Fraction
@@ -20,11 +21,12 @@ from tropmoduli.exact_linalg import (  # noqa: E402
     mat_mul,
     rank,
     smith_normal_form,
-    solve_linear,
 )
 from tropmoduli.polyhedral import _int_echelon  # noqa: E402
 
+import reference_family  # noqa: E402
 import reference_linalg  # noqa: E402
+from helpers import locate_outcome, locate_points  # noqa: E402
 
 
 def _matrices(count=300, seed=7, rational=False):
@@ -128,8 +130,20 @@ def test_rational_matrices_cover_degenerate_cases():
     assert min(kinds.values()) >= 20, kinds
 
 
+def _sympy_solve(a, b):
+    """One solution of a y = b read off sympy's rref (free coordinates 0),
+    or None when the rref has a pivot in the constant column."""
+    ncols = len(a[0])
+    red, pivots = _qq([list(row) + [bi] for row, bi in zip(a, b)]).rref()
+    if ncols in pivots:
+        return None
+    y = [Fraction(0)] * ncols
+    for row, c in zip(_fractions(red), pivots):
+        y[c] = row[ncols]
+    return tuple(y)
+
+
 def test_rational_span_kernel_and_solvability_match_sympy():
-    rng = random.Random(9)
     for m in RATIONAL:
         red, pivots = _qq(m).rref()
         # _span_basis of the rows scaled to integers: positive multiples of the RREF rows
@@ -140,6 +154,15 @@ def test_rational_span_kernel_and_solvability_match_sympy():
             assert row[c] > 0 and tuple(Fraction(x, row[c]) for x in row) == want, m
         assert reference_linalg.kernel_rational(m, len(m[0])) == \
             _fractions(_qq(m).nullspace()), m
-        b = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7))) for _ in m]
-        rises = _qq([list(r) + [bi] for r, bi in zip(m, b)]).rank() > len(pivots)
-        assert (solve_linear(m, b) is None) == rises, (m, b)
+    # solvability: locate's integer preimages against sympy's, face and coordinates
+    inconsistent = []
+
+    def solve(a, b):
+        y = _sympy_solve(a, b)
+        inconsistent.append(y is None)
+        return y
+
+    for name, base, fid, x in locate_points():
+        assert locate_outcome(base, fid, x) == reference_family.locate(base, fid, x, solve), \
+            (name, fid, x)
+    assert sum(inconsistent) >= 20, sum(inconsistent)

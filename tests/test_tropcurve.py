@@ -98,6 +98,17 @@ def test_realize_two_vertex():
     assert p.is_valid()
 
 
+def test_realize_refuses_a_root_position_of_the_wrong_length():
+    """A short root position used to fail as a cycle inconsistency even on a
+    tree, and a long one with zip's error; both are one ValueError that
+    names the root."""
+    for t, root in ((two_vertex_type(), None), (two_vertex_type(), "v"), (tripod(), "v")):
+        for position in ((0,), (0, 0, 0), ()):
+            with pytest.raises(ValueError, match=rf"^position of root '{root or 'u'}' has "
+                               rf"{len(position)} coordinates, not 2$"):
+                realize(t, {"e": 3}, position, root)
+
+
 def test_realize_cycle_inconsistency():
     # theta-like cycle with equal slopes on parallel edges and lengths 1, 2
     g = WeightedGraph(
