@@ -30,7 +30,7 @@ def _load_json(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except ValueError as exc:  # JSONDecodeError, a bad UTF-8 byte or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}")
     # accept a saved report in place of its payload document, so verbs chain
     if isinstance(doc, dict) and doc.get("schema") == docs.SCHEMA \
@@ -169,7 +169,7 @@ def _cmd_enumerate(args):
             raise InputError(f"--{name.replace('_', '-')} must be nonnegative", f"/{name}")
     try:
         degree = json.loads(args.degree)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # as in _load_json
         raise InputError(f"--degree is not valid JSON: {exc}")
     if not isinstance(degree, list) or not all(isinstance(s, list) for s in degree):
         raise InputError("--degree must be a JSON list of integer vectors")
@@ -239,7 +239,7 @@ def _cmd_fiber(args):
     f = docs.family_from_doc(_load_json(args.input))
     try:
         point = json.loads(args.point)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # as in _load_json
         raise InputError(f"--point is not valid JSON: {exc}")
     if not isinstance(point, list):
         raise InputError("--point must be a JSON list of rationals")

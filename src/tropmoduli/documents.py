@@ -9,7 +9,8 @@ at import.  One walk of it checks a document and converts it to tuples of
 ints and Fractions (offsets: integer numerators over one denominator); an
 input error names the first bad JSON pointer.
 Each ``*_from_doc`` then only resolves cross-references (ids, maximal
-faces, wall resolutions, base faces and inclusions) and builds the object.
+faces, wall resolutions, base faces and inclusions) and builds the object;
+``family_from_doc`` builds one type per distinct face type document.
 """
 
 from __future__ import annotations
@@ -310,14 +311,17 @@ def types_from_doc(doc, pointer=""):
 def family_from_doc(doc, pointer="") -> FamilyDatum:
     dim, ext, base, faces, contractions = SCHEMAS["family"](doc, pointer)
     base = _complex(base, f"{pointer}/base")
-    face_data = {}
+    face_data, types = {}, {}
     for i, (fid, t, lengths, positions) in enumerate(faces):
         p = f"{pointer}/faces/{i}"
         if fid in face_data:
             raise InputError(f"repeated face {fid!r}", f"{p}/face")
         if fid not in base.faces:
             raise InputError(f"face {fid!r} is not in the base", f"{p}/face")
-        t = _type(t, f"{p}/type")[0]
+        key = t[:4]  # equal checked types share one object; positions are checked per face
+        if t[4] is not None or key not in types:
+            types[key] = _type(t, f"{p}/type")[0]
+        t = types[key]
         _check_known(lengths, {e for e, _, _ in t.graph.edges}, "length for unknown edge",
                      f"{p}/lengths")
         _check_known(positions, set(t.graph.vertex_ids()), "position for unknown vertex",

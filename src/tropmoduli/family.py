@@ -14,7 +14,9 @@ relation is named from its integer residual at the chart's vertex keys.
 The induced moduli map assigns to each face the affine lift of the
 stabilized fiber into the stratum coordinates of its canonical type.
 ``induced_alpha`` is the one place that validates a family and lifts its
-faces; wall verdicts and image strata take the map it returns.  Wall
+faces; wall verdicts and image strata take the map it returns.  Type-only
+work (degree and balancing checks, stabilization, canonical form) runs once
+per type object, which faces read from one type document share.  Wall
 verdicts implement the harmonic / quasi-harmonic / locally combinatorially
 surjective trichotomy at a face, and closure propagation saturates a seed
 set of maximal strata through walls.  The family, its face data, the lifts
@@ -202,15 +204,17 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
     if report.violations:
         return report
 
-    # per-face fiber conditions; inclusion checks skip faces with malformed data
-    malformed = set()
+    # per-face fiber conditions, type-only ones once per type; malformed faces skip inclusions
+    malformed, checked = set(), {}
     for fid, (data, missing, misshapen) in faults.items():
         face = f.base.face(fid)
         t = data.type
         if t.dim == f.dim:
-            if extended_degree(t) != f.extended_degree:
+            if id(t) not in checked:
+                checked[id(t)] = extended_degree(t), check_balanced(t)
+            degree, bal = checked[id(t)]
+            if degree != f.extended_degree:
                 report.add("degree", fid, "extended degree differs from the family degree")
-            bal = check_balanced(t)
             if not bal.ok:
                 report.add("1", fid, f"type unbalanced at {[v for v, _ in bal.failures]}")
         if missing:
@@ -462,9 +466,14 @@ def _lift_rows(f: FamilyDatum, fid: str, chains, vertices):
     return tuple(rows), *_over_common(tuple(offs), den)
 
 
-def _face_lift(f: FamilyDatum, fid: str) -> FaceLift:
-    stab = stabilize_type(f.face_data[fid].type)
-    cf = canonical_form(CombinatorialType(stab.graph, stab.slopes, f.dim))
+def _face_lift(f: FamilyDatum, fid: str, typed: dict) -> FaceLift:
+    """Face fid's lift; ``typed`` maps id(type) -> (stabilization, canonical form)."""
+    t = f.face_data[fid].type
+    if id(t) not in typed:  # a type validated in Z^f.dim stabilizes to valid parts
+        stab = stabilize_type(t)
+        typed[id(t)] = stab, canonical_form(
+            CombinatorialType._trusted(stab.graph, stab.slopes, f.dim))
+    stab, cf = typed[id(t)]
     chains = [stab.edge_chains[e] for e in _canonical_order(cf.edge_map)]
     linear, num, den = _lift_rows(f, fid, chains, _canonical_order(cf.vertex_map))
     return FaceLift(face=fid, type=cf.type, canonical=cf.string,
@@ -487,7 +496,9 @@ def induced_alpha(f: FamilyDatum) -> InducedMap:
     report = validate_family(f)
     if not report.ok:
         raise InvalidFamily(str(report))
-    return InducedMap(family=f, lifts={fid: _face_lift(f, fid) for fid in sorted(f.base.faces)})
+    typed = {}
+    return InducedMap(family=f, lifts={fid: _face_lift(f, fid, typed)
+                                       for fid in sorted(f.base.faces)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -322,6 +326,30 @@ def test_cli_family_invalid_exit_code(tmp_path, capsys):
     code, out = _run(capsys, ["validate-family", fpath])
     assert code == 1
     assert json.loads(out)["status"] == "violations"
+
+
+_DEEP = "[" * 10_000 + "]" * 10_000  # past the interpreter's recursion limit in json
+
+
+@pytest.mark.parametrize("where", ["file", "point", "degree"])
+def test_cli_json_nested_too_deep_is_an_input_error(tmp_path, where):
+    """A fresh interpreter reports nesting that json cannot decode as an
+    input error at pointer "", exit 2, and writes nothing to stderr."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP)
+    fpath = _write(tmp_path, "family.json", docs.family_to_doc(segment_family()))
+    argv = {"file": ["validate-complex", str(deep)],
+            "point": ["fiber", fpath, "--face", "E", "--point", _DEEP],
+            "degree": ["enumerate", "--genus", "0", "--max-edges", "1", "--degree", _DEEP]}[where]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "tropmoduli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (2, "")
+    payload = json.loads(done.stdout)["payload"]
+    assert payload["pointer"] == ""
+    assert "is not valid JSON: maximum recursion depth exceeded" in payload["message"]
 
 
 def test_cli_usage_errors(tmp_path, capsys):

@@ -6,7 +6,9 @@ generators; ``reference_family`` evaluates both sides at every generating
 point of a chart and searches for roots from an LP interior point.  On the
 test families, on the benchmark's family shapes, on lengths placed around
 the zero-locus rule and on seeded single mutations of them, both must give
-the same violations in the same order.
+the same violations in the same order.  A family read from a document
+shares one type object among faces with equal type documents, and its
+type-only checks, stabilization and canonical form run once per type.
 """
 
 import copy
@@ -15,13 +17,16 @@ from fractions import Fraction
 
 import pytest
 
-from tropmoduli import exact_linalg
+from tropmoduli import exact_linalg, family
+from tropmoduli.documents import family_from_doc, family_to_doc, lift_to_doc, type_to_doc
+from tropmoduli.errors import InputError
 from tropmoduli.family import (
     AffineFn,
     AffineMapN,
     Contraction,
     FaceCurveData,
     FamilyDatum,
+    induced_alpha,
     validate_family,
 )
 from tropmoduli.polyhedral import (
@@ -194,6 +199,8 @@ def test_single_mutations_match_point_sampling_reference(kind):
         m = _mutate(FAMILIES[names[i % len(names)]](), rng, kind)
         found = _entries(validate_family(m))
         assert found == _entries(reference_family.validate_family(m)), (kind, i)
+        # read back, the faces whose type documents are equal share one type
+        assert _entries(validate_family(family_from_doc(family_to_doc(m)))) == found
         if kind == "inclusion":
             assert _entries(validate_complex(m.base)) == \
                 _entries(reference_polyhedral.validate_complex(m.base))
@@ -274,3 +281,50 @@ def test_validate_family_solves_no_lp(monkeypatch):
 
     monkeypatch.setattr(exact_linalg, "lp_maximize", refuse)
     assert sum(len(validate_family(f).violations) for f in families) > 0
+
+
+# ---------------------------------------------------------------------------
+# one type object per distinct type document, lifted once
+# ---------------------------------------------------------------------------
+
+def test_equal_type_documents_share_one_type():
+    for name in sorted(FAMILIES):
+        doc = family_to_doc(FAMILIES[name]())
+        types = [data.type for _, data in sorted(family_from_doc(doc).face_data.items())]
+        distinct = {repr(face["type"]) for face in doc["faces"]}
+        assert len({id(t) for t in types}) == len(distinct), name
+        for face, t in zip(doc["faces"], types):
+            assert type_to_doc(t) == face["type"], name
+
+
+def test_type_documents_with_positions_are_checked_per_face():
+    doc = family_to_doc(_benchmark_path_family(1))
+    for face in doc["faces"]:
+        face["type"]["positions"] = {"va": ["0", "0"], "vb": ["-1", "-1"]}
+    assert family_to_doc(family_from_doc(doc)) == family_to_doc(_benchmark_path_family(1))
+    doc["faces"][3]["type"]["positions"]["zz"] = ["0", "0"]
+    with pytest.raises(InputError) as exc:
+        family_from_doc(doc)
+    assert exc.value.pointer == "/faces/3/type/positions/zz"
+
+
+def test_a_shared_type_is_checked_stabilized_and_labelled_once(monkeypatch):
+    """13 faces read from one type document: one balancing check, one
+    stabilization and one canonical form, and the lifts of a family whose
+    faces carry equal but distinct type objects."""
+    f = family_from_doc(family_to_doc(_benchmark_path_family(1)))
+    unshared = copy.deepcopy(f)
+    for data in unshared.face_data.values():
+        data.type = copy.deepcopy(data.type)
+    calls = {}
+    for name in ("check_balanced", "stabilize_type", "canonical_form"):
+        def counted(*args, _name=name, _fn=getattr(family, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(family, name, counted)
+    alpha = induced_alpha(f)
+    assert len(alpha.lifts) == 13
+    assert calls == {"check_balanced": 1, "stabilize_type": 1, "canonical_form": 1}
+    assert [lift_to_doc(lift) for _, lift in sorted(alpha.lifts.items())] == \
+        [lift_to_doc(lift) for _, lift in sorted(induced_alpha(unshared).lifts.items())]
+    assert calls == {"check_balanced": 14, "stabilize_type": 14, "canonical_form": 14}

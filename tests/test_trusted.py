@@ -15,6 +15,7 @@ import pytest
 
 from tropmoduli import documents as docs
 from tropmoduli import exact_linalg, moduli
+from tropmoduli.family import induced_alpha
 from tropmoduli.moduli import (
     StratumDescriptor,
     WallClassification,
@@ -27,7 +28,15 @@ from tropmoduli.moduli import (
 )
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, stabilize_type
 
-from helpers import BRUTE_FORCE_CASES, SIX_LEGS, cross_type, relabelled
+from helpers import (
+    BRUTE_FORCE_CASES,
+    SIX_LEGS,
+    cross_type,
+    ray_wall_family,
+    relabelled,
+    segment_family,
+    two_ray_resolution_family,
+)
 
 
 def nodes_of(types):
@@ -97,6 +106,12 @@ def test_trusted_builds_cover_stabilization(trusted_builds):
     res = stabilize_type(CombinatorialType(g, slopes, 2))
     assert res.graph == WeightedGraph((("a", 0), ("b", 0)), (("e1", "a", "b"),), g.legs)
     assert trusted_builds == {"stabilize_type"}
+
+
+def test_trusted_builds_cover_face_lifts(trusted_builds):
+    for f in (segment_family(), ray_wall_family((1, 2, 3)), two_ray_resolution_family()):
+        induced_alpha(f)
+    assert trusted_builds == {"stabilize_type", "_face_lift", "canonical_form"}
 
 
 def assert_marker_is_canonical(t):
