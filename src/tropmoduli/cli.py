@@ -20,7 +20,7 @@ from . import documents as docs
 from .errors import Disconnected, InputError, TropModuliError
 from .family import fiber, image_strata, induced_alpha, propagate_closure, validate_family, wall_verdict
 from .moduli import canonical_string, classify, enumerate_types, resolve_4valent, wall_graph
-from .polyhedral import build_skeleton, validate_complex
+from .polyhedral import ValidationReport, build_skeleton, validate_complex
 from .tropcurve import ParameterizedTropicalCurve, TropicalCurve, check_balanced, genus, is_stable
 
 
@@ -125,42 +125,32 @@ def _cmd_skeleton(args):
 
 def _cmd_validate_curve(args):
     t, lengths, positions = docs.type_from_doc(_load_json(args.input))
-    violations = []
+    report = ValidationReport()
     balance = check_balanced(t)
     for v, deficit in balance.failures:
-        total = ", ".join(map(docs.rat_str, deficit))
-        violations.append({"axiom": "balance", "subject": v,
-                           "message": f"slope sum [{total}] is nonzero"})
+        report.add("balance", v, f"slope sum [{', '.join(map(docs.rat_str, deficit))}] is nonzero")
     try:
         g = genus(t.graph)
     except Disconnected:
         g = None
-        violations.append({"axiom": "connected", "subject": "graph",
-                           "message": "graph is not connected"})
+        report.add("connected", "graph", "graph is not connected")
     if lengths is not None and positions is not None:
         missing = [e for e, _, _ in t.graph.edges if e not in lengths]
         if missing:
-            violations.append({"axiom": "lengths", "subject": ",".join(missing),
-                               "message": "edges without length"})
+            report.add("lengths", ",".join(missing), "edges without length")
         unplaced = [v for v in t.graph.vertex_ids() if v not in positions]
         if unplaced:
-            violations.append({"axiom": "positions", "subject": ",".join(unplaced),
-                               "message": "vertices without position"})
+            report.add("positions", ",".join(unplaced), "vertices without position")
         if not (missing or unplaced):
             curve = ParameterizedTropicalCurve(
                 TropicalCurve(t.graph, lengths), positions, dict(t.slopes), t.dim)
             for e in curve.edge_relation_violations():
-                violations.append({"axiom": "edge-relation", "subject": e,
-                                   "message": "positions do not match length * slope"})
-    payload = {
-        "balanced": balance.ok,
-        "stable": is_stable(t.graph),
-        "genus": g,
-        "violations": violations,
-    }
-    if violations:
-        return "violations", payload, f"{len(violations)} violations"
-    return "ok", payload, "curve is balanced"
+                report.add("edge-relation", e, "positions do not match length * slope")
+    payload = {"balanced": balance.ok, "stable": is_stable(t.graph), "genus": g,
+               **docs.report_to_doc(report)}
+    if report.ok:
+        return "ok", payload, "curve is balanced"
+    return "violations", payload, f"{len(report.violations)} violations"
 
 
 def _cmd_enumerate(args):

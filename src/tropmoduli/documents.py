@@ -8,7 +8,7 @@ kind, a tree of nodes ``(value, pointer) -> converted value`` built once
 at import.  One walk of it checks a document and converts it to tuples of
 ints and Fractions (offsets: integer numerators over one denominator); an
 input error names the first bad JSON pointer.
-Each ``*_from_doc`` then only resolves cross-references (ids, maximal
+Each ``*_from_doc(doc)`` then only resolves cross-references (ids, maximal
 faces, wall resolutions, base faces and inclusions) and builds the object;
 ``family_from_doc`` builds one type per distinct face type document.
 """
@@ -273,12 +273,12 @@ def _complex(checked, pointer) -> PolyhedralComplex:
         raise InputError(str(exc), pointer) from None
 
 
-def complex_from_doc(doc, pointer="") -> PolyhedralComplex:
-    return _complex(SCHEMAS["complex"](doc, pointer), pointer)
+def complex_from_doc(doc) -> PolyhedralComplex:
+    return _complex(SCHEMAS["complex"](doc, ""), "")
 
 
-def pair_from_doc(doc, pointer="") -> SemistablePairData:
-    vertical, horizontal, strata, order = SCHEMAS["pair"](doc, pointer)
+def pair_from_doc(doc) -> SemistablePairData:
+    vertical, horizontal, strata, order = SCHEMAS["pair"](doc, "")
     return SemistablePairData(vertical, horizontal, tuple(Stratum(*s) for s in strata), order)
 
 
@@ -298,22 +298,22 @@ def _type(checked, pointer):
     return t, {e[0]: e[4] for e in edges if e[4] is not None} or None, positions
 
 
-def type_from_doc(doc, pointer=""):
+def type_from_doc(doc):
     """Returns (CombinatorialType, lengths or None, positions or None)."""
-    return _type(SCHEMAS["type"](doc, pointer), pointer)
+    return _type(SCHEMAS["type"](doc, ""), "")
 
 
-def types_from_doc(doc, pointer=""):
-    (types,) = SCHEMAS["types"](doc, pointer)
-    return [_type(t, f"{pointer}/types/{i}/type")[0] for i, (t,) in enumerate(types)]
+def types_from_doc(doc):
+    (types,) = SCHEMAS["types"](doc, "")
+    return [_type(t, f"/types/{i}/type")[0] for i, (t,) in enumerate(types)]
 
 
-def family_from_doc(doc, pointer="") -> FamilyDatum:
-    dim, ext, base, faces, contractions = SCHEMAS["family"](doc, pointer)
-    base = _complex(base, f"{pointer}/base")
+def family_from_doc(doc) -> FamilyDatum:
+    dim, ext, base, faces, contractions = SCHEMAS["family"](doc, "")
+    base = _complex(base, "/base")
     face_data, types = {}, {}
     for i, (fid, t, lengths, positions) in enumerate(faces):
-        p = f"{pointer}/faces/{i}"
+        p = f"/faces/{i}"
         if fid in face_data:
             raise InputError(f"repeated face {fid!r}", f"{p}/face")
         if fid not in base.faces:
@@ -331,7 +331,7 @@ def family_from_doc(doc, pointer="") -> FamilyDatum:
             {v: AffineMapN(lin, *off) for v, (lin, off) in positions.items()})
     contracted = {}
     for i, (sub, sup, vertex_map, edge_map) in enumerate(contractions):
-        p = f"{pointer}/contractions/{i}"
+        p = f"/contractions/{i}"
         if (sub, sup) in contracted:
             raise InputError(f"repeated contraction {sub!r} -> {sup!r}", p)
         if (sub, sup) not in base.inclusions:
@@ -340,14 +340,14 @@ def family_from_doc(doc, pointer="") -> FamilyDatum:
     return FamilyDatum(base, dim, ext, face_data, contracted)
 
 
-def wallgraph_from_doc(doc, pointer="") -> WallGraph:
-    nodes, walls = SCHEMAS["wallgraph"](doc, pointer)
-    nodes = tuple((nid, _type(t, f"{pointer}/nodes/{i}/type")[0])
+def wallgraph_from_doc(doc) -> WallGraph:
+    nodes, walls = SCHEMAS["wallgraph"](doc, "")
+    nodes = tuple((nid, _type(t, f"/nodes/{i}/type")[0])
                   for i, (nid, t) in enumerate(nodes))
     node_ids = {nid for nid, _ in nodes}
     built = []
     for i, (wid, t, res) in enumerate(walls):
-        p = f"{pointer}/walls/{i}"
+        p = f"/walls/{i}"
         built.append((wid, _type(t, f"{p}/type")[0], res))
         for j, nid in enumerate(res):
             if nid not in node_ids:

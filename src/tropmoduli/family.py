@@ -576,7 +576,6 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
     as inconclusive.
     """
     f = alpha.family
-    f.base.face(w)
     cofacet_incs = f.base.cofacet_inclusions(w)
     if not cofacet_incs:
         raise NoCofacets(f"face {w!r} has no codimension-one cofacets")

@@ -517,7 +517,8 @@ def resolve_4valent(t: CombinatorialType, v: str) -> list:
 
 
 def _resolutions(t: CombinatorialType, v: str) -> dict:
-    """resolve_4valent's resolutions keyed by their canonical strings."""
+    """resolve_4valent's resolutions keyed by their canonical strings; per
+    pairing, each star item at ``v`` maps to its new end, ``va`` or ``vb``."""
     cls = classify(t)
     if cls.classification != WallClassification.WEIGHTLESS_ALMOST_3VALENT:
         raise NotAlmost3Valent(
@@ -534,40 +535,20 @@ def _resolutions(t: CombinatorialType, v: str) -> dict:
     va = _fresh_id(f"{v}a", taken_v)
     vb = _fresh_id(f"{v}b", taken_v | {va})
     new_edge = _fresh_id("eres", {e for e, _, _ in g.edges} | {l for l, _ in g.legs})
+    vertices = tuple(sorted([(x, w) for x, w in g.vertices if x != v] + [(va, 0), (vb, 0)]))
+    kept = {x: t.slopes[x] for x in [e for e, _, _ in g.edges] + [l for l, _ in g.legs]}
 
     out = {}
     for first in ((0, 1), (0, 2), (0, 3)):
-        side_a = set(first)
-        assign = {i: (va if i in side_a else vb) for i in range(4)}
-        vertices = tuple(sorted([(x, w) for x, w in g.vertices if x != v] +
-                                [(va, 0), (vb, 0)]))
-        edges = []
-        slopes = {}
-        for e, a, b in g.edges:
-            if a != v and b != v:
-                edges.append((e, a, b))
-                slopes[e] = t.slopes[e]
-                continue
-            fwd = items.index(("edge", e, True)) if ("edge", e, True) in items else None
-            rev = items.index(("edge", e, False)) if ("edge", e, False) in items else None
-            na = assign[fwd] if a == v and fwd is not None else a
-            nb = assign[rev] if b == v and rev is not None else b
-            edges.append((e, na, nb))
-            slopes[e] = t.slopes[e]
-        legs = []
-        for lid, x in g.legs:
-            if x == v:
-                pos = items.index(("leg", lid))
-                legs.append((lid, assign[pos]))
-            else:
-                legs.append((lid, x))
-            slopes[lid] = t.slopes[lid]
-        total_a = tuple(
-            sum(t.slope_of_item(items[i])[c] for i in side_a) for c in range(t.dim))
-        slopes[new_edge] = tuple(-x for x in total_a)  # slope along va -> vb
+        end = {item: va if i in first else vb for i, item in enumerate(items)}  # item -> new end
+        edges = [(e, end.get(("edge", e, True), a), end.get(("edge", e, False), b))
+                 for e, a, b in g.edges]
+        legs = tuple((lid, end.get(("leg", lid), x)) for lid, x in g.legs)
+        total_a = [sum(t.slope_of_item(items[i])[c] for i in first) for c in range(t.dim)]
+        slopes = {**kept, new_edge: tuple(-x for x in total_a)}  # slope along va -> vb
         edges.append((new_edge, va, vb))
         res = CombinatorialType._trusted(
-            WeightedGraph._trusted(vertices, tuple(sorted(edges)), tuple(legs)), slopes, t.dim)
+            WeightedGraph._trusted(vertices, tuple(sorted(edges)), legs), slopes, t.dim)
         assert check_balanced(res).ok
         assert classify(res).classification == WallClassification.WEIGHTLESS_3VALENT
         out.setdefault(canonical_form(res).string, res)

@@ -71,10 +71,10 @@ class Polyhedron:
     lineality generators) and records which inequalities are tight at each
     vertex and each ray, with each vertex keyed by its lowest-terms
     (numerators, denominator); the face lattice and the vertex and ray
-    indexes (by tight mask) are cached attributes read off it.  No query
-    solves an LP: ``is_empty``, ``has_interior``, ``dim``, ``proper_faces``,
-    and ``feasible_point`` and ``interior_point``, built from
-    P = conv(vertices) + cone(rays) + span(lines) (Minkowski-Weyl).
+    indexes (by tight mask) are cached attributes read off it; point queries
+    read the rows through ``_tight_mask``.  No query solves an LP: ``dim``,
+    ``is_empty``, ``has_interior``, ``proper_faces``, ``feasible_point`` and
+    ``interior_point`` read P = conv(vertices) + cone(rays) + span(lines).
     """
 
     def __init__(self, ambient_dim: int, ineqs=(), eqs=()):
@@ -88,6 +88,7 @@ class Polyhedron:
                                            for n, o in cs) for cs in (self.ineqs, self.eqs))
         self._key = (ambient_dim, self.ineqs, self.eqs)
         self._hash = hash((ambient_dim, self._rows, self._eq_rows))  # equal keys, equal rows
+        self._dims = {}  # tight mask -> _face_dim
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
@@ -101,12 +102,12 @@ class Polyhedron:
     # -- point queries ------------------------------------------------------
 
     def contains(self, x, strict: bool = False) -> bool:
-        """q·<n, x_num> against p·x_den on the integer rows (q·n, p)."""
+        """Inside when ``_tight_mask`` is not None; strictly when it is 0."""
         num, den = _over_common(tuple(x))
         if len(num) != self.ambient_dim:
             raise DimMismatch("point has wrong dimension")
-        side = lambda row: _dot(row, num) - row[-1] * den  # an integer: strict (> 0) is >= 1
-        return all(not side(r) for r in self._eq_rows) and all(side(r) >= strict for r in self._rows)
+        mask = self._tight_mask(num, den)
+        return mask is not None and not (strict and mask)
 
     def feasible_point(self):
         """The first vertex, or None when the polyhedron is empty."""
@@ -219,7 +220,7 @@ class Polyhedron:
             return None
         mask = 0
         for j, row in enumerate(self._rows):
-            s = sum(a * x for a, x in zip(row, point)) - row[-1] * scale
+            s = _dot(row, point) - row[-1] * scale
             if s < 0:
                 return None
             if s == 0:
@@ -249,10 +250,11 @@ class Polyhedron:
         return mask
 
     def _face_dim(self, tight: int) -> int:
-        """D - rank(equalities + inequalities in the mask ``tight``)."""
-        rows = [n for n, _ in self.eqs] + \
-            [n for j, (n, _) in enumerate(self.ineqs) if tight >> j & 1]
-        return self.ambient_dim - rank(rows)
+        """D - rank(equalities + inequalities in the mask ``tight``), kept per mask."""
+        if tight not in self._dims:
+            rows = [n for j, (n, _) in enumerate(self.ineqs) if tight >> j & 1]
+            self._dims[tight] = self.ambient_dim - rank([n for n, _ in self.eqs] + rows)
+        return self._dims[tight]
 
     def dim(self) -> int:
         """Dimension of the polyhedron, -1 if empty."""
@@ -341,7 +343,7 @@ class PolyhedralComplex:
     Instances are treated as immutable once built; all queries are read-only.
     Faces with equal charts share the first such chart, so chart geometry
     (``Polyhedron``'s cached attributes) is computed once per distinct chart;
-    ``star`` keeps its stars and directions in ``_stars`` and ``_directions``.
+    ``star`` keeps its directions, not its stars, in ``_directions``.
     Each face's sub- and super-face ids are indexed once, in inclusion order.
     """
 
@@ -374,7 +376,7 @@ class PolyhedralComplex:
         if maximal_faces is None:
             maximal_faces = [fid for fid, sups in self._supers.items() if not sups]
         self.maximal_faces = tuple(maximal_faces)
-        self._stars, self._directions = {}, {}  # see star
+        self._directions = {}  # see star
 
     def face(self, fid: str) -> Face:
         try:
@@ -424,17 +426,21 @@ class ValidationReport(Record):
         return "\n".join(str(v) for v in self.violations)
 
 
+def _mapped(sub_chart: Polyhedron, inc: FaceInclusion):
+    """The images through ``inc`` of ``sub_chart``'s vertices, as (numerators,
+    denominator), rays and lines (primitive: one mapped to 0 raises)."""
+    (_, rays, lines), _, _, keys = sub_chart._incidences
+    image = lambda vs: [primitive_vector(tuple(_dot(row, v) for row in inc.linear)) for v in vs]
+    return [_affine_over(inc.linear, inc.num, inc.den, *k) for k in keys], image(rays), image(lines)
+
+
 def _image(sub_chart: Polyhedron, chart: Polyhedron, inc: FaceInclusion):
     """The image of ``sub_chart`` through ``inc`` as (vertex ids, ray ids) of
-    ``chart``, and the image's lines; all in integers.  Generators are
-    matched by their tight masks, so modulo the chart's lines, and one that
-    is not one of the chart's gets the id None."""
-    (_, rays, lines), _, _, keys = sub_chart._incidences
-    mapped = lambda vs: [primitive_vector(tuple(_dot(row, v) for row in inc.linear)) for v in vs]
-    points = (_affine_over(inc.linear, inc.num, inc.den, *k) for k in keys)
+    ``chart``, matched by tight masks (so modulo the chart's lines; None for
+    a generator that is not one of the chart's), and the image's lines."""
+    points, rays, lines = _mapped(sub_chart, inc)
     return (frozenset(chart._vertex_id.get(chart._tight_mask(*p)) for p in points),
-            frozenset(chart._ray_id.get(chart._tight_mask(r, 0)) for r in mapped(rays))), \
-        mapped(lines)
+            frozenset(chart._ray_id.get(chart._tight_mask(r, 0)) for r in rays)), lines
 
 
 def validate_complex(c: PolyhedralComplex) -> ValidationReport:
@@ -596,12 +602,10 @@ def star(c: PolyhedralComplex, w: str) -> StarData:
     The generator is oriented into the cofacet chart, i.e. the cofacet lies
     on the nonnegative side of the facet supporting the embedded face: the
     first stored inequality of the cofacet chart that is tight on the image
-    (``_image``) and not zero on the generator, so no LP is solved; the
-    complex keeps stars and directions.  Assumes the complex is valid: an
-    image with a generator outside the cofacet chart's raises.
+    and not zero on the generator (``_direction`` reads the cofacet chart's
+    rows alone), so no LP is solved; the complex keeps the directions.
+    Assumes the complex is valid: an image vertex or ray not the cofacet chart's raises.
     """
-    if w in c._stars:
-        return c._stars[w]
     face = c.face(w)
     dirs = []
     for inc in c.cofacet_inclusions(w):
@@ -615,15 +619,16 @@ def star(c: PolyhedralComplex, w: str) -> StarData:
             raise TropModuliError(
                 f"image of {w!r} is not a facet of {inc.super!r}; validate the complex first")
         dirs.append((inc.super, e))
-    sd = c._stars[w] = StarData(face=w, directions=tuple(dirs))
-    return sd
+    return StarData(face=w, directions=tuple(dirs))
 
 
 def _direction(sub_chart: Polyhedron, chart: Polyhedron, inc: FaceInclusion):
     """The generator of N_chart / N_sub_chart that ``star`` takes, oriented
     into ``chart``, or None when the image of ``sub_chart`` is no facet: column
     r - 1 of u^-1 for the Smith form u·linear·v = s, the one solution of
-    u·e = (0, ..., 0, 1), which is integral because u is unimodular."""
+    u·e = (0, ..., 0, 1), which is integral because u is unimodular.  Each
+    image vertex must be a vertex of ``chart`` (a ``_tight_mask`` of the lineality
+    dimension) and each image ray a ray (one more); their masks AND to its tight set."""
     r = len(inc.linear)
     e = (1,)
     if r > 1:
@@ -631,10 +636,12 @@ def _direction(sub_chart: Polyhedron, chart: Polyhedron, inc: FaceInclusion):
         red, _ = _int_echelon([row + (int(i == r - 1),) for i, row in enumerate(u)], r)
         e = tuple(row[r] // row[i] for i, row in enumerate(red))
         assert all(row[r] % row[i] == 0 for i, row in enumerate(red)), "u is not unimodular"
-    ids, _ = _image(sub_chart, chart, inc)
-    if None in ids[0] or None in ids[1]:
-        return None
-    tight = chart._tight_on(*ids)
+    points, rays, _ = _mapped(sub_chart, inc)
+    tight = full = (1 << len(chart.ineqs)) - 1
+    for i, m in enumerate(chart._tight_mask(*p) for p in [*points, *((v, 0) for v in rays)]):
+        if m is None or chart._face_dim(m) != chart._face_dim(full) + (i >= len(points)):
+            return None
+        tight &= m
     for j, (n, _) in enumerate(chart.ineqs):
         d = _dot(n, e) if tight >> j & 1 else 0
         if d:

@@ -12,6 +12,12 @@ witness cycle on an input with a single defect.
 incidences from one-edge contractions alone: it contracts each non-loop
 edge of each node, keeps the weightless almost 3-valent results, and
 rebuilds every new wall's resolutions to find the nodes that meet it.
+
+``reference_resolutions`` is ``moduli._resolutions`` as it was before each
+edge end and leg read its new vertex from one map of the star items: a
+positional ``assign`` dict over the sorted star items, found again by
+``items.index`` for every edge end.  Keys, ids, edge order and slopes must
+be identical.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from tropmoduli.errors import (
     CycleInconsistency,
     Disconnected,
     MixedInvariants,
+    NotAlmost3Valent,
     SeedNotInGraph,
     UnbalancedType,
 )
@@ -29,7 +36,6 @@ from tropmoduli.exact_linalg import vec
 from tropmoduli.moduli import (
     WallClassification,
     WallGraph,
-    _resolutions,
     canonical_form,
     classify,
 )
@@ -258,10 +264,76 @@ def reference_wall_graph(types) -> WallGraph:
             cf = canonical_form(w)
             if cf.string in walls:
                 continue
-            keys = _resolutions(cf.type, classify(cf.type).four_valent_vertex)
+            keys = reference_resolutions(cf.type, classify(cf.type).four_valent_vertex)
             incident = sorted({node_key[k] for k in keys if k in node_key})
             walls[cf.string] = (cf.type, tuple(incident))
     wall_list = tuple(
         (f"w{i}", walls[k][0], walls[k][1]) for i, k in enumerate(sorted(walls)))
     nodes = tuple((nid, canon_nodes[k]) for k, nid in node_key.items())
     return WallGraph(nodes=nodes, walls=wall_list)
+
+
+def _fresh_id(base: str, taken) -> str:
+    cand = base
+    while cand in taken:
+        cand += "'"
+    return cand
+
+
+def reference_resolutions(t: CombinatorialType, v: str) -> dict:
+    """resolve_4valent's resolutions keyed by their canonical strings."""
+    cls = classify(t)
+    if cls.classification != WallClassification.WEIGHTLESS_ALMOST_3VALENT:
+        raise NotAlmost3Valent(
+            f"type is {cls.classification.value} with 4-valent vertex {cls.four_valent_vertex!r}")
+    if cls.four_valent_vertex != v:
+        raise NotAlmost3Valent(f"vertex {v!r} is not the 4-valent vertex {cls.four_valent_vertex!r}")
+    bal = check_balanced(t)
+    if not bal.ok:  # every resolution would be unbalanced where t is
+        raise UnbalancedType(f"unbalanced at {[x for x, _ in bal.failures]}")
+    g = t.graph
+    items = sorted(g.star_items(v))
+    assert len(items) == 4
+    taken_v = set(g.vertex_ids())
+    va = _fresh_id(f"{v}a", taken_v)
+    vb = _fresh_id(f"{v}b", taken_v | {va})
+    new_edge = _fresh_id("eres", {e for e, _, _ in g.edges} | {l for l, _ in g.legs})
+
+    out = {}
+    for first in ((0, 1), (0, 2), (0, 3)):
+        side_a = set(first)
+        assign = {i: (va if i in side_a else vb) for i in range(4)}
+        vertices = tuple(sorted([(x, w) for x, w in g.vertices if x != v] +
+                                [(va, 0), (vb, 0)]))
+        edges = []
+        slopes = {}
+        for e, a, b in g.edges:
+            if a != v and b != v:
+                edges.append((e, a, b))
+                slopes[e] = t.slopes[e]
+                continue
+            fwd = items.index(("edge", e, True)) if ("edge", e, True) in items else None
+            rev = items.index(("edge", e, False)) if ("edge", e, False) in items else None
+            na = assign[fwd] if a == v and fwd is not None else a
+            nb = assign[rev] if b == v and rev is not None else b
+            edges.append((e, na, nb))
+            slopes[e] = t.slopes[e]
+        legs = []
+        for lid, x in g.legs:
+            if x == v:
+                pos = items.index(("leg", lid))
+                legs.append((lid, assign[pos]))
+            else:
+                legs.append((lid, x))
+            slopes[lid] = t.slopes[lid]
+        total_a = tuple(
+            sum(t.slope_of_item(items[i])[c] for i in side_a) for c in range(t.dim))
+        slopes[new_edge] = tuple(-x for x in total_a)  # slope along va -> vb
+        edges.append((new_edge, va, vb))
+        res = CombinatorialType._trusted(
+            WeightedGraph._trusted(vertices, tuple(sorted(edges)), tuple(legs)), slopes, t.dim)
+        assert check_balanced(res).ok
+        assert classify(res).classification == WallClassification.WEIGHTLESS_3VALENT
+        out.setdefault(canonical_form(res).string, res)
+    assert 1 <= len(out) <= 3
+    return out

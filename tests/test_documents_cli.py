@@ -197,6 +197,57 @@ def test_cli_validate_curve(tmp_path, capsys):
         [("positions", "va")]
 
 
+def _curve_report(status, summary, violations, **payload):
+    """A validate-curve report as ``_emit`` writes it: json.dumps's bytes."""
+    payload["violations"] = [{"axiom": a, "subject": s, "message": m} for a, s, m in violations]
+    report = {"schema": docs.SCHEMA, "verb": "validate-curve", "status": status,
+              "payload": payload, "summary": summary}
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_cli_validate_curve_reports_every_violation_kind(tmp_path, capsys):
+    """Unbalanced, disconnected, an edge without a length and a vertex without
+    a position in one document; a failed edge relation in a placed one.  The
+    JSON bytes, the text lines and the exit codes are pinned."""
+    legs = lambda ends: [{"id": f"l{i}", "v": x, "slope": s} for i, (x, s) in enumerate(ends)]
+    broken = {
+        "schema": docs.SCHEMA, "dim": 2,
+        "vertices": [{"id": x} for x in "abcd"],
+        "edges": [{"id": "e1", "u": "a", "v": "b", "slope": [1, 0], "length": "2"},
+                  {"id": "e2", "u": "c", "v": "d", "slope": [0, 1]},
+                  {"id": "e3", "u": "c", "v": "d", "slope": [1, 0]}],
+        "legs": legs([("a", [-1, 0]), ("b", [1, 1]), ("c", [-1, -1]), ("d", [0, 1])]),
+        "positions": {"a": ["0", "0"], "b": ["2", "0"]},
+    }
+    placed = {
+        "schema": docs.SCHEMA, "dim": 2,
+        "vertices": [{"id": "a"}, {"id": "b"}],
+        "edges": [{"id": "e", "u": "a", "v": "b", "slope": [1, 2], "length": "3/2"}],
+        "legs": legs([("a", [-1, 0]), ("a", [0, -2]), ("b", [1, 0]), ("b", [0, 2])]),
+        "positions": {"a": ["0", "0"], "b": ["3/2", "2"]},  # length * slope is (3/2, 3)
+    }
+    cases = [
+        (broken, "5 violations", [
+            ("balance", "b", "slope sum [0, 1] is nonzero"),
+            ("balance", "d", "slope sum [-1, 0] is nonzero"),
+            ("connected", "graph", "graph is not connected"),
+            ("lengths", "e2,e3", "edges without length"),
+            ("positions", "c,d", "vertices without position")],
+         {"balanced": False, "stable": False, "genus": None}),
+        (placed, "1 violations", [
+            ("edge-relation", "e", "positions do not match length * slope")],
+         {"balanced": True, "stable": True, "genus": 0}),
+    ]
+    for i, (doc, summary, violations, fields) in enumerate(cases):
+        path = _write(tmp_path, f"curve{i}.json", doc)
+        assert _run(capsys, ["validate-curve", path]) == \
+            (1, _curve_report("violations", summary, violations, **fields))
+        text = ["status: violations", summary] + \
+            [f"AXIOM({a}) violated at {s}: {m}" for a, s, m in violations]
+        assert _run(capsys, ["validate-curve", path, "--format", "text"]) == \
+            (1, "\n".join(text) + "\n")
+
+
 def test_cli_enumerate_deterministic(capsys):
     argv = ["enumerate", "--genus", "0", "--degree",
             "[[1,0],[0,1],[-1,0],[0,-1]]", "--max-edges", "1"]

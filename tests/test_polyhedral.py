@@ -642,6 +642,26 @@ def _incidence_passes(monkeypatch):
     return passes
 
 
+def test_star_reads_the_face_chart_and_no_cofacet_chart(monkeypatch):
+    """Over seeded fans and books, ``star`` runs one incidence pass, on the
+    face's own chart: each cofacet chart is read through its rows alone.
+    The directions still match the reference."""
+    from test_harmonicity_reference import book_map
+    rng = random.Random(32)
+    for i in range(40):
+        k, dim = rng.randint(2, 6), rng.randint(2, 3)
+        if i % 2:
+            c, w = fan_complex(k), "O"
+        else:
+            a = tuple(rng.randint(-2, 2) for _ in range(dim))
+            c, w = book_map(rng, a, [a] * k).source, "W"
+        passes = _incidence_passes(monkeypatch)
+        got = star(c, w).directions
+        assert len(passes) == 1 and passes[0] is c.faces[w].chart, (i, passes)
+        monkeypatch.undo()
+        assert got == reference.star(c, w).directions, i
+
+
 def _assert_shared(c):
     """Equal charts are one object; returns the number of distinct charts."""
     charts = {}

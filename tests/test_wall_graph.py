@@ -6,18 +6,24 @@ finds the walls the same way but takes each wall's incidences from its
 rebuilt resolutions.  On enumerated degrees (genus 0 with 4-6 legs, a
 3-dimensional degree, genus 1 with loops and parallel edges, contracted
 legs) both must give the same nodes, walls and incidences.
+``moduli._resolutions`` must also build exactly what
+``reference_graph.reference_resolutions``, the positional loop it
+replaced, builds on each wall those degrees give.
 """
 
 import random
 
 import pytest
 
-from reference_graph import reference_wall_graph
+from reference_graph import reference_resolutions, reference_wall_graph
+from tropmoduli import documents as docs
 from tropmoduli import moduli
 from tropmoduli.moduli import (
     WallClassification,
+    _resolutions,
     canonical_form,
     classify,
+    contract_any_slope,
     enumerate_types,
     wall_graph,
 )
@@ -117,3 +123,28 @@ def test_wall_graph_classifies_only_its_inputs_and_rebuilds_no_resolution(monkey
     wg = wall_graph(nodes)
     assert wg.walls
     assert classified == nodes
+
+
+def test_resolutions_match_the_positional_reference():
+    """Every weightless almost 3-valent one-edge contraction of every node of
+    every case, and a relabelled copy of each (loops at the 4-valent vertex
+    included): the same canonical keys in the same order, the same
+    documents (ids and edge order) and the same slope dicts."""
+    rng = random.Random("resolutions")
+    walls = []
+    for case in CASES.values():
+        for t in _nodes(*case):
+            for e, u, v in t.graph.edges:
+                w = contract_any_slope(t, {e}) if u != v else None
+                if w and classify(w).classification == WallClassification.WEIGHTLESS_ALMOST_3VALENT:
+                    walls += [w, _relabelled(w, rng)]
+    looped = 0
+    for w in walls:
+        v = classify(w).four_valent_vertex
+        got, want = _resolutions(w, v), reference_resolutions(w, v)
+        assert list(got) == list(want)
+        for key, res in got.items():
+            assert docs.type_to_doc(res) == docs.type_to_doc(want[key])
+            assert list(res.slopes.items()) == list(want[key].slopes.items())
+        looped += any(a == b == v for _, a, b in w.graph.edges)
+    assert len(walls) == 840 and looped == 16
