@@ -49,11 +49,14 @@ def _report(verb, status, payload, summary):
     }
 
 
-def _encode(value, out, newline):
+def _encode(value, out, newline, seen=None):
     """Append to ``out`` the pieces of ``json.dumps(value, sort_keys=True,
     indent=2)``, ``newline`` being the line break and indent of value's own
     line.  Only dicts with string keys, lists, tuples, strings, ints, bools
-    and None are encoded; anything else, a float included, is a TypeError."""
+    and None are encoded; anything else, a float included, is a TypeError.
+    A dict met again at the same indent is written by repeating its pieces,
+    whose span ``seen`` keeps by (id, newline) within one call."""
+    seen = {} if seen is None else seen
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:
@@ -67,19 +70,24 @@ def _encode(value, out, newline):
         inner = newline + "  "
         for i, item in enumerate(value):
             out.append(("," if i else "[") + inner)
-            _encode(item, out, inner)
+            _encode(item, out, inner, seen)
         out.append(newline + "]")
     elif isinstance(value, dict):
+        span = seen.get((id(value), newline))
+        if span is not None:
+            out.extend(out[span[0]:span[1]])
+            return
         if not value:
             out.append("{}")
             return
-        inner = newline + "  "
+        start, inner = len(out), newline + "  "
         for i, key in enumerate(sorted(value)):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
-            _encode(value[key], out, inner)
+            _encode(value[key], out, inner, seen)
         out.append(newline + "}")
+        seen[(id(value), newline)] = start, len(out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -241,8 +249,9 @@ def _cmd_fiber(args):
 def _cmd_alpha(args):
     f = docs.family_from_doc(_load_json(args.input))
     alpha = induced_alpha(f)
+    type_docs = {}
     payload = {
-        "faces": [docs.lift_to_doc(alpha.lifts[fid]) for fid in sorted(alpha.lifts)],
+        "faces": [docs.lift_to_doc(alpha.lifts[fid], type_docs) for fid in sorted(alpha.lifts)],
         "image_strata": [docs.image_stratum_to_doc(s) for s in image_strata(alpha)],
     }
     return "ok", payload, f"lifts over {len(alpha.lifts)} faces"

@@ -462,8 +462,12 @@ def report_to_doc(report: ValidationReport) -> dict:
                            for v in report.violations]}
 
 
-def lift_to_doc(lift: FaceLift) -> dict:
-    return {"face": lift.face, "canonical": lift.canonical, "type": type_to_doc(lift.type),
+def lift_to_doc(lift: FaceLift, type_docs=None) -> dict:
+    """Lifts given one ``type_docs`` (id -> document) share each type's document."""
+    type_docs = {} if type_docs is None else type_docs
+    if id(lift.type) not in type_docs:
+        type_docs[id(lift.type)] = type_to_doc(lift.type)
+    return {"face": lift.face, "canonical": lift.canonical, "type": type_docs[id(lift.type)],
             "lift": _affine_to_doc(lift.linear, lift.num, lift.den), "image_dim": lift.rank()}
 
 

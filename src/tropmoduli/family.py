@@ -7,20 +7,25 @@ checks the fiber condition per face, the length/position compatibilities
 along inclusions, and the zero-locus condition (an edge is contracted
 exactly when its length vanishes identically on the sub-face).  On a
 full-dimensional chart each is an identity of affine maps, decided once on
-their integer coefficients; the sign and zeros of a length are read off the
-chart's vertices, rays and lines.  No LP is solved, and a failing edge
-relation is named from its integer residual at the chart's vertex keys.
+their integer coefficients (a restriction is ``mat_mul`` and ``_affine_over``
+against the sub-face's (linear, num, den)); the sign and zeros of a length
+are read off the chart's vertices, rays and lines.  No LP is solved, and a
+failing edge relation is named from its integer residual at the chart's
+vertex keys.  A contraction's type-only checks run once per distinct (sub
+type, super type, vertex map, edge map), their messages repeated under each
+inclusion's own subject.
 
 The induced moduli map assigns to each face the affine lift of the
 stabilized fiber into the stratum coordinates of its canonical type.
 ``induced_alpha`` is the one place that validates a family and lifts its
 faces; wall verdicts and image strata take the map it returns.  Type-only
 work (degree and balancing checks, stabilization, canonical form) runs once
-per type object, which faces read from one type document share.  Wall
-verdicts implement the harmonic / quasi-harmonic / locally combinatorially
-surjective trichotomy at a face, and closure propagation saturates a seed
-set of maximal strata through walls.  The family, its face data, the lifts
-and the verdicts are plain slotted records (see ``records``).
+per type object, which faces read from one type document share, and a lift
+ranks its rows once.  Wall verdicts implement the harmonic / quasi-harmonic
+/ locally combinatorially surjective trichotomy at a face, and closure
+propagation saturates a seed set of maximal strata through walls.  The
+family, its face data, the lifts and the verdicts are plain slotted records
+(see ``records``).
 """
 
 from __future__ import annotations
@@ -94,12 +99,6 @@ class AffineFn(FrozenRecord):
     def is_zero(self) -> bool:
         return self.num == 0 and all(a == 0 for a in self.linear)
 
-    def compose_embed(self, linear, offset, den: int = 1) -> "AffineFn":
-        """Restrict along an affine embedding (offset as for the constructor)."""
-        (num,), d = _affine_over((self.linear,), (self.num,), self.den,
-                                 *_over_common(tuple(offset), den))
-        return AffineFn(mat_mul((self.linear,), linear)[0], num, d)
-
 
 class AffineMapN(Offset, FrozenRecord):
     """Integral affine map from a face chart to N_R."""
@@ -111,11 +110,6 @@ class AffineMapN(Offset, FrozenRecord):
 
     def __call__(self, x):
         return _affine_at(self.linear, self.num, self.den, x)
-
-    def compose_embed(self, linear, offset, den: int = 1) -> "AffineMapN":
-        return AffineMapN(mat_mul(self.linear, linear),
-                          *_affine_over(self.linear, self.num, self.den,
-                                        *_over_common(tuple(offset), den)))
 
 
 class FaceCurveData(Record):
@@ -172,6 +166,60 @@ def _affine_faults(f: FamilyDatum, fid: str):
                   if len(mp.linear) != f.dim or any(len(r) != rank for r in mp.linear)
                   or len(mp.num) != f.dim]
     return data, [], misshapen
+
+
+def _contraction_faults(tsub: CombinatorialType, tsup: CombinatorialType, phi: Contraction):
+    """The messages of a contraction's type-only checks, in report order, and
+    whether the inclusion's restrictions are checked (not when the vertex
+    map, the edge map or the leg count is malformed)."""
+    gsub, gsup = tsub.graph, tsup.graph
+    vm = phi.vertex_map
+    if sorted(vm) != sorted(gsup.vertex_ids()) or \
+            not set(vm.values()) <= set(gsub.vertex_ids()):
+        return ["vertex map is not total onto known vertices"], False
+    if not set(phi.edge_map) <= {e for e, _, _ in gsup.edges} or \
+            sorted(phi.edge_map.values()) != sorted({e for e, _, _ in gsub.edges}):
+        return ["edge map is not a bijection onto the sub-face edges"], False
+    if len(gsub.legs) != len(gsup.legs):
+        return ["leg counts differ"], False
+    out = [f"leg {l_sup!r} does not map to the matching leg vertex"
+           for (l_sup, v_sup), (_, v_sub) in zip(gsup.legs, gsub.legs) if vm[v_sup] != v_sub]
+    ends_sub = {e: (u, v) for e, u, v in gsub.edges}
+    for e, u, v in gsup.edges:
+        if e not in phi.edge_map:
+            if vm[u] != vm[v]:
+                out.append(f"contracted edge {e!r} has endpoints in different classes")
+            continue
+        eu, ev = ends_sub[phi.edge_map[e]]
+        s_sup = tsup.slopes[e]
+        s_sub = tsub.slopes[phi.edge_map[e]]
+        if (vm[u], vm[v]) == (eu, ev):
+            ok = s_sup == s_sub
+        elif (vm[u], vm[v]) == (ev, eu):
+            ok = s_sup == tuple(-x for x in s_sub)
+        else:
+            out.append(f"edge {e!r} does not map onto its image's endpoints")
+            continue
+        if not ok and eu == ev:
+            ok = s_sup in (s_sub, tuple(-x for x in s_sub))
+        if not ok:
+            out.append(f"slope of {e!r} changes under contraction")
+    # weighted contraction: preimage classes connected, weights add up
+    classes = {}
+    for u in gsup.vertex_ids():
+        classes.setdefault(vm[u], set()).add(u)
+    wsup = dict(gsup.vertices)
+    wsub = dict(gsub.vertices)
+    for x, cls in sorted(classes.items()):
+        internal = [(e, u, v) for e, u, v in gsup.edges
+                    if e not in phi.edge_map and u in cls and v in cls]
+        if any(parent is None for _, parent, _, _ in _forest(sorted(cls), internal)[1:]):
+            out.append(f"preimage of {x!r} is not connected")
+            continue
+        b1 = len(internal) - (len(cls) - 1)
+        if wsub[x] != sum(wsup[u] for u in cls) + b1:
+            out.append(f"weight of {x!r} is not the contracted genus")
+    return out, True
 
 
 def validate_family(f: FamilyDatum) -> ValidationReport:
@@ -260,95 +308,44 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
                     at = (tuple(x + keys[0][1] * y for x, y in zip(keys[0][0], g)), keys[0][1])
                 report.add("1", fid, f"edge relation fails for {e!r} at {point(*at)}")
 
-    # inclusion conditions (2), (3) and the zero-locus iff
+    # inclusion conditions (2), (3) and the zero-locus iff, the type-only
+    # ones once per (sub type, super type, vertex map, edge map)
+    contracted = {}
     for (sub, sup), inc in sorted(f.base.inclusions.items()):
         if sub in malformed or sup in malformed:
             continue
         phi = f.contractions[(sub, sup)]
-        tsub = f.face_data[sub].type
-        tsup = f.face_data[sup].type
+        dsub, dsup = f.face_data[sub], f.face_data[sup]
         subject = f"{sub}->{sup}"
-        gsub, gsup = tsub.graph, tsup.graph
-        vm = phi.vertex_map
-        if sorted(vm) != sorted(gsup.vertex_ids()) or \
-                not set(vm.values()) <= set(gsub.vertex_ids()):
-            report.add("contraction", subject, "vertex map is not total onto known vertices")
+        key = (id(dsub.type), id(dsup.type), tuple(phi.vertex_map.items()),
+               tuple(phi.edge_map.items()))
+        if key not in contracted:
+            contracted[key] = _contraction_faults(dsub.type, dsup.type, phi)
+        messages, restricts = contracted[key]
+        for message in messages:
+            report.add("contraction", subject, message)
+        if not restricts:
             continue
-        surviving = set(phi.edge_map)
-        sup_edges = {e for e, _, _ in gsup.edges}
-        sub_edges = {e for e, _, _ in gsub.edges}
-        if not surviving <= sup_edges or \
-                sorted(phi.edge_map.values()) != sorted(sub_edges):
-            report.add("contraction", subject, "edge map is not a bijection onto the sub-face edges")
-            continue
-        if len(gsub.legs) != len(gsup.legs):
-            report.add("contraction", subject, "leg counts differ")
-            continue
-        for (l_sup, v_sup), (l_sub, v_sub) in zip(gsup.legs, gsub.legs):
-            if vm[v_sup] != v_sub:
-                report.add("contraction", subject,
-                           f"leg {l_sup!r} does not map to the matching leg vertex")
-        ends_sub = {e: (u, v) for e, u, v in gsub.edges}
-        for e, u, v in gsup.edges:
-            if e not in phi.edge_map:
-                if vm[u] != vm[v]:
-                    report.add("contraction", subject,
-                               f"contracted edge {e!r} has endpoints in different classes")
-                continue
-            eu, ev = ends_sub[phi.edge_map[e]]
-            s_sup = tsup.slopes[e]
-            s_sub = tsub.slopes[phi.edge_map[e]]
-            if (vm[u], vm[v]) == (eu, ev):
-                ok = s_sup == s_sub
-            elif (vm[u], vm[v]) == (ev, eu):
-                ok = s_sup == tuple(-x for x in s_sub)
-            else:
-                report.add("contraction", subject,
-                           f"edge {e!r} does not map onto its image's endpoints")
-                continue
-            if not ok and eu == ev:
-                ok = s_sup in (s_sub, tuple(-x for x in s_sub))
-            if not ok:
-                report.add("contraction", subject, f"slope of {e!r} changes under contraction")
-        # weighted contraction: preimage classes connected, weights add up
-        classes = {}
-        for u in gsup.vertex_ids():
-            classes.setdefault(vm[u], set()).add(u)
-        wsup = dict(gsup.vertices)
-        wsub = dict(gsub.vertices)
-        for x, cls in sorted(classes.items()):
-            internal = [(e, u, v) for e, u, v in gsup.edges
-                        if e not in phi.edge_map and u in cls and v in cls]
-            if any(parent is None for _, parent, _, _ in _forest(sorted(cls), internal)[1:]):
-                report.add("contraction", subject, f"preimage of {x!r} is not connected")
-                continue
-            b1 = len(internal) - (len(cls) - 1)
-            if wsub[x] != sum(wsup[u] for u in cls) + b1:
-                report.add("contraction", subject,
-                           f"weight of {x!r} is not the contracted genus")
-
-        # restrictions agree on the full-dimensional sub chart iff their coefficients do
-        lens_sub = f.face_data[sub].lengths
-        lens_sup = f.face_data[sup].lengths
-        pos_sub = f.face_data[sub].positions
-        pos_sup = f.face_data[sup].positions
-        for e, u, v in gsup.edges:
-            restricted = lens_sup[e].compose_embed(inc.linear, inc.num, inc.den)
+        # restrictions agree on the full-dimensional sub chart iff their integers do
+        restrict = lambda linear, num, den: (mat_mul(linear, inc.linear),
+                                             *_affine_over(linear, num, den, inc.num, inc.den))
+        for e, _, _ in dsup.type.graph.edges:
+            fn = dsup.lengths[e]
+            (row,), (num,), den = restrict((fn.linear,), (fn.num,), fn.den)
+            zero = num == 0 and not any(row)
             if e in phi.edge_map:
-                target = lens_sub[phi.edge_map[e]]
-                if restricted != target:
+                target = dsub.lengths[phi.edge_map[e]]
+                if (row, num, den) != (target.linear, target.num, target.den):
                     report.add("2", subject, f"length of {e!r} disagrees on the sub-face")
-                if restricted.is_zero():
+                if zero:
                     report.add("zero-locus", subject,
                                f"surviving edge {e!r} has identically vanishing length")
-            else:
-                if not restricted.is_zero():
-                    report.add("zero-locus", subject,
-                               f"contracted edge {e!r} has nonvanishing length on the sub-face")
-        for u in gsup.vertex_ids():
-            restricted = pos_sup[u].compose_embed(inc.linear, inc.num, inc.den)
-            target = pos_sub[vm[u]]
-            if restricted != target:
+            elif not zero:
+                report.add("zero-locus", subject,
+                           f"contracted edge {e!r} has nonvanishing length on the sub-face")
+        for u in dsup.type.graph.vertex_ids():
+            mp, target = dsup.positions[u], dsub.positions[phi.vertex_map[u]]
+            if restrict(mp.linear, mp.num, mp.den) != (target.linear, target.num, target.den):
                 report.add("3", subject, f"position of {u!r} disagrees on the sub-face")
     return report
 
@@ -417,7 +414,16 @@ def fiber(f: FamilyDatum, fid: str, coords) -> ParameterizedTropicalCurve:
 # the induced map to moduli
 # ---------------------------------------------------------------------------
 
-class FaceLift(Offset, Record):
+class _RankOnce:
+    """The rank of ``linear``, kept once computed in a slot that is no field."""
+    __slots__ = ("_rank",)
+    def rank(self) -> int:
+        if self._rank is None:
+            self._rank = rank(self.linear)
+        return self._rank
+
+
+class FaceLift(_RankOnce, Offset, Record):
     __slots__ = ("face", "type", "canonical", "linear", "num", "den", "stab",
                  "canon_vertex_map", "canon_edge_map")
     def __init__(self, face: str, type: CombinatorialType, canonical: str, linear: tuple,
@@ -430,9 +436,7 @@ class FaceLift(Offset, Record):
         self.stab = stab  # the stabilized fiber type over the face
         self.canon_vertex_map = canon_vertex_map  # stabilized vertex id -> canonical id
         self.canon_edge_map = canon_edge_map  # stabilized edge id -> canonical id
-
-    def rank(self) -> int:
-        return rank(self.linear)
+        self._rank = None
 
 
 class InducedMap(Record):

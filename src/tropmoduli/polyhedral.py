@@ -271,9 +271,11 @@ class Polyhedron:
     def proper_faces(self):
         """All proper nonempty faces, as _PFace records ordered by (dim, vertex
         ids, ray ids): the intersections of the per-inequality incidence sets
-        (tight vertices, tight rays) that keep a vertex, minus P itself.
-        Computed on each call; ``_faces`` keeps them."""
-        (verts, rays, _), vmasks, rmasks, _ = self._incidences
+        (tight vertices, tight rays) that keep a vertex, minus P itself.  A
+        face's dimension is the lineality dimension plus its height in this
+        graded lattice, kept in ``_dims`` by tight mask.  Computed on each
+        call; ``_faces`` keeps them."""
+        (verts, rays, lines), vmasks, rmasks, _ = self._incidences
         gens = set()
         for j in range(len(self.ineqs)):
             tv = sum(1 << i for i, m in enumerate(vmasks) if m >> j & 1)
@@ -290,12 +292,20 @@ class Polyhedron:
                         new.append(key)
             frontier = new
         found.discard(((1 << len(verts)) - 1, (1 << len(rays)) - 1))
+        height = {}  # each facet of a face is the face's intersection with a generator
+        for tv, tr in sorted(found, key=lambda k: k[0].bit_count() + k[1].bit_count()):
+            height[(tv, tr)] = max((height[(tv & gv, tr & gr)] + 1 for gv, gr in gens
+                                    if tv & gv and (tv & gv, tr & gr) != (tv, tr)), default=0)
         faces = []
-        for tv, tr in found:
+        for (tv, tr), h in height.items():
             vert_ids = frozenset(i for i in range(len(verts)) if tv >> i & 1)
             ray_ids = frozenset(i for i in range(len(rays)) if tr >> i & 1)
-            faces.append(_PFace(vert_ids=vert_ids, ray_ids=ray_ids,
-                                dim=self._face_dim(self._tight_on(vert_ids, ray_ids))))
+            self._dims[self._tight_on(vert_ids, ray_ids)] = len(lines) + h
+            faces.append(_PFace(vert_ids=vert_ids, ray_ids=ray_ids, dim=len(lines) + h))
+        # a ray's own mask leaves one dimension more than the lines, all rows the lines
+        self._dims.update({m: len(lines) + 1 for m in rmasks})
+        if verts:
+            self._dims[(1 << len(self.ineqs)) - 1] = len(lines)
         return tuple(sorted(faces, key=lambda f: (f.dim, sorted(f.vert_ids), sorted(f.ray_ids))))
 
 
@@ -481,6 +491,7 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             report.add("order", f"{a}->{b}", "inclusion relation is not antisymmetric")
         if c.faces[a].rank >= c.faces[b].rank:
             report.add("order", f"{a}->{b}", "sub-face rank must be smaller than super-face rank")
+    composites = {}  # (outer map, inner map) -> (linear, (num, den)) of the composite
     for (a, b), inc_ab in c.inclusions.items():
         for d in c._supers[b]:
             if a == d:
@@ -489,8 +500,11 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
                 report.add("order", f"{a}->{d}", f"missing composite of {a}->{b} and {b}->{d}")
                 continue
             inc_bd, inc_ad = c.inclusions[(b, d)], c.inclusions[(a, d)]
-            if inc_ad.linear != mat_mul(inc_bd.linear, inc_ab.linear) or (inc_ad.num, inc_ad.den) \
-                    != _affine_over(inc_bd.linear, inc_bd.num, inc_bd.den, inc_ab.num, inc_ab.den):
+            key = (inc_bd.linear, inc_bd.num, inc_bd.den, inc_ab.linear, inc_ab.num, inc_ab.den)
+            if key not in composites:
+                composites[key] = (mat_mul(inc_bd.linear, inc_ab.linear), _affine_over(
+                    inc_bd.linear, inc_bd.num, inc_bd.den, inc_ab.num, inc_ab.den))
+            if (inc_ad.linear, (inc_ad.num, inc_ad.den)) != composites[key]:
                 report.add("order", f"{a}->{d}", "stored inclusion differs from the composite")
 
     # axiom 5 + image faces, as (vertex ids, ray ids) of the super chart
@@ -517,8 +531,9 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
         if key is ...:
             key, img_lines = _image(sub_chart, chart, inc)
             # a face, and the image lines span the chart's lineality space
-            key = images[memo] = key if (key == whole or key in chart._faces) and \
-                rank(img_lines) == rank(lines) == rank([*img_lines, *lines]) else None
+            key = images[memo] = key if (key == whole or key in chart._faces) and (
+                not (img_lines or lines)
+                or rank(img_lines) == rank(lines) == rank([*img_lines, *lines])) else None
         image_face[(a, b)] = key
         if key == whole:
             report.add("3", f"{a}->{b}", "image equals the whole super chart")
@@ -771,22 +786,21 @@ def _check_pair_data(d: SemistablePairData):
                     up.add(b)
                     stack.append(b)
         ups[sid] = up
+    support = {sid: (frozenset(s.verticals), frozenset(s.horizontals))
+               for sid, s in strata.items()}
     for a, up in ups.items():
-        sa = strata[a]
+        sa, (va, ha) = strata[a], support[a]
         supports = {}
         for b in sorted(up):
-            sb = strata[b]
+            sb, key = strata[b], support[b]
             if a != b and a in ups[b]:
                 raise InconsistentStrata(f"order cycle through {a!r} and {b!r}")
-            if not set(sb.verticals) <= set(sa.verticals) or \
-                    not set(sb.horizontals) <= set(sa.horizontals):
+            if not key[0] <= va or not key[1] <= ha:
                 raise InconsistentStrata(
                     f"{a!r} <= {b!r} but supports do not shrink")
-            if a != b and set(sb.verticals) == set(sa.verticals) and \
-                    set(sb.horizontals) == set(sa.horizontals):
+            if a != b and key == support[a]:
                 raise InconsistentStrata(
                     f"comparable strata {a!r}, {b!r} share the same support")
-            key = (frozenset(sb.verticals), frozenset(sb.horizontals))
             if key in supports and supports[key] != b:
                 raise InconsistentStrata(
                     f"strata {supports[key]!r} and {b!r} above {a!r} share a support")
@@ -799,39 +813,15 @@ def _check_pair_data(d: SemistablePairData):
 
 
 def _chart_coords(s: Stratum):
-    """(dropped vertical, chart coordinates) of a stratum: the first sorted
-    vertical is dropped, and the coordinates are the other sorted verticals
-    followed by the sorted horizontals."""
+    """(dropped vertical, chart coordinates, rows) of a stratum: the first
+    sorted vertical is dropped, the coordinates are the other sorted verticals
+    and then the sorted horizontals, and ``rows`` maps each coordinate to its
+    unit row and the dropped vertical to minus the other verticals' sum."""
     verts = sorted(s.verticals)
-    return verts[0], verts[1:] + sorted(s.horizontals)
-
-
-def _stratum_chart(s: Stratum) -> Polyhedron:
-    """Chart of Delta(a, length) x R^b_{>=0} in the stratum's chart coordinates."""
-    _, coords = _chart_coords(s)
-    a = len(s.verticals) - 1
-    unit = lambda x: tuple(int(y == x) for y in coords)
-    ineqs = [(unit(x), 0) for x in coords[:a]]
-    if a > 0:
-        ineqs.append((tuple(-(y in s.verticals) for y in coords), -s.length))
-    return Polyhedron(len(coords), ineqs + [(unit(x), 0) for x in coords[a:]])
-
-
-def _skeleton_inclusion(sub: Stratum, sup: Stratum) -> tuple:
-    """Affine embed of the chart of ``sub`` into the chart of ``sup``, as
-    (linear, offset numerators, offset denominator).
-
-    ``sub`` is the shallower stratum (smaller polyhedron): sup <= sub.  Each
-    coordinate of the ``sup`` chart is the same coordinate of the ``sub``
-    chart, the length minus the sub's vertical coordinates for the sub's
-    dropped vertical, or 0.
-    """
-    dropped, coords = _chart_coords(sub)
-    sup_coords = _chart_coords(sup)[1]
-    rows = tuple(tuple(-(y in sub.verticals) if x == dropped else int(y == x) for y in coords)
-                 for x in sup_coords)
-    n, d = sup.length.numerator, sup.length.denominator
-    return rows, tuple(n if x == dropped else 0 for x in sup_coords), d
+    coords = verts[1:] + sorted(s.horizontals)
+    rows = {x: tuple(int(y == x) for y in coords) for x in coords}
+    rows[verts[0]] = tuple(-int(i < len(verts) - 1) for i in range(len(coords)))
+    return verts[0], coords, rows
 
 
 def build_skeleton(d: SemistablePairData) -> PolyhedralComplex:
@@ -841,15 +831,33 @@ def build_skeleton(d: SemistablePairData) -> PolyhedralComplex:
     is the simplex-times-orthant {z >= 0, sum z <= nu} x R^b_{>=0} in the
     coordinates obtained by dropping the first (sorted) vertical; for
     comparable strata the shallower chart embeds as the face where the
-    missing coordinates vanish.
+    missing coordinates vanish, each deeper coordinate read by its row in
+    the shallower chart.  Each stratum's coordinates and rows are derived
+    once, and each distinct (a, b, nu) chart is built once.
     """
     strata, ups = _check_pair_data(d)
-    faces = []
+    derived = {sid: _chart_coords(s) for sid, s in strata.items()}
+    charts, faces = {}, []
     for sid in sorted(strata):
         s = strata[sid]
-        chart = _stratum_chart(s)
-        faces.append(Face(id=sid, rank=chart.ambient_dim, chart=chart,
+        a = len(s.verticals) - 1
+        key = (a, len(s.horizontals), s.length)
+        if key not in charts:
+            dropped, coords, rows = derived[sid]
+            simplex = [(rows[dropped], -s.length)] if a > 0 else []
+            charts[key] = Polyhedron(len(coords), [(rows[x], 0) for x in coords[:a]] + simplex
+                                     + [(rows[x], 0) for x in coords[a:]])
+        faces.append(Face(id=sid, rank=charts[key].ambient_dim, chart=charts[key],
                           label=f"V={','.join(sorted(s.verticals))}"))
-    inclusions = [FaceInclusion(b, a, *_skeleton_inclusion(strata[b], strata[a]))
-                  for a in sorted(ups) for b in sorted(ups[a]) if a != b]
+    inclusions = []
+    for a in sorted(ups):
+        sup_coords, sup = derived[a][1], strata[a]
+        for b in sorted(ups[a]):
+            if a != b:
+                dropped, coords, rows = derived[b]
+                zero = (0,) * len(coords)
+                inclusions.append(FaceInclusion(
+                    b, a, tuple(rows.get(x, zero) for x in sup_coords),
+                    tuple(sup.length.numerator if x == dropped else 0 for x in sup_coords),
+                    sup.length.denominator))
     return PolyhedralComplex(faces, inclusions)  # maximal faces: the minimal strata

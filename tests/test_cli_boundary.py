@@ -41,6 +41,29 @@ def test_encoder_writes_what_json_dumps_writes(tree):
     assert _encoded(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
+class _CountingDict(dict):
+    """A dict that counts how often its keys are iterated."""
+    iterations = 0
+
+    def __iter__(self):
+        _CountingDict.iterations += 1
+        return super().__iter__()
+
+
+def test_encoder_writes_a_dict_met_again_at_the_same_indent_as_json_dumps_does():
+    """One dict object twice at one indent and once at another, next to an
+    empty dict shared the same way: the bytes of ``json.dumps``, with the
+    shared dict's keys read once per indent."""
+    shared = _CountingDict({"b": [1, {"c": None}], "a": "x\u00e9", "d": {}})
+    empty = {}
+    report = {"one": shared, "two": shared, "deeper": {"three": shared, "e": empty},
+              "e": empty, "list": [empty, 0]}
+    _CountingDict.iterations = 0
+    encoded = _encoded(report)
+    assert _CountingDict.iterations == 2
+    assert encoded == json.dumps(report, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "x"}, {"a": 1, 2: "b"}, {None: 1},
                                    Fraction(1, 2), {"a": {1, 2}}],
                          ids=["float", "nested-float", "int-key", "mixed-keys", "none-key",

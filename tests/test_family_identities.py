@@ -12,6 +12,7 @@ type-only checks, stabilization and canonical form run once per type.
 """
 
 import copy
+import json
 import random
 from fractions import Fraction
 
@@ -328,3 +329,66 @@ def test_a_shared_type_is_checked_stabilized_and_labelled_once(monkeypatch):
     assert [lift_to_doc(lift) for _, lift in sorted(alpha.lifts.items())] == \
         [lift_to_doc(lift) for _, lift in sorted(induced_alpha(unshared).lifts.items())]
     assert calls == {"check_balanced": 14, "stabilize_type": 14, "canonical_form": 14}
+
+
+@pytest.mark.parametrize("name, faces, keys, types", [
+    ("path-1", 13, 1, 1),
+    ("ray-wall-112", 4, 2, 3),
+])
+def test_alpha_checks_each_contraction_ranks_each_lift_and_writes_each_type_once(
+        monkeypatch, tmp_path, name, faces, keys, types):
+    """Per ``alpha`` call: one contraction check per distinct (sub type, super
+    type, vertex map, edge map), not one per inclusion; no AffineFn or
+    AffineMapN built inside validate_family; one rank per lift; and one type
+    document per canonical type object."""
+    from tropmoduli import cli, documents
+
+    built = _benchmark_path_family(1) if name == "path-1" else ray_wall_family((1, 1, 2))
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family_to_doc(built)), encoding="utf-8")
+    calls = {"_contraction_faults": 0, "rank": 0, "type_to_doc": 0, "affine": 0}
+    seen = {}
+
+    def counted(module, attr):
+        original = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+
+    for module, attr in ((family, "_contraction_faults"), (family, "rank"),
+                         (documents, "type_to_doc")):
+        counted(module, attr)
+    inside = []
+    original_validate, original_alpha = family.validate_family, family.induced_alpha
+
+    def validate(f):
+        seen["family"] = f
+        inside.append(True)
+        try:
+            return original_validate(f)
+        finally:
+            inside.pop()
+
+    def alpha(f):
+        seen["alpha"] = original_alpha(f)
+        return seen["alpha"]
+
+    monkeypatch.setattr(family, "validate_family", validate)
+    monkeypatch.setattr(cli, "induced_alpha", alpha)
+    for cls in (AffineFn, AffineMapN):
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            calls["affine"] += bool(inside)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+
+    assert cli.main(["alpha", str(path), "-o", str(tmp_path / "out.json")]) == 0
+    f, lifts = seen["family"], seen["alpha"].lifts
+    distinct = {(id(f.face_data[sub].type), id(f.face_data[sup].type),
+                 tuple(phi.vertex_map.items()), tuple(phi.edge_map.items()))
+                for (sub, sup), phi in f.contractions.items()}
+    assert (len(lifts), len(f.contractions) > keys, len(distinct)) == (faces, True, keys)
+    assert len({id(lift.type) for lift in lifts.values()}) == types
+    assert calls == {"_contraction_faults": keys, "rank": faces, "type_to_doc": types,
+                     "affine": 0}

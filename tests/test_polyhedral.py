@@ -410,6 +410,31 @@ def test_polyhedron_queries_match_subset_scan_reference():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def test_kept_face_dims_are_the_ranks_of_their_masks_and_serve_star(monkeypatch):
+    """Every dimension ``proper_faces`` keeps in ``_dims`` (its faces' tight
+    masks, each ray's mask and the mask of all rows) is D minus the rank of
+    the equalities and the mask's rows; after ``validate_complex`` on a
+    skeleton with rays, ``star`` ranks no mask."""
+    rng = random.Random(11)
+    for _ in range(600):
+        p = _random_polyhedron(rng)
+        p.proper_faces()
+        for mask, dim in p._dims.items():
+            rows = [n for j, (n, _) in enumerate(p.ineqs) if mask >> j & 1]
+            assert dim == p.ambient_dim - rank([n for n, _ in p.eqs] + rows), (p, mask)
+    import tropmoduli.polyhedral as polyhedral
+
+    for pair in (ray_pair_data(), template_pair_data(random.Random(3), *COMPLEX_TEMPLATES[-1])):
+        sk = build_skeleton(pair)
+        assert validate_complex(sk).ok
+        assert any(f.chart.vrep()[1] for f in sk.faces.values())
+        calls = []
+        monkeypatch.setattr(polyhedral, "rank", lambda rows: calls.append(rows) or rank(rows))
+        assert sum(len(star(sk, w).directions) for w in sk.faces) > 0
+        monkeypatch.undo()
+        assert calls == []
+
+
 def test_polyhedron_queries_solve_no_lp(monkeypatch):
     import tropmoduli.exact_linalg
     calls = []

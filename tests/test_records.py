@@ -119,3 +119,14 @@ def test_offsets_keep_their_values_equality_and_hashing():
     assert (f.num, f.den) == (-2, 3)
     m = AffineMapN(((1,),), (0,), 5)
     assert (m.num, m.den) == ((0,), 1) and m.offset == (0,)
+
+
+def test_a_face_lift_keeps_its_rank_outside_its_fields():
+    """A lift whose rank is computed and kept equals, and prints as, one
+    whose rank was never asked for."""
+    from tropmoduli.family import FaceLift
+
+    make = lambda: FaceLift("f", None, "c", ((1, 2), (2, 4)), (Fraction(1, 2), 0), None, {}, {})
+    a, b = make(), make()
+    assert a.rank() == 1 and a.rank() == 1
+    assert a == b and b == a and repr(a) == repr(b)
