@@ -24,19 +24,35 @@ from .polyhedral import ValidationReport, build_skeleton, validate_complex
 from .tropcurve import ParameterizedTropicalCurve, TropicalCurve, check_balanced, genus, is_stable
 
 
+def _parse_json(text, what):
+    """The JSON value of ``text``, a string or an open text file read here;
+    bad JSON or UTF-8, a huge int or deep nesting is an input error."""
+    try:
+        return json.loads(text if isinstance(text, str) else text.read())
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{what} is not valid JSON: {exc}")
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _parse_json(fh, path)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
-        raise InputError(f"{path} is not valid JSON: {exc}")
     # accept a saved report in place of its payload document, so verbs chain
     if isinstance(doc, dict) and doc.get("schema") == docs.SCHEMA \
             and "verb" in doc and "payload" in doc:
         return doc["payload"]
     return doc
+
+
+def _checked(report, ok_summary, **fields):
+    """(status, payload, summary) of a validating verb: the payload is the
+    report's document plus ``fields``, the summary ``ok_summary`` if it is ok."""
+    payload = {**fields, **docs.report_to_doc(report)}
+    if report.ok:
+        return "ok", payload, ok_summary
+    return "violations", payload, f"{len(report.violations)} violations"
 
 
 def _report(verb, status, payload, summary):
@@ -118,11 +134,7 @@ def _emit(report, fmt, output):
 
 def _cmd_validate_complex(args):
     c = docs.complex_from_doc(_load_json(args.input))
-    report = validate_complex(c)
-    payload = docs.report_to_doc(report)
-    if report.ok:
-        return "ok", payload, f"complex with {len(c.faces)} faces is valid"
-    return "violations", payload, f"{len(report.violations)} violations"
+    return _checked(validate_complex(c), f"complex with {len(c.faces)} faces is valid")
 
 
 def _cmd_skeleton(args):
@@ -154,21 +166,15 @@ def _cmd_validate_curve(args):
                 TropicalCurve(t.graph, lengths), positions, dict(t.slopes), t.dim)
             for e in curve.edge_relation_violations():
                 report.add("edge-relation", e, "positions do not match length * slope")
-    payload = {"balanced": balance.ok, "stable": is_stable(t.graph), "genus": g,
-               **docs.report_to_doc(report)}
-    if report.ok:
-        return "ok", payload, "curve is balanced"
-    return "violations", payload, f"{len(report.violations)} violations"
+    return _checked(report, "curve is balanced",
+                    balanced=balance.ok, stable=is_stable(t.graph), genus=g)
 
 
 def _cmd_enumerate(args):
     for name in ("genus", "contracted", "max_edges"):
         if getattr(args, name) < 0:
             raise InputError(f"--{name.replace('_', '-')} must be nonnegative", f"/{name}")
-    try:
-        degree = json.loads(args.degree)
-    except (ValueError, RecursionError) as exc:  # as in _load_json
-        raise InputError(f"--degree is not valid JSON: {exc}")
+    degree = _parse_json(args.degree, "--degree")
     if not isinstance(degree, list) or not all(isinstance(s, list) for s in degree):
         raise InputError("--degree must be a JSON list of integer vectors")
     dim = args.dim
@@ -226,19 +232,12 @@ def _cmd_wallgraph(args):
 
 def _cmd_validate_family(args):
     f = docs.family_from_doc(_load_json(args.input))
-    report = validate_family(f)
-    payload = docs.report_to_doc(report)
-    if report.ok:
-        return "ok", payload, f"family over {len(f.base.faces)} faces is valid"
-    return "violations", payload, f"{len(report.violations)} violations"
+    return _checked(validate_family(f), f"family over {len(f.base.faces)} faces is valid")
 
 
 def _cmd_fiber(args):
     f = docs.family_from_doc(_load_json(args.input))
-    try:
-        point = json.loads(args.point)
-    except (ValueError, RecursionError) as exc:  # as in _load_json
-        raise InputError(f"--point is not valid JSON: {exc}")
+    point = _parse_json(args.point, "--point")
     if not isinstance(point, list):
         raise InputError("--point must be a JSON list of rationals")
     coords = [docs.parse_rat(x, f"/point/{i}") for i, x in enumerate(point)]

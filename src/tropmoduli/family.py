@@ -37,7 +37,6 @@ from math import lcm
 from .errors import InvalidFamily, NoCofacets, PointNotInComplex, SeedNotInGraph
 from .exact_linalg import (
     _affine_over,
-    _forest,
     _int_echelon,
     _over_common,
     _rat_str,
@@ -53,6 +52,7 @@ from .moduli import (
     classify,
     dim_stratum,
     stratum,
+    _contracted_pieces,
     _resolutions,
 )
 from .polyhedral import (
@@ -171,7 +171,8 @@ def _affine_faults(f: FamilyDatum, fid: str):
 def _contraction_faults(tsub: CombinatorialType, tsup: CombinatorialType, phi: Contraction):
     """The messages of a contraction's type-only checks, in report order, and
     whether the inclusion's restrictions are checked (not when the vertex
-    map, the edge map or the leg count is malformed)."""
+    map, the edge map or the leg count is malformed).  Pieces and weights are
+    those of ``moduli._contracted_pieces``, as in ``contract_any_slope``."""
     gsub, gsup = tsub.graph, tsup.graph
     vm = phi.vertex_map
     if sorted(vm) != sorted(gsup.vertex_ids()) or \
@@ -204,20 +205,18 @@ def _contraction_faults(tsub: CombinatorialType, tsup: CombinatorialType, phi: C
             ok = s_sup in (s_sub, tuple(-x for x in s_sub))
         if not ok:
             out.append(f"slope of {e!r} changes under contraction")
-    # weighted contraction: preimage classes connected, weights add up
-    classes = {}
+    # weighted contraction of the edges inside the classes: each preimage
+    # class is one piece, whose genus weight is its image's weight
+    name, weights = _contracted_pieces(gsup, {e for e, u, v in gsup.edges
+                                              if e not in phi.edge_map and vm[u] == vm[v]})
+    pieces = {}
     for u in gsup.vertex_ids():
-        classes.setdefault(vm[u], set()).add(u)
-    wsup = dict(gsup.vertices)
+        pieces.setdefault(vm[u], set()).add(name[u])
     wsub = dict(gsub.vertices)
-    for x, cls in sorted(classes.items()):
-        internal = [(e, u, v) for e, u, v in gsup.edges
-                    if e not in phi.edge_map and u in cls and v in cls]
-        if any(parent is None for _, parent, _, _ in _forest(sorted(cls), internal)[1:]):
+    for x, names in sorted(pieces.items()):
+        if len(names) > 1:
             out.append(f"preimage of {x!r} is not connected")
-            continue
-        b1 = len(internal) - (len(cls) - 1)
-        if wsub[x] != sum(wsup[u] for u in cls) + b1:
+        elif wsub[x] != weights[names.pop()]:
             out.append(f"weight of {x!r} is not the contracted genus")
     return out, True
 

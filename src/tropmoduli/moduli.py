@@ -432,6 +432,21 @@ def classify(t: CombinatorialType) -> WallClass:
 # contraction, adjacency, resolution
 # ---------------------------------------------------------------------------
 
+def _contracted_pieces(g: WeightedGraph, edges):
+    """Each vertex's piece when the edge ids ``edges`` of ``g`` are contracted
+    (a tree of their forest, named by its root, its least vertex id) and each
+    piece's genus weight: the sum of its vertices' weights plus its b_1."""
+    contracted = [(e, u, v) for e, u, v in g.edges if e in edges]
+    weight = dict(g.vertices)
+    name, weights = {}, {}
+    for v, parent, _, _ in _forest(sorted(weight), contracted):
+        name[v] = v if parent is None else name[parent]
+        weights[name[v]] = weights.get(name[v], 1) + weight[v] - 1
+    for _, u, _ in contracted:
+        weights[name[u]] += 1  # b_1 = |E| - |V| + 1 of the piece
+    return name, weights
+
+
 def contract_any_slope(t: CombinatorialType, edges) -> CombinatorialType:
     """Weighted contraction of an edge subset, regardless of slopes.
 
@@ -444,17 +459,7 @@ def contract_any_slope(t: CombinatorialType, edges) -> CombinatorialType:
     known = {e for e, _, _ in g.edges}
     if not edges <= known:
         raise KeyError(f"unknown edges {sorted(edges - known)}")
-    # each piece is a tree of the contracted edges' forest, named by its root,
-    # its least vertex id; its weight is the sum of its weights plus b_1
-    contracted = [(e, u, v) for e, u, v in g.edges if e in edges]
-    weight = dict(g.vertices)
-    name, weights = {}, {}
-    for v, parent, _, _ in _forest(sorted(weight), contracted):
-        name[v] = v if parent is None else name[parent]
-        weights[name[v]] = weights.get(name[v], 1) + weight[v] - 1
-    for _, u, _ in contracted:
-        weights[name[u]] += 1  # b_1 = |E| - |V| + 1 of the piece
-
+    name, weights = _contracted_pieces(g, edges)
     new_edges, new_slopes = [], {}
     for e, u, v in g.edges:
         if e in edges:

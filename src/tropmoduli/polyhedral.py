@@ -833,22 +833,19 @@ def build_skeleton(d: SemistablePairData) -> PolyhedralComplex:
     comparable strata the shallower chart embeds as the face where the
     missing coordinates vanish, each deeper coordinate read by its row in
     the shallower chart.  Each stratum's coordinates and rows are derived
-    once, and each distinct (a, b, nu) chart is built once.
+    once; the complex shares equal charts.
     """
     strata, ups = _check_pair_data(d)
     derived = {sid: _chart_coords(s) for sid, s in strata.items()}
-    charts, faces = {}, []
+    faces = []
     for sid in sorted(strata):
         s = strata[sid]
         a = len(s.verticals) - 1
-        key = (a, len(s.horizontals), s.length)
-        if key not in charts:
-            dropped, coords, rows = derived[sid]
-            simplex = [(rows[dropped], -s.length)] if a > 0 else []
-            charts[key] = Polyhedron(len(coords), [(rows[x], 0) for x in coords[:a]] + simplex
-                                     + [(rows[x], 0) for x in coords[a:]])
-        faces.append(Face(id=sid, rank=charts[key].ambient_dim, chart=charts[key],
-                          label=f"V={','.join(sorted(s.verticals))}"))
+        dropped, coords, rows = derived[sid]
+        simplex = [(rows[dropped], -s.length)] if a > 0 else []
+        chart = Polyhedron(len(coords), [(rows[x], 0) for x in coords[:a]] + simplex
+                           + [(rows[x], 0) for x in coords[a:]])
+        faces.append(Face(sid, len(coords), chart, f"V={','.join(sorted(s.verticals))}"))
     inclusions = []
     for a in sorted(ups):
         sup_coords, sup = derived[a][1], strata[a]

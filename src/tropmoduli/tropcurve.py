@@ -250,9 +250,9 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
     """Propagate positions from the root along a spanning tree.
 
     Fails with ValueError when ``root_position`` is not in R^dim, then with
-    Disconnected when the tree misses a vertex, and otherwise
-    with CycleInconsistency at the least edge id whose relation fails: a
-    non-tree edge that closes inconsistently or a loop with nonzero slope.
+    Disconnected when the tree misses a vertex, and otherwise with
+    CycleInconsistency at the least edge id of ``edge_relation_violations``:
+    a non-tree edge that closes inconsistently or a loop with nonzero slope.
     The witness cycle is attached to the exception.
     """
     report = check_balanced(t)
@@ -268,20 +268,19 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
     forest = _forest((root, *t.graph.vertex_ids()), edges)
     if any(parent is None for _, parent, _, _ in forest[1:]):
         raise Disconnected("type graph is not connected")
-    positions = _place(forest, origin, curve.lengths, t.slopes)
+    p = ParameterizedTropicalCurve(curve, _place(forest, origin, curve.lengths, t.slopes),
+                                   dict(t.slopes), t.dim)
+    bad = p.edge_relation_violations()
+    if not bad:
+        return p
+    eid, a, b = next(e for e in edges if e[0] in bad)  # edges are sorted by id
+    if a == b:
+        raise CycleInconsistency(f"loop {eid!r} has nonzero slope", cycle=(eid,))
     path = {}  # tree edges from the root down to each vertex
     for v, parent, e, _ in forest:
         path[v] = () if parent is None else path[parent] + (e,)
-    for eid, a, b in edges:
-        if all(q - p == curve.lengths[eid] * s
-               for p, q, s in zip(positions[a], positions[b], t.slopes[eid])):
-            continue
-        if a == b:
-            raise CycleInconsistency(f"loop {eid!r} has nonzero slope", cycle=(eid,))
-        cycle = path[a] + (eid,) + path[b][::-1]
-        raise CycleInconsistency(
-            f"edge {eid!r} closes a cycle with nonzero slope sum", cycle=cycle)
-    return ParameterizedTropicalCurve(curve, positions, dict(t.slopes), t.dim)
+    raise CycleInconsistency(f"edge {eid!r} closes a cycle with nonzero slope sum",
+                             cycle=path[a] + (eid,) + path[b][::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,52 @@ def test_json_that_python_cannot_load_is_an_input_error(workdir, where, detail):
     assert detail in report["payload"]["message"]
 
 
+def _json_message(text):
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} is valid JSON")
+
+
+# source, case, input bytes (a UTF-8 argument for the flags), json's own message
+_UNLOADABLE = [
+    (source, case, data, message)
+    for source in ("file", "--degree", "--point")
+    for case, data, message in (
+        ("huge-int", f"[[{_HUGE_INT}, 0]]".encode(), _json_message(f"[[{_HUGE_INT}, 0]]")),
+        ("trailing", b"[[1, 0]] ]", "Extra data: line 1 column 10 (char 9)"),
+        ("trailing-crlf", b"[[1, 0]]\r\n]", "Extra data: line 2 column 1 (char 9)"),
+        ("utf-8", b"[[1, 0]]\xff",
+         "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"))
+    if source == "file" or case not in ("utf-8", "trailing-crlf")]
+
+
+@pytest.mark.parametrize("source, case, data, message", _UNLOADABLE,
+                         ids=[f"{source}-{case}" for source, case, _, _ in _UNLOADABLE])
+def test_unloadable_json_reports_json_s_own_message_at_the_root(workdir, source, case, data,
+                                                                message):
+    """An input file, --degree and --point fail alike: exit 2, pointer "" and
+    "<what> is not valid JSON: <json's message>", the file read as text (so
+    a CRLF counts as one character)."""
+    family, bad = workdir / "family.json", workdir / "bad.json"
+    family.write_text(json.dumps(_FAMILY))
+    bad.write_bytes(data)
+    if source == "file":
+        argv = ["classify", str(bad)]
+    elif source == "--degree":
+        argv = ["enumerate", "--degree", data.decode(), "--genus", "0", "--max-edges", "1"]
+    else:
+        argv = ["fiber", str(family), "--face", "E2", "--point", data.decode()]
+    assert _run(workdir, argv) == 2
+    what = str(bad) if source == "file" else source
+    error = f"{what} is not valid JSON: {message}"
+    want = {"schema": docs.SCHEMA, "verb": argv[0], "status": "error",
+            "payload": {"pointer": "", "message": error}, "summary": f"input error: {error}"}
+    assert (workdir / "report.json").read_bytes() == \
+        (json.dumps(want, sort_keys=True, indent=2) + "\n").encode()
+
+
 @pytest.mark.parametrize("where", ["document", "point"])
 def test_rational_with_a_huge_exponent_is_an_input_error(workdir, where):
     """Fraction("1e10000000") would build 10**10000000; the exponent is

@@ -37,13 +37,14 @@ from tropmoduli.polyhedral import (
     Polyhedron,
     validate_complex,
 )
-from tropmoduli.tropcurve import CombinatorialType
+from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
 
 import reference_family
 import reference_polyhedral
 from helpers import (
     CROSS_DEGREE,
     const_positionN,
+    cross_type,
     half_plane_family,
     path_family,
     point_family,
@@ -209,6 +210,58 @@ def test_single_mutations_match_point_sampling_reference(kind):
     # the mutations reach the checks they aim at
     assert {"length": {"1", "2"}, "position": {"1", "3"}, "inclusion": {"base"},
             "slope": {"1", "contraction"}}[kind] <= axioms, axioms
+
+
+def _weighted_cross(weights, edges, legs):
+    """A type with the cross's leg slopes, zero-slope edges and ``weights``."""
+    graph = WeightedGraph(tuple(weights.items()), tuple(edges), tuple(legs))
+    return CombinatorialType(graph, {**{e: (0, 0) for e, _, _ in edges},
+                                     **cross_type().slopes}, 2)
+
+
+def _contraction_case(name):
+    """A valid family with one weighted-contraction check failing:
+    ``disconnected`` merges the ends of the two-ray family's surviving edge,
+    ``weight`` gives the ray-wall family's wall vertex weight 1, and
+    ``across`` contracts the path a-b-c over its ray with a, c onto x and b
+    onto y, so both edges cross classes and the class {a, c} is joined
+    only through b."""
+    if name == "disconnected":
+        f = two_ray_resolution_family()
+        f.contractions[("O", "R0")] = Contraction(vertex_map={"va": "va", "vb": "va"},
+                                                  edge_map={"e": "e"})
+        return f
+    f = ray_wall_family((1,))
+    legs = [(lid, "v") for lid in ("l0", "l1", "l2", "l3")]
+    if name == "weight":
+        f.face_data["O"].type = _weighted_cross({"v": 1}, (), legs)
+        return f
+    f.face_data["O"] = FaceCurveData(
+        type=_weighted_cross({"x": 0, "y": 0}, (), [(lid, "x") for lid, _ in legs]),
+        lengths={}, positions={v: const_positionN((0, 0), 0) for v in ("x", "y")})
+    f.face_data["R0"] = FaceCurveData(
+        type=_weighted_cross({"a": 0, "b": 0, "c": 0}, (("e1", "a", "b"), ("e2", "b", "c")),
+                             [("l0", "a"), ("l1", "c"), ("l2", "a"), ("l3", "c")]),
+        lengths={e: AffineFn((1,), 0) for e in ("e1", "e2")},
+        positions={v: const_positionN((0, 0), 1) for v in ("a", "b", "c")})
+    f.contractions[("O", "R0")] = Contraction(vertex_map={"a": "x", "b": "y", "c": "x"},
+                                              edge_map={})
+    return f
+
+
+@pytest.mark.parametrize("name, messages", [
+    ("disconnected", ["preimage of 'va' is not connected"]),
+    ("weight", ["weight of 'v' is not the contracted genus"]),
+    ("across", ["contracted edge 'e1' has endpoints in different classes",
+                "contracted edge 'e2' has endpoints in different classes",
+                "preimage of 'x' is not connected"]),
+])
+def test_weighted_contraction_faults_match_point_sampling_reference(name, messages):
+    f = _contraction_case(name)
+    found = _entries(validate_family(f))
+    assert found == _entries(reference_family.validate_family(f))
+    assert [m for _, _, m in found
+            if m.startswith(("preimage", "weight", "contracted edge"))] == messages
 
 
 # ---------------------------------------------------------------------------
