@@ -7,8 +7,8 @@ checks the fiber condition per face, the length/position compatibilities
 along inclusions, and the zero-locus condition (an edge is contracted
 exactly when its length vanishes identically on the sub-face).  On a
 full-dimensional chart each is an identity of affine maps, decided once on
-their integer coefficients (a restriction is ``mat_mul`` and ``_affine_over``
-against the sub-face's (linear, num, den)); the sign and zeros of a length
+their integer coefficients (a restriction is the inclusion's ``pull_back``
+of the super-face's (linear, num, den)); the sign and zeros of a length
 are read off the chart's vertices, rays and lines.  No LP is solved, and a
 failing edge relation is named from its integer residual at the chart's
 vertex keys.  A contraction's type-only checks run once per distinct (sub
@@ -35,16 +35,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InvalidFamily, NoCofacets, PointNotInComplex, SeedNotInGraph
-from .exact_linalg import (
-    _affine_over,
-    _int_echelon,
-    _over_common,
-    _rat_str,
-    mat_mul,
-    mat_rows,
-    rank,
-    vec,
-)
+from .exact_linalg import _int_echelon, _over_common, _rat_str, mat_rows, rank, vec
 from .moduli import (
     WallClassification,
     WallGraph,
@@ -326,11 +317,9 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
         if not restricts:
             continue
         # restrictions agree on the full-dimensional sub chart iff their integers do
-        restrict = lambda linear, num, den: (mat_mul(linear, inc.linear),
-                                             *_affine_over(linear, num, den, inc.num, inc.den))
         for e, _, _ in dsup.type.graph.edges:
             fn = dsup.lengths[e]
-            (row,), (num,), den = restrict((fn.linear,), (fn.num,), fn.den)
+            (row,), (num,), den = inc.pull_back((fn.linear,), (fn.num,), fn.den)
             zero = num == 0 and not any(row)
             if e in phi.edge_map:
                 target = dsub.lengths[phi.edge_map[e]]
@@ -344,7 +333,7 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
                            f"contracted edge {e!r} has nonvanishing length on the sub-face")
         for u in dsup.type.graph.vertex_ids():
             mp, target = dsup.positions[u], dsub.positions[phi.vertex_map[u]]
-            if restrict(mp.linear, mp.num, mp.den) != (target.linear, target.num, target.den):
+            if inc.pull_back(mp.linear, mp.num, mp.den) != (target.linear, target.num, target.den):
                 report.add("3", subject, f"position of {u!r} disagrees on the sub-face")
     return report
 
@@ -433,8 +422,8 @@ class FaceLift(_RankOnce, Offset, Record):
         self.linear = linear  # stratum-coordinate rows over the chart
         self.num, self.den = _over_common(tuple(offset), den)
         self.stab = stab  # the stabilized fiber type over the face
-        self.canon_vertex_map = canon_vertex_map  # stabilized vertex id -> canonical id
-        self.canon_edge_map = canon_edge_map  # stabilized edge id -> canonical id
+        # stabilized vertex and edge ids -> canonical ids, in canonical order
+        self.canon_vertex_map, self.canon_edge_map = canon_vertex_map, canon_edge_map
         self._rank = None
 
 
@@ -443,11 +432,6 @@ class InducedMap(Record):
     def __init__(self, family: FamilyDatum, lifts: dict):
         self.family = family
         self.lifts = lifts  # face id -> FaceLift
-
-
-def _canonical_order(canon_map: dict) -> list:
-    """Keys of a map onto canonical ids (``e3``, ``v10``) in canonical order."""
-    return sorted(canon_map, key=lambda k: int(canon_map[k][1:]))
 
 
 def _lift_rows(f: FamilyDatum, fid: str, chains, vertices):
@@ -477,8 +461,8 @@ def _face_lift(f: FamilyDatum, fid: str, typed: dict) -> FaceLift:
         typed[id(t)] = stab, canonical_form(
             CombinatorialType._trusted(stab.graph, stab.slopes, f.dim))
     stab, cf = typed[id(t)]
-    chains = [stab.edge_chains[e] for e in _canonical_order(cf.edge_map)]
-    linear, num, den = _lift_rows(f, fid, chains, _canonical_order(cf.vertex_map))
+    chains = [stab.edge_chains[e] for e in cf.edge_map]  # the maps are in canonical order
+    linear, num, den = _lift_rows(f, fid, chains, cf.vertex_map)
     return FaceLift(face=fid, type=cf.type, canonical=cf.string,
                     linear=linear, offset=num, den=den, stab=stab,
                     canon_vertex_map=dict(cf.vertex_map),
@@ -587,8 +571,6 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
     same_type = all(alpha.lifts[c].canonical == lift_w.canonical for c in cofacets)
 
     if same_type:
-        edges_w = _canonical_order(lift_w.canon_edge_map)
-        verts_w = _canonical_order(lift_w.canon_vertex_map)
         per_face = {w: (lift_w.linear, lift_w.offset)}
         for inc in cofacet_incs:
             sup = inc.super
@@ -602,12 +584,11 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
             vmap, emap = maps
             rev_emap = {sub_e: sup_e for sup_e, sub_e in emap.items()}
             rev_vmap = {sub_v: sup_v for sup_v, sub_v in vmap.items()}
-            rows, num, den = _lift_rows(f, sup,
-                                        [stab_sup.edge_chains[rev_emap[e]] for e in edges_w],
-                                        [rev_vmap[u] for u in verts_w])
+            rows, num, den = _lift_rows(
+                f, sup, [stab_sup.edge_chains[rev_emap[e]] for e in lift_w.canon_edge_map],
+                [rev_vmap[u] for u in lift_w.canon_vertex_map])
             # the rewritten lift must restrict to the face lift exactly
-            if mat_mul(rows, inc.linear) != lift_w.linear or \
-                    _affine_over(rows, num, den, inc.num, inc.den) != (lift_w.num, lift_w.den):
+            if inc.pull_back(rows, num, den) != (lift_w.linear, lift_w.num, lift_w.den):
                 raise InvalidFamily(
                     f"lift over {sup!r} does not restrict to the lift over {w!r}")
             per_face[sup] = (rows, tuple(Fraction(n, den) for n in num))

@@ -44,7 +44,6 @@ from .errors import (
     NonzeroSlopeContraction,
     NotAlmost3Valent,
     SeedNotInGraph,
-    UnbalancedType,
 )
 from .exact_linalg import (
     _forest,
@@ -57,6 +56,7 @@ from .records import FrozenRecord, Record
 from .tropcurve import (
     CombinatorialType,
     WeightedGraph,
+    _require_balanced,
     check_balanced,
     extended_degree,
     genus,
@@ -109,9 +109,7 @@ class StratumDescriptor(Record):
 
 def stratum(t: CombinatorialType) -> StratumDescriptor:
     """The cycle-space system of the stratum of a balanced type."""
-    rep = check_balanced(t)
-    if not rep.ok:
-        raise UnbalancedType(f"unbalanced at {[v for v, _ in rep.failures]}")
+    _require_balanced(t)
     edge_order = tuple(sorted(e for e, _, _ in t.graph.edges))
     epos = {e: i for i, e in enumerate(edge_order)}
     # each fundamental cycle closes up: sum_{e in C} coef_e * l_e * s_e = 0
@@ -291,6 +289,11 @@ def _search(t: CombinatorialType):
 
 
 class CanonicalForm(FrozenRecord):
+    """A type's canonical representative, its string and key, and the maps
+    of the type's vertex and edge ids onto v0..vk and e0..em.  Each map is
+    built in canonical order (v0 first), so iterating it lists the
+    original ids in canonical order."""
+
     __slots__ = ("key", "string", "vertex_map", "edge_map", "type")
     def __init__(self, key: tuple, string: str, vertex_map: dict, edge_map: dict,
                  type: CombinatorialType):
@@ -530,9 +533,7 @@ def _resolutions(t: CombinatorialType, v: str) -> dict:
             f"type is {cls.classification.value} with 4-valent vertex {cls.four_valent_vertex!r}")
     if cls.four_valent_vertex != v:
         raise NotAlmost3Valent(f"vertex {v!r} is not the 4-valent vertex {cls.four_valent_vertex!r}")
-    bal = check_balanced(t)
-    if not bal.ok:  # every resolution would be unbalanced where t is
-        raise UnbalancedType(f"unbalanced at {[x for x, _ in bal.failures]}")
+    _require_balanced(t)  # every resolution would be unbalanced where t is
     g = t.graph
     items = sorted(g.star_items(v))
     assert len(items) == 4

@@ -67,13 +67,14 @@ class Polyhedron:
     equal, and a complex keeps one of them (see ``PolyhedralComplex``).  Each
     constraint <n, x> ? p/q is kept once as the integer row (q·n, p), which
     every query reads.  One incidence pass, the cached attribute
-    ``_incidences``, gives the V-representation (vertices, rays and
-    lineality generators) and records which inequalities are tight at each
-    vertex and each ray, with each vertex keyed by its lowest-terms
-    (numerators, denominator); the face lattice and the vertex and ray
-    indexes (by tight mask) are cached attributes read off it; point queries
-    read the rows through ``_tight_mask``.  No query solves an LP: ``dim``,
-    ``is_empty``, ``has_interior``, ``proper_faces``, ``feasible_point`` and
+    ``_incidences``, scans the cone {(x, t) : q·n·x >= p·t, t >= 0} over P
+    once for the V-representation (vertices, rays and lineality generators)
+    and records which inequalities are tight at each vertex and each ray,
+    with each vertex keyed by its lowest-terms (numerators, denominator);
+    the face lattice and the vertex and ray indexes (by tight mask) are
+    cached attributes read off it; point queries read the rows through
+    ``_tight_mask``.  No query solves an LP: ``dim``, ``is_empty``,
+    ``has_interior``, ``proper_faces``, ``feasible_point`` and
     ``interior_point`` read P = conv(vertices) + cone(rays) + span(lines).
     """
 
@@ -160,42 +161,39 @@ class Polyhedron:
 
         Bit j of a vertex's mask is set when inequality j is tight there, and
         of a ray's mask when the ray lies on the hyperplane of inequality j.
-        The lineality space is the integer kernel of all normals; after
-        slicing it off, vertices solve the subsystems of rank D and extreme
-        rays span the kernels of the subsystems of rank D - 1, both by
-        fraction-free elimination on the integer rows.
+        The lineality space is the integer kernel of all normals.  After
+        slicing it off, one scan reads the cone {(x, t) : q·n·x >= p·t, t >= 0}
+        over P (Minkowski-Weyl by homogenization).  Each subsystem of its rows
+        (q·n, p) and the row t = 0, taken with the equalities and lines, is
+        eliminated fraction-free on the x columns, t's column carried along.
+        One whose kernel is a line with t != 0 (rank D) gives a vertex, keyed
+        in lowest terms with a positive denominator; one that holds the row
+        t = 0 and whose kernel is a line (rank D - 1) gives a ray, and every
+        extreme ray comes from one.  P has rays only when it has a vertex.
         """
         D, rows, tight_mask = self.ambient_dim, self._rows, self._tight_mask
         nontrivial = [n for n, _ in self.ineqs + self.eqs if any(n)]
         lines = () if rank(nontrivial) == D else \
             tuple(primitive_vector(l) for l in integer_kernel(nontrivial, D))
-        base, pivots = _int_echelon([*self._eq_rows, *(l + (0,) for l in lines)], D)
-        consistent = not any(row[D] for row in base[len(pivots):])  # no 0 = c != 0
-        base = base[:len(pivots)]
+        # a row (a, b) reads a·x = b·t; a pivot in column D is 0 = c != 0
+        base, pivots = _int_echelon([*self._eq_rows, *(l + (0,) for l in lines)], D + 1)
+        base, cone = base[:len(pivots)], (*rows, (0,) * D + (1,))  # the last row is t = 0
 
-        verts = {}  # (numerators, common denominator) -> tight mask or None
-        for subset in combinations(range(len(rows)), D - len(pivots)) if consistent else ():
-            red, piv = _int_echelon(base + [rows[i] for i in subset], D)
-            if len(piv) < D or any(row[D] for row in red[D:]):
-                continue
-            den = math.lcm(*(red[c][c] for c in range(D)))
-            num = [red[c][D] * den // red[c][c] for c in range(D)]
-            g = math.gcd(den, *num)
-            key = (tuple(x // g for x in num), den // g)
-            if key not in verts:
-                verts[key] = tight_mask(*key)
-        verts = sorted((tuple(Fraction(x, den) for x in num), (num, den), mask)
-                       for (num, den), mask in verts.items() if mask is not None)
-
-        rays = {}  # primitive direction -> tight mask
-        need = D - 1 - len(pivots)
-        cone = [row[:D] for row in base]
-        for subset in combinations(range(len(rows)), need) if verts and need >= 0 else ():
-            red, piv = _int_echelon(cone + [rows[i][:D] for i in subset], D)
-            if len(piv) != D - 1:
+        verts, rays = {}, {}  # vertex key -> tight mask or None; primitive ray -> tight mask
+        for subset in combinations(range(len(cone)), D - len(pivots)) if D not in pivots else ():
+            red, piv = _int_echelon(base + [cone[i] for i in subset], D)
+            ray = len(rows) in subset  # t = 0
+            if len(piv) != D - ray:
+                continue  # the kernel is not one line
+            den = math.lcm(*(red[r][c] for r, c in enumerate(piv)))
+            if not ray:  # t != 0: the vertex red[c][D] / red[c][c]
+                num = [red[c][D] * den // red[c][c] for c in range(D)]
+                g = math.gcd(den, *num)
+                key = (tuple(x // g for x in num), den // g)
+                if key not in verts:
+                    verts[key] = tight_mask(*key)
                 continue
             free = next(c for c in range(D) if c not in piv)
-            den = math.lcm(*(red[r][c] for r, c in enumerate(piv)))
             d = [0] * D
             d[free] = den
             for r, c in enumerate(piv):
@@ -206,7 +204,9 @@ class Polyhedron:
                 if mask is not None:
                     rays[cand] = mask
                     break
-        rays = sorted(rays.items())
+        verts = sorted((tuple(Fraction(x, den) for x in num), (num, den), mask)
+                       for (num, den), mask in verts.items() if mask is not None)
+        rays = sorted(rays.items()) if verts else []
 
         vrep = (tuple(v for v, _, _ in verts), tuple(r for r, _ in rays), lines) if verts \
             else ((), (), ())
@@ -345,6 +345,12 @@ class FaceInclusion(Offset, FrozenRecord):
 
     def apply(self, x):
         return _affine_at(self.linear, self.num, self.den, x)
+
+    def pull_back(self, linear, num, den: int):
+        """The affine map x -> linear·x + num/den on the super chart, composed
+        with this inclusion: (linear·self.linear, numerators, denominator),
+        the offset in lowest terms, so equal maps give equal triples."""
+        return mat_mul(linear, self.linear), *_affine_over(linear, num, den, self.num, self.den)
 
 
 class PolyhedralComplex:
@@ -491,7 +497,7 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             report.add("order", f"{a}->{b}", "inclusion relation is not antisymmetric")
         if c.faces[a].rank >= c.faces[b].rank:
             report.add("order", f"{a}->{b}", "sub-face rank must be smaller than super-face rank")
-    composites = {}  # (outer map, inner map) -> (linear, (num, den)) of the composite
+    composites = {}  # (outer map, inner map) -> (linear, num, den) of the composite
     for (a, b), inc_ab in c.inclusions.items():
         for d in c._supers[b]:
             if a == d:
@@ -502,9 +508,8 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             inc_bd, inc_ad = c.inclusions[(b, d)], c.inclusions[(a, d)]
             key = (inc_bd.linear, inc_bd.num, inc_bd.den, inc_ab.linear, inc_ab.num, inc_ab.den)
             if key not in composites:
-                composites[key] = (mat_mul(inc_bd.linear, inc_ab.linear), _affine_over(
-                    inc_bd.linear, inc_bd.num, inc_bd.den, inc_ab.num, inc_ab.den))
-            if (inc_ad.linear, (inc_ad.num, inc_ad.den)) != composites[key]:
+                composites[key] = inc_ab.pull_back(inc_bd.linear, inc_bd.num, inc_bd.den)
+            if (inc_ad.linear, inc_ad.num, inc_ad.den) != composites[key]:
                 report.add("order", f"{a}->{d}", "stored inclusion differs from the composite")
 
     # axiom 5 + image faces, as (vertex ids, ray ids) of the super chart

@@ -227,6 +227,13 @@ def check_balanced(t: CombinatorialType) -> BalanceReport:
     return BalanceReport(tuple(failures))
 
 
+def _require_balanced(t: CombinatorialType):
+    """Raise UnbalancedType naming the vertices where t is not balanced."""
+    failures = check_balanced(t).failures
+    if failures:
+        raise UnbalancedType(f"unbalanced at {[v for v, _ in failures]}")
+
+
 def extended_degree(t: CombinatorialType) -> tuple:
     """Leg slopes in leg order."""
     return tuple(t.slopes[lid] for lid, _ in t.graph.legs)
@@ -255,9 +262,7 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
     a non-tree edge that closes inconsistently or a loop with nonzero slope.
     The witness cycle is attached to the exception.
     """
-    report = check_balanced(t)
-    if not report.ok:
-        raise UnbalancedType(f"unbalanced at {[v for v, _ in report.failures]}")
+    _require_balanced(t)
     curve = TropicalCurve(t.graph, lengths)
     if root is None:
         root = min(t.graph.vertex_ids())

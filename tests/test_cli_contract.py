@@ -317,6 +317,16 @@ def test_fiber_length_past_the_digit_limit_is_an_input_error(workdir, point, pay
     assert json.loads((workdir / "report.json").read_text())["payload"] == payload
 
 
+def test_verdicts_on_a_face_without_cofacets_is_an_error(workdir):
+    """The ray R0 of the ray-wall family has no cofacet: ``wall_verdict``
+    raises NoCofacets, which the CLI reports with exit 2."""
+    path = workdir / "family.json"
+    path.write_text(json.dumps(docs.family_to_doc(ray_wall_family((1,)))))
+    assert _run(workdir, ["verdicts", str(path), "--face", "O", "--face", "R0"]) == 2
+    assert json.loads((workdir / "report.json").read_text())["payload"] == {
+        "error": "NoCofacets", "message": "face 'R0' has no codimension-one cofacets"}
+
+
 def test_fiber_on_cyclic_inclusions_is_an_input_error(workdir):
     """Faces A and B, both the segment [0, 1], include into each other.  A
     boundary point of A is looked up only in sub-faces of smaller rank, so

@@ -6,6 +6,7 @@ import pytest
 from tropmoduli.errors import InvalidFamily, PointNotInComplex, SeedNotInGraph
 from tropmoduli.family import (
     AffineFn,
+    Contraction,
     FaceCurveData,
     FamilyDatum,
     WallVerdictKind,
@@ -235,6 +236,38 @@ def test_wall_verdict_uncovered_resolutions():
     assert v.verdict == WallVerdictKind.INCONCLUSIVE
     assert len(v.uncovered) == 2
     assert set(v.witnesses.values()) == {"R0"}
+
+
+def test_wall_verdict_outside_the_dichotomy_is_inconclusive():
+    """The ray-wall family with weight 1 on the wall's vertex and on the
+    resolution's va: the cofacet's type differs from the face's, and the
+    face's type is not weightless almost 3-valent."""
+    f = ray_wall_family((1,))
+    for fid, heavy in (("O", "v"), ("R0", "va")):
+        t = f.face_data[fid].type
+        vertices = tuple((x, int(x == heavy)) for x, _ in t.graph.vertices)
+        f.face_data[fid].type = CombinatorialType(
+            WeightedGraph(vertices, t.graph.edges, t.graph.legs), t.slopes, t.dim)
+    v = wall_verdict(induced_alpha(f), "O")
+    assert (v.verdict, v.detail) == (
+        WallVerdictKind.INCONCLUSIVE,
+        "cofacet types differ but the face type is other; the dichotomy does not apply")
+
+
+def test_wall_verdict_on_a_contraction_that_misses_the_stabilized_type():
+    """Every cofacet of O carries O's type, but the contraction onto O now
+    contracts R1's only edge, so no sub-face edge is its image: validation
+    refuses that family, so the map is changed after ``induced_alpha``,
+    which ``wall_verdict`` does not validate again."""
+    alpha = induced_alpha(two_ray_resolution_family(((1, 0), (-1, 0))))
+    alpha.family.contractions[("O", "R1")] = Contraction(
+        vertex_map={"va": "va", "vb": "vb"}, edge_map={})
+    with pytest.raises(InvalidFamily, match="edge map is not a bijection onto the sub-face"):
+        induced_alpha(alpha.family)
+    v = wall_verdict(alpha, "O")
+    assert (v.verdict, v.detail) == (
+        WallVerdictKind.INCONCLUSIVE,
+        "cofacet 'R1' has an isomorphic type not matched by the contraction")
 
 
 # ---------------------------------------------------------------------------

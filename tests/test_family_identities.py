@@ -264,6 +264,64 @@ def test_weighted_contraction_faults_match_point_sampling_reference(name, messag
             if m.startswith(("preimage", "weight", "contracted edge"))] == messages
 
 
+def _contraction_branch_case(name):
+    """The two-ray family with one contraction or its type changed: a vertex
+    map that misses vb, an edge map onto no sub-face edge, the contraction
+    dropped, the edge over R0 stored reversed (with and without its slope
+    negated), and the vertex O's edge made a loop onto which R0's edge maps
+    with the opposite slope."""
+    f = two_ray_resolution_family()
+    key = ("O", "R0")
+    if name == "not-total":
+        f.contractions[key] = Contraction(vertex_map={"va": "va"}, edge_map={"e": "e"})
+    elif name == "not-bijective":
+        f.contractions[key] = Contraction(vertex_map={"va": "va", "vb": "vb"},
+                                          edge_map={"e": "x"})
+    elif name == "no-contraction":
+        del f.contractions[key]
+    elif name.startswith("reversed"):
+        t = f.face_data["R0"].type
+        s = t.slopes["e"] if name == "reversed-unnegated" else tuple(-x for x in t.slopes["e"])
+        graph = WeightedGraph(t.graph.vertices, (("e", "vb", "va"),), t.graph.legs)
+        f.face_data["R0"].type = CombinatorialType(graph, {**t.slopes, "e": s}, 2)
+    else:  # loop
+        t = cross_type()
+        s = f.face_data["R0"].type.slopes["e"]
+        graph = WeightedGraph(t.graph.vertices, (("e", "v", "v"),), t.graph.legs)
+        f.face_data["O"] = FaceCurveData(
+            type=CombinatorialType(graph, {**t.slopes, "e": tuple(-x for x in s)}, 2),
+            lengths={"e": AffineFn((), Fraction(1))},
+            positions={"v": const_positionN((0, 0), 0)})
+        for i in (0, 1):
+            f.contractions[("O", f"R{i}")] = Contraction(vertex_map={"va": "v", "vb": "v"},
+                                                         edge_map={"e": "e"})
+    return f
+
+
+@pytest.mark.parametrize("name, message", [
+    ("not-total", "vertex map is not total onto known vertices"),
+    ("not-bijective", "edge map is not a bijection onto the sub-face edges"),
+    ("no-contraction", "inclusion without contraction"),
+    ("reversed", None),
+    ("reversed-unnegated", "slope of 'e' changes under contraction"),
+    ("loop", None),
+])
+def test_contraction_branches_match_point_sampling_reference(name, message):
+    """Each branch of the contraction checks, against the reference: an edge
+    mapped onto its image reversed keeps the curve when its slope is negated
+    (the family is valid), and one mapped onto a loop may have either sign."""
+    f = _contraction_branch_case(name)
+    found = _entries(validate_family(f))
+    assert found == _entries(reference_family.validate_family(f))
+    messages = [m for _, _, m in found]
+    if name == "reversed":
+        assert found == []
+    elif message is None:
+        assert found and not any(m.startswith("slope of") for m in messages), found
+    else:
+        assert message in messages, found
+
+
 # ---------------------------------------------------------------------------
 # the zero-locus rule
 # ---------------------------------------------------------------------------

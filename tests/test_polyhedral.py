@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -410,6 +411,61 @@ def test_polyhedron_queries_match_subset_scan_reference():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def _cross_polytope(d):
+    """{x : ±x_1 ± ... ± x_d <= 1}: 2^d rows, 2d vertices."""
+    return Polyhedron(d, [(tuple(-s for s in signs), -1)
+                          for signs in itertools.product((1, -1), repeat=d)])
+
+
+def _cube_with_redundant_rows(d, extra):
+    """[0, 1]^d and ``extra`` redundant rows: sums of coordinate pairs >= 0
+    (tight along a face), >= -1 (never tight) and doubled copies of x_i >= 0."""
+    rows = [(tuple(int(j == i) * s for j in range(d)), -int(s < 0))
+            for i in range(d) for s in (1, -1)]
+    pairs = list(itertools.combinations(range(d), 2))
+    for k in range(extra):
+        i, j = pairs[k % len(pairs)]
+        normal = tuple(int(c in (i, j)) for c in range(d))
+        rows.append([(normal, 0), (normal, -1), (tuple(2 * int(c == i) for c in range(d)), 0)][k % 3])
+    return Polyhedron(d, rows)
+
+
+def test_polyhedron_queries_match_subset_scan_reference_on_larger_shapes():
+    """The single scan of the cone over P agrees with the subset-scan
+    reference on cross-polytopes, cubes with redundant rows, charts with
+    lines, inconsistent equalities and rank-0 charts; the face lattice is
+    compared where the reference's scan of every row subset stays small.
+    The 4-dim cross-polytope, too slow for the reference, has the vertices
+    ±e_i and 8, 24, 32 and 16 faces of dimension 0, 1, 2 and 3."""
+    shapes = [
+        _cross_polytope(3),
+        _cube_with_redundant_rows(3, 4), _cube_with_redundant_rows(4, 3),
+        # lines: a square times R, and a slab along (1, -1, 0) over a half-space
+        Polyhedron(3, [((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1)]),
+        Polyhedron(3, [((1, 1, 0), 0), ((-1, -1, 0), -1), ((0, 0, 1), 0)]),
+        Polyhedron(2, [((1, 1), 0)], [((1, -1), Fraction(1, 2))]),
+        # inconsistent equalities, and 0 = 1
+        Polyhedron(2, [((1, 0), 0)], [((1, 1), 1), ((2, 2), 3)]),
+        Polyhedron(3, [((0, 0, 1), 0)], [((0, 0, 0), 1)]),
+        # rank 0: the point, 0 >= -1, 0 >= 1, 0 = 0 and 0 = 2
+        Polyhedron(0), Polyhedron(0, [((), -1)]), Polyhedron(0, [((), 1)]),
+        Polyhedron(0, [], [((), 0)]), Polyhedron(0, [((), -1)], [((), 2)]),
+    ]
+    for p in shapes:
+        assert p.vrep() == reference.vrep(p), p
+        assert p.is_empty() == reference.is_empty(p), p
+        assert p.has_interior() == reference.has_interior(p), p
+        if len(p.ineqs) <= 10:
+            assert [(f.vert_ids, f.ray_ids, f.dim) for f in p.proper_faces()] == \
+                reference.proper_faces(p), p
+    assert [p.is_empty() for p in shapes[6:]] == [True, True, False, False, True, False, True]
+    cross = _cross_polytope(4)
+    units = [tuple(s * int(j == i) for j in range(4)) for i in range(4) for s in (1, -1)]
+    assert cross.vrep() == (tuple(sorted(units)), (), ())
+    faces = cross.proper_faces()
+    assert [sum(f.dim == k for f in faces) for k in range(4)] == [8, 24, 32, 16]
+
+
 def test_kept_face_dims_are_the_ranks_of_their_masks_and_serve_star(monkeypatch):
     """Every dimension ``proper_faces`` keeps in ``_dims`` (its faces' tight
     masks, each ray's mask and the mask of all rows) is D minus the rank of
@@ -624,6 +680,40 @@ def test_inclusions_onto_two_super_charts_are_each_flagged():
     report = validate_complex(c)
     assert [v.subject for v in report.violations if v.axiom == "3"][:2] == ["F->E", "F->G"]
     assert str(report) == str(reference.validate_complex(c))
+
+
+def _order_and_shape_case(name):
+    """A complex that reaches one chart-shape or order branch of
+    ``validate_complex``: a chart in R^1 on a face of rank 2, an inclusion
+    of a face into itself, two segments included into each other, and a
+    square whose inclusion into the orthant of R^3 folds it onto a line."""
+    seg = Polyhedron(1, [((1,), 0), ((-1,), -1)])
+    if name == "rank":
+        return PolyhedralComplex([Face("A", 2, seg)], [])
+    if name == "reflexive":
+        c = segment_complex()
+        return PolyhedralComplex(list(c.faces.values()), [
+            *c.inclusions.values(), FaceInclusion("E", "E", ((1,),), (0,))])
+    if name == "antisymmetric":
+        return PolyhedralComplex([Face("A", 1, seg), Face("B", 1, seg)], [
+            FaceInclusion("A", "B", ((1,),), (0,)), FaceInclusion("B", "A", ((1,),), (0,))])
+    square = Polyhedron(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)])
+    orthant = Polyhedron(3, [(n, 0) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+    return PolyhedralComplex([Face("S", 2, square), Face("C", 3, orthant)], [
+        FaceInclusion("S", "C", ((1, 1), (1, 1), (0, 0)), (0, 0, 0))])
+
+
+@pytest.mark.parametrize("name, entry", [
+    ("rank", ("2", "A", "chart lives in R^1 but rank is 2")),
+    ("reflexive", ("order", "E->E", "reflexive inclusion stored explicitly")),
+    ("antisymmetric", ("order", "A->B", "inclusion relation is not antisymmetric")),
+    ("not-injective", ("5", "S->C", "inclusion linear part is not injective")),
+])
+def test_order_and_shape_branches_match_the_reference(name, entry):
+    c = _order_and_shape_case(name)
+    report = validate_complex(c)
+    assert str(report) == str(reference.validate_complex(c))
+    assert entry in [(v.axiom, v.subject, v.message) for v in report.violations]
 
 
 # ---------------------------------------------------------------------------
