@@ -34,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .errors import InvalidFamily, NoCofacets, PointNotInComplex, SeedNotInGraph
+from .errors import InvalidFamily, PointNotInComplex, SeedNotInGraph
 from .exact_linalg import _int_echelon, _over_common, _rat_str, mat_rows, rank, vec
 from .moduli import (
     WallClassification,
@@ -104,11 +104,9 @@ class AffineMapN(Offset, FrozenRecord):
 
 
 class FaceCurveData(Record):
-    __slots__ = ("type", "lengths", "positions")
-    def __init__(self, type: CombinatorialType, lengths: dict, positions: dict):
-        self.type = type
-        self.lengths = lengths  # edge id -> AffineFn
-        self.positions = positions  # vertex id -> AffineMapN
+    __slots__ = ("type",
+                 "lengths",  # edge id -> AffineFn
+                 "positions")  # vertex id -> AffineMapN
 
 
 class Contraction(Record):
@@ -118,17 +116,12 @@ class Contraction(Record):
     """
 
     __slots__ = ("vertex_map", "edge_map")
-    def __init__(self, vertex_map: dict, edge_map: dict):
-        self.vertex_map, self.edge_map = vertex_map, edge_map
 
 
 class FamilyDatum(Record):
-    __slots__ = ("base", "dim", "extended_degree", "face_data", "contractions")
-    def __init__(self, base: PolyhedralComplex, dim: int, extended_degree: tuple,
-                 face_data: dict, contractions: dict):
-        self.base, self.dim, self.extended_degree = base, dim, extended_degree
-        self.face_data = face_data  # face id -> FaceCurveData
-        self.contractions = contractions  # (sub id, super id) -> Contraction
+    __slots__ = ("base", "dim", "extended_degree",
+                 "face_data",  # face id -> FaceCurveData
+                 "contractions")  # (sub id, super id) -> Contraction
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +421,8 @@ class FaceLift(_RankOnce, Offset, Record):
 
 
 class InducedMap(Record):
-    __slots__ = ("family", "lifts")
-    def __init__(self, family: FamilyDatum, lifts: dict):
-        self.family = family
-        self.lifts = lifts  # face id -> FaceLift
+    __slots__ = ("family",
+                 "lifts")  # face id -> FaceLift
 
 
 def _lift_rows(f: FamilyDatum, fid: str, chains, vertices):
@@ -564,8 +555,6 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
     """
     f = alpha.family
     cofacet_incs = f.base.cofacet_inclusions(w)
-    if not cofacet_incs:
-        raise NoCofacets(f"face {w!r} has no codimension-one cofacets")
     lift_w = alpha.lifts[w]
     cofacets = [inc.super for inc in cofacet_incs]
     same_type = all(alpha.lifts[c].canonical == lift_w.canonical for c in cofacets)
@@ -639,18 +628,14 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
 
 class ImageStratum(FrozenRecord):
     __slots__ = ("canonical", "type", "image_dim", "stratum_dim", "full_dimensional")
-    def __init__(self, canonical: str, type: CombinatorialType, image_dim: int,
-                 stratum_dim: int | None, full_dimensional: bool):
-        self.canonical, self.type, self.image_dim = canonical, type, image_dim
-        self.stratum_dim, self.full_dimensional = stratum_dim, full_dimensional
 
 
 def image_strata(alpha: InducedMap) -> list:
     """Group the faces of a validated map by stabilized target type; report
     image ranks per type.
 
-    ``full_dimensional`` records whether the best image piece reaches the
-    stratum dimension (the hypothesis of the closure criterion).
+    ``stratum_dim`` is None for an empty stratum; ``full_dimensional`` records whether the
+    best image piece reaches the stratum dimension (the hypothesis of the closure criterion).
     """
     by_type = {}
     for fid in sorted(alpha.lifts):
@@ -669,10 +654,8 @@ def image_strata(alpha: InducedMap) -> list:
 
 
 class PropagationResult(Record):
-    __slots__ = ("closure", "trace")
-    def __init__(self, closure: tuple, trace: tuple):
-        self.closure = closure  # sorted node ids
-        self.trace = trace  # (wall id, tuple of added node ids) in application order
+    __slots__ = ("closure",  # sorted node ids
+                 "trace")  # (wall id, tuple of added node ids) in application order
 
 
 def propagate_closure(wg: WallGraph, seeds) -> PropagationResult:

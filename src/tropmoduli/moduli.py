@@ -81,12 +81,9 @@ class StratumDescriptor(Record):
     and dim = dim * #components + |E| - rank.
     """
 
-    __slots__ = ("type", "edge_order", "cycle_rows", "forest")
-    def __init__(self, type: CombinatorialType, edge_order: tuple, cycle_rows: tuple,
-                 forest: tuple):
-        self.type, self.edge_order = type, edge_order
-        self.cycle_rows = cycle_rows  # rows over the edge lengths (rhs 0)
-        self.forest = forest  # (vertex, parent, edge, +1/-1 along the edge); roots have no parent
+    __slots__ = ("type", "edge_order",
+                 "cycle_rows",  # rows over the edge lengths (rhs 0)
+                 "forest")  # (vertex, parent, edge, +1/-1 along the edge); roots have no parent
 
     def _lengths(self):
         """Edge lengths, all >= 1, solving the cycle rows; None if none exist
@@ -294,12 +291,9 @@ class CanonicalForm(FrozenRecord):
     built in canonical order (v0 first), so iterating it lists the
     original ids in canonical order."""
 
-    __slots__ = ("key", "string", "vertex_map", "edge_map", "type")
-    def __init__(self, key: tuple, string: str, vertex_map: dict, edge_map: dict,
-                 type: CombinatorialType):
-        self.key, self.string, self.type = key, string, type
-        self.vertex_map = vertex_map  # original id -> canonical id
-        self.edge_map = edge_map  # original id -> canonical id
+    __slots__ = ("key", "string",
+                 "vertex_map", "edge_map",  # original id -> canonical id
+                 "type")
 
     def __hash__(self):
         return hash(self.string)
@@ -350,10 +344,7 @@ class TypeIso(FrozenRecord):
     Legs are fixed pointwise (the leg order is part of the data).
     """
 
-    __slots__ = ("vertex_map", "edge_map")
-    def __init__(self, vertex_map: tuple, edge_map: tuple):
-        self.vertex_map = vertex_map  # sorted (old, new) pairs
-        self.edge_map = edge_map
+    __slots__ = ("vertex_map", "edge_map")  # each sorted (old, new) pairs
 
     @staticmethod
     def make(vmap: dict, emap: dict) -> "TypeIso":
@@ -742,10 +733,8 @@ def _balanced_types(graph: WeightedGraph, forest, kernel, ext, dim, bound):
 # ---------------------------------------------------------------------------
 
 class WallGraph(Record):
-    __slots__ = ("nodes", "walls")
-    def __init__(self, nodes: tuple, walls: tuple):
-        self.nodes = nodes  # (node id, CombinatorialType)
-        self.walls = walls  # (wall id, CombinatorialType, tuple of incident node ids)
+    __slots__ = ("nodes",  # (node id, CombinatorialType)
+                 "walls")  # (wall id, CombinatorialType, tuple of incident node ids)
 
     def node_ids(self):
         return [nid for nid, _ in self.nodes]

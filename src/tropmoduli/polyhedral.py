@@ -318,8 +318,6 @@ class _PFace(FrozenRecord):
     """A face of a polyhedron, identified by its tight vertices and rays."""
 
     __slots__ = ("vert_ids", "ray_ids", "dim")
-    def __init__(self, vert_ids: frozenset, ray_ids: frozenset, dim: int):
-        self.vert_ids, self.ray_ids, self.dim = vert_ids, ray_ids, dim
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +415,6 @@ class PolyhedralComplex:
 
 class Violation(FrozenRecord):
     __slots__ = ("axiom", "subject", "message")
-    def __init__(self, axiom: str, subject: str, message: str):
-        self.axiom, self.subject, self.message = axiom, subject, message
 
     def __str__(self):
         return f"AXIOM({self.axiom}) violated at {self.subject}: {self.message}"
@@ -610,10 +606,8 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
 class StarData(FrozenRecord):
     """Primitive directions into the codimension-one cofacets of a face."""
 
-    __slots__ = ("face", "directions")
-    def __init__(self, face: str, directions: tuple):
-        self.face = face
-        self.directions = directions  # ((cofacet id, primitive vector in N_cofacet), ...)
+    __slots__ = ("face",
+                 "directions")  # ((cofacet id, primitive vector in N_cofacet), ...)
 
 
 def star(c: PolyhedralComplex, w: str) -> StarData:
@@ -672,10 +666,8 @@ def _direction(sub_chart: Polyhedron, chart: Polyhedron, inc: FaceInclusion):
 class PIAMap(FrozenRecord):
     """Piecewise integral affine map: one affine map per face chart."""
 
-    __slots__ = ("source", "target_dim", "per_face")
-    def __init__(self, source: PolyhedralComplex, target_dim: int, per_face: dict):
-        self.source, self.target_dim = source, target_dim
-        self.per_face = per_face  # face id -> (linear rows, offset)
+    __slots__ = ("source", "target_dim",
+                 "per_face")  # face id -> (linear rows, offset)
 
     def face_map(self, fid: str):
         if fid not in self.per_face:
@@ -690,12 +682,10 @@ class Harmonicity(str, Enum):
 
 
 class HarmonicityResult(FrozenRecord):
-    __slots__ = ("verdict", "certificate", "derivatives", "star")
-    def __init__(self, verdict: Harmonicity, certificate: tuple | None, derivatives: tuple,
-                 star: StarData):
-        self.verdict, self.star = verdict, star
-        self.certificate = certificate  # positive integers, one per star direction
-        self.derivatives = derivatives  # images of the star directions
+    __slots__ = ("verdict",  # Harmonicity
+                 "certificate",  # positive integers, one per star direction, or None
+                 "derivatives",  # images of the star directions
+                 "star")
 
 
 def harmonicity_at(m: PIAMap, w: str) -> HarmonicityResult:
@@ -732,10 +722,9 @@ def harmonicity_at(m: PIAMap, w: str) -> HarmonicityResult:
 # ---------------------------------------------------------------------------
 
 class Stratum(FrozenRecord):
-    __slots__ = ("id", "verticals", "horizontals", "length")
-    def __init__(self, id: str, verticals: tuple, horizontals: tuple, length: Fraction):
-        self.id, self.horizontals, self.length = id, horizontals, length
-        self.verticals = verticals  # component ids, |verticals| = a + 1 >= 1
+    __slots__ = ("id",
+                 "verticals",  # component ids, |verticals| = a + 1 >= 1
+                 "horizontals", "length")  # length: Fraction
 
 
 class SemistablePairData(FrozenRecord):
@@ -746,11 +735,6 @@ class SemistablePairData(FrozenRecord):
     """
 
     __slots__ = ("vertical_components", "horizontal_components", "strata", "order")
-    def __init__(self, vertical_components: tuple, horizontal_components: tuple, strata: tuple,
-                 order: tuple):
-        self.vertical_components = vertical_components
-        self.horizontal_components = horizontal_components
-        self.strata, self.order = strata, order
 
 
 def _check_pair_data(d: SemistablePairData):

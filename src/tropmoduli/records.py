@@ -1,16 +1,34 @@
-"""Records: plain classes that name their fields in ``__slots__`` and set them
-in their own ``__init__``.  Records of one class with equal fields are equal.
-A ``FrozenRecord`` is never assigned to after construction and hashes by its
-fields; any other record is unhashable."""
+"""Records: plain classes that name their fields in ``__slots__``.  A record class
+with fields and no ``__init__`` of its own gets one that takes them in slot order and
+stores each (``_store_each``; ``dataclasses`` would lengthen every cold start).  Records
+of one class with equal fields are equal.  A ``FrozenRecord`` is never assigned to after
+construction and hashes by its fields; any other record is unhashable."""
 
 from fractions import Fraction
+from functools import cache
+from types import FunctionType
 
 from .errors import DimMismatch
 from .exact_linalg import _affine_over, _over_common
 
 
+@cache
+def _store_each(n):
+    """Code of ``__init__(self, f0, ...)`` storing each ``fi`` in ``self.fi``, compiled once
+    per field count as ``namedtuple`` compiles its ``__new__``; classes rename the names."""
+    exec(f"def __init__(self, {', '.join(f'f{i}' for i in range(n))}):"
+         + "".join(f"\n self.f{i} = f{i}" for i in range(n)), namespace := {})
+    return namespace["__init__"].__code__
+
+
 class Record:
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if (fields := cls.__dict__.get("__slots__")) and "__init__" not in cls.__dict__:
+            code = _store_each(len(fields)).replace(co_varnames=("self", *fields), co_names=fields,
+                                                    co_qualname=f"{cls.__qualname__}.__init__")
+            cls.__init__ = FunctionType(code, {"__name__": cls.__module__})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

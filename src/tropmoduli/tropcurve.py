@@ -205,9 +205,7 @@ def is_stable(g: WeightedGraph) -> bool:
 
 
 class BalanceReport(Record):
-    __slots__ = ("failures",)
-    def __init__(self, failures: tuple):
-        self.failures = failures  # ((vertex id, deficit vector), ...)
+    __slots__ = ("failures",)  # ((vertex id, deficit vector), ...)
 
     @property
     def ok(self) -> bool:
@@ -293,11 +291,9 @@ def realize(t: CombinatorialType, lengths: dict, root_position,
 # ---------------------------------------------------------------------------
 
 class StabilizationResult(Record):
-    __slots__ = ("graph", "slopes", "edge_chains", "kept_vertices")
-    def __init__(self, graph: WeightedGraph, slopes: dict, edge_chains: dict,
-                 kept_vertices: tuple):
-        self.graph, self.slopes, self.kept_vertices = graph, slopes, kept_vertices
-        self.edge_chains = edge_chains  # surviving edge id -> tuple of original edge ids
+    __slots__ = ("graph", "slopes",
+                 "edge_chains",  # surviving edge id -> tuple of original edge ids
+                 "kept_vertices")
 
 
 def stabilize_type(t: CombinatorialType) -> StabilizationResult:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropmoduli import cli
 from tropmoduli.exact_linalg import frac
+from tropmoduli.moduli import WallClassification
 
 from helpers import path_family
 
@@ -25,13 +26,22 @@ _STRINGS = st.one_of(
     st.text(max_size=8),
     st.text(st.characters(blacklist_categories=()), max_size=4),  # lone surrogates too
     st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", " ", "é", "😀", "a\"b\\c\n\t"]))
+
+
+class _Count(int):
+    """An int subclass, written as ``int.__repr__`` writes it."""
+
+
 _LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
-                    st.integers(-10 ** 80, 10 ** 80), _STRINGS)
+                    st.integers(-10 ** 80, 10 ** 80), st.integers().map(_Count),
+                    st.sampled_from(WallClassification), _STRINGS)
 _TREES = st.recursive(
     _LEAVES,
     lambda children: st.one_of(st.lists(children, max_size=4),
                                st.lists(children, max_size=4).map(tuple),
-                               st.dictionaries(_STRINGS, children, max_size=4)),
+                               st.dictionaries(st.one_of(_STRINGS,
+                                                         st.sampled_from(WallClassification)),
+                                               children, max_size=4)),
     max_leaves=40)
 
 
@@ -65,9 +75,12 @@ def test_encoder_writes_a_dict_met_again_at_the_same_indent_as_json_dumps_does()
 
 
 @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "x"}, {"a": 1, 2: "b"}, {None: 1},
-                                   Fraction(1, 2), {"a": {1, 2}}],
+                                   Fraction(1, 2), {"a": {1, 2}}, ["a", 1, 1.5],
+                                   {"a": "b", "c": 0.5}, ["a", {"b": 2}, {3: "c"}],
+                                   {"a": [1, True, {"b": (0, 0.0)}]}],
                          ids=["float", "nested-float", "int-key", "mixed-keys", "none-key",
-                              "fraction", "set"])
+                              "fraction", "set", "list-float", "dict-float", "nested-int-key",
+                              "tuple-float"])
 def test_encoder_refuses_what_no_report_holds(value):
     with pytest.raises(TypeError):
         _encoded(value)

@@ -93,6 +93,51 @@ def test_record_semantics(cls, frozen):
             hash(a)
 
 
+OWN_INIT = ["Face", "FaceInclusion", "ValidationReport", "WeightedGraph", "TropicalCurve",
+            "WallClass", "AffineFn", "AffineMapN", "FaceLift", "WallVerdict"]
+COMPILED = [cls for cls, _ in RECORDS if cls.__name__ not in OWN_INIT]
+
+
+def test_only_records_that_convert_check_or_default_a_field_write_a_constructor():
+    """The other records' constructors are compiled from their slots, so
+    their code comes from no source file."""
+    written = {cls.__name__ for cls, _ in RECORDS
+               if cls.__init__.__code__.co_filename == sys.modules[cls.__module__].__file__}
+    assert written == set(OWN_INIT)
+    assert len(COMPILED) == 19
+
+
+@pytest.mark.parametrize("cls", COMPILED, ids=[cls.__name__ for cls in COMPILED])
+def test_compiled_constructor_takes_the_slots_in_order(cls):
+    import inspect
+
+    params = inspect.signature(cls).parameters
+    assert list(params) == list(cls.__slots__)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+               for p in params.values())
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+    values = {name: (cls.__name__, name) for name in cls.__slots__}
+    record = cls(**values)
+    assert all(getattr(record, name) is value for name, value in values.items())
+    assert record == cls(*values.values())
+    missing = cls.__slots__[-1]
+    with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) missing 1 "
+                                        rf"required positional argument: '{missing}'$"):
+        cls(*list(values.values())[:-1])
+    with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) got an "
+                                        r"unexpected keyword argument 'other'$"):
+        cls(**values, other=0)
+
+    class Twin(cls):
+        __slots__ = ()
+
+    assert Twin.__init__ is cls.__init__
+    twin = Twin(**values)
+    assert all(getattr(twin, name) is value for name, value in values.items())
+
+
 def test_canonical_form_hashes_by_its_string():
     from tropmoduli.moduli import CanonicalForm
 
