@@ -20,7 +20,7 @@ from . import documents as docs
 from .errors import Disconnected, InputError, TropModuliError
 from .family import fiber, image_strata, induced_alpha, propagate_closure, validate_family, wall_verdict
 from .moduli import canonical_string, classify, enumerate_types, resolve_4valent, wall_graph
-from .polyhedral import ValidationReport, build_skeleton, validate_complex
+from .polyhedral import ValidationReport, Violation, build_skeleton, validate_complex
 from .tropcurve import ParameterizedTropicalCurve, TropicalCurve, check_balanced, genus, is_stable
 
 
@@ -119,7 +119,7 @@ def _emit(report, fmt, output):
         lines = [f"status: {report['status']}", report["summary"]]
         payload = report["payload"]
         for v in payload.get("violations", []) if isinstance(payload, dict) else []:
-            lines.append(f"AXIOM({v['axiom']}) violated at {v['subject']}: {v['message']}")
+            lines.append(str(Violation(**v)))
         text = "\n".join(lines) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:

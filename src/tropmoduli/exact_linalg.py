@@ -204,9 +204,7 @@ def primitive_vector(v: IVec) -> IVec:
     """
     if all(x == 0 for x in v):
         raise ZeroVector("primitive_vector of the zero vector")
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     return tuple(x // g for x in v)
 
 

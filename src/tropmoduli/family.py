@@ -22,7 +22,8 @@ faces; wall verdicts and image strata take the map it returns.  Type-only
 work (degree and balancing checks, stabilization, canonical form) runs once
 per type object, which faces read from one type document share, and a lift
 ranks its rows once.  Wall verdicts implement the harmonic / quasi-harmonic
-/ locally combinatorially surjective trichotomy at a face, and closure
+/ locally combinatorially surjective trichotomy at a face (each harmonicity
+outcome gives its verdict through one table), and closure
 propagation saturates a seed set of maximal strata through walls.  The
 family, its face data, the lifts and the verdicts are plain slotted records
 (see ``records``).
@@ -175,19 +176,14 @@ def _contraction_faults(tsub: CombinatorialType, tsup: CombinatorialType, phi: C
             if vm[u] != vm[v]:
                 out.append(f"contracted edge {e!r} has endpoints in different classes")
             continue
+        # the image's slope along each orientation whose ends match (both on a loop)
         eu, ev = ends_sub[phi.edge_map[e]]
-        s_sup = tsup.slopes[e]
         s_sub = tsub.slopes[phi.edge_map[e]]
-        if (vm[u], vm[v]) == (eu, ev):
-            ok = s_sup == s_sub
-        elif (vm[u], vm[v]) == (ev, eu):
-            ok = s_sup == tuple(-x for x in s_sub)
-        else:
+        allowed = [s for ends, s in (((eu, ev), s_sub), ((ev, eu), tuple(-x for x in s_sub)))
+                   if ends == (vm[u], vm[v])]
+        if not allowed:
             out.append(f"edge {e!r} does not map onto its image's endpoints")
-            continue
-        if not ok and eu == ev:
-            ok = s_sup in (s_sub, tuple(-x for x in s_sub))
-        if not ok:
+        elif tsup.slopes[e] not in allowed:
             out.append(f"slope of {e!r} changes under contraction")
     # weighted contraction of the edges inside the classes: each preimage
     # class is one piece, whose genus weight is its image's weight
@@ -501,8 +497,20 @@ class WallVerdict(Record):
         self.uncovered = uncovered  # canonical strings of unattained strata
 
 
+# the verdict and detail of each harmonicity outcome (the certificate is the outcome's)
+_WALL_VERDICT_OF = {
+    Harmonicity.HARMONIC: (WallVerdictKind.HARMONIC, ""),
+    Harmonicity.QUASI_HARMONIC_ONLY: (WallVerdictKind.QUASI_HARMONIC, ""),
+    Harmonicity.NOT_QUASI_HARMONIC: (
+        WallVerdictKind.INCONCLUSIVE,
+        "not quasi-harmonic: no positive combination of the star derivatives lies in the "
+        "image span"),
+}
+
+
 def _stabilized_contraction(f: FamilyDatum, sub: str, sup: str, stab_sub, stab_super):
-    """Map stabilized super-face edges/vertices onto the stabilized sub-face.
+    """Map the stabilized sub-face's vertices and edges back to the
+    stabilized super-face's, the direction in which the lift is rewritten.
 
     Returns (vertex map, edge map) or None when the contraction does not
     restrict to an isomorphism of the stabilized types (the fiber types
@@ -514,7 +522,6 @@ def _stabilized_contraction(f: FamilyDatum, sub: str, sup: str, stab_sub, stab_s
         for gamma in chain:
             sub_chain_of[gamma] = stab_edge
     emap = {}
-    used = {}
     for stab_edge, chain in stab_super.edge_chains.items():
         images = [phi.edge_map[g] for g in chain if g in phi.edge_map]
         if not images:
@@ -523,21 +530,13 @@ def _stabilized_contraction(f: FamilyDatum, sub: str, sup: str, stab_sub, stab_s
         if len(targets) != 1 or None in targets:
             return None
         target = targets.pop()
-        used.setdefault(target, []).extend(images)
-        emap[stab_edge] = target
-    if sorted(emap.values()) != sorted(stab_sub.edge_chains):
+        if target in emap or sorted(images) != sorted(stab_sub.edge_chains[target]):
+            return None
+        emap[target] = stab_edge
+    if len(emap) != len(stab_sub.edge_chains):
         return None
-    for target, images in used.items():
-        if sorted(images) != sorted(stab_sub.edge_chains[target]):
-            return None
-    vmap = {}
-    kept_sub = set(stab_sub.kept_vertices)
-    for u in stab_super.kept_vertices:
-        img = phi.vertex_map[u]
-        if img not in kept_sub:
-            return None
-        vmap[u] = img
-    if sorted(vmap.values()) != sorted(kept_sub):
+    vmap = {phi.vertex_map[u]: u for u in stab_super.kept_vertices}
+    if len(vmap) != len(stab_super.kept_vertices) or vmap.keys() != set(stab_sub.kept_vertices):
         return None
     return vmap, emap
 
@@ -571,11 +570,9 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
                     detail=f"cofacet {sup!r} has an isomorphic type not matched "
                            f"by the contraction")
             vmap, emap = maps
-            rev_emap = {sub_e: sup_e for sup_e, sub_e in emap.items()}
-            rev_vmap = {sub_v: sup_v for sup_v, sub_v in vmap.items()}
             rows, num, den = _lift_rows(
-                f, sup, [stab_sup.edge_chains[rev_emap[e]] for e in lift_w.canon_edge_map],
-                [rev_vmap[u] for u in lift_w.canon_vertex_map])
+                f, sup, [stab_sup.edge_chains[emap[e]] for e in lift_w.canon_edge_map],
+                [vmap[u] for u in lift_w.canon_vertex_map])
             # the rewritten lift must restrict to the face lift exactly
             if inc.pull_back(rows, num, den) != (lift_w.linear, lift_w.num, lift_w.den):
                 raise InvalidFamily(
@@ -583,16 +580,8 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
             per_face[sup] = (rows, tuple(Fraction(n, den) for n in num))
         local = PIAMap(source=f.base, target_dim=len(lift_w.linear), per_face=per_face)
         res = harmonicity_at(local, w)
-        if res.verdict == Harmonicity.HARMONIC:
-            return WallVerdict(face=w, verdict=WallVerdictKind.HARMONIC,
-                               certificate=res.certificate)
-        if res.verdict == Harmonicity.QUASI_HARMONIC_ONLY:
-            return WallVerdict(face=w, verdict=WallVerdictKind.QUASI_HARMONIC,
-                               certificate=res.certificate)
-        return WallVerdict(
-            face=w, verdict=WallVerdictKind.INCONCLUSIVE, certificate=None,
-            detail="not quasi-harmonic: no positive combination of the star "
-                   "derivatives lies in the image span")
+        kind, detail = _WALL_VERDICT_OF[res.verdict]
+        return WallVerdict(face=w, verdict=kind, certificate=res.certificate, detail=detail)
 
     wall_type = lift_w.type
     cls = classify(wall_type)

@@ -473,7 +473,8 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
     index; violations come out in a fixed order (faces and inclusions in
     stored order, face pairs in sorted order).  Saturation and images
     (``_image``, matched modulo the super chart's lines) are decided once
-    per call and key (``faults``, ``images``).
+    per call and key (``faults``, ``images``), and the meet of two sub-faces
+    once per face that holds both (``meets``, by sub-face pair), for axiom 4.
     """
     report = ValidationReport()
     for f in c.faces.values():
@@ -561,34 +562,23 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             else:
                 report.add("3", fid, f"chart face of dim {pf.dim} is covered by {sorted(owners)}")
 
-    # axiom 4: shared sub-face intersections agree across faces
-    sub_sets = {fid: set(subs) for fid, subs in c._subs.items() if len(subs) > 1}
-    face_ids = sorted(sub_sets)
-    for i, w1 in enumerate(face_ids):
-        for w2 in face_ids[i + 1:]:
-            common = sub_sets[w1] & sub_sets[w2]
-            if len(common) < 2:
-                continue
-            for v1, v2 in combinations(sorted(common), 2):
-                res = []
-                for w in (w1, w2):
-                    key1 = image_face.get((v1, w))
-                    key2 = image_face.get((v2, w))
-                    if key1 is None or key2 is None:
-                        res.append("skip")
-                        continue
-                    tv = key1[0] & key2[0]
-                    tr = key1[1] & key2[1]
-                    if not tv:
-                        res.append(None)
-                        continue
-                    res.append(resolver.get((w, (tv, tr)), "unknown"))
-                if "skip" in res:
-                    continue
-                if res[0] != res[1]:
-                    report.add("4", f"{w1} & {w2}",
-                               f"intersection of sub-faces {v1},{v2} resolves to "
-                               f"{res[0]} in one chart and {res[1]} in the other")
+    # axiom 4: shared sub-face intersections agree across faces.  In a face w,
+    # the meet of two sub-faces with image faces is its owner, "unknown", or
+    # None when their images share no vertex; every two faces holding both
+    # sub-faces must agree on it.
+    meets = {}  # (v1, v2) -> [(w, meet in w's chart)] in face id order
+    for w in sorted(c._subs):
+        imaged = [(v, image_face[(v, w)]) for v in sorted(c._subs[w])
+                  if image_face.get((v, w)) is not None]
+        for (v1, (vs1, rs1)), (v2, (vs2, rs2)) in combinations(imaged, 2):
+            shared = (vs1 & vs2, rs1 & rs2)
+            meet = resolver.get((w, shared), "unknown") if shared[0] else None
+            meets.setdefault((v1, v2), []).append((w, meet))
+    clashes = [(w1, w2, v1, v2, m1, m2) for (v1, v2), held in meets.items()
+               for (w1, m1), (w2, m2) in combinations(held, 2) if m1 != m2]
+    for w1, w2, v1, v2, m1, m2 in sorted(clashes, key=lambda clash: clash[:4]):
+        report.add("4", f"{w1} & {w2}", f"intersection of sub-faces {v1},{v2} "
+                   f"resolves to {m1} in one chart and {m2} in the other")
 
     # connectivity
     forest = _forest(list(c.faces), [(key, *key) for key in c.inclusions])

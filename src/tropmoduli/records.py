@@ -1,6 +1,8 @@
 """Records: plain classes that name their fields in ``__slots__``.  A record class
 with fields and no ``__init__`` of its own gets one that takes them in slot order and
-stores each (``_store_each``; ``dataclasses`` would lengthen every cold start).  Records
+stores each (``_store_each``; ``dataclasses`` would lengthen every cold start), named
+``<Class>.__init__`` through the function's ``__qualname__`` (``CodeType.replace``
+takes no ``co_qualname`` before Python 3.11).  Records
 of one class with equal fields are equal.  A ``FrozenRecord`` is never assigned to after
 construction and hashes by its fields; any other record is unhashable."""
 
@@ -26,9 +28,9 @@ class Record:
 
     def __init_subclass__(cls):
         if (fields := cls.__dict__.get("__slots__")) and "__init__" not in cls.__dict__:
-            code = _store_each(len(fields)).replace(co_varnames=("self", *fields), co_names=fields,
-                                                    co_qualname=f"{cls.__qualname__}.__init__")
+            code = _store_each(len(fields)).replace(co_varnames=("self", *fields), co_names=fields)
             cls.__init__ = FunctionType(code, {"__name__": cls.__module__})
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -415,6 +415,53 @@ def test_resolve_picks_its_new_edge_id_fresh_against_leg_ids(workdir):
         assert [l["id"] for l in t["type"]["legs"]] == ["eres", "l1", "l2", "l3"]
 
 
+def _saved_report(workdir):
+    return json.loads((workdir / "report.json").read_text())
+
+
+@pytest.mark.parametrize("first, second, summary", [
+    (SEEDS[1], ("validate-complex", []), "complex with 7 faces is valid"),
+    (SEEDS[5], ("propagate", ["--seeds", "n0"]), "closure has 3 nodes"),
+], ids=["skeleton-then-validate-complex", "wallgraph-then-propagate"])
+def test_a_saved_report_stands_in_for_its_payload(workdir, first, second, summary):
+    """Verbs chain: a report saved with ``-o`` reads as its payload document,
+    and the next verb writes the report that the bare payload gives."""
+    verb, doc, flags = first
+    path, saved = workdir / "first.json", workdir / "saved.json"
+    path.write_text(json.dumps(doc))
+    assert main([verb, str(path), *flags, "-o", str(saved)]) == 0
+    verb, flags = second
+    assert _run(workdir, [verb, str(saved), *flags]) == 0
+    chained = _saved_report(workdir)
+    assert (chained["status"], chained["summary"]) == ("ok", summary)
+    path.write_text(json.dumps(json.loads(saved.read_text())["payload"]))
+    assert _run(workdir, [verb, str(path), *flags]) == 0
+    assert _saved_report(workdir) == chained
+
+
+@pytest.mark.parametrize("case", ["unreadable-input", "resolve-without-4-valent-vertex",
+                                  "propagate-without-seeds"])
+def test_refusals_outside_the_document_schemas(workdir, case):
+    """An input path that cannot be read, ``resolve`` with no 4-valent vertex
+    to pick and ``propagate`` with no seeds are input errors at pointer ""."""
+    path = workdir / "input.json"
+    if case == "unreadable-input":
+        path = workdir / "missing.json"
+        argv = ["classify", str(path)]
+        message = f"cannot read {path}: [Errno 2] No such file or directory: {str(path)!r}"
+    elif case == "resolve-without-4-valent-vertex":
+        path.write_text(json.dumps(docs.type_to_doc(resolution_type(2))))
+        argv, message = ["resolve", str(path)], "type has no 4-valent vertex; pass --vertex explicitly"
+    else:
+        path.write_text(json.dumps(_WALLGRAPH))
+        argv, message = ["propagate", str(path)], "pass --seeds or --seeds-file"
+    assert _run(workdir, argv) == 2
+    report = _saved_report(workdir)
+    assert report["status"] == "error"
+    assert report["payload"] == {"pointer": "", "message": message}
+    assert report["summary"] == f"input error: {message}"
+
+
 _NINES = int("9" * 4300)  # the longest integer within the digit limit; twice it is not
 
 

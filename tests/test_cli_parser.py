@@ -1,9 +1,11 @@
 """The argparse surface of the CLI: help and usage output pinned byte for
 byte, main's parse compared with the full parser's, and the entry point
-run in a fresh interpreter."""
+run in a fresh interpreter, also under each other CPython from 3.10.7 on
+that can be started."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -140,4 +142,49 @@ def test_module_entry_point_matches_main(tmp_path, capsys):
     done = subprocess.run([sys.executable, "-m", "tropmoduli", "classify", str(path)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert done.stdout == in_process
+
+
+def _interpreters(minor):
+    """Paths that may run CPython 3.<minor>: this interpreter if it is one,
+    ``python3.<minor>`` on PATH, then pyenv's installed 3.<minor>.* builds."""
+    found = [sys.executable] if sys.version_info[:2] == (3, minor) else []
+    found.append(shutil.which(f"python3.{minor}"))
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    found += sorted(str(p) for p in root.glob(f"versions/3.{minor}.*/bin/python3"))
+    return [p for p in found if p]
+
+
+def _cpython(exe, minor):
+    """Whether ``exe`` starts and is CPython 3.<minor>, at 3.10.7 or later."""
+    probe = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:3])"
+    try:
+        done = subprocess.run([exe, "-c", probe], capture_output=True, text=True, timeout=60)
+    except OSError:
+        return False
+    words = done.stdout.split() if done.returncode == 0 else []
+    return len(words) == 4 and words[0] == "CPython" and \
+        tuple(map(int, words[1:3])) == (3, minor) and tuple(map(int, words[1:])) >= (3, 10, 7)
+
+
+@pytest.mark.parametrize("minor", range(10, 15), ids=lambda minor: f"3.{minor}")
+def test_each_supported_python_imports_the_cli_and_classifies(minor, tmp_path, capsys):
+    """``requires-python`` is >=3.10.7: the first CPython 3.<minor> that
+    starts here imports the package and the CLI in a fresh interpreter and
+    writes the classify report this interpreter writes.  A minor version with
+    no such interpreter is skipped."""
+    exe = next((p for p in _interpreters(minor) if _cpython(p, minor)), None)
+    if exe is None:
+        pytest.skip(f"no CPython 3.{minor} at 3.10.7 or later starts here")
+    path = tmp_path / "cross.json"
+    path.write_text(json.dumps(docs.type_to_doc(cross_type())), encoding="utf-8")
+    assert cli.main(["classify", str(path)]) == 0
+    in_process = capsys.readouterr().out
+    src = str(Path(tropmoduli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, tropmoduli, tropmoduli.cli; sys.exit(tropmoduli.cli.main(sys.argv[1:]))"
+    done = subprocess.run([exe, "-c", code, "classify", str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == in_process

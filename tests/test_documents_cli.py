@@ -160,8 +160,7 @@ def test_cli_validate_complex_violations(tmp_path, capsys):
     report = json.loads(out)
     assert report["status"] == "violations"
     assert any(v["axiom"] == "3" for v in report["payload"]["violations"])
-    code, out = _run(capsys, ["--format", "text", "validate-complex", path]) if False \
-        else _run(capsys, ["validate-complex", "--format", "text", path])
+    code, out = _run(capsys, ["validate-complex", "--format", "text", path])
     assert code == 1
     assert "AXIOM(3)" in out
 

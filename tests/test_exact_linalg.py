@@ -239,6 +239,18 @@ def test_strict_positive_combination_examples():
     verify_certificate(got, [(1, 1), (1, -2)], line)
 
 
+def test_no_vectors_combine_to_the_empty_certificate():
+    assert strict_positive_combination([], ((1, 0),)) == []
+
+
+@pytest.mark.parametrize("m, d", [(((1, 2), (2, 4)), 0), (((0, 0), (0, 1)), 0),
+                                  (((0, 1), (1, 0)), -1), (((2, 1), (1, "1/2")), 0)])
+def test_det_with_a_row_swap_or_a_column_without_pivot(m, d):
+    """Elimination stops at the first column without a pivot below the
+    diagonal; a row swap on the way flips the sign."""
+    assert det(m) == d
+
+
 def test_strict_positive_combination_vs_fm_dim1_exhaustive():
     values = [-2, -1, 0, 1, 2]
     for k in (1, 2, 3):

@@ -284,6 +284,11 @@ def test_contract_nonzero_slope_refused():
     assert genus(out.graph) == 0
 
 
+def test_contract_any_slope_refuses_an_unknown_edge():
+    with pytest.raises(KeyError, match=r"unknown edges \['f', 'g'\]"):
+        contract_any_slope(two_vertex(), {"e", "g", "f"})
+
+
 def test_contract_preserves_genus_banana():
     g = WeightedGraph(
         (("u", 0), ("v", 0)),
@@ -396,6 +401,16 @@ def test_enumerate_cross_degree():
     assert canonical_string(cross()) in strings
     for r in resolve_4valent(cross(), "v"):
         assert canonical_string(r) in strings
+
+
+@pytest.mark.parametrize("degree, message", [
+    ((), "dim is required when the degree is empty"),
+    (((1, 0), (-1,)), "degree slopes of mixed dimension"),
+    (((1, 0), (0, 0), (-1, 0)), "degree must consist of nonzero slopes"),
+], ids=["empty-without-dim", "mixed-dimension", "zero-slope"])
+def test_enumerate_refuses_a_malformed_degree(degree, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enumerate_types(0, 0, degree, 1)
 
 
 def test_enumerate_deterministic():
@@ -606,6 +621,11 @@ def test_wall_graph_mixed_invariants():
         {"l0": (2, 0), "l1": (0, 1), "l2": (-2, -1)}, 2)
     with pytest.raises(MixedInvariants):
         wall_graph([tripod(), other])
+
+
+def test_wall_graph_refuses_a_node_that_is_not_3_valent():
+    with pytest.raises(MixedInvariants, match="^wall graph nodes must be weightless and 3-valent$"):
+        wall_graph([tripod(), cross()])
 
 
 def test_wall_graph_unknown_node():

@@ -191,6 +191,26 @@ def test_star_unknown_face():
         star(segment_complex(), "nope")
 
 
+def test_star_refuses_a_face_without_interior():
+    """A rank-1 face whose chart is one point, below a quadrant."""
+    point = Polyhedron(1, [((1,), 0), ((-1,), 0)])
+    quad = Polyhedron(2, [((1, 0), 0), ((0, 1), 0)])
+    c = PolyhedralComplex([Face("X", 1, point), Face("Q", 2, quad)],
+                          [FaceInclusion("X", "Q", ((1,), (0,)), (0, 0))])
+    with pytest.raises(TropModuliError, match="^face 'X' has no interior point$"):
+        star(c, "X")
+
+
+def test_an_empty_chart_has_dimension_minus_one():
+    assert Polyhedron(1, [((1,), 1), ((-1,), 0)]).dim() == -1
+
+
+def test_a_map_has_no_face_it_does_not_store():
+    m = fan_map(fan_complex(2), [(1, 0), (0, 1)])
+    with pytest.raises(UnknownFace, match="^no map stored for face 'R2'$"):
+        m.face_map("R2")
+
+
 # ---------------------------------------------------------------------------
 # piecewise integral affine maps and harmonicity
 # ---------------------------------------------------------------------------
@@ -307,6 +327,18 @@ def test_skeleton_inconsistent_lengths():
         order=(("Sall", "S01"),),
     )
     with pytest.raises(InconsistentStrata):
+        build_skeleton(d)
+
+
+@pytest.mark.parametrize("vertical, horizontal, stratum, message", [
+    (("D0", "D0"), (), Stratum("S", ("D0",), (), Fraction(1)), "component ids are not distinct"),
+    (("D0",), (), Stratum("S", (), (), Fraction(1)), "stratum 'S' has empty vertical support"),
+    (("D0",), ("H0",), Stratum("S", ("D0",), ("H1",), Fraction(1)),
+     "stratum 'S' references unknown horizontal component"),
+], ids=["repeated-component", "no-vertical", "unknown-horizontal"])
+def test_skeleton_refuses_inconsistent_components(vertical, horizontal, stratum, message):
+    d = SemistablePairData(vertical, horizontal, (stratum,), ())
+    with pytest.raises(InconsistentStrata, match=f"^{message}$"):
         build_skeleton(d)
 
 

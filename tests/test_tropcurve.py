@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,29 @@ def test_an_id_naming_an_edge_and_a_leg_is_refused(vertices, edges, legs):
         WeightedGraph(vertices, edges, legs)
 
 
+_PATH = WeightedGraph(vertices=(("u", 0), ("v", 0)), edges=(("e", "u", "v"),), legs=(("l", "u"),))
+_PATH_SLOPES = {"e": (1, 0), "l": (0, 1)}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CombinatorialType(_PATH, {"l": (0, 1)}, 2), "missing slope for edge 'e'"),
+    (lambda: CombinatorialType(_PATH, {"e": (1, 0)}, 2), "missing slope for leg 'l'"),
+    (lambda: CombinatorialType(_PATH, {"e": (1, 0), "l": (1,)}, 2),
+     "slope for 'l' has wrong dimension"),
+    (lambda: TropicalCurve(_PATH, {}), "missing length for edge 'e'"),
+    (lambda: TropicalCurve(_PATH, {"e": 0}), "length of 'e' must be positive"),
+    (lambda: ParameterizedTropicalCurve(TropicalCurve(_PATH, {"e": 1}), {"u": (0, 0)},
+                                        _PATH_SLOPES, 2), "missing position for vertex 'v'"),
+    (lambda: ParameterizedTropicalCurve(TropicalCurve(_PATH, {"e": 1}),
+                                        {"u": (0, 0), "v": (1,)}, _PATH_SLOPES, 2),
+     "position of 'v' has wrong dimension"),
+], ids=["type-edge-slope", "type-leg-slope", "type-slope-length", "curve-length",
+        "curve-nonpositive-length", "parameterized-position", "parameterized-position-length"])
+def test_constructors_refuse_missing_and_misshapen_fields(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_stabilize_fixed_point():
     p = realize(tripod(), {}, (0, 0))
     q = stabilize(p)
@@ -230,6 +254,24 @@ def test_stabilize_unstabilizable():
     p = ParameterizedTropicalCurve(curve, {"v": (0, 0)}, dict(t.slopes), 2)
     with pytest.raises(Unstabilizable):
         stabilize(p)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no-vertex", "stabilization emptied the curve"),
+    ("slopes-do-not-cancel", "no stable model: vertices ['m'] cannot be removed"),
+])
+def test_stabilize_type_refusals(case, message):
+    """A weight-0 vertex between two edges whose slopes do not cancel stays
+    and is unstable.  Every step removes one vertex and keeps a neighbour, so
+    only a graph built without the constructor's checks can be emptied."""
+    if case == "no-vertex":
+        t = CombinatorialType._trusted(WeightedGraph._trusted((), (), ()), {}, 2)
+    else:
+        g = WeightedGraph(vertices=(("a", 1), ("m", 0), ("b", 1)),
+                          edges=(("e1", "a", "m"), ("e2", "m", "b")), legs=())
+        t = CombinatorialType(g, {"e1": (1, 0), "e2": (0, 1)}, 2)
+    with pytest.raises(Unstabilizable, match=f"^{re.escape(message)}$"):
+        stabilize_type(t)
 
 
 def test_stabilize_type_chain():
