@@ -14,12 +14,14 @@ Enumeration visits each unlabelled connected multigraph once, as the
 labelling the canonical search leaves in place (``_multigraphs``), and
 shares ``exact_linalg._spanning_forest`` with the stratum systems: flow
 along the tree solves the balancing equations in integers and the
-fundamental cycles span the rest (no Smith normal form).  A cycle's
-coefficient is the slope of its own non-tree edge, so the slopes within
-the bound come from a box of coefficients, walked without an LP.
-Contraction and wall paths use the same walk.  Only one leg assignment per
-orbit of the multigraph's automorphisms is tried, and only classes with a
-cycle get a stratum check: tree classes are nonempty.
+fundamental cycles span the rest (no Smith normal form).  One pass up the
+tree gives the flow in every coordinate at once, a tree's one slope vector.
+A cycle's coefficient is the slope of its own non-tree edge, so the slopes
+within the bound come from a box of coefficients, walked without an LP,
+less those that make a cycle's terms one-signed (an empty stratum, by
+Stiemke).  Only one leg assignment per orbit of the multigraph's
+automorphisms is tried, and only classes with a cycle get a stratum check:
+tree classes are nonempty.
 
 Isomorphisms of types fix every leg (the leg order is part of the data).
 The canonical form is the least serialization over the vertex orderings
@@ -38,6 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import add, gt, sub
 
 from .errors import (
     MixedInvariants,
@@ -126,6 +129,7 @@ def stratum(t: CombinatorialType) -> StratumDescriptor:
 def _tree_flow(forest, b):
     """Integer x with (out-flow - in-flow)(v) = b[v] at every vertex, or None.
 
+    ``b[v]`` is a vector, and x is solved in all its coordinates at once.
     Only forest edges carry flow: each one carries the sum of ``b`` over
     the subtree below it, signed by its orientation.  There is no solution
     at all when ``b`` does not sum to zero over some component.
@@ -134,11 +138,11 @@ def _tree_flow(forest, b):
     x = {}
     for v, parent, e, sign in reversed(forest):
         if parent is None:
-            if below[v]:
+            if any(below[v]):
                 return None
         else:
-            x[e] = -sign * below[v]
-            below[parent] += below[v]
+            x[e] = tuple([-sign * y for y in below[v]])
+            below[parent] = tuple(map(add, below[parent], below[v]))
     return x
 
 
@@ -165,9 +169,10 @@ def _refine_colors(t: CombinatorialType, star):
     color = {v: (w, tuple(legs_at.get(v, ())), tuple(sorted(s for s, _ in star[v])))
              for v, w in t.graph.vertices}
     while True:
-        ranks = {c: i for i, c in enumerate(sorted(set(color.values())))}
-        if len(ranks) == len(color):
+        distinct = set(color.values())
+        if len(distinct) == len(color):
             return color  # discrete
+        ranks = {c: i for i, c in enumerate(sorted(distinct))}
         neigh = {v: (ranks[color[v]], tuple(sorted((s, ranks[color[o]]) for s, o in star[v])))
                  for v in color}
         if len(set(neigh.values())) == len(ranks):
@@ -412,7 +417,9 @@ def classify(t: CombinatorialType) -> WallClass:
     g = t.graph
     if any(w != 0 for _, w in g.vertices):
         return WallClass(WallClassification.OTHER)
-    valences = {v: g.valence(v) for v in g.vertex_ids()}
+    valences = dict.fromkeys(g.vertex_ids(), 0)
+    for v in [x for _, u, v in g.edges for x in (u, v)] + [v for _, v in g.legs]:
+        valences[v] += 1  # a loop counts at both ends
     four = [v for v, val in valences.items() if val == 4]
     three = [v for v, val in valences.items() if val == 3]
     if len(three) == len(valences):
@@ -644,9 +651,10 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = No
     tried when its legs cover every deficit (exactly the stability
     condition) and it is the lexicographically least of its orbit under
     those automorphisms (the others give isomorphic types).  Then the tree
-    flow solves the balancing equations in integers, and each candidate
-    goes through its canonical form.  Emptiness is checked once per class
-    with a cycle; a tree class has no cycle rows, so it is nonempty.
+    flow solves the balancing equations in integers, slope vectors that make
+    a fundamental cycle's terms one-signed are dropped (empty strata), and
+    each candidate left goes through its canonical form.  Emptiness is
+    checked once per class with a cycle; a tree class is nonempty.
     """
     degree = tuple(tuple(int(x) for x in s) for s in degree)
     if dim is None:
@@ -661,29 +669,30 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = No
     ext = tuple((0,) * dim for _ in range(n)) + degree
     L = len(ext)
     bound = [sum(abs(s[c]) for s in ext) for c in range(dim)]
+    lids = [f"l{i}" for i in range(L)]
 
     found = {}
     max_nv = 2 * g - 2 + L
     for nv in range(1, min(max_nv, max_edges + 1) + 1 if max_nv >= 1 else 0):
         vids = [f"v{i}" for i in range(nv)]
+        # ne <= nv - 1 + g keeps the weight left for the vertices, g - b_1, nonnegative
         for ne in range(max(nv - 1, 0), min(max_edges, nv - 1 + g) + 1):
-            wsum = g - (ne - nv + 1)
-            if wsum < 0:
-                continue
             for edges, ends, forest, kernel, autos in _multigraphs(nv, ne):
-                for weights in _compositions(wsum, nv):
+                for weights in _compositions(g - (ne - nv + 1), nv):
                     deficit = [max(0, 3 - 2 * w - k) for w, k in zip(weights, ends)]
                     if sum(deficit) > L:
                         continue
-                    weight_autos = [p for p in autos
+                    needy = [v for v in range(nv) if deficit[v]]
+                    need = [deficit[v] for v in needy]
+                    weight_autos = [p for p in autos[1:]  # autos[0] is the identity
                                     if all(weights[p[v]] == weights[v] for v in range(nv))]
                     vertices = tuple(zip(vids, weights))
                     for assign in product(range(nv), repeat=L):
-                        if any(assign.count(v) < deficit[v] for v in range(nv)):
+                        if any(map(gt, need, map(assign.count, needy))):
                             continue  # unstable
                         if any(tuple(p[a] for a in assign) < assign for p in weight_autos):
                             continue  # not the least of its orbit
-                        legs = tuple((f"l{i}", vids[a]) for i, a in enumerate(assign))
+                        legs = tuple(zip(lids, [vids[a] for a in assign]))
                         graph = WeightedGraph._trusted(vertices, edges, legs)
                         for t in _balanced_types(graph, forest, kernel, ext, dim, bound):
                             cf = canonical_form(t)
@@ -694,38 +703,51 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = No
 
 
 def _balanced_types(graph: WeightedGraph, forest, kernel, ext, dim, bound):
-    """Slope assignments making ``graph`` balanced with the given leg slopes.
+    """Slope assignments making ``graph`` balanced with the given leg slopes,
+    except those whose strata a fundamental cycle shows empty.
 
     ``forest`` is a spanning tree of the non-loop edges and ``kernel`` their
     fundamental cycles (as vectors in edge order), computed once per
-    multigraph.  Per coordinate, the tree flow of minus the leg slopes at
-    each vertex is one integer solution of the balancing equations; adding
-    cycles gives the rest.  Loops get slope zero.
+    multigraph.  One pass up the forest gives the tree flow of minus the
+    leg slopes at each vertex, in every coordinate at once: a tree's one
+    solution.  With cycles, per coordinate, adding them to the flow gives
+    the rest; a solution is dropped when its terms k_e * x_e along a cycle
+    k are of one sign and not all zero, since then
+    sum_e k_e * l_e * x_e = 0 has no solution with every l_e > 0 (Stiemke).
+    Loops get slope zero.
     """
+    zero = (0,) * dim
+    b = dict.fromkeys(graph.vertex_ids(), zero)  # minus the leg slopes at each vertex
+    slopes = {}
+    for (lid, v), s in zip(graph.legs, ext):
+        b[v] = tuple(map(sub, b[v], s))
+        slopes[lid] = s
+    flow = _tree_flow(forest, b)
+    if flow is None:
+        return
+    # nonzero loop slopes force empty strata
+    slopes.update(dict.fromkeys((e for e, u, v in graph.edges if u == v), zero))
+    if not kernel:
+        if all(abs(y) <= m for x in flow.values() for y, m in zip(x, bound)):
+            slopes.update(flow)
+            yield CombinatorialType._trusted(graph, slopes, dim)
+        return
+
     non_loops = [e for e, u, v in graph.edges if u != v]
-    loops = [e for e, u, v in graph.edges if u == v]
+    particular = [flow.get(e, zero) for e in non_loops]
     per_coord = []
     for c in range(dim):
-        b = {v: 0 for v in graph.vertex_ids()}
-        for i, (_, v) in enumerate(graph.legs):
-            b[v] -= ext[i][c]
-        flow = _tree_flow(forest, b)
-        if flow is None:
-            return
-        sols = _integer_box_solutions(
-            tuple(flow.get(e, 0) for e in non_loops), kernel, bound[c])
+        sols = [x for x in _integer_box_solutions(tuple([p[c] for p in particular]), kernel, bound[c])
+                if all(len({k * y > 0 for k, y in zip(row, x) if k and y}) != 1 for row in kernel)]
         if not sols:
             return
         per_coord.append(sols)
 
-    leg_slopes = {f"l{i}": ext[i] for i in range(len(ext))}
     for combo in product(*per_coord):
-        slopes = dict(leg_slopes)
+        cycle_slopes = dict(slopes)
         for k, e in enumerate(non_loops):
-            slopes[e] = tuple(combo[c][k] for c in range(dim))
-        for e in loops:
-            slopes[e] = (0,) * dim  # nonzero loop slopes force empty strata
-        yield CombinatorialType._trusted(graph, slopes, dim)
+            cycle_slopes[e] = tuple(combo[c][k] for c in range(dim))
+        yield CombinatorialType._trusted(graph, cycle_slopes, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,12 @@ stratum of every isomorphism class, it rebuilds every candidate type
 through the validating ``WeightedGraph`` and ``CombinatorialType``
 constructors before labelling it, and it labels each multigraph by the
 brute-force search in ``reference_canonical``.  Its output must be
-identical.
+identical.  Its slope search, ``reference_balanced_types``, is
+``moduli._balanced_types`` as it was before the sign cut and the single
+pass over tree multigraphs: per coordinate, the tree flow
+(``reference_tree_flow``, ``moduli._tree_flow`` as it was before it
+solved every coordinate at once) and the walk of the box of cycle
+coefficients, keeping every solution.
 
 ``reference_integer_box_solutions`` is the slope search as it was before
 it walked the box of fundamental-cycle coefficients: it bounds each
@@ -21,8 +26,8 @@ from itertools import combinations_with_replacement, product
 
 from tropmoduli.exact_linalg import lp_maximize
 from tropmoduli.moduli import (
-    _balanced_types,
     _compositions,
+    _integer_box_solutions,
     _spanning_forest,
     canonical_form,
     stratum,
@@ -81,7 +86,7 @@ def reference_enumerate_types(g, n, degree, max_edges, dim=None, checked=None):
                             continue
                         legs = tuple((f"l{i}", vids[a]) for i, a in enumerate(assign))
                         graph = WeightedGraph(vertices, edges, legs)
-                        for t in _balanced_types(graph, forest, kernel, ext, dim, bound):
+                        for t in reference_balanced_types(graph, forest, kernel, ext, dim, bound):
                             t = CombinatorialType(graph, dict(t.slopes), dim)
                             cf = canonical_form(t)
                             if cf.string not in found:
@@ -89,6 +94,58 @@ def reference_enumerate_types(g, n, degree, max_edges, dim=None, checked=None):
                                 empty = stratum(cf.type).is_empty()
                                 found[cf.string] = None if empty else cf.type
     return [found[k] for k in sorted(found) if found[k] is not None]
+
+
+def reference_balanced_types(graph, forest, kernel, ext, dim, bound):
+    """Slope assignments making ``graph`` balanced with the given leg slopes.
+
+    Per coordinate, the tree flow of minus the leg slopes at each vertex is
+    one integer solution of the balancing equations; adding the cycles of
+    ``kernel`` gives the rest.  Loops get slope zero.
+    """
+    non_loops = [e for e, u, v in graph.edges if u != v]
+    loops = [e for e, u, v in graph.edges if u == v]
+    per_coord = []
+    for c in range(dim):
+        b = {v: 0 for v in graph.vertex_ids()}
+        for i, (_, v) in enumerate(graph.legs):
+            b[v] -= ext[i][c]
+        flow = reference_tree_flow(forest, b)
+        if flow is None:
+            return
+        sols = _integer_box_solutions(
+            tuple(flow.get(e, 0) for e in non_loops), kernel, bound[c])
+        if not sols:
+            return
+        per_coord.append(sols)
+
+    leg_slopes = {f"l{i}": ext[i] for i in range(len(ext))}
+    for combo in product(*per_coord):
+        slopes = dict(leg_slopes)
+        for k, e in enumerate(non_loops):
+            slopes[e] = tuple(combo[c][k] for c in range(dim))
+        for e in loops:
+            slopes[e] = (0,) * dim
+        yield CombinatorialType._trusted(graph, slopes, dim)
+
+
+def reference_tree_flow(forest, b):
+    """Integer x with (out-flow - in-flow)(v) = b[v] at every vertex, or None.
+
+    One coordinate: each forest edge carries the sum of ``b`` over the
+    subtree below it, signed by its orientation.  There is no solution at
+    all when ``b`` does not sum to zero over some component.
+    """
+    below = dict(b)
+    x = {}
+    for v, parent, e, sign in reversed(forest):
+        if parent is None:
+            if below[v]:
+                return None
+        else:
+            x[e] = -sign * below[v]
+            below[parent] += below[v]
+    return x
 
 
 def reference_integer_box_solutions(particular, kernel, bound):

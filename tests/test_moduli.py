@@ -14,7 +14,9 @@ from tropmoduli.errors import (
 from tropmoduli.exact_linalg import integer_kernel, integer_solve
 from tropmoduli.moduli import (
     TypeIso,
+    _balanced_types,
     _integer_box_solutions,
+    _multigraphs,
     _spanning_forest,
     _tree_flow,
     WallClassification,
@@ -38,7 +40,11 @@ from helpers import BRUTE_FORCE_CASES, SIX_LEGS
 from oracles import affine_hull_dim, brute_force_isomorphisms, brute_force_types, \
     is_type_isomorphism
 from reference_canonical import reference_automorphisms
-from reference_enumerate import reference_enumerate_types, reference_integer_box_solutions
+from reference_enumerate import (
+    reference_balanced_types,
+    reference_enumerate_types,
+    reference_integer_box_solutions,
+)
 from reference_stratum import ambient_system, assert_stratum_systems_agree, sample_stratum
 
 
@@ -444,18 +450,52 @@ def test_enumerate_checks_each_stratum_once(monkeypatch):
         checked.append(t)
         return stratum(t)
 
-    degree = ((1, 0), (0, 1), (-1, -1))
+    # two parallel edges of slopes (1, 2) and (2, 1) close no cycle with
+    # positive lengths, though each coordinate's row has terms of both signs
+    degree = ((3, 3), (-3, -3))
     every = []  # the reference checks the stratum of every class, trees included
-    reference_enumerate_types(1, 0, degree, 3, checked=every)
+    reference_enumerate_types(1, 0, degree, 2, checked=every)
     monkeypatch.setattr(tropmoduli.moduli, "stratum", counting)
-    out = enumerate_types(1, 0, degree, 3)
+    out = enumerate_types(1, 0, degree, 2)
     strings = [canonical_string(t) for t in checked]
     assert all(has_cycle(t) for t in checked)  # no tree class
     assert len(strings) == len(set(strings))
     cyclic = {canonical_string(t) for t in out if has_cycle(t)}
     assert cyclic < set(strings)  # some classes with a cycle have empty strata
     assert any(not has_cycle(t) for t in every)
-    assert sorted(strings) == sorted(canonical_string(t) for t in every if has_cycle(t))
+    every_cyclic = {canonical_string(t) for t in every if has_cycle(t)}
+    assert set(strings) <= every_cyclic
+    assert every_cyclic - set(strings)  # the sign cut drops some classes before their check
+    assert not (every_cyclic - set(strings)) & cyclic  # the sign cut drops only empty classes
+
+
+def test_sign_cut_keeps_the_output_and_drops_candidates(monkeypatch):
+    import reference_enumerate
+    import tropmoduli.moduli
+    # genus 1 in the plane: loops, parallel edges and two-edge cycles
+    case = (1, 0, ((1, 2), (2, 1), (-3, -3)), 3)
+    labelled, reference_labelled = [], []
+    monkeypatch.setattr(tropmoduli.moduli, "canonical_form",
+                        lambda t: labelled.append(t) or canonical_form(t))
+    monkeypatch.setattr(reference_enumerate, "canonical_form",
+                        lambda t: reference_labelled.append(t) or canonical_form(t))
+    assert enumerate_types(*case) == reference_enumerate_types(*case)
+    assert len(labelled) < len(reference_labelled)
+
+
+def test_balanced_types_returns_early_when_the_legs_do_not_balance():
+    ext = ((1, 0), (0, 1), (1, 1))  # sums to (2, 2)
+    legs = (("l0", "v0"), ("l1", "v1"), ("l2", "v0"))
+    with_cycle = set()
+    for ne in (1, 2, 3):  # the tree, then parallel edges or loops added to it
+        for edges, _, forest, kernel, _ in _multigraphs(2, ne):
+            graph = WeightedGraph._trusted((("v0", 0), ("v1", 0)), edges, legs)
+            args = (graph, forest, kernel, ext, 2, [3, 3])
+            assert list(_balanced_types(*args)) == list(reference_balanced_types(*args)) == []
+            with_cycle.add(bool(kernel))
+    assert with_cycle == {False, True}
+    for g in (0, 1):
+        assert enumerate_types(g, 0, ext, 3) == reference_enumerate_types(g, 0, ext, 3) == []
 
 
 @pytest.mark.parametrize("g, n, degree, dim", BRUTE_FORCE_CASES)
@@ -557,15 +597,17 @@ def test_tree_flow_and_cycles_match_smith_normal_form():
                 for v in basis:
                     assert integer_solve(columns, v) is not None
         for _ in range(4):
-            b = [rng.randint(-3, 3) for _ in range(nv)]
+            b = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(nv)]  # two coordinates
             if rng.random() < 0.7:
-                b[0] -= sum(b)
+                b[0] = tuple(y - sum(col) for y, col in zip(b[0], zip(*b)))
             flow = _tree_flow(forest, dict(zip(vertices, b)))
-            reference = integer_solve(a, tuple(b)) if ne else (None if any(b) else ())
-            assert (flow is None) == (reference is None)
+            reference = [integer_solve(a, col) if ne else (None if any(col) else ())
+                         for col in zip(*b)]
+            assert (flow is None) == (None in reference)
             if flow is not None:
-                x = [flow.get(e, 0) for e, _, _ in edges]
-                assert [sum(r * xi for r, xi in zip(row, x)) for row in a] == b
+                for c, col in enumerate(zip(*b)):
+                    x = [flow.get(e, (0, 0))[c] for e, _, _ in edges]
+                    assert tuple(sum(r * xi for r, xi in zip(row, x)) for row in a) == col
 
 
 def test_box_walk_matches_lp_bounded_search():
@@ -589,8 +631,8 @@ def test_box_walk_matches_lp_bounded_search():
             root[v] = v if parent is None else root[parent]
             b[v] = 0 if parent is None else rng.randint(-3, 3)
             b[root[v]] -= b[v]
-        flow = _tree_flow(forest, b)
-        particular = tuple(flow.get(e, 0) for e, _, _ in edges)
+        flow = _tree_flow(forest, {v: (y,) for v, y in b.items()})
+        particular = tuple(flow.get(e, (0,))[0] for e, _, _ in edges)
         for bound in range(5):
             assert _integer_box_solutions(particular, kernel, bound) == \
                 reference_integer_box_solutions(particular, kernel, bound), (edges, b, bound)

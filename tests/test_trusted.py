@@ -8,6 +8,7 @@ that ``canonical_form`` returned records its canonical string in
 of labelling the type again; no other type carries one.
 """
 
+import hashlib
 import random
 import sys
 
@@ -174,7 +175,7 @@ def test_wall_graph_of_relabelled_nodes_equals_that_of_canonical_nodes(
 WORK = [
     ((0, 0, SIX_LEGS, 2), (131, 131, 0, 0, 0, 0, 0)),
     ((0, 0, SIX_LEGS, 3), (236, 236, 0, 0, 105, 315, 105)),
-    ((1, 0, ((1, 0), (0, 1), (-1, -1)), 3), (16, 151, 80, 72, 3, 6, 4)),
+    ((1, 0, ((1, 0), (0, 1), (-1, -1)), 3), (16, 23, 8, 0, 3, 6, 4)),
 ]
 
 
@@ -216,3 +217,18 @@ def test_enumeration_and_wall_graph_work_counts(monkeypatch, case, counts):
     assert not any(t is node for t in in_wall_graph for node in nodes)  # no node relabelled
     assert len(in_wall_graph) == sum(u != v for t in nodes for _, u, v in t.graph.edges)
     assert validated == []
+
+
+def test_genus_two_enumeration_work(monkeypatch):
+    # the sign cut leaves 319 of the 27,271 candidates the slope walk finds,
+    # and every class that reaches a stratum check is decided without an LP
+    labelled, lps = [], []
+    original, lp_maximize = moduli.canonical_form, exact_linalg.lp_maximize
+    monkeypatch.setattr(moduli, "canonical_form", lambda t: labelled.append(t) or original(t))
+    monkeypatch.setattr(exact_linalg, "lp_maximize",
+                        lambda *args: lps.append(args) or lp_maximize(*args))
+    types = enumerate_types(2, 0, ((1, 0), (0, 1), (-1, -1)), 5)
+    strings = "\n".join(t._canonical for t in types)
+    assert (len(types), len(labelled), len(lps)) == (257, 319, 0)
+    assert hashlib.sha256(strings.encode()).hexdigest() == \
+        "7fab597a163ca8730b239cb879bb95d34bad588d93f98eb7dde052d815a1f346"
