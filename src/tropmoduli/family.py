@@ -18,15 +18,16 @@ inclusion's own subject.
 The induced moduli map assigns to each face the affine lift of the
 stabilized fiber into the stratum coordinates of its canonical type.
 ``induced_alpha`` is the one place that validates a family and lifts its
-faces; wall verdicts and image strata take the map it returns.  Type-only
-work (degree and balancing checks, stabilization, canonical form) runs once
-per type object, which faces read from one type document share, and a lift
-ranks its rows once.  Wall verdicts implement the harmonic / quasi-harmonic
-/ locally combinatorially surjective trichotomy at a face (each harmonicity
-outcome gives its verdict through one table), and closure
-propagation saturates a seed set of maximal strata through walls.  The
-family, its face data, the lifts and the verdicts are plain slotted records
-(see ``records``).
+faces; wall verdicts and image strata take the map it returns, in which a
+contraction between faces of one stabilized type is an isomorphism of the
+stabilized types.  Type-only work (degree and balancing checks,
+stabilization, canonical form) runs once per type object, which faces read
+from one type document share, and a lift ranks its rows once.  Wall
+verdicts implement the harmonic / quasi-harmonic / locally combinatorially
+surjective trichotomy at a face (each harmonicity outcome gives its verdict
+through one table), and closure propagation saturates a seed set of maximal
+strata through walls.  The family, its face data, the lifts and the
+verdicts are plain slotted records (see ``records``).
 """
 
 from __future__ import annotations
@@ -459,7 +460,8 @@ def _face_lift(f: FamilyDatum, fid: str, typed: dict) -> FaceLift:
 def induced_alpha(f: FamilyDatum) -> InducedMap:
     """Validate a family and lift every face into stratum coordinates.
 
-    The family layer's only validation: InvalidFamily on any violation.
+    The family layer's only validation: InvalidFamily on any violation,
+    Unstabilizable for a face type with no stable model (not a violation).
     ``wall_verdict`` and ``image_strata`` take the returned map as is.
 
     Stabilization is constant over a face interior (pruned and smoothed
@@ -512,33 +514,18 @@ def _stabilized_contraction(f: FamilyDatum, sub: str, sup: str, stab_sub, stab_s
     """Map the stabilized sub-face's vertices and edges back to the
     stabilized super-face's, the direction in which the lift is rewritten.
 
-    Returns (vertex map, edge map) or None when the contraction does not
-    restrict to an isomorphism of the stabilized types (the fiber types
-    genuinely differ).
+    Called when both faces carry one canonical stabilized type, on a family
+    that ``induced_alpha`` accepted.  The stabilized sub type is then the
+    stabilized super type with the chains that lose every edge contracted,
+    a stable type with fewer edges unless no chain does; so each chain keeps
+    a surviving edge, the images of its surviving edges are exactly one sub
+    chain, and the maps are an isomorphism of the stabilized types.
     """
     phi = f.contractions[(sub, sup)]
-    sub_chain_of = {}
-    for stab_edge, chain in stab_sub.edge_chains.items():
-        for gamma in chain:
-            sub_chain_of[gamma] = stab_edge
-    emap = {}
-    for stab_edge, chain in stab_super.edge_chains.items():
-        images = [phi.edge_map[g] for g in chain if g in phi.edge_map]
-        if not images:
-            return None  # the whole chain contracts: types differ over the wall
-        targets = {sub_chain_of.get(img) for img in images}
-        if len(targets) != 1 or None in targets:
-            return None
-        target = targets.pop()
-        if target in emap or sorted(images) != sorted(stab_sub.edge_chains[target]):
-            return None
-        emap[target] = stab_edge
-    if len(emap) != len(stab_sub.edge_chains):
-        return None
-    vmap = {phi.vertex_map[u]: u for u in stab_super.kept_vertices}
-    if len(vmap) != len(stab_super.kept_vertices) or vmap.keys() != set(stab_sub.kept_vertices):
-        return None
-    return vmap, emap
+    sub_chain_of = {gamma: e for e, chain in stab_sub.edge_chains.items() for gamma in chain}
+    emap = {sub_chain_of[phi.edge_map[next(g for g in chain if g in phi.edge_map)]]: e
+            for e, chain in stab_super.edge_chains.items()}
+    return {phi.vertex_map[u]: u for u in stab_super.kept_vertices}, emap
 
 
 def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
@@ -546,11 +533,12 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
 
     ``alpha`` is the validated map from ``induced_alpha``; the family is
     not validated again.  When every cofacet carries the same stabilized
-    type as the face, the lifted map is tested for (quasi-)harmonicity;
-    otherwise, if the face's type is a weightless almost 3-valent wall,
-    local combinatorial surjectivity is decided against the wall's
-    resolutions.  Situations outside the theorem's hypotheses are reported
-    as inconclusive.
+    type as the face, each cofacet lift is read through its contraction,
+    which validation makes an isomorphism of the stabilized types, and the
+    lifted map is tested for (quasi-)harmonicity; otherwise, if the face's
+    type is a weightless almost 3-valent wall, local combinatorial
+    surjectivity is decided against the wall's resolutions.  Situations
+    outside the theorem's hypotheses are reported as inconclusive.
     """
     f = alpha.family
     cofacet_incs = f.base.cofacet_inclusions(w)
@@ -563,20 +551,12 @@ def wall_verdict(alpha: InducedMap, w: str) -> WallVerdict:
         for inc in cofacet_incs:
             sup = inc.super
             stab_sup = alpha.lifts[sup].stab
-            maps = _stabilized_contraction(f, w, sup, lift_w.stab, stab_sup)
-            if maps is None:
-                return WallVerdict(
-                    face=w, verdict=WallVerdictKind.INCONCLUSIVE,
-                    detail=f"cofacet {sup!r} has an isomorphic type not matched "
-                           f"by the contraction")
-            vmap, emap = maps
+            vmap, emap = _stabilized_contraction(f, w, sup, lift_w.stab, stab_sup)
+            # restricted to w these rows are w's lift: a chain's sum by axiom
+            # (2) and the zero-locus rule, the positions by axiom (3)
             rows, num, den = _lift_rows(
                 f, sup, [stab_sup.edge_chains[emap[e]] for e in lift_w.canon_edge_map],
                 [vmap[u] for u in lift_w.canon_vertex_map])
-            # the rewritten lift must restrict to the face lift exactly
-            if inc.pull_back(rows, num, den) != (lift_w.linear, lift_w.num, lift_w.den):
-                raise InvalidFamily(
-                    f"lift over {sup!r} does not restrict to the lift over {w!r}")
             per_face[sup] = (rows, tuple(Fraction(n, den) for n in num))
         local = PIAMap(source=f.base, target_dim=len(lift_w.linear), per_face=per_face)
         res = harmonicity_at(local, w)

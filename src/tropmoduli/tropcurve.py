@@ -304,7 +304,9 @@ def stabilize_type(t: CombinatorialType) -> StabilizationResult:
       - smooth a weight-0 leg-free vertex with exactly two edge-ends on two
         distinct edges whose outgoing slopes cancel, concatenating them.
     Vertices carrying legs are never smoothed (legs are marked points).
-    Raises Unstabilizable if the result is empty or still unstable.
+    Each step removes one vertex and keeps a neighbour (its edges are not
+    loops), so the result is never empty: the constructor refuses a graph
+    with no vertex.  Raises Unstabilizable if it is still unstable.
     """
     weights = {v: w for v, w in t.graph.vertices}
     ends = {e: (u, v) for e, u, v in t.graph.edges}
@@ -360,8 +362,6 @@ def stabilize_type(t: CombinatorialType) -> StabilizationResult:
         if not acted:
             break
 
-    if not weights:
-        raise Unstabilizable("stabilization emptied the curve")
     graph = WeightedGraph._trusted(tuple(sorted(weights.items())),
                                    tuple(sorted((e, u, v) for e, (u, v) in ends.items())),
                                    t.graph.legs)

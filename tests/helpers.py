@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import random
 from fractions import Fraction
+from math import lcm
 
 from tropmoduli.errors import PointNotInComplex
 from tropmoduli.family import (
@@ -15,6 +16,7 @@ from tropmoduli.family import (
     FamilyDatum,
     locate,
 )
+from tropmoduli.moduli import stratum
 from tropmoduli.polyhedral import (
     Face,
     FaceInclusion,
@@ -24,7 +26,7 @@ from tropmoduli.polyhedral import (
     SemistablePairData,
     Stratum,
 )
-from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
+from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, extended_degree
 
 
 def point_complex(fid="P0"):
@@ -441,6 +443,131 @@ def half_plane_family():
                                             edge_map={"e": "e"})}
     return FamilyDatum(base=base, dim=2, extended_degree=CROSS_DEGREE,
                        face_data=face_data, contractions=contractions)
+
+
+def decorated_family(t, rng, axes=2, quadrant=False):
+    """A valid family over a fan with ``axes`` rays, or over
+    ``quadrant_complex``, whose every fiber type stabilizes to the stable
+    type ``t``.
+
+    Over the vertex O the fiber is ``t`` with some edges subdivided by
+    weight-0 2-valent vertices and some slope-0 leaf edges (tails, also on
+    tails) attached, all of constant length.  Each chart coordinate (a ray,
+    or X and Y of the quadrant) adds pieces of its own: subdivisions of O's
+    edges and tails anywhere, each of length b times that coordinate, so they
+    vanish on the faces without it and the contractions onto those faces
+    contract them.  A split edge keeps its id on the piece that stays; the
+    sum of its pieces is its length over O times 1 + mu·(sum of the
+    coordinates), so every cycle still closes, and positions are laid out
+    from one vertex moving along a random direction per coordinate.  Each
+    face names its vertices and edges afresh, in a shuffled order.
+    """
+    s = stratum(t)
+    c = s._lengths()
+    scale = 6 * lcm(*(x.denominator for x in c))
+    const = {e: int(x * scale) for e, x in zip(s.edge_order, c)}  # a length over O
+    tag = {v: None for v, _ in t.graph.vertices}  # vertex or edge -> its coordinate, None on O
+    weight = dict(t.graph.vertices)
+    ends = {e: [u, v] for e, u, v in t.graph.edges}
+    tag.update((e, None) for e in ends)
+    slopes, parent, rate, cut = dict(t.slopes), {}, {}, {}  # cut[(e, j)]: rate split off e
+
+    def grow(j):
+        k = len(weight)
+        n, g = f"n{k}", f"g{k}"
+        split = sorted(e for e in ends if tag[e] is None and const[e] > 1)
+        if split and rng.random() < 0.6:  # subdivide: g takes one end of e
+            e = rng.choice(split)
+            side = rng.randrange(2)
+            ends[g] = [ends[e][0], n] if side == 0 else [n, ends[e][1]]
+            ends[e][side] = n
+            slopes[g] = slopes[e]
+            if j is None:
+                const[g] = rng.randint(1, const[e] - 1)
+                const[e] -= const[g]
+            else:
+                rate[g] = rng.randint(1, 2)
+                cut[(e, j)] = cut.get((e, j), 0) + rate[g]
+            parent[n] = ends[g][side]
+        else:  # a tail at any vertex, either way round
+            at = rng.choice(sorted(weight))
+            ends[g] = [at, n] if rng.random() < 0.5 else [n, at]
+            slopes[g] = (0,) * t.dim
+            if j is None:
+                const[g] = rng.randint(1, 3)
+            else:
+                rate[g] = rng.randint(1, 2)
+            parent[n] = at
+        weight[n], tag[n], tag[g] = 0, j, j
+
+    coords = {"O": ()}
+    if quadrant:
+        coords.update(X=("x",), Y=("y",), Q=("x", "y"))
+        base = quadrant_complex()
+    else:
+        coords.update((f"R{i}", (i,)) for i in range(axes))
+        base = fan_complex(axes)
+    for _ in range(rng.randint(0, 3)):
+        grow(None)
+    axis_tags = sorted({j for js in coords.values() for j in js}, key=str)
+    for j in axis_tags:
+        for _ in range(rng.randint(1, 3)):
+            grow(j)
+    mu = max(cut.values(), default=1) + rng.randint(0, 1)
+    move = {j: tuple(rng.randint(-2, 2) for _ in range(t.dim)) for j in axis_tags}
+    start = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(t.dim))
+
+    def root(v, js):  # the vertex v is contracted onto where only js remain
+        while tag[v] is not None and tag[v] not in js:
+            v = parent[v]
+        return v
+
+    def face(fid):
+        """Face fid's vertex and edge ids, their fresh names and its curve data."""
+        js = coords[fid]
+        kept = [v for v in sorted(weight) if tag[v] is None or tag[v] in js]
+        edges = {e: tuple(root(x, js) for x in ends[e]) for e in sorted(ends)
+                 if tag[e] is None or tag[e] in js}
+        names = [f"p{k}" for k in range(len(kept))] + [f"q{k}" for k in range(len(edges))]
+        rng.shuffle(names)
+        name = dict(zip(kept + list(edges), names))
+        lengths = {e: AffineFn(tuple(mu * const[e] - cut.get((e, j), 0) for j in js),
+                               const[e]) if tag[e] is None else
+                   AffineFn(tuple(rate[e] if j == tag[e] else 0 for j in js), 0)
+                   for e in edges}
+        first = t.graph.vertices[0][0]
+        pos = {first: ([[move[j][i] for j in js] for i in range(t.dim)], list(start))}
+        todo = [first]
+        while todo:  # lay the positions out along the edges
+            u = todo.pop()
+            for e, (a, b) in edges.items():
+                for x, y, sign in ((a, b, 1), (b, a, -1)):
+                    if x == u and y not in pos:
+                        fn, lin, off = lengths[e], *pos[u]
+                        pos[y] = ([[r + sign * k * slopes[e][i] for r, k in zip(lin[i], fn.linear)]
+                                   for i in range(t.dim)],
+                                  [o + sign * fn.offset * slopes[e][i] for i, o in enumerate(off)])
+                        todo.append(y)
+        graph = WeightedGraph(tuple((name[v], weight[v]) for v in kept),
+                              tuple((name[e], name[a], name[b]) for e, (a, b) in edges.items()),
+                              tuple((l, name[v]) for l, v in t.graph.legs))
+        curve = CombinatorialType(graph, {**{name[e]: slopes[e] for e in edges},
+                                          **{l: slopes[l] for l, _ in t.graph.legs}}, t.dim)
+        return kept, edges, name, FaceCurveData(
+            type=curve, lengths={name[e]: fn for e, fn in lengths.items()},
+            positions={name[v]: AffineMapN(tuple(map(tuple, pos[v][0])), tuple(pos[v][1]))
+                       for v in kept})
+
+    faces = {fid: face(fid) for fid in coords}
+    contractions = {}
+    for sub, sup in base.inclusions:
+        js, (kept, edges, name, _), low = coords[sub], faces[sup], faces[sub][2]
+        contractions[(sub, sup)] = Contraction(
+            vertex_map={name[v]: low[root(v, js)] for v in kept},
+            edge_map={name[e]: low[e] for e in edges if tag[e] is None or tag[e] in js})
+    return FamilyDatum(base=base, dim=t.dim, extended_degree=extended_degree(t),
+                       face_data={fid: data for fid, (_, _, _, data) in faces.items()},
+                       contractions=contractions)
 
 
 def locate_points(seed=31, per_face=40):

@@ -16,7 +16,7 @@ import tropmoduli
 from tropmoduli import cli
 from tropmoduli import documents as docs
 
-from helpers import cross_type
+from helpers import cross_type, ray_wall_family, two_ray_resolution_family
 
 VERB_NAMES = ["validate-complex", "skeleton", "validate-curve", "enumerate", "classify",
               "resolve", "wallgraph", "validate-family", "fiber", "alpha", "verdicts",
@@ -171,20 +171,29 @@ def _cpython(exe, minor):
 def test_each_supported_python_imports_the_cli_and_classifies(minor, tmp_path, capsys):
     """``requires-python`` is >=3.10.7: the first CPython 3.<minor> that
     starts here imports the package and the CLI in a fresh interpreter and
-    writes the classify report this interpreter writes.  A minor version with
-    no such interpreter is skipped."""
+    writes the reports this interpreter writes: ``classify`` on the cross,
+    ``alpha`` and ``verdicts`` on the ray-wall family, and ``verdicts`` on
+    the two-ray family, whose wall reads its cofacet lifts through the
+    contractions.  A minor version with no such interpreter is skipped."""
     exe = next((p for p in _interpreters(minor) if _cpython(p, minor)), None)
     if exe is None:
         pytest.skip(f"no CPython 3.{minor} at 3.10.7 or later starts here")
     path = tmp_path / "cross.json"
     path.write_text(json.dumps(docs.type_to_doc(cross_type())), encoding="utf-8")
-    assert cli.main(["classify", str(path)]) == 0
-    in_process = capsys.readouterr().out
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(docs.family_to_doc(ray_wall_family((1, 2)))), encoding="utf-8")
+    two_ray = tmp_path / "two-ray.json"
+    two_ray.write_text(json.dumps(docs.family_to_doc(two_ray_resolution_family())),
+                       encoding="utf-8")
     src = str(Path(tropmoduli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = "import sys, tropmoduli, tropmoduli.cli; sys.exit(tropmoduli.cli.main(sys.argv[1:]))"
-    done = subprocess.run([exe, "-c", code, "classify", str(path)], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == in_process
+    for argv in (["classify", str(path)], ["alpha", str(family)], ["verdicts", str(family)],
+                 ["verdicts", str(two_ray)]):
+        status = cli.main(argv)
+        in_process = capsys.readouterr().out
+        done = subprocess.run([exe, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (status, ""), argv
+        assert done.stdout == in_process, argv

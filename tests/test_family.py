@@ -1,12 +1,15 @@
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from tropmoduli.errors import InvalidFamily, PointNotInComplex, SeedNotInGraph
+from tropmoduli import cli, family
+from tropmoduli.documents import family_to_doc
+from tropmoduli.errors import InvalidFamily, PointNotInComplex, SeedNotInGraph, Unstabilizable
 from tropmoduli.family import (
     AffineFn,
-    Contraction,
     FaceCurveData,
     FamilyDatum,
     WallVerdictKind,
@@ -18,18 +21,21 @@ from tropmoduli.family import (
     validate_family,
     wall_verdict,
 )
-from tropmoduli.moduli import canonical_string, resolve_4valent, wall_graph
-from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, stabilize
+from tropmoduli.moduli import canonical_string, enumerate_types, resolve_4valent, wall_graph
+from tropmoduli.tropcurve import CombinatorialType, WeightedGraph, stabilize, stabilize_type
 
 from helpers import (
+    CROSS_DEGREE,
     const_positionN,
     cross_type,
+    decorated_family,
     point_complex,
     point_family,
     ray_wall_family,
     resolution_type,
     two_ray_resolution_family,
 )
+from test_family_identities import _mutate
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +207,32 @@ def test_alpha_requires_valid_family():
         induced_alpha(ray_wall_family((1,), edge_offset=-1))
 
 
+def test_a_type_without_a_stable_model_validates_but_does_not_lift(tmp_path, capsys):
+    """One weight-0 vertex with two legs of slopes (1, 0) and (-1, 0) over a
+    point: every axiom holds, so ``validate_family`` accepts the family, but
+    the vertex carries legs and is 2-valent, so it has no stable model and
+    ``induced_alpha`` raises Unstabilizable.  The CLI's ``validate-family``
+    exits 0 on its document and ``alpha`` exits 2."""
+    g = WeightedGraph((("v", 0),), (), (("l0", "v"), ("l1", "v")))
+    t = CombinatorialType(g, {"l0": (1, 0), "l1": (-1, 0)}, 2)
+    f = FamilyDatum(base=point_complex(), dim=2, extended_degree=((1, 0), (-1, 0)),
+                    face_data={"P0": FaceCurveData(
+                        type=t, lengths={}, positions={"v": const_positionN((0, 0), 0)})},
+                    contractions={})
+    message = "no stable model: vertices ['v'] cannot be removed"
+    assert validate_family(f).ok
+    with pytest.raises(Unstabilizable, match=f"^{re.escape(message)}$"):
+        induced_alpha(f)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family_to_doc(f)), encoding="utf-8")
+    assert cli.main(["validate-family", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert cli.main(["alpha", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["payload"]) == (
+        "error", {"error": "Unstabilizable", "message": message})
+
+
 # ---------------------------------------------------------------------------
 # wall verdicts
 # ---------------------------------------------------------------------------
@@ -254,20 +286,67 @@ def test_wall_verdict_outside_the_dichotomy_is_inconclusive():
         "cofacet types differ but the face type is other; the dichotomy does not apply")
 
 
-def test_wall_verdict_on_a_contraction_that_misses_the_stabilized_type():
-    """Every cofacet of O carries O's type, but the contraction onto O now
-    contracts R1's only edge, so no sub-face edge is its image: validation
-    refuses that family, so the map is changed after ``induced_alpha``,
-    which ``wall_verdict`` does not validate again."""
-    alpha = induced_alpha(two_ray_resolution_family(((1, 0), (-1, 0))))
-    alpha.family.contractions[("O", "R1")] = Contraction(
-        vertex_map={"va": "va", "vb": "vb"}, edge_map={})
-    with pytest.raises(InvalidFamily, match="edge map is not a bijection onto the sub-face"):
-        induced_alpha(alpha.family)
-    v = wall_verdict(alpha, "O")
-    assert (v.verdict, v.detail) == (
-        WallVerdictKind.INCONCLUSIVE,
-        "cofacet 'R1' has an isomorphic type not matched by the contraction")
+def test_validated_contractions_between_one_stabilized_type_are_isomorphisms():
+    """``wall_verdict`` reads each cofacet lift through
+    ``_stabilized_contraction`` without checking the maps.  On seeded
+    families whose fibers subdivide a stable type and carry tails (see
+    ``helpers.decorated_family``), and on their single mutations that
+    validation accepts, every inclusion between faces of one stabilized type
+    gives maps that are bijections onto the kept vertices and the chains;
+    each super chain's surviving edges map onto exactly its sub chain, and
+    the lift read through the maps restricts to the face lift.  Every face
+    type stabilizes to the type it decorates."""
+    rng = random.Random("decorated")
+    types = [resolution_type(1), resolution_type(2), cross_type(),
+             point_family().face_data["P0"].type,
+             *enumerate_types(0, 0, CROSS_DEGREE, 2),
+             *enumerate_types(1, 0, ((1, 2), (2, 1), (-3, -3)), 3)]
+    counts = {"families": 0, "mutants": 0, "inclusions": 0, "in a chain": 0, "pruned": 0}
+    for i in range(4 * len(types)):
+        t = types[i % len(types)]
+        f = decorated_family(t, rng, axes=1 + i % 3, quadrant=i % 4 == 3)
+        assert validate_family(f).ok, i
+        for data in f.face_data.values():
+            stab = stabilize_type(data.type)
+            assert canonical_string(CombinatorialType(stab.graph, stab.slopes, t.dim)) == \
+                canonical_string(t)
+        mutants = [m for m in (_mutate(f, rng, kind) for kind in
+                               ("length",) * 3 + ("position", "inclusion", "slope"))
+                   if validate_family(m).ok]
+        counts["families"] += 1
+        counts["mutants"] += len(mutants)
+        for g in [f, *mutants]:
+            alpha = induced_alpha(g)
+            for (sub, sup), inc in sorted(g.base.inclusions.items()):
+                low, high = alpha.lifts[sub], alpha.lifts[sup]
+                if low.canonical != high.canonical:
+                    continue
+                phi = g.contractions[(sub, sup)]
+                vmap, emap = family._stabilized_contraction(g, sub, sup, low.stab, high.stab)
+                assert sorted(vmap) == sorted(low.stab.kept_vertices)
+                assert sorted(vmap.values()) == sorted(high.stab.kept_vertices)
+                assert sorted(emap) == sorted(low.stab.edge_chains)
+                assert sorted(emap.values()) == sorted(high.stab.edge_chains)
+                for e, chain in emap.items():
+                    images = [phi.edge_map[x] for x in high.stab.edge_chains[chain]
+                              if x in phi.edge_map]
+                    assert sorted(images) == sorted(low.stab.edge_chains[e])
+                rows, num, den = family._lift_rows(
+                    g, sup, [high.stab.edge_chains[emap[e]] for e in low.canon_edge_map],
+                    [vmap[u] for u in low.canon_vertex_map])
+                assert inc.pull_back(rows, num, den) == (low.linear, low.num, low.den)
+                chains = high.stab.edge_chains.values()
+                kept = {x for chain in chains for x in chain}
+                counts["inclusions"] += 1
+                counts["in a chain"] += any(len(chain) > 1 and not set(chain) <= set(phi.edge_map)
+                                            for chain in chains)
+                counts["pruned"] += any(e not in kept and e not in phi.edge_map
+                                        for e, _, _ in g.face_data[sup].type.graph.edges)
+            for w in g.base.faces:
+                if g.base.cofacet_inclusions(w):
+                    wall_verdict(alpha, w)
+    assert counts["families"] == 4 * len(types) and counts["mutants"] >= 20, counts
+    assert counts["in a chain"] >= 50 and counts["pruned"] >= 50, counts
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,13 @@ def test_an_id_naming_an_edge_and_a_leg_is_refused(vertices, edges, legs):
         WeightedGraph(vertices, edges, legs)
 
 
+def test_a_graph_without_a_vertex_is_refused():
+    """``stabilize_type`` relies on this: it never empties a graph that has
+    a vertex."""
+    with pytest.raises(ValueError, match="^a graph needs at least one vertex$"):
+        WeightedGraph((), (), ())
+
+
 _PATH = WeightedGraph(vertices=(("u", 0), ("v", 0)), edges=(("e", "u", "v"),), legs=(("l", "u"),))
 _PATH_SLOPES = {"e": (1, 0), "l": (0, 1)}
 
@@ -257,19 +264,16 @@ def test_stabilize_unstabilizable():
 
 
 @pytest.mark.parametrize("case, message", [
-    ("no-vertex", "stabilization emptied the curve"),
     ("slopes-do-not-cancel", "no stable model: vertices ['m'] cannot be removed"),
 ])
 def test_stabilize_type_refusals(case, message):
     """A weight-0 vertex between two edges whose slopes do not cancel stays
-    and is unstable.  Every step removes one vertex and keeps a neighbour, so
-    only a graph built without the constructor's checks can be emptied."""
-    if case == "no-vertex":
-        t = CombinatorialType._trusted(WeightedGraph._trusted((), (), ()), {}, 2)
-    else:
-        g = WeightedGraph(vertices=(("a", 1), ("m", 0), ("b", 1)),
-                          edges=(("e1", "a", "m"), ("e2", "m", "b")), legs=())
-        t = CombinatorialType(g, {"e1": (1, 0), "e2": (0, 1)}, 2)
+    and is unstable.  Stabilization never empties a graph: every step
+    removes one vertex and keeps a neighbour, and the constructor refuses a
+    graph with no vertex."""
+    g = WeightedGraph(vertices=(("a", 1), ("m", 0), ("b", 1)),
+                      edges=(("e1", "a", "m"), ("e2", "m", "b")), legs=())
+    t = CombinatorialType(g, {"e1": (1, 0), "e2": (0, 1)}, 2)
     with pytest.raises(Unstabilizable, match=f"^{re.escape(message)}$"):
         stabilize_type(t)
 
