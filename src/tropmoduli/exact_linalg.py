@@ -214,92 +214,74 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
     ``s`` is diagonal with nonnegative entries satisfying d1 | d2 | ...
     Pivots are chosen with minimal absolute value to keep intermediate
     entries small; inputs here are tiny so no modular tricks are needed.
+    Row r of the working matrix is row r of s followed by row r of u, so a
+    row operation is one list operation (Cohen, *A Course in Computational
+    Algebraic Number Theory*, §2.4); a column operation acts on the s part
+    of every row and on v.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    s = [[int(x) for x in row] for row in m]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    w = [[int(x) for x in row] + [int(i == j) for j in range(rows)] for i, row in enumerate(m)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
+    def add_row(src, dst, q):  # row dst += q * row src
+        w[dst] = [x + q * y for x, y in zip(w[dst], w[src])]
 
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):  # row_dst += q * row_src
-        s[dst] = [x + q * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in s:
+    def add_col(src, dst, q):  # column dst += q * column src
+        for row in (*w, *v):
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
 
     n = min(rows, cols)
     for t in range(n):
         while True:
-            # minimal-absolute-value nonzero pivot in the remaining block
-            best = None
+            best = None  # the first nonzero entry of least absolute value in the block
             for i in range(t, rows):
                 for j in range(t, cols):
-                    if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                        best = (i, j)
+                    if w[i][j] != 0 and (best is None or abs(w[i][j]) < best[0]):
+                        best = (abs(w[i][j]), i, j)
             if best is None:
                 break
-            if best != (t, t):
-                if best[0] != t:
-                    swap_rows(t, best[0])
-                if best[1] != t:
-                    swap_cols(t, best[1])
+            _, i, j = best
+            w[t], w[i] = w[i], w[t]
+            if j != t:
+                for row in (*w, *v):
+                    row[t], row[j] = row[j], row[t]
             dirty = False
             for i in range(t + 1, rows):
-                if s[i][t] != 0:
-                    add_row(t, i, -(s[i][t] // s[t][t]))
-                    if s[i][t] != 0:
-                        dirty = True
+                if w[i][t] != 0:
+                    add_row(t, i, -(w[i][t] // w[t][t]))
+                    dirty |= w[i][t] != 0
             for j in range(t + 1, cols):
-                if s[t][j] != 0:
-                    add_col(t, j, -(s[t][j] // s[t][t]))
-                    if s[t][j] != 0:
-                        dirty = True
+                if w[t][j] != 0:
+                    add_col(t, j, -(w[t][j] // w[t][t]))
+                    dirty |= w[t][j] != 0
             if not dirty:
                 break
-        if s[t][t] < 0:
-            negate_row(t)
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
 
     # enforce the divisibility chain d1 | d2 | ...
     changed = True
     while changed:
         changed = False
         for t in range(n - 1):
-            a, b = s[t][t], s[t + 1][t + 1]
+            a, b = w[t][t], w[t + 1][t + 1]
             if a != 0 and b % a != 0:
-                add_col(t + 1, t, 1)  # puts b into column t below the pivot
-                # re-clear the 2x2 block at (t, t+1)
-                while s[t + 1][t] != 0:
-                    if s[t][t] != 0:
-                        q = s[t + 1][t] // s[t][t]
-                        add_row(t, t + 1, -q)
-                    if s[t + 1][t] != 0:
-                        swap_rows(t, t + 1)
-                if s[t][t + 1] != 0:
-                    add_col(t, t + 1, -(s[t][t + 1] // s[t][t]))
-                if s[t][t] < 0:
-                    negate_row(t)
-                if s[t + 1][t + 1] < 0:
-                    negate_row(t + 1)
+                # Both pivots are positive: the main loop left the diagonal
+                # nonnegative, and b % a != 0 makes b nonzero.  Column t takes
+                # b > 0 below a, and Euclid's remainders by a positive divisor
+                # are nonnegative, so the pivot w[t][t] stays positive.
+                add_col(t + 1, t, 1)
+                while w[t + 1][t] != 0:
+                    add_row(t, t + 1, -(w[t + 1][t] // w[t][t]))
+                    if w[t + 1][t] != 0:
+                        w[t], w[t + 1] = w[t + 1], w[t]
+                if w[t][t + 1] != 0:
+                    add_col(t, t + 1, -(w[t][t + 1] // w[t][t]))
+                if w[t + 1][t + 1] < 0:
+                    w[t + 1] = [-x for x in w[t + 1]]
                 changed = True
-    return mat_rows(u), mat_rows(s), mat_rows(v)
+    return tuple(tuple(row[cols:]) for row in w), tuple(tuple(row[:cols]) for row in w), mat_rows(v)
 
 
 def is_saturated(sub_basis: Sequence[IVec], ambient_dim: int) -> bool:

@@ -304,74 +304,51 @@ def stabilize_type(t: CombinatorialType) -> StabilizationResult:
       - smooth a weight-0 leg-free vertex with exactly two edge-ends on two
         distinct edges whose outgoing slopes cancel, concatenating them.
     Vertices carrying legs are never smoothed (legs are marked points).
-    Each step removes one vertex and keeps a neighbour (its edges are not
-    loops), so the result is never empty: the constructor refuses a graph
-    with no vertex.  Raises Unstabilizable if it is still unstable.
+    One dict maps each edge id to (u, v, slope along u -> v, chain of
+    original edge ids); a vertex's edge-ends are read off it in dict order,
+    the end at u before the end at v.  A smoothed pair becomes one edge,
+    named by the lesser id, last in the dict.  Each step removes one vertex
+    and keeps a neighbour (its edges are not loops), so the result is never
+    empty: the constructor refuses a graph with no vertex.  Raises
+    Unstabilizable if it is still unstable.
     """
-    weights = {v: w for v, w in t.graph.vertices}
-    ends = {e: (u, v) for e, u, v in t.graph.edges}
-    slopes = {e: t.slopes[e] for e in ends}
-    leg_slopes = {l: t.slopes[l] for l, _ in t.graph.legs}
-    legs_at = {}
-    for lid, v in t.graph.legs:
-        legs_at.setdefault(v, []).append(lid)
-    chains = {e: (e,) for e in ends}
-
-    def incident(v):
-        out = []
-        for e, (a, b) in ends.items():
-            if a == v:
-                out.append((e, True))
-            if b == v:
-                out.append((e, False))
-        return out
-
+    weights = dict(t.graph.vertices)
+    edges = {e: (u, v, t.slopes[e], (e,)) for e, u, v in t.graph.edges}
+    marked = {v for _, v in t.graph.legs}
     while True:
-        acted = False
-        for v in sorted(weights):
-            if weights[v] != 0 or v in legs_at:
+        for x in sorted(weights):
+            if weights[x] != 0 or x in marked:
                 continue
-            inc = incident(v)
-            if len(inc) == 1:
-                e, forward = inc[0]
-                if all(x == 0 for x in slopes[e]):
-                    del ends[e], slopes[e], chains[e]
-                    del weights[v]
-                    acted = True
+            ends = [(e, at_u) for e, (u, v, _, _) in edges.items()
+                    for at_u, end in ((True, u), (False, v)) if end == x]
+            if len(ends) == 1:
+                (e, _), = ends
+                if not any(edges[e][2]):
+                    del edges[e], weights[x]
                     break
-            elif len(inc) == 2:
-                (e1, f1), (e2, f2) = inc
-                if e1 == e2:
-                    continue  # a loop; smoothing does not apply
-                s1 = slopes[e1] if f1 else tuple(-x for x in slopes[e1])
-                s2 = slopes[e2] if f2 else tuple(-x for x in slopes[e2])
-                if any(x + y != 0 for x, y in zip(s1, s2)):
+            elif len(ends) == 2 and ends[0][0] != ends[1][0]:  # not a loop
+                (e1, f1), (e2, f2) = ends
+                (u1, v1, s1, c1), (u2, v2, s2, c2) = edges[e1], edges[e2]
+                out = s2 if f2 else tuple(-y for y in s2)  # along e2 away from x
+                if any((y if f1 else -y) + z for y, z in zip(s1, out)):
                     continue
-                a = ends[e1][1] if f1 else ends[e1][0]
-                b = ends[e2][1] if f2 else ends[e2][0]
-                new_id = min(e1, e2)
-                chain = chains[e1] + chains[e2]
-                for e in (e1, e2):
-                    del ends[e], slopes[e], chains[e]
-                ends[new_id] = (a, b)
-                slopes[new_id] = s2  # slope along a -> b through the old vertex
-                chains[new_id] = chain
-                del weights[v]
-                acted = True
+                del edges[e1], edges[e2], weights[x]
+                edges[min(e1, e2)] = (v1 if f1 else u1, v2 if f2 else u2, out, c1 + c2)
                 break
-        if not acted:
+        else:
             break
 
     graph = WeightedGraph._trusted(tuple(sorted(weights.items())),
-                                   tuple(sorted((e, u, v) for e, (u, v) in ends.items())),
+                                   tuple(sorted((e, u, v) for e, (u, v, _, _) in edges.items())),
                                    t.graph.legs)
     if not is_stable(graph):
         bad = [v for v, w in graph.vertices if graph.valence(v) + 2 * w < 3]
         raise Unstabilizable(f"no stable model: vertices {bad} cannot be removed")
-    all_slopes = dict(slopes)
-    all_slopes.update(leg_slopes)
-    return StabilizationResult(graph=graph, slopes=all_slopes,
-                               edge_chains=dict(chains), kept_vertices=tuple(sorted(weights)))
+    slopes = {e: s for e, (_, _, s, _) in edges.items()}
+    slopes.update((l, t.slopes[l]) for l, _ in t.graph.legs)
+    return StabilizationResult(graph=graph, slopes=slopes,
+                               edge_chains={e: c for e, (*_, c) in edges.items()},
+                               kept_vertices=tuple(sorted(weights)))
 
 
 def stabilize(p: ParameterizedTropicalCurve) -> ParameterizedTropicalCurve:

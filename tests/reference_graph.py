@@ -18,11 +18,18 @@ edge end and leg read its new vertex from one map of the star items: a
 positional ``assign`` dict over the sorted star items, found again by
 ``items.index`` for every edge end.  Keys, ids, edge order and slopes must
 be identical.
+
+
+``reference_stabilize_type`` is ``stabilize_type`` as it was before one
+dict held each edge's ends, slope and chain: it kept three edge dicts, a
+``legs_at`` map and an edge-end scan of its own.  Every field of the
+result, dict order included, must be identical, and so must the
+exception class and message.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 from tropmoduli.errors import (
     CycleInconsistency,
@@ -31,6 +38,7 @@ from tropmoduli.errors import (
     NotAlmost3Valent,
     SeedNotInGraph,
     UnbalancedType,
+    Unstabilizable,
 )
 from tropmoduli.exact_linalg import vec
 from tropmoduli.moduli import (
@@ -42,11 +50,13 @@ from tropmoduli.moduli import (
 from tropmoduli.tropcurve import (
     CombinatorialType,
     ParameterizedTropicalCurve,
+    StabilizationResult,
     TropicalCurve,
     WeightedGraph,
     check_balanced,
     extended_degree,
     genus,
+    is_stable,
 )
 
 from reference_linalg import vec_add, vec_scale, vec_sub
@@ -337,3 +347,77 @@ def reference_resolutions(t: CombinatorialType, v: str) -> dict:
         out.setdefault(canonical_form(res).string, res)
     assert 1 <= len(out) <= 3
     return out
+
+
+def reference_stabilize_type(t: CombinatorialType, counts=None) -> StabilizationResult:
+    """``counts``, a ``Counter``, records each pruned and each smoothed
+    vertex, and each weight-0 leg-free vertex skipped because its two
+    edge-ends are one loop."""
+    counts = Counter() if counts is None else counts
+    weights = {v: w for v, w in t.graph.vertices}
+    ends = {e: (u, v) for e, u, v in t.graph.edges}
+    slopes = {e: t.slopes[e] for e in ends}
+    leg_slopes = {l: t.slopes[l] for l, _ in t.graph.legs}
+    legs_at = {}
+    for lid, v in t.graph.legs:
+        legs_at.setdefault(v, []).append(lid)
+    chains = {e: (e,) for e in ends}
+
+    def incident(v):
+        out = []
+        for e, (a, b) in ends.items():
+            if a == v:
+                out.append((e, True))
+            if b == v:
+                out.append((e, False))
+        return out
+
+    while True:
+        acted = False
+        for v in sorted(weights):
+            if weights[v] != 0 or v in legs_at:
+                continue
+            inc = incident(v)
+            if len(inc) == 1:
+                e, forward = inc[0]
+                if all(x == 0 for x in slopes[e]):
+                    del ends[e], slopes[e], chains[e]
+                    del weights[v]
+                    counts["pruned"] += 1
+                    acted = True
+                    break
+            elif len(inc) == 2:
+                (e1, f1), (e2, f2) = inc
+                if e1 == e2:
+                    counts["loop skipped"] += 1
+                    continue  # a loop; smoothing does not apply
+                s1 = slopes[e1] if f1 else tuple(-x for x in slopes[e1])
+                s2 = slopes[e2] if f2 else tuple(-x for x in slopes[e2])
+                if any(x + y != 0 for x, y in zip(s1, s2)):
+                    continue
+                a = ends[e1][1] if f1 else ends[e1][0]
+                b = ends[e2][1] if f2 else ends[e2][0]
+                new_id = min(e1, e2)
+                chain = chains[e1] + chains[e2]
+                for e in (e1, e2):
+                    del ends[e], slopes[e], chains[e]
+                ends[new_id] = (a, b)
+                slopes[new_id] = s2  # slope along a -> b through the old vertex
+                chains[new_id] = chain
+                del weights[v]
+                counts["smoothed"] += 1
+                acted = True
+                break
+        if not acted:
+            break
+
+    graph = WeightedGraph._trusted(tuple(sorted(weights.items())),
+                                   tuple(sorted((e, u, v) for e, (u, v) in ends.items())),
+                                   t.graph.legs)
+    if not is_stable(graph):
+        bad = [v for v, w in graph.vertices if graph.valence(v) + 2 * w < 3]
+        raise Unstabilizable(f"no stable model: vertices {bad} cannot be removed")
+    all_slopes = dict(slopes)
+    all_slopes.update(leg_slopes)
+    return StabilizationResult(graph=graph, slopes=all_slopes,
+                               edge_chains=dict(chains), kept_vertices=tuple(sorted(weights)))

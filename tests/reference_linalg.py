@@ -28,10 +28,14 @@ integer rows: a subspace is the basis of reduced row echelon rows that
 same rows), membership is a rank test, and every LP entry goes through
 ``frac``.  The LP itself is the library's ``_positive_solution``, so the
 two paths must return the same certificates.
+
+``smith_normal_form`` is the Smith form as it was before each row
+operation became one list operation on a working row that holds s and u.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -243,3 +247,103 @@ def strict_positive_combination(vectors: Sequence, target: Subspace):
         combo = vec_add(combo, vec_scale(ai, vec(v)))
     assert span_membership(combo, target)
     return ints
+
+
+def smith_normal_form(m, counts=None):
+    """``exact_linalg.smith_normal_form`` as it was before row r of s and
+    row r of u became one working row: every row operation is stated twice,
+    on s and on u.  It must return identical ``(u, s, v)``.  ``counts``, a
+    ``Counter``, records the branches of the divisibility step
+    the differential test needs: the step itself, a zero pivot in its
+    re-clear loop, and the negation of row t or of row t+1 after it."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    s = [[int(x) for x in row] for row in m]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    counts = Counter() if counts is None else counts
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):  # row_dst += q * row_src
+        s[dst] = [x + q * y for x, y in zip(s[dst], s[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in s:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+
+    n = min(rows, cols)
+    for t in range(n):
+        while True:
+            # minimal-absolute-value nonzero pivot in the remaining block
+            best = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            if best != (t, t):
+                if best[0] != t:
+                    swap_rows(t, best[0])
+                if best[1] != t:
+                    swap_cols(t, best[1])
+            dirty = False
+            for i in range(t + 1, rows):
+                if s[i][t] != 0:
+                    add_row(t, i, -(s[i][t] // s[t][t]))
+                    if s[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if s[t][j] != 0:
+                    add_col(t, j, -(s[t][j] // s[t][t]))
+                    if s[t][j] != 0:
+                        dirty = True
+            if not dirty:
+                break
+        if s[t][t] < 0:
+            negate_row(t)
+
+    # enforce the divisibility chain d1 | d2 | ...
+    changed = True
+    while changed:
+        changed = False
+        for t in range(n - 1):
+            a, b = s[t][t], s[t + 1][t + 1]
+            if a != 0 and b % a != 0:
+                counts["divisibility step"] += 1
+                add_col(t + 1, t, 1)  # puts b into column t below the pivot
+                # re-clear the 2x2 block at (t, t+1)
+                while s[t + 1][t] != 0:
+                    if s[t][t] != 0:
+                        q = s[t + 1][t] // s[t][t]
+                        add_row(t, t + 1, -q)
+                    else:
+                        counts["zero pivot"] += 1
+                    if s[t + 1][t] != 0:
+                        swap_rows(t, t + 1)
+                if s[t][t + 1] != 0:
+                    add_col(t, t + 1, -(s[t][t + 1] // s[t][t]))
+                if s[t][t] < 0:
+                    counts["row t negated"] += 1
+                    negate_row(t)
+                if s[t + 1][t + 1] < 0:
+                    counts["row t+1 negated"] += 1
+                    negate_row(t + 1)
+                changed = True
+    return tuple(map(tuple, u)), tuple(map(tuple, s)), tuple(map(tuple, v))

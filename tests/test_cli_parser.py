@@ -5,6 +5,7 @@ that can be started."""
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -15,8 +16,15 @@ import pytest
 import tropmoduli
 from tropmoduli import cli
 from tropmoduli import documents as docs
+from tropmoduli.polyhedral import Face, FaceInclusion, PolyhedralComplex, Polyhedron
 
-from helpers import cross_type, ray_wall_family, two_ray_resolution_family
+from helpers import (
+    cross_type,
+    decorated_family,
+    ray_wall_family,
+    resolution_type,
+    two_ray_resolution_family,
+)
 
 VERB_NAMES = ["validate-complex", "skeleton", "validate-curve", "enumerate", "classify",
               "resolve", "wallgraph", "validate-family", "fiber", "alpha", "verdicts",
@@ -172,9 +180,13 @@ def test_each_supported_python_imports_the_cli_and_classifies(minor, tmp_path, c
     """``requires-python`` is >=3.10.7: the first CPython 3.<minor> that
     starts here imports the package and the CLI in a fresh interpreter and
     writes the reports this interpreter writes: ``classify`` on the cross,
-    ``alpha`` and ``verdicts`` on the ray-wall family, and ``verdicts`` on
-    the two-ray family, whose wall reads its cofacet lifts through the
-    contractions.  A minor version with no such interpreter is skipped."""
+    ``alpha`` and ``verdicts`` on the ray-wall family, ``verdicts`` on the
+    two-ray family, whose wall reads its cofacet lifts through the
+    contractions, ``validate-complex`` on a quadrant sent into an octant
+    by diag(2, 3), whose saturation check takes the Smith form's
+    divisibility step, and ``alpha`` on a decorated family whose fibers
+    smooth into chains of up to four edges.  A minor version with no such
+    interpreter is skipped."""
     exe = next((p for p in _interpreters(minor) if _cpython(p, minor)), None)
     if exe is None:
         pytest.skip(f"no CPython 3.{minor} at 3.10.7 or later starts here")
@@ -185,12 +197,21 @@ def test_each_supported_python_imports_the_cli_and_classifies(minor, tmp_path, c
     two_ray = tmp_path / "two-ray.json"
     two_ray.write_text(json.dumps(docs.family_to_doc(two_ray_resolution_family())),
                        encoding="utf-8")
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(docs.complex_to_doc(PolyhedralComplex(
+        [Face("Q", 2, Polyhedron(2, [((1, 0), 0), ((0, 1), 0)])),
+         Face("C", 3, Polyhedron(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)]))],
+        [FaceInclusion("Q", "C", ((2, 0), (0, 3), (0, 0)), (0, 0, 0))]))), encoding="utf-8")
+    decorated = tmp_path / "decorated.json"
+    decorated.write_text(json.dumps(docs.family_to_doc(decorated_family(
+        resolution_type(1), random.Random("cross-version/0"), axes=2))), encoding="utf-8")
     src = str(Path(tropmoduli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = "import sys, tropmoduli, tropmoduli.cli; sys.exit(tropmoduli.cli.main(sys.argv[1:]))"
     for argv in (["classify", str(path)], ["alpha", str(family)], ["verdicts", str(family)],
-                 ["verdicts", str(two_ray)]):
+                 ["verdicts", str(two_ray)], ["validate-complex", str(scaled)],
+                 ["alpha", str(decorated)]):
         status = cli.main(argv)
         in_process = capsys.readouterr().out
         done = subprocess.run([exe, "-c", code, *argv], env=env,

@@ -1,5 +1,7 @@
 import ast
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -15,6 +17,7 @@ from tropmoduli.exact_linalg import (
     _positive_solution,
     _span_basis,
     det,
+    frac,
     integer_kernel,
     integer_solve,
     is_saturated,
@@ -73,6 +76,39 @@ def test_snf_random_matrices():
         cols = rng.randint(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         snf_checks(m)
+
+
+def test_smith_form_matches_the_two_structure_reference():
+    """One working row per row of s and u gives the ``(u, s, v)`` that
+    stating each row operation on s and on u gave, on seeded matrices from
+    0x0 to 6x6 with entries up to 20 in absolute value, zero rows and
+    columns, rows that combine others, and diagonals whose entries do not
+    divide each other.  The divisibility step runs and negates row t+1; in
+    the reference its re-clear loop never meets a zero pivot and never
+    leaves row t negative, the two branches the library no longer has."""
+    rng = random.Random("smith")
+    counts = Counter()
+    for rows, cols in product(range(7), repeat=2):
+        for _ in range(60):
+            bound = rng.choice((1, 2, 5, 20))
+            m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+            for _ in range(rng.randint(0, 2)):
+                kind = rng.randrange(3)
+                if kind == 0 and rows:  # a zero row
+                    m[rng.randrange(rows)] = [0] * cols
+                elif kind == 1 and cols:  # a zero column
+                    j = rng.randrange(cols)
+                    for row in m:
+                        row[j] = 0
+                elif rows > 1:  # a row plus a multiple of another, or of itself
+                    a, b, c = rng.randrange(rows), rng.randrange(rows), rng.randint(-3, 3)
+                    m[a] = [x + c * y for x, y in zip(m[a], m[b])]
+            if rows and cols and rng.random() < 0.3:
+                m = [[rng.randint(1, 12) if i == j else 0 for j in range(cols)]
+                     for i in range(rows)]
+            assert smith_normal_form(m) == reference.smith_normal_form(m, counts), m
+    assert counts["divisibility step"] >= 500 and counts["row t+1 negated"] >= 300, counts
+    assert counts["zero pivot"] == counts["row t negated"] == 0, counts
 
 
 def test_is_saturated():
@@ -140,6 +176,7 @@ def test_integer_solve_and_kernel():
     a = [(2, 0), (0, 3)]
     assert integer_solve(a, (4, 9)) == (2, 3)
     assert integer_solve(a, (1, 0)) is None  # 2x = 1 has no integer solution
+    assert integer_solve([], ()) is None  # no rows
     k = integer_kernel([(1, 1, 1)], 3)
     assert len(k) == 2
     for v in k:
@@ -249,6 +286,18 @@ def test_det_with_a_row_swap_or_a_column_without_pivot(m, d):
     """Elimination stops at the first column without a pivot below the
     diagonal; a row swap on the way flips the sign."""
     assert det(m) == d
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: frac(0.5), TypeError, "cannot interpret 0.5 as a rational number"),
+    (lambda: mat_mul(((1, 2),), ((1, 2),)), DimMismatch, "cannot multiply 1x2 by 1x2"),
+    (lambda: det(((1, 2),)), DimMismatch, "determinant of a non-square matrix"),
+    (lambda: is_saturated([(1, 0)], 3), DimMismatch, "generator has length 2, ambient is 3"),
+    (lambda: integer_solve([(1, 0)], (1, 2)), DimMismatch, "matrix has 1 columns, vector has 2"),
+], ids=["frac-float", "mat-mul-shapes", "det-non-square", "saturated-length", "solve-length"])
+def test_misshapen_arguments_are_refused(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_strict_positive_combination_vs_fm_dim1_exhaustive():

@@ -93,6 +93,16 @@ def test_empty_and_degenerate():
     assert not thin.has_interior()
 
 
+def test_a_constraint_of_the_wrong_length_is_refused():
+    with pytest.raises(DimMismatch, match="^constraint normal has wrong length$"):
+        Polyhedron(2, [((1, 0), 0)], [((1,), 0)])
+
+
+def test_a_polyhedron_repr_gives_its_sizes():
+    assert repr(Polyhedron(2, [((1, 0), 0)], [((0, 1), 0)])) == \
+        "Polyhedron(dim=2, ineqs=1, eqs=1)"
+
+
 def test_halfplane_lineality():
     p = Polyhedron(2, [((0, 1), 0)])
     verts, rays, lines = p.vrep()

@@ -1,4 +1,6 @@
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,10 @@ from tropmoduli.tropcurve import (
     stabilize,
     stabilize_type,
 )
+from tropmoduli.moduli import enumerate_types
+
+from helpers import CROSS_DEGREE, cross_type, decorated_family, resolution_type
+from reference_graph import reference_stabilize_type
 
 
 def tripod(dim=2):
@@ -191,6 +197,8 @@ _PATH_SLOPES = {"e": (1, 0), "l": (0, 1)}
     (lambda: CombinatorialType(_PATH, {"e": (1, 0)}, 2), "missing slope for leg 'l'"),
     (lambda: CombinatorialType(_PATH, {"e": (1, 0), "l": (1,)}, 2),
      "slope for 'l' has wrong dimension"),
+    (lambda: CombinatorialType(_PATH, {"e": (1, 0), "l": (0, "1/2")}, 2),
+     "expected integer entry, got '1/2'"),
     (lambda: TropicalCurve(_PATH, {}), "missing length for edge 'e'"),
     (lambda: TropicalCurve(_PATH, {"e": 0}), "length of 'e' must be positive"),
     (lambda: ParameterizedTropicalCurve(TropicalCurve(_PATH, {"e": 1}), {"u": (0, 0)},
@@ -198,11 +206,16 @@ _PATH_SLOPES = {"e": (1, 0), "l": (0, 1)}
     (lambda: ParameterizedTropicalCurve(TropicalCurve(_PATH, {"e": 1}),
                                         {"u": (0, 0), "v": (1,)}, _PATH_SLOPES, 2),
      "position of 'v' has wrong dimension"),
-], ids=["type-edge-slope", "type-leg-slope", "type-slope-length", "curve-length",
+], ids=["type-edge-slope", "type-leg-slope", "type-slope-length", "type-slope-entry",
+        "curve-length",
         "curve-nonpositive-length", "parameterized-position", "parameterized-position-length"])
 def test_constructors_refuse_missing_and_misshapen_fields(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def test_a_type_repr_gives_its_sizes():
+    assert repr(two_vertex_type()) == "CombinatorialType(2v/1e/4l, dim=2)"
 
 
 def test_stabilize_fixed_point():
@@ -290,3 +303,75 @@ def test_stabilize_type_chain():
     assert len(res.graph.edges) == 1
     chain = list(res.edge_chains.values())[0]
     assert sorted(chain) == ["e1", "e2", "e3"]
+
+
+def _random_type(rng):
+    """A type with loops, parallel edges, legs, weights and zero slopes,
+    with some edges subdivided into chains of weight-0 vertices (either way
+    round) and slope-0 tails hung on, under shuffled ids."""
+    dim = rng.randint(1, 2)
+    pool = [(0,) * dim] + [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(2)]
+    weights = [0 if rng.random() < 0.6 else rng.randint(1, 2) for _ in range(rng.randint(1, 4))]
+    edges = [[rng.randrange(i), i, rng.choice(pool)] for i in range(1, len(weights))]
+    for _ in range(rng.randint(0, 3)):  # a loop, a parallel edge or any edge
+        u, v, kind = rng.randrange(len(weights)), rng.randrange(len(weights)), rng.randrange(3)
+        if kind == 0:
+            v = u
+        elif kind == 1 and edges:
+            u, v = rng.choice(edges)[:2]
+        edges.append([u, v, rng.choice(pool)])
+    for _ in range(rng.randint(0, 3)):  # subdivide an edge
+        if edges:
+            e, n = rng.choice(edges), len(weights)
+            weights.append(0)
+            edges.append([n, e[1], e[2]] if rng.random() < 0.5 else
+                         [e[1], n, tuple(-x for x in e[2])])
+            e[1] = n
+    for _ in range(rng.randint(0, 3)):  # a slope-0 tail
+        at, n = rng.randrange(len(weights)), len(weights)
+        weights.append(0)
+        edges.append([at, n, (0,) * dim] if rng.random() < 0.5 else [n, at, (0,) * dim])
+    legs = [(rng.randrange(len(weights)), rng.choice(pool)) for _ in range(rng.randint(0, 3))]
+    vid = [f"v{k}" for k in rng.sample(range(100), len(weights))]
+    eid = [f"e{k}" for k in rng.sample(range(100), len(edges) + len(legs))]
+    graph = WeightedGraph(tuple(zip(vid, weights)),
+                          tuple((e, vid[u], vid[v]) for e, (u, v, _) in zip(eid, edges)),
+                          tuple((l, vid[v]) for l, (v, _) in zip(eid[len(edges):], legs)))
+    return CombinatorialType(graph, dict(zip(eid, [s for *_, s in edges] + [s for _, s in legs])),
+                             dim)
+
+
+def _stabilized(stabilize, t, *counts):
+    """Every field of the result, dict order included, or the exception."""
+    try:
+        r = stabilize(t, *counts)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return r.graph, list(r.slopes.items()), list(r.edge_chains.items()), r.kept_vertices
+
+
+def test_stabilize_type_matches_the_three_map_reference():
+    """One edge dict gives what three edge dicts, ``legs_at`` and a private
+    edge-end scan gave: on seeded types with loops, parallel edges, legs,
+    weights, zero slopes, chains and tails, on the fiber types of
+    ``helpers.decorated_family`` and on ``enumerate_types`` output, the
+    same result in the same dict order, or the same exception."""
+    rng = random.Random("stabilize")
+    stable = [resolution_type(1), resolution_type(2), cross_type(),
+              *enumerate_types(0, 0, CROSS_DEGREE, 2),
+              *enumerate_types(1, 0, ((1, 2), (2, 1), (-3, -3)), 3)]
+    types = [_random_type(rng) for _ in range(3000)] + stable
+    for i in range(2 * len(stable)):
+        f = decorated_family(stable[i % len(stable)], rng, axes=1 + i % 3, quadrant=i % 4 == 3)
+        types += [data.type for data in f.face_data.values()]
+    counts = Counter()
+    for t in types:
+        got = _stabilized(stabilize_type, t)
+        assert got == _stabilized(reference_stabilize_type, t, counts), t
+        if got[0] is Unstabilizable:
+            counts["unstabilizable"] += 1
+        else:
+            counts["chain of 3"] += any(len(chain) >= 3 for _, chain in got[2])
+    assert counts["pruned"] >= 1000 and counts["smoothed"] >= 1000, counts
+    assert counts["chain of 3"] >= 100 and counts["loop skipped"] >= 20, counts
+    assert counts["unstabilizable"] >= 500, counts
