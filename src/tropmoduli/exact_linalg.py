@@ -309,7 +309,7 @@ def integer_solve(a: Sequence[IVec], b: IVec) -> IVec | None:
         return None
     rows, cols = len(a), len(a[0])
     if len(b) != rows:
-        raise DimMismatch(f"matrix has {rows} columns, vector has {len(b)}")  # u in u·b
+        raise DimMismatch(f"matrix has {rows} rows, vector has {len(b)}")  # u in u·b
     u, s, v = smith_normal_form(a)
     y = [0] * cols
     for i, row in enumerate(u):

@@ -26,10 +26,10 @@ tree classes are nonempty.
 Isomorphisms of types fix every leg (the leg order is part of the data).
 The canonical form is the least serialization over the vertex orderings
 that respect the stable refinement colouring on (weight, leg positions,
-incident slopes, neighbour colours).  One search finds it, pruned by the
-automorphisms it meets, and those automorphisms generate the group that
-``automorphisms`` lists.  The type it returns records its string in
-``_canonical``, which ``wall_graph`` and ``canonical_string`` read.
+incident slopes, neighbour colours): a sort when the root colours are
+distinct, else one search, pruned by the automorphisms it meets (they
+generate ``automorphisms``).  The key comes before the type, so ``wall_graph``
+builds one type per wall, which records its string in ``_canonical``.
 Stratum systems, canonical forms, isomorphisms, wall classes and the wall
 graph are plain slotted records (see ``records``).
 """
@@ -40,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
-from operator import add, gt, sub
+from operator import add, gt, neg, sub
 
 from .errors import (
     MixedInvariants,
@@ -141,7 +141,7 @@ def _tree_flow(forest, b):
             if any(below[v]):
                 return None
         else:
-            x[e] = tuple([-sign * y for y in below[v]])
+            x[e] = tuple(map(neg, below[v])) if sign > 0 else below[v]
             below[parent] = tuple(map(add, below[parent], below[v]))
     return x
 
@@ -155,24 +155,30 @@ def dim_stratum(t: CombinatorialType) -> int | None:
 # canonical labeling and isomorphisms
 # ---------------------------------------------------------------------------
 
+def _root_colors(t: CombinatorialType) -> dict:
+    """Each vertex's root colour: (weight, leg positions, sorted outgoing slopes)."""
+    g, slopes = t.graph, t.slopes
+    out = {v: [] for v, _ in g.vertices}
+    for eid, u, v in g.edges:
+        out[u].append(slopes[eid])
+        out[v].append(tuple(map(neg, slopes[eid])))
+    legs = dict.fromkeys(out, ())
+    for pos, (_, v) in enumerate(g.legs):
+        legs[v] += (pos,)
+    return {v: (w, legs[v], tuple(sorted(out[v]))) for v, w in g.vertices}
+
+
 def _refine_colors(t: CombinatorialType, star):
-    """Stable vertex colours, from (weight, leg positions, outgoing slopes).
+    """Stable vertex colours, from the root colours.
 
     ``star[v]`` lists (outgoing slope, neighbour) for each edge end at v; a
     round appends the sorted (slope, neighbour colour) pairs to the rank of
     each colour.  A round refines the one before it, so the partition is
     stable as soon as it keeps the number of classes.
     """
-    legs_at = {}
-    for pos, (_, v) in enumerate(t.graph.legs):
-        legs_at.setdefault(v, []).append(pos)
-    color = {v: (w, tuple(legs_at.get(v, ())), tuple(sorted(s for s, _ in star[v])))
-             for v, w in t.graph.vertices}
+    color = _root_colors(t)
     while True:
-        distinct = set(color.values())
-        if len(distinct) == len(color):
-            return color  # discrete
-        ranks = {c: i for i, c in enumerate(sorted(distinct))}
+        ranks = {c: i for i, c in enumerate(sorted(set(color.values())))}
         neigh = {v: (ranks[color[v]], tuple(sorted((s, ranks[color[o]]) for s, o in star[v])))
                  for v in color}
         if len(set(neigh.values())) == len(ranks):
@@ -184,8 +190,8 @@ def _edge_record(iu, iv, s):
     """An edge between iu and iv with slope s along it, stored from the smaller end."""
     if iu < iv:
         return (iu, iv, s)
-    neg = tuple(-x for x in s)
-    return (iv, iu, neg) if iv < iu else (iu, iv, min(s, neg))
+    back = tuple(map(neg, s))
+    return (iv, iu, back) if iv < iu else (iu, iv, min(s, back))
 
 
 def _orbit(x, gens):
@@ -245,8 +251,6 @@ def _search(t: CombinatorialType):
     for v in vs:
         classes.setdefault(color[v], []).append(index[v])
     n = len(vs)
-    if len(classes) == n:
-        return vs, tuple(classes[c][0] for c in sorted(classes)), []
     cells = [classes[c] for c in sorted(classes) for _ in classes[c]]  # candidates by position
     seq, gens = [], []
     first = best = None  # (key, ordering)
@@ -304,38 +308,50 @@ class CanonicalForm(FrozenRecord):
         return hash(self.string)
 
 
+def _keyed(t: CombinatorialType):
+    """``canonical_form``'s key step: (vertex order, key, edge records with their ids).
+    Distinct root colours are sorted directly; ``_search`` would keep their order."""
+    by_color = {c: v for v, c in _root_colors(t).items()}
+    if len(by_color) == len(t.graph.vertices):
+        order = [by_color[c] for c in sorted(by_color)]
+    else:
+        vs, best, _ = _search(t)
+        order = [vs[x] for x in best]
+    g, slopes = t.graph, t.slopes
+    rank, weight = {v: i for i, v in enumerate(order)}, dict(g.vertices)
+    erecs = sorted([(_edge_record(rank[u], rank[v], slopes[eid]), eid) for eid, u, v in g.edges])
+    return order, (t.dim, tuple([weight[v] for v in order]),
+                   tuple([(rank[v], slopes[lid]) for lid, v in g.legs]),
+                   tuple([rec for rec, _ in erecs])), erecs
+
+
+@lru_cache(maxsize=None)
+def _names(prefix: str, n: int) -> tuple:
+    return tuple([f"{prefix}{i}" for i in range(n)])
+
+
 def canonical_form(t: CombinatorialType) -> CanonicalForm:
     """Deterministic canonical representative of the isomorphism class.
 
     Minimizes the serialized form over all vertex orderings compatible with
     the refinement coloring; legs keep their positions, vertices become
-    v0..vk and edges e0..em in serialization order.
+    v0..vk and edges e0..em in serialization order (the ordering from ``_keyed``).
     """
-    vs, best, _ = _search(t)
-    order = {vs[x]: i for i, x in enumerate(best)}
-    g = t.graph
-    erecs = sorted((_edge_record(order[u], order[v], t.slopes[eid]), eid)
-                   for eid, u, v in g.edges)
-    key = (t.dim,
-           tuple(w for _, w in sorted((order[v], w) for v, w in g.vertices)),
-           tuple((order[v], t.slopes[lid]) for lid, v in g.legs),
-           tuple(rec for rec, _ in erecs))
-    vmap = {v: f"v{i}" for v, i in order.items()}
-    emap = {eid: f"e{i}" for i, (_, eid) in enumerate(erecs)}
-    new_vertices = tuple((f"v{i}", w) for i, w in enumerate(key[1]))
-    new_edges = tuple((emap[eid], f"v{iu}", f"v{iv}") for (iu, iv, _), eid in erecs)
-    new_legs = tuple((f"l{i}", vmap[v]) for i, (_, v) in enumerate(g.legs))
-    new_slopes = {f"l{i}": t.slopes[lid] for i, (lid, _) in enumerate(g.legs)}
-    for rec, eid in erecs:
-        new_slopes[emap[eid]] = rec[2]
-    canon = CombinatorialType._trusted(
-        WeightedGraph._trusted(new_vertices, new_edges, new_legs), new_slopes, t.dim)
+    order, key, erecs = _keyed(t)
+    _, weights, leg_recs, edge_recs = key
+    vnames, enames = _names("v", len(order)), _names("e", len(erecs))
+    lnames = _names("l", len(leg_recs))
+    new_slopes = dict(zip(lnames + enames, [s for _, s in leg_recs] + [s for _, _, s in edge_recs]))
+    canon = CombinatorialType._trusted(WeightedGraph._trusted(
+        tuple(zip(vnames, weights)),
+        tuple([(e, vnames[iu], vnames[iv]) for e, (iu, iv, _) in zip(enames, edge_recs)]),
+        tuple([(lid, vnames[i]) for lid, (i, _) in zip(lnames, leg_recs)])), new_slopes, t.dim)
     try:
         canon._canonical = repr(key)
     except ValueError:  # a slope past the integer digit limit, built by adding input slopes
         raise _too_long() from None
-    return CanonicalForm(key=key, string=canon._canonical, vertex_map=vmap, edge_map=emap,
-                         type=canon)
+    return CanonicalForm(key, canon._canonical, dict(zip(order, vnames)),
+                         dict(zip([eid for _, eid in erecs], enames)), canon)
 
 
 def canonical_string(t: CombinatorialType) -> str:
@@ -418,8 +434,11 @@ def classify(t: CombinatorialType) -> WallClass:
     if any(w != 0 for _, w in g.vertices):
         return WallClass(WallClassification.OTHER)
     valences = dict.fromkeys(g.vertex_ids(), 0)
-    for v in [x for _, u, v in g.edges for x in (u, v)] + [v for _, v in g.legs]:
-        valences[v] += 1  # a loop counts at both ends
+    for _, u, v in g.edges:
+        valences[u] += 1  # a loop counts at both ends
+        valences[v] += 1
+    for _, v in g.legs:
+        valences[v] += 1
     four = [v for v, val in valences.items() if val == 4]
     three = [v for v, val in valences.items() if val == 3]
     if len(three) == len(valences):
@@ -473,6 +492,18 @@ def contract_any_slope(t: CombinatorialType, edges) -> CombinatorialType:
     graph = WeightedGraph._trusted(tuple(sorted(weights.items())), tuple(sorted(new_edges)),
                                    new_legs)
     return CombinatorialType._trusted(graph, new_slopes, t.dim)
+
+
+def _contract_edge(t: CombinatorialType, e, u, v) -> CombinatorialType:
+    """``contract_any_slope(t, {e})`` for a non-loop edge e = (u, v), up to tuple order."""
+    (u, v), g, slopes = sorted((u, v)), t.graph, dict(t.slopes)
+    del slopes[e]
+    weight, name = dict(g.vertices), {v: u}
+    weight[u] += weight.pop(v)
+    return CombinatorialType._trusted(WeightedGraph._trusted(
+        tuple(weight.items()),
+        tuple([(f, name.get(a, a), name.get(b, b)) for f, a, b in g.edges if f != e]),
+        tuple([(lid, name.get(x, x)) for lid, x in g.legs])), slopes, t.dim)
 
 
 def contract(t: CombinatorialType, edges) -> CombinatorialType:
@@ -564,14 +595,12 @@ def _resolutions(t: CombinatorialType, v: str) -> dict:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _compositions(total: int, parts: int):
+@lru_cache(maxsize=None)
+def _compositions(total: int, parts: int) -> tuple:
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return ((),) if total == 0 else ()
+    return tuple([(first,) + rest for first in range(total + 1)
+                  for rest in _compositions(total - first, parts - 1)])
 
 
 def _integer_box_solutions(particular, kernel, bound):
@@ -669,12 +698,12 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = No
     ext = tuple((0,) * dim for _ in range(n)) + degree
     L = len(ext)
     bound = [sum(abs(s[c]) for s in ext) for c in range(dim)]
-    lids = [f"l{i}" for i in range(L)]
+    lids = _names("l", L)
 
     found = {}
     max_nv = 2 * g - 2 + L
     for nv in range(1, min(max_nv, max_edges + 1) + 1 if max_nv >= 1 else 0):
-        vids = [f"v{i}" for i in range(nv)]
+        vids = _names("v", nv)
         # ne <= nv - 1 + g keeps the weight left for the vertices, g - b_1, nonnegative
         for ne in range(max(nv - 1, 0), min(max_edges, nv - 1 + g) + 1):
             for edges, ends, forest, kernel, autos in _multigraphs(nv, ne):
@@ -690,7 +719,7 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = No
                     for assign in product(range(nv), repeat=L):
                         if any(map(gt, need, map(assign.count, needy))):
                             continue  # unstable
-                        if any(tuple(p[a] for a in assign) < assign for p in weight_autos):
+                        if any(tuple(map(p.__getitem__, assign)) < assign for p in weight_autos):
                             continue  # not the least of its orbit
                         legs = tuple(zip(lids, [vids[a] for a in assign]))
                         graph = WeightedGraph._trusted(vertices, edges, legs)
@@ -727,10 +756,9 @@ def _balanced_types(graph: WeightedGraph, forest, kernel, ext, dim, bound):
         return
     # nonzero loop slopes force empty strata
     slopes.update(dict.fromkeys((e for e, u, v in graph.edges if u == v), zero))
-    if not kernel:
-        if all(abs(y) <= m for x in flow.values() for y, m in zip(x, bound)):
-            slopes.update(flow)
-            yield CombinatorialType._trusted(graph, slopes, dim)
+    if not kernel:  # a tree edge carries the leg slopes on one side, within the bound
+        slopes.update(flow)
+        yield CombinatorialType._trusted(graph, slopes, dim)
         return
 
     non_loops = [e for e, u, v in graph.edges if u != v]
@@ -789,15 +817,17 @@ def wall_graph(types) -> WallGraph:
     # contracting a non-loop edge between two weightless 3-valent vertices
     # leaves one weightless 4-valent vertex, and balancing there forces the
     # slope of the edge: the node is the resolution of that pairing
-    walls = {}
+    walls = {}  # key -> (wall, incident node ids); a wall is built once, for a new key
     for k, nid in node_key.items():
         t = canon_nodes[k]
         for e, u, v in t.graph.edges:
             if u != v:
-                cf = canonical_form(contract_any_slope(t, {e}))
-                walls.setdefault(cf.string, (cf.type, set()))[1].add(nid)
-    wall_list = tuple((f"w{i}", walls[k][0], tuple(sorted(walls[k][1])))
-                      for i, k in enumerate(sorted(walls)))
+                w = _contract_edge(t, e, u, v)
+                if (key := _keyed(w)[1]) not in walls:
+                    walls[key] = (canonical_form(w).type, set())
+                walls[key][1].add(nid)
+    ordered = sorted(walls.values(), key=lambda wall: wall[0]._canonical)
+    wall_list = tuple((f"w{i}", w, tuple(sorted(res))) for i, (w, res) in enumerate(ordered))
     nodes = tuple((nid, canon_nodes[k]) for k, nid in node_key.items())
     return WallGraph(nodes=nodes, walls=wall_list)
 

@@ -12,9 +12,9 @@ stored (u, v) orientation; the reverse orientation is the negation.  Legs
 are always oriented away from their vertex.  Loops contribute both
 orientations to the star of their vertex, so they never affect balancing.
 The constructors validate; the unchecked ``_trusted`` builds are only for
-``moduli.canonical_form``, ``contract_any_slope``, ``_resolutions``,
-``enumerate_types``, ``_multigraphs``, ``stabilize_type`` and
-``family._face_lift``, which build from valid parts.
+``moduli.canonical_form``, ``contract_any_slope``, ``_contract_edge``,
+``_resolutions``, ``enumerate_types``, ``_multigraphs``, ``stabilize_type``
+and ``family._face_lift``, which build from valid parts.
 Graphs, curves and reports are plain slotted records (see ``records``).
 """
 

@@ -685,6 +685,15 @@ BRUTE_FORCE_CASES = [
 
 SIX_LEGS = ((1, 0), (0, 1), (-1, -1), (1, 0), (0, 1), (-1, -1))
 
+# (label, g, n, degree, max_edges, dim): the universe that acceptance criteria 3, 4
+# and 7 enumerate, and that the canonical-labelling guard relabels
+ENUM_INSTANCES = (
+    ("g0 cross", 0, 0, ((1, 0), (0, 1), (-1, 0), (0, -1)), 2, None),
+    ("g0 five legs", 0, 0, ((1, 0), (1, 0), (0, 1), (-2, 0), (0, -1)), 2, None),
+    ("g1 two contracted", 1, 2, (), 2, 2),
+    ("g1 degree two", 1, 0, ((3, 0), (-3, 0)), 2, None),
+)
+
 
 def relabelled(t, rng):
     """The same type under fresh vertex and edge ids, shuffled tuples and

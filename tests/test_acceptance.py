@@ -44,6 +44,7 @@ from tropmoduli.polyhedral import (
 from tropmoduli.tropcurve import check_balanced, is_stable
 
 from helpers import (
+    ENUM_INSTANCES,
     fan_complex,
     point_family,
     random_pair_data,
@@ -125,14 +126,6 @@ def test_criterion_2_harmonicity_grid():
 # ---------------------------------------------------------------------------
 # criteria 3/4/7 share the enumerated universe
 # ---------------------------------------------------------------------------
-
-ENUM_INSTANCES = (
-    ("g0 cross", 0, 0, ((1, 0), (0, 1), (-1, 0), (0, -1)), 2, None),
-    ("g0 five legs", 0, 0, ((1, 0), (1, 0), (0, 1), (-2, 0), (0, -1)), 2, None),
-    ("g1 two contracted", 1, 2, (), 2, 2),
-    ("g1 degree two", 1, 0, ((3, 0), (-3, 0)), 2, None),
-)
-
 
 @pytest.fixture(scope="module")
 def enumerated_universe():

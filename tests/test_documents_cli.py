@@ -258,6 +258,14 @@ def test_cli_enumerate_deterministic(capsys):
     assert len(payload["types"]) == 4
 
 
+def test_cli_enumerate_in_dimension_zero(capsys):
+    # dim 0 with an empty degree is accepted: the five cells of tropical M_{1,2}
+    code, out = _run(capsys, ["enumerate", "--genus", "1", "--contracted", "2", "--degree", "[]",
+                              "--dim", "0", "--max-edges", "2"])
+    assert code == 0
+    assert len(json.loads(out)["payload"]["types"]) == 5
+
+
 def test_cli_writes_marked_types_without_relabelling(tmp_path, capsys, monkeypatch):
     enum_argv = ["enumerate", "--genus", "0", "--degree", "[[1,0],[0,1],[-1,-1]]",
                  "--contracted", "1", "--max-edges", "2"]

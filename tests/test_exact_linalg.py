@@ -293,7 +293,7 @@ def test_det_with_a_row_swap_or_a_column_without_pivot(m, d):
     (lambda: mat_mul(((1, 2),), ((1, 2),)), DimMismatch, "cannot multiply 1x2 by 1x2"),
     (lambda: det(((1, 2),)), DimMismatch, "determinant of a non-square matrix"),
     (lambda: is_saturated([(1, 0)], 3), DimMismatch, "generator has length 2, ambient is 3"),
-    (lambda: integer_solve([(1, 0)], (1, 2)), DimMismatch, "matrix has 1 columns, vector has 2"),
+    (lambda: integer_solve([(1, 0)], (1, 2)), DimMismatch, "matrix has 1 rows, vector has 2"),
 ], ids=["frac-float", "mat-mul-shapes", "det-non-square", "saturated-length", "solve-length"])
 def test_misshapen_arguments_are_refused(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

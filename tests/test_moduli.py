@@ -672,8 +672,12 @@ def test_wall_graph_refuses_a_node_that_is_not_3_valent():
 
 def test_wall_graph_unknown_node():
     wg = wall_graph(resolve_4valent(cross(), "v"))
-    with pytest.raises(SeedNotInGraph):
-        connected_through_walls(wg, tripod(), tripod())
+    node = wg.nodes[0][1]
+    # two unknown types, and one unknown type in either place
+    for pair in ((tripod(), tripod()), (node, tripod()), (tripod(), node)):
+        with pytest.raises(SeedNotInGraph, match="^queried type is not a node of the wall graph$"):
+            connected_through_walls(wg, *pair)
+    assert connected_through_walls(wg, node, node) == (True, (wg.nodes[0][0],))
 
 
 def test_wall_graph_five_legs_connected():

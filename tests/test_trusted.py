@@ -96,6 +96,9 @@ def test_trusted_builds_equal_public_builds(trusted_builds, g, n, degree, dim):
     assert {"canonical_form", "contract_any_slope", "enumerate_types", "_balanced_types",
             "stabilize_type"} <= trusted_builds
     assert ("_resolutions" in trusted_builds) == bool(walls_of(types))
+    # wall_graph contracts each non-loop edge of a node itself
+    assert ("_contract_edge" in trusted_builds) == \
+        any(u != v for t in nodes_of(types) for _, u, v in t.graph.edges)
 
 
 def test_trusted_builds_cover_stabilization(trusted_builds):
@@ -170,19 +173,20 @@ def test_wall_graph_of_relabelled_nodes_equals_that_of_canonical_nodes(
 
 
 # (g, n, degree, max_edges): types, canonical_form calls in enumerate_types,
-# stratum checks, LP calls, 3-valent nodes, canonical_form calls in
-# wall_graph, walls
+# stratum checks, LP calls, 3-valent nodes, edge contractions in wall_graph,
+# canonical_form calls in wall_graph, walls
 WORK = [
-    ((0, 0, SIX_LEGS, 2), (131, 131, 0, 0, 0, 0, 0)),
-    ((0, 0, SIX_LEGS, 3), (236, 236, 0, 0, 105, 315, 105)),
-    ((1, 0, ((1, 0), (0, 1), (-1, -1)), 3), (16, 23, 8, 0, 3, 6, 4)),
+    ((0, 0, SIX_LEGS, 2), (131, 131, 0, 0, 0, 0, 0, 0)),
+    ((0, 0, SIX_LEGS, 3), (236, 236, 0, 0, 105, 315, 105, 105)),
+    ((1, 0, ((1, 0), (0, 1), (-1, -1)), 3), (16, 23, 8, 0, 3, 6, 4, 4)),
 ]
 
 
 @pytest.mark.parametrize("case, counts", WORK)
 def test_enumeration_and_wall_graph_work_counts(monkeypatch, case, counts):
-    labelled, checked, validated, lps = [], [], [], []
+    labelled, built, contracted, checked, validated, lps = [], [], [], [], [], []
     original, is_empty = moduli.canonical_form, StratumDescriptor.is_empty
+    contract_edge = moduli._contract_edge
     lp_maximize = exact_linalg.lp_maximize
     init, post_init = CombinatorialType.__init__, WeightedGraph.__post_init__
 
@@ -198,7 +202,14 @@ def test_enumeration_and_wall_graph_work_counts(monkeypatch, case, counts):
         validated.append(self)
         post_init(self)
 
-    monkeypatch.setattr(moduli, "canonical_form", lambda t: labelled.append(t) or original(t))
+    def labelling(t):
+        labelled.append(t)
+        built.append(original(t))
+        return built[-1]
+
+    monkeypatch.setattr(moduli, "canonical_form", labelling)
+    monkeypatch.setattr(moduli, "_contract_edge",
+                        lambda *args: contracted.append(args) or contract_edge(*args))
     monkeypatch.setattr(StratumDescriptor, "is_empty", counting_is_empty)
     monkeypatch.setattr(exact_linalg, "lp_maximize",
                         lambda *args: lps.append(args) or lp_maximize(*args))
@@ -209,13 +220,16 @@ def test_enumeration_and_wall_graph_work_counts(monkeypatch, case, counts):
     nodes = nodes_of(types)
     wg = wall_graph(nodes)
     in_wall_graph = labelled[in_enumerate:]
-    assert (len(types), in_enumerate, len(checked), len(lps), len(nodes), len(in_wall_graph),
-            len(wg.walls)) == counts
+    assert (len(types), in_enumerate, len(checked), len(lps), len(nodes), len(contracted),
+            len(in_wall_graph), len(wg.walls)) == counts
     assert all(len(d.type.graph.edges) > len(d.type.graph.vertices) - 1
                for d in checked)  # no tree class
     assert len(lps) == sum(bool(d.cycle_rows) for d in checked)  # one LP per check with cycle rows
     assert not any(t is node for t in in_wall_graph for node in nodes)  # no node relabelled
-    assert len(in_wall_graph) == sum(u != v for t in nodes for _, u, v in t.graph.edges)
+    assert len(contracted) == sum(u != v for t in nodes for _, u, v in t.graph.edges)
+    # one canonical type built per wall, and each wall is the type built for it
+    assert sorted(id(cf.type) for cf in built[in_enumerate:]) == \
+        sorted(id(w) for _, w, _ in wg.walls)
     assert validated == []
 
 
