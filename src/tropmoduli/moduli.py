@@ -19,17 +19,17 @@ tree gives the flow in every coordinate at once, a tree's one slope vector.
 A cycle's coefficient is the slope of its own non-tree edge, so the slopes
 within the bound come from a box of coefficients, walked without an LP,
 less those that make a cycle's terms one-signed (an empty stratum, by
-Stiemke).  Only one leg assignment per orbit of the multigraph's
-automorphisms is tried, and only classes with a cycle get a stratum check:
-tree classes are nonempty.
+Stiemke).  One leg assignment per orbit of the multigraph's automorphisms
+is tried, built once per (g, nv, ne, L) by ``_leg_graphs``, and only
+classes with a cycle get a stratum check: tree classes are nonempty.
 
 Isomorphisms of types fix every leg (the leg order is part of the data).
 The canonical form is the least serialization over the vertex orderings
 that respect the stable refinement colouring on (weight, leg positions,
 incident slopes, neighbour colours): a sort when the root colours are
 distinct, else one search, pruned by the automorphisms it meets (they
-generate ``automorphisms``).  The key comes before the type, so ``wall_graph``
-builds one type per wall, which records its string in ``_canonical``.
+generate ``automorphisms``), or a type's ``_order`` if set.  The key comes
+first, so ``wall_graph`` builds one type per wall (its ``_canonical`` string).
 Stratum systems, canonical forms, isomorphisms, wall classes and the wall
 graph are plain slotted records (see ``records``).
 """
@@ -53,6 +53,7 @@ from .exact_linalg import (
     _positive_solution,
     _spanning_forest,
     _too_long,
+    ivec,
     rank,
 )
 from .records import FrozenRecord, Record
@@ -310,13 +311,15 @@ class CanonicalForm(FrozenRecord):
 
 def _keyed(t: CombinatorialType):
     """``canonical_form``'s key step: (vertex order, key, edge records with their ids).
-    Distinct root colours are sorted directly; ``_search`` would keep their order."""
-    by_color = {c: v for v, c in _root_colors(t).items()}
-    if len(by_color) == len(t.graph.vertices):
-        order = [by_color[c] for c in sorted(by_color)]
-    else:
-        vs, best, _ = _search(t)
-        order = [vs[x] for x in best]
+    A set ``_order`` is taken as found; distinct root colours are sorted as ``_search`` would."""
+    order = t._order
+    if order is None:
+        by_color = {c: v for v, c in _root_colors(t).items()}
+        if len(by_color) == len(t.graph.vertices):
+            order = [by_color[c] for c in sorted(by_color)]
+        else:
+            vs, best, _ = _search(t)
+            order = [vs[x] for x in best]
     g, slopes = t.graph, t.slopes
     rank, weight = {v: i for i, v in enumerate(order)}, dict(g.vertices)
     erecs = sorted([(_edge_record(rank[u], rank[v], slopes[eid]), eid) for eid, u, v in g.edges])
@@ -674,18 +677,18 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = No
     multigraph, taken once from ``_multigraphs`` and cached per vertex and
     edge count: a BFS spanning tree, whose fundamental cycles span the
     integer solutions of the homogeneous balancing equations, and the
-    vertex permutations preserving the edge multiset.  Per vertex
-    weighting: each vertex's stability deficit max(0, 3 - 2w - ends), and
-    the automorphisms that also keep the weights.  A leg assignment is only
-    tried when its legs cover every deficit (exactly the stability
-    condition) and it is the lexicographically least of its orbit under
-    those automorphisms (the others give isomorphic types).  Then the tree
-    flow solves the balancing equations in integers, slope vectors that make
-    a fundamental cycle's terms one-signed are dropped (empty strata), and
-    each candidate left goes through its canonical form.  Emptiness is
-    checked once per class with a cycle; a tree class is nonempty.
+    vertex permutations preserving the edge multiset.  Per (g, nv, ne, L),
+    cached by ``_leg_graphs``: per weighting, the stability deficits
+    max(0, 3 - 2w - ends) and the automorphisms keeping the weights; a leg
+    assignment is kept when its legs cover every deficit (exactly stability)
+    and it is the least of its orbit under those (the others give isomorphic
+    types), with its vertex order by (weight, leg positions) when strict.
+    Per degree, the tree flow solves the balancing equations, slope vectors
+    making a fundamental cycle's terms one-signed are dropped (empty strata),
+    and each candidate left goes through its canonical form with that order
+    as ``_order``.  Emptiness is checked once per class with a cycle.
     """
-    degree = tuple(tuple(int(x) for x in s) for s in degree)
+    degree = tuple(map(ivec, degree))
     if dim is None:
         if not degree:
             raise ValueError("dim is required when the degree is empty")
@@ -698,37 +701,49 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = No
     ext = tuple((0,) * dim for _ in range(n)) + degree
     L = len(ext)
     bound = [sum(abs(s[c]) for s in ext) for c in range(dim)]
-    lids = _names("l", L)
 
     found = {}
     max_nv = 2 * g - 2 + L
     for nv in range(1, min(max_nv, max_edges + 1) + 1 if max_nv >= 1 else 0):
-        vids = _names("v", nv)
         # ne <= nv - 1 + g keeps the weight left for the vertices, g - b_1, nonnegative
         for ne in range(max(nv - 1, 0), min(max_edges, nv - 1 + g) + 1):
-            for edges, ends, forest, kernel, autos in _multigraphs(nv, ne):
-                for weights in _compositions(g - (ne - nv + 1), nv):
-                    deficit = [max(0, 3 - 2 * w - k) for w, k in zip(weights, ends)]
-                    if sum(deficit) > L:
-                        continue
-                    needy = [v for v in range(nv) if deficit[v]]
-                    need = [deficit[v] for v in needy]
-                    weight_autos = [p for p in autos[1:]  # autos[0] is the identity
-                                    if all(weights[p[v]] == weights[v] for v in range(nv))]
-                    vertices = tuple(zip(vids, weights))
-                    for assign in product(range(nv), repeat=L):
-                        if any(map(gt, need, map(assign.count, needy))):
-                            continue  # unstable
-                        if any(tuple(map(p.__getitem__, assign)) < assign for p in weight_autos):
-                            continue  # not the least of its orbit
-                        legs = tuple(zip(lids, [vids[a] for a in assign]))
-                        graph = WeightedGraph._trusted(vertices, edges, legs)
-                        for t in _balanced_types(graph, forest, kernel, ext, dim, bound):
-                            cf = canonical_form(t)
-                            if cf.string not in found:  # None records an empty stratum
-                                empty = ne > nv - 1 and stratum(cf.type).is_empty()
-                                found[cf.string] = None if empty else cf.type
+            for graph, forest, kernel, order in _leg_graphs(g, nv, ne, L):
+                for t in _balanced_types(graph, forest, kernel, ext, dim, bound):
+                    t._order = order
+                    cf = canonical_form(t)
+                    if cf.string not in found:  # None records an empty stratum
+                        empty = ne > nv - 1 and stratum(cf.type).is_empty()
+                        found[cf.string] = None if empty else cf.type
     return [found[k] for k in sorted(found) if found[k] is not None]
+
+
+@lru_cache(maxsize=None)
+def _leg_graphs(g: int, nv: int, ne: int, L: int) -> tuple:
+    """``enumerate_types``' stable leg graphs, one per orbit: (graph, forest, kernel, order).
+    ``order`` sorts the vertices by (weight, leg positions), None on a tie; those
+    pairs begin the root colours, so distinct ones sort them whatever the slopes."""
+    vids, lids, out = _names("v", nv), _names("l", L), []
+    for edges, ends, forest, kernel, autos in _multigraphs(nv, ne):
+        for weights in _compositions(g - (ne - nv + 1), nv):
+            deficit = [max(0, 3 - 2 * w - k) for w, k in zip(weights, ends)]
+            if sum(deficit) > L:
+                continue
+            needy = [v for v in range(nv) if deficit[v]]
+            need = [deficit[v] for v in needy]
+            weight_autos = [p for p in autos[1:]  # autos[0] is the identity
+                            if all(weights[p[v]] == weights[v] for v in range(nv))]
+            vertices = tuple(zip(vids, weights))
+            for assign in product(range(nv), repeat=L):
+                if any(map(gt, need, map(assign.count, needy))):
+                    continue  # unstable
+                if any(tuple(map(p.__getitem__, assign)) < assign for p in weight_autos):
+                    continue  # not the least of its orbit
+                legs = tuple(zip(lids, [vids[a] for a in assign]))
+                by_pair = {(w, tuple([i for i, a in enumerate(assign) if a == v])): vids[v]
+                           for v, w in enumerate(weights)}
+                order = tuple([by_pair[c] for c in sorted(by_pair)]) if len(by_pair) == nv else None
+                out.append((WeightedGraph._trusted(vertices, edges, legs), forest, kernel, order))
+    return tuple(out)
 
 
 def _balanced_types(graph: WeightedGraph, forest, kernel, ext, dim, bound):
@@ -823,7 +838,8 @@ def wall_graph(types) -> WallGraph:
         for e, u, v in t.graph.edges:
             if u != v:
                 w = _contract_edge(t, e, u, v)
-                if (key := _keyed(w)[1]) not in walls:
+                w._order, key, _ = _keyed(w)  # so canonical_form orders a new wall once
+                if key not in walls:
                     walls[key] = (canonical_form(w).type, set())
                 walls[key][1].add(nid)
     ordered = sorted(walls.values(), key=lambda wall: wall[0]._canonical)

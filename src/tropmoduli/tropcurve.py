@@ -13,14 +13,16 @@ are always oriented away from their vertex.  Loops contribute both
 orientations to the star of their vertex, so they never affect balancing.
 The constructors validate; the unchecked ``_trusted`` builds are only for
 ``moduli.canonical_form``, ``contract_any_slope``, ``_contract_edge``,
-``_resolutions``, ``enumerate_types``, ``_multigraphs``, ``stabilize_type``
-and ``family._face_lift``, which build from valid parts.
+``_resolutions``, ``_leg_graphs``, ``_balanced_types``, ``_multigraphs``,
+``stabilize_type`` and ``family._face_lift``, which build from valid parts;
+``_order`` is set only on what ``enumerate_types`` and ``wall_graph`` label.
 Graphs, curves and reports are plain slotted records (see ``records``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import CycleInconsistency, Disconnected, UnbalancedType, Unstabilizable
 from .exact_linalg import _forest, frac, ivec, vec
@@ -103,6 +105,7 @@ class CombinatorialType:
     """Weighted leg-ordered graph with a slope vector per edge and leg."""
 
     _canonical = None  # canonical string, set only on types moduli.canonical_form returns
+    _order = None  # a canonical vertex order, which moduli._keyed takes as found
 
     def __init__(self, graph: WeightedGraph, slopes: dict, dim: int):
         self.graph = graph
@@ -213,16 +216,14 @@ class BalanceReport(Record):
 
 
 def check_balanced(t: CombinatorialType) -> BalanceReport:
-    """Vertex-wise balancing: the outgoing slopes at each vertex sum to zero."""
-    failures = []
-    for v, _ in t.graph.vertices:
-        total = [0] * t.dim
-        for item in t.graph.star_items(v):
-            for c, x in enumerate(t.slope_of_item(item)):
-                total[c] += x
-        if any(total):
-            failures.append((v, tuple(total)))
-    return BalanceReport(tuple(failures))
+    """Whether the outgoing slopes at each vertex sum to zero, summed edge by edge."""
+    total = dict.fromkeys(t.graph.vertex_ids(), (0,) * t.dim)
+    for e, u, v in t.graph.edges:
+        total[u] = tuple(map(add, total[u], t.slopes[e]))
+        total[v] = tuple(map(sub, total[v], t.slopes[e]))
+    for lid, v in t.graph.legs:
+        total[v] = tuple(map(add, total[v], t.slopes[lid]))
+    return BalanceReport(tuple([(v, s) for v, s in total.items() if any(s)]))
 
 
 def _require_balanced(t: CombinatorialType):

@@ -20,6 +20,11 @@ positional ``assign`` dict over the sorted star items, found again by
 be identical.
 
 
+``reference_check_balanced`` is ``check_balanced`` as it was before it
+summed each edge's slope into its two ends in one pass: it walked the star
+items of every vertex, reading every edge once per vertex.  The report,
+failure order and deficit tuples included, must be identical.
+
 ``reference_stabilize_type`` is ``stabilize_type`` as it was before one
 dict held each edge's ends, slope and chain: it kept three edge dicts, a
 ``legs_at`` map and an edge-end scan of its own.  Every field of the
@@ -48,6 +53,7 @@ from tropmoduli.moduli import (
     classify,
 )
 from tropmoduli.tropcurve import (
+    BalanceReport,
     CombinatorialType,
     ParameterizedTropicalCurve,
     StabilizationResult,
@@ -154,6 +160,18 @@ def contract_any_slope(t: CombinatorialType, edges) -> CombinatorialType:
         new_slopes[lid] = t.slopes[lid]
     graph = WeightedGraph(tuple(sorted(weights.items())), tuple(sorted(new_edges)), new_legs)
     return CombinatorialType(graph, new_slopes, t.dim)
+
+
+def reference_check_balanced(t: CombinatorialType) -> BalanceReport:
+    failures = []
+    for v, _ in t.graph.vertices:
+        total = [0] * t.dim
+        for item in t.graph.star_items(v):
+            for c, x in enumerate(t.slope_of_item(item)):
+                total[c] += x
+        if any(total):
+            failures.append((v, tuple(total)))
+    return BalanceReport(tuple(failures))
 
 
 def realize(t: CombinatorialType, lengths: dict, root_position,

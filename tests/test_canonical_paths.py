@@ -13,9 +13,17 @@ reach the search), small types whose loops carry nonzero slopes, and
 vertex-transitive types that only the search orders.
 ``wall_graph`` contracts one edge directly; ``forest_contraction`` is the
 forest walk it replaced.
+
+``enumerate_types`` sets each candidate's ``_order`` to the vertex order by
+(weight, leg positions) that its leg graph carries, when no two vertices
+tie on that pair, and ``_keyed`` takes that order as found.  Every
+candidate must get the same form with its marker as without it, the output
+must not depend on whether the leg graphs were cached, and no returned type
+or wall may carry the marker.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -24,15 +32,27 @@ from tropmoduli.errors import InputError
 from tropmoduli.moduli import WallClassification, canonical_form, classify, enumerate_types
 from tropmoduli.tropcurve import CombinatorialType, WeightedGraph
 
-from helpers import ENUM_INSTANCES, relabelled
+from helpers import ENUM_INSTANCES, SIX_LEGS, relabelled
 from reference_canonical import forest_contraction, searched_canonical_form
 
 # (g, n, max_edges, types): all cells of tropical M_{g,n}, enumerated in dim 0
 DIM_ZERO = [(0, 4, 1, 4), (0, 5, 2, 26), (0, 6, 3, 236), (1, 1, 1, 2), (1, 2, 2, 5), (2, 0, 3, 7)]
 
 
+# (g, n, degree, max_edges, dim): the acceptance universe, the cells of
+# tropical M_{g,n}, six legs with three edges and a genus-2 degree; the last
+# two have walls whose canonical vertex order is not the order of their ids
+MARKED = [case[1:] for case in ENUM_INSTANCES] + \
+    [(g, n, (), max_edges, 0) for g, n, max_edges, _ in DIM_ZERO] + \
+    [(0, 0, SIX_LEGS, 3, None), (2, 0, ((1, 0), (0, 1), (-1, -1)), 5, None),
+     (1, 0, ((1, 0), (0, 1), (-1, -1)), 3, None), (2, 0, ((1,), (-1,)), 5, None)]
+
+
 def assert_same_form(t):
-    got, want = canonical_form(t), searched_canonical_form(t)
+    assert_forms_equal(canonical_form(t), searched_canonical_form(t))
+
+
+def assert_forms_equal(got, want):
     assert got.key == want.key
     assert got.string == want.string
     assert list(got.vertex_map.items()) == list(want.vertex_map.items())
@@ -181,3 +201,33 @@ def test_one_edge_contraction_is_the_forest_contraction(source):
         assert canonical_form(got) == searched_canonical_form(want)
         checked += 1
     assert checked == {"universe": 162, "dim 0": 1206}[source]
+
+
+def test_the_marker_is_the_order_canonical_form_finds(monkeypatch):
+    # enumeration's candidates, and the new walls wall_graph marks from its key step
+    seen = {"enumerate_types": [], "wall_graph": []}
+    original = moduli.canonical_form
+    monkeypatch.setattr(moduli, "canonical_form",
+                        lambda t: seen[sys._getframe(1).f_code.co_name].append(t) or original(t))
+    for g, n, degree, max_edges, dim in MARKED:
+        moduli.wall_graph(nodes_of(enumerate_types(g, n, degree, max_edges, dim=dim)))
+    monkeypatch.undo()
+    for t in seen["enumerate_types"] + seen["wall_graph"]:
+        bare = CombinatorialType._trusted(t.graph, t.slopes, t.dim)
+        assert_forms_equal(canonical_form(t), canonical_form(bare))
+    ordered = sum(t._order is not None for t in seen["enumerate_types"])
+    assert ordered >= 831 and len(seen["enumerate_types"]) - ordered >= 127  # of 958
+    assert len(seen["wall_graph"]) >= 250 and all(t._order for t in seen["wall_graph"])
+
+
+@pytest.mark.parametrize("g, n, degree, max_edges, dim", MARKED)
+def test_enumeration_is_the_same_from_cold_and_warm_leg_graphs(g, n, degree, max_edges, dim):
+    moduli._leg_graphs.cache_clear()
+    cold = enumerate_types(g, n, degree, max_edges, dim=dim)
+    assert moduli._leg_graphs.cache_info().currsize
+    warm = enumerate_types(g, n, degree, max_edges, dim=dim)
+    assert warm == cold
+    assert [t._canonical for t in warm] == [t._canonical for t in cold]
+    wg = moduli.wall_graph(nodes_of(warm))
+    assert wg == moduli.wall_graph(nodes_of(cold))
+    assert not any("_order" in vars(t) for t in cold + warm + [w for _, w, _ in wg.walls])

@@ -6,7 +6,9 @@ union-find ``contract_any_slope``, breadth-first ``realize``, ``deque``
 seeded random multigraphs (1-6 vertices, loops, parallel edges, several
 components) and on the wall graphs of enumerated degrees, ``src`` must give
 the same results, and ``realize`` the same exception, message and witness
-cycle on an input with a single defect.
+cycle on an input with a single defect.  ``check_balanced``, one pass over
+the edges and legs, must give the report of the old scan of every vertex's
+star, on seeded types in dims 0-3 with loops, parallel edges and legs.
 """
 
 import random
@@ -84,6 +86,31 @@ def test_spanning_forest_matches_reference():
         vids = [v for v, _ in vertices]
         for vs, es in ((sorted(vids), sorted(edges)), (vids, list(edges))):
             assert _spanning_forest(vs, es) == reference.spanning_forest(vs, es)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_check_balanced_matches_reference(dim):
+    rng = random.Random(f"balance/{dim}")
+    seen = dict.fromkeys(["loop", "parallel", "leg", "unbalanced", "balanced"], 0)
+    for _ in range(150):
+        vertices, edges, slopes = _random_graph(rng, dim)
+        vids = [v for v, _ in vertices]
+        legs = tuple((f"l{k}", rng.choice(vids)) for k in range(rng.randint(0, 4)))
+        leg_slopes = {lid: tuple(rng.randint(-2, 2) for _ in range(dim)) for lid, _ in legs}
+        t = CombinatorialType(WeightedGraph(vertices, edges, legs), {**slopes, **leg_slopes}, dim)
+        for case in (t, _balanced(vertices, edges, slopes, dim)):
+            report = check_balanced(case)
+            assert report == reference.reference_check_balanced(case)
+            ends = [frozenset((u, v)) for _, u, v in case.graph.edges]
+            seen["loop"] += any(len(p) == 1 for p in ends)
+            seen["parallel"] += len(set(ends)) < len(ends)
+            seen["leg"] += bool(case.graph.legs)
+            seen["unbalanced"] += len(report.failures)
+            seen["balanced"] += report.ok
+    if dim:
+        assert min(seen.values()) >= 100, seen
+    else:  # every slope is the empty vector
+        assert seen["unbalanced"] == 0 and seen["balanced"] == 300
 
 
 def _realizable(rng, dim=2):

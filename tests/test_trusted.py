@@ -80,6 +80,7 @@ def trusted_builds(monkeypatch):
 @pytest.mark.parametrize("g, n, degree, dim", BRUTE_FORCE_CASES)
 def test_trusted_builds_equal_public_builds(trusted_builds, g, n, degree, dim):
     rng = random.Random(f"trusted/{g}/{n}/{degree}")
+    moduli._leg_graphs.cache_clear()  # so the leg graphs are built under the fixture
     types = enumerate_types(g, n, degree, 2, dim=dim)
     wall_graph(nodes_of(types))
     for t in types:
@@ -93,7 +94,7 @@ def test_trusted_builds_equal_public_builds(trusted_builds, g, n, degree, dim):
     for w in walls_of(types):
         r = relabelled(w, rng)
         resolve_4valent(r, classify(r).four_valent_vertex)
-    assert {"canonical_form", "contract_any_slope", "enumerate_types", "_balanced_types",
+    assert {"canonical_form", "contract_any_slope", "_leg_graphs", "_balanced_types",
             "stabilize_type"} <= trusted_builds
     assert ("_resolutions" in trusted_builds) == bool(walls_of(types))
     # wall_graph contracts each non-loop edge of a node itself
