@@ -312,8 +312,7 @@ class CanonicalForm(FrozenRecord):
 def _keyed(t: CombinatorialType):
     """``canonical_form``'s key step: (vertex order, key, edge records with their ids).
     A set ``_order`` is taken as found; distinct root colours are sorted as ``_search`` would."""
-    order = t._order
-    if order is None:
+    if (order := t._order) is None:
         by_color = {c: v for v, c in _root_colors(t).items()}
         if len(by_color) == len(t.graph.vertices):
             order = [by_color[c] for c in sorted(by_color)]
@@ -722,7 +721,8 @@ def _leg_graphs(g: int, nv: int, ne: int, L: int) -> tuple:
     """``enumerate_types``' stable leg graphs, one per orbit: (graph, forest, kernel, order).
     ``order`` sorts the vertices by (weight, leg positions), None on a tie; those
     pairs begin the root colours, so distinct ones sort them whatever the slopes."""
-    vids, lids, out = _names("v", nv), _names("l", L), []
+    vids, out, orders = _names("v", nv), [], {}
+    ends_at = [[(lid, v) for v in vids] for lid in _names("l", L)]  # shared (leg, vertex) pairs
     for edges, ends, forest, kernel, autos in _multigraphs(nv, ne):
         for weights in _compositions(g - (ne - nv + 1), nv):
             deficit = [max(0, 3 - 2 * w - k) for w, k in zip(weights, ends)]
@@ -738,10 +738,11 @@ def _leg_graphs(g: int, nv: int, ne: int, L: int) -> tuple:
                     continue  # unstable
                 if any(tuple(map(p.__getitem__, assign)) < assign for p in weight_autos):
                     continue  # not the least of its orbit
-                legs = tuple(zip(lids, [vids[a] for a in assign]))
+                legs = tuple(map(list.__getitem__, ends_at, assign))
                 by_pair = {(w, tuple([i for i, a in enumerate(assign) if a == v])): vids[v]
                            for v, w in enumerate(weights)}
                 order = tuple([by_pair[c] for c in sorted(by_pair)]) if len(by_pair) == nv else None
+                order = orders.setdefault(order, order)  # one tuple per distinct order
                 out.append((WeightedGraph._trusted(vertices, edges, legs), forest, kernel, order))
     return tuple(out)
 
@@ -838,8 +839,7 @@ def wall_graph(types) -> WallGraph:
         for e, u, v in t.graph.edges:
             if u != v:
                 w = _contract_edge(t, e, u, v)
-                w._order, key, _ = _keyed(w)  # so canonical_form orders a new wall once
-                if key not in walls:
+                if (key := _keyed(w)[1]) not in walls:
                     walls[key] = (canonical_form(w).type, set())
                 walls[key][1].add(nid)
     ordered = sorted(walls.values(), key=lambda wall: wall[0]._canonical)

@@ -15,7 +15,7 @@ The constructors validate; the unchecked ``_trusted`` builds are only for
 ``moduli.canonical_form``, ``contract_any_slope``, ``_contract_edge``,
 ``_resolutions``, ``_leg_graphs``, ``_balanced_types``, ``_multigraphs``,
 ``stabilize_type`` and ``family._face_lift``, which build from valid parts;
-``_order`` is set only on what ``enumerate_types`` and ``wall_graph`` label.
+``_order`` is set only on the candidates that ``enumerate_types`` labels.
 Graphs, curves and reports are plain slotted records (see ``records``).
 """
 

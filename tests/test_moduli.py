@@ -423,7 +423,9 @@ def test_enumerate_refuses_a_malformed_degree(degree, message):
     # int() truncated these to (1, 0) and (-1, 0), a degree that sums to zero
     (((1.9, 0), (-1.2, 0), (0, 1), (0, -1)), TypeError, "^cannot interpret 1.9 as a rational number$"),
     ((("1/2", 0), ("-1/2", 0), (0, 1), (0, -1)), ValueError, "^expected integer entry, got '1/2'$"),
-], ids=["float", "fraction-string"])
+    # an integral float is refused too, as in CombinatorialType's slopes
+    (((2.0, 0), (-2, 0), (0, 1), (0, -1)), TypeError, "^cannot interpret 2.0 as a rational number$"),
+], ids=["float", "fraction-string", "integral-float"])
 def test_enumerate_refuses_a_non_integral_degree_entry(degree, error, message):
     with pytest.raises(error, match=message):
         enumerate_types(0, 0, degree, 1)
