@@ -14,10 +14,10 @@ called directly by the chart incidences, star directions and
 on rows scaled to integers; its callers divide by the pivots only where
 they return Fractions.  ``_affine_over`` likewise sums affine maps as
 integer numerators over one common denominator (``_over_common``).  Only
-``det`` and the Smith normal form keep eliminations of their own.  The one
-multigraph traversal, ``_forest``, is a breadth-first spanning forest; its
-fundamental cycles are a lattice basis of the integer kernel of the
-incidence matrix.
+``det`` and the Smith normal form keep eliminations of their own.  Every
+integer dot product is ``_dot``.  The one multigraph traversal, ``_forest``,
+is a breadth-first spanning forest; its fundamental cycles are a lattice
+basis of the integer kernel of the incidence matrix.
 
 Vectors are plain tuples, matrices are tuples of row tuples.  All functions
 are pure; values are never mutated after construction.  A linear span is
@@ -30,6 +30,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DependentGenerators, DimMismatch, InputError, ZeroVector
 
@@ -93,14 +94,16 @@ def mat_rows(m: Sequence[Sequence]) -> Mat:
     return tuple(tuple(row) for row in m)
 
 
+def _dot(row, v):
+    """Integer dot product over the first len(v) entries of ``row``."""
+    return sum(map(mul, row, v))
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if a and b and len(a[0]) != len(b):
         raise DimMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0]) if b else 0}")
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for i in range(len(a))
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
 
 
 def det(a: Mat) -> Fraction:
@@ -313,13 +316,13 @@ def integer_solve(a: Sequence[IVec], b: IVec) -> IVec | None:
     u, s, v = smith_normal_form(a)
     y = [0] * cols
     for i, row in enumerate(u):
-        ub = sum(p * q for p, q in zip(row, b))
+        ub = _dot(row, b)
         d = s[i][i] if i < cols else 0
         if (ub % d if d else ub) != 0:
             return None
         if d:
             y[i] = ub // d
-    return tuple(sum(p * q for p, q in zip(row, y)) for row in v)
+    return tuple(_dot(row, y) for row in v)
 
 
 def integer_kernel(a: Sequence[IVec], ncols: int) -> list:
@@ -334,7 +337,7 @@ def integer_kernel(a: Sequence[IVec], ncols: int) -> list:
 def _affine_over(linear: Mat, num: IVec, den: int, x: IVec, xden: int):
     """linear · x/xden + num/den for an integer matrix ``linear``, as
     ``_over_common`` gives it: all in integers."""
-    return _over_common(tuple(xden * n + den * sum(a * y for a, y in zip(row, x))
+    return _over_common(tuple(xden * n + den * _dot(row, x)
                               for row, n in zip(linear, num, strict=True)), den * xden)
 
 
@@ -604,6 +607,6 @@ def strict_positive_combination(vectors: Sequence[IVec], basis: Sequence[IVec]):
     den = lcm(*(x.denominator for x in point[:k]))
     ints = list(primitive_vector(tuple(_scaled(x, den) for x in point[:k])))
     assert all(x > 0 for x in ints)
-    combo = tuple(sum(a * v[c] for a, v in zip(ints, vectors)) for c in range(dim))
+    combo = tuple(_dot(ints, row) for row in rows)  # row c begins with every v_i[c]
     assert rank([*basis, combo]) == len(basis)
     return ints

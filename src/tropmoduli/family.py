@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InvalidFamily, PointNotInComplex, SeedNotInGraph
-from .exact_linalg import _int_echelon, _over_common, _rat_str, mat_rows, rank, vec
+from .exact_linalg import _dot, _int_echelon, _over_common, _rat_str, mat_rows, rank, vec
 from .moduli import (
     WallClassification,
     WallGraph,
@@ -53,7 +53,6 @@ from .polyhedral import (
     PIAMap,
     PolyhedralComplex,
     ValidationReport,
-    _dot,
     harmonicity_at,
     validate_complex,
 )
@@ -258,10 +257,9 @@ def validate_family(f: FamilyDatum) -> ValidationReport:
         for e, u, v in t.graph.edges:
             fn = data.lengths[e]
             # den·fn.den times the value at each vertex num/den: the same sign
-            values = [fn.den * sum(a * x for a, x in zip(fn.linear, num)) + fn.num * den
-                      for num, den in keys]
-            ray_rates = [sum(a * x for a, x in zip(fn.linear, r)) for r in rays]
-            line_rates = [sum(a * x for a, x in zip(fn.linear, l)) for l in lines]
+            values = [fn.den * _dot(fn.linear, num) + fn.num * den for num, den in keys]
+            ray_rates = [_dot(fn.linear, r) for r in rays]
+            line_rates = [_dot(fn.linear, l) for l in lines]
             neg = next((k for k, y in zip(keys, values) if y < 0), None)
             if neg is not None:
                 report.add("1", fid, f"length of {e!r} is negative at vertex {point(*neg)}")

@@ -28,8 +28,8 @@ The canonical form is the least serialization over the vertex orderings
 that respect the stable refinement colouring on (weight, leg positions,
 incident slopes, neighbour colours): a sort when the root colours are
 distinct, else one search, pruned by the automorphisms it meets (they
-generate ``automorphisms``), or a type's ``_order`` if set.  The key comes
-first, so ``wall_graph`` builds one type per wall (its ``_canonical`` string).
+generate ``automorphisms``), or an order the caller gives.  The key comes
+first, so ``wall_graph`` keys each contraction once and builds each wall once.
 Stratum systems, canonical forms, isomorphisms, wall classes and the wall
 graph are plain slotted records (see ``records``).
 """
@@ -49,6 +49,7 @@ from .errors import (
     SeedNotInGraph,
 )
 from .exact_linalg import (
+    _dot,
     _forest,
     _positive_solution,
     _spanning_forest,
@@ -309,10 +310,10 @@ class CanonicalForm(FrozenRecord):
         return hash(self.string)
 
 
-def _keyed(t: CombinatorialType):
+def _keyed(t: CombinatorialType, order=None):
     """``canonical_form``'s key step: (vertex order, key, edge records with their ids).
-    A set ``_order`` is taken as found; distinct root colours are sorted as ``_search`` would."""
-    if (order := t._order) is None:
+    A given ``order`` is taken as found; distinct root colours are sorted as ``_search`` would."""
+    if order is None:
         by_color = {c: v for v, c in _root_colors(t).items()}
         if len(by_color) == len(t.graph.vertices):
             order = [by_color[c] for c in sorted(by_color)]
@@ -332,14 +333,15 @@ def _names(prefix: str, n: int) -> tuple:
     return tuple([f"{prefix}{i}" for i in range(n)])
 
 
-def canonical_form(t: CombinatorialType) -> CanonicalForm:
+def canonical_form(t: CombinatorialType, keyed=None) -> CanonicalForm:
     """Deterministic canonical representative of the isomorphism class.
 
     Minimizes the serialized form over all vertex orderings compatible with
     the refinement coloring; legs keep their positions, vertices become
-    v0..vk and edges e0..em in serialization order (the ordering from ``_keyed``).
+    v0..vk and edges e0..em in serialization order: the order of ``keyed``,
+    t's ``_keyed`` triple when the caller holds it, else of ``_keyed(t)``.
     """
-    order, key, erecs = _keyed(t)
+    order, key, erecs = keyed or _keyed(t)
     _, weights, leg_recs, edge_recs = key
     vnames, enames = _names("v", len(order)), _names("e", len(erecs))
     lnames = _names("l", len(leg_recs))
@@ -617,7 +619,7 @@ def _integer_box_solutions(particular, kernel, bound):
     cols = [tuple(k[e] for k in kernel) for e in range(len(particular))]
     sols = []
     for coefs in product(range(-bound, bound + 1), repeat=len(kernel)):
-        x = tuple(p + sum(c * k for c, k in zip(coefs, col)) for p, col in zip(particular, cols))
+        x = tuple(p + _dot(coefs, col) for p, col in zip(particular, cols))
         if all(abs(v) <= bound for v in x):
             sols.append(x)
     return sorted(sols)
@@ -684,8 +686,8 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = No
     types), with its vertex order by (weight, leg positions) when strict.
     Per degree, the tree flow solves the balancing equations, slope vectors
     making a fundamental cycle's terms one-signed are dropped (empty strata),
-    and each candidate left goes through its canonical form with that order
-    as ``_order``.  Emptiness is checked once per class with a cycle.
+    and each candidate left goes through its canonical form keyed by that
+    order.  Emptiness is checked once per class with a cycle.
     """
     degree = tuple(map(ivec, degree))
     if dim is None:
@@ -708,8 +710,7 @@ def enumerate_types(g: int, n: int, degree, max_edges: int, dim: int | None = No
         for ne in range(max(nv - 1, 0), min(max_edges, nv - 1 + g) + 1):
             for graph, forest, kernel, order in _leg_graphs(g, nv, ne, L):
                 for t in _balanced_types(graph, forest, kernel, ext, dim, bound):
-                    t._order = order
-                    cf = canonical_form(t)
+                    cf = canonical_form(t, _keyed(t, order))
                     if cf.string not in found:  # None records an empty stratum
                         empty = ne > nv - 1 and stratum(cf.type).is_empty()
                         found[cf.string] = None if empty else cf.type
@@ -839,9 +840,9 @@ def wall_graph(types) -> WallGraph:
         for e, u, v in t.graph.edges:
             if u != v:
                 w = _contract_edge(t, e, u, v)
-                if (key := _keyed(w)[1]) not in walls:
-                    walls[key] = (canonical_form(w).type, set())
-                walls[key][1].add(nid)
+                if (keyed := _keyed(w))[1] not in walls:
+                    walls[keyed[1]] = (canonical_form(w, keyed).type, set())
+                walls[keyed[1]][1].add(nid)
     ordered = sorted(walls.values(), key=lambda wall: wall[0]._canonical)
     wall_list = tuple((f"w{i}", w, tuple(sorted(res))) for i, (w, res) in enumerate(ordered))
     nodes = tuple((nid, canon_nodes[k]) for k, nid in node_key.items())

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .exact_linalg import (
     _affine_over,
+    _dot,
     _forest,
     _int_echelon,
     _over_common,
@@ -309,11 +310,6 @@ class Polyhedron:
         return tuple(sorted(faces, key=lambda f: (f.dim, sorted(f.vert_ids), sorted(f.ray_ids))))
 
 
-def _dot(row, v):
-    """Integer dot product over the first len(v) entries of ``row``."""
-    return sum(a * x for a, x in zip(row, v))
-
-
 class _PFace(FrozenRecord):
     """A face of a polyhedron, identified by its tight vertices and rays."""
 
@@ -514,7 +510,7 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
     faults = {}  # linear part -> axiom-5 message, or None when saturated
     images = {}  # (sub chart, super chart, linear, num, den) -> face key, or None
     for (a, b), inc in c.inclusions.items():
-        fault = faults.get(inc.linear, ...) if c.faces[a].rank > 0 else None
+        fault = faults.get(inc.linear, ...)
         if fault is ...:
             try:
                 fault = None if is_saturated([ivec(col) for col in zip(*inc.linear)],

@@ -14,8 +14,7 @@ orientations to the star of their vertex, so they never affect balancing.
 The constructors validate; the unchecked ``_trusted`` builds are only for
 ``moduli.canonical_form``, ``contract_any_slope``, ``_contract_edge``,
 ``_resolutions``, ``_leg_graphs``, ``_balanced_types``, ``_multigraphs``,
-``stabilize_type`` and ``family._face_lift``, which build from valid parts;
-``_order`` is set only on the candidates that ``enumerate_types`` labels.
+``stabilize_type`` and ``family._face_lift``, which build from valid parts.
 Graphs, curves and reports are plain slotted records (see ``records``).
 """
 
@@ -105,7 +104,6 @@ class CombinatorialType:
     """Weighted leg-ordered graph with a slope vector per edge and leg."""
 
     _canonical = None  # canonical string, set only on types moduli.canonical_form returns
-    _order = None  # a canonical vertex order, which moduli._keyed takes as found
 
     def __init__(self, graph: WeightedGraph, slopes: dict, dim: int):
         self.graph = graph

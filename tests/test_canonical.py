@@ -49,9 +49,9 @@ def canonicalised_inputs(monkeypatch, g, n, degree, dim):
     seen = []
     original = moduli.canonical_form
 
-    def recording(t):
+    def recording(t, *key):
         seen.append(t)
-        return original(t)
+        return original(t, *key)
 
     monkeypatch.setattr(moduli, "canonical_form", recording)
     types = enumerate_types(g, n, degree, 2, dim=dim)

@@ -14,12 +14,12 @@ vertex-transitive types that only the search orders.
 ``wall_graph`` contracts one edge directly; ``forest_contraction`` is the
 forest walk it replaced.
 
-``enumerate_types`` sets each candidate's ``_order`` to the vertex order by
+``enumerate_types`` keys each candidate with the vertex order by
 (weight, leg positions) that its leg graph carries, when no two vertices
 tie on that pair, and ``_keyed`` takes that order as found.  Every
-candidate must get the same form with its marker as without it, the output
-must not depend on whether the leg graphs were cached, and no returned type
-or wall may carry the marker.
+candidate must get the same form with that order as without it, the output
+must not depend on whether the leg graphs were cached, and no type may
+carry an order of its own.
 """
 
 import random
@@ -36,6 +36,9 @@ from reference_canonical import forest_contraction, searched_canonical_form
 
 # (g, n, max_edges, types): all cells of tropical M_{g,n}, enumerated in dim 0
 DIM_ZERO = [(0, 4, 1, 4), (0, 5, 2, 26), (0, 6, 3, 236), (1, 1, 1, 2), (1, 2, 2, 5), (2, 0, 3, 7)]
+# more cells, counted only and kept out of the path counts: M_{0,7} is OEIS
+# A000311 (as are M_{0,4..6}); M_3, M_{1,3} and M_{2,1} are regression values
+CELL_COUNTS = [(0, 7, 4, 2752), (3, 0, 6, 42), (1, 3, 3, 23), (2, 1, 4, 16)]
 
 
 # (g, n, degree, max_edges, dim): the acceptance universe, the cells of
@@ -149,7 +152,7 @@ def test_types_with_sloped_loops_take_both_paths(monkeypatch):
     assert paths_taken(monkeypatch, types + [relabelled(t, rng) for t in types]) == (294, 6)
 
 
-@pytest.mark.parametrize("g, n, max_edges, count", DIM_ZERO)
+@pytest.mark.parametrize("g, n, max_edges, count", DIM_ZERO + CELL_COUNTS)
 def test_dimension_zero_enumerates_the_cells_of_tropical_moduli(g, n, max_edges, count):
     assert len(enumerate_types(g, n, (), max_edges, dim=0)) == count
 
@@ -201,17 +204,17 @@ def test_one_edge_contraction_is_the_forest_contraction(source):
     assert checked == {"universe": 162, "dim 0": 1206}[source]
 
 
-def test_the_marker_is_the_order_canonical_form_finds(monkeypatch):
-    seen = []  # the candidates enumerate_types labels
-    original = moduli.canonical_form
-    monkeypatch.setattr(moduli, "canonical_form", lambda t: seen.append(t) or original(t))
+def test_the_given_order_is_the_order_canonical_form_finds(monkeypatch):
+    seen = []  # the candidates enumerate_types keys, each with the order it gives
+    original = moduli._keyed
+    monkeypatch.setattr(moduli, "_keyed",
+                        lambda t, order=None: seen.append((t, order)) or original(t, order))
     for g, n, degree, max_edges, dim in MARKED:
         enumerate_types(g, n, degree, max_edges, dim=dim)
     monkeypatch.undo()
-    for t in seen:
-        bare = CombinatorialType._trusted(t.graph, t.slopes, t.dim)
-        assert_forms_equal(canonical_form(t), canonical_form(bare))
-    ordered = sum(t._order is not None for t in seen)
+    for t, order in seen:
+        assert_forms_equal(canonical_form(t, moduli._keyed(t, order)), canonical_form(t))
+    ordered = sum(order is not None for _, order in seen)
     assert ordered >= 831 and len(seen) - ordered >= 127  # of 958
 
 
@@ -225,4 +228,4 @@ def test_enumeration_is_the_same_from_cold_and_warm_leg_graphs(g, n, degree, max
     assert [t._canonical for t in warm] == [t._canonical for t in cold]
     wg = moduli.wall_graph(nodes_of(warm))
     assert wg == moduli.wall_graph(nodes_of(cold))
-    assert not any("_order" in vars(t) for t in cold + warm + [w for _, w, _ in wg.walls])
+    assert not hasattr(CombinatorialType, "_order")

@@ -273,7 +273,7 @@ def test_cli_writes_marked_types_without_relabelling(tmp_path, capsys, monkeypat
     runs = [enum_argv, ["wallgraph", tpath]]
     labelled = []
     original = moduli.canonical_form
-    monkeypatch.setattr(moduli, "canonical_form", lambda t: labelled.append(t) or original(t))
+    monkeypatch.setattr(moduli, "canonical_form", lambda t, *key: labelled.append(t) or original(t, *key))
     reports = [_run(capsys, argv) for argv in runs]
     assert [code for code, _ in reports] == [0, 0]
     assert not [t for t in labelled if t._canonical is not None]

@@ -488,7 +488,7 @@ def test_sign_cut_keeps_the_output_and_drops_candidates(monkeypatch):
     case = (1, 0, ((1, 2), (2, 1), (-3, -3)), 3)
     labelled, reference_labelled = [], []
     monkeypatch.setattr(tropmoduli.moduli, "canonical_form",
-                        lambda t: labelled.append(t) or canonical_form(t))
+                        lambda t, *key: labelled.append(t) or canonical_form(t, *key))
     monkeypatch.setattr(reference_enumerate, "canonical_form",
                         lambda t: reference_labelled.append(t) or canonical_form(t))
     assert enumerate_types(*case) == reference_enumerate_types(*case)

@@ -153,7 +153,7 @@ def test_writing_enumerated_types_labels_nothing(monkeypatch):
     want = docs.types_to_doc(types)
     labelled = []
     original = moduli.canonical_form
-    monkeypatch.setattr(moduli, "canonical_form", lambda t: labelled.append(t) or original(t))
+    monkeypatch.setattr(moduli, "canonical_form", lambda t, *key: labelled.append(t) or original(t, *key))
     assert docs.types_to_doc(types) == want
     assert labelled == []
 
@@ -167,7 +167,7 @@ def test_wall_graph_of_relabelled_nodes_equals_that_of_canonical_nodes(
     rng.shuffle(shuffled)
     labelled = []
     original = moduli.canonical_form
-    monkeypatch.setattr(moduli, "canonical_form", lambda t: labelled.append(t) or original(t))
+    monkeypatch.setattr(moduli, "canonical_form", lambda t, *key: labelled.append(t) or original(t, *key))
     assert wall_graph(shuffled) == wall_graph(nodes)
     assert sum(any(t is s for s in shuffled) for t in labelled) == len(shuffled)  # each once
     assert not any(t is node for t in labelled for node in nodes)
@@ -175,19 +175,19 @@ def test_wall_graph_of_relabelled_nodes_equals_that_of_canonical_nodes(
 
 # (g, n, degree, max_edges): types, canonical_form calls in enumerate_types,
 # stratum checks, LP calls, 3-valent nodes, edge contractions in wall_graph,
-# canonical_form calls in wall_graph, walls
+# _keyed calls in wall_graph, canonical_form calls in wall_graph, walls
 WORK = [
-    ((0, 0, SIX_LEGS, 2), (131, 131, 0, 0, 0, 0, 0, 0)),
-    ((0, 0, SIX_LEGS, 3), (236, 236, 0, 0, 105, 315, 105, 105)),
-    ((1, 0, ((1, 0), (0, 1), (-1, -1)), 3), (16, 23, 8, 0, 3, 6, 4, 4)),
+    ((0, 0, SIX_LEGS, 2), (131, 131, 0, 0, 0, 0, 0, 0, 0)),
+    ((0, 0, SIX_LEGS, 3), (236, 236, 0, 0, 105, 315, 315, 105, 105)),
+    ((1, 0, ((1, 0), (0, 1), (-1, -1)), 3), (16, 23, 8, 0, 3, 6, 6, 4, 4)),
 ]
 
 
 @pytest.mark.parametrize("case, counts", WORK)
 def test_enumeration_and_wall_graph_work_counts(monkeypatch, case, counts):
-    labelled, built, contracted, checked, validated, lps = [], [], [], [], [], []
+    labelled, built, contracted, keyed, checked, validated, lps = [], [], [], [], [], [], []
     original, is_empty = moduli.canonical_form, StratumDescriptor.is_empty
-    contract_edge = moduli._contract_edge
+    contract_edge, keying = moduli._contract_edge, moduli._keyed
     lp_maximize = exact_linalg.lp_maximize
     init, post_init = CombinatorialType.__init__, WeightedGraph.__post_init__
 
@@ -203,26 +203,27 @@ def test_enumeration_and_wall_graph_work_counts(monkeypatch, case, counts):
         validated.append(self)
         post_init(self)
 
-    def labelling(t):
+    def labelling(t, *key):
         labelled.append(t)
-        built.append(original(t))
+        built.append(original(t, *key))
         return built[-1]
 
     monkeypatch.setattr(moduli, "canonical_form", labelling)
     monkeypatch.setattr(moduli, "_contract_edge",
                         lambda *args: contracted.append(args) or contract_edge(*args))
+    monkeypatch.setattr(moduli, "_keyed", lambda *args: keyed.append(args) or keying(*args))
     monkeypatch.setattr(StratumDescriptor, "is_empty", counting_is_empty)
     monkeypatch.setattr(exact_linalg, "lp_maximize",
                         lambda *args: lps.append(args) or lp_maximize(*args))
     monkeypatch.setattr(CombinatorialType, "__init__", counting_init)
     monkeypatch.setattr(WeightedGraph, "__post_init__", counting_post_init)
     types = enumerate_types(*case)
-    in_enumerate = len(labelled)
+    in_enumerate, keyed_in_enumerate = len(labelled), len(keyed)
     nodes = nodes_of(types)
     wg = wall_graph(nodes)
     in_wall_graph = labelled[in_enumerate:]
     assert (len(types), in_enumerate, len(checked), len(lps), len(nodes), len(contracted),
-            len(in_wall_graph), len(wg.walls)) == counts
+            len(keyed) - keyed_in_enumerate, len(in_wall_graph), len(wg.walls)) == counts
     assert all(len(d.type.graph.edges) > len(d.type.graph.vertices) - 1
                for d in checked)  # no tree class
     assert len(lps) == sum(bool(d.cycle_rows) for d in checked)  # one LP per check with cycle rows
@@ -239,7 +240,7 @@ def test_genus_two_enumeration_work(monkeypatch):
     # and every class that reaches a stratum check is decided without an LP
     labelled, lps = [], []
     original, lp_maximize = moduli.canonical_form, exact_linalg.lp_maximize
-    monkeypatch.setattr(moduli, "canonical_form", lambda t: labelled.append(t) or original(t))
+    monkeypatch.setattr(moduli, "canonical_form", lambda t, *key: labelled.append(t) or original(t, *key))
     monkeypatch.setattr(exact_linalg, "lp_maximize",
                         lambda *args: lps.append(args) or lp_maximize(*args))
     types = enumerate_types(2, 0, ((1, 0), (0, 1), (-1, -1)), 5)
