@@ -5,7 +5,8 @@ documents, dispatches, and emits a report whose payload is exactly the
 operation's result.  Reports are byte-stable across runs: keys are sorted
 and all ordering inside payloads is canonical.
 
-Exit codes: 0 ok, 1 violations found, 2 input/usage error.
+Exit codes: 0 ok, 1 violations found, 2 input/usage error (an unwritable
+``--output`` too, reported on stdout).
 """
 
 from __future__ import annotations
@@ -121,11 +122,14 @@ def _emit(report, fmt, output):
         for v in payload.get("violations", []) if isinstance(payload, dict) else []:
             lines.append(str(Violation(**v)))
         text = "\n".join(lines) + "\n"
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise InputError(f"cannot write {output}: {exc}", "/output")
 
 
 # ---------------------------------------------------------------------------
@@ -409,21 +413,28 @@ def _parse_args(argv) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _error(verb, exc):
+    """The report of an error: an input error's pointer, else the error's class."""
+    if isinstance(exc, InputError):
+        return _report(verb, "error", {"pointer": exc.pointer, "message": str(exc)},
+                       f"input error: {exc}")
+    return _report(verb, "error", {"error": type(exc).__name__, "message": str(exc)},
+                   f"{type(exc).__name__}: {exc}")
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         status, payload, summary = args.handler(args)
-    except InputError as exc:
-        _emit(_report(args.verb, "error", {"pointer": exc.pointer, "message": str(exc)},
-                      f"input error: {exc}"), args.format, args.output)
-        return 2
+        report, code = _report(args.verb, status, payload, summary), 0 if status == "ok" else 1
     except TropModuliError as exc:
-        _emit(_report(args.verb, "error",
-                      {"error": type(exc).__name__, "message": str(exc)},
-                      f"{type(exc).__name__}: {exc}"), args.format, args.output)
+        report, code = _error(args.verb, exc), 2
+    try:
+        _emit(report, args.format, args.output)
+    except InputError as exc:  # the report cannot be written to --output: stdout has it
+        _emit(_error(args.verb, exc), args.format, None)
         return 2
-    _emit(_report(args.verb, status, payload, summary), args.format, args.output)
-    return 0 if status == "ok" else 1
+    return code
 
 
 if __name__ == "__main__":

@@ -43,9 +43,9 @@ from .moduli import (
     WallGraph,
     canonical_form,
     classify,
+    contract_any_slope,
     dim_stratum,
     stratum,
-    _contracted_pieces,
     _resolutions,
 )
 from .polyhedral import (
@@ -156,8 +156,9 @@ def _affine_faults(f: FamilyDatum, fid: str):
 def _contraction_faults(tsub: CombinatorialType, tsup: CombinatorialType, phi: Contraction):
     """The messages of a contraction's type-only checks, in report order, and
     whether the inclusion's restrictions are checked (not when the vertex
-    map, the edge map or the leg count is malformed).  Pieces and weights are
-    those of ``moduli._contracted_pieces``, as in ``contract_any_slope``."""
+    map, the edge map or the leg count is malformed).  The pieces and their
+    weights are the vertices of ``contract_any_slope`` of the edges inside
+    the classes, each piece named by the least vertex id merged into it."""
     gsub, gsup = tsub.graph, tsup.graph
     vm = phi.vertex_map
     if sorted(vm) != sorted(gsup.vertex_ids()) or \
@@ -187,16 +188,16 @@ def _contraction_faults(tsub: CombinatorialType, tsup: CombinatorialType, phi: C
             out.append(f"slope of {e!r} changes under contraction")
     # weighted contraction of the edges inside the classes: each preimage
     # class is one piece, whose genus weight is its image's weight
-    name, weights = _contracted_pieces(gsup, {e for e, u, v in gsup.edges
-                                              if e not in phi.edge_map and vm[u] == vm[v]})
-    pieces = {}
-    for u in gsup.vertex_ids():
-        pieces.setdefault(vm[u], set()).add(name[u])
+    contracted = contract_any_slope(tsup, {e for e, u, v in gsup.edges
+                                           if e not in phi.edge_map and vm[u] == vm[v]})
+    pieces = {}  # image vertex -> the weights of the pieces over it
+    for u, w in contracted.graph.vertices:
+        pieces.setdefault(vm[u], []).append(w)
     wsub = dict(gsub.vertices)
-    for x, names in sorted(pieces.items()):
-        if len(names) > 1:
+    for x, weights in sorted(pieces.items()):
+        if len(weights) > 1:
             out.append(f"preimage of {x!r} is not connected")
-        elif wsub[x] != weights[names.pop()]:
+        elif wsub[x] != weights[0]:
             out.append(f"weight of {x!r} is not the contracted genus")
     return out, True
 
@@ -391,28 +392,20 @@ def fiber(f: FamilyDatum, fid: str, coords) -> ParameterizedTropicalCurve:
 # ---------------------------------------------------------------------------
 
 class _RankOnce:
-    """The rank of ``linear``, kept once computed in a slot that is no field."""
+    """The rank of ``linear``, kept in a slot that is no field, filled on first use."""
     __slots__ = ("_rank",)
     def rank(self) -> int:
-        if self._rank is None:
+        if not hasattr(self, "_rank"):
             self._rank = rank(self.linear)
         return self._rank
 
 
 class FaceLift(_RankOnce, Offset, Record):
-    __slots__ = ("face", "type", "canonical", "linear", "num", "den", "stab",
-                 "canon_vertex_map", "canon_edge_map")
-    def __init__(self, face: str, type: CombinatorialType, canonical: str, linear: tuple,
-                 offset: tuple, stab: StabilizationResult, canon_vertex_map: dict,
-                 canon_edge_map: dict, den: int = 1):
-        self.face, self.canonical = face, canonical
-        self.type = type  # canonical representative of the stabilized fiber type
-        self.linear = linear  # stratum-coordinate rows over the chart
-        self.num, self.den = _over_common(tuple(offset), den)
-        self.stab = stab  # the stabilized fiber type over the face
-        # stabilized vertex and edge ids -> canonical ids, in canonical order
-        self.canon_vertex_map, self.canon_edge_map = canon_vertex_map, canon_edge_map
-        self._rank = None
+    __slots__ = ("face", "type",  # canonical representative of the stabilized fiber type
+                 "canonical", "linear",  # stratum-coordinate rows over the chart
+                 "num", "den",  # their offsets, in lowest terms as _lift_rows gives them
+                 "stab",  # the stabilized fiber type over the face
+                 "canon_vertex_map", "canon_edge_map")  # stabilized ids -> canonical ids
 
 
 class InducedMap(Record):
@@ -449,10 +442,8 @@ def _face_lift(f: FamilyDatum, fid: str, typed: dict) -> FaceLift:
     stab, cf = typed[id(t)]
     chains = [stab.edge_chains[e] for e in cf.edge_map]  # the maps are in canonical order
     linear, num, den = _lift_rows(f, fid, chains, cf.vertex_map)
-    return FaceLift(face=fid, type=cf.type, canonical=cf.string,
-                    linear=linear, offset=num, den=den, stab=stab,
-                    canon_vertex_map=dict(cf.vertex_map),
-                    canon_edge_map=dict(cf.edge_map))
+    return FaceLift(fid, cf.type, cf.string, linear, num, den, stab,
+                    dict(cf.vertex_map), dict(cf.edge_map))
 
 
 def induced_alpha(f: FamilyDatum) -> InducedMap:

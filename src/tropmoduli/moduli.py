@@ -8,7 +8,8 @@ stratum is a translation of R^dim per component times the positive lengths
 closing every fundamental cycle, so tree types need no LP.  It also
 enumerates types with fixed invariants, classifies walls (weightless almost
 3-valent types), resolves 4-valent vertices, and assembles the node/wall
-incidence graph used for wall-crossing arguments.
+incidence graph used for wall-crossing arguments.  Weighted contraction is
+one step, ``_contract_edge``, that ``contract_any_slope`` folds over edges.
 
 Enumeration visits each unlabelled connected multigraph once, as the
 labelling the canonical search leaves in place (``_multigraphs``), and
@@ -456,54 +457,34 @@ def classify(t: CombinatorialType) -> WallClass:
 # contraction, adjacency, resolution
 # ---------------------------------------------------------------------------
 
-def _contracted_pieces(g: WeightedGraph, edges):
-    """Each vertex's piece when the edge ids ``edges`` of ``g`` are contracted
-    (a tree of their forest, named by its root, its least vertex id) and each
-    piece's genus weight: the sum of its vertices' weights plus its b_1."""
-    contracted = [(e, u, v) for e, u, v in g.edges if e in edges]
-    weight = dict(g.vertices)
-    name, weights = {}, {}
-    for v, parent, _, _ in _forest(sorted(weight), contracted):
-        name[v] = v if parent is None else name[parent]
-        weights[name[v]] = weights.get(name[v], 1) + weight[v] - 1
-    for _, u, _ in contracted:
-        weights[name[u]] += 1  # b_1 = |E| - |V| + 1 of the piece
-    return name, weights
-
-
 def contract_any_slope(t: CombinatorialType, edges) -> CombinatorialType:
     """Weighted contraction of an edge subset, regardless of slopes.
 
     This is the closure-limit operation (lengths of the contracted edges go
     to zero and their endpoints merge); contracting a loop deletes it and
-    adds one to the weight of its vertex.  Genus is preserved.
+    adds one to the weight of its vertex.  Genus is preserved.  The edges
+    are contracted one at a time by ``_contract_edge``, in the order the
+    graph lists them, so each piece is named by its least vertex id.
     """
     edges = set(edges)
-    g = t.graph
-    known = {e for e, _, _ in g.edges}
+    known = {e for e, _, _ in t.graph.edges}
     if not edges <= known:
         raise KeyError(f"unknown edges {sorted(edges - known)}")
-    name, weights = _contracted_pieces(g, edges)
-    new_edges, new_slopes = [], {}
-    for e, u, v in g.edges:
-        if e in edges:
-            continue
-        new_edges.append((e, name[u], name[v]))
-        new_slopes[e] = t.slopes[e]
-    new_legs = tuple((lid, name[v]) for lid, v in g.legs)
-    for lid, _ in g.legs:
-        new_slopes[lid] = t.slopes[lid]
-    graph = WeightedGraph._trusted(tuple(sorted(weights.items())), tuple(sorted(new_edges)),
-                                   new_legs)
-    return CombinatorialType._trusted(graph, new_slopes, t.dim)
+    while step := next(((e, u, v) for e, u, v in t.graph.edges if e in edges), None):
+        t = _contract_edge(t, *step)
+    g = t.graph
+    return CombinatorialType._trusted(WeightedGraph._trusted(
+        tuple(sorted(g.vertices)), tuple(sorted(g.edges)), g.legs), dict(t.slopes), t.dim)
 
 
 def _contract_edge(t: CombinatorialType, e, u, v) -> CombinatorialType:
-    """``contract_any_slope(t, {e})`` for a non-loop edge e = (u, v), up to tuple order."""
+    """The weighted contraction of the one edge e = (u, v) of t: its ends
+    merge into the lesser id, whose weight is their sum, and a loop is
+    deleted and adds one to the weight of its vertex."""
     (u, v), g, slopes = sorted((u, v)), t.graph, dict(t.slopes)
     del slopes[e]
     weight, name = dict(g.vertices), {v: u}
-    weight[u] += weight.pop(v)
+    weight[u] += weight.pop(v) if u != v else 1
     return CombinatorialType._trusted(WeightedGraph._trusted(
         tuple(weight.items()),
         tuple([(f, name.get(a, a), name.get(b, b)) for f, a, b in g.edges if f != e]),

@@ -115,7 +115,10 @@ class CombinatorialType:
         for lid, _ in graph.legs:
             if lid not in slopes:
                 raise ValueError(f"missing slope for leg {lid!r}")
+        known = {eid for eid, _, _ in graph.edges}.union(lid for lid, _ in graph.legs)
         for key, s in slopes.items():
+            if key not in known:
+                raise ValueError(f"slope for {key!r} names no edge or leg")
             s = ivec(s)
             if len(s) != dim:
                 raise ValueError(f"slope for {key!r} has wrong dimension")

@@ -11,8 +11,9 @@ the count on each is pinned: the acceptance universe and relabelled copies
 of it, the cells of tropical M_{g,n} (dim 0, where types with automorphisms
 reach the search), small types whose loops carry nonzero slopes, and
 vertex-transitive types that only the search orders.
-``wall_graph`` contracts one edge directly; ``forest_contraction`` is the
-forest walk it replaced.
+``wall_graph`` contracts one edge directly, and ``contract_any_slope``
+folds that step over an edge subset; ``forest_contraction`` is the forest
+walk both replaced, and it contracts loops too.
 
 ``enumerate_types`` keys each candidate with the vertex order by
 (weight, leg positions) that its leg graph carries, when no two vertices
@@ -23,6 +24,7 @@ carry an order of its own.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -186,14 +188,17 @@ def test_both_paths_refuse_a_key_past_the_digit_limit(t):
             labelling(t)
 
 
-@pytest.mark.parametrize("source", ["universe", "dim 0"])
-def test_one_edge_contraction_is_the_forest_contraction(source):
+def forest_checked(source, loops):
+    """How many one-edge contractions of ``source``, of loops or of non-loops,
+    ``_contract_edge`` makes as ``forest_contraction`` does (asserted)."""
     rng = random.Random(source)
     # every type, not only wall_graph's weightless nodes, so weights are added too
     types = universe() if source == "universe" else dim_zero_types()
     types += [relabelled(t, rng) for t in types]
     checked = 0
-    for t, e, u, v in contractions(types):
+    for t, e, u, v in [(t, *edge) for t in types for edge in t.graph.edges]:
+        if (u == v) != loops:
+            continue
         got, want = moduli._contract_edge(t, e, u, v), forest_contraction(t, {e})
         mine, theirs = got.graph, want.graph
         assert (tuple(sorted(mine.vertices)), tuple(sorted(mine.edges)), mine.legs) == \
@@ -201,7 +206,40 @@ def test_one_edge_contraction_is_the_forest_contraction(source):
         assert (got.slopes, got.dim) == (want.slopes, want.dim)
         assert canonical_form(got) == searched_canonical_form(want)
         checked += 1
-    assert checked == {"universe": 162, "dim 0": 1206}[source]
+    return checked
+
+
+@pytest.mark.parametrize("source", ["universe", "dim 0"])
+def test_one_edge_contraction_is_the_forest_contraction(source):
+    assert forest_checked(source, loops=False) == {"universe": 162, "dim 0": 1206}[source]
+
+
+@pytest.mark.parametrize("source", ["universe", "dim 0"])
+def test_one_loop_contraction_is_the_forest_contraction(source):
+    assert forest_checked(source, loops=True) == {"universe": 20, "dim 0": 18}[source]
+
+
+@pytest.mark.parametrize("source", ["universe", "dim 0"])
+def test_contraction_of_an_edge_subset_ignores_the_order_of_its_edges(source):
+    """``contract_any_slope`` folds ``_contract_edge`` over its edges; on every
+    subset of up to three edges, in several list orders and as a set, it
+    builds the type ``forest_contraction`` builds, and the same slope order."""
+    rng = random.Random(source)
+    types = universe() if source == "universe" else dim_zero_types()
+    checked = 0
+    for t in types + [relabelled(t, rng) for t in types]:
+        eids = [e for e, _, _ in t.graph.edges]
+        for subset in (c for k in range(min(3, len(eids)) + 1) for c in combinations(eids, k)):
+            want, first = forest_contraction(t, subset), moduli.contract_any_slope(t, subset)
+            assert first == want and first.graph == want.graph  # the graph's tuples too
+            shuffled = list(subset)
+            rng.shuffle(shuffled)
+            for edges in (subset[::-1], shuffled, set(subset)):
+                got = moduli.contract_any_slope(t, edges)
+                assert got.graph == first.graph
+                assert list(got.slopes.items()) == list(first.slopes.items())
+            checked += 1
+    assert checked == {"universe": 378, "dim 0": 2888}[source]
 
 
 def test_the_given_order_is_the_order_canonical_form_finds(monkeypatch):

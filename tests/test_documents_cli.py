@@ -247,6 +247,23 @@ def test_cli_validate_curve_reports_every_violation_kind(tmp_path, capsys):
             (1, "\n".join(text) + "\n")
 
 
+@pytest.mark.parametrize("drop", ["positions", "lengths"])
+def test_cli_validate_curve_checks_placement_only_with_lengths_and_positions(
+        tmp_path, capsys, drop):
+    """A balanced curve with lengths but no positions, or positions but no
+    lengths, is checked for balance alone: no lengths, positions or
+    edge-relation entry."""
+    doc = _resolution_doc()
+    if drop == "positions":
+        del doc["positions"]
+    else:
+        for edge in doc["edges"]:
+            del edge["length"]
+    path = _write(tmp_path, "curve.json", doc)
+    assert _run(capsys, ["validate-curve", path]) == \
+        (0, _curve_report("ok", "curve is balanced", [], balanced=True, stable=True, genus=0))
+
+
 def test_cli_enumerate_deterministic(capsys):
     argv = ["enumerate", "--genus", "0", "--degree",
             "[[1,0],[0,1],[-1,0],[0,-1]]", "--max-edges", "1"]
@@ -431,6 +448,45 @@ def test_cli_output_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(outpath.read_text())
     assert report["status"] == "ok"
+
+
+def _unwritable(tmp_path, where):
+    """An --output path that cannot be opened for writing."""
+    return str(tmp_path / "missing" / "out.json") if where == "missing-dir" else str(tmp_path)
+
+
+@pytest.mark.parametrize("bad_input", [False, True], ids=["ok-report", "error-report"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_cli_unwritable_output_is_an_input_error(tmp_path, capsys, where, bad_input):
+    """A report, an error report too, that cannot be written to --output is
+    replaced by an input error at pointer /output on stdout, exit 2."""
+    path = _write(tmp_path, "type.json", docs.type_to_doc(cross_type()))
+    if bad_input:
+        path = _write(tmp_path, "type.json", {"schema": docs.SCHEMA})
+    output = _unwritable(tmp_path, where)
+    code, out = _run(capsys, ["classify", path, "-o", output])
+    report = json.loads(out)
+    assert code == 2
+    assert set(report) == {"schema", "verb", "status", "payload", "summary"}
+    assert (report["schema"], report["verb"], report["status"]) == \
+        (docs.SCHEMA, "classify", "error")
+    assert set(report["payload"]) == {"pointer", "message"}
+    assert report["payload"]["pointer"] == "/output"
+    assert report["payload"]["message"].startswith(f"/output: cannot write {output}: ")
+    assert report["summary"] == f"input error: {report['payload']['message']}"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_unwritable_output_exits_2_in_a_fresh_interpreter(tmp_path):
+    path = _write(tmp_path, "type.json", docs.type_to_doc(cross_type()))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "tropmoduli", "classify", path,
+                           "-o", _unwritable(tmp_path, "missing-dir")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (2, "")
+    assert json.loads(done.stdout)["payload"]["pointer"] == "/output"
 
 
 def test_cli_text_format(tmp_path, capsys):

@@ -197,6 +197,8 @@ _PATH_SLOPES = {"e": (1, 0), "l": (0, 1)}
     (lambda: CombinatorialType(_PATH, {"e": (1, 0)}, 2), "missing slope for leg 'l'"),
     (lambda: CombinatorialType(_PATH, {"e": (1, 0), "l": (1,)}, 2),
      "slope for 'l' has wrong dimension"),
+    (lambda: CombinatorialType(_PATH, {**_PATH_SLOPES, "zzz": (5, 0)}, 2),
+     "slope for 'zzz' names no edge or leg"),
     (lambda: CombinatorialType(_PATH, {"e": (1, 0), "l": (0, "1/2")}, 2),
      "expected integer entry, got '1/2'"),
     (lambda: TropicalCurve(_PATH, {}), "missing length for edge 'e'"),
@@ -206,7 +208,8 @@ _PATH_SLOPES = {"e": (1, 0), "l": (0, 1)}
     (lambda: ParameterizedTropicalCurve(TropicalCurve(_PATH, {"e": 1}),
                                         {"u": (0, 0), "v": (1,)}, _PATH_SLOPES, 2),
      "position of 'v' has wrong dimension"),
-], ids=["type-edge-slope", "type-leg-slope", "type-slope-length", "type-slope-entry",
+], ids=["type-edge-slope", "type-leg-slope", "type-slope-length", "type-extra-slope",
+        "type-slope-entry",
         "curve-length",
         "curve-nonpositive-length", "parameterized-position", "parameterized-position-length"])
 def test_constructors_refuse_missing_and_misshapen_fields(build, message):

@@ -97,9 +97,8 @@ def test_trusted_builds_equal_public_builds(trusted_builds, g, n, degree, dim):
     assert {"canonical_form", "contract_any_slope", "_leg_graphs", "_balanced_types",
             "stabilize_type"} <= trusted_builds
     assert ("_resolutions" in trusted_builds) == bool(walls_of(types))
-    # wall_graph contracts each non-loop edge of a node itself
-    assert ("_contract_edge" in trusted_builds) == \
-        any(u != v for t in nodes_of(types) for _, u, v in t.graph.edges)
+    # every contraction of at least one edge is a fold of _contract_edge
+    assert ("_contract_edge" in trusted_builds) == any(t.graph.edges for t in types)
 
 
 def test_trusted_builds_cover_stabilization(trusted_builds):
@@ -116,7 +115,9 @@ def test_trusted_builds_cover_stabilization(trusted_builds):
 def test_trusted_builds_cover_face_lifts(trusted_builds):
     for f in (segment_family(), ray_wall_family((1, 2, 3)), two_ray_resolution_family()):
         induced_alpha(f)
-    assert trusted_builds == {"stabilize_type", "_face_lift", "canonical_form"}
+    # the families' contraction checks contract through contract_any_slope
+    assert trusted_builds == {"stabilize_type", "_face_lift", "canonical_form",
+                              "contract_any_slope", "_contract_edge"}
 
 
 def assert_marker_is_canonical(t):
