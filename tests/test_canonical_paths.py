@@ -232,6 +232,7 @@ def test_contraction_of_an_edge_subset_ignores_the_order_of_its_edges(source):
         for subset in (c for k in range(min(3, len(eids)) + 1) for c in combinations(eids, k)):
             want, first = forest_contraction(t, subset), moduli.contract_any_slope(t, subset)
             assert first == want and first.graph == want.graph  # the graph's tuples too
+            assert first.slopes is not t.slopes  # no edge contracted is a new type all the same
             shuffled = list(subset)
             rng.shuffle(shuffled)
             for edges in (subset[::-1], shuffled, set(subset)):
