@@ -60,7 +60,6 @@ from .records import FrozenRecord, Offset, Record, _affine_at
 from .tropcurve import (
     CombinatorialType,
     ParameterizedTropicalCurve,
-    StabilizationResult,
     TropicalCurve,
     check_balanced,
     extended_degree,
