@@ -460,9 +460,8 @@ def _unwritable(tmp_path, where):
 def test_cli_unwritable_output_is_an_input_error(tmp_path, capsys, where, bad_input):
     """A report, an error report too, that cannot be written to --output is
     replaced by an input error at pointer /output on stdout, exit 2."""
-    path = _write(tmp_path, "type.json", docs.type_to_doc(cross_type()))
-    if bad_input:
-        path = _write(tmp_path, "type.json", {"schema": docs.SCHEMA})
+    doc = {"schema": docs.SCHEMA} if bad_input else docs.type_to_doc(cross_type())
+    path = _write(tmp_path, "type.json", doc)
     output = _unwritable(tmp_path, where)
     code, out = _run(capsys, ["classify", path, "-o", output])
     report = json.loads(out)
